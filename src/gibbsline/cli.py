@@ -420,6 +420,8 @@ def _cmd_zerotemp(cfg: ModelConfig, args, em: _Emitter) -> int:
         payload["heuristic"] = k0.heuristic
         payload["tie_tol_used"] = result.decomposition.tie_tol_used
         em.put("mu_infty.json", _json_dumps(payload))
+    for t, message in result.errors:
+        print(f"solver failure at t={_fmt(t)}: {message}", file=sys.stderr)
     for j, w in enumerate(result.estimate.weights):
         label = "-".join(str(s) for s in result.estimate.component_symbols[j])
         print(f"gamma[{label}]={_fmt(w)}")

@@ -2,8 +2,10 @@
 
 Maximum ergodic average beta as a max mean cycle (Karp dynamic program with
 a brute-force oracle), max-plus subactions, the critical graph of tight
-edges with its transitive components, and stabilization detection across
-the truncation schedule.
+edges with its transitive components, the max-plus gauge that warm-starts
+zero-temperature solves, and stabilization detection across the truncation
+schedule. The max-plus routines themselves live in `maxplus`; this module
+applies them to a potential on a truncation.
 """
 
 from __future__ import annotations
@@ -13,24 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import maxplus
 from .errors import (
     BudgetExceeded,
     EmptyCriticalGraph,
-    NoConvergence,
     NonTransitive,
     NotStabilized,
-    SolverError,
     ValidationError,
 )
+from .maxplus import MaxPlusGauge
 from .potential import MarkovPotential, check_summability
 from .rpf_finite import MarkovMeasure, equilibrium, perron
-from .shift_model import (
-    ShiftModel,
-    Truncation,
-    build_truncation,
-    graph_period,
-    strongly_connected_components,
-)
+from .shift_model import ShiftModel, Truncation, build_truncation, graph_period
 
 _NEG_INF = -np.inf
 
@@ -57,6 +53,7 @@ class CriticalDecomposition:
     maximal_components: tuple[int, ...]
     witness_cycle: tuple[int, ...]
     tie_tol_used: float
+    cyclicity: int  # lcm of the component periods
 
 
 @dataclass(frozen=True)
@@ -79,94 +76,14 @@ def _weight_matrix(trunc: Truncation, f: MarkovPotential) -> np.ndarray:
 def max_mean_cycle(trunc: Truncation, f: MarkovPotential) -> tuple[float, tuple[int, ...]]:
     """Maximum cycle mean and a witness cycle (as a symbol tuple).
 
-    Karp's dynamic program over walk lengths 0..n from source 0; the witness
-    is reconstructed from back-pointers and beta is returned as the exact
-    mean of the witness cycle.
+    Karp's dynamic program (see `maxplus.max_cycle_mean`); beta is returned
+    as the exact mean of the witness cycle.
     """
-    W = _weight_matrix(trunc, f)
-    n = trunc.n_symbols
-    D = np.full((n + 1, n), _NEG_INF)
-    D[0, 0] = 0.0
-    parent = np.full((n + 1, n), -1, dtype=np.int64)
-    for r in range(1, n + 1):
-        cand = D[r - 1][:, None] + W
-        parent[r] = np.argmax(cand, axis=0)
-        D[r] = cand[parent[r], np.arange(n)]
-    best = _NEG_INF
-    best_v = -1
-    for v in range(n):
-        if not np.isfinite(D[n, v]):
-            continue
-        finite_r = [r for r in range(n) if np.isfinite(D[r, v])]
-        q = min((D[n, v] - D[r, v]) / (n - r) for r in finite_r)
-        if q > best:
-            best, best_v = q, v
-    if best_v < 0:
-        raise SolverError("no cycle reachable from symbol 0")
-    cycle = _extract_cycle(W, parent, best_v, n, best)
-    mean = _cycle_mean(W, cycle)
+    mean, cycle = maxplus.max_cycle_mean(_weight_matrix(trunc, f))
     symbols = tuple(int(trunc.alphabet[v]) for v in cycle)
     # canonical rotation: start at the smallest symbol
     pivot = symbols.index(min(symbols))
     return mean, symbols[pivot:] + symbols[:pivot]
-
-
-def _cycle_mean(W: np.ndarray, cycle: list[int]) -> float:
-    total = 0.0
-    L = len(cycle)
-    for a in range(L):
-        total += W[cycle[a], cycle[(a + 1) % L]]
-    return total / L
-
-
-def _extract_cycle(W: np.ndarray, parent: np.ndarray, v: int, n: int, target: float) -> list[int]:
-    path = [v]
-    for r in range(n, 0, -1):
-        v = int(parent[r, v])
-        path.append(v)
-    path.reverse()  # forward walk of length n from the source
-    best_cycle: list[int] | None = None
-    best_mean = _NEG_INF
-    seen: dict[int, int] = {}
-    for pos, u in enumerate(path):
-        if u in seen:
-            cyc = path[seen[u]:pos]
-            mean = _cycle_mean(W, cyc)
-            if mean > best_mean:
-                best_mean, best_cycle = mean, cyc
-        seen[u] = pos
-    if best_cycle is None or abs(best_mean - target) > 1e-7 * max(1.0, abs(target)):
-        # fall back to enumeration on small graphs
-        if n <= 12:
-            _, cyc = _brute_force_cycles(W, n)
-            return cyc
-        raise SolverError("witness-cycle reconstruction failed")
-    return best_cycle
-
-
-def _brute_force_cycles(W: np.ndarray, Lmax: int) -> tuple[float, list[int]]:
-    n = W.shape[0]
-    best = _NEG_INF
-    best_cycle: list[int] = []
-
-    def dfs(start: int, v: int, path: list[int], total: float):
-        nonlocal best, best_cycle
-        for w in range(n):
-            weight = W[v, w]
-            if not np.isfinite(weight):
-                continue
-            if w == start:
-                mean = (total + weight) / len(path)
-                if mean > best:
-                    best, best_cycle = mean, path.copy()
-            elif w > start and w not in path and len(path) < Lmax:
-                path.append(w)
-                dfs(start, w, path, total + weight)
-                path.pop()
-
-    for s in range(n):
-        dfs(s, s, [s], 0.0)
-    return best, best_cycle
 
 
 def brute_force_max_mean(trunc: Truncation, f: MarkovPotential, Lmax: int) -> float:
@@ -175,8 +92,7 @@ def brute_force_max_mean(trunc: Truncation, f: MarkovPotential, Lmax: int) -> fl
         raise BudgetExceeded("brute-force cycle enumeration limited to 10 symbols")
     if Lmax > trunc.n_symbols:
         raise BudgetExceeded("Lmax exceeds the alphabet size")
-    W = _weight_matrix(trunc, f)
-    best, _ = _brute_force_cycles(W, Lmax)
+    best, _ = maxplus.brute_force_cycles(_weight_matrix(trunc, f), Lmax)
     return best
 
 
@@ -189,32 +105,13 @@ def subaction(
 ) -> np.ndarray:
     """Max-plus vector v with f(i,j) - beta + v_j - v_i <= 0, tight on a spanning set.
 
-    v_i is the best reduced weight of a walk from i to a critical vertex,
-    computed by damped value iteration (at most n sweeps); gauge v[0] = 0.
+    v_i is the best reduced weight of a walk from i to the smallest witness
+    symbol, by value iteration (see `maxplus.subaction`); gauge v[0] = 0.
     """
     if witness is None:
         _, witness = max_mean_cycle(trunc, f)
-    idx = trunc.local_index()
-    c = idx[min(witness)]
-    W = _weight_matrix(trunc, f)
-    G = W - beta
-    n = trunc.n_symbols
-    v = np.full(n, _NEG_INF)
-    v[c] = 0.0
-    for _ in range(n + 1):
-        with np.errstate(invalid="ignore"):
-            candidate = np.max(G + v[None, :], axis=1)
-        new = np.maximum(v, candidate)
-        if np.allclose(new, v, rtol=0.0, atol=tie_tol / 100.0, equal_nan=True):
-            v = new
-            break
-        v = new
-    if not np.all(np.isfinite(v)):
-        raise NoConvergence(n + 1, math.inf)
-    with np.errstate(invalid="ignore"):
-        resid = float(np.max(np.max(G + v[None, :], axis=1) - v))
-    if resid > tie_tol / 10.0:
-        raise NoConvergence(n + 1, resid)
+    c = trunc.local_index()[min(witness)]
+    v = maxplus.subaction(_weight_matrix(trunc, f) - beta, [c], tie_tol)
     return v - v[0]
 
 
@@ -232,32 +129,23 @@ def critical_graph(
     carry a cycle; every cycle made of tight edges has mean exactly beta,
     so their union is the maximizing subshift of the truncation.
     """
-    W = _weight_matrix(trunc, f)
-    with np.errstate(invalid="ignore"):
-        residue = W - beta + v[None, :] - v[:, None]
-    tight = np.isfinite(W) & (np.abs(residue) <= tie_tol)
-    if not tight.any():
+    tight, comps = maxplus.critical_components(_weight_matrix(trunc, f), beta, v, tie_tol)
+    if not comps:
         raise EmptyCriticalGraph(tie_tol)
     alphabet = trunc.alphabet
     tight_edges = tuple(
         (int(alphabet[a]), int(alphabet[b])) for a, b in zip(*np.nonzero(tight))
     )
-    comps = []
-    for comp in strongly_connected_components(tight):
-        sub = tight[np.ix_(comp, comp)]
-        if len(comp) == 1 and not sub[0, 0]:
-            continue
-        comps.append((comp, sub))
-    if not comps:
-        raise EmptyCriticalGraph(tie_tol)
 
     components = []
+    periods = []
     for comp, sub in comps:
         syms = tuple(int(alphabet[a]) for a in comp)
         edges = tuple(
             (int(alphabet[comp[a]]), int(alphabet[comp[b]])) for a, b in zip(*np.nonzero(sub))
         )
         d = graph_period(sub)
+        periods.append(d)
         # entropy of the component subshift: zero-potential pressure
         log_zero = np.where(sub, 0.0, _NEG_INF)
         h_top = perron(log_zero, period=d).log_lambda
@@ -281,6 +169,7 @@ def critical_graph(
         maximal_components=maximal,
         witness_cycle=witness,
         tie_tol_used=tie_tol,
+        cyclicity=math.lcm(*periods),
     )
 
 
@@ -297,6 +186,19 @@ def critical_decomposition(trunc: Truncation, f: MarkovPotential, tie_tol: float
             if tol >= 1e-6:
                 raise
             tol *= 10.0
+
+
+def max_plus_gauge(trunc: Truncation, f: MarkovPotential, dec: CriticalDecomposition) -> MaxPlusGauge:
+    """Max-plus gauge of f on the truncation, from its critical decomposition.
+
+    The subactions are seeded on the maximal components: as t grows, log h
+    of exp(t f) is t v and log nu is t u up to o(t) when one component is
+    maximal, because the Perron vector is carried by the walks into it.
+    Costs two value iterations; no further Karp run.
+    """
+    idx = trunc.local_index()
+    seeds = [idx[dec.components[j].symbols[0]] for j in dec.maximal_components]
+    return maxplus.gauge(_weight_matrix(trunc, f), dec.beta, seeds, dec.cyclicity, dec.tie_tol_used)
 
 
 def _structure_key(dec: CriticalDecomposition) -> tuple:

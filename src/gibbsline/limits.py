@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonMixingModel, NotConverged, SolverError, ValidationError
+from .errors import NoTailDescriptor, NonMixingModel, NotConverged, SolverError, ValidationError
 from .ergodic_opt import (
     CriticalDecomposition,
     K0Report,
@@ -22,6 +22,7 @@ from .ergodic_opt import (
     detect_k0,
     max_entropy_over_maximizing,
     max_mean_cycle,
+    max_plus_gauge,
 )
 from .potential import MarkovPotential, SummabilityCertificate, check_summability, variation
 from .rpf_finite import (
@@ -166,7 +167,7 @@ class _PointSolver:
 def _certificate_or_none(f: MarkovPotential) -> SummabilityCertificate | None:
     try:
         return check_summability(f)
-    except Exception:
+    except NoTailDescriptor:
         return None
 
 
@@ -395,6 +396,7 @@ def zero_temp_sweep(
         raise ValidationError(f"zero-temperature sweep needs k >= k0 = {k0_report.k0}")
     trunc = build_truncation(model, k)
     dec = critical_decomposition(trunc, f, tie_tol=tie_tol)
+    gauge = max_plus_gauge(trunc, f, dec)
     ts = tuple(sorted(float(t) for t in ts))
 
     maximal = [dec.components[j] for j in dec.maximal_components]
@@ -404,7 +406,7 @@ def zero_temp_sweep(
     errors: list[tuple[float, str]] = []
     for t in ts:
         try:
-            _, meas = equilibrium_measure(trunc, f, t)
+            _, meas = equilibrium_measure(trunc, f, t, gauge=gauge)
         except SolverError as exc:
             errors.append((t, str(exc)))
             continue
@@ -462,10 +464,11 @@ def entropy_limit(
         )
     dec = critical_decomposition(trunc, f, tie_tol=tie_tol)
     sup_max = max_entropy_over_maximizing(dec)
+    gauge = max_plus_gauge(trunc, f, dec)
     ts = tuple(sorted(float(t) for t in ts))
     hs = []
     for t in ts:
-        _, meas = equilibrium_measure(trunc, f, t)
+        _, meas = equilibrium_measure(trunc, f, t, gauge=gauge)
         hs.append(entropy(meas))
     return EntropyLimitReport(
         k=k,

@@ -2,8 +2,24 @@
 
 Everything spectral stays in log space with log-sum-exp reductions: inverse
 temperatures up to ~10^3 make the matrix entries exp(t f) underflow long
-before the quantities of interest do. Truncations with period d > 1 are
-handled by averaging the power iteration over d consecutive steps.
+before the quantities of interest do.
+
+`perron` runs power iteration on both sides, along one of these paths:
+
+- No gauge (pressure grids, single points, critical components): plain
+  iteration from the uniform vector, averaged over d consecutive steps on
+  period-d supports. Only if that stalls is the max-plus gauge of log B built
+  (Karp, then the critical graph) and the shifted iteration below run.
+- With a gauge (zero-temperature sweeps): the iteration starts from the
+  max-plus eigenvectors, t v on the right and t u on the left, which already
+  carry the e^{-t delta} decay of the off-critical entries. When the
+  critical graph is cyclic (cyclicity c > 1) the peripheral spectrum of
+  exp(t f) tends to lambda times the c-th roots of unity, so the solve goes
+  straight to the iteration shifted by sigma = e^{t beta} <= lambda; when
+  c = 1 it runs plain first and shifts only on a stall.
+
+The gauge is linear in t: beta, v and u of t f are t times those of f, so a
+sweep computes them once from f's critical decomposition and rescales.
 """
 
 from __future__ import annotations
@@ -21,11 +37,15 @@ from .errors import (
     NoConvergence,
     ValidationError,
 )
+from .maxplus import MaxPlusGauge, gauge_of
 from .potential import MarkovPotential, variation
 from .shift_model import ModelKind, Truncation, graph_period
 
 _NEG_INF = -np.inf
 _EPS = float(np.finfo(np.float64).eps)
+
+# Solver paths in increasing order of cost; a solve reports its costlier side.
+PATHS = ("plain", "period-averaged", "shifted", "best-iterate")
 
 
 @dataclass(frozen=True)
@@ -34,6 +54,8 @@ class PerronData:
 
     log_lambda is the pressure of the truncated system; log_h and log_nu are
     the right/left eigenvectors, gauged so that sum(h) = 1 and sum(nu*h) = 1.
+    iterations counts the power-iteration steps of both sides, and path (one
+    of PATHS) names the solver path that produced the answer.
     """
 
     log_lambda: float
@@ -41,6 +63,7 @@ class PerronData:
     log_nu: np.ndarray
     iterations: int
     residual: float
+    path: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,41 +125,22 @@ def _eigen_residual(logA: np.ndarray, logv: np.ndarray, est: float) -> float:
     return float(np.max(np.abs(lhs - est - logv)))
 
 
-def _max_cycle_mean(W: np.ndarray) -> float:
-    """Karp's maximum cycle mean of a (-inf)-padded weight matrix.
+def _power_iteration(
+    logA: np.ndarray, logv: np.ndarray, d: int, tol: float, max_iter: int, res_tol: float
+) -> tuple[np.ndarray | None, float, int, float, tuple]:
+    """Log-domain power iteration from logv.
 
-    Pins log(lambda) within [mean, mean + log n] by the variational
-    principle, which makes it the right scale for the diagonal shift.
+    Returns (log_vec, log_lambda, iters, residual, best); log_vec is None
+    when the budget ran out, and best = (residual, vector, eigenvalue) is
+    the best iterate seen. The eigenvalue estimate is the mean of the last d
+    per-step log-normalizers and the eigenvector the average of the last d
+    normalized iterates, which converges for period-d supports where the
+    plain iteration oscillates.
     """
-    n = W.shape[0]
-    D = np.full((n + 1, n), -np.inf)
-    D[0, 0] = 0.0
-    for r in range(1, n + 1):
-        D[r] = np.max(D[r - 1][:, None] + W, axis=0)
-    best = -np.inf
-    for v in range(n):
-        if not np.isfinite(D[n, v]):
-            continue
-        finite_r = [r for r in range(n) if np.isfinite(D[r, v])]
-        best = max(best, min((D[n, v] - D[r, v]) / (n - r) for r in finite_r))
-    return float(best)
-
-
-def _power_iteration(logA: np.ndarray, d: int, tol: float, max_iter: int, res_tol: float):
-    """Log-domain power iteration; returns (log_vec, log_lambda, iters, residual).
-
-    The eigenvalue estimate is the mean of the last d per-step log-normalizers
-    and the eigenvector the average of the last d normalized iterates, which
-    converges for period-d supports where the plain iteration oscillates.
-    Aperiodic matrices whose subdominant eigenvalue hugs the spectral circle
-    (e.g. strongly negative) fall back to a diagonally shifted iteration.
-    """
-    n = logA.shape[0]
-    logv = np.full(n, -math.log(n))
     s_hist: deque[float] = deque(maxlen=d)
     v_hist: deque[np.ndarray] = deque(maxlen=d)
     est_prev = math.nan
-    best = (math.inf, None, math.nan)  # (residual, vector, eigenvalue)
+    best = (math.inf, None, math.nan)
     for it in range(1, max_iter + 1):
         u = _log_matvec(logA, logv)
         s = float(logsumexp(u))
@@ -153,26 +157,23 @@ def _power_iteration(logA: np.ndarray, d: int, tol: float, max_iter: int, res_to
             if res < best[0]:
                 best = (res, logw, est)
             if res < max(res_tol, 8.0 * _EPS * scale):
-                return logw, est, it, res
+                return logw, est, it, res, best
         est_prev = est
-    return _power_iteration_shifted(logA, tol, max_iter, res_tol, best)
+    return None, math.nan, max_iter, best[0], best
 
 
-def _power_iteration_shifted(logA: np.ndarray, tol: float, max_iter: int, res_tol: float, best):
+def _power_iteration_shifted(
+    logA: np.ndarray, logv: np.ndarray, log_sigma: float, tol: float, max_iter: int, res_tol: float, best: tuple
+) -> tuple[np.ndarray | None, float, int, float, tuple]:
     """Power iteration on B + sigma*I: same eigenvectors, eigenvalue lambda + sigma.
 
-    The shift breaks periodicity and pushes any negative or complex
-    subdominant eigenvalue well inside the circle; the unshifted eigenvalue
-    is recovered as log(exp(s) - sigma), stable because sigma ~ lambda.
-    On budget exhaustion the best iterate is accepted if its residual still
-    certifies the library's downstream tolerances.
+    sigma = exp(max cycle mean of log B) never exceeds lambda, and as t grows
+    lambda / sigma stays bounded while the peripheral eigenvalues tend to
+    lambda times roots of unity: the shift contracts each of them like
+    |e^{i theta} + sigma / lambda| / (1 + sigma / lambda), and lambda is
+    recovered as log(exp(s) - sigma) without cancellation. Same return as
+    `_power_iteration`.
     """
-    n = logA.shape[0]
-    logv = np.full(n, -math.log(n))
-    # log(lambda) lies in [max cycle mean, max cycle mean + log n], so this
-    # sigma is within sqrt(n) of lambda and any peripheral eigenvalue at
-    # angle theta contracts like |e^{i theta} + c| / (1 + c), c ~ 1
-    log_sigma = _max_cycle_mean(logA) + 0.5 * math.log(n)
     s_prev = math.nan
     it = 0
     for it in range(1, max_iter + 1):
@@ -180,19 +181,56 @@ def _power_iteration_shifted(logA: np.ndarray, tol: float, max_iter: int, res_to
         s = float(logsumexp(u))
         logv = u - s
         scale = max(1.0, abs(s), float(np.max(np.abs(logv[np.isfinite(logv)]))))
-        if abs(s - s_prev) < max(tol, 4.0 * _EPS * scale) or it % 32 == 0:
-            if s <= log_sigma:
-                break  # lambda underflows against the shift; give up
+        if (abs(s - s_prev) < max(tol, 4.0 * _EPS * scale) or it % 32 == 0) and s > log_sigma:
             est = s + math.log1p(-math.exp(log_sigma - s))
             res = _eigen_residual(logA, logv, est)
             if res < best[0]:
                 best = (res, logv, est)
             if res < max(res_tol, 8.0 * _EPS * max(scale, abs(est))):
-                return logv, est, it, res
+                return logv, est, it, res, best
         s_prev = s
+    return None, math.nan, it, best[0], best
+
+
+def _normalized(logv: np.ndarray) -> np.ndarray:
+    return logv - logsumexp(logv)
+
+
+def _solve_side(
+    logA: np.ndarray,
+    d: int,
+    gauge: MaxPlusGauge | None,
+    warm_start,
+    gauge_of_logA,
+    tol: float,
+    max_iter: int,
+    res_tol: float,
+) -> tuple[np.ndarray, float, int, float, str]:
+    """Perron vector of one side: (log_vec, log_lambda, iterations, residual, path).
+
+    With a gauge the start is its max-plus eigenvector and sigma its cycle
+    mean; a cyclic critical graph goes straight to the shifted iteration.
+    Without one the plain iteration starts from the uniform vector and only
+    a stall pays for `gauge_of_logA`.
+    """
+    n = logA.shape[0]
+    best = (math.inf, None, math.nan)
+    spent = 0
+    if gauge is None or gauge.cyclicity == 1:
+        start = np.full(n, -math.log(n)) if gauge is None else _normalized(warm_start(gauge))
+        logv, est, it, res, best = _power_iteration(logA, start, d, tol, max_iter, res_tol)
+        if logv is not None:
+            return logv, est, it, res, "plain" if d == 1 else "period-averaged"
+        spent = it
+    if gauge is None:
+        gauge = gauge_of_logA()
+    start = _normalized(warm_start(gauge))
+    logv, est, it, res, best = _power_iteration_shifted(logA, start, gauge.beta, tol, max_iter, res_tol, best)
+    if logv is not None:
+        return logv, est, spent + it, res, "shifted"
     if best[1] is not None and best[0] <= 1e-10:
-        return best[1], best[2], it, best[0]
-    raise NoConvergence(max_iter, best[0])
+        return best[1], best[2], spent + it, best[0], "best-iterate"
+    raise NoConvergence(spent + it, best[0])
 
 
 def perron(
@@ -201,21 +239,39 @@ def perron(
     max_iter: int | None = None,
     period: int | None = None,
     res_tol: float = 1e-12,
+    gauge: MaxPlusGauge | None = None,
 ) -> PerronData:
-    """Perron data of an irreducible log-domain matrix by power iteration."""
+    """Perron data of an irreducible log-domain matrix by power iteration.
+
+    `gauge` is the max-plus gauge of logB itself (for log B = t f, the gauge
+    of f scaled by t); see the module docstring for the solver paths.
+    """
     n = logB.shape[0]
     if max_iter is None:
         # 100 * n with a floor: tiny alphabets can still carry nearly
         # reducible supports whose spectral gap is independent of n
         max_iter = max(100 * n, 3000)
     d = period if period is not None else _support_period(logB)
-    logh, est_r, it_r, res_r = _power_iteration(logB, d, tol, max_iter, res_tol)
-    lognu, est_l, it_l, res_l = _power_iteration(logB.T, d, tol, max_iter, res_tol)
+    found: list[MaxPlusGauge] = []
+
+    def gauge_of_logB() -> MaxPlusGauge:
+        # built at most once per solve, by whichever side stalls first
+        if not found:
+            found.append(gauge_of(logB))
+        return found[0]
+
+    logh, est_r, it_r, res_r, path_r = _solve_side(
+        logB, d, gauge, lambda g: g.v, gauge_of_logB, tol, max_iter, res_tol
+    )
+    lognu, est_l, it_l, res_l, path_l = _solve_side(
+        logB.T, d, gauge, lambda g: g.u, gauge_of_logB, tol, max_iter, res_tol
+    )
     log_lambda = 0.5 * (est_r + est_l)
     logh = logh - logsumexp(logh)
     lognu = lognu - logsumexp(lognu + logh)
     residual = max(res_r, res_l, abs(est_r - est_l))
-    return PerronData(float(log_lambda), logh, lognu, it_r + it_l, float(residual))
+    path = max(path_r, path_l, key=PATHS.index)
+    return PerronData(float(log_lambda), logh, lognu, it_r + it_l, float(residual), path)
 
 
 def pressure(trunc: Truncation, f: MarkovPotential, t: float, **kwargs) -> float:
@@ -280,10 +336,16 @@ def equilibrium(pd: PerronData, logB: np.ndarray, alphabet: np.ndarray | None = 
     return MarkovMeasure(P, pi, np.asarray(alphabet, dtype=np.int64))
 
 
-def equilibrium_measure(trunc: Truncation, f: MarkovPotential, t: float, **kwargs) -> tuple[float, MarkovMeasure]:
-    """Convenience: pressure and equilibrium state of t*f on the truncation."""
+def equilibrium_measure(
+    trunc: Truncation, f: MarkovPotential, t: float, gauge: MaxPlusGauge | None = None, **kwargs
+) -> tuple[float, MarkovMeasure]:
+    """Convenience: pressure and equilibrium state of t*f on the truncation.
+
+    `gauge` is the max-plus gauge of f (not of t*f) on the truncation; the
+    solve uses it scaled by t.
+    """
     logB = transfer_matrix(trunc, f, t)
-    pd = perron(logB, period=trunc.period, **kwargs)
+    pd = perron(logB, period=trunc.period, gauge=None if gauge is None else gauge.scaled(t), **kwargs)
     return pd.log_lambda, equilibrium(pd, logB, trunc.alphabet)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,42 @@ def stationary_of(P: np.ndarray) -> np.ndarray:
     pi = np.linalg.solve(A, b)
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()
+
+
+def dense_gauged_state(W: np.ndarray, t: float) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """(log lambda, pi, P, gap) of exp(t W) by a dense eigensolve, independent of the solver.
+
+    W holds f on the edges of an irreducible graph and -inf elsewhere. The
+    matrix is conjugated into exp(t (f - beta + v_j - v_i)), v a max-plus
+    eigenvector of W - beta from Floyd-Warshall, so every entry is at most 1
+    and each row keeps an entry equal to 1 at any t. gap is 1 - |mu + 1| /
+    (rho + 1) for the next eigenvalue mu of this matrix: the contraction
+    margin of the iteration shifted by exp(t beta); near 0, neither that
+    iteration nor this eigensolve can separate the top two eigenvectors.
+    """
+    n = W.shape[0]
+    walks, beta = W.copy(), float(np.max(np.diag(W)))
+    for length in range(2, n + 1):
+        walks = np.max(walks[:, :, None] + W[None, :, :], axis=1)
+        beta = max(beta, float(np.max(np.diag(walks))) / length)
+    D = W - beta
+    for m in range(n):
+        D = np.maximum(D, D[:, m : m + 1] + D[m : m + 1, :])
+    c = int(np.argmax(np.diag(D)))  # a vertex on a maximizing cycle
+    v = D[:, c] - D[c, c]
+    with np.errstate(invalid="ignore"):
+        B = np.exp(t * (W - beta + v[None, :] - v[:, None]))
+    B[~np.isfinite(W)] = 0.0
+    eigs = np.linalg.eigvals(B)
+    lam = float(np.max(eigs.real))
+    gap = 1.0 - float(np.sort(np.abs(eigs + 1.0))[-2]) / (lam + 1.0) if n > 1 else 1.0
+    # eigenvectors as null vectors of B - lam I by SVD: on these matrices,
+    # whose entries reach the underflow limit, np.linalg.eig returned
+    # eigenvectors with residuals of order 1
+    eye = np.eye(n)
+    h = np.abs(np.linalg.svd(B - lam * eye)[2][-1])
+    nu = np.abs(np.linalg.svd(B.T - lam * eye)[2][-1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # h, nu are junk at gap ~ 0
+        pi = nu * h / np.sum(nu * h)
+        P = B * h[None, :] / (lam * h[:, None])
+    return t * beta + math.log(lam), pi, P, gap

@@ -234,6 +234,30 @@ class TestRunCommand:
         assert comp["symbols"] == [0, 1]
         assert comp["stationary"] == [pytest.approx(0.5, abs=1e-9)] * 2
 
+    def test_zerotemp_reports_each_lost_point_on_stderr(self, tmp_path, capsys, monkeypatch):
+        import gibbsline.limits as limits_mod
+        from gibbsline.errors import NoConvergence
+
+        cfg = write_cfg(tmp_path, TIE, "tie.cfg")
+        assert run_command(["zerotemp", "--config", cfg, "--out", str(tmp_path / "clean")]) == 0
+        assert capsys.readouterr().err == ""
+        real = limits_mod.equilibrium_measure
+
+        def flaky(trunc, pot, t, **kw):
+            if t in (512.0, 1024.0):
+                raise NoConvergence(3000, 1e-3)
+            return real(trunc, pot, t, **kw)
+
+        monkeypatch.setattr(limits_mod, "equilibrium_measure", flaky)
+        code = run_command(["zerotemp", "--config", cfg, "--out", str(tmp_path / "lossy")])
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"solver failure at t={t}: no convergence after 3000 iterations (residual 1.000e-03)" for t in (512, 1024)
+        ]
+        clean = (next((tmp_path / "clean").iterdir()) / "trajectories.csv").read_text().splitlines()
+        lossy = (next((tmp_path / "lossy").iterdir()) / "trajectories.csv").read_text().splitlines()
+        assert lossy == [row for row in clean if row.split(",")[1] not in ("512", "1024")]
+
     def test_entropy_limit_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, TIE, "tie.cfg")
         code = run_command(["entropy-limit", "--config", cfg, "--out", str(tmp_path / "runs")])

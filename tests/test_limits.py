@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dense_gauged_state
+from gibbsline import rpf_finite
 from gibbsline.bundled import bundled_pair
 from gibbsline.ergodic_opt import critical_decomposition, detect_k0, max_entropy_over_maximizing
 from gibbsline.errors import NonMixingModel, NotConverged, ValidationError
 from gibbsline.limits import (
+    ZT_TS_DEFAULT,
     entropy_limit,
     entropy_upper_semicontinuity_check,
     equilibrium_limit_in_k,
@@ -71,6 +74,26 @@ class TestPressureSweep:
         assert not res.diagnostics["certified_summable"]
         assert res.diagnostics["p_estimate"] == {}
 
+    def test_only_a_missing_tail_descriptor_means_uncertified(self, monkeypatch):
+        import gibbsline.limits as limits_mod
+        from gibbsline.errors import NoTailDescriptor, UnboundedV1
+
+        model, f = full_block_zero(2)
+
+        def raising(exc):
+            def check(_f):
+                raise exc
+
+            return check
+
+        monkeypatch.setattr(limits_mod, "check_summability", raising(NoTailDescriptor("no tail")))
+        res = pressure_sweep(model, f, ks=(1,), ts=(2.0,), require_certificate=False)
+        assert res.reference["certificate"] is None
+        for exc in (UnboundedV1("other validation error"), ZeroDivisionError("bug")):
+            monkeypatch.setattr(limits_mod, "check_summability", raising(exc))
+            with pytest.raises(type(exc)):
+                pressure_sweep(model, f, ks=(1,), ts=(2.0,), require_certificate=False)
+
     def test_rejects_low_t(self, log_quadratic):
         model, f = log_quadratic
         with pytest.raises(ValidationError):
@@ -93,7 +116,6 @@ class TestPressureSweep:
             k0 = detect_k0(model, f).k0
             tr = build_truncation(model, k0)
             dec = critical_decomposition(tr, f)
-            h_top = pressure(tr, f, 1.0) * 0  # placeholder replaced below
             from gibbsline.rpf_finite import perron
             import numpy as np
 
@@ -217,6 +239,71 @@ class TestZeroTemp:
         model, f = tie_two_loops
         with pytest.raises(ValidationError):
             zero_temp_sweep(model, f, k=0)
+
+
+# 12 symbols, a Hamiltonian cycle plus random successors; the maximizing
+# cycle 2 -> 7 -> 9 -> 2 is planted, so the critical graph has cyclicity 3
+# and the peripheral spectrum of exp(t f) tends to lambda times the cube
+# roots of unity as t grows.
+PLANTED_TABLE = (
+    (0, 8, -4.34), (0, 9, -0.64), (0, 10, -1.32), (1, 0, -0.58), (1, 2, -3.11), (1, 6, -0.55),
+    (1, 9, -2.05), (2, 4, -2.19), (2, 5, -0.56), (2, 7, -0.08), (2, 9, -1.02), (2, 10, -1.16),
+    (3, 1, -1.61), (3, 9, -0.8), (3, 11, -0.89), (4, 0, -1.78), (4, 7, -3.69), (4, 8, -0.62),
+    (4, 9, -2.04), (5, 1, -2.35), (5, 2, -0.96), (5, 4, -3.1), (5, 6, -1.23), (6, 5, -0.71),
+    (6, 7, -1.89), (6, 9, -2.01), (6, 10, -1.79), (7, 1, -1.52), (7, 2, -2.23), (7, 3, -1.75),
+    (7, 5, -2.33), (7, 9, -0.14), (8, 5, -1.17), (8, 7, -0.98), (8, 10, -3.88), (9, 2, -0.28),
+    (9, 6, -1.76), (9, 8, -0.96), (9, 10, -0.53), (10, 0, -1.82), (10, 2, -2.98), (10, 8, -0.59),
+    (10, 9, -1.03), (11, 3, -0.66), (11, 4, -1.22), (11, 9, -1.14),
+)
+
+
+class TestPlantedCyclicGroundState:
+    """The sweep solves every t on a cyclic critical graph, in few iterations."""
+
+    @pytest.fixture(scope="class")
+    def planted(self):
+        model = ShiftModel(ModelKind.CUSTOM, tuple((i, j) for i, j, _ in PLANTED_TABLE))
+        f = MarkovPotential(model, Family.TABLE, table=PLANTED_TABLE)
+        W = np.full((12, 12), -np.inf)
+        for i, j, w in PLANTED_TABLE:
+            W[i, j] = w
+        return model, f, W
+
+    def test_zero_temp_sweep_matches_dense_oracle(self, planted, monkeypatch):
+        model, f, W = planted
+        gauged_iterations = []
+        solve = rpf_finite.perron
+
+        def counting(*args, **kwargs):
+            pd = solve(*args, **kwargs)
+            if kwargs.get("gauge") is not None:
+                gauged_iterations.append(pd.iterations)
+            return pd
+
+        monkeypatch.setattr(rpf_finite, "perron", counting)
+        words = tuple((s,) for s in range(12)) + ((2, 7), (7, 9, 2))
+        res = zero_temp_sweep(model, f, 11, ts=ZT_TS_DEFAULT, words=words)
+        assert res.errors == ()
+        assert res.ts == ZT_TS_DEFAULT
+        assert res.decomposition.cyclicity == 3
+        assert res.estimate.component_symbols == ((2, 7, 9),)
+        for i, t in enumerate(res.ts):
+            _, pi, P, _ = dense_gauged_state(W, t)
+            for w in words:
+                mass = pi[w[0]] * np.prod([P[a, b] for a, b in zip(w, w[1:])])
+                assert res.trajectories[w][i] == pytest.approx(mass, rel=1e-9, abs=1e-12), (t, w)
+            gamma = pi[2] + pi[7] + pi[9]
+            assert res.gamma_trajectories[0][i] == pytest.approx(gamma, rel=1e-9, abs=1e-12), t
+        assert len(gauged_iterations) == len(ZT_TS_DEFAULT)
+        assert sum(gauged_iterations) < 2000
+
+    def test_entropy_limit_returns(self, planted):
+        model, f, _ = planted
+        rep = entropy_limit(model, f, 11, ts=ZT_TS_DEFAULT)
+        assert rep.ts == ZT_TS_DEFAULT
+        # the ground state is the periodic orbit of the planted cycle
+        assert rep.h_infinity == pytest.approx(0.0, abs=1e-12)
+        assert rep.sup_over_maximizing == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEntropyLimit:

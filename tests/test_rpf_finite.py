@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_stochastic, stationary_of
+from conftest import dense_gauged_state, random_stochastic, stationary_of
 from gibbsline.bundled import bundled_pair
-from gibbsline.errors import BudgetExceeded
+from gibbsline.ergodic_opt import critical_decomposition, detect_k0, max_plus_gauge
+from gibbsline.errors import BudgetExceeded, NoConvergence
+from gibbsline.limits import ZT_TS_DEFAULT
 from gibbsline.potential import Family, MarkovPotential
 from gibbsline.rpf_finite import (
     cylinder_mass,
@@ -87,6 +89,34 @@ class TestPerron:
         tr = build_truncation(model, 0)
         pd = perron(transfer_matrix(tr, f, 1.0), period=tr.period)
         assert pd.log_lambda == pytest.approx((a + b) / 2, abs=1e-12)
+
+    def test_reports_solver_path(self):
+        assert perron(np.zeros((3, 3))).path == "plain"
+        model, f = two_cycle(-0.7, -2.3)
+        tr = build_truncation(model, 0)
+        logB = transfer_matrix(tr, f, 1.0)
+        assert perron(logB, period=2).path == "period-averaged"
+        gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
+        assert gauge.cyclicity == 2
+        pd = perron(logB, period=2, gauge=gauge.scaled(1.0))
+        assert pd.path == "shifted"
+        assert pd.log_lambda == pytest.approx(-1.5, abs=1e-12)
+        # aperiodic, but -0.9995 is an eigenvalue: the plain iteration stalls
+        # and the solve falls back to the gauge it builds itself
+        B = np.array([[0.0, 1.0], [1.0, 0.001]])
+        with np.errstate(divide="ignore"):
+            pd = perron(np.log(B))
+        assert pd.path == "shifted"
+        assert pd.log_lambda == pytest.approx(math.log(np.max(np.linalg.eigvals(B).real)), abs=1e-12)
+
+    def test_best_iterate_is_reported(self):
+        # a budget too small for the residual gate, but enough for 1e-10
+        logB = np.log(np.array([[1.0, 0.1], [0.1, 0.9]]))
+        pd = perron(logB, max_iter=96)
+        assert pd.path == "best-iterate"
+        assert 1e-12 < pd.residual <= 1e-10
+        assert pd.iterations == 4 * 96  # plain, then shifted, on both sides
+        assert perron(logB).path == "plain"
 
     def test_against_dense_eigensolver(self, rng):
         # independent oracle: numpy dense eigendecomposition on random supports
@@ -349,6 +379,68 @@ def test_pressure_squeeze_on_random_graphs(data):
     assert t * beta - 1e-9 <= p <= t * beta + math.log(tr.n_symbols) + 1e-9
     assert np.allclose(meas.stochastic.sum(axis=1), 1.0, atol=1e-12)
     assert abs(entropy(meas) + t * integral(meas, f) - p) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_gauged_solve_matches_dense_oracle_on_random_graphs(data):
+    """Across the zero-temperature grid the gauged solve agrees with a dense
+    eigensolve of the gauged matrix, on aperiodic and period-2 supports.
+
+    It may refuse an instance only when the shifted iteration verifiably
+    cannot contract: some other eigenvalue mu of the gauged matrix has
+    |mu + 1| within 1% of rho + 1 (tied maximal components).
+    """
+    n = data.draw(st.integers(min_value=2, max_value=6))
+    bipartite = n % 2 == 0 and data.draw(st.booleans())
+    weight = st.floats(-5, 5)
+    entries = {(i, (i + 1) % n): data.draw(weight) for i in range(n)}
+    if bipartite:
+        entries.setdefault((1, 0), data.draw(weight))  # a 2-cycle: period exactly 2
+    extra = data.draw(
+        st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), weight, max_size=8)
+    )
+    for (i, j), v in extra.items():
+        if not bipartite or (i + j) % 2 == 1:
+            entries.setdefault((i, j), v)
+    model = ShiftModel(ModelKind.CUSTOM, tuple(sorted(entries)))
+    f = MarkovPotential(model, Family.TABLE, table=tuple((i, j, v) for (i, j), v in sorted(entries.items())))
+    tr = build_truncation(model, n - 1)
+    if bipartite:
+        assert tr.period == 2
+    gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
+    W = np.full((n, n), NEG_INF)
+    for (i, j), v in entries.items():
+        W[i, j] = v
+    for t in ZT_TS_DEFAULT:
+        log_lambda, pi, _, gap = dense_gauged_state(W, t)
+        try:
+            p, meas = equilibrium_measure(tr, f, t, gauge=gauge)
+        except NoConvergence:
+            assert gap < 0.01, f"refused t={t} with shifted contraction margin {gap:.4f}"
+            continue
+        if gap < 1e-3:
+            # the residual gate pins the eigenvector only to 1e-12 / gap, and
+            # the oracle to round-off / gap: neither is a 1e-9 answer here
+            continue
+        assert p == pytest.approx(log_lambda, rel=1e-10, abs=1e-10), t
+        assert np.allclose(meas.stationary, pi, rtol=1e-9, atol=1e-12), t
+
+
+def test_gauged_matches_ungauged_on_bundled_models():
+    for name in ("log_quadratic", "tie_two_loops", "renewal_weighted"):
+        model, f = bundled_pair(name)
+        tr = build_truncation(model, detect_k0(model, f).k0 + 1)
+        gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
+        for t in ZT_TS_DEFAULT:
+            logB = transfer_matrix(tr, f, t)
+            gauged = perron(logB, period=tr.period, gauge=gauge.scaled(t))
+            try:
+                plain = perron(logB, period=tr.period)
+            except NoConvergence:
+                continue
+            tol = 1e-12 * max(1.0, abs(plain.log_lambda))
+            assert abs(gauged.log_lambda - plain.log_lambda) <= tol, (name, t)
 
 
 class TestPartitionEntropy:
