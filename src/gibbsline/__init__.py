@@ -40,9 +40,6 @@ from .potential import (
     TailKind,
     check_summability,
     check_summability_t,
-    cylinder_sup,
-    evaluate,
-    normalize,
     variation,
 )
 from .rpf_finite import (

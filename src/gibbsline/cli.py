@@ -4,7 +4,8 @@ Subcommands: pressure, equilibrium, zerotemp, entropy-limit, diagnose,
 certify-summability. Exit codes: 0 success, 2 validation failure, 3 solver
 non-convergence. All numeric text output uses 15 significant digits with a
 '.' decimal point and LF newlines; identical config and tool version give
-byte-identical result files (timing lives only in the run manifest).
+byte-identical result files, which carry no timing (the run manifest holds
+only the start and finish stamps).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .ergodic_opt import detect_k0
 from .errors import NoTailDescriptor, SolverError, ValidationError
 from .limits import (
     EntropyLimitReport,
-    GridPoint,
     KLimitTable,
     MuInftyEstimate,
     SweepResult,
@@ -91,19 +91,6 @@ def _cert_jsonable(cert: SummabilityCertificate | None) -> dict | None:
     }
 
 
-def _cert_from_jsonable(obj: dict | None) -> SummabilityCertificate | None:
-    if obj is None:
-        return None
-    return SummabilityCertificate(
-        converges=obj["converges"],
-        partial_sum=obj["partial_sum"],
-        tail_bound=obj["tail_bound"],
-        total_upper_bound=obj["total_upper_bound"],
-        terms_used=obj["terms_used"],
-        tol_met=obj["tol_met"],
-    )
-
-
 def sweep_csv(result: SweepResult) -> str:
     flag_default = "" if result.diagnostics.get("certified_summable") else "per-truncation-only"
     rows: list[tuple] = []
@@ -160,37 +147,6 @@ def sweep_jsonable(result: SweepResult) -> dict:
     }
 
 
-def sweep_from_jsonable(obj: dict) -> SweepResult:
-    grid = tuple(
-        GridPoint(
-            k=g["k"],
-            t=g["t"],
-            n_symbols=g["n_symbols"],
-            pressure=g["pressure"],
-            entropy=g["entropy"],
-            integral=g["integral"],
-            masses={str_to_word(w): v for w, v in g["masses"].items()},
-            wall_time=0.0,
-            error=g["error"],
-        )
-        for g in obj["grid"]
-    )
-    return SweepResult(
-        grid=grid,
-        reference={
-            "s_ref": obj["reference"]["s_ref"],
-            "witness_cycle": tuple(obj["reference"]["witness_cycle"]),
-            "certificate": _cert_from_jsonable(obj["reference"]["certificate"]),
-        },
-        diagnostics={
-            "monotone_in_k": {float(t): v for t, v in obj["diagnostics"]["monotone_in_k"].items()},
-            "p_estimate": {float(t): v for t, v in obj["diagnostics"]["p_estimate"].items()},
-            "certified_summable": obj["diagnostics"]["certified_summable"],
-            "bound_violations": obj["diagnostics"].get("bound_violations", []),
-        },
-    )
-
-
 def mu_infty_jsonable(est: MuInftyEstimate) -> dict:
     return {
         "weights": list(est.weights),
@@ -204,53 +160,6 @@ def mu_infty_jsonable(est: MuInftyEstimate) -> dict:
             for syms, m in zip(est.component_symbols, est.components)
         ],
     }
-
-
-def mu_infty_from_jsonable(obj: dict) -> MuInftyEstimate:
-    import numpy as np
-
-    from .rpf_finite import MarkovMeasure
-
-    components = []
-    symbols = []
-    for comp in obj["components"]:
-        syms = tuple(int(s) for s in comp["symbols"])
-        symbols.append(syms)
-        components.append(
-            MarkovMeasure(
-                stochastic=np.asarray(comp["stochastic"], dtype=float),
-                stationary=np.asarray(comp["stationary"], dtype=float),
-                alphabet=np.asarray(syms, dtype=np.int64),
-            )
-        )
-    return MuInftyEstimate(
-        weights=tuple(float(w) for w in obj["weights"]),
-        components=tuple(components),
-        component_symbols=tuple(symbols),
-        residual=float(obj["residual"]),
-    )
-
-
-def mu_infty_csv(est: MuInftyEstimate) -> str:
-    rows: list[tuple] = []
-    for j, (w, syms) in enumerate(zip(est.weights, est.component_symbols)):
-        label = "-".join(str(s) for s in syms)
-        rows.append((None, None, f"gamma[{label}]", w, None, ""))
-    rows.append((None, None, "residual", est.residual, None, ""))
-    return _csv(rows)
-
-
-def emit(result: SweepResult | MuInftyEstimate, format: str, path: str | os.PathLike) -> Path:
-    """Write a result file; CSV columns (k,t,quantity,value,gap,flag), LF only."""
-    path = Path(path)
-    if isinstance(result, SweepResult):
-        text = sweep_csv(result) if format == "csv" else _json_dumps(sweep_jsonable(result))
-    elif isinstance(result, MuInftyEstimate):
-        text = mu_infty_csv(result) if format == "csv" else _json_dumps(mu_infty_jsonable(result))
-    else:
-        raise ValidationError(f"emit does not handle {type(result).__name__}")
-    path.write_bytes(text.encode("utf-8"))
-    return path
 
 
 def zero_temp_csv(result: ZeroTempResult) -> str:
@@ -550,6 +459,11 @@ def run_command(argv: list[str]) -> int:
     """Dispatch a CLI invocation; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for name in ("t", "tol"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            print(f"validation error: --{name} must be a finite number, got {value}", file=sys.stderr)
+            return 2
     try:
         cfg = _load_config(args.config)
     except OSError as exc:

@@ -10,6 +10,7 @@ emission echoes them back, so emit(parse(text)) is a stable fixed point.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
@@ -107,9 +108,12 @@ def _parse_int(raw: str, line: int, key: str) -> int:
 
 def _parse_float(raw: str, line: int, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ParseError(line, f"{key}: expected a real number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(line, f"{key}: expected a finite real number, got {raw!r}")
+    return value
 
 
 def _parse_int_list(raw: str, line: int, key: str) -> tuple[int, ...]:

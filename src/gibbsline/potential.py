@@ -4,6 +4,11 @@ All values are in natural-log units. A potential is attached to an ambient
 model (for edge admissibility) and carries a tail descriptor: a closed-form
 upper bound on sup f|_[i] for symbols beyond the explicit range, which is
 what certifies any statement about the full countable alphabet.
+
+Each family's formula f(i, j) is stated once, in `MarkovPotential.value_grid`;
+single values, truncated cylinder sups and row oscillations read from it,
+and edge admissibility comes from `ShiftModel.has_edge`. `_ambient_sups`
+holds the closed-form sups over the full countable rows.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -103,35 +109,38 @@ class MarkovPotential:
             raise ValidationError("table entries only apply to the table family")
         if self.family is not Family.TABLE and self.tail.kind is TailKind.NONE:
             object.__setattr__(self, "tail", _FAMILY_TAILS[self.family])
-        object.__setattr__(self, "_table_map", {(i, j): v for i, j, v in self.table})
         self._validate_tail_majorizes()
 
     # -- raw values ---------------------------------------------------------
 
-    def _base_value(self, i: int, j: int) -> float | None:
-        if self.family is Family.LOG_QUADRATIC:
-            return -math.log((i + 1.0) * (i + 2.0))
-        if self.family is Family.TIE_TWO_LOOPS:
-            return 0.0 if (i < 2 and j < 2) else -(max(i, j) + 1.0)
-        if self.family is Family.RENEWAL_WEIGHTED:
-            if i == 0:
-                return -(j + 1.0)
-            if j == i - 1:
-                return -float(i)
-            return None
-        return self._table_map.get((i, j))
+    @cached_property
+    def _table_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the table; a repeated (i, j) keeps its last value."""
+        last = {(i, j): v for i, j, v in self.table}
+        ij = np.asarray(list(last), dtype=np.int64).reshape(-1, 2)
+        return ij[:, 0], ij[:, 1], np.asarray(list(last.values()), dtype=float)
 
     def value(self, i: int, j: int) -> float:
         """f(i, j); the pair must be an admissible edge of the ambient model."""
-        if not self.model.has_edge(i, j):
-            raise InadmissibleEdge(f"({i}, {j}) is not an edge of the model")
-        base = self._base_value(i, j)
-        if base is None:
-            raise ValidationError(f"admissible edge ({i}, {j}) has no defined value")
-        return base + self.shift
+        return float(self._row_values(i, [j])[0])
+
+    def _row_values(self, i: int, cols: np.ndarray) -> np.ndarray:
+        """f(i, j) for each j in cols; every pair must be an admissible edge with a value."""
+        cols = np.asarray(cols, dtype=np.int64)
+        off = np.flatnonzero(~self.model.has_edge(i, cols))
+        if off.size:
+            raise InadmissibleEdge(f"({i}, {cols[off[0]]}) is not an edge of the model")
+        vals = self.value_grid(np.asarray([i]), cols)[0]
+        undefined = np.flatnonzero(np.isnan(vals))
+        if undefined.size:
+            raise ValidationError(f"admissible edge ({i}, {cols[undefined[0]]}) has no defined value")
+        return vals
 
     def value_grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Vectorized f over the grid rows x cols; NaN where undefined."""
+        """Vectorized f over the grid rows x cols; NaN where undefined.
+
+        rows and cols are lists of distinct symbols, such as alphabets.
+        """
         ii = np.asarray(rows, dtype=np.int64)[:, None].astype(float)
         jj = np.asarray(cols, dtype=np.int64)[None, :].astype(float)
         if self.family is Family.LOG_QUADRATIC:
@@ -141,13 +150,12 @@ class MarkovPotential:
         elif self.family is Family.RENEWAL_WEIGHTED:
             vals = np.where(ii == 0, -(jj + 1.0), np.where(jj == ii - 1.0, -ii, np.nan))
         else:
+            ti, tj, tv = self._table_entries
+            a = _positions(np.asarray(rows, dtype=np.int64), ti)
+            b = _positions(np.asarray(cols, dtype=np.int64), tj)
+            hit = (a >= 0) & (b >= 0)
             vals = np.full(np.broadcast_shapes(ii.shape, jj.shape), np.nan)
-            tm = self._table_map
-            for a, i in enumerate(np.asarray(rows, dtype=np.int64)):
-                for b, j in enumerate(np.asarray(cols, dtype=np.int64)):
-                    v = tm.get((int(i), int(j)))
-                    if v is not None:
-                        vals[a, b] = v
+            vals[a[hit], b[hit]] = tv[hit]
         return vals + self.shift
 
     @property
@@ -163,11 +171,10 @@ class MarkovPotential:
             pos = np.flatnonzero(trunc.alphabet == i)
             if pos.size == 0:
                 raise ValidationError(f"symbol {i} not in the truncation alphabet")
-            a = int(pos[0])
-            succ = np.flatnonzero(trunc.require_incidence()[a])
+            succ = np.flatnonzero(trunc.require_incidence()[pos[0]])
             if succ.size == 0:
                 raise DeadEndSymbol(f"symbol {i} has no successor in the truncation")
-            return float(max(self.value(i, int(trunc.alphabet[b])) for b in succ))
+            return float(self._row_values(i, trunc.alphabet[succ]).max())
         return float(self._ambient_sups(np.asarray([i], dtype=np.int64))[0])
 
     def _ambient_sups(self, symbols: np.ndarray) -> np.ndarray:
@@ -180,21 +187,21 @@ class MarkovPotential:
         elif self.family is Family.RENEWAL_WEIGHTED:
             out = np.where(s == 0, -1.0, -s)
         else:
-            out = np.empty(s.shape, dtype=float)
-            for a, i in enumerate(np.asarray(symbols, dtype=np.int64)):
-                out[a] = self._table_row_sup(int(i))
+            ti, tj, tv = self._table_entries
+            edge = self.model.has_edge(ti, tj)
+            pos = _positions(np.asarray(symbols, dtype=np.int64), ti[edge])
+            hit = pos >= 0
+            out = np.full(s.shape, np.nan)
+            np.fmax.at(out, pos[hit], tv[edge][hit])
+            dead = np.flatnonzero(np.isnan(out))
+            if dead.size:
+                i = int(np.asarray(symbols)[dead[0]])
+                raise DeadEndSymbol(f"symbol {i} has no admissible successor with a defined value")
         return out + self.shift
-
-    def _table_row_sup(self, i: int) -> float:
-        vals = [v for (a, _b), v in self._table_map.items() if a == i and self.model.has_edge(a, _b)]
-        if not vals:
-            raise DeadEndSymbol(f"symbol {i} has no admissible successor with a defined value")
-        return max(vals)
 
     def _explicit_symbols(self) -> np.ndarray:
         if self.family is Family.TABLE:
-            rows = sorted({i for i, _j, _v in self.table})
-            return np.asarray(rows, dtype=np.int64)
+            return np.unique(self._table_entries[0])
         return np.arange(self.explicit_hi + 1, dtype=np.int64)
 
     def _validate_tail_majorizes(self):
@@ -232,16 +239,13 @@ class MarkovPotential:
         return replace(self, shift=self.shift - self.global_sup())
 
 
-def evaluate(f: MarkovPotential, i: int, j: int) -> float:
-    return f.value(i, j)
-
-
-def cylinder_sup(f: MarkovPotential, i: int, trunc: Truncation | None = None) -> float:
-    return f.cylinder_sup(i, trunc)
-
-
-def normalize(f: MarkovPotential) -> MarkovPotential:
-    return f.normalized()
+def _positions(symbols: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Index in `symbols` (distinct, any order) of each wanted symbol; -1 where absent."""
+    if symbols.size == 0:
+        return np.full(wanted.shape, -1)
+    order = np.argsort(symbols)
+    pos = order[np.searchsorted(symbols, wanted, sorter=order).clip(max=symbols.size - 1)]
+    return np.where(symbols[pos] == wanted, pos, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +393,18 @@ def _weighted_polynomial_tail(a: float, p: float, t: float, start: int) -> float
 # variations
 
 
+def row_oscillation(vals: np.ndarray, mask: np.ndarray) -> float:
+    """Largest max - min over the defined values of a row of `vals` inside `mask`.
+
+    Rows without such a value are skipped; 0.0 when no row has one.
+    """
+    defined = mask & ~np.isnan(vals)
+    hi = np.where(defined, vals, -np.inf).max(axis=1)
+    lo = np.where(defined, vals, np.inf).min(axis=1)
+    osc = (hi - lo)[defined.any(axis=1)]
+    return float(osc.max()) if osc.size else 0.0
+
+
 def variation(f: MarkovPotential, n: int, trunc: Truncation | None = None) -> float:
     """n-th variation; exactly 0 for n >= 2 since the potential is Markov.
 
@@ -399,36 +415,19 @@ def variation(f: MarkovPotential, n: int, trunc: Truncation | None = None) -> fl
         raise ValidationError("variation index must be at least 1")
     if n >= 2:
         return 0.0
+    tail_osc = 0.0
     if trunc is not None:
-        inc = trunc.require_incidence()
-        vals = f.value_grid(trunc.alphabet, trunc.alphabet)
-        vals = np.where(inc, vals, np.nan)
-        with np.errstate(invalid="ignore"):
-            osc = np.nanmax(vals, axis=1) - np.nanmin(vals, axis=1)
-        return float(np.nanmax(osc)) if osc.size else 0.0
-
-    finite_syms = _finite_alphabet_symbols(f)
-    if finite_syms is not None:
-        return _row_osc_exact(f, finite_syms)
-
-    if f.family is Family.LOG_QUADRATIC:
-        return 0.0
-    if f.family in (Family.TIE_TWO_LOOPS, Family.RENEWAL_WEIGHTED):
-        # rows take arbitrarily negative values along the full countable row
-        raise UnboundedV1(f"{f.family.value} has unbounded ambient row oscillation")
-    if f.tail.row_osc is None:
-        raise UnboundedV1("tail descriptor does not bound row oscillation")
-    return max(_row_osc_exact(f, f._explicit_symbols()), float(f.tail.row_osc))
-
-
-def _row_osc_exact(f: MarkovPotential, symbols: np.ndarray) -> float:
-    worst = 0.0
-    for i in symbols:
-        vals = [
-            f._base_value(int(i), int(j))
-            for j in symbols
-            if f.model.has_edge(int(i), int(j)) and f._base_value(int(i), int(j)) is not None
-        ]
-        if vals:
-            worst = max(worst, max(vals) - min(vals))
-    return worst
+        syms, mask = trunc.alphabet, trunc.require_incidence()
+    else:
+        syms = _finite_alphabet_symbols(f)
+        if syms is None:
+            if f.family is Family.LOG_QUADRATIC:
+                return 0.0
+            if f.family in (Family.TIE_TWO_LOOPS, Family.RENEWAL_WEIGHTED):
+                # rows take arbitrarily negative values along the full countable row
+                raise UnboundedV1(f"{f.family.value} has unbounded ambient row oscillation")
+            if f.tail.row_osc is None:
+                raise UnboundedV1("tail descriptor does not bound row oscillation")
+            syms, tail_osc = f._explicit_symbols(), float(f.tail.row_osc)
+        mask = f.model.has_edge(syms[:, None], syms[None, :])
+    return max(row_oscillation(f.value_grid(syms, syms), mask), tail_osc)

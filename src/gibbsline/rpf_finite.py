@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .maxplus import MaxPlusGauge, gauge_of
-from .potential import MarkovPotential, variation
+from .potential import MarkovPotential, row_oscillation
 from .shift_model import ModelKind, Truncation, graph_period
 
 _NEG_INF = -np.inf
@@ -419,12 +419,7 @@ def partition_entropy(m: MarkovMeasure, trunc: Truncation, n: int, budget: int =
 
 def support_first_variation(m: MarkovMeasure, f: MarkovPotential) -> float:
     """Row oscillation of f over the support of the chain (per-truncation V_1)."""
-    vals = f.value_grid(m.alphabet, m.alphabet)
-    vals = np.where(m.stochastic > 0.0, vals, np.nan)
-    with np.errstate(invalid="ignore"):
-        osc = np.nanmax(vals, axis=1) - np.nanmin(vals, axis=1)
-    osc = osc[np.isfinite(osc)]
-    return float(np.max(osc)) if osc.size else 0.0
+    return row_oscillation(f.value_grid(m.alphabet, m.alphabet), m.stochastic > 0.0)
 
 
 def gibbs_ratio(

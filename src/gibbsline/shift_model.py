@@ -2,8 +2,11 @@
 
 A model describes a countable-alphabet incidence structure generatively
 (built-in families or an explicit edge list with an optional tail rule).
-Truncations are finite irreducible subshifts on prefix alphabets, augmented
-with connecting symbols when the prefix alone is not transitive.
+`ShiftModel.has_edge` is the one statement of that edge rule; it works
+elementwise on integer arrays, and every materialized incidence matrix is
+read from it. Truncations are finite irreducible subshifts on prefix
+alphabets, augmented with connecting symbols when the prefix alone is not
+transitive.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -43,10 +47,12 @@ class TailRule(Enum):
 class ShiftModel:
     """Incidence structure of a one-sided countable Markov shift.
 
+    Symbols are the nonnegative integers.
     FULL: every pair (i, j) is an edge.
     RENEWAL: edges 0 -> j for all j and i -> i-1 for i >= 1.
-    CUSTOM: the explicit edge list, extended beyond its largest symbol by
-    the tail rule (no tail, full-shift tail, or renewal tail).
+    CUSTOM: the explicit edge list, extended to the tail symbols s > max
+    listed symbol by the tail rule: none adds no edge; full_tail adds every
+    pair that has a tail symbol; renewal_tail adds 0 -> s and s -> s-1.
     """
 
     kind: ModelKind
@@ -63,37 +69,51 @@ class ShiftModel:
         elif self.custom_edges:
             raise ValidationError("edge lists are only meaningful for custom models")
 
-    @property
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.custom_edges)
+    @cached_property
+    def _listed_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted explicit symbols, and the sorted codes a * n + b of the listed
+        edges, where a, b are positions in the n explicit symbols."""
+        edges = np.asarray(self.custom_edges, dtype=np.int64)
+        symbols, pos = np.unique(edges, return_inverse=True)
+        pos = pos.reshape(edges.shape)
+        return symbols, np.unique(pos[:, 0] * symbols.size + pos[:, 1])
 
-    @property
+    @cached_property
     def _tail_start(self) -> int:
         """First symbol governed by the tail rule of a custom model."""
-        return 1 + max(max(i, j) for i, j in self.custom_edges)
+        return int(self._listed_edges[0][-1]) + 1
 
     def is_infinite_alphabet(self) -> bool:
         if self.kind in (ModelKind.FULL, ModelKind.RENEWAL):
             return True
         return self.custom_tail_rule is not TailRule.NONE
 
-    def has_edge(self, i: int, j: int) -> bool:
-        if i < 0 or j < 0:
-            return False
+    def has_edge(self, i, j):
+        """Whether (i, j) is an edge, elementwise over broadcast integer arrays.
+
+        Scalars give a bool. This is the one statement of the edge rule:
+        truncations and potentials take their incidence from it.
+        """
+        i = np.asarray(i, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
+        both = (i >= 0) & (j >= 0)
         if self.kind is ModelKind.FULL:
-            return True
-        if self.kind is ModelKind.RENEWAL:
-            return i == 0 or j == i - 1
-        if (i, j) in self._edge_set:
-            return True
-        rule = self.custom_tail_rule
-        if rule is TailRule.NONE:
-            return False
-        ts = self._tail_start
-        if rule is TailRule.FULL_TAIL:
-            return i >= ts or j >= ts
-        # renewal tail: 0 enters every tail symbol, tail symbols step down
-        return (i == 0 and j >= ts) or (i >= ts and j == i - 1)
+            edge = both
+        elif self.kind is ModelKind.RENEWAL:
+            edge = both & ((i == 0) | (j == i - 1))
+        else:
+            symbols, codes = self._listed_edges
+            a = np.searchsorted(symbols, i).clip(max=symbols.size - 1)
+            b = np.searchsorted(symbols, j).clip(max=symbols.size - 1)
+            code = a * symbols.size + b
+            c = np.searchsorted(codes, code).clip(max=codes.size - 1)
+            edge = (symbols[a] == i) & (symbols[b] == j) & (codes[c] == code)
+            ts = self._tail_start
+            if self.custom_tail_rule is TailRule.FULL_TAIL:
+                edge = edge | (both & ((i >= ts) | (j >= ts)))
+            elif self.custom_tail_rule is TailRule.RENEWAL_TAIL:
+                edge = edge | ((i == 0) & (j >= ts)) | ((i >= ts) & (j == i - 1))
+        return bool(edge) if edge.ndim == 0 else edge
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,6 +239,8 @@ def graph_period(adj: np.ndarray) -> int:
     Computed as the gcd of (depth[u] + 1 - depth[v]) over all edges (u, v),
     with depths taken from a BFS spanning structure rooted at vertex 0.
     """
+    if np.diagonal(adj).any():
+        return 1  # a self-loop is a cycle of length 1
     n = adj.shape[0]
     depth = np.full(n, -1, dtype=np.int64)
     depth[0] = 0
@@ -255,61 +277,39 @@ def build_truncation(model: ShiftModel, k: int, k0_base: int = 1, dense_limit: i
     if k0_base < 1:
         raise ValidationError("k0_base must be at least 1")
     m = k + k0_base
-
-    if model.kind is ModelKind.FULL:
-        alphabet = np.arange(m, dtype=np.int64)
-        if m > dense_limit:
-            return Truncation(k, alphabet, None, 1, model.kind)
-        inc = np.ones((m, m), dtype=bool)
-        return Truncation(k, alphabet, inc, 1, model.kind)
-
-    if model.kind is ModelKind.RENEWAL:
-        alphabet = np.arange(m, dtype=np.int64)
-        if m > dense_limit:
-            return Truncation(k, alphabet, None, 1, model.kind)
-        inc = np.zeros((m, m), dtype=bool)
-        inc[0, :] = True
-        for i in range(1, m):
-            inc[i, i - 1] = True
-        return Truncation(k, alphabet, inc, graph_period(inc), model.kind)
-
-    return _custom_truncation(model, k, m, dense_limit)
+    if model.kind is ModelKind.CUSTOM:
+        return _custom_truncation(model, k, m, dense_limit)
+    alphabet = np.arange(m, dtype=np.int64)
+    if m > dense_limit:
+        return Truncation(k, alphabet, None, 1, model.kind)
+    inc = model.has_edge(alphabet[:, None], alphabet[None, :])
+    return Truncation(k, alphabet, inc, graph_period(inc), model.kind)
 
 
 def _custom_truncation(model: ShiftModel, k: int, m: int, dense_limit: int) -> Truncation:
-    explicit = sorted({s for e in model.custom_edges for s in e})
-    symbols = sorted(set(range(m)))
+    explicit = model._listed_edges[0]
     tailed = model.custom_tail_rule is not TailRule.NONE
-    cap = max(m, (explicit[-1] + 1 if explicit else 0)) + 64
+    cap = max(m, int(explicit[-1]) + 1) + 64
+    alphabet = np.arange(m, dtype=np.int64)
 
     while True:
-        if len(symbols) > dense_limit:
+        if alphabet.size > dense_limit:
             raise AlphabetTooLarge("custom truncation exceeds the dense alphabet limit")
-        inc = _induced_incidence(model, symbols)
+        inc = model.has_edge(alphabet[:, None], alphabet[None, :])
         if is_irreducible(inc):
-            alphabet = np.asarray(symbols, dtype=np.int64)
             return Truncation(k, alphabet, inc, graph_period(inc), model.kind)
-        cand = None
-        for s in explicit:
-            if s not in symbols:
-                cand = s
-                break
-        if cand is None and tailed:
-            cand = symbols[-1] + 1
+        missing = np.setdiff1d(explicit, alphabet)
+        if missing.size:
+            cand = int(missing[0])
+        elif tailed:
+            cand = int(alphabet[-1]) + 1
+        else:
+            cand = None
         if cand is None or cand > cap:
             raise NonTransitive(
                 f"prefix alphabet {{0..{m - 1}}} has no irreducible finite augmentation"
             )
-        symbols = sorted(set(symbols) | {cand})
-
-
-def _induced_incidence(model: ShiftModel, symbols: list[int]) -> np.ndarray:
-    n = len(symbols)
-    inc = np.zeros((n, n), dtype=bool)
-    for a, i in enumerate(symbols):
-        for b, j in enumerate(symbols):
-            inc[a, b] = model.has_edge(i, j)
-    return inc
+        alphabet = np.union1d(alphabet, [cand])
 
 
 def largest_transitive_core(incidence: np.ndarray) -> Truncation:

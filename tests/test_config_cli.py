@@ -4,14 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gibbsline.cli import (
-    emit,
-    mu_infty_from_jsonable,
-    mu_infty_jsonable,
-    run_command,
-    sweep_from_jsonable,
-    sweep_jsonable,
-)
+from gibbsline.cli import _json_dumps, mu_infty_jsonable, run_command, sweep_csv, sweep_jsonable
 from gibbsline.config import parse_model_config, str_to_word, word_to_str
 from gibbsline.errors import ParseError
 from gibbsline.limits import GridPoint, SweepResult, pressure_sweep, zero_temp_sweep
@@ -121,6 +114,23 @@ table = 0 1 -1.0, 1 0 -2.0
         cfg = parse_model_config(text)
         assert cfg.canonical_text() == parse_model_config(cfg.canonical_text()).canonical_text()
 
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("ts = 2,8", "ts = 2,inf"),
+            ("words = 0,00", "zt_ts = 2,nan"),
+            ("words = 0,00", "tol = nan"),
+            ("words = 0,00", "tie_tol = -inf"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, old, new):
+        with pytest.raises(ParseError, match="finite"):
+            parse_model_config(MINIMAL.replace(old, new))
+
+    def test_non_finite_table_value_rejected(self):
+        with pytest.raises(ParseError, match="finite"):
+            parse_model_config(BAD.replace("0 0 0.0", "0 0 inf"))
+
     def test_words_syntax(self):
         assert str_to_word("010") == (0, 1, 0)
         assert str_to_word("10-2-0") == (10, 2, 0)
@@ -129,49 +139,46 @@ table = 0 1 -1.0, 1 0 -2.0
 
 
 class TestEmit:
-    def test_empty_sweep_header_only(self, tmp_path):
+    def test_empty_sweep_header_only(self):
         empty = SweepResult(grid=(), reference={"s_ref": 0.0, "witness_cycle": (0,), "certificate": None}, diagnostics={"monotone_in_k": {}, "p_estimate": {}, "certified_summable": True})
-        path = emit(empty, "csv", tmp_path / "empty.csv")
-        assert path.read_text() == "k,t,quantity,value,gap,flag\n"
+        assert sweep_csv(empty) == "k,t,quantity,value,gap,flag\n"
 
-    def test_single_quantity_single_row(self, tmp_path):
+    def test_single_quantity_single_row(self):
         point = GridPoint(k=3, t=2.0, n_symbols=4, pressure=-1.25, entropy=math.nan, integral=math.nan, masses={}, wall_time=0.1)
         res = SweepResult(grid=(point,), reference={"s_ref": 0.0, "witness_cycle": (0,), "certificate": None}, diagnostics={"monotone_in_k": {}, "p_estimate": {}, "certified_summable": True})
-        text = (emit(res, "csv", tmp_path / "one.csv")).read_text()
-        lines = text.strip().split("\n")
+        lines = sweep_csv(res).strip().split("\n")
         assert len(lines) == 2
         assert lines[1] == "3,2,pressure,-1.25,,"
 
-    def test_sweep_json_round_trip(self, log_quadratic, tmp_path):
+    def test_sweep_json_round_trip(self, log_quadratic):
         model, f = log_quadratic
         res = pressure_sweep(model, f, ks=(1, 2, 3), ts=(2.0,), words=((0,),))
-        path = emit(res, "json", tmp_path / "sweep.json")
-        back = sweep_from_jsonable(json.loads(path.read_text()))
-        assert len(back.grid) == len(res.grid)
-        for a, b in zip(res.grid, back.grid):
-            assert a.k == b.k and a.t == b.t
-            assert a.pressure == b.pressure  # exact float round trip
-            assert a.entropy == b.entropy
-            assert a.masses == b.masses
-        assert back.reference["s_ref"] == res.reference["s_ref"]
-        assert back.diagnostics["certified_summable"] == res.diagnostics["certified_summable"]
+        back = json.loads(_json_dumps(sweep_jsonable(res)))
+        assert len(back["grid"]) == len(res.grid)
+        for a, b in zip(res.grid, back["grid"]):
+            assert a.k == b["k"] and a.t == b["t"]
+            assert a.pressure == b["pressure"]  # exact float round trip
+            assert a.entropy == b["entropy"]
+            assert a.masses == {str_to_word(w): v for w, v in b["masses"].items()}
+        assert back["reference"]["s_ref"] == res.reference["s_ref"]
+        assert back["diagnostics"]["certified_summable"] == res.diagnostics["certified_summable"]
 
-    def test_mu_infty_round_trip(self, tie_two_loops, tmp_path):
+    def test_mu_infty_round_trip(self, tie_two_loops):
         model, f = tie_two_loops
         res = zero_temp_sweep(model, f, k=2, words=((0,),))
         est = res.estimate
-        back = mu_infty_from_jsonable(json.loads((emit(est, "json", tmp_path / "mu.json")).read_text()))
-        assert back.weights == est.weights
-        assert back.residual == est.residual
-        assert back.component_symbols == est.component_symbols
-        for a, b in zip(est.components, back.components):
-            assert np.array_equal(a.stationary, b.stationary)
-            assert np.array_equal(a.stochastic, b.stochastic)
+        back = json.loads(_json_dumps(mu_infty_jsonable(est)))
+        assert back["weights"] == list(est.weights)
+        assert back["residual"] == est.residual
+        assert [tuple(c["symbols"]) for c in back["components"]] == list(est.component_symbols)
+        for a, b in zip(est.components, back["components"]):
+            assert np.array_equal(a.stationary, b["stationary"])
+            assert np.array_equal(a.stochastic, b["stochastic"])
 
-    def test_csv_fifteen_digits(self, log_quadratic, tmp_path):
+    def test_csv_fifteen_digits(self, log_quadratic):
         model, f = log_quadratic
         res = pressure_sweep(model, f, ks=(4,), ts=(2.0,))
-        text = (emit(res, "csv", tmp_path / "p.csv")).read_text()
+        text = sweep_csv(res)
         row = [l for l in text.splitlines() if l.startswith("4,2,pressure")][0]
         value = row.split(",")[3]
         assert value == format(res.grid[0].pressure, ".15g")
@@ -311,6 +318,27 @@ words = 0
         assert payload["gurevich_decreasing"] is True
         assert payload["k0"]["value"] == 1
         assert all(v["violations"] == 0 for v in payload["tightness"].values())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pressure", "--t", "nan"],
+            ["pressure", "--t", "inf"],
+            ["pressure", "--k", "3", "--t=-inf"],
+            ["equilibrium", "--tol", "nan"],
+        ],
+    )
+    def test_non_finite_option_exit_2(self, tmp_path, capsys, argv):
+        cfg = write_cfg(tmp_path, MINIMAL)
+        code = run_command([argv[0], "--config", cfg, "--out", str(tmp_path / "runs"), *argv[1:]])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_non_finite_config_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MINIMAL.replace("ts = 2,8", "ts = 2,inf"))
+        assert run_command(["pressure", "--config", cfg, "--out", str(tmp_path / "runs")]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[model]\nkind = nosuch\n")

@@ -16,7 +16,7 @@ from gibbsline.ergodic_opt import (
     subaction,
 )
 from gibbsline.errors import BudgetExceeded
-from gibbsline.potential import Family, MarkovPotential, normalize
+from gibbsline.potential import Family, MarkovPotential
 from gibbsline.rpf_finite import pressure
 from gibbsline.shift_model import ModelKind, ShiftModel, build_truncation
 
@@ -56,7 +56,7 @@ class TestMaxMeanCycle:
         beta_raw, wit_raw = max_mean_cycle(tr, f)
         assert beta_raw == pytest.approx(-math.log(2), abs=1e-15)
         assert wit_raw == (0,)
-        beta_norm, _ = max_mean_cycle(tr, normalize(f))
+        beta_norm, _ = max_mean_cycle(tr, f.normalized())
         assert beta_norm == pytest.approx(0.0, abs=1e-12)
 
     def test_normalization_covariance(self, renewal_weighted):

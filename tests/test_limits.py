@@ -18,7 +18,7 @@ from gibbsline.limits import (
     tightness_bound_check,
     zero_temp_sweep,
 )
-from gibbsline.potential import Family, MarkovPotential, TailDescriptor, TailKind, normalize
+from gibbsline.potential import Family, MarkovPotential, TailDescriptor, TailKind
 from gibbsline.rpf_finite import pressure
 from gibbsline.shift_model import ModelKind, ShiftModel, build_truncation
 
@@ -102,7 +102,7 @@ class TestPressureSweep:
     def test_convexity_and_monotone_in_t_normalized(self):
         for name in BUNDLED:
             model, f = bundled_pair(name)
-            g = normalize(f)
+            g = f.normalized()
             tr = build_truncation(model, 4)
             ps = {t: pressure(tr, g, t) for t in (2.0, 4.0, 6.0, 8.0)}
             assert ps[4.0] <= (ps[2.0] + ps[6.0]) / 2 + 1e-9, name

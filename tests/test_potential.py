@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbsline.bundled import bundled_pair
-from gibbsline.errors import InadmissibleEdge, InvalidT, NoTailDescriptor, UnboundedV1
+from gibbsline.errors import DeadEndSymbol, InadmissibleEdge, InvalidT, NoTailDescriptor, UnboundedV1, ValidationError
 from gibbsline.potential import (
     Family,
     MarkovPotential,
@@ -14,79 +14,76 @@ from gibbsline.potential import (
     TailKind,
     check_summability,
     check_summability_t,
-    cylinder_sup,
-    evaluate,
-    normalize,
     variation,
 )
 from gibbsline.rpf_finite import pressure
-from gibbsline.shift_model import ModelKind, ShiftModel, build_truncation
+from gibbsline.shift_model import ModelKind, ShiftModel, Truncation, build_truncation
 
 
 class TestEvaluate:
     def test_log_quadratic_row(self, log_quadratic):
         _, f = log_quadratic
         for j in (0, 3, 17):
-            assert evaluate(f, 0, j) == pytest.approx(-math.log(2.0), abs=1e-15)
+            assert f.value(0, j) == pytest.approx(-math.log(2.0), abs=1e-15)
 
     def test_tie_two_loops_zero_block(self, tie_two_loops):
         _, f = tie_two_loops
-        assert evaluate(f, 0, 1) == 0.0
-        assert evaluate(f, 2, 1) == -3.0
+        assert f.value(0, 1) == 0.0
+        assert f.value(2, 1) == -3.0
 
     def test_renewal_weighted(self, renewal_weighted):
         _, f = renewal_weighted
-        assert evaluate(f, 3, 2) == -3.0
-        assert evaluate(f, 0, 4) == -5.0
+        assert f.value(3, 2) == -3.0
+        assert f.value(0, 4) == -5.0
 
     def test_inadmissible_edge(self, renewal_weighted):
         _, f = renewal_weighted
         with pytest.raises(InadmissibleEdge):
-            evaluate(f, 3, 1)
+            f.value(3, 1)
 
 
 class TestCylinderSup:
     def test_log_quadratic(self, log_quadratic):
         _, f = log_quadratic
-        assert cylinder_sup(f, 4) == pytest.approx(-math.log(30.0), abs=1e-15)
+        assert f.cylinder_sup(4) == pytest.approx(-math.log(30.0), abs=1e-15)
 
     def test_tie_two_loops_loop_value(self, tie_two_loops):
         _, f = tie_two_loops
-        assert cylinder_sup(f, 1) == 0.0
+        assert f.cylinder_sup(1) == 0.0
 
     def test_renewal_single_edge(self, renewal_weighted):
         _, f = renewal_weighted
-        assert cylinder_sup(f, 5) == -5.0
+        assert f.cylinder_sup(5) == -5.0
 
     def test_truncated_sup(self, tie_two_loops):
         model, f = tie_two_loops
         tr = build_truncation(model, 3)
-        assert cylinder_sup(f, 2, tr) == -3.0
+        assert f.cylinder_sup(2, tr) == -3.0
 
 
 class TestNormalize:
     def test_tie_two_loops_unchanged(self, tie_two_loops):
         _, f = tie_two_loops
-        g = normalize(f)
+        g = f.normalized()
         assert g.shift == 0.0
         assert g.global_sup() == 0.0
 
     def test_log_quadratic_shifts_by_log2(self, log_quadratic):
         _, f = log_quadratic
-        g = normalize(f)
+        g = f.normalized()
         assert g.shift == pytest.approx(math.log(2.0), abs=1e-15)
         assert g.value(0, 0) == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_table_goes_to_zero(self):
         model = ShiftModel(ModelKind.CUSTOM, ((0, 1), (1, 0)))
         f = MarkovPotential(model, Family.TABLE, table=((0, 1, -2.5), (1, 0, -2.5)))
-        g = normalize(f)
+        g = f.normalized()
         assert g.value(0, 1) == 0.0 and g.value(1, 0) == 0.0
 
     def test_idempotent(self, renewal_weighted):
         _, f = renewal_weighted
-        g = normalize(f)
-        h = normalize(g)
+        g = f.normalized()
+        h = g.normalized()
         assert h.shift == pytest.approx(g.shift, abs=0.0)
         assert abs(g.global_sup()) < 1e-14
 
@@ -95,9 +92,9 @@ class TestNormalize:
     def test_idempotent_random_two_cycle(self, vals):
         model = ShiftModel(ModelKind.CUSTOM, ((0, 1), (1, 0)))
         f = MarkovPotential(model, Family.TABLE, table=((0, 1, vals[0]), (1, 0, vals[1])))
-        g = normalize(f)
+        g = f.normalized()
         assert abs(g.global_sup()) < 1e-12
-        assert normalize(g).shift == pytest.approx(g.shift, abs=1e-12)
+        assert g.normalized().shift == pytest.approx(g.shift, abs=1e-12)
 
 
 class TestSummability:
@@ -207,8 +204,95 @@ class TestPressureMajorant:
     def test_log_total_bounds_truncated_pressure(self):
         for name in ("log_quadratic", "tie_two_loops", "renewal_weighted"):
             model, f = bundled_pair(name)
-            g = normalize(f)
+            g = f.normalized()
             cert = check_summability(g)
             for k in (1, 3, 5):
                 tr = build_truncation(model, k)
                 assert math.log(cert.total_upper_bound) >= pressure(tr, g, 1.0) - 1e-9
+
+
+@st.composite
+def table_potentials(draw):
+    """A table potential on a finite custom model; entries on edges and off them."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.sets(pairs, min_size=1, max_size=12))
+    value = st.floats(min_value=-20, max_value=20)
+    table = draw(st.lists(st.tuples(pairs, value), min_size=1, max_size=16))
+    shift = draw(st.floats(min_value=-5, max_value=5))
+    model = ShiftModel(ModelKind.CUSTOM, tuple(sorted(edges)))
+    f = MarkovPotential(model, Family.TABLE, table=tuple((i, j, v) for (i, j), v in table), shift=shift)
+    return f, n
+
+
+def table_dict(f):
+    return {(i, j): v for i, j, v in f.table}  # a repeated pair keeps its last value
+
+
+class TestTableAgainstLoops:
+    @settings(max_examples=100, deadline=None)
+    @given(table_potentials(), st.data())
+    def test_value_grid(self, fn, data):
+        f, n = fn
+        symbols = st.lists(st.integers(-1, n + 1), unique=True, max_size=n + 3)
+        rows, cols = data.draw(symbols), data.draw(symbols)
+        d = table_dict(f)
+        expected = np.array([[d.get((i, j), np.nan) + f.shift for j in cols] for i in rows]).reshape(len(rows), len(cols))
+        grid = f.value_grid(np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))
+        np.testing.assert_array_equal(grid, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(table_potentials(), st.data())
+    def test_ambient_sups(self, fn, data):
+        f, n = fn
+        symbols = data.draw(st.lists(st.integers(0, n), unique=True, min_size=1))
+        d = table_dict(f)
+        rows = [[v for (i, j), v in d.items() if i == s and f.model.has_edge(i, j)] for s in symbols]
+        if not all(rows):
+            with pytest.raises(DeadEndSymbol):
+                f._ambient_sups(np.asarray(symbols, dtype=np.int64))
+            return
+        expected = np.array([max(r) for r in rows]) + f.shift
+        np.testing.assert_array_equal(f._ambient_sups(np.asarray(symbols, dtype=np.int64)), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(table_potentials())
+    def test_ambient_first_variation(self, fn):
+        f, _ = fn
+        d = table_dict(f)
+        symbols = sorted({s for e in f.model.custom_edges for s in e})
+        worst = 0.0
+        for i in symbols:
+            vals = [d[i, j] + f.shift for j in symbols if f.model.has_edge(i, j) and (i, j) in d]
+            if vals:
+                worst = max(worst, max(vals) - min(vals))
+        assert variation(f, 1) == worst
+
+
+class TestValueErrors:
+    def test_undefined_value_on_an_edge(self):
+        model = ShiftModel(ModelKind.CUSTOM, ((0, 1), (1, 0), (1, 1)))
+        f = MarkovPotential(model, Family.TABLE, table=((0, 1, -1.0), (1, 0, -2.0)))
+        assert f.value(1, 0) == -2.0
+        with pytest.raises(ValidationError):
+            f.value(1, 1)
+        with pytest.raises(InadmissibleEdge):
+            f.value(0, 0)
+        tr = build_truncation(model, 1)
+        with pytest.raises(ValidationError):
+            f.cylinder_sup(1, tr)
+
+    def test_dead_end_in_a_truncation(self):
+        model = ShiftModel(ModelKind.CUSTOM, ((0, 1), (1, 0)))
+        f = MarkovPotential(model, Family.TABLE, table=((0, 1, -1.0), (1, 0, -2.0)))
+        tr = Truncation(0, np.array([0, 1]), np.array([[False, True], [False, False]]), 1, ModelKind.CUSTOM)
+        assert f.cylinder_sup(0, tr) == -1.0
+        with pytest.raises(DeadEndSymbol):
+            f.cylinder_sup(1, tr)
+
+    def test_row_without_an_admissible_entry_is_a_dead_end(self):
+        model = ShiftModel(ModelKind.CUSTOM, ((0, 1), (1, 0)))
+        f = MarkovPotential(model, Family.TABLE, table=((0, 1, -1.0), (1, 0, -2.0), (2, 0, 0.0)))
+        assert f.cylinder_sup(1) == -2.0
+        with pytest.raises(DeadEndSymbol):
+            f.cylinder_sup(2)

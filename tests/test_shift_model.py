@@ -183,3 +183,80 @@ def test_scc_reverse_topological():
     order = {v: idx for idx, comp in enumerate(comps) for v in comp}
     for i, j in zip(*np.nonzero(adj)):
         assert order[int(i)] >= order[int(j)] or order[int(i)] == order[int(j)]
+
+
+def edge_oracle(model: ShiftModel, i: int, j: int) -> bool:
+    """The edge rule as the ShiftModel docstring states it, one pair at a time."""
+    if i < 0 or j < 0:
+        return False
+    if model.kind is ModelKind.FULL:
+        return True
+    if model.kind is ModelKind.RENEWAL:
+        return i == 0 or j == i - 1
+    if (i, j) in model.custom_edges:
+        return True
+    tail = 1 + max(max(e) for e in model.custom_edges)
+    if model.custom_tail_rule is TailRule.FULL_TAIL:
+        return i >= tail or j >= tail
+    if model.custom_tail_rule is TailRule.RENEWAL_TAIL:
+        return (i == 0 and j >= tail) or (i >= tail and j == i - 1)
+    return False
+
+
+def period_oracle(inc: np.ndarray) -> int:
+    """gcd of the lengths L <= n that carry a closed walk (the period of an irreducible graph)."""
+    n = inc.shape[0]
+    g, walk = 0, np.eye(n, dtype=np.int64)
+    for length in range(1, n + 1):
+        walk = np.minimum(walk @ inc.astype(np.int64), 1)
+        if np.trace(walk):
+            g = math.gcd(g, length)
+    return g
+
+
+@st.composite
+def any_models(draw):
+    kind = draw(st.sampled_from(ModelKind))
+    if kind is not ModelKind.CUSTOM:
+        return ShiftModel(kind)
+    n = draw(st.integers(min_value=1, max_value=7))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=12))
+    return ShiftModel(kind, tuple(sorted(edges)), draw(st.sampled_from(TailRule)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_models(), st.lists(st.integers(-2, 12), min_size=1, max_size=8), st.integers(0, 8))
+def test_edge_rule_matches_docstring_oracle(model, symbols, k):
+    sym = np.asarray(symbols, dtype=np.int64)
+    grid = model.has_edge(sym[:, None], sym[None, :])
+    assert grid.dtype == bool and grid.shape == (sym.size, sym.size)
+    for a, i in enumerate(symbols):
+        for b, j in enumerate(symbols):
+            expected = edge_oracle(model, i, j)
+            assert grid[a, b] == expected
+            assert model.has_edge(i, j) is expected
+    try:
+        tr = build_truncation(model, k)
+    except NonTransitive:
+        return
+    alpha = tr.alphabet.tolist()
+    oracle = np.array([[edge_oracle(model, i, j) for j in alpha] for i in alpha], dtype=bool)
+    assert np.array_equal(tr.incidence, oracle)
+    assert tr.period == period_oracle(oracle)
+
+
+def test_custom_truncation_reads_the_edge_rule_once_per_step(monkeypatch):
+    n = 256
+    order = np.random.default_rng(3).permutation(n).tolist()
+    model = ShiftModel(ModelKind.CUSTOM, tuple((order[a], order[(a + 1) % n]) for a in range(n)))
+    calls = []
+    rule = ShiftModel.has_edge
+
+    def counted(self, i, j):
+        calls.append(np.broadcast_shapes(np.shape(i), np.shape(j)))
+        return rule(self, i, j)
+
+    monkeypatch.setattr(ShiftModel, "has_edge", counted)
+    tr = build_truncation(model, n - 4)  # prefix {0..252}: three augmentation steps to the cycle
+    assert tr.n_symbols == n
+    assert calls == [(n - 3, n - 3), (n - 2, n - 2), (n - 1, n - 1), (n, n)]
