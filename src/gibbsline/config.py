@@ -106,6 +106,18 @@ def _parse_int(raw: str, line: int, key: str) -> int:
         raise ParseError(line, f"{key}: expected an integer, got {raw!r}") from None
 
 
+# Symbols live in int64 arrays, and truncations add successors of the
+# largest one; below 2^62 that arithmetic cannot overflow.
+_SYMBOL_LIMIT = 2**62
+
+
+def _parse_symbol(raw: str, line: int, key: str) -> int:
+    value = _parse_int(raw, line, key)
+    if value >= _SYMBOL_LIMIT:
+        raise ParseError(line, f"{key}: symbol {raw!r} is not below 2^62")
+    return value
+
+
 def _parse_float(raw: str, line: int, key: str) -> float:
     try:
         value = float(raw)
@@ -200,7 +212,7 @@ def _build_model(sec: dict[str, tuple[str, int]]) -> ShiftModel:
         toks = part.split()
         if len(toks) != 2:
             raise ParseError(edges_line, f"edge must be 'i j', got {part!r}")
-        edges.append((_parse_int(toks[0], edges_line, "edges"), _parse_int(toks[1], edges_line, "edges")))
+        edges.append((_parse_symbol(toks[0], edges_line, "edges"), _parse_symbol(toks[1], edges_line, "edges")))
     tail_raw, tail_line = sec.get("tail_rule", ("none", 0))
     try:
         tail_rule = TailRule(tail_raw.lower())
@@ -233,8 +245,8 @@ def _build_potential(sec: dict[str, tuple[str, int]], model: ShiftModel) -> tupl
                 raise ParseError(table_line, f"table entry must be 'i j value', got {part!r}")
             table.append(
                 (
-                    _parse_int(toks[0], table_line, "table"),
-                    _parse_int(toks[1], table_line, "table"),
+                    _parse_symbol(toks[0], table_line, "table"),
+                    _parse_symbol(toks[1], table_line, "table"),
                     _parse_float(toks[2], table_line, "table"),
                 )
             )

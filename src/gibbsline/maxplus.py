@@ -55,16 +55,15 @@ def max_cycle_mean(W: np.ndarray) -> tuple[float, list[int]]:
         cand = D[r - 1][:, None] + W
         parent[r] = np.argmax(cand, axis=0)
         D[r] = cand[parent[r], np.arange(n)]
-    best = _NEG_INF
-    best_v = -1
-    for v in range(n):
-        if not np.isfinite(D[n, v]):
-            continue
-        finite_r = [r for r in range(n) if np.isfinite(D[r, v])]
-        q = min((D[n, v] - D[r, v]) / (n - r) for r in finite_r)
-        if q > best:
-            best, best_v = q, v
-    if best_v < 0:
+    # q_v = min over r with D[r, v] > -inf of (D[n, v] - D[r, v]) / (n - r);
+    # beta is the largest q_v over the v that walks of length n reach
+    with np.errstate(invalid="ignore"):
+        ratios = (D[n] - D[:n]) / (n - np.arange(n))[:, None]
+    q = np.where(np.isfinite(D[:n]), ratios, np.inf).min(axis=0)
+    q[~np.isfinite(D[n])] = _NEG_INF
+    best_v = int(np.argmax(q))  # the first maximizer
+    best = q[best_v]
+    if not np.isfinite(best):
         raise SolverError("no cycle reachable from symbol 0")
     cycle = _extract_cycle(W, parent, best_v, n, best)
     return _cycle_mean(W, cycle), cycle

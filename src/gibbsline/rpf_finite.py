@@ -20,6 +20,17 @@ before the quantities of interest do.
 
 The gauge is linear in t: beta, v and u of t f are t times those of f, so a
 sweep computes them once from f's critical decomposition and rescales.
+
+Each side of a solve builds its transfer operator, logv -> log(B exp(logv)),
+once, with the kernel its support calls for: a CSR log-sum-exp over the
+finite entries when at most two thirds of the cells are finite and no row is
+empty (renewal truncations have 2n - 1 edges), and an in-place dense
+log-sum-exp otherwise (full shifts). Both reduce like
+``scipy.special.logsumexp`` (each maximum counted apart, the rest through
+log1p), as do the scalar reductions, so gibbsline needs numpy only. The
+residual of an iterate is read from the application that computes the next
+one, so a side on a period-1 support applies its operator iterations + 1
+times.
 """
 
 from __future__ import annotations
@@ -29,7 +40,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     AlphabetTooLarge,
@@ -87,14 +97,82 @@ def transfer_matrix(trunc: Truncation, f: MarkovPotential, t: float) -> np.ndarr
     return np.where(inc, t * vals, _NEG_INF)
 
 
-def _log_matvec(logA: np.ndarray, logv: np.ndarray, chunk: int = 1024) -> np.ndarray:
-    n = logA.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+def _logsumexp(a: np.ndarray, axis: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """log(sum(exp(a))) along axis, reduced as scipy.special.logsumexp does.
+
+    Every entry equal to the maximum is counted apart and the rest enter
+    through log1p, so one dominant term comes out exact; an all -inf slice
+    gives -inf. `out` is scratch space of a's shape (a itself may be passed).
+    """
+    top = a.max(axis=axis, keepdims=True)
+    at_top = a == top
+    with np.errstate(invalid="ignore"):
+        rest = np.subtract(a, top, out=out)
+    np.copyto(rest, _NEG_INF, where=at_top)
+    np.exp(rest, out=rest)
+    return _log_total(rest.sum(axis=axis), np.count_nonzero(at_top, axis=axis), np.squeeze(top, axis=axis))
+
+
+def _log_total(rest: np.ndarray, count: np.ndarray, top: np.ndarray) -> np.ndarray:
+    # top + log(count * exp(0) + rest): the count maxima and the rest below them
+    return np.log1p(rest / count) + np.log(count) + top
+
+
+class _CsrLogOperator:
+    """logv -> log(exp(logA) @ exp(logv)) over the finite entries of logA.
+
+    The entries are stored row by row with int32 indices; every row must
+    hold one, as on an irreducible support.
+    """
+
+    def __init__(self, logA: np.ndarray, finite: np.ndarray):
+        rows, cols = np.nonzero(finite)
+        self.n = logA.shape[0]
+        self.vals = logA[rows, cols]
+        self.rows = rows.astype(np.int32)
+        self.cols = cols.astype(np.int32)
+        self.starts = np.searchsorted(rows, np.arange(self.n)).astype(np.int32)
+
+    def __call__(self, logv: np.ndarray) -> np.ndarray:
+        z = self.vals + logv[self.cols]
+        top = np.maximum.reduceat(z, self.starts)
+        top_z = top[self.rows]
+        at_top = z == top_z
         with np.errstate(invalid="ignore"):
-            out[lo:hi] = logsumexp(logA[lo:hi] + logv[None, :], axis=1)
-    return out
+            rest = z - top_z
+        rest[at_top] = _NEG_INF
+        np.exp(rest, out=rest)
+        count = np.add.reduceat(at_top, self.starts, dtype=np.int64)
+        return _log_total(np.add.reduceat(rest, self.starts), count, top)
+
+
+class _DenseLogOperator:
+    """logv -> log(exp(logA) @ exp(logv)) in place, over row blocks of about 2^20 cells."""
+
+    def __init__(self, logA: np.ndarray):
+        self.n = logA.shape[0]
+        self.logA = logA
+        self.block = max(1, (1 << 20) // self.n)
+        # logA's memory order (a transpose stays column-major) fixes the
+        # order in which each row is summed
+        self.buf = np.empty_like(logA[: self.block])
+
+    def __call__(self, logv: np.ndarray) -> np.ndarray:
+        out = np.empty(self.n)
+        for lo in range(0, self.n, self.block):
+            hi = min(lo + self.block, self.n)
+            z = np.add(self.logA[lo:hi], logv[None, :], out=self.buf[: hi - lo])
+            out[lo:hi] = _logsumexp(z, axis=1, out=z)
+        return out
+
+
+def _log_operator(logA: np.ndarray) -> _CsrLogOperator | _DenseLogOperator:
+    """The log-domain operator of logA: CSR when at most two thirds of the
+    cells are finite and every row holds one, dense otherwise."""
+    finite = np.isfinite(logA)
+    if 3 * np.count_nonzero(finite) <= 2 * finite.size and finite.any(axis=1).all():
+        return _CsrLogOperator(logA, finite)
+    return _DenseLogOperator(logA)
 
 
 def _window_average(v_hist: list[np.ndarray], s_hist: list[float], est: float) -> np.ndarray:
@@ -112,21 +190,20 @@ def _window_average(v_hist: list[np.ndarray], s_hist: list[float], est: float) -
         offset += s_hist[j] - est
         terms.append(v_hist[j] + offset)
     stacked = np.stack(terms, axis=0)
-    with np.errstate(invalid="ignore"):
-        return logsumexp(stacked, axis=0) - math.log(len(terms))
+    return _logsumexp(stacked, axis=0, out=stacked) - math.log(len(terms))
 
 
 def _support_period(logA: np.ndarray) -> int:
     return graph_period(np.isfinite(logA))
 
 
-def _eigen_residual(logA: np.ndarray, logv: np.ndarray, est: float) -> float:
-    lhs = _log_matvec(logA, logv)
-    return float(np.max(np.abs(lhs - est - logv)))
+def _residual(Aw: np.ndarray, logw: np.ndarray, est: float) -> float:
+    """Eigen-residual of logw at log-eigenvalue est, from Aw = op(logw)."""
+    return float(np.max(np.abs(Aw - est - logw)))
 
 
 def _power_iteration(
-    logA: np.ndarray, logv: np.ndarray, d: int, tol: float, max_iter: int, res_tol: float
+    op, logv: np.ndarray, d: int, tol: float, max_iter: int, res_tol: float
 ) -> tuple[np.ndarray | None, float, int, float, tuple]:
     """Log-domain power iteration from logv.
 
@@ -135,15 +212,28 @@ def _power_iteration(
     the best iterate seen. The eigenvalue estimate is the mean of the last d
     per-step log-normalizers and the eigenvector the average of the last d
     normalized iterates, which converges for period-d supports where the
-    plain iteration oscillates.
+    plain iteration oscillates. For d = 1 that average is the iterate
+    itself, whose residual comes from the application that computes the
+    next iterate; for d > 1 the average costs one application of its own.
     """
     s_hist: deque[float] = deque(maxlen=d)
     v_hist: deque[np.ndarray] = deque(maxlen=d)
     est_prev = math.nan
     best = (math.inf, None, math.nan)
-    for it in range(1, max_iter + 1):
-        u = _log_matvec(logA, logv)
-        s = float(logsumexp(u))
+    pending = None  # (estimate, gate) of iterate `it`, checked by its application
+    for it in range(max_iter + 1):
+        u = op(logv)
+        if pending is not None:
+            est, gate = pending
+            res = _residual(u, logv, est)
+            if res < best[0]:
+                best = (res, logv, est)
+            if res < gate:
+                return logv, est, it, res, best
+            pending = None
+        if it == max_iter:
+            break
+        s = float(_logsumexp(u))
         logv = u - s
         s_hist.append(s)
         v_hist.append(logv)
@@ -151,19 +241,23 @@ def _power_iteration(
             continue
         est = float(np.mean(s_hist))
         scale = max(1.0, abs(est), float(np.max(np.abs(logv[np.isfinite(logv)]))))
-        if abs(est - est_prev) < max(tol, 4.0 * _EPS * scale) or it % 32 == 0:
-            logw = _window_average(list(v_hist), list(s_hist), est)
-            res = _eigen_residual(logA, logw, est)
-            if res < best[0]:
-                best = (res, logw, est)
-            if res < max(res_tol, 8.0 * _EPS * scale):
-                return logw, est, it, res, best
+        if abs(est - est_prev) < max(tol, 4.0 * _EPS * scale) or (it + 1) % 32 == 0:
+            gate = max(res_tol, 8.0 * _EPS * scale)
+            if d == 1:
+                pending = (est, gate)
+            else:
+                logw = _window_average(list(v_hist), list(s_hist), est)
+                res = _residual(op(logw), logw, est)
+                if res < best[0]:
+                    best = (res, logw, est)
+                if res < gate:
+                    return logw, est, it + 1, res, best
         est_prev = est
     return None, math.nan, max_iter, best[0], best
 
 
 def _power_iteration_shifted(
-    logA: np.ndarray, logv: np.ndarray, log_sigma: float, tol: float, max_iter: int, res_tol: float, best: tuple
+    op, logv: np.ndarray, log_sigma: float, tol: float, max_iter: int, res_tol: float, best: tuple
 ) -> tuple[np.ndarray | None, float, int, float, tuple]:
     """Power iteration on B + sigma*I: same eigenvectors, eigenvalue lambda + sigma.
 
@@ -172,32 +266,40 @@ def _power_iteration_shifted(
     lambda times roots of unity: the shift contracts each of them like
     |e^{i theta} + sigma / lambda| / (1 + sigma / lambda), and lambda is
     recovered as log(exp(s) - sigma) without cancellation. Same return as
-    `_power_iteration`.
+    `_power_iteration`; the residual of an iterate comes from the
+    application that computes the next one.
     """
     s_prev = math.nan
-    it = 0
-    for it in range(1, max_iter + 1):
-        u = np.logaddexp(_log_matvec(logA, logv), log_sigma + logv)
-        s = float(logsumexp(u))
-        logv = u - s
-        scale = max(1.0, abs(s), float(np.max(np.abs(logv[np.isfinite(logv)]))))
-        if (abs(s - s_prev) < max(tol, 4.0 * _EPS * scale) or it % 32 == 0) and s > log_sigma:
-            est = s + math.log1p(-math.exp(log_sigma - s))
-            res = _eigen_residual(logA, logv, est)
+    pending = None  # (estimate, gate) of iterate `it`, checked by its application
+    for it in range(max_iter + 1):
+        Av = op(logv)
+        if pending is not None:
+            est, gate = pending
+            res = _residual(Av, logv, est)
             if res < best[0]:
                 best = (res, logv, est)
-            if res < max(res_tol, 8.0 * _EPS * max(scale, abs(est))):
+            if res < gate:
                 return logv, est, it, res, best
+            pending = None
+        if it == max_iter:
+            break
+        u = np.logaddexp(Av, log_sigma + logv)
+        s = float(_logsumexp(u))
+        logv = u - s
+        scale = max(1.0, abs(s), float(np.max(np.abs(logv[np.isfinite(logv)]))))
+        if (abs(s - s_prev) < max(tol, 4.0 * _EPS * scale) or (it + 1) % 32 == 0) and s > log_sigma:
+            est = s + math.log1p(-math.exp(log_sigma - s))
+            pending = (est, max(res_tol, 8.0 * _EPS * max(scale, abs(est))))
         s_prev = s
-    return None, math.nan, it, best[0], best
+    return None, math.nan, max_iter, best[0], best
 
 
 def _normalized(logv: np.ndarray) -> np.ndarray:
-    return logv - logsumexp(logv)
+    return logv - _logsumexp(logv)
 
 
 def _solve_side(
-    logA: np.ndarray,
+    op,
     d: int,
     gauge: MaxPlusGauge | None,
     warm_start,
@@ -213,19 +315,19 @@ def _solve_side(
     Without one the plain iteration starts from the uniform vector and only
     a stall pays for `gauge_of_logA`.
     """
-    n = logA.shape[0]
+    n = op.n
     best = (math.inf, None, math.nan)
     spent = 0
     if gauge is None or gauge.cyclicity == 1:
         start = np.full(n, -math.log(n)) if gauge is None else _normalized(warm_start(gauge))
-        logv, est, it, res, best = _power_iteration(logA, start, d, tol, max_iter, res_tol)
+        logv, est, it, res, best = _power_iteration(op, start, d, tol, max_iter, res_tol)
         if logv is not None:
             return logv, est, it, res, "plain" if d == 1 else "period-averaged"
         spent = it
     if gauge is None:
         gauge = gauge_of_logA()
     start = _normalized(warm_start(gauge))
-    logv, est, it, res, best = _power_iteration_shifted(logA, start, gauge.beta, tol, max_iter, res_tol, best)
+    logv, est, it, res, best = _power_iteration_shifted(op, start, gauge.beta, tol, max_iter, res_tol, best)
     if logv is not None:
         return logv, est, spent + it, res, "shifted"
     if best[1] is not None and best[0] <= 1e-10:
@@ -261,14 +363,14 @@ def perron(
         return found[0]
 
     logh, est_r, it_r, res_r, path_r = _solve_side(
-        logB, d, gauge, lambda g: g.v, gauge_of_logB, tol, max_iter, res_tol
+        _log_operator(logB), d, gauge, lambda g: g.v, gauge_of_logB, tol, max_iter, res_tol
     )
     lognu, est_l, it_l, res_l, path_l = _solve_side(
-        logB.T, d, gauge, lambda g: g.u, gauge_of_logB, tol, max_iter, res_tol
+        _log_operator(logB.T), d, gauge, lambda g: g.u, gauge_of_logB, tol, max_iter, res_tol
     )
     log_lambda = 0.5 * (est_r + est_l)
-    logh = logh - logsumexp(logh)
-    lognu = lognu - logsumexp(lognu + logh)
+    logh = _normalized(logh)
+    lognu = lognu - _logsumexp(lognu + logh)
     residual = max(res_r, res_l, abs(est_r - est_l))
     path = max(path_r, path_l, key=PATHS.index)
     return PerronData(float(log_lambda), logh, lognu, it_r + it_l, float(residual), path)
@@ -282,7 +384,7 @@ def pressure(trunc: Truncation, f: MarkovPotential, t: float, **kwargs) -> float
         if trunc.kind is ModelKind.FULL and f.is_row_constant:
             # rank-one transfer operator: eigenvalue is the row-weight sum
             row = f.value_grid(trunc.alphabet, np.asarray([0], dtype=np.int64))[:, 0]
-            return float(logsumexp(t * row))
+            return float(_logsumexp(t * row))
         raise AlphabetTooLarge(
             "pressure on a non-materialized truncation is only available for "
             "row-constant potentials on the full shift"
@@ -303,11 +405,11 @@ def gurevich_estimate(trunc: Truncation, f: MarkovPotential, t: float, a: int, n
     if a not in idx:
         raise ValidationError(f"symbol {a} not in the truncation alphabet")
     ai = idx[a]
-    logB = transfer_matrix(trunc, f, t)
+    op = _log_operator(transfer_matrix(trunc, f, t))
     u = np.full(trunc.n_symbols, _NEG_INF)
     u[ai] = 0.0
     for _ in range(n):
-        u = _log_matvec(logB, u)
+        u = op(u)
     diag = u[ai]
     if not np.isfinite(diag):
         return -math.inf
@@ -353,13 +455,13 @@ def log_cylinder_mass(m: MarkovMeasure, word: tuple[int, ...]) -> float:
     idx = m.local_index()
     if any(s not in idx for s in word):
         return -math.inf
+    pos = [idx[s] for s in word]
     with np.errstate(divide="ignore"):
-        logP = np.log(m.stochastic)
-        logpi = np.log(m.stationary)
-    total = logpi[idx[word[0]]]
-    for a, b in zip(word, word[1:]):
-        total += logP[idx[a], idx[b]]
-    return float(total)
+        total = float(np.log(m.stationary[pos[0]]))
+        steps = np.log(m.stochastic[pos[:-1], pos[1:]])
+    for step in steps:
+        total += float(step)
+    return total
 
 
 def cylinder_mass(m: MarkovMeasure, word: tuple[int, ...]) -> float:

@@ -340,6 +340,35 @@ words = 0
         assert run_command(["pressure", "--config", cfg, "--out", str(tmp_path / "runs")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["edges", "table"])
+    @pytest.mark.parametrize("symbol", [2**62, 2**63, 99999999999999999999])
+    def test_oversized_symbol_exit_2(self, tmp_path, capsys, key, symbol):
+        big = 2**62 - 1 if key == "table" else symbol  # the table's edge must exist
+        text = (
+            "[model]\nkind = custom\n"
+            f"edges = 0 1, 1 {big}, {big} 0\n"
+            "[potential]\nfamily = table\n"
+            f"table = 0 1 -1.0, 1 {big} -1.0, {big} 0 -1.0, {symbol} 0 -1.0\n"
+        )
+        cfg = write_cfg(tmp_path, text)
+        assert run_command(["pressure", "--config", cfg, "--out", str(tmp_path / "runs"), "--k", "1", "--t", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{key}: symbol" in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_largest_symbol_is_accepted(self, tmp_path):
+        big = 2**62 - 1
+        text = (
+            "[model]\nkind = custom\n"
+            f"edges = 0 1, 1 {big}, {big} 0\n"
+            "[potential]\nfamily = table\n"
+            f"table = 0 1 -1.0, 1 {big} -2.0, {big} 0 -3.0\n"
+        )
+        cfg = write_cfg(tmp_path, text)
+        assert run_command(["pressure", "--config", cfg, "--out", str(tmp_path / "runs"), "--k", "1", "--t", "2"]) == 0
+        run_dir = next((tmp_path / "runs").iterdir())
+        assert json.loads((run_dir / "pressure.json").read_text())["pressure"] == pytest.approx(-4.0)
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[model]\nkind = nosuch\n")
         assert run_command(["pressure", "--config", cfg, "--out", str(tmp_path / "runs")]) == 2

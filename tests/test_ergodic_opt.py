@@ -15,6 +15,7 @@ from gibbsline.ergodic_opt import (
     max_mean_cycle,
     subaction,
 )
+from gibbsline import maxplus
 from gibbsline.errors import BudgetExceeded
 from gibbsline.potential import Family, MarkovPotential
 from gibbsline.rpf_finite import pressure
@@ -119,6 +120,44 @@ def test_karp_matches_brute_force_hypothesis(data):
     tr = build_truncation(model, n - 1)
     beta, _ = max_mean_cycle(tr, f)
     assert beta == pytest.approx(brute_force_max_mean(tr, f, tr.n_symbols), abs=1e-12)
+
+
+def karp_with_loops(W):
+    """Karp's final step as a loop over v and r, as `maxplus` first wrote it."""
+    n = W.shape[0]
+    D = np.full((n + 1, n), -np.inf)
+    D[0, 0] = 0.0
+    parent = np.full((n + 1, n), -1, dtype=np.int64)
+    for r in range(1, n + 1):
+        cand = D[r - 1][:, None] + W
+        parent[r] = np.argmax(cand, axis=0)
+        D[r] = cand[parent[r], np.arange(n)]
+    best, best_v = -np.inf, -1
+    for v in range(n):
+        if not np.isfinite(D[n, v]):
+            continue
+        q = min((D[n, v] - D[r, v]) / (n - r) for r in range(n) if np.isfinite(D[r, v]))
+        if q > best:
+            best, best_v = q, v
+    cycle = maxplus._extract_cycle(W, parent, best_v, n, best)
+    return maxplus._cycle_mean(W, cycle), cycle
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 24), st.integers(0, 2**32 - 1), st.booleans())
+def test_vectorized_karp_keeps_beta_and_witness(n, seed, ties):
+    rng = np.random.default_rng(seed)
+    finite = rng.random((n, n)) < 0.3
+    finite[np.arange(n), (np.arange(n) + 1) % n] = True
+    # small integer weights tie many cycle means; the first maximizer must win
+    weights = rng.integers(-3, 2, (n, n)).astype(float) if ties else rng.normal(size=(n, n))
+    W = np.where(finite, weights, -np.inf)
+    beta, cycle = maxplus.max_cycle_mean(W)
+    assert (beta, cycle) == karp_with_loops(W)
+    if n <= 8:
+        model, f = table_model([(int(i), int(j), float(W[i, j])) for i, j in zip(*np.nonzero(finite))])
+        tr = build_truncation(model, n - 1)
+        assert beta == pytest.approx(brute_force_max_mean(tr, f, n), abs=1e-12)
 
 
 class TestSubaction:
