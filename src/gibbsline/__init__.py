@@ -66,7 +66,6 @@ from .shift_model import (
     admissible_words,
     build_truncation,
     largest_transitive_core,
-    period,
 )
 
 __version__ = "0.1.0"

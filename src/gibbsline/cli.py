@@ -435,7 +435,9 @@ def _cmd_diagnose(cfg: ModelConfig, args, em: _Emitter) -> int:
     except (SolverError, ValidationError) as exc:
         report["k0"] = {"error": str(exc)}
 
-    usc = entropy_upper_semicontinuity_check(cfg.model, cfg.potential, cfg.sweep.ts[0], cfg.sweep.ks)
+    usc = entropy_upper_semicontinuity_check(
+        cfg.model, cfg.potential, cfg.sweep.ts[0], cfg.sweep.ks, budget=cfg.sweep.budget
+    )
     report["usc_within_band"] = all(usc.within_band)
     report["partition_final_gaps"] = {str(n): g for n, g in usc.partition_final_gaps.items()}
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
 from .potential import Family, MarkovPotential, TailDescriptor, TailKind
-from .shift_model import ModelKind, ShiftModel, TailRule
+from .shift_model import SYMBOL_LIMIT, ModelKind, ShiftModel, TailRule
 
 _SECTIONS = ("model", "potential", "sweep", "output")
 
@@ -106,14 +106,10 @@ def _parse_int(raw: str, line: int, key: str) -> int:
         raise ParseError(line, f"{key}: expected an integer, got {raw!r}") from None
 
 
-# Symbols live in int64 arrays, and truncations add successors of the
-# largest one; below 2^62 that arithmetic cannot overflow.
-_SYMBOL_LIMIT = 2**62
-
-
 def _parse_symbol(raw: str, line: int, key: str) -> int:
     value = _parse_int(raw, line, key)
-    if value >= _SYMBOL_LIMIT:
+    # checked here too: table symbols on built-in models never reach ShiftModel
+    if value >= SYMBOL_LIMIT:
         raise ParseError(line, f"{key}: symbol {raw!r} is not below 2^62")
     return value
 

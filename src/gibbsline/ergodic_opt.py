@@ -144,15 +144,14 @@ def critical_graph(
         edges = tuple(
             (int(alphabet[comp[a]]), int(alphabet[comp[b]])) for a, b in zip(*np.nonzero(sub))
         )
-        d = graph_period(sub)
-        periods.append(d)
+        periods.append(graph_period(sub))
         # entropy of the component subshift: zero-potential pressure
         log_zero = np.where(sub, 0.0, _NEG_INF)
-        h_top = perron(log_zero, period=d).log_lambda
+        h_top = perron(log_zero).log_lambda
         # restricted pressure of f: solve for f - beta, then shift back
         vals = f.value_grid(np.asarray(syms, dtype=np.int64), np.asarray(syms, dtype=np.int64))
         log_red = np.where(sub, vals - beta, _NEG_INF)
-        pd = perron(log_red, period=d)
+        pd = perron(log_red)
         meas = equilibrium(pd, log_red, np.asarray(syms, dtype=np.int64))
         components.append(Component(syms, edges, float(h_top), float(beta + pd.log_lambda), meas))
 

@@ -4,19 +4,23 @@ Everything spectral stays in log space with log-sum-exp reductions: inverse
 temperatures up to ~10^3 make the matrix entries exp(t f) underflow long
 before the quantities of interest do.
 
-`perron` runs power iteration on both sides, along one of these paths:
+`perron` runs one power iteration, on B + sigma I, on both sides. The plain
+run is sigma = 0, averaged over d consecutive steps where d is the period
+that `perron` reads from the support of log B; the shifted run is
+sigma = e^{beta} <= lambda, beta the max cycle mean of log B, with d = 1.
+The tolerances are fixed (`_TOL`, `_RES_TOL`); only the step budget can be
+set. A solve takes one of these paths:
 
-- No gauge (pressure grids, single points, critical components): plain
-  iteration from the uniform vector, averaged over d consecutive steps on
-  period-d supports. Only if that stalls is the max-plus gauge of log B built
-  (Karp, then the critical graph) and the shifted iteration below run.
+- No gauge (pressure grids, single points, critical components): the plain
+  run from the uniform vector. Only if that stalls is the max-plus gauge of
+  log B built (Karp, then the critical graph) and the shifted run started.
 - With a gauge (zero-temperature sweeps): the iteration starts from the
   max-plus eigenvectors, t v on the right and t u on the left, which already
   carry the e^{-t delta} decay of the off-critical entries. When the
   critical graph is cyclic (cyclicity c > 1) the peripheral spectrum of
   exp(t f) tends to lambda times the c-th roots of unity, so the solve goes
-  straight to the iteration shifted by sigma = e^{t beta} <= lambda; when
-  c = 1 it runs plain first and shifts only on a stall.
+  straight to the shifted run; when c = 1 it runs plain first and shifts
+  only on a stall.
 
 The gauge is linear in t: beta, v and u of t f are t times those of f, so a
 sweep computes them once from f's critical decomposition and rescales.
@@ -53,6 +57,11 @@ from .shift_model import ModelKind, Truncation, graph_period
 
 _NEG_INF = -np.inf
 _EPS = float(np.finfo(np.float64).eps)
+# Power iteration: the eigenvalue estimate has settled once consecutive
+# estimates differ by less than _TOL, and an iterate is accepted once its
+# eigen-residual is below _RES_TOL (both floored at a few ulp of the scale).
+_TOL = 1e-13
+_RES_TOL = 1e-12
 
 # Solver paths in increasing order of cost; a solve reports its costlier side.
 PATHS = ("plain", "period-averaged", "shifted", "best-iterate")
@@ -176,14 +185,12 @@ def _log_operator(logA: np.ndarray) -> _CsrLogOperator | _DenseLogOperator:
 
 
 def _window_average(v_hist: list[np.ndarray], s_hist: list[float], est: float) -> np.ndarray:
-    """Average the last d iterates after undoing the per-step normalizers.
+    """Average the last d >= 2 iterates after undoing the per-step normalizers.
 
     Iterate i carries cumulative normalizer S_i; rescaling by exp(S_i - i*est)
     reproduces the lambda-scaled sequence, whose window average projects onto
     the Perron eigenvector even when the support has period d > 1.
     """
-    if len(v_hist) == 1:
-        return v_hist[-1]
     terms = [v_hist[0]]
     offset = 0.0
     for j in range(1, len(v_hist)):
@@ -193,83 +200,37 @@ def _window_average(v_hist: list[np.ndarray], s_hist: list[float], est: float) -
     return _logsumexp(stacked, axis=0, out=stacked) - math.log(len(terms))
 
 
-def _support_period(logA: np.ndarray) -> int:
-    return graph_period(np.isfinite(logA))
-
-
 def _residual(Aw: np.ndarray, logw: np.ndarray, est: float) -> float:
     """Eigen-residual of logw at log-eigenvalue est, from Aw = op(logw)."""
     return float(np.max(np.abs(Aw - est - logw)))
 
 
 def _power_iteration(
-    op, logv: np.ndarray, d: int, tol: float, max_iter: int, res_tol: float
+    op, logv: np.ndarray, d: int, log_sigma: float, max_iter: int, best: tuple
 ) -> tuple[np.ndarray | None, float, int, float, tuple]:
-    """Log-domain power iteration from logv.
+    """Log-domain power iteration on B + sigma*I from logv.
 
     Returns (log_vec, log_lambda, iters, residual, best); log_vec is None
     when the budget ran out, and best = (residual, vector, eigenvalue) is
-    the best iterate seen. The eigenvalue estimate is the mean of the last d
-    per-step log-normalizers and the eigenvector the average of the last d
-    normalized iterates, which converges for period-d supports where the
-    plain iteration oscillates. For d = 1 that average is the iterate
-    itself, whose residual comes from the application that computes the
-    next iterate; for d > 1 the average costs one application of its own.
+    the best iterate seen, this run's or the given one.
+
+    The plain run is sigma = 0 (log_sigma = -inf), on the support's period
+    d: the eigenvalue estimate is the mean of the last d per-step
+    log-normalizers and the eigenvector the average of the last d
+    normalized iterates, which converges where the plain iteration
+    oscillates. The shifted run is sigma = exp(max cycle mean of log B)
+    with d = 1: sigma never exceeds lambda, and as t grows lambda / sigma
+    stays bounded while the peripheral eigenvalues tend to lambda times
+    roots of unity, so the shift contracts each of them like
+    |e^{i theta} + sigma / lambda| / (1 + sigma / lambda). Either way the
+    eigenvalue is recovered from the mean m as log(exp(m) - sigma) without
+    cancellation. For d = 1 the residual of an iterate comes from the
+    application that computes the next one; for d > 1 the window average
+    costs one application of its own.
     """
     s_hist: deque[float] = deque(maxlen=d)
     v_hist: deque[np.ndarray] = deque(maxlen=d)
-    est_prev = math.nan
-    best = (math.inf, None, math.nan)
-    pending = None  # (estimate, gate) of iterate `it`, checked by its application
-    for it in range(max_iter + 1):
-        u = op(logv)
-        if pending is not None:
-            est, gate = pending
-            res = _residual(u, logv, est)
-            if res < best[0]:
-                best = (res, logv, est)
-            if res < gate:
-                return logv, est, it, res, best
-            pending = None
-        if it == max_iter:
-            break
-        s = float(_logsumexp(u))
-        logv = u - s
-        s_hist.append(s)
-        v_hist.append(logv)
-        if len(s_hist) < d:
-            continue
-        est = float(np.mean(s_hist))
-        scale = max(1.0, abs(est), float(np.max(np.abs(logv[np.isfinite(logv)]))))
-        if abs(est - est_prev) < max(tol, 4.0 * _EPS * scale) or (it + 1) % 32 == 0:
-            gate = max(res_tol, 8.0 * _EPS * scale)
-            if d == 1:
-                pending = (est, gate)
-            else:
-                logw = _window_average(list(v_hist), list(s_hist), est)
-                res = _residual(op(logw), logw, est)
-                if res < best[0]:
-                    best = (res, logw, est)
-                if res < gate:
-                    return logw, est, it + 1, res, best
-        est_prev = est
-    return None, math.nan, max_iter, best[0], best
-
-
-def _power_iteration_shifted(
-    op, logv: np.ndarray, log_sigma: float, tol: float, max_iter: int, res_tol: float, best: tuple
-) -> tuple[np.ndarray | None, float, int, float, tuple]:
-    """Power iteration on B + sigma*I: same eigenvectors, eigenvalue lambda + sigma.
-
-    sigma = exp(max cycle mean of log B) never exceeds lambda, and as t grows
-    lambda / sigma stays bounded while the peripheral eigenvalues tend to
-    lambda times roots of unity: the shift contracts each of them like
-    |e^{i theta} + sigma / lambda| / (1 + sigma / lambda), and lambda is
-    recovered as log(exp(s) - sigma) without cancellation. Same return as
-    `_power_iteration`; the residual of an iterate comes from the
-    application that computes the next one.
-    """
-    s_prev = math.nan
+    mean_prev = math.nan
     pending = None  # (estimate, gate) of iterate `it`, checked by its application
     for it in range(max_iter + 1):
         Av = op(logv)
@@ -283,14 +244,28 @@ def _power_iteration_shifted(
             pending = None
         if it == max_iter:
             break
-        u = np.logaddexp(Av, log_sigma + logv)
+        u = Av if log_sigma == _NEG_INF else np.logaddexp(Av, log_sigma + logv)
         s = float(_logsumexp(u))
         logv = u - s
-        scale = max(1.0, abs(s), float(np.max(np.abs(logv[np.isfinite(logv)]))))
-        if (abs(s - s_prev) < max(tol, 4.0 * _EPS * scale) or (it + 1) % 32 == 0) and s > log_sigma:
-            est = s + math.log1p(-math.exp(log_sigma - s))
-            pending = (est, max(res_tol, 8.0 * _EPS * max(scale, abs(est))))
-        s_prev = s
+        s_hist.append(s)
+        v_hist.append(logv)
+        if len(s_hist) < d:
+            continue
+        mean = float(np.mean(s_hist))
+        scale = max(1.0, abs(mean), float(np.max(np.abs(logv[np.isfinite(logv)]))))
+        if (abs(mean - mean_prev) < max(_TOL, 4.0 * _EPS * scale) or (it + 1) % 32 == 0) and mean > log_sigma:
+            est = mean + math.log1p(-math.exp(log_sigma - mean))
+            gate = max(_RES_TOL, 8.0 * _EPS * max(scale, abs(est)))
+            if d == 1:
+                pending = (est, gate)
+            else:
+                logw = _window_average(list(v_hist), list(s_hist), est)
+                res = _residual(op(logw), logw, est)
+                if res < best[0]:
+                    best = (res, logw, est)
+                if res < gate:
+                    return logw, est, it + 1, res, best
+        mean_prev = mean
     return None, math.nan, max_iter, best[0], best
 
 
@@ -299,14 +274,7 @@ def _normalized(logv: np.ndarray) -> np.ndarray:
 
 
 def _solve_side(
-    op,
-    d: int,
-    gauge: MaxPlusGauge | None,
-    warm_start,
-    gauge_of_logA,
-    tol: float,
-    max_iter: int,
-    res_tol: float,
+    op, d: int, gauge: MaxPlusGauge | None, warm_start, gauge_of_logA, max_iter: int
 ) -> tuple[np.ndarray, float, int, float, str]:
     """Perron vector of one side: (log_vec, log_lambda, iterations, residual, path).
 
@@ -320,14 +288,14 @@ def _solve_side(
     spent = 0
     if gauge is None or gauge.cyclicity == 1:
         start = np.full(n, -math.log(n)) if gauge is None else _normalized(warm_start(gauge))
-        logv, est, it, res, best = _power_iteration(op, start, d, tol, max_iter, res_tol)
+        logv, est, it, res, best = _power_iteration(op, start, d, _NEG_INF, max_iter, best)
         if logv is not None:
             return logv, est, it, res, "plain" if d == 1 else "period-averaged"
         spent = it
     if gauge is None:
         gauge = gauge_of_logA()
     start = _normalized(warm_start(gauge))
-    logv, est, it, res, best = _power_iteration_shifted(op, start, gauge.beta, tol, max_iter, res_tol, best)
+    logv, est, it, res, best = _power_iteration(op, start, 1, gauge.beta, max_iter, best)
     if logv is not None:
         return logv, est, spent + it, res, "shifted"
     if best[1] is not None and best[0] <= 1e-10:
@@ -335,14 +303,7 @@ def _solve_side(
     raise NoConvergence(spent + it, best[0])
 
 
-def perron(
-    logB: np.ndarray,
-    tol: float = 1e-13,
-    max_iter: int | None = None,
-    period: int | None = None,
-    res_tol: float = 1e-12,
-    gauge: MaxPlusGauge | None = None,
-) -> PerronData:
+def perron(logB: np.ndarray, max_iter: int | None = None, gauge: MaxPlusGauge | None = None) -> PerronData:
     """Perron data of an irreducible log-domain matrix by power iteration.
 
     `gauge` is the max-plus gauge of logB itself (for log B = t f, the gauge
@@ -353,7 +314,7 @@ def perron(
         # 100 * n with a floor: tiny alphabets can still carry nearly
         # reducible supports whose spectral gap is independent of n
         max_iter = max(100 * n, 3000)
-    d = period if period is not None else _support_period(logB)
+    d = graph_period(np.isfinite(logB))
     found: list[MaxPlusGauge] = []
 
     def gauge_of_logB() -> MaxPlusGauge:
@@ -363,10 +324,10 @@ def perron(
         return found[0]
 
     logh, est_r, it_r, res_r, path_r = _solve_side(
-        _log_operator(logB), d, gauge, lambda g: g.v, gauge_of_logB, tol, max_iter, res_tol
+        _log_operator(logB), d, gauge, lambda g: g.v, gauge_of_logB, max_iter
     )
     lognu, est_l, it_l, res_l, path_l = _solve_side(
-        _log_operator(logB.T), d, gauge, lambda g: g.u, gauge_of_logB, tol, max_iter, res_tol
+        _log_operator(logB.T), d, gauge, lambda g: g.u, gauge_of_logB, max_iter
     )
     log_lambda = 0.5 * (est_r + est_l)
     logh = _normalized(logh)
@@ -376,7 +337,7 @@ def perron(
     return PerronData(float(log_lambda), logh, lognu, it_r + it_l, float(residual), path)
 
 
-def pressure(trunc: Truncation, f: MarkovPotential, t: float, **kwargs) -> float:
+def pressure(trunc: Truncation, f: MarkovPotential, t: float) -> float:
     """Topological pressure of t*f on the truncation (log Perron eigenvalue)."""
     if t < 1.0:
         raise ValidationError(f"pressure requires t >= 1, got {t}")
@@ -390,7 +351,7 @@ def pressure(trunc: Truncation, f: MarkovPotential, t: float, **kwargs) -> float
             "row-constant potentials on the full shift"
         )
     logB = transfer_matrix(trunc, f, t)
-    return perron(logB, period=trunc.period, **kwargs).log_lambda
+    return perron(logB).log_lambda
 
 
 def gurevich_estimate(trunc: Truncation, f: MarkovPotential, t: float, a: int, n: int) -> float:
@@ -439,7 +400,7 @@ def equilibrium(pd: PerronData, logB: np.ndarray, alphabet: np.ndarray | None = 
 
 
 def equilibrium_measure(
-    trunc: Truncation, f: MarkovPotential, t: float, gauge: MaxPlusGauge | None = None, **kwargs
+    trunc: Truncation, f: MarkovPotential, t: float, gauge: MaxPlusGauge | None = None
 ) -> tuple[float, MarkovMeasure]:
     """Convenience: pressure and equilibrium state of t*f on the truncation.
 
@@ -447,7 +408,7 @@ def equilibrium_measure(
     solve uses it scaled by t.
     """
     logB = transfer_matrix(trunc, f, t)
-    pd = perron(logB, period=trunc.period, gauge=None if gauge is None else gauge.scaled(t), **kwargs)
+    pd = perron(logB, gauge=None if gauge is None else gauge.scaled(t))
     return pd.log_lambda, equilibrium(pd, logB, trunc.alphabet)
 
 

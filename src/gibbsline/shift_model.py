@@ -11,7 +11,6 @@ transitive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -29,6 +28,10 @@ from .errors import (
 # Largest alphabet for which the incidence matrix is materialized; beyond it
 # only the structured built-in families are supported (pressure fast path).
 DENSE_LIMIT = 4096
+
+# Symbols live in int64 arrays, and truncations add successors of the
+# largest one; below 2^62 that arithmetic cannot overflow.
+SYMBOL_LIMIT = 2**62
 
 
 class ModelKind(Enum):
@@ -66,6 +69,8 @@ class ShiftModel:
             for i, j in self.custom_edges:
                 if not (isinstance(i, int) and isinstance(j, int)) or i < 0 or j < 0:
                     raise ValidationError(f"custom edge ({i}, {j}) is not a pair of nonnegative integers")
+                if max(i, j) >= SYMBOL_LIMIT:
+                    raise ValidationError(f"custom edge ({i}, {j}) has a symbol not below 2^62")
         elif self.custom_edges:
             raise ValidationError("edge lists are only meaningful for custom models")
 
@@ -237,27 +242,22 @@ def graph_period(adj: np.ndarray) -> int:
     """gcd of all cycle lengths of an irreducible graph.
 
     Computed as the gcd of (depth[u] + 1 - depth[v]) over all edges (u, v),
-    with depths taken from a BFS spanning structure rooted at vertex 0.
+    with depths the BFS distances from vertex 0, taken level by level.
     """
     if np.diagonal(adj).any():
         return 1  # a self-loop is a cycle of length 1
     n = adj.shape[0]
     depth = np.full(n, -1, dtype=np.int64)
-    depth[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt: list[int] = []
-        for v in frontier:
-            for w in np.flatnonzero(adj[v]):
-                if depth[w] == -1:
-                    depth[w] = depth[v] + 1
-                    nxt.append(int(w))
-        frontier = nxt
-    g = 0
+    frontier = np.zeros(n, dtype=bool)
+    frontier[0] = True
+    level = 0
+    while frontier.any():
+        depth[frontier] = level
+        frontier = adj[frontier].any(axis=0) & (depth < 0)
+        level += 1
     us, vs = np.nonzero(adj)
-    for u, v in zip(us, vs):
-        if depth[u] >= 0 and depth[v] >= 0:
-            g = math.gcd(g, int(depth[u] + 1 - depth[v]))
+    reached = depth[us] >= 0
+    g = int(np.gcd.reduce(depth[us[reached]] + 1 - depth[vs[reached]]))
     return max(g, 1)
 
 
@@ -334,7 +334,7 @@ def largest_transitive_core(incidence: np.ndarray) -> Truncation:
 
 
 # ---------------------------------------------------------------------------
-# word enumeration and period
+# word enumeration
 
 
 def admissible_words(trunc: Truncation, n: int, budget: int = 500_000) -> list[tuple[int, ...]]:
@@ -358,9 +358,3 @@ def admissible_words(trunc: Truncation, n: int, budget: int = 500_000) -> list[t
             stack.append((word, int(b)))
     return words
 
-
-def period(trunc: Truncation) -> int:
-    """gcd of cycle lengths; 1 exactly when the truncation is topologically mixing."""
-    if trunc.incidence is None:
-        return trunc.period
-    return graph_period(trunc.incidence)

@@ -319,6 +319,11 @@ words = 0
         assert payload["k0"]["value"] == 1
         assert all(v["violations"] == 0 for v in payload["tightness"].values())
 
+    def test_diagnose_reads_the_budget(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TIE + "budget = 10\n", "tie.cfg")
+        assert run_command(["diagnose", "--config", cfg, "--out", str(tmp_path / "runs")]) == 2
+        assert "cylinders exceed the budget 10" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

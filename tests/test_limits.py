@@ -120,7 +120,7 @@ class TestPressureSweep:
             import numpy as np
 
             log_zero = np.where(tr.incidence, 0.0, -np.inf)
-            h_top = perron(log_zero, period=tr.period).log_lambda
+            h_top = perron(log_zero).log_lambda
             for t in (256.0, 1024.0):
                 gap = pressure(tr, f, t) / t - dec.beta
                 assert -1e-9 <= gap <= h_top / t + 1e-9, (name, t)

@@ -1,13 +1,16 @@
 """The log-domain transfer operators against scipy, and the solver built on them.
 
 The reference kernel is the dense, row-chunked scipy log-sum-exp that the
-operators replaced; it stays here as an oracle only.
+operators replaced, and the reference solver the two power-iteration loops
+(plain and shifted) that the single sigma-shifted loop replaced; both stay
+here as oracles only.
 """
 
 import math
 import os
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +22,10 @@ from scipy.special import logsumexp
 
 from gibbsline import rpf_finite
 from gibbsline.bundled import bundled_pair
+from gibbsline.errors import SolverError
 from gibbsline.ergodic_opt import critical_decomposition, max_plus_gauge
 from gibbsline.limits import ZT_TS_DEFAULT
+from gibbsline.maxplus import gauge_of
 from gibbsline.rpf_finite import (
     _CsrLogOperator,
     _DenseLogOperator,
@@ -31,7 +36,7 @@ from gibbsline.rpf_finite import (
     pressure,
     transfer_matrix,
 )
-from gibbsline.shift_model import build_truncation
+from gibbsline.shift_model import build_truncation, graph_period
 
 NEG_INF = -np.inf
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -128,11 +133,11 @@ def test_log_lambda_matches_scipy_reference_on_bundled_models(name, monkeypatch)
         gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
         for t in ZT_TS_DEFAULT:
             logB = transfer_matrix(tr, f, t)
-            new = perron(logB, period=tr.period, gauge=gauge.scaled(t))
+            new = perron(logB, gauge=gauge.scaled(t))
             with monkeypatch.context() as m:
                 m.setattr(rpf_finite, "_log_operator", ReferenceOperator)
                 m.setattr(rpf_finite, "_logsumexp", lambda a, axis=None, out=None: logsumexp(a, axis=axis))
-                ref = perron(logB, period=tr.period, gauge=gauge.scaled(t))
+                ref = perron(logB, gauge=gauge.scaled(t))
             assert abs(new.log_lambda - ref.log_lambda) <= 1e-12, (n, t)
 
 
@@ -180,7 +185,7 @@ class TestApplicationsPerIteration:
         model, f = renewal_weighted
         tr = build_truncation(model, 255)
         counts = count_applications(monkeypatch)
-        pd = perron(transfer_matrix(tr, f, 2.0), period=tr.period)
+        pd = perron(transfer_matrix(tr, f, 2.0))
         assert pd.path == "plain"
         assert len(counts) == 2
         assert sum(counts) == pd.iterations + 2
@@ -192,7 +197,7 @@ class TestApplicationsPerIteration:
         counts = count_applications(monkeypatch)
         for t in ZT_TS_DEFAULT:
             before = len(counts), sum(counts)
-            pd = perron(transfer_matrix(tr, f, t), period=tr.period, gauge=gauge.scaled(t))
+            pd = perron(transfer_matrix(tr, f, t), gauge=gauge.scaled(t))
             assert len(counts) - before[0] == 2
             assert sum(counts) - before[1] == pd.iterations + 2, t
 
@@ -207,7 +212,7 @@ class TestApplicationsPerIteration:
     def test_period_two_pays_for_its_window_checks(self, monkeypatch):
         logB = np.array([[NEG_INF, -0.7], [-2.3, NEG_INF]])
         counts = count_applications(monkeypatch)
-        pd = perron(logB, period=2)
+        pd = perron(logB)
         assert pd.path == "period-averaged"
         assert sum(counts) > pd.iterations
 
@@ -231,3 +236,184 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# the merged power iteration against the two loops it replaced
+
+REF_TOL = 1e-13
+REF_RES_TOL = 1e-12
+
+
+def reference_plain_iteration(op, logv, d, tol, max_iter, res_tol):
+    """The plain loop: estimate and vector averaged over the last d steps."""
+    s_hist = deque(maxlen=d)
+    v_hist = deque(maxlen=d)
+    est_prev = math.nan
+    best = (math.inf, None, math.nan)
+    pending = None
+    for it in range(max_iter + 1):
+        u = op(logv)
+        if pending is not None:
+            est, gate = pending
+            res = rpf_finite._residual(u, logv, est)
+            if res < best[0]:
+                best = (res, logv, est)
+            if res < gate:
+                return logv, est, it, res, best
+            pending = None
+        if it == max_iter:
+            break
+        s = float(rpf_finite._logsumexp(u))
+        logv = u - s
+        s_hist.append(s)
+        v_hist.append(logv)
+        if len(s_hist) < d:
+            continue
+        est = float(np.mean(s_hist))
+        scale = max(1.0, abs(est), float(np.max(np.abs(logv[np.isfinite(logv)]))))
+        if abs(est - est_prev) < max(tol, 4.0 * rpf_finite._EPS * scale) or (it + 1) % 32 == 0:
+            gate = max(res_tol, 8.0 * rpf_finite._EPS * scale)
+            if d == 1:
+                pending = (est, gate)
+            else:
+                logw = rpf_finite._window_average(list(v_hist), list(s_hist), est)
+                res = rpf_finite._residual(op(logw), logw, est)
+                if res < best[0]:
+                    best = (res, logw, est)
+                if res < gate:
+                    return logw, est, it + 1, res, best
+        est_prev = est
+    return None, math.nan, max_iter, best[0], best
+
+
+def reference_shifted_iteration(op, logv, log_sigma, tol, max_iter, res_tol, best):
+    """The shifted loop: iteration on B + sigma I, lambda = log(exp(s) - sigma)."""
+    s_prev = math.nan
+    pending = None
+    for it in range(max_iter + 1):
+        Av = op(logv)
+        if pending is not None:
+            est, gate = pending
+            res = rpf_finite._residual(Av, logv, est)
+            if res < best[0]:
+                best = (res, logv, est)
+            if res < gate:
+                return logv, est, it, res, best
+            pending = None
+        if it == max_iter:
+            break
+        u = np.logaddexp(Av, log_sigma + logv)
+        s = float(rpf_finite._logsumexp(u))
+        logv = u - s
+        scale = max(1.0, abs(s), float(np.max(np.abs(logv[np.isfinite(logv)]))))
+        if (abs(s - s_prev) < max(tol, 4.0 * rpf_finite._EPS * scale) or (it + 1) % 32 == 0) and s > log_sigma:
+            est = s + math.log1p(-math.exp(log_sigma - s))
+            pending = (est, max(res_tol, 8.0 * rpf_finite._EPS * max(scale, abs(est))))
+        s_prev = s
+    return None, math.nan, max_iter, best[0], best
+
+
+def reference_solve_side(op, d, gauge, warm_start, gauge_of_logA, max_iter):
+    n = op.n
+    best = (math.inf, None, math.nan)
+    spent = 0
+    if gauge is None or gauge.cyclicity == 1:
+        start = np.full(n, -math.log(n)) if gauge is None else rpf_finite._normalized(warm_start(gauge))
+        logv, est, it, res, best = reference_plain_iteration(op, start, d, REF_TOL, max_iter, REF_RES_TOL)
+        if logv is not None:
+            return logv, est, it, res, "plain" if d == 1 else "period-averaged"
+        spent = it
+    if gauge is None:
+        gauge = gauge_of_logA()
+    start = rpf_finite._normalized(warm_start(gauge))
+    logv, est, it, res, best = reference_shifted_iteration(
+        op, start, gauge.beta, REF_TOL, max_iter, REF_RES_TOL, best
+    )
+    if logv is not None:
+        return logv, est, spent + it, res, "shifted"
+    if best[1] is not None and best[0] <= 1e-10:
+        return best[1], best[2], spent + it, best[0], "best-iterate"
+    raise rpf_finite.NoConvergence(spent + it, best[0])
+
+
+def solve_outcome(logB, **kwargs):
+    """perron's PerronData, or the type and arguments of the solver error it raised."""
+    try:
+        with np.errstate(divide="ignore"):
+            return perron(logB, **kwargs)
+    except SolverError as exc:
+        return type(exc), exc.args
+
+
+def assert_same_as_reference(logB, **kwargs):
+    new = solve_outcome(logB, **kwargs)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rpf_finite, "_solve_side", reference_solve_side)
+        ref = solve_outcome(logB, **kwargs)
+    if not isinstance(ref, rpf_finite.PerronData):
+        assert new == ref
+        return ref
+    assert isinstance(new, rpf_finite.PerronData), new
+    for field in ("log_lambda", "log_h", "log_nu", "iterations", "residual"):
+        got, want = np.asarray(getattr(new, field)), np.asarray(getattr(ref, field))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+    assert new.path == ref.path
+    return ref
+
+
+@st.composite
+def periodic_weights(draw):
+    """Weights on an irreducible support of period exactly d in {1, 2, 3}.
+
+    Vertex i lies in class i mod d and edges go from each class to the next.
+    The covering cycle i -> i + 1 (length n, a multiple of d) and the chord
+    n - 1 - d -> 0 (a cycle of length n - d) fix the period at d; for d = 1
+    the support has a self-loop only when n = 2.
+    """
+    d = draw(st.sampled_from((1, 2, 3)))
+    n = d * draw(st.integers(min_value=2, max_value=9 // d if d > 1 else 8))
+    density = draw(st.sampled_from((0.0, 0.3, 0.7, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cls = np.arange(n) % d
+    finite = (rng.random((n, n)) < density) & (cls[None, :] == (cls[:, None] + 1) % d)
+    finite[np.arange(n), (np.arange(n) + 1) % n] = True
+    finite[n - 1 - d, 0] = True
+    W = rng.uniform(-3.0, 3.0, (n, n))
+    if draw(st.booleans()):
+        W = np.round(W)  # ties between cycle means and between row maxima
+    return np.where(finite, W, NEG_INF), d
+
+
+@settings(max_examples=30, deadline=None)
+@given(periodic_weights())
+def test_merged_iteration_matches_the_two_loops(case):
+    """Every field of every solve, bit for bit: plain solves (period-averaged
+    on period-d supports, and stalls into the gauge they build) and gauged
+    solves at every t of the zero-temperature sweep, cyclic gauges included.
+    The ungauged solves get a smaller budget, which makes stalls, shifted
+    runs and best iterates more frequent and each example cheaper."""
+    W, d = case
+    assert graph_period(np.isfinite(W)) == d
+    for t in (1.0, 4.0):
+        assert_same_as_reference(t * W, max_iter=600)
+    try:
+        gauge = gauge_of(W)
+    except SolverError:
+        return
+    for t in ZT_TS_DEFAULT:
+        assert_same_as_reference(t * W, gauge=gauge.scaled(t))
+
+
+def test_merged_iteration_matches_the_two_loops_on_fixed_cases():
+    # aperiodic, but -0.9995 is an eigenvalue: plain stalls, then shifted
+    with np.errstate(divide="ignore"):
+        logB = np.log(np.array([[0.0, 1.0], [1.0, 0.001]]))
+    assert assert_same_as_reference(logB).path == "shifted"
+    # too small a budget: plain, then shifted, then the best iterate
+    logB = np.log(np.array([[1.0, 0.1], [0.1, 0.9]]))
+    assert assert_same_as_reference(logB, max_iter=96).path == "best-iterate"
+    # a cyclic gauge goes straight to the shifted run
+    logB = np.array([[NEG_INF, -0.7], [-2.3, NEG_INF]])
+    assert assert_same_as_reference(logB).path == "period-averaged"
+    assert assert_same_as_reference(logB, gauge=gauge_of(logB)).path == "shifted"

@@ -87,7 +87,7 @@ class TestPerron:
         a, b = -0.7, -2.3
         model, f = two_cycle(a, b)
         tr = build_truncation(model, 0)
-        pd = perron(transfer_matrix(tr, f, 1.0), period=tr.period)
+        pd = perron(transfer_matrix(tr, f, 1.0))
         assert pd.log_lambda == pytest.approx((a + b) / 2, abs=1e-12)
 
     def test_reports_solver_path(self):
@@ -95,10 +95,10 @@ class TestPerron:
         model, f = two_cycle(-0.7, -2.3)
         tr = build_truncation(model, 0)
         logB = transfer_matrix(tr, f, 1.0)
-        assert perron(logB, period=2).path == "period-averaged"
+        assert perron(logB).path == "period-averaged"
         gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
         assert gauge.cyclicity == 2
-        pd = perron(logB, period=2, gauge=gauge.scaled(1.0))
+        pd = perron(logB, gauge=gauge.scaled(1.0))
         assert pd.path == "shifted"
         assert pd.log_lambda == pytest.approx(-1.5, abs=1e-12)
         # aperiodic, but -0.9995 is an eigenvalue: the plain iteration stalls
@@ -434,9 +434,9 @@ def test_gauged_matches_ungauged_on_bundled_models():
         gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
         for t in ZT_TS_DEFAULT:
             logB = transfer_matrix(tr, f, t)
-            gauged = perron(logB, period=tr.period, gauge=gauge.scaled(t))
+            gauged = perron(logB, gauge=gauge.scaled(t))
             try:
-                plain = perron(logB, period=tr.period)
+                plain = perron(logB)
             except NoConvergence:
                 continue
             tol = 1e-12 * max(1.0, abs(plain.log_lambda))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsline.errors import BudgetExceeded, NoCycleThroughZero, NonTransitive
+from gibbsline.errors import BudgetExceeded, NoCycleThroughZero, NonTransitive, ValidationError
 from gibbsline.shift_model import (
     ModelKind,
     ShiftModel,
@@ -16,7 +16,6 @@ from gibbsline.shift_model import (
     graph_period,
     is_irreducible,
     largest_transitive_core,
-    period,
     strongly_connected_components,
 )
 
@@ -65,6 +64,15 @@ class TestBuildTruncation:
             for _ in range(n):
                 reach = reach | (reach @ tr.incidence)
             assert reach.all()
+
+    @pytest.mark.parametrize("symbol", [2**62, 2**63 - 1, 2**64])
+    def test_custom_symbol_limit(self, symbol):
+        # construction only: past the limit int64 arithmetic on the alphabet breaks
+        for edges in (((0, 1), (1, symbol)), ((symbol, 0), (0, symbol))):
+            with pytest.raises(ValidationError, match="not below 2\\^62"):
+                ShiftModel(ModelKind.CUSTOM, edges, TailRule.FULL_TAIL)
+        model = ShiftModel(ModelKind.CUSTOM, ((0, 1), (1, 2**62 - 1)), TailRule.FULL_TAIL)
+        assert model.custom_edges[-1] == (1, 2**62 - 1)
 
     def test_structured_large_truncation(self):
         tr = build_truncation(ShiftModel(ModelKind.FULL), 100_000)
@@ -122,10 +130,10 @@ class TestAdmissibleWords:
 
 class TestPeriod:
     def test_full_shift(self):
-        assert period(build_truncation(ShiftModel(ModelKind.FULL), 1)) == 1
+        assert build_truncation(ShiftModel(ModelKind.FULL), 1).period == 1
 
     def test_two_cycle(self):
-        assert period(build_truncation(two_cycle_model(), 0)) == 2
+        assert build_truncation(two_cycle_model(), 0).period == 2
 
     def test_renewal_matches_cycle_enumeration(self):
         tr = build_truncation(ShiftModel(ModelKind.RENEWAL), 2)
@@ -149,7 +157,7 @@ class TestPeriod:
         for L in set(lengths):
             oracle = math.gcd(oracle, L)
         assert oracle == 1
-        assert period(tr) == oracle
+        assert tr.period == oracle
 
 
 @st.composite
@@ -212,6 +220,17 @@ def period_oracle(inc: np.ndarray) -> int:
         if np.trace(walk):
             g = math.gcd(g, length)
     return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.1, 0.3)))
+def test_graph_period_matches_closed_walk_oracle(n, seed, density):
+    rng = np.random.default_rng(seed)
+    adj = rng.random((n, n)) < density
+    order = rng.permutation(n)
+    adj[order, np.roll(order, -1)] = True  # a covering cycle: irreducible
+    np.fill_diagonal(adj, False)  # the level-by-level BFS, not the self-loop shortcut
+    assert graph_period(adj) == period_oracle(adj)
 
 
 @st.composite
