@@ -1,7 +1,7 @@
 """Zero-temperature objects on finite truncations.
 
-Maximum ergodic average beta as a max mean cycle (Karp dynamic program with
-a brute-force oracle), max-plus subactions, the critical graph of tight
+Maximum ergodic average beta as a max mean cycle (Howard's policy iteration,
+with a brute-force oracle), max-plus subactions, the critical graph of tight
 edges with its transitive components, the max-plus gauge that warm-starts
 zero-temperature solves, and stabilization detection across the truncation
 schedule. The max-plus routines themselves live in `maxplus`; this module
@@ -76,8 +76,8 @@ def _weight_matrix(trunc: Truncation, f: MarkovPotential) -> np.ndarray:
 def max_mean_cycle(trunc: Truncation, f: MarkovPotential) -> tuple[float, tuple[int, ...]]:
     """Maximum cycle mean and a witness cycle (as a symbol tuple).
 
-    Karp's dynamic program (see `maxplus.max_cycle_mean`); beta is returned
-    as the exact mean of the witness cycle.
+    Howard's policy iteration (see `maxplus.max_cycle_mean`); beta is
+    returned as the exact mean of the witness cycle.
     """
     mean, cycle = maxplus.max_cycle_mean(_weight_matrix(trunc, f))
     symbols = tuple(int(trunc.alphabet[v]) for v in cycle)
@@ -193,7 +193,7 @@ def max_plus_gauge(trunc: Truncation, f: MarkovPotential, dec: CriticalDecomposi
     The subactions are seeded on the maximal components: as t grows, log h
     of exp(t f) is t v and log nu is t u up to o(t) when one component is
     maximal, because the Perron vector is carried by the walks into it.
-    Costs two value iterations; no further Karp run.
+    Costs two value iterations; no further max cycle mean.
     """
     idx = trunc.local_index()
     seeds = [idx[dec.components[j].symbols[0]] for j in dec.maximal_components]

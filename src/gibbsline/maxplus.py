@@ -1,10 +1,11 @@
 """Max-plus spectral data of a (-inf)-padded weight matrix.
 
-Karp's maximum cycle mean with a witness cycle, max-plus eigenvectors
-(subactions) by value iteration, the critical graph of tight edges, and the
-gauge that warm-starts Perron solves at large inverse temperature. All
-routines take plain matrices: ``ergodic_opt`` feeds them the potential on a
-truncation, ``rpf_finite`` a log transfer matrix.
+The maximum cycle mean with a witness cycle by Howard's policy iteration,
+max-plus eigenvectors (subactions) by value iteration, the critical graph
+of tight edges, and the gauge that warm-starts Perron solves at large
+inverse temperature. All routines take plain matrices: ``ergodic_opt``
+feeds them the potential on a truncation, ``rpf_finite`` a log transfer
+matrix.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from .errors import NoConvergence, SolverError
 from .shift_model import graph_period, strongly_connected_components
 
 _NEG_INF = -np.inf
+_EPS = float(np.finfo(np.float64).eps)
+# Policy-iteration budget per vertex; Howard's rounds stay far below it
+# in practice, and a run that reaches it raises instead of answering.
+_ROUNDS_PER_VERTEX = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,32 +46,96 @@ class MaxPlusGauge:
 
 
 def max_cycle_mean(W: np.ndarray) -> tuple[float, list[int]]:
-    """Maximum cycle mean and a witness cycle (local indices).
+    """Maximum cycle mean and a witness cycle (local indices), by Howard's policy iteration.
 
-    Karp's dynamic program over walk lengths 0..n from vertex 0, so W must be
-    irreducible; the witness is reconstructed from back-pointers and the
-    returned mean is the exact mean of the witness cycle.
+    A policy picks one out-edge per vertex; its functional graph gives every
+    vertex the mean eta of the cycle it reaches and a bias x along the way
+    (`_evaluate`). Each round improves the policy (`_improve`) until no edge
+    beats it, after Cochet-Terrasson, Cohen, Gaubert, McGettrick and Quadrat
+    (IFAC 1998). Every row of W needs a finite entry. The witness is the
+    best cycle of the final policy (through the smallest local index when
+    several tie), starting at that index; beta is its mean summed from there.
     """
     n = W.shape[0]
-    D = np.full((n + 1, n), _NEG_INF)
-    D[0, 0] = 0.0
-    parent = np.full((n + 1, n), -1, dtype=np.int64)
-    for r in range(1, n + 1):
-        cand = D[r - 1][:, None] + W
-        parent[r] = np.argmax(cand, axis=0)
-        D[r] = cand[parent[r], np.arange(n)]
-    # q_v = min over r with D[r, v] > -inf of (D[n, v] - D[r, v]) / (n - r);
-    # beta is the largest q_v over the v that walks of length n reach
-    with np.errstate(invalid="ignore"):
-        ratios = (D[n] - D[:n]) / (n - np.arange(n))[:, None]
-    q = np.where(np.isfinite(D[:n]), ratios, np.inf).min(axis=0)
-    q[~np.isfinite(D[n])] = _NEG_INF
-    best_v = int(np.argmax(q))  # the first maximizer
-    best = q[best_v]
-    if not np.isfinite(best):
-        raise SolverError("no cycle reachable from symbol 0")
-    cycle = _extract_cycle(W, parent, best_v, n, best)
-    return _cycle_mean(W, cycle), cycle
+    finite = np.isfinite(W)
+    empty = np.flatnonzero(~finite.any(axis=1))
+    if empty.size:
+        raise SolverError(f"vertex {int(empty[0])} has no out-edge, so not every walk reaches a cycle")
+    tol = 16.0 * n * _EPS * max(1.0, float(np.max(np.abs(W[finite]))))
+    policy = np.argmax(W, axis=1)
+    for _ in range(_ROUNDS_PER_VERTEX * n):
+        eta, x, cycles = _evaluate(W, policy)
+        improved = _improve(W, finite, policy, eta, x, tol)
+        if improved is None:
+            best = max(eta[c[0]] for c in cycles)
+            witness = min(c for c in cycles if eta[c[0]] == best)
+            return _cycle_mean(W, witness), witness
+        policy = improved
+    raise SolverError(f"policy iteration did not settle in {_ROUNDS_PER_VERTEX * n} rounds")
+
+
+def _evaluate(W: np.ndarray, policy: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    """Value determination: (eta, x, cycles) of a policy.
+
+    Each cycle of the policy starts at its smallest vertex, whose bias is 0;
+    every other vertex takes eta from its successor and x_i = (W_i,p(i) -
+    eta_i) + x_p(i), the same expression `_improve` evaluates, so the
+    current edge of a vertex off the references ties exactly.
+    """
+    n = len(policy)
+    succ = policy.tolist()
+    weight = W[np.arange(n), policy].tolist()
+    eta = [0.0] * n
+    x = [0.0] * n
+    state = [0] * n  # 0 unseen, 1 on the current walk, 2 evaluated
+    cycles = []
+    for s in range(n):
+        walk = []
+        v = s
+        while state[v] == 0:
+            state[v] = 1
+            walk.append(v)
+            v = succ[v]
+        if state[v] == 1:  # the walk closed a new cycle at v
+            at = walk.index(v)
+            cycle = walk[at:]
+            pivot = cycle.index(min(cycle))
+            cycle = cycle[pivot:] + cycle[:pivot]
+            cycles.append(cycle)
+            eta[cycle[0]] = float(_cycle_mean(W, cycle))
+            state[cycle[0]] = 2
+            walk = walk[:at] + cycle  # the cycle feeds back into its start
+        for u in reversed(walk):
+            if state[u] == 2:
+                continue
+            p = succ[u]
+            eta[u] = eta[p]
+            x[u] = (weight[u] - eta[u]) + x[p]
+            state[u] = 2
+    return np.asarray(eta), np.asarray(x), cycles
+
+
+def _improve(
+    W: np.ndarray, finite: np.ndarray, policy: np.ndarray, eta: np.ndarray, x: np.ndarray, tol: float
+) -> np.ndarray | None:
+    """Policy improvement, or None when no edge beats the policy by more than tol.
+
+    First on eta: a vertex moves to a successor of larger eta. Only when
+    none can, on the bias: among successors of equal eta, it moves to the
+    largest W_ij - eta_i + x_j. A vertex whose current edge ties the best
+    keeps it.
+    """
+    succ_eta = np.where(finite, eta[None, :], _NEG_INF)
+    best_eta = succ_eta.max(axis=1)
+    move = best_eta > eta + tol
+    if move.any():
+        return np.where(move, np.argmax(succ_eta, axis=1), policy)
+    same = finite & (np.abs(eta[None, :] - eta[:, None]) <= tol)
+    value = np.where(same, W - eta[:, None] + x[None, :], _NEG_INF)
+    move = value.max(axis=1) > value[np.arange(len(policy)), policy] + tol
+    if not move.any():
+        return None
+    return np.where(move, np.argmax(value, axis=1), policy)
 
 
 def _cycle_mean(W: np.ndarray, cycle: list[int]) -> float:
@@ -75,31 +144,6 @@ def _cycle_mean(W: np.ndarray, cycle: list[int]) -> float:
     for a in range(L):
         total += W[cycle[a], cycle[(a + 1) % L]]
     return total / L
-
-
-def _extract_cycle(W: np.ndarray, parent: np.ndarray, v: int, n: int, target: float) -> list[int]:
-    path = [v]
-    for r in range(n, 0, -1):
-        v = int(parent[r, v])
-        path.append(v)
-    path.reverse()  # forward walk of length n from the source
-    best_cycle: list[int] | None = None
-    best_mean = _NEG_INF
-    seen: dict[int, int] = {}
-    for pos, u in enumerate(path):
-        if u in seen:
-            cyc = path[seen[u]:pos]
-            mean = _cycle_mean(W, cyc)
-            if mean > best_mean:
-                best_mean, best_cycle = mean, cyc
-        seen[u] = pos
-    if best_cycle is None or abs(best_mean - target) > 1e-7 * max(1.0, abs(target)):
-        # fall back to enumeration on small graphs
-        if n <= 12:
-            _, cyc = brute_force_cycles(W, n)
-            return cyc
-        raise SolverError("witness-cycle reconstruction failed")
-    return best_cycle
 
 
 def brute_force_cycles(W: np.ndarray, Lmax: int) -> tuple[float, list[int]]:
@@ -189,7 +233,7 @@ def gauge(W: np.ndarray, beta: float, seeds: list[int], cyclicity: int, tie_tol:
 
 
 def gauge_of(W: np.ndarray) -> MaxPlusGauge:
-    """Gauge of an irreducible weight matrix from scratch: Karp, then the critical graph.
+    """Gauge of an irreducible weight matrix from scratch: the max cycle mean, then the critical graph.
 
     Seeds one vertex of every critical component. Tolerances scale with the
     largest finite weight, so the gauge of t*W is found at any t.

@@ -13,14 +13,15 @@ set. A solve takes one of these paths:
 
 - No gauge (pressure grids, single points, critical components): the plain
   run from the uniform vector. Only if that stalls is the max-plus gauge of
-  log B built (Karp, then the critical graph) and the shifted run started.
+  log B built (Howard's max cycle mean, then the critical graph) and the
+  shifted run started.
 - With a gauge (zero-temperature sweeps): the iteration starts from the
   max-plus eigenvectors, t v on the right and t u on the left, which already
   carry the e^{-t delta} decay of the off-critical entries. When the
   critical graph is cyclic (cyclicity c > 1) the peripheral spectrum of
   exp(t f) tends to lambda times the c-th roots of unity, so the solve goes
-  straight to the shifted run; when c = 1 it runs plain first and shifts
-  only on a stall.
+  straight to the shifted run, and only if that stalls runs plain from the
+  uniform vector; when c = 1 it runs plain first and shifts only on a stall.
 
 The gauge is linear in t: beta, v and u of t f are t times those of f, so a
 sweep computes them once from f's critical decomposition and rescales.
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,6 +93,8 @@ class MarkovMeasure:
     stochastic: np.ndarray
     stationary: np.ndarray
     alphabet: np.ndarray
+    # V_1 of each potential on the support, kept by `support_first_variation`
+    _first_variation: dict = field(default_factory=dict, init=False, repr=False)
 
     def local_index(self) -> dict[int, int]:
         return {int(s): a for a, s in enumerate(self.alphabet)}
@@ -279,28 +282,39 @@ def _solve_side(
     """Perron vector of one side: (log_vec, log_lambda, iterations, residual, path).
 
     With a gauge the start is its max-plus eigenvector and sigma its cycle
-    mean; a cyclic critical graph goes straight to the shifted iteration.
-    Without one the plain iteration starts from the uniform vector and only
-    a stall pays for `gauge_of_logA`.
+    mean; a cyclic critical graph goes straight to the shifted iteration,
+    and only if that stalls runs the plain iteration from the uniform
+    vector. Without one the plain iteration starts from the uniform vector
+    and only a stall pays for `gauge_of_logA`. Iterations add up over the
+    runs, and the path names the run that converged.
     """
     n = op.n
+    uniform = np.full(n, -math.log(n))
+    plain = "plain" if d == 1 else "period-averaged"
+    cyclic = gauge is not None and gauge.cyclicity > 1
     best = (math.inf, None, math.nan)
     spent = 0
-    if gauge is None or gauge.cyclicity == 1:
-        start = np.full(n, -math.log(n)) if gauge is None else _normalized(warm_start(gauge))
+    if not cyclic:
+        start = uniform if gauge is None else _normalized(warm_start(gauge))
         logv, est, it, res, best = _power_iteration(op, start, d, _NEG_INF, max_iter, best)
         if logv is not None:
-            return logv, est, it, res, "plain" if d == 1 else "period-averaged"
+            return logv, est, it, res, plain
         spent = it
     if gauge is None:
         gauge = gauge_of_logA()
     start = _normalized(warm_start(gauge))
     logv, est, it, res, best = _power_iteration(op, start, 1, gauge.beta, max_iter, best)
+    spent += it
     if logv is not None:
-        return logv, est, spent + it, res, "shifted"
+        return logv, est, spent, res, "shifted"
+    if cyclic:
+        logv, est, it, res, best = _power_iteration(op, uniform, d, _NEG_INF, max_iter, best)
+        spent += it
+        if logv is not None:
+            return logv, est, spent, res, plain
     if best[1] is not None and best[0] <= 1e-10:
-        return best[1], best[2], spent + it, best[0], "best-iterate"
-    raise NoConvergence(spent + it, best[0])
+        return best[1], best[2], spent, best[0], "best-iterate"
+    raise NoConvergence(spent, best[0])
 
 
 def perron(logB: np.ndarray, max_iter: int | None = None, gauge: MaxPlusGauge | None = None) -> PerronData:
@@ -481,8 +495,12 @@ def partition_entropy(m: MarkovMeasure, trunc: Truncation, n: int, budget: int =
 
 
 def support_first_variation(m: MarkovMeasure, f: MarkovPotential) -> float:
-    """Row oscillation of f over the support of the chain (per-truncation V_1)."""
-    return row_oscillation(f.value_grid(m.alphabet, m.alphabet), m.stochastic > 0.0)
+    """Row oscillation of f over the support of the chain (per-truncation V_1),
+    computed once per measure and potential."""
+    v1 = m._first_variation.get(f)
+    if v1 is None:
+        v1 = m._first_variation[f] = row_oscillation(f.value_grid(m.alphabet, m.alphabet), m.stochastic > 0.0)
+    return v1
 
 
 def gibbs_ratio(
@@ -501,9 +519,6 @@ def gibbs_ratio(
     n = len(word)
     idx = m.local_index()
     logmass = log_cylinder_mass(m, word)
-    s_n = 0.0
-    for a, b in zip(word, word[1:]):
-        s_n += t * f.value(a, b)
     last = word[-1]
     cont = word[0]
     if last in idx:
@@ -513,7 +528,17 @@ def gibbs_ratio(
             if not options:
                 return 0.0, False
             cont = min(options)
-    s_n += t * f.value(last, cont)
+    # f on the word's pairs and the wrap-around pair, from one grid
+    tails = tuple(word[1:]) + (cont,)
+    syms = sorted({*word, cont})
+    pos = {s: a for a, s in enumerate(syms)}
+    vals = f.value_grid(syms, syms)[[pos[a] for a in word], [pos[b] for b in tails]]
+    off = np.flatnonzero(~f.model.has_edge(word, tails) | np.isnan(vals))
+    if off.size:
+        f.value(word[off[0]], tails[off[0]])  # raises the error for that pair
+    s_n = 0.0
+    for v in vals.tolist():
+        s_n += t * v
     log_ratio = logmass - (s_n - n * pressure_value)
     ratio = float(np.exp(log_ratio))
     v1 = support_first_variation(m, f)

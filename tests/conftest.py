@@ -47,6 +47,20 @@ def stationary_of(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
+def tied_period_3() -> np.ndarray:
+    """Weights on a period-3 support with two critical 3-cycles, 0 -> 2 -> 4
+    -> 0 and 1 -> 3 -> 5 -> 1, tied at mean 7/3. The shifted run from the
+    cyclic gauge stalls here at every t >= 4."""
+    W = np.full((6, 6), -np.inf)
+    edges = {
+        (0, 2): 2.0, (1, 2): 2.0, (1, 3): 3.0, (2, 4): 2.0, (2, 5): 1.0,
+        (3, 4): -3.0, (3, 5): 2.0, (4, 0): 3.0, (5, 0): -2.0, (5, 1): 2.0,
+    }
+    for (i, j), w in edges.items():
+        W[i, j] = w
+    return W
+
+
 def dense_gauged_state(W: np.ndarray, t: float) -> tuple[float, np.ndarray, np.ndarray, float]:
     """(log lambda, pi, P, gap) of exp(t W) by a dense eigensolve, independent of the solver.
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbsline.bundled import bundled_pair
+from gibbsline.config import parse_model_config
 from gibbsline.ergodic_opt import (
+    _structure_key,
     brute_force_max_mean,
     critical_decomposition,
     critical_graph,
@@ -16,10 +19,12 @@ from gibbsline.ergodic_opt import (
     subaction,
 )
 from gibbsline import maxplus
-from gibbsline.errors import BudgetExceeded
+from gibbsline.errors import BudgetExceeded, SolverError, ValidationError
 from gibbsline.potential import Family, MarkovPotential
 from gibbsline.rpf_finite import pressure
 from gibbsline.shift_model import ModelKind, ShiftModel, build_truncation
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def table_model(entries):
@@ -122,8 +127,14 @@ def test_karp_matches_brute_force_hypothesis(data):
     assert beta == pytest.approx(brute_force_max_mean(tr, f, tr.n_symbols), abs=1e-12)
 
 
-def karp_with_loops(W):
-    """Karp's final step as a loop over v and r, as `maxplus` first wrote it."""
+def karp(W):
+    """Karp's dynamic program with a back-pointer witness: the reference beta.
+
+    Walks of length 0..n from vertex 0 give beta = max_v min_r (D_n(v) -
+    D_r(v)) / (n - r); the witness is the best cycle on the heaviest
+    length-n walk into the maximizing v, by enumeration where that walk
+    misses it.
+    """
     n = W.shape[0]
     D = np.full((n + 1, n), -np.inf)
     D[0, 0] = 0.0
@@ -132,32 +143,106 @@ def karp_with_loops(W):
         cand = D[r - 1][:, None] + W
         parent[r] = np.argmax(cand, axis=0)
         D[r] = cand[parent[r], np.arange(n)]
-    best, best_v = -np.inf, -1
-    for v in range(n):
-        if not np.isfinite(D[n, v]):
-            continue
-        q = min((D[n, v] - D[r, v]) / (n - r) for r in range(n) if np.isfinite(D[r, v]))
-        if q > best:
-            best, best_v = q, v
-    cycle = maxplus._extract_cycle(W, parent, best_v, n, best)
-    return maxplus._cycle_mean(W, cycle), cycle
+    with np.errstate(invalid="ignore"):
+        ratios = (D[n] - D[:n]) / (n - np.arange(n))[:, None]
+    q = np.where(np.isfinite(D[:n]), ratios, np.inf).min(axis=0)
+    q[~np.isfinite(D[n])] = -np.inf
+    v = int(np.argmax(q))
+    path = [v]
+    for r in range(n, 0, -1):
+        v = int(parent[r, v])
+        path.append(v)
+    path.reverse()
+    best, cycle = -np.inf, None
+    seen = {}
+    for pos, u in enumerate(path):
+        if u in seen and maxplus._cycle_mean(W, path[seen[u] : pos]) > best:
+            cycle = path[seen[u] : pos]
+            best = maxplus._cycle_mean(W, cycle)
+        seen[u] = pos
+    if abs(best - q.max()) > 1e-7 * max(1.0, abs(q.max())):
+        best, cycle = maxplus.brute_force_cycles(W, n)
+    return best, cycle
+
+
+def random_weights(n, seed, ties):
+    """Weights on a Hamiltonian cycle plus random chords; integer weights tie many cycle means."""
+    rng = np.random.default_rng(seed)
+    finite = rng.random((n, n)) < 0.3
+    finite[np.arange(n), (np.arange(n) + 1) % n] = True
+    weights = rng.integers(-3, 2, (n, n)).astype(float) if ties else rng.normal(size=(n, n))
+    return np.where(finite, weights, -np.inf)
+
+
+def rotations(cycle):
+    return {tuple(cycle[i:] + cycle[:i]) for i in range(len(cycle))}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 24), st.integers(0, 2**32 - 1), st.booleans())
-def test_vectorized_karp_keeps_beta_and_witness(n, seed, ties):
-    rng = np.random.default_rng(seed)
-    finite = rng.random((n, n)) < 0.3
-    finite[np.arange(n), (np.arange(n) + 1) % n] = True
-    # small integer weights tie many cycle means; the first maximizer must win
-    weights = rng.integers(-3, 2, (n, n)).astype(float) if ties else rng.normal(size=(n, n))
-    W = np.where(finite, weights, -np.inf)
+def test_howard_keeps_karps_beta_and_untied_witness(n, seed, ties):
+    W = random_weights(n, seed, ties)
     beta, cycle = maxplus.max_cycle_mean(W)
-    assert (beta, cycle) == karp_with_loops(W)
+    karp_beta, karp_cycle = karp(W)
+    assert beta == pytest.approx(karp_beta, abs=1e-12)
+    # the witness is a simple cycle of finite edges, through its smallest
+    # vertex first, and beta is its mean summed from there
+    assert len(set(cycle)) == len(cycle) and cycle[0] == min(cycle)
+    assert all(np.isfinite(W[a, b]) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    assert maxplus._cycle_mean(W, cycle) == beta
+    if not ties:
+        assert tuple(cycle) in rotations(karp_cycle)
     if n <= 8:
-        model, f = table_model([(int(i), int(j), float(W[i, j])) for i, j in zip(*np.nonzero(finite))])
+        model, f = table_model([(int(i), int(j), float(W[i, j])) for i, j in zip(*np.nonzero(np.isfinite(W)))])
         tr = build_truncation(model, n - 1)
         assert beta == pytest.approx(brute_force_max_mean(tr, f, n), abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.booleans())
+def test_critical_structure_matches_karp(n, seed, ties):
+    W = random_weights(n, seed, ties)
+    model, f = table_model([(int(i), int(j), float(W[i, j])) for i, j in zip(*np.nonzero(np.isfinite(W)))])
+    tr = build_truncation(model, n - 1)
+    dec = critical_decomposition(tr, f)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(maxplus, "max_cycle_mean", karp)
+        ref = critical_decomposition(tr, f)
+    assert _structure_key(dec) == _structure_key(ref)
+    assert dec.cyclicity == ref.cyclicity
+    assert dec.beta == pytest.approx(ref.beta, abs=1e-12)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+def test_detect_k0_matches_karp_on_shipped_configs(path):
+    cfg = parse_model_config(path.read_text(encoding="utf-8"))
+
+    def k0():
+        try:
+            return detect_k0(cfg.model, cfg.potential, stability_window=cfg.sweep.k0_window, tie_tol=cfg.sweep.tie_tol)
+        except ValidationError as exc:  # the non-summable config has no k0
+            return type(exc)
+
+    got = k0()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(maxplus, "max_cycle_mean", karp)
+        want = k0()
+    assert got == want
+
+
+@pytest.mark.parametrize("name, beta", [("log_quadratic", -math.log(2)), ("tie_two_loops", 0.0), ("renewal_weighted", -1.0)])
+def test_howard_beta_at_1023_symbols_is_the_closed_form(name, beta):
+    model, f = bundled_pair(name)
+    assert max_mean_cycle(build_truncation(model, 1022), f)[0] == beta
+
+
+def test_howard_raises_on_an_empty_row_and_past_its_round_cap(monkeypatch):
+    with pytest.raises(SolverError, match="no out-edge"):
+        maxplus.max_cycle_mean(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))
+    # an improvement step that never settles runs into the cap
+    monkeypatch.setattr(maxplus, "_improve", lambda W, finite, policy, *rest: policy.copy())
+    with pytest.raises(SolverError, match="did not settle"):
+        maxplus.max_cycle_mean(random_weights(6, 0, ties=False))
 
 
 class TestSubaction:

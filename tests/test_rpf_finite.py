@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_gauged_state, random_stochastic, stationary_of
+from conftest import dense_gauged_state, random_stochastic, stationary_of, tied_period_3
 from gibbsline.bundled import bundled_pair
 from gibbsline.ergodic_opt import critical_decomposition, detect_k0, max_plus_gauge
 from gibbsline.errors import BudgetExceeded, NoConvergence
 from gibbsline.limits import ZT_TS_DEFAULT
+from gibbsline.maxplus import gauge_of
 from gibbsline.potential import Family, MarkovPotential
 from gibbsline.rpf_finite import (
     cylinder_mass,
@@ -441,6 +442,28 @@ def test_gauged_matches_ungauged_on_bundled_models():
                 continue
             tol = 1e-12 * max(1.0, abs(plain.log_lambda))
             assert abs(gauged.log_lambda - plain.log_lambda) <= tol, (name, t)
+
+
+def test_cyclic_gauge_falls_back_to_the_plain_run():
+    W = tied_period_3()
+    gauge = gauge_of(W)
+    assert gauge.cyclicity == 3
+    for t in (4.0, 8.0, 16.0, 32.0, 64.0, 1024.0):
+        if t in (8.0, 16.0, 32.0):
+            # no path converges here, with or without the gauge
+            with pytest.raises(NoConvergence):
+                perron(t * W)
+            with pytest.raises(NoConvergence):
+                perron(t * W, gauge=gauge.scaled(t))
+            continue
+        plain = perron(t * W)
+        gauged = perron(t * W, gauge=gauge.scaled(t))
+        assert plain.path == gauged.path == "period-averaged", t
+        assert gauged.log_lambda == pytest.approx(plain.log_lambda, rel=1e-12), t
+        assert np.allclose(gauged.log_h, plain.log_h, atol=1e-9), t
+        if t >= 64.0:
+            # both sides spend the shifted run's whole budget first
+            assert plain.iterations == 10 and gauged.iterations == 2 * 3000 + 10, t
 
 
 class TestPartitionEntropy:
