@@ -288,6 +288,8 @@ def equilibrium_limit_in_k(
         raise ValidationError("need at least three truncations to declare a limit")
     solver = _PointSolver(model, f)
     ks = tuple(sorted(ks))
+    # past the dense limit, fail before solving the smaller truncations
+    solver.truncation(ks[-1]).require_incidence()
     trajectories: dict[tuple[int, ...], tuple[float, ...]] = {}
     gaps: dict[tuple[int, ...], tuple[float, ...]] = {}
     limits: dict[tuple[int, ...], float] = {}

@@ -29,8 +29,10 @@ sweep computes them once from f's critical decomposition and rescales.
 Each side of a solve builds its transfer operator, logv -> log(B exp(logv)),
 once, with the kernel its support calls for: a CSR log-sum-exp over the
 finite entries when at most two thirds of the cells are finite and no row is
-empty (renewal truncations have 2n - 1 edges), and an in-place dense
-log-sum-exp otherwise (full shifts). Both reduce like
+empty (renewal truncations have 2n - 1 edges), and otherwise (full shifts)
+a dense kernel that absorbs a scaling at one iterate with a log-sum-exp over
+the matrix and applies the result as a matvec until an iterate needs it
+absorbed again (`_DenseLogOperator`). The log-sum-exps reduce like
 ``scipy.special.logsumexp`` (each maximum counted apart, the rest through
 log1p), as do the scalar reductions, so gibbsline needs numpy only. The
 residual of an iterate is read from the application that computes the next
@@ -159,7 +161,31 @@ class _CsrLogOperator:
 
 
 class _DenseLogOperator:
-    """logv -> log(exp(logA) @ exp(logv)) in place, over row blocks of about 2^20 cells."""
+    """logv -> log(exp(logA) @ exp(logv)) as a linear kernel with an absorbed scaling.
+
+    An absorbing application reduces logA + logv row by row in the log
+    domain, over row blocks of about 2^20 cells, as scipy's logsumexp does,
+    and leaves K = exp(logA + g - top) behind, g = logv and top the row
+    maxima (each row's largest entry is 1). Later applications are one
+    matvec: with d = logv - g and m = max d, s = K @ exp(d - m) and the
+    result is log(s) + top + m. Such a result is accepted only when
+
+    - every row sum is at least _FLOOR: the terms that underflow in K or in
+      exp(d - m) are below n 2^-1022 in total, so they stay under 1e-50 of
+      their row and underflow never changes the support;
+    - the magnitudes of top, m and log s add up to at most _SPREAD times the
+      row's own (or 1): their rounding, a few ulp of each, then stays within
+      a few ulp of the row, as in the log domain. The first matvec after the
+      uniform start, whose top and m are about log n each, passes at every
+      n up to DENSE_LIMIT.
+
+    Otherwise, and for an iterate with a -inf entry, the application
+    re-absorbs at that iterate (log-stabilized scaling, Schmitzer,
+    arXiv:1610.06519).
+    """
+
+    _FLOOR = 1e-250
+    _SPREAD = 32.0
 
     def __init__(self, logA: np.ndarray):
         self.n = logA.shape[0]
@@ -167,14 +193,35 @@ class _DenseLogOperator:
         self.block = max(1, (1 << 20) // self.n)
         # logA's memory order (a transpose stays column-major) fixes the
         # order in which each row is summed
-        self.buf = np.empty_like(logA[: self.block])
+        self.K = np.empty_like(logA)
+        self.g = self.top = None
 
     def __call__(self, logv: np.ndarray) -> np.ndarray:
+        if self.g is not None and np.isfinite(logv).all():
+            d = logv - self.g
+            m = d.max()
+            s = self.K @ np.exp(d - m)
+            if s.min() >= self._FLOOR:
+                log_s = np.log(s)
+                out = log_s + (self.top + m)
+                parts = np.abs(self.top) + abs(m) + np.abs(log_s)
+                if np.all(parts <= self._SPREAD * np.maximum(1.0, np.abs(out))):
+                    return out
+        return self._absorb(logv)
+
+    def _absorb(self, logv: np.ndarray) -> np.ndarray:
         out = np.empty(self.n)
+        top = np.empty(self.n)
         for lo in range(0, self.n, self.block):
             hi = min(lo + self.block, self.n)
-            z = np.add(self.logA[lo:hi], logv[None, :], out=self.buf[: hi - lo])
+            z = np.add(self.logA[lo:hi], logv[None, :], out=self.K[lo:hi])
+            top[lo:hi] = z.max(axis=1)
+            at_top = z == top[lo:hi, None]
             out[lo:hi] = _logsumexp(z, axis=1, out=z)
+            z[at_top] = 1.0
+        # a -inf in logv or an empty row leaves no kernel to keep
+        finite = np.isfinite(logv).all() and np.isfinite(top).all()
+        self.g, self.top = (logv.copy(), top) if finite else (None, None)
         return out
 
 

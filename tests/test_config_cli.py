@@ -307,6 +307,24 @@ words = 0
         assert payload["converged"] is True
         assert 0.85 < payload["limits"]["0"] < 0.88
 
+    @pytest.mark.parametrize("family", ["log_quadratic", "tie_two_loops"])
+    def test_equilibrium_past_the_dense_limit_fails_before_solving(self, tmp_path, capsys, monkeypatch, family):
+        import gibbsline.limits as limits_mod
+
+        real = limits_mod.equilibrium_measure
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(limits_mod, "equilibrium_measure", counting)
+        cfg = write_cfg(tmp_path, MINIMAL.replace("log_quadratic", family))
+        code = run_command(["equilibrium", "--config", cfg, "--out", str(tmp_path / "runs"), "--k", "5000"])
+        assert code == 2
+        assert "limit 4096" in capsys.readouterr().err
+        assert calls == []
+
     def test_diagnose(self, tmp_path):
         cfg = write_cfg(tmp_path, TIE, "tie.cfg")
         code = run_command(["diagnose", "--config", cfg, "--out", str(tmp_path / "runs")])

@@ -33,6 +33,7 @@ from gibbsline.rpf_finite import (
     _log_operator,
     cylinder_mass,
     equilibrium_measure,
+    gurevich_estimate,
     perron,
     pressure,
     transfer_matrix,
@@ -110,6 +111,74 @@ def test_dense_kernel_blocks_rows():
         assert np.array_equal(op(logv), reference_log_matvec(M, logv))
 
 
+@st.composite
+def dense_sequences(draw):
+    """A dense support and the iterates one operator is applied to: drifts
+    that keep its kernel, shifts by a constant, iterates with -inf entries
+    (which drop the kernel), and jumps: the kernel absorbed at an iterate
+    with one entry lowered by more than 745, then the entry raised back,
+    which finds that column of the kernel underflowed and re-absorbs."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    spread = draw(st.sampled_from((1.0, 1e3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logA = rng.uniform(-spread, spread, (n, n))
+    if draw(st.booleans()):
+        logA = np.round(logA / spread * 3.0)  # tied row maxima
+    logA[rng.random((n, n)) < draw(st.sampled_from((0.0, 0.3)))] = NEG_INF
+    if draw(st.booleans()):
+        logA[rng.integers(n)] = NEG_INF  # an empty row
+    logv = rng.uniform(-spread, spread, n)
+    seq = [logv]
+    for step in draw(st.lists(st.sampled_from(("drift", "shift", "hole", "jump")), min_size=1, max_size=12)):
+        if step == "drift":
+            logv = logv + rng.uniform(-1.0, 1.0, n) * draw(st.sampled_from((1e-9, 1e-3, 1.0, 30.0)))
+            seq.append(logv)
+        elif step == "shift":
+            logv = logv + rng.uniform(-spread, spread)
+            seq.append(logv)
+        else:
+            holed = np.where(rng.random(n) < 0.5, NEG_INF, logv)
+            low = logv.copy()
+            low[rng.integers(n)] -= 4.0 * spread + 800.0
+            seq += [holed] if step == "hole" else [holed, low, logv]
+    return (logA.T if draw(st.booleans()) else logA), seq
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_sequences())
+def test_dense_kernel_matches_scipy_reference_along_a_sequence(case):
+    logA, seq = case
+    op = _DenseLogOperator(logA)
+    for logv in seq:
+        assert_close_to_reference(op(logv), reference_log_matvec(logA, logv))
+
+
+def record_absorptions(monkeypatch):
+    """Record (operator, iterate) of every absorbing application of a dense operator."""
+    absorbed = []
+    real = _DenseLogOperator._absorb
+    monkeypatch.setattr(_DenseLogOperator, "_absorb", lambda op, v: absorbed.append((op, v)) or real(op, v))
+    return absorbed
+
+
+def test_dense_kernel_reabsorbs_where_the_kernel_underflowed(monkeypatch):
+    rng = np.random.default_rng(11)
+    logA = rng.uniform(-1.0, 1.0, (6, 6))
+    logv = rng.uniform(-1.0, 1.0, 6)
+    holed = np.where(np.arange(6) == 4, NEG_INF, logv)
+    low = logv.copy()
+    low[2] -= 804.0
+    seq = [logv, logv + 1e-3, holed, low, low + 0.5, logv.copy()]
+    absorbed = record_absorptions(monkeypatch)
+    op = _DenseLogOperator(logA)
+    for v in seq:
+        assert_close_to_reference(op(v), reference_log_matvec(logA, v))
+    # a drift and a shift are one matvec each; the -inf entry drops the
+    # kernel, the next iterate absorbs with column 2 underflowed, and
+    # raising that entry back re-absorbs
+    assert [next(i for i, w in enumerate(seq) if w is v) for _, v in absorbed] == [0, 2, 3, 5]
+
+
 def test_kernel_follows_the_support(renewal_weighted, tie_two_loops):
     for (model, f), kind in ((renewal_weighted, _CsrLogOperator), (tie_two_loops, _DenseLogOperator)):
         logB = transfer_matrix(build_truncation(model, 63), f, 2.0)
@@ -140,6 +209,58 @@ def test_log_lambda_matches_scipy_reference_on_bundled_models(name, monkeypatch)
                 m.setattr(rpf_finite, "_logsumexp", lambda a, axis=None, out=None: logsumexp(a, axis=axis))
                 ref = perron(logB, gauge=gauge.scaled(t))
             assert abs(new.log_lambda - ref.log_lambda) <= 1e-12, (n, t)
+
+
+def reference_perron(logB, gauge=None):
+    """perron run on the scipy kernel and scipy's reductions."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rpf_finite, "_log_operator", ReferenceOperator)
+        m.setattr(rpf_finite, "_logsumexp", lambda a, axis=None, out=None: logsumexp(a, axis=axis))
+        return perron(logB, gauge=gauge)
+
+
+@pytest.mark.parametrize("name", ["log_quadratic", "tie_two_loops"])
+def test_ungauged_dense_log_lambda_matches_scipy_reference(name):
+    """The solves of pressure grids and single points, which start from the
+    uniform vector, on the dense kernel against scipy, to 1e-12."""
+    model, f = bundled_pair(name)
+    for n in (7, 127, 511):
+        tr = build_truncation(model, n - 1)
+        for t in ZT_TS_DEFAULT:
+            logB = transfer_matrix(tr, f, t)
+            assert isinstance(_log_operator(logB), _DenseLogOperator)
+            assert abs(perron(logB).log_lambda - reference_perron(logB).log_lambda) <= 1e-12, (n, t)
+
+
+def test_dense_sides_absorb_once_per_solve(monkeypatch, tie_two_loops):
+    """The gauged full-shift sweep at n = 511: every dense side absorbs at
+    its first iterate and takes matvecs from then on."""
+    model, f = tie_two_loops
+    tr = build_truncation(model, 510)
+    gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
+    absorbed = record_absorptions(monkeypatch)
+    for t in ZT_TS_DEFAULT:
+        perron(transfer_matrix(tr, f, t), gauge=gauge.scaled(t))
+    assert len(absorbed) == 2 * len(ZT_TS_DEFAULT) == 20
+    assert len({id(op) for op, _ in absorbed}) == 20
+
+
+@pytest.mark.parametrize("name", ["log_quadratic", "tie_two_loops"])
+def test_gurevich_estimate_from_a_delta_matches_scipy_reference(monkeypatch, name):
+    """The loop sums start from a delta vector, whose -inf entries leave no
+    kernel; it is kept from the second application on."""
+    model, f = bundled_pair(name)
+    tr = build_truncation(model, 126)
+    absorbed = record_absorptions(monkeypatch)
+    for t in (2.0, 1024.0):
+        for loops in (12, 64):
+            absorbed.clear()
+            new = gurevich_estimate(tr, f, t, 0, loops)
+            assert len(absorbed) < loops // 4
+            with monkeypatch.context() as m:
+                m.setattr(rpf_finite, "_log_operator", ReferenceOperator)
+                ref = gurevich_estimate(tr, f, t, 0, loops)
+            assert new == pytest.approx(ref, rel=1e-14, abs=1e-14), (t, loops)
 
 
 def test_renewal_pressure_at_511_symbols_solves_the_first_return_equation(renewal_weighted):
