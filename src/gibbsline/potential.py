@@ -14,7 +14,7 @@ holds the closed-form sups over the full countable rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
@@ -101,6 +101,8 @@ class MarkovPotential:
     tail: TailDescriptor = TailDescriptor(TailKind.NONE)
     explicit_hi: int = 64
     shift: float = 0.0
+    # certificates of `check_summability`, keyed by (tol, max_terms)
+    _certificates: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.family is Family.TABLE and not self.table:
@@ -276,13 +278,45 @@ def _polynomial_tail(a: float, p: float, t: float, start: int) -> float:
     return math.exp(t * a) * float(start) ** (1.0 - s) / (s - 1.0)
 
 
+def _growing_prefix(f: MarkovPotential, term, hi: int, max_terms: int):
+    """Yield (hi, sum of term(sup f|_[i]) over i <= hi) as hi doubles up to the budget.
+
+    Each round evaluates only the symbols it adds, into one buffer; the sum
+    is taken afresh over the prefix, so it equals the sum over a newly built
+    array bit for bit. The buffer grows in place with the terms evaluated, so
+    a large budget that a fast tail never reaches allocates nothing.
+    """
+    terms = np.empty(0)
+    done = 0
+    while True:
+        terms.resize(hi + 1, refcheck=False)  # no view of `terms` outlives a round
+        terms[done:] = term(f._ambient_sups(np.arange(done, hi + 1, dtype=np.int64)))
+        done = hi + 1
+        yield hi, float(np.sum(terms[:done]))
+        hi = min(max_terms - 1, max(2 * hi, 64))
+
+
+def _check_budget(max_terms: int):
+    if max_terms < 1:
+        raise ValidationError(f"max_terms must be at least 1, got {max_terms}")
+
+
 def check_summability(f: MarkovPotential, tol: float = 1e-9, max_terms: int = 2_000_000) -> SummabilityCertificate:
     """Certificate for the series of exp(sup f|_[i]) over all 1-cylinders.
 
     The explicit range is grown geometrically until the tail majorant is
     below tol * total or the term budget is hit; `converges` records tail
     finiteness, `tol_met` whether the requested resolution was reached.
+    Certificates are kept on the potential, one per (tol, max_terms).
     """
+    _check_budget(max_terms)
+    cert = f._certificates.get((tol, max_terms))
+    if cert is None:
+        cert = f._certificates[tol, max_terms] = _summability(f, tol, max_terms)
+    return cert
+
+
+def _summability(f: MarkovPotential, tol: float, max_terms: int) -> SummabilityCertificate:
     finite_syms = _finite_alphabet_symbols(f)
     if finite_syms is not None:
         sups = f._ambient_sups(finite_syms)
@@ -292,13 +326,10 @@ def check_summability(f: MarkovPotential, tol: float = 1e-9, max_terms: int = 2_
     if f.tail.kind is TailKind.NONE:
         raise NoTailDescriptor("summability over an infinite alphabet needs a tail descriptor")
 
-    hi = int(f._explicit_symbols()[-1])
+    hi = min(int(f._explicit_symbols()[-1]), max_terms - 1)
     grow_ok = f.family is not Family.TABLE
-    while True:
-        syms = np.arange(hi + 1, dtype=np.int64)
-        sups = f._ambient_sups(syms)
-        partial = float(np.sum(np.exp(sups)))
-        a_eff = f.tail.a + f.shift
+    a_eff = f.tail.a + f.shift
+    for hi, partial in _growing_prefix(f, np.exp, hi, max_terms):
         if f.tail.kind is TailKind.GEOMETRIC:
             tail = _geometric_tail(a_eff, f.tail.b, 1.0, hi + 1)
         else:
@@ -307,7 +338,6 @@ def check_summability(f: MarkovPotential, tol: float = 1e-9, max_terms: int = 2_
         tol_met = math.isfinite(tail) and tail <= tol * total
         if tol_met or not grow_ok or not math.isfinite(tail) or hi + 1 >= max_terms:
             return SummabilityCertificate(bool(math.isfinite(tail)), partial, tail, total, hi + 1, tol_met)
-        hi = min(max_terms - 1, max(2 * hi, 64))
 
 
 def check_summability_t(f: MarkovPotential, t: float, tol: float = 1e-9, max_terms: int = 2_000_000) -> SummabilityCertificate:
@@ -321,6 +351,7 @@ def check_summability_t(f: MarkovPotential, t: float, tol: float = 1e-9, max_ter
     """
     if t <= 1.0:
         raise InvalidT(f"t must exceed 1, got {t}")
+    _check_budget(max_terms)
     g = f.normalized()
 
     def term(sups: np.ndarray) -> np.ndarray:
@@ -350,11 +381,9 @@ def check_summability_t(f: MarkovPotential, t: float, tol: float = 1e-9, max_ter
     grow_ok = g.family is not Family.TABLE
     if grow_ok:
         hi = max(hi, start_min)
-    while True:
-        syms = np.arange(hi + 1, dtype=np.int64)
-        partial = float(np.sum(term(g._ambient_sups(syms))))
+    for hi, partial in _growing_prefix(g, term, min(hi, max_terms - 1), max_terms):
         # bridge with majorant terms where the explicit table stops early
-        start = int(syms[-1]) + 1
+        start = hi + 1
         bridge = 0.0
         if start <= start_min:
             mid = np.arange(start, start_min + 1, dtype=np.int64)
@@ -367,8 +396,7 @@ def check_summability_t(f: MarkovPotential, t: float, tol: float = 1e-9, max_ter
         total = partial + tail
         tol_met = math.isfinite(tail) and tail <= tol * max(total, 1e-300)
         if tol_met or not grow_ok or hi + 1 >= max_terms:
-            return SummabilityCertificate(bool(math.isfinite(tail)), partial, tail, total, int(syms.size), tol_met)
-        hi = min(max_terms - 1, max(2 * hi, 64, start_min))
+            return SummabilityCertificate(bool(math.isfinite(tail)), partial, tail, total, hi + 1, tol_met)
 
 
 def _weighted_geometric_tail(a: float, b: float, t: float, start: int) -> float:

@@ -56,7 +56,7 @@ from .errors import (
 )
 from .maxplus import MaxPlusGauge, gauge_of
 from .potential import MarkovPotential, row_oscillation
-from .shift_model import ModelKind, Truncation, graph_period
+from .shift_model import AlphabetIndexed, ModelKind, Truncation, graph_period
 
 _NEG_INF = -np.inf
 _EPS = float(np.finfo(np.float64).eps)
@@ -89,7 +89,7 @@ class PerronData:
 
 
 @dataclass(frozen=True, eq=False)
-class MarkovMeasure:
+class MarkovMeasure(AlphabetIndexed):
     """Stationary Markov chain (P, pi) over a truncation alphabet."""
 
     stochastic: np.ndarray
@@ -97,9 +97,6 @@ class MarkovMeasure:
     alphabet: np.ndarray
     # V_1 of each potential on the support, kept by `support_first_variation`
     _first_variation: dict = field(default_factory=dict, init=False, repr=False)
-
-    def local_index(self) -> dict[int, int]:
-        return {int(s): a for a, s in enumerate(self.alphabet)}
 
 
 def transfer_matrix(trunc: Truncation, f: MarkovPotential, t: float) -> np.ndarray:

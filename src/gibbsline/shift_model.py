@@ -121,8 +121,20 @@ class ShiftModel:
         return bool(edge) if edge.ndim == 0 else edge
 
 
+class AlphabetIndexed:
+    """Mixin for objects whose symbol `alphabet` never changes."""
+
+    @cached_property
+    def _local_index(self) -> dict[int, int]:
+        return {int(s): a for a, s in enumerate(self.alphabet)}
+
+    def local_index(self) -> dict[int, int]:
+        """Position of each symbol in the alphabet; built once, shared, read-only."""
+        return self._local_index
+
+
 @dataclass(frozen=True, eq=False)
-class Truncation:
+class Truncation(AlphabetIndexed):
     """Finite irreducible subshift: sorted symbol alphabet plus 0/1 incidence.
 
     For very large built-in truncations the incidence is not materialized
@@ -146,9 +158,6 @@ class Truncation:
                 f"{self.n_symbols} symbols (limit {DENSE_LIMIT})"
             )
         return self.incidence
-
-    def local_index(self) -> dict[int, int]:
-        return {int(s): a for a, s in enumerate(self.alphabet)}
 
     def successor_lists(self) -> list[np.ndarray]:
         inc = self.require_incidence()

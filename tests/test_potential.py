@@ -1,15 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gibbsline import cli, potential
 from gibbsline.bundled import bundled_pair
 from gibbsline.errors import DeadEndSymbol, InadmissibleEdge, InvalidT, NoTailDescriptor, UnboundedV1, ValidationError
 from gibbsline.potential import (
     Family,
     MarkovPotential,
+    SummabilityCertificate,
     TailDescriptor,
     TailKind,
     check_summability,
@@ -17,7 +20,7 @@ from gibbsline.potential import (
     variation,
 )
 from gibbsline.rpf_finite import pressure
-from gibbsline.shift_model import ModelKind, ShiftModel, Truncation, build_truncation
+from gibbsline.shift_model import ModelKind, ShiftModel, TailRule, Truncation, build_truncation
 
 
 class TestEvaluate:
@@ -137,6 +140,144 @@ class TestSummability:
         f = MarkovPotential(model, Family.TABLE, table=((0, 0, -1.0), (1, 0, -1.0)))
         with pytest.raises(NoTailDescriptor):
             check_summability(f)
+
+
+def reference_check_summability(f, tol=1e-9, max_terms=2_000_000):
+    """The from-scratch doubling loop: each round re-evaluates the whole prefix."""
+    finite_syms = potential._finite_alphabet_symbols(f)
+    if finite_syms is not None:
+        sups = f._ambient_sups(finite_syms)
+        partial = float(np.sum(np.exp(sups)))
+        return SummabilityCertificate(True, partial, 0.0, partial, int(finite_syms.size), True)
+    if f.tail.kind is TailKind.NONE:
+        raise NoTailDescriptor("summability over an infinite alphabet needs a tail descriptor")
+    hi = int(f._explicit_symbols()[-1])
+    grow_ok = f.family is not Family.TABLE
+    while True:
+        syms = np.arange(hi + 1, dtype=np.int64)
+        sups = f._ambient_sups(syms)
+        partial = float(np.sum(np.exp(sups)))
+        a_eff = f.tail.a + f.shift
+        if f.tail.kind is TailKind.GEOMETRIC:
+            tail = potential._geometric_tail(a_eff, f.tail.b, 1.0, hi + 1)
+        else:
+            tail = potential._polynomial_tail(a_eff, f.tail.p, 1.0, hi + 1)
+        total = partial + tail
+        tol_met = math.isfinite(tail) and tail <= tol * total
+        if tol_met or not grow_ok or not math.isfinite(tail) or hi + 1 >= max_terms:
+            return SummabilityCertificate(bool(math.isfinite(tail)), partial, tail, total, hi + 1, tol_met)
+        hi = min(max_terms - 1, max(2 * hi, 64))
+
+
+def reference_check_summability_t(f, t, tol=1e-9, max_terms=2_000_000):
+    """The from-scratch weighted loop, for potentials with a tail descriptor."""
+    g = f.normalized()
+
+    def term(sups):
+        x = -t * np.minimum(sups, 0.0)
+        return x * np.exp(-x)
+
+    a_eff = g.tail.a + g.shift
+    if g.tail.kind is TailKind.GEOMETRIC:
+        start_min = max(0, math.ceil((a_eff + 1.0 / t) / g.tail.b))
+    else:
+        start_min = max(0, math.ceil(math.exp((a_eff + 1.0 / t) / g.tail.p) - 1.0))
+    hi = int(g._explicit_symbols()[-1])
+    grow_ok = g.family is not Family.TABLE
+    if grow_ok:
+        hi = max(hi, start_min)
+    while True:
+        syms = np.arange(hi + 1, dtype=np.int64)
+        partial = float(np.sum(term(g._ambient_sups(syms))))
+        start = int(syms[-1]) + 1
+        bridge = 0.0
+        if start <= start_min:
+            mid = np.arange(start, start_min + 1, dtype=np.int64)
+            bridge = float(np.sum(term(np.asarray(g._tail_bound_at(mid), dtype=float))))
+            start = start_min + 1
+        if g.tail.kind is TailKind.GEOMETRIC:
+            tail = bridge + potential._weighted_geometric_tail(a_eff, g.tail.b, t, start)
+        else:
+            tail = bridge + potential._weighted_polynomial_tail(a_eff, g.tail.p, t, start)
+        total = partial + tail
+        tol_met = math.isfinite(tail) and tail <= tol * max(total, 1e-300)
+        if tol_met or not grow_ok or hi + 1 >= max_terms:
+            return SummabilityCertificate(bool(math.isfinite(tail)), partial, tail, total, int(syms.size), tol_met)
+        hi = min(max_terms - 1, max(2 * hi, 64, start_min))
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+FAMILIES = ("log_quadratic", "tie_two_loops", "renewal_weighted")
+
+
+class TestCertificateLoops:
+    """The growing-prefix loops against the from-scratch loops they replace."""
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    @pytest.mark.parametrize("shift", [0.0, -0.75, 1.3])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_bit_identical_to_the_from_scratch_loop(self, name, shift, tol):
+        model, f = bundled_pair(name)
+        g = MarkovPotential(model, f.family, shift=shift)
+        # 1000 and 100_000 end mid-doubling (at 999 and 99_999)
+        for max_terms in (1000, 100_000, 2_000_000):
+            assert check_summability(g, tol, max_terms) == reference_check_summability(g, tol, max_terms)
+            for t in (1.5, 2.0, 10.0):
+                expected = reference_check_summability_t(g, t, tol, max_terms)
+                assert check_summability_t(g, t, tol, max_terms) == expected
+
+    def test_budget_is_honoured(self, log_quadratic):
+        _, f = log_quadratic
+        assert check_summability(f, max_terms=10).terms_used == 10
+        assert check_summability_t(f, 2.0, max_terms=10).terms_used == 10
+        cert = check_summability(f, max_terms=1)
+        assert cert.terms_used == 1 and cert.partial_sum == 0.5
+        # a budget far beyond memory costs nothing when the tail is met early
+        _, g = bundled_pair("renewal_weighted")
+        assert check_summability(g, max_terms=10**15) == check_summability(g)
+        assert check_summability(g).terms_used == 65
+        for bad in (0, -3):
+            with pytest.raises(ValidationError):
+                check_summability(f, max_terms=bad)
+            with pytest.raises(ValidationError):
+                check_summability_t(f, 2.0, max_terms=bad)
+
+    def test_certificate_is_kept_per_tolerance_and_budget(self, log_quadratic):
+        _, f = log_quadratic
+        cert = check_summability(f)
+        assert check_summability(f) is cert
+        assert check_summability(f, tol=1e-6) is not cert
+        # normalization makes a new potential, which computes its own
+        assert check_summability(f.normalized()) is not cert
+
+    def test_failures_raise_on_every_call(self):
+        model = ShiftModel(ModelKind.RENEWAL)
+        no_tail = MarkovPotential(model, Family.TABLE, table=((0, 0, -1.0), (1, 0, -1.0)))
+        # symbol 1 lies inside the explicit range but has no table row
+        model = ShiftModel(ModelKind.CUSTOM, ((0, 2), (2, 0)), TailRule.RENEWAL_TAIL)
+        tail = TailDescriptor(TailKind.GEOMETRIC, a=1.0, b=1.0)
+        dead_end = MarkovPotential(model, Family.TABLE, table=((0, 2, -1.0), (2, 0, -1.0)), tail=tail)
+        for f, exc in ((no_tail, NoTailDescriptor), (dead_end, DeadEndSymbol)):
+            for _ in range(2):
+                with pytest.raises(exc):
+                    check_summability(f)
+
+    def test_diagnose_evaluates_each_series_term_once(self, tmp_path, monkeypatch):
+        seen = []
+        ambient_sups = MarkovPotential._ambient_sups
+
+        def counting(f, symbols):
+            seen.append(np.asarray(symbols).ravel())
+            return ambient_sups(f, symbols)
+
+        monkeypatch.setattr(MarkovPotential, "_ambient_sups", counting)
+        assert cli.run_command(["diagnose", "--config", str(CONFIGS / "log_quadratic.cfg"), "--out", str(tmp_path)]) == 0
+        syms = np.concatenate(seen)
+        # only certificates read sups past the explicit range 0..64; the
+        # polynomial tail never meets tol, so the series runs to its budget
+        beyond = syms[syms > 64]
+        assert beyond.size == 2_000_000 - 65
+        assert np.unique(beyond).size == beyond.size
 
 
 class TestSummabilityT:

@@ -286,6 +286,15 @@ class TestCylinderMass:
             total = sum(cylinder_mass(meas, w) for w in admissible_words(tr, n))
             assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_local_index_is_built_once_per_object(self, renewal_weighted):
+        model, f = renewal_weighted
+        tr = build_truncation(model, 4)
+        _, meas = equilibrium_measure(tr, f, 2.0)
+        for obj in (tr, meas):
+            idx = obj.local_index()
+            assert idx == {int(s): a for a, s in enumerate(obj.alphabet)}
+            assert obj.local_index() is idx
+
 
 class TestIntegralEntropy:
     def test_constant_potential_integral(self):
