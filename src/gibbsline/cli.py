@@ -466,6 +466,9 @@ def run_command(argv: list[str]) -> int:
         if value is not None and not math.isfinite(value):
             print(f"validation error: --{name} must be a finite number, got {value}", file=sys.stderr)
             return 2
+    if args.tol is not None and args.tol <= 0.0:
+        print(f"validation error: --tol must be positive, got {args.tol}", file=sys.stderr)
+        return 2
     try:
         cfg = _load_config(args.config)
     except OSError as exc:

@@ -296,6 +296,12 @@ def _build_sweep(sec: dict[str, tuple[str, int]]) -> SweepParams:
         raise ParseError(get("ks")[1], "truncation indices must be nonnegative")
     if any(t <= 1.0 for t in ts):
         raise ParseError(get("ts")[1], "sweep temperatures must satisfy t > 1")
+    # tie_tol = 0 could never widen through the tie-tolerance ladder
+    for key, value in (("tol", tol), ("tie_tol", tie_tol)):
+        if value <= 0.0:
+            raise ParseError(get(key)[1], f"{key} must be positive, got {value!r}")
+    if k0_window < 1:
+        raise ParseError(get("k0_window")[1], f"k0_window must be at least 1, got {k0_window}")
     return SweepParams(ks, ts, zt_ts, words, tol, tie_tol, k0_window, budget)
 
 

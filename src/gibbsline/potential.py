@@ -262,6 +262,16 @@ def _finite_alphabet_symbols(f: MarkovPotential) -> np.ndarray | None:
     return np.asarray(syms, dtype=np.int64)
 
 
+def _closed_form(tail, *args) -> float:
+    """A tail closed form evaluated; inf where its arithmetic overflows or
+    degenerates (1 - q rounding to 0), so the tail is not certified."""
+    try:
+        value = tail(*args)
+    except (OverflowError, ZeroDivisionError):
+        return _INF
+    return _INF if math.isnan(value) else value
+
+
 def _geometric_tail(a: float, b: float, t: float, start: int) -> float:
     """sum_{i >= start} exp(t * (a - b i)), closed form; inf when b <= 0."""
     if b <= 0.0:
@@ -278,19 +288,27 @@ def _polynomial_tail(a: float, p: float, t: float, start: int) -> float:
     return math.exp(t * a) * float(start) ** (1.0 - s) / (s - 1.0)
 
 
+# certificate terms are evaluated this many symbols at a time, which bounds
+# the temporaries of a 2,000,000-term series to a few hundred kB
+_TERM_BLOCK = 1 << 15
+
+
 def _growing_prefix(f: MarkovPotential, term, hi: int, max_terms: int):
     """Yield (hi, sum of term(sup f|_[i]) over i <= hi) as hi doubles up to the budget.
 
-    Each round evaluates only the symbols it adds, into one buffer; the sum
-    is taken afresh over the prefix, so it equals the sum over a newly built
-    array bit for bit. The buffer grows in place with the terms evaluated, so
-    a large budget that a fast tail never reaches allocates nothing.
+    Each round evaluates only the symbols it adds, in blocks of _TERM_BLOCK,
+    into one buffer; the sum is taken afresh over the prefix, so it equals
+    the sum over a newly built array bit for bit. The buffer grows in place
+    with the terms evaluated, so a large budget that a fast tail never
+    reaches allocates nothing.
     """
     terms = np.empty(0)
     done = 0
     while True:
         terms.resize(hi + 1, refcheck=False)  # no view of `terms` outlives a round
-        terms[done:] = term(f._ambient_sups(np.arange(done, hi + 1, dtype=np.int64)))
+        for lo in range(done, hi + 1, _TERM_BLOCK):
+            top = min(lo + _TERM_BLOCK, hi + 1)
+            terms[lo:top] = term(f._ambient_sups(np.arange(lo, top, dtype=np.int64)))
         done = hi + 1
         yield hi, float(np.sum(terms[:done]))
         hi = min(max_terms - 1, max(2 * hi, 64))
@@ -331,9 +349,9 @@ def _summability(f: MarkovPotential, tol: float, max_terms: int) -> SummabilityC
     a_eff = f.tail.a + f.shift
     for hi, partial in _growing_prefix(f, np.exp, hi, max_terms):
         if f.tail.kind is TailKind.GEOMETRIC:
-            tail = _geometric_tail(a_eff, f.tail.b, 1.0, hi + 1)
+            tail = _closed_form(_geometric_tail, a_eff, f.tail.b, 1.0, hi + 1)
         else:
-            tail = _polynomial_tail(a_eff, f.tail.p, 1.0, hi + 1)
+            tail = _closed_form(_polynomial_tail, a_eff, f.tail.p, 1.0, hi + 1)
         total = partial + tail
         tol_met = math.isfinite(tail) and tail <= tol * total
         if tol_met or not grow_ok or not math.isfinite(tail) or hi + 1 >= max_terms:
@@ -366,16 +384,21 @@ def check_summability_t(f: MarkovPotential, t: float, tol: float = 1e-9, max_ter
     if g.tail.kind is TailKind.NONE:
         raise NoTailDescriptor("summability over an infinite alphabet needs a tail descriptor")
 
+    uncertified = SummabilityCertificate(False, float("nan"), _INF, _INF, 0, False)
     a_eff = g.tail.a + g.shift
+    # first index with -t * bound >= 1; a regime that starts past the term
+    # budget cannot be reached, like one that never starts
     if g.tail.kind is TailKind.GEOMETRIC:
         if g.tail.b <= 0.0:
-            return SummabilityCertificate(False, float("nan"), _INF, _INF, 0, False)
-        # first index with -t * bound >= 1
-        start_min = max(0, math.ceil((a_eff + 1.0 / t) / g.tail.b))
+            return uncertified
+        first = (a_eff + 1.0 / t) / g.tail.b
     else:
         if g.tail.p <= 0.0 or t * g.tail.p <= 1.0:
-            return SummabilityCertificate(False, float("nan"), _INF, _INF, 0, False)
-        start_min = max(0, math.ceil(math.exp((a_eff + 1.0 / t) / g.tail.p) - 1.0))
+            return uncertified
+        first = math.exp((a_eff + 1.0 / t) / g.tail.p) - 1.0
+    if not first <= max_terms - 1:
+        return uncertified
+    start_min = max(0, math.ceil(first))
 
     hi = int(g._explicit_symbols()[-1])
     grow_ok = g.family is not Family.TABLE
@@ -390,12 +413,12 @@ def check_summability_t(f: MarkovPotential, t: float, tol: float = 1e-9, max_ter
             bridge = float(np.sum(term(np.asarray(g._tail_bound_at(mid), dtype=float))))
             start = start_min + 1
         if g.tail.kind is TailKind.GEOMETRIC:
-            tail = bridge + _weighted_geometric_tail(a_eff, g.tail.b, t, start)
+            tail = bridge + _closed_form(_weighted_geometric_tail, a_eff, g.tail.b, t, start)
         else:
-            tail = bridge + _weighted_polynomial_tail(a_eff, g.tail.p, t, start)
+            tail = bridge + _closed_form(_weighted_polynomial_tail, a_eff, g.tail.p, t, start)
         total = partial + tail
         tol_met = math.isfinite(tail) and tail <= tol * max(total, 1e-300)
-        if tol_met or not grow_ok or hi + 1 >= max_terms:
+        if tol_met or not grow_ok or not math.isfinite(tail) or hi + 1 >= max_terms:
             return SummabilityCertificate(bool(math.isfinite(tail)), partial, tail, total, hi + 1, tol_met)
 
 

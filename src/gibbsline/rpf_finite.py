@@ -34,10 +34,16 @@ a dense kernel that absorbs a scaling at one iterate with a log-sum-exp over
 the matrix and applies the result as a matvec until an iterate needs it
 absorbed again (`_DenseLogOperator`). The log-sum-exps reduce like
 ``scipy.special.logsumexp`` (each maximum counted apart, the rest through
-log1p), as do the scalar reductions, so gibbsline needs numpy only. The
-residual of an iterate is read from the application that computes the next
-one, so a side on a period-1 support applies its operator iterations + 1
-times.
+log1p), as do the scalar reductions, so gibbsline needs numpy only. They
+subtract a maximum only from the entries below it, so they never form
+-inf - (-inf) and need no np.errstate. The residual of an iterate is read
+from the application that computes the next one, so a side on a period-1
+support applies its operator iterations + 1 times.
+
+At the small n of the bundled configs a step costs its numpy calls rather
+than its arithmetic: one application, one log-sum-exp for the normalizer s,
+and one masked minimum for the convergence scale (a normalized iterate is
+<= 0); with d = 1 the eigenvalue estimate is s itself.
 """
 
 from __future__ import annotations
@@ -113,15 +119,17 @@ def _logsumexp(a: np.ndarray, axis: int | None = None, out: np.ndarray | None = 
 
     Every entry equal to the maximum is counted apart and the rest enter
     through log1p, so one dominant term comes out exact; an all -inf slice
-    gives -inf. `out` is scratch space of a's shape (a itself may be passed).
+    gives -inf. The maximum is subtracted only from the entries below it,
+    so no -inf - (-inf) is formed. `out` is scratch space of a's shape (a
+    itself may be passed).
     """
-    top = a.max(axis=axis, keepdims=True)
-    at_top = a == top
-    with np.errstate(invalid="ignore"):
-        rest = np.subtract(a, top, out=out)
+    top = a.max(axis=axis)
+    wide = top if axis is None else np.expand_dims(top, axis)
+    at_top = a == wide
+    rest = np.subtract(a, wide, out=out, where=~at_top)
     np.copyto(rest, _NEG_INF, where=at_top)
     np.exp(rest, out=rest)
-    return _log_total(rest.sum(axis=axis), np.count_nonzero(at_top, axis=axis), np.squeeze(top, axis=axis))
+    return _log_total(rest.sum(axis=axis), np.count_nonzero(at_top, axis=axis), top)
 
 
 def _log_total(rest: np.ndarray, count: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -149,12 +157,13 @@ class _CsrLogOperator:
         top = np.maximum.reduceat(z, self.starts)
         top_z = top[self.rows]
         at_top = z == top_z
-        with np.errstate(invalid="ignore"):
-            rest = z - top_z
-        rest[at_top] = _NEG_INF
-        np.exp(rest, out=rest)
+        # a row whose terms are all -inf is at its maximum throughout, so
+        # -inf - (-inf) is never formed
+        np.subtract(z, top_z, out=z, where=~at_top)
+        np.copyto(z, _NEG_INF, where=at_top)
+        np.exp(z, out=z)
         count = np.add.reduceat(at_top, self.starts, dtype=np.int64)
-        return _log_total(np.add.reduceat(rest, self.starts), count, top)
+        return _log_total(np.add.reduceat(z, self.starts), count, top)
 
 
 class _DenseLogOperator:
@@ -191,7 +200,7 @@ class _DenseLogOperator:
         # logA's memory order (a transpose stays column-major) fixes the
         # order in which each row is summed
         self.K = np.empty_like(logA)
-        self.g = self.top = None
+        self.g = self.top = self.abs_top = None
 
     def __call__(self, logv: np.ndarray) -> np.ndarray:
         if self.g is not None and np.isfinite(logv).all():
@@ -201,8 +210,8 @@ class _DenseLogOperator:
             if s.min() >= self._FLOOR:
                 log_s = np.log(s)
                 out = log_s + (self.top + m)
-                parts = np.abs(self.top) + abs(m) + np.abs(log_s)
-                if np.all(parts <= self._SPREAD * np.maximum(1.0, np.abs(out))):
+                parts = self.abs_top + abs(m) + np.abs(log_s)
+                if (parts <= self._SPREAD * np.maximum(1.0, np.abs(out))).all():
                     return out
         return self._absorb(logv)
 
@@ -218,7 +227,7 @@ class _DenseLogOperator:
             z[at_top] = 1.0
         # a -inf in logv or an empty row leaves no kernel to keep
         finite = np.isfinite(logv).all() and np.isfinite(top).all()
-        self.g, self.top = (logv.copy(), top) if finite else (None, None)
+        self.g, self.top, self.abs_top = (logv.copy(), top, np.abs(top)) if finite else (None, None, None)
         return out
 
 
@@ -294,12 +303,16 @@ def _power_iteration(
         u = Av if log_sigma == _NEG_INF else np.logaddexp(Av, log_sigma + logv)
         s = float(_logsumexp(u))
         logv = u - s
-        s_hist.append(s)
-        v_hist.append(logv)
-        if len(s_hist) < d:
-            continue
-        mean = float(np.mean(s_hist))
-        scale = max(1.0, abs(mean), float(np.max(np.abs(logv[np.isfinite(logv)]))))
+        if d == 1:
+            mean = s
+        else:
+            s_hist.append(s)
+            v_hist.append(logv)
+            if len(s_hist) < d:
+                continue
+            mean = float(np.mean(s_hist))
+        # s >= max u, so the normalized iterate is <= 0 and -min is its largest finite magnitude
+        scale = max(1.0, abs(mean), -float(logv.min(where=np.isfinite(logv), initial=0.0)))
         if (abs(mean - mean_prev) < max(_TOL, 4.0 * _EPS * scale) or (it + 1) % 32 == 0) and mean > log_sigma:
             est = mean + math.log1p(-math.exp(log_sigma - mean))
             gate = max(_RES_TOL, 8.0 * _EPS * max(scale, abs(est)))

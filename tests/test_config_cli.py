@@ -48,6 +48,20 @@ tail_a = 0.0
 tail_b = 0.0
 """
 
+TAIL_TABLE = """
+[model]
+kind = renewal
+
+[potential]
+family = table
+table = 0 0 -1.0, 0 1 -2.0, 1 0 -2.0
+tail_type = {tail}
+
+[sweep]
+ks = 1
+ts = 2,4
+"""
+
 
 class TestConfigParsing:
     def test_minimal_parses_with_defaults(self):
@@ -228,6 +242,40 @@ class TestRunCommand:
         payload = json.loads((next((tmp_path / "runs").iterdir()) / "summability.json").read_text())
         assert payload["summability"]["converges"] is False
 
+    @pytest.mark.parametrize(
+        "tail, summable, weighted",
+        [
+            ("geometric\ntail_a = 800\ntail_b = 1", False, True),  # exp(a - b i) overflows
+            ("geometric\ntail_b = 1e-300", False, False),  # 1 - exp(-b) rounds to 0
+            ("geometric\ntail_b = 1e-12", True, False),  # x e^-x regime from about 5e11 on
+            ("polynomial\ntail_a = 800\ntail_p = 2", False, True),  # exp(a) overflows
+        ],
+        ids=["geometric-a800", "geometric-b1e-300", "geometric-b1e-12", "polynomial-a800"],
+    )
+    def test_tail_closed_form_out_of_float_range(self, tmp_path, capsys, tail, summable, weighted):
+        cfg = write_cfg(tmp_path, TAIL_TABLE.format(tail=tail))
+        code = run_command(["certify-summability", "--config", cfg, "--out", str(tmp_path / "cert")])
+        assert code == (0 if summable else 2)
+        payload = json.loads((next((tmp_path / "cert").iterdir()) / "summability.json").read_text())
+        assert payload["summability"]["converges"] is summable
+        assert payload["summability_t"]["converges"] is weighted
+        if not summable:
+            assert payload["summability"]["tail_bound"] == math.inf
+        if not weighted:
+            assert payload["summability_t"]["terms_used"] == 0
+        capsys.readouterr()
+        assert run_command(["pressure", "--config", cfg, "--out", str(tmp_path / "pressure")]) == 0
+        assert ("per-truncation only" in capsys.readouterr().out) is not summable
+
+    def test_weighted_tail_overflow_is_not_certified(self, tmp_path):
+        # exp(t a) of the weighted closed form overflows at t = 1000
+        cfg = write_cfg(tmp_path, TIE, "tie.cfg")
+        assert run_command(["certify-summability", "--config", cfg, "--out", str(tmp_path / "runs"), "--t", "1000"]) == 0
+        payload = json.loads((next((tmp_path / "runs").iterdir()) / "summability.json").read_text())
+        assert payload["summability"]["converges"] is True
+        assert payload["summability_t"]["converges"] is False
+        assert payload["summability_t"]["tail_bound"] == math.inf
+
     def test_zerotemp_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, TIE, "tie.cfg")
         code = run_command(["zerotemp", "--config", cfg, "--out", str(tmp_path / "runs")])
@@ -356,6 +404,29 @@ words = 0
         code = run_command([argv[0], "--config", cfg, "--out", str(tmp_path / "runs"), *argv[1:]])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equilibrium", "--tol", "-1"],
+            ["equilibrium", "--tol", "0"],
+            ["certify-summability", "--tol", "-1"],
+        ],
+    )
+    def test_non_positive_tol_option_exit_2(self, tmp_path, capsys, argv):
+        cfg = write_cfg(tmp_path, MINIMAL)
+        code = run_command([argv[0], "--config", cfg, "--out", str(tmp_path / "runs"), *argv[1:]])
+        assert code == 2
+        assert "--tol must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("line", ["tol = 0", "tol = -1e-9", "tie_tol = 0", "tie_tol = -1e-9", "k0_window = 0"])
+    def test_sweep_setting_out_of_range_exit_2(self, tmp_path, capsys, line):
+        cfg = write_cfg(tmp_path, TIE + line + "\n", "tie.cfg")
+        assert run_command(["zerotemp", "--config", cfg, "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and line.split()[0] in err
         assert not (tmp_path / "runs").exists()
 
     def test_non_finite_config_exit_2(self, tmp_path, capsys):

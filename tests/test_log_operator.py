@@ -555,3 +555,258 @@ def test_merged_iteration_matches_the_two_loops_on_fixed_cases():
     # a cyclic gauge whose shifted run stalls: the plain run from uniform
     W = tied_period_3()
     assert assert_same_as_reference(64.0 * W, gauge=gauge_of(W).scaled(64.0)).path == "period-averaged"
+
+
+# ---------------------------------------------------------------------------
+# the leaner step against the step it replaced, bit for bit
+#
+# Copies of the reductions, kernels and loop as they were before a step took
+# fewer numpy calls: the normalizer reduced through keepdims/squeeze under
+# np.errstate, the kernels subtracted every maximum under np.errstate, and
+# the loop kept a d-step history even for d = 1 and read the scale from
+# max |logv|. The solver paths around them are the module's own.
+
+
+def parent_log_total(rest, count, top):
+    return np.log1p(rest / count) + np.log(count) + top
+
+
+def parent_logsumexp(a, axis=None, out=None):
+    top = a.max(axis=axis, keepdims=True)
+    at_top = a == top
+    with np.errstate(invalid="ignore"):
+        rest = np.subtract(a, top, out=out)
+    np.copyto(rest, NEG_INF, where=at_top)
+    np.exp(rest, out=rest)
+    return parent_log_total(rest.sum(axis=axis), np.count_nonzero(at_top, axis=axis), np.squeeze(top, axis=axis))
+
+
+class ParentCsrLogOperator(_CsrLogOperator):
+    def __call__(self, logv):
+        z = self.vals + logv[self.cols]
+        top = np.maximum.reduceat(z, self.starts)
+        top_z = top[self.rows]
+        at_top = z == top_z
+        with np.errstate(invalid="ignore"):
+            rest = z - top_z
+        rest[at_top] = NEG_INF
+        np.exp(rest, out=rest)
+        count = np.add.reduceat(at_top, self.starts, dtype=np.int64)
+        return parent_log_total(np.add.reduceat(rest, self.starts), count, top)
+
+
+class ParentDenseLogOperator(_DenseLogOperator):
+    def __call__(self, logv):
+        if self.g is not None and np.isfinite(logv).all():
+            d = logv - self.g
+            m = d.max()
+            s = self.K @ np.exp(d - m)
+            if s.min() >= self._FLOOR:
+                log_s = np.log(s)
+                out = log_s + (self.top + m)
+                parts = np.abs(self.top) + abs(m) + np.abs(log_s)
+                if np.all(parts <= self._SPREAD * np.maximum(1.0, np.abs(out))):
+                    return out
+        return self._absorb(logv)
+
+    def _absorb(self, logv):
+        out = np.empty(self.n)
+        top = np.empty(self.n)
+        for lo in range(0, self.n, self.block):
+            hi = min(lo + self.block, self.n)
+            z = np.add(self.logA[lo:hi], logv[None, :], out=self.K[lo:hi])
+            top[lo:hi] = z.max(axis=1)
+            at_top = z == top[lo:hi, None]
+            out[lo:hi] = parent_logsumexp(z, axis=1, out=z)
+            z[at_top] = 1.0
+        finite = np.isfinite(logv).all() and np.isfinite(top).all()
+        self.g, self.top = (logv.copy(), top) if finite else (None, None)
+        return out
+
+
+def parent_log_operator(logA):
+    finite = np.isfinite(logA)
+    if 3 * np.count_nonzero(finite) <= 2 * finite.size and finite.any(axis=1).all():
+        return ParentCsrLogOperator(logA, finite)
+    return ParentDenseLogOperator(logA)
+
+
+def parent_residual(Aw, logw, est):
+    return float(np.max(np.abs(Aw - est - logw)))
+
+
+def parent_window_average(v_hist, s_hist, est):
+    terms = [v_hist[0]]
+    offset = 0.0
+    for j in range(1, len(v_hist)):
+        offset += s_hist[j] - est
+        terms.append(v_hist[j] + offset)
+    stacked = np.stack(terms, axis=0)
+    return parent_logsumexp(stacked, axis=0, out=stacked) - math.log(len(terms))
+
+
+def parent_power_iteration(op, logv, d, log_sigma, max_iter, best):
+    eps = rpf_finite._EPS
+    s_hist = deque(maxlen=d)
+    v_hist = deque(maxlen=d)
+    mean_prev = math.nan
+    pending = None
+    for it in range(max_iter + 1):
+        Av = op(logv)
+        if pending is not None:
+            est, gate = pending
+            res = parent_residual(Av, logv, est)
+            if res < best[0]:
+                best = (res, logv, est)
+            if res < gate:
+                return logv, est, it, res, best
+            pending = None
+        if it == max_iter:
+            break
+        u = Av if log_sigma == NEG_INF else np.logaddexp(Av, log_sigma + logv)
+        s = float(parent_logsumexp(u))
+        logv = u - s
+        s_hist.append(s)
+        v_hist.append(logv)
+        if len(s_hist) < d:
+            continue
+        mean = float(np.mean(s_hist))
+        scale = max(1.0, abs(mean), float(np.max(np.abs(logv[np.isfinite(logv)]))))
+        if (abs(mean - mean_prev) < max(REF_TOL, 4.0 * eps * scale) or (it + 1) % 32 == 0) and mean > log_sigma:
+            est = mean + math.log1p(-math.exp(log_sigma - mean))
+            gate = max(REF_RES_TOL, 8.0 * eps * max(scale, abs(est)))
+            if d == 1:
+                pending = (est, gate)
+            else:
+                logw = parent_window_average(list(v_hist), list(s_hist), est)
+                res = parent_residual(op(logw), logw, est)
+                if res < best[0]:
+                    best = (res, logw, est)
+                if res < gate:
+                    return logw, est, it + 1, res, best
+        mean_prev = mean
+    return None, math.nan, max_iter, best[0], best
+
+
+def parent_module(m):
+    m.setattr(rpf_finite, "_log_operator", parent_log_operator)
+    m.setattr(rpf_finite, "_logsumexp", parent_logsumexp)
+    m.setattr(rpf_finite, "_power_iteration", parent_power_iteration)
+
+
+def outcome(logB, **kwargs):
+    try:
+        return perron(logB, **kwargs)
+    except SolverError as exc:
+        return type(exc), exc.args
+
+
+def assert_same_bits_as_parent(logB, **kwargs):
+    new = outcome(logB, **kwargs)
+    with pytest.MonkeyPatch.context() as m:
+        parent_module(m)
+        ref = outcome(logB, **kwargs)
+    if not isinstance(ref, rpf_finite.PerronData):
+        assert new == ref
+        return ref
+    assert isinstance(new, rpf_finite.PerronData), new
+    for field in ("log_lambda", "log_h", "log_nu", "iterations", "residual"):
+        got, want = np.asarray(getattr(new, field)), np.asarray(getattr(ref, field))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+    assert new.path == ref.path
+    return ref
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=25, deadline=None)
+@given(periodic_weights())
+def test_leaner_step_keeps_the_bits_on_periodic_supports(case):
+    """Every field of every solve, as in the merged-iteration test: plain and
+    period-averaged runs, stalls into the shifted run, best iterates and
+    cyclic gauges, on supports of period 1, 2 and 3."""
+    W, d = case
+    for t in (1.0, 4.0):
+        assert_same_bits_as_parent(t * W, max_iter=600)
+    try:
+        gauge = gauge_of(W)
+    except SolverError:
+        return
+    for t in ZT_TS_DEFAULT:
+        assert_same_bits_as_parent(t * W, gauge=gauge.scaled(t))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_leaner_step_keeps_the_bits_on_every_path():
+    with np.errstate(divide="ignore"):
+        W = np.log(np.array([[0.0, 1.0], [1.0, 0.001]]))
+    assert assert_same_bits_as_parent(W).path == "shifted"
+    W = np.log(np.array([[1.0, 0.1], [0.1, 0.9]]))
+    assert assert_same_bits_as_parent(W, max_iter=96).path == "best-iterate"
+    W = np.array([[NEG_INF, -0.7], [-2.3, NEG_INF]])
+    assert assert_same_bits_as_parent(W).path == "period-averaged"
+    assert assert_same_bits_as_parent(W, gauge=gauge_of(W)).path == "shifted"
+    W = tied_period_3()
+    assert assert_same_bits_as_parent(64.0 * W, gauge=gauge_of(W).scaled(64.0)).path == "period-averaged"
+    # the bundled models at n = 7, on both kernels, with and without a gauge
+    for name in ("renewal_weighted", "tie_two_loops", "log_quadratic"):
+        model, f = bundled_pair(name)
+        tr = build_truncation(model, 6)
+        gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
+        for t in (2.0,) + ZT_TS_DEFAULT:
+            logB = transfer_matrix(tr, f, t)
+            assert_same_bits_as_parent(logB)
+            assert_same_bits_as_parent(logB, gauge=gauge.scaled(t))
+
+
+def edge_vectors(n, rng):
+    """Vectors with tied maxima, with -inf entries, and all -inf."""
+    tied = np.round(rng.uniform(-3.0, 3.0, n))
+    tied[rng.integers(n)] = tied.max()
+    holed = np.where(rng.random(n) < 0.5, NEG_INF, rng.uniform(-3.0, 3.0, n))
+    return [tied, holed, np.full(n, NEG_INF), np.where(np.arange(n) == 0, 0.0, NEG_INF)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(supports_and_vectors())
+def test_leaner_reductions_keep_the_bits(case):
+    logA, logv = case
+    n = logA.shape[0]
+    rng = np.random.default_rng(n)
+    for v in [logv] + edge_vectors(n, rng):
+        got, want = rpf_finite._logsumexp(v), parent_logsumexp(v)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        finite = np.isfinite(logA)
+        got = _CsrLogOperator(logA, finite)(v)
+        assert got.tobytes() == ParentCsrLogOperator(logA, finite)(v).tobytes()
+        for axis in (0, 1):
+            a = logA + v[None, :]
+            got = rpf_finite._logsumexp(a.copy(), axis=axis, out=None)
+            scratch = a.copy()
+            assert got.tobytes() == parent_logsumexp(scratch, axis=axis, out=scratch).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(dense_sequences())
+def test_leaner_dense_kernel_keeps_the_bits_along_a_sequence(case):
+    logA, seq = case
+    new, ref = _DenseLogOperator(logA), ParentDenseLogOperator(logA)
+    for logv in seq + edge_vectors(logA.shape[0], np.random.default_rng(0)):
+        assert new(logv).tobytes() == ref(logv).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["renewal_weighted", "tie_two_loops", "log_quadratic"])
+def test_gurevich_estimate_from_a_delta_keeps_the_bits(name, monkeypatch):
+    """The loop sums start from a delta vector: every row of the first
+    applications is all -inf but one, and no kernel may warn about it."""
+    model, f = bundled_pair(name)
+    tr = build_truncation(model, 6)
+    for t in (2.0, 1024.0):
+        for loops in (1, 8, 64):
+            new = gurevich_estimate(tr, f, t, 0, loops)
+            with monkeypatch.context() as m:
+                parent_module(m)
+                ref = gurevich_estimate(tr, f, t, 0, loops)
+            assert np.float64(new).tobytes() == np.float64(ref).tobytes(), (t, loops)

@@ -226,6 +226,25 @@ class TestCertificateLoops:
                 expected = reference_check_summability_t(g, t, tol, max_terms)
                 assert check_summability_t(g, t, tol, max_terms) == expected
 
+    def test_rounds_are_evaluated_in_blocks(self, log_quadratic, monkeypatch):
+        """A budget of 3 * 2^15 + 5 terms: the last round adds 32,772
+        symbols, split into a full block and one of 4 that ends mid-block.
+        The certificates equal the from-scratch loops' bit for bit."""
+        _, f = log_quadratic
+        block = potential._TERM_BLOCK
+        max_terms = 3 * block + 5
+        expected = (
+            reference_check_summability(f, 1e-15, max_terms),
+            reference_check_summability_t(f, 2.0, 1e-15, max_terms),
+        )
+        sizes = []
+        ambient_sups = MarkovPotential._ambient_sups
+        monkeypatch.setattr(MarkovPotential, "_ambient_sups", lambda g, syms: sizes.append(np.size(syms)) or ambient_sups(g, syms))
+        got = check_summability(f, 1e-15, max_terms), check_summability_t(f, 2.0, 1e-15, max_terms)
+        assert got == expected
+        assert [cert.terms_used for cert in got] == [max_terms, max_terms]
+        assert max(sizes) == block and sizes.count(4) == 2
+
     def test_budget_is_honoured(self, log_quadratic):
         _, f = log_quadratic
         assert check_summability(f, max_terms=10).terms_used == 10
