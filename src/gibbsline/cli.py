@@ -393,17 +393,10 @@ def _cmd_certify(cfg: ModelConfig, args, em: _Emitter) -> int:
 def _cmd_diagnose(cfg: ModelConfig, args, em: _Emitter) -> int:
     words = _words(cfg, args)
     report: dict = {"solver_errors": []}
-    try:
-        cert = check_summability(cfg.potential)
-        report["summability"] = _cert_jsonable(cert)
-        certified = cert.converges
-    except NoTailDescriptor:
-        report["summability"] = None
-        certified = False
-
     sweep = pressure_sweep(cfg.model, cfg.potential, cfg.sweep.ks, cfg.sweep.ts, words, require_certificate=False)
+    report["summability"] = _cert_jsonable(sweep.reference["certificate"])
     report["monotone_in_k"] = {_fmt(t): ok for t, ok in sweep.diagnostics["monotone_in_k"].items()}
-    report["certified_summable"] = certified
+    report["certified_summable"] = sweep.diagnostics["certified_summable"]
     vp = 0.0
     for g in sweep.grid:
         if g.error is None:

@@ -292,6 +292,9 @@ def _build_sweep(sec: dict[str, tuple[str, int]]) -> SweepParams:
     tie_tol = _parse_float(*get("tie_tol"), key="tie_tol")
     k0_window = _parse_int(*get("k0_window"), key="k0_window")
     budget = _parse_int(*get("budget"), key="budget")
+    for key, values in (("ks", ks), ("ts", ts), ("zt_ts", zt_ts)):
+        if not values:
+            raise ParseError(get(key)[1], f"{key} must list at least one value")
     if any(k < 0 for k in ks):
         raise ParseError(get("ks")[1], "truncation indices must be nonnegative")
     if any(t <= 1.0 for t in ts):

@@ -9,6 +9,12 @@ Each family's formula f(i, j) is stated once, in `MarkovPotential.value_grid`;
 single values, truncated cylinder sups and row oscillations read from it,
 and edge admissibility comes from `ShiftModel.has_edge`. `_ambient_sups`
 holds the closed-form sups over the full countable rows.
+
+One loop, `_certificate`, serves both summability series: exp(sup f|_[i])
+(`check_summability`) and the weighted (-t sup f|_[i]) exp(t sup f|_[i])
+(`check_summability_t`). They differ only in the term, the tail closed
+forms and the tolerance rule: tail <= tol * total unweighted, and
+tail <= tol * max(total, 1e-300) weighted.
 """
 
 from __future__ import annotations
@@ -293,8 +299,17 @@ def _polynomial_tail(a: float, p: float, t: float, start: int) -> float:
 _TERM_BLOCK = 1 << 15
 
 
-def _growing_prefix(f: MarkovPotential, term, hi: int, max_terms: int):
-    """Yield (hi, sum of term(sup f|_[i]) over i <= hi) as hi doubles up to the budget.
+def _certificate(
+    f: MarkovPotential, term, tails, t: float, start_min: int, floor: float, tol: float, max_terms: int
+) -> SummabilityCertificate:
+    """Certificate for the series of term(sup f|_[i]) over all 1-cylinders.
+
+    A finite alphabet is summed exactly. Otherwise a prefix is summed, from
+    the explicit range (raised to `start_min` for family potentials, whose
+    prefix doubles each round); majorant terms bridge up to `start_min`, and
+    `tails` = (geometric, polynomial) closed forms at (a, b or p, t, start)
+    bound the rest. It stops once tail <= tol * max(total, floor), the tail
+    is infinite, a table cannot grow or max_terms symbols are summed.
 
     Each round evaluates only the symbols it adds, in blocks of _TERM_BLOCK,
     into one buffer; the sum is taken afresh over the prefix, so it equals
@@ -302,6 +317,18 @@ def _growing_prefix(f: MarkovPotential, term, hi: int, max_terms: int):
     with the terms evaluated, so a large budget that a fast tail never
     reaches allocates nothing.
     """
+    finite_syms = _finite_alphabet_symbols(f)
+    if finite_syms is not None:
+        partial = float(np.sum(term(f._ambient_sups(finite_syms))))
+        return SummabilityCertificate(True, partial, 0.0, partial, int(finite_syms.size), True)
+    if f.tail.kind is TailKind.NONE:
+        raise NoTailDescriptor("summability over an infinite alphabet needs a tail descriptor")
+
+    closed, rate = (tails[0], f.tail.b) if f.tail.kind is TailKind.GEOMETRIC else (tails[1], f.tail.p)
+    a_eff = f.tail.a + f.shift
+    grow_ok = f.family is not Family.TABLE
+    hi = int(f._explicit_symbols()[-1])
+    hi = min(max(hi, start_min) if grow_ok else hi, max_terms - 1)
     terms = np.empty(0)
     done = 0
     while True:
@@ -310,7 +337,15 @@ def _growing_prefix(f: MarkovPotential, term, hi: int, max_terms: int):
             top = min(lo + _TERM_BLOCK, hi + 1)
             terms[lo:top] = term(f._ambient_sups(np.arange(lo, top, dtype=np.int64)))
         done = hi + 1
-        yield hi, float(np.sum(terms[:done]))
+        partial = float(np.sum(terms[:done]))
+        # bridge with majorant terms where the explicit table stops early
+        mid = np.arange(hi + 1, start_min + 1, dtype=np.int64)
+        bridge = float(np.sum(term(np.asarray(f._tail_bound_at(mid), dtype=float))))
+        tail = bridge + _closed_form(closed, a_eff, rate, t, max(hi, start_min) + 1)
+        total = partial + tail
+        tol_met = math.isfinite(tail) and tail <= tol * max(total, floor)
+        if tol_met or not grow_ok or not math.isfinite(tail) or hi + 1 >= max_terms:
+            return SummabilityCertificate(bool(math.isfinite(tail)), partial, tail, total, hi + 1, tol_met)
         hi = min(max_terms - 1, max(2 * hi, 64))
 
 
@@ -323,39 +358,17 @@ def check_summability(f: MarkovPotential, tol: float = 1e-9, max_terms: int = 2_
     """Certificate for the series of exp(sup f|_[i]) over all 1-cylinders.
 
     The explicit range is grown geometrically until the tail majorant is
-    below tol * total or the term budget is hit; `converges` records tail
+    at most tol * total or the term budget is hit; `converges` records tail
     finiteness, `tol_met` whether the requested resolution was reached.
     Certificates are kept on the potential, one per (tol, max_terms).
     """
     _check_budget(max_terms)
     cert = f._certificates.get((tol, max_terms))
     if cert is None:
-        cert = f._certificates[tol, max_terms] = _summability(f, tol, max_terms)
+        # the terms are positive, so a floor of 0 leaves tol * total as it is
+        tails = (_geometric_tail, _polynomial_tail)
+        cert = f._certificates[tol, max_terms] = _certificate(f, np.exp, tails, 1.0, 0, 0.0, tol, max_terms)
     return cert
-
-
-def _summability(f: MarkovPotential, tol: float, max_terms: int) -> SummabilityCertificate:
-    finite_syms = _finite_alphabet_symbols(f)
-    if finite_syms is not None:
-        sups = f._ambient_sups(finite_syms)
-        partial = float(np.sum(np.exp(sups)))
-        return SummabilityCertificate(True, partial, 0.0, partial, int(finite_syms.size), True)
-
-    if f.tail.kind is TailKind.NONE:
-        raise NoTailDescriptor("summability over an infinite alphabet needs a tail descriptor")
-
-    hi = min(int(f._explicit_symbols()[-1]), max_terms - 1)
-    grow_ok = f.family is not Family.TABLE
-    a_eff = f.tail.a + f.shift
-    for hi, partial in _growing_prefix(f, np.exp, hi, max_terms):
-        if f.tail.kind is TailKind.GEOMETRIC:
-            tail = _closed_form(_geometric_tail, a_eff, f.tail.b, 1.0, hi + 1)
-        else:
-            tail = _closed_form(_polynomial_tail, a_eff, f.tail.p, 1.0, hi + 1)
-        total = partial + tail
-        tol_met = math.isfinite(tail) and tail <= tol * total
-        if tol_met or not grow_ok or not math.isfinite(tail) or hi + 1 >= max_terms:
-            return SummabilityCertificate(bool(math.isfinite(tail)), partial, tail, total, hi + 1, tol_met)
 
 
 def check_summability_t(f: MarkovPotential, t: float, tol: float = 1e-9, max_terms: int = 2_000_000) -> SummabilityCertificate:
@@ -365,7 +378,9 @@ def check_summability_t(f: MarkovPotential, t: float, tol: float = 1e-9, max_ter
     Tails use the monotonicity of x exp(-x) for x >= 1: the certificate is
     an upper bound once the tail majorant has -t * bound >= 1; when the
     descriptor cannot reach that regime the series is reported divergent
-    (convergence cannot be certified).
+    (convergence cannot be certified). The tolerance is met once
+    tail <= tol * max(total, 1e-300), since the normalized series may sum
+    to (nearly) 0.
     """
     if t <= 1.0:
         raise InvalidT(f"t must exceed 1, got {t}")
@@ -376,50 +391,24 @@ def check_summability_t(f: MarkovPotential, t: float, tol: float = 1e-9, max_ter
         x = -t * np.minimum(sups, 0.0)
         return x * np.exp(-x)
 
-    finite_syms = _finite_alphabet_symbols(g)
-    if finite_syms is not None:
-        partial = float(np.sum(term(g._ambient_sups(finite_syms))))
-        return SummabilityCertificate(True, partial, 0.0, partial, int(finite_syms.size), True)
-
-    if g.tail.kind is TailKind.NONE:
-        raise NoTailDescriptor("summability over an infinite alphabet needs a tail descriptor")
-
-    uncertified = SummabilityCertificate(False, float("nan"), _INF, _INF, 0, False)
-    a_eff = g.tail.a + g.shift
-    # first index with -t * bound >= 1; a regime that starts past the term
-    # budget cannot be reached, like one that never starts
-    if g.tail.kind is TailKind.GEOMETRIC:
-        if g.tail.b <= 0.0:
-            return uncertified
-        first = (a_eff + 1.0 / t) / g.tail.b
-    else:
-        if g.tail.p <= 0.0 or t * g.tail.p <= 1.0:
-            return uncertified
-        first = math.exp((a_eff + 1.0 / t) / g.tail.p) - 1.0
-    if not first <= max_terms - 1:
-        return uncertified
-    start_min = max(0, math.ceil(first))
-
-    hi = int(g._explicit_symbols()[-1])
-    grow_ok = g.family is not Family.TABLE
-    if grow_ok:
-        hi = max(hi, start_min)
-    for hi, partial in _growing_prefix(g, term, min(hi, max_terms - 1), max_terms):
-        # bridge with majorant terms where the explicit table stops early
-        start = hi + 1
-        bridge = 0.0
-        if start <= start_min:
-            mid = np.arange(start, start_min + 1, dtype=np.int64)
-            bridge = float(np.sum(term(np.asarray(g._tail_bound_at(mid), dtype=float))))
-            start = start_min + 1
+    start_min = 0
+    # a finite alphabet is summed exactly; an infinite one has a tail
+    # descriptor here, since normalized() raises without one
+    if g.model.is_infinite_alphabet():
+        # first index with -t * bound >= 1; a regime that starts past the term
+        # budget cannot be reached, like one that never starts
+        a_eff = g.tail.a + g.shift
         if g.tail.kind is TailKind.GEOMETRIC:
-            tail = bridge + _closed_form(_weighted_geometric_tail, a_eff, g.tail.b, t, start)
+            first = (a_eff + 1.0 / t) / g.tail.b if g.tail.b > 0.0 else _INF
+        elif g.tail.p > 0.0 and t * g.tail.p > 1.0:
+            first = math.exp((a_eff + 1.0 / t) / g.tail.p) - 1.0
         else:
-            tail = bridge + _closed_form(_weighted_polynomial_tail, a_eff, g.tail.p, t, start)
-        total = partial + tail
-        tol_met = math.isfinite(tail) and tail <= tol * max(total, 1e-300)
-        if tol_met or not grow_ok or not math.isfinite(tail) or hi + 1 >= max_terms:
-            return SummabilityCertificate(bool(math.isfinite(tail)), partial, tail, total, hi + 1, tol_met)
+            first = _INF
+        if not first <= max_terms - 1:
+            return SummabilityCertificate(False, float("nan"), _INF, _INF, 0, False)
+        start_min = max(0, math.ceil(first))
+    tails = (_weighted_geometric_tail, _weighted_polynomial_tail)
+    return _certificate(g, term, tails, t, start_min, 1e-300, tol, max_terms)
 
 
 def _weighted_geometric_tail(a: float, b: float, t: float, start: int) -> float:

@@ -226,44 +226,33 @@ def is_irreducible(adj: np.ndarray) -> bool:
         return False
     if n == 1:
         return bool(adj[0, 0])
-    fwd = _reachable(adj, 0)
-    bwd = _reachable(adj.T, 0)
-    return bool(fwd.all() and bwd.all())
+    return bool((_bfs_depths(adj) >= 0).all() and (_bfs_depths(adj.T) >= 0).all())
 
 
-def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
+def _bfs_depths(adj: np.ndarray) -> np.ndarray:
+    """BFS distance of each vertex from vertex 0, taken level by level; -1 where unreached."""
     n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    while frontier:
-        nxt: list[int] = []
-        for v in frontier:
-            for w in np.flatnonzero(adj[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    nxt.append(int(w))
-        frontier = nxt
-    return seen
+    depth = np.full(n, -1, dtype=np.int64)
+    unseen = np.ones(n, dtype=bool)
+    frontier = np.zeros(1, dtype=np.int64)
+    level = 0
+    while frontier.size:
+        depth[frontier] = level
+        unseen[frontier] = False
+        frontier = np.flatnonzero(adj[frontier].any(axis=0) & unseen)
+        level += 1
+    return depth
 
 
 def graph_period(adj: np.ndarray) -> int:
     """gcd of all cycle lengths of an irreducible graph.
 
     Computed as the gcd of (depth[u] + 1 - depth[v]) over all edges (u, v),
-    with depths the BFS distances from vertex 0, taken level by level.
+    with depths the BFS distances from vertex 0.
     """
     if np.diagonal(adj).any():
         return 1  # a self-loop is a cycle of length 1
-    n = adj.shape[0]
-    depth = np.full(n, -1, dtype=np.int64)
-    frontier = np.zeros(n, dtype=bool)
-    frontier[0] = True
-    level = 0
-    while frontier.any():
-        depth[frontier] = level
-        frontier = adj[frontier].any(axis=0) & (depth < 0)
-        level += 1
+    depth = _bfs_depths(adj)
     us, vs = np.nonzero(adj)
     reached = depth[us] >= 0
     g = int(np.gcd.reduce(depth[us[reached]] + 1 - depth[vs[reached]]))
@@ -274,8 +263,8 @@ def graph_period(adj: np.ndarray) -> int:
 # truncation construction
 
 
-def build_truncation(model: ShiftModel, k: int, k0_base: int = 1, dense_limit: int = DENSE_LIMIT) -> Truncation:
-    """Truncation on the prefix alphabet {0, ..., k + k0_base - 1}.
+def build_truncation(model: ShiftModel, k: int, dense_limit: int = DENSE_LIMIT) -> Truncation:
+    """Truncation on the prefix alphabet {0, ..., k}.
 
     For custom models the prefix is augmented by the smallest additional
     symbols (explicit first, then tail symbols) until the induced subgraph
@@ -283,9 +272,7 @@ def build_truncation(model: ShiftModel, k: int, k0_base: int = 1, dense_limit: i
     """
     if k < 0:
         raise ValidationError("truncation index must be nonnegative")
-    if k0_base < 1:
-        raise ValidationError("k0_base must be at least 1")
-    m = k + k0_base
+    m = k + 1
     if model.kind is ModelKind.CUSTOM:
         return _custom_truncation(model, k, m, dense_limit)
     alphabet = np.arange(m, dtype=np.int64)

@@ -429,6 +429,19 @@ words = 0
         assert "config error" in err and line.split()[0] in err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("key", ["ks", "ts", "zt_ts"])
+    @pytest.mark.parametrize(
+        "command", ["pressure", "equilibrium", "zerotemp", "entropy-limit", "certify-summability", "diagnose"]
+    )
+    def test_empty_sweep_list_exit_2(self, tmp_path, capsys, command, key):
+        lines = [line for line in MINIMAL.splitlines() if not line.startswith(f"{key} =")] + [f"{key} = ,"]
+        cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+        assert run_command([command, "--config", cfg, "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert f"line {len(lines)}: {key} must list at least one value" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
     def test_non_finite_config_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL.replace("ts = 2,8", "ts = 2,inf"))
         assert run_command(["pressure", "--config", cfg, "--out", str(tmp_path / "runs")]) == 2

@@ -208,19 +208,41 @@ def reference_check_summability_t(f, t, tol=1e-9, max_terms=2_000_000):
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 FAMILIES = ("log_quadratic", "tie_two_loops", "renewal_weighted")
+# renewal tables that stop at symbol 5: the prefix cannot grow, and with
+# b = 0.05 the weighted tail is bridged by majorant terms up to its regime
+RENEWAL_TABLE = tuple([(0, j, -(j + 1.0)) for j in range(6)] + [(i, i - 1, -float(i)) for i in range(1, 6)])
+# weighted terms that underflow to 0 on the table and a tail near 1e-310 at
+# t = 2, so the weighted series sums below 1e-300
+STEEP_TABLE = tuple([(0, j, 0.0 if j == 0 else -400.0) for j in range(6)] + [(i, i - 1, -400.0) for i in range(1, 6)])
+TABLES = {
+    "table_geometric_b1": (RENEWAL_TABLE, TailDescriptor(TailKind.GEOMETRIC, a=0.0, b=1.0)),
+    "table_geometric_b0.05": (RENEWAL_TABLE, TailDescriptor(TailKind.GEOMETRIC, a=0.0, b=0.05)),
+    "table_polynomial": (RENEWAL_TABLE, TailDescriptor(TailKind.POLYNOMIAL, a=0.5, p=2.0)),
+    "table_steep_b60": (STEEP_TABLE, TailDescriptor(TailKind.GEOMETRIC, a=0.0, b=60.0)),
+}
+
+
+def certificate_input(name, shift):
+    if name in TABLES:
+        table, tail = TABLES[name]
+        return MarkovPotential(ShiftModel(ModelKind.RENEWAL), Family.TABLE, table=table, tail=tail, shift=shift)
+    model, f = bundled_pair(name)
+    return MarkovPotential(model, f.family, shift=shift)
 
 
 class TestCertificateLoops:
     """The growing-prefix loops against the from-scratch loops they replace."""
 
-    @pytest.mark.parametrize("name", FAMILIES)
-    @pytest.mark.parametrize("shift", [0.0, -0.75, 1.3])
+    @pytest.mark.parametrize("name", FAMILIES + tuple(TABLES))
+    # at -700 and -720 the unweighted series sums below 1e-300
+    @pytest.mark.parametrize("shift", [0.0, -0.75, 1.3, -700.0, -720.0])
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
     def test_bit_identical_to_the_from_scratch_loop(self, name, shift, tol):
-        model, f = bundled_pair(name)
-        g = MarkovPotential(model, f.family, shift=shift)
-        # 1000 and 100_000 end mid-doubling (at 999 and 99_999)
-        for max_terms in (1000, 100_000, 2_000_000):
+        g = certificate_input(name, shift)
+        # 1000 and 100_000 end mid-doubling (at 999 and 99_999); at the far
+        # shifts the terms are subnormal and slow, so the full budget is left out
+        budgets = (1000, 100_000) if shift <= -700.0 else (1000, 100_000, 2_000_000)
+        for max_terms in budgets:
             assert check_summability(g, tol, max_terms) == reference_check_summability(g, tol, max_terms)
             for t in (1.5, 2.0, 10.0):
                 expected = reference_check_summability_t(g, t, tol, max_terms)
