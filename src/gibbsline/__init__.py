@@ -6,7 +6,6 @@ from .bundled import BUNDLED_NAMES, bundled_pair
 from .ergodic_opt import (
     CriticalDecomposition,
     K0Report,
-    brute_force_max_mean,
     critical_decomposition,
     critical_graph,
     detect_k0,

@@ -1,8 +1,8 @@
 """Zero-temperature objects on finite truncations.
 
-Maximum ergodic average beta as a max mean cycle (Howard's policy iteration,
-with a brute-force oracle), max-plus subactions, the critical graph of tight
-edges with its transitive components, the max-plus gauge that warm-starts
+Maximum ergodic average beta as a max mean cycle and max-plus subactions
+(both by Howard's policy iteration), the critical graph of tight edges with
+its transitive components, the max-plus gauge that warm-starts
 zero-temperature solves, and stabilization detection across the truncation
 schedule. The max-plus routines themselves live in `maxplus`; this module
 applies them to a potential on a truncation.
@@ -17,7 +17,6 @@ import numpy as np
 
 from . import maxplus
 from .errors import (
-    BudgetExceeded,
     EmptyCriticalGraph,
     NonTransitive,
     NotStabilized,
@@ -86,32 +85,19 @@ def max_mean_cycle(trunc: Truncation, f: MarkovPotential) -> tuple[float, tuple[
     return mean, symbols[pivot:] + symbols[:pivot]
 
 
-def brute_force_max_mean(trunc: Truncation, f: MarkovPotential, Lmax: int) -> float:
-    """Max mean over all simple cycles up to length Lmax (independent oracle)."""
-    if trunc.n_symbols > 10:
-        raise BudgetExceeded("brute-force cycle enumeration limited to 10 symbols")
-    if Lmax > trunc.n_symbols:
-        raise BudgetExceeded("Lmax exceeds the alphabet size")
-    best, _ = maxplus.brute_force_cycles(_weight_matrix(trunc, f), Lmax)
-    return best
-
-
 def subaction(
-    trunc: Truncation,
-    f: MarkovPotential,
-    beta: float,
-    witness: tuple[int, ...] | None = None,
-    tie_tol: float = 1e-9,
+    trunc: Truncation, f: MarkovPotential, beta: float, witness: tuple[int, ...] | None = None
 ) -> np.ndarray:
     """Max-plus vector v with f(i,j) - beta + v_j - v_i <= 0, tight on a spanning set.
 
     v_i is the best reduced weight of a walk from i to the smallest witness
-    symbol, by value iteration (see `maxplus.subaction`); gauge v[0] = 0.
+    symbol (`maxplus.subaction`), gauged to v[0] = 0. SolverError when beta
+    is below the max cycle mean.
     """
     if witness is None:
         _, witness = max_mean_cycle(trunc, f)
     c = trunc.local_index()[min(witness)]
-    v = maxplus.subaction(_weight_matrix(trunc, f) - beta, [c], tie_tol)
+    v = maxplus.subaction(_weight_matrix(trunc, f), beta, [c])
     return v - v[0]
 
 
@@ -176,10 +162,10 @@ def critical_decomposition(trunc: Truncation, f: MarkovPotential, tie_tol: float
     """Full pipeline beta -> subaction -> critical graph, with the tie-tolerance
     ladder: on an empty critical graph the tolerance is widened tenfold up to 1e-6."""
     beta, witness = max_mean_cycle(trunc, f)
+    v = subaction(trunc, f, beta, witness=witness)
     tol = tie_tol
     while True:
         try:
-            v = subaction(trunc, f, beta, witness=witness, tie_tol=tol)
             return critical_graph(trunc, f, beta, v, tie_tol=tol, witness=witness)
         except EmptyCriticalGraph:
             if tol >= 1e-6:
@@ -193,11 +179,11 @@ def max_plus_gauge(trunc: Truncation, f: MarkovPotential, dec: CriticalDecomposi
     The subactions are seeded on the maximal components: as t grows, log h
     of exp(t f) is t v and log nu is t u up to o(t) when one component is
     maximal, because the Perron vector is carried by the walks into it.
-    Costs two value iterations; no further max cycle mean.
+    Costs two seeded policy iterations; no further max cycle mean.
     """
     idx = trunc.local_index()
     seeds = [idx[dec.components[j].symbols[0]] for j in dec.maximal_components]
-    return maxplus.gauge(_weight_matrix(trunc, f), dec.beta, seeds, dec.cyclicity, dec.tie_tol_used)
+    return maxplus.gauge(_weight_matrix(trunc, f), dec.beta, seeds, dec.cyclicity)
 
 
 def _structure_key(dec: CriticalDecomposition) -> tuple:

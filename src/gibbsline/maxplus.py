@@ -1,11 +1,11 @@
 """Max-plus spectral data of a (-inf)-padded weight matrix.
 
-The maximum cycle mean with a witness cycle by Howard's policy iteration,
-max-plus eigenvectors (subactions) by value iteration, the critical graph
-of tight edges, and the gauge that warm-starts Perron solves at large
-inverse temperature. All routines take plain matrices: ``ergodic_opt``
-feeds them the potential on a truncation, ``rpf_finite`` a log transfer
-matrix.
+Howard's policy iteration gives the maximum cycle mean with a witness
+cycle and, with seeds that may stop, the max-plus eigenvectors
+(subactions), hence the critical graph and the gauge that warm-starts
+Perron solves at large inverse temperature. All routines take plain
+matrices: ``ergodic_opt`` feeds them the potential on a truncation,
+``rpf_finite`` a log transfer matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, SolverError
+from .errors import SolverError
 from .shift_model import graph_period, strongly_connected_components
 
 _NEG_INF = -np.inf
@@ -23,6 +23,7 @@ _EPS = float(np.finfo(np.float64).eps)
 # Policy-iteration budget per vertex; Howard's rounds stay far below it
 # in practice, and a run that reaches it raises instead of answering.
 _ROUNDS_PER_VERTEX = 8
+_BELOW = "a walk closes a cycle of positive mean: beta is below the max cycle mean"
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,30 +62,29 @@ def max_cycle_mean(W: np.ndarray) -> tuple[float, list[int]]:
     empty = np.flatnonzero(~finite.any(axis=1))
     if empty.size:
         raise SolverError(f"vertex {int(empty[0])} has no out-edge, so not every walk reaches a cycle")
-    tol = 16.0 * n * _EPS * max(1.0, float(np.max(np.abs(W[finite]))))
+    tol = _tolerance(W, finite)
     policy = np.argmax(W, axis=1)
     for _ in range(_ROUNDS_PER_VERTEX * n):
-        eta, x, cycles = _evaluate(W, policy)
+        eta, x, cycles = _evaluate(policy, W[np.arange(n), policy])
         improved = _improve(W, finite, policy, eta, x, tol)
         if improved is None:
             best = max(eta[c[0]] for c in cycles)
-            witness = min(c for c in cycles if eta[c[0]] == best)
-            return _cycle_mean(W, witness), witness
+            return best, min(c for c in cycles if eta[c[0]] == best)
         policy = improved
     raise SolverError(f"policy iteration did not settle in {_ROUNDS_PER_VERTEX * n} rounds")
 
 
-def _evaluate(W: np.ndarray, policy: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
-    """Value determination: (eta, x, cycles) of a policy.
+def _evaluate(policy: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    """Value determination: (eta, x, cycles) of a policy whose edges weigh `weight`.
 
-    Each cycle of the policy starts at its smallest vertex, whose bias is 0;
-    every other vertex takes eta from its successor and x_i = (W_i,p(i) -
-    eta_i) + x_p(i), the same expression `_improve` evaluates, so the
-    current edge of a vertex off the references ties exactly.
+    Each cycle starts at its smallest vertex, whose bias is 0 and whose eta
+    is the mean weight summed from there; every other vertex takes eta from
+    its successor and x_i = (w_i - eta_i) + x_p(i), the expression the
+    improvement steps evaluate, so a current edge off the cycles ties exactly.
     """
     n = len(policy)
     succ = policy.tolist()
-    weight = W[np.arange(n), policy].tolist()
+    weight = weight.tolist()
     eta = [0.0] * n
     x = [0.0] * n
     state = [0] * n  # 0 unseen, 1 on the current walk, 2 evaluated
@@ -102,7 +102,10 @@ def _evaluate(W: np.ndarray, policy: np.ndarray) -> tuple[np.ndarray, np.ndarray
             pivot = cycle.index(min(cycle))
             cycle = cycle[pivot:] + cycle[:pivot]
             cycles.append(cycle)
-            eta[cycle[0]] = float(_cycle_mean(W, cycle))
+            total = 0.0
+            for u in cycle:
+                total += weight[u]
+            eta[cycle[0]] = total / len(cycle)
             state[cycle[0]] = 2
             walk = walk[:at] + cycle  # the cycle feeds back into its start
         for u in reversed(walk):
@@ -138,66 +141,64 @@ def _improve(
     return np.where(move, np.argmax(value, axis=1), policy)
 
 
-def _cycle_mean(W: np.ndarray, cycle: list[int]) -> float:
-    total = 0.0
-    L = len(cycle)
-    for a in range(L):
-        total += W[cycle[a], cycle[(a + 1) % L]]
-    return total / L
+def _tolerance(W: np.ndarray, finite: np.ndarray) -> float:
+    """Policy iteration's tolerance on W: 16 n eps times its largest finite |W_ij| (at least 1)."""
+    return 16.0 * W.shape[0] * _EPS * max(1.0, float(np.max(W)), -float(np.min(W, where=finite, initial=np.inf)))
 
 
-def brute_force_cycles(W: np.ndarray, Lmax: int) -> tuple[float, list[int]]:
-    """Best mean over all simple cycles of length at most Lmax, by enumeration."""
-    n = W.shape[0]
-    best = _NEG_INF
-    best_cycle: list[int] = []
+def subaction(W: np.ndarray, beta: float, seeds: list[int]) -> np.ndarray:
+    """Max-plus eigenvector v = max(G + v) of reduced weights G = W - beta, from the seeds.
 
-    def dfs(start: int, v: int, path: list[int], total: float):
-        nonlocal best, best_cycle
-        for w in range(n):
-            weight = W[v, w]
-            if not np.isfinite(weight):
-                continue
-            if w == start:
-                mean = (total + weight) / len(path)
-                if mean > best:
-                    best, best_cycle = mean, path.copy()
-            elif w > start and w not in path and len(path) < Lmax:
-                path.append(w)
-                dfs(start, w, path, total + weight)
-                path.pop()
-
-    for s in range(n):
-        dfs(s, s, [s], 0.0)
-    return best, best_cycle
-
-
-def subaction(G: np.ndarray, seeds: list[int], tie_tol: float = 1e-9) -> np.ndarray:
-    """Max-plus eigenvector v = max(G + v) of reduced weights G = W - beta.
-
-    v_i is the best weight of a walk from i to a seed, computed by value
-    iteration (at most n + 1 sweeps) from v = 0 on the seeds. The seeds must
-    be critical vertices, which makes v a fixed point: f - beta + v_j - v_i
-    <= 0 on every edge, with equality on a spanning set.
+    v_i is the best weight of a walk from i that stops at a seed: policy
+    iteration where a seed may also stop (weight 0), from shortest walks into
+    the seeds, moving every vertex whose best edge beats its bias, so that
+    G_ij + v_j <= v_i holds in floats on every edge. A cycle closed by a move
+    has positive mean: above `max_cycle_mean`'s tolerance SolverError is raised
+    (beta is too small); below it, rounding closed it, and its moves are undone.
+    A vertex that reaches no seed raises too.
     """
+    finite = np.isfinite(W)
+    return _walks_into(W - beta, finite, seeds, _tolerance(W, finite))
+
+
+def _walks_into(G: np.ndarray, finite: np.ndarray, seeds: list[int], tol: float) -> np.ndarray:
+    """`subaction` of G = W - beta, given the finite mask and tolerance of W."""
     n = G.shape[0]
-    v = np.full(n, _NEG_INF)
-    v[seeds] = 0.0
-    for _ in range(n + 1):
-        with np.errstate(invalid="ignore"):
-            candidate = np.max(G + v[None, :], axis=1)
-        new = np.maximum(v, candidate)
-        if np.allclose(new, v, rtol=0.0, atol=tie_tol / 100.0, equal_nan=True):
-            v = new
-            break
-        v = new
-    if not np.all(np.isfinite(v)):
-        raise NoConvergence(n + 1, math.inf)
-    with np.errstate(invalid="ignore"):
-        resid = float(np.max(np.max(G + v[None, :], axis=1) - v))
-    if resid > tie_tol / 10.0:
-        raise NoConvergence(n + 1, resid)
-    return v
+    rows = np.arange(n)
+    if (np.diagonal(G) > tol).any():
+        raise SolverError(_BELOW)
+    policy = np.full(n, -1)
+    frontier = np.unique(seeds)
+    policy[frontier] = frontier
+    while frontier.size and (policy < 0).any():
+        into = finite[:, frontier]
+        new = np.flatnonzero(into.any(axis=1) & (policy < 0))
+        policy[new] = frontier[np.argmax(into[new], axis=1)]
+        frontier = new
+    if (policy < 0).any():
+        raise SolverError(f"vertex {int(np.argmin(policy))} reaches no seed")
+    kept = x = None
+    for _ in range(_ROUNDS_PER_VERTEX * n):
+        stops = policy == rows
+        eta, new_x, cycles = _evaluate(policy, np.where(stops, 0.0, G[rows, policy]))
+        closed = [c for c in cycles if len(c) > 1]
+        if closed:
+            if max(eta[c[0]] for c in closed) > tol:
+                raise SolverError(_BELOW)
+            for c in closed:
+                policy[c] = kept[c]
+            if (policy == kept).all():
+                return x
+            continue
+        x = new_x
+        value = G + x[None, :]
+        np.fill_diagonal(value, _NEG_INF)  # a seed at itself stops; any other loop gains at most tol
+        move = np.flatnonzero(value.max(axis=1) > x)
+        if not move.size:
+            return x
+        kept = policy.copy()
+        policy[move] = np.argmax(value[move], axis=1)
+    raise SolverError(f"policy iteration did not settle in {_ROUNDS_PER_VERTEX * n} rounds")
 
 
 def critical_components(
@@ -220,29 +221,28 @@ def critical_components(
     return tight, comps
 
 
-def gauge(W: np.ndarray, beta: float, seeds: list[int], cyclicity: int, tie_tol: float = 1e-9) -> MaxPlusGauge:
+def gauge(W: np.ndarray, beta: float, seeds: list[int], cyclicity: int) -> MaxPlusGauge:
     """Gauge of W from its cycle mean, seed vertices on critical components and cyclicity.
 
-    Both eigenvectors are pinned to 0 on the seeds; the left one is the same
-    value iteration on W transposed.
+    Both eigenvectors are walks into the seeds (`subaction`); the left one
+    runs on W transposed.
     """
-    G = W - beta
-    v = subaction(G, seeds, tie_tol)
-    u = subaction(G.T, seeds, tie_tol)
+    G, finite = W - beta, np.isfinite(W)
+    tol = _tolerance(W, finite)
+    v, u = _walks_into(G, finite, seeds, tol), _walks_into(G.T, finite.T, seeds, tol)
     return MaxPlusGauge(float(beta), v, u, int(cyclicity))
 
 
 def gauge_of(W: np.ndarray) -> MaxPlusGauge:
     """Gauge of an irreducible weight matrix from scratch: the max cycle mean, then the critical graph.
 
-    Seeds one vertex of every critical component. Tolerances scale with the
-    largest finite weight, so the gauge of t*W is found at any t.
+    Seeds one vertex of every critical component. The tie tolerance scales
+    with the largest finite weight, so the gauge of t*W is found at any t.
     """
-    finite = W[np.isfinite(W)]
-    tie_tol = 1e-9 * max(1.0, float(np.max(np.abs(finite))))
+    tie_tol = 1e-9 * max(1.0, float(np.max(np.abs(W[np.isfinite(W)]))))
     beta, witness = max_cycle_mean(W)
-    v = subaction(W - beta, [min(witness)], tie_tol)
+    v = subaction(W, beta, [min(witness)])
     _, comps = critical_components(W, beta, v, tie_tol)
     seeds = [comp[0] for comp, _ in comps]
     cyclicity = math.lcm(*(graph_period(sub) for _, sub in comps))
-    return gauge(W, beta, seeds, cyclicity, tie_tol)
+    return gauge(W, beta, seeds, cyclicity)

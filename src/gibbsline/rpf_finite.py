@@ -126,10 +126,15 @@ def _logsumexp(a: np.ndarray, axis: int | None = None, out: np.ndarray | None = 
     top = a.max(axis=axis)
     wide = top if axis is None else np.expand_dims(top, axis)
     at_top = a == wide
-    rest = np.subtract(a, wide, out=out, where=~at_top)
+    return _log_total(_exp_below(a, wide, at_top, out).sum(axis=axis), np.count_nonzero(at_top, axis=axis), top)
+
+
+def _exp_below(a: np.ndarray, top: np.ndarray, at_top: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    # exp(a - top) below the maxima, 0 at them; a slice that is -inf throughout
+    # is at its maximum throughout, so no -inf - (-inf) is formed
+    rest = np.subtract(a, top, out=out, where=~at_top)
     np.copyto(rest, _NEG_INF, where=at_top)
-    np.exp(rest, out=rest)
-    return _log_total(rest.sum(axis=axis), np.count_nonzero(at_top, axis=axis), top)
+    return np.exp(rest, out=rest)
 
 
 def _log_total(rest: np.ndarray, count: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -157,13 +162,8 @@ class _CsrLogOperator:
         top = np.maximum.reduceat(z, self.starts)
         top_z = top[self.rows]
         at_top = z == top_z
-        # a row whose terms are all -inf is at its maximum throughout, so
-        # -inf - (-inf) is never formed
-        np.subtract(z, top_z, out=z, where=~at_top)
-        np.copyto(z, _NEG_INF, where=at_top)
-        np.exp(z, out=z)
         count = np.add.reduceat(at_top, self.starts, dtype=np.int64)
-        return _log_total(np.add.reduceat(z, self.starts), count, top)
+        return _log_total(np.add.reduceat(_exp_below(z, top_z, at_top, z), self.starts), count, top)
 
 
 class _DenseLogOperator:
@@ -223,7 +223,8 @@ class _DenseLogOperator:
             z = np.add(self.logA[lo:hi], logv[None, :], out=self.K[lo:hi])
             top[lo:hi] = z.max(axis=1)
             at_top = z == top[lo:hi, None]
-            out[lo:hi] = _logsumexp(z, axis=1, out=z)
+            rest = _exp_below(z, top[lo:hi, None], at_top, z).sum(axis=1)
+            out[lo:hi] = _log_total(rest, np.count_nonzero(at_top, axis=1), top[lo:hi])
             z[at_top] = 1.0
         # a -inf in logv or an empty row leaves no kernel to keep
         finite = np.isfinite(logv).all() and np.isfinite(top).all()

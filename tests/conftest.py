@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from gibbsline import bundled_pair
+from gibbsline.ergodic_opt import _weight_matrix
+from gibbsline.errors import BudgetExceeded
 
 
 @pytest.fixture
@@ -24,6 +26,42 @@ def renewal_weighted():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+def brute_force_cycles(W: np.ndarray, Lmax: int) -> tuple[float, list[int]]:
+    """Best mean over all simple cycles of length at most Lmax, by enumeration."""
+    n = W.shape[0]
+    best = -np.inf
+    best_cycle: list[int] = []
+
+    def dfs(start: int, v: int, path: list[int], total: float):
+        nonlocal best, best_cycle
+        for w in range(n):
+            weight = W[v, w]
+            if not np.isfinite(weight):
+                continue
+            if w == start:
+                mean = (total + weight) / len(path)
+                if mean > best:
+                    best, best_cycle = mean, path.copy()
+            elif w > start and w not in path and len(path) < Lmax:
+                path.append(w)
+                dfs(start, w, path, total + weight)
+                path.pop()
+
+    for s in range(n):
+        dfs(s, s, [s], 0.0)
+    return best, best_cycle
+
+
+def brute_force_max_mean(trunc, f, Lmax: int) -> float:
+    """Max mean over all simple cycles up to length Lmax (independent oracle)."""
+    if trunc.n_symbols > 10:
+        raise BudgetExceeded("brute-force cycle enumeration limited to 10 symbols")
+    if Lmax > trunc.n_symbols:
+        raise BudgetExceeded("Lmax exceeds the alphabet size")
+    best, _ = brute_force_cycles(_weight_matrix(trunc, f), Lmax)
+    return best
 
 
 def random_stochastic(incidence: np.ndarray, rng: np.random.Generator) -> np.ndarray:

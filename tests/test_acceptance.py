@@ -11,11 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_stochastic, stationary_of
+from conftest import brute_force_max_mean, random_stochastic, stationary_of
 from gibbsline.bundled import bundled_pair
 from gibbsline.cli import run_command, sweep_jsonable
 from gibbsline.ergodic_opt import (
-    brute_force_max_mean,
     critical_decomposition,
     detect_k0,
     max_entropy_over_maximizing,

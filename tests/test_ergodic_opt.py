@@ -6,20 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_force_cycles, brute_force_max_mean
 from gibbsline.bundled import bundled_pair
+from gibbsline.cli import run_command
 from gibbsline.config import parse_model_config
 from gibbsline.ergodic_opt import (
     _structure_key,
-    brute_force_max_mean,
+    _weight_matrix,
     critical_decomposition,
     critical_graph,
     detect_k0,
     max_entropy_over_maximizing,
     max_mean_cycle,
+    max_plus_gauge,
     subaction,
 )
 from gibbsline import maxplus
-from gibbsline.errors import BudgetExceeded, SolverError, ValidationError
+from gibbsline.errors import BudgetExceeded, NoConvergence, SolverError, ValidationError
 from gibbsline.potential import Family, MarkovPotential
 from gibbsline.rpf_finite import pressure
 from gibbsline.shift_model import ModelKind, ShiftModel, build_truncation
@@ -127,6 +130,15 @@ def test_karp_matches_brute_force_hypothesis(data):
     assert beta == pytest.approx(brute_force_max_mean(tr, f, tr.n_symbols), abs=1e-12)
 
 
+def cycle_mean(W, cycle):
+    """Mean weight of a cycle, summed from its first vertex."""
+    total = 0.0
+    L = len(cycle)
+    for a in range(L):
+        total += W[cycle[a], cycle[(a + 1) % L]]
+    return total / L
+
+
 def karp(W):
     """Karp's dynamic program with a back-pointer witness: the reference beta.
 
@@ -156,12 +168,12 @@ def karp(W):
     best, cycle = -np.inf, None
     seen = {}
     for pos, u in enumerate(path):
-        if u in seen and maxplus._cycle_mean(W, path[seen[u] : pos]) > best:
+        if u in seen and cycle_mean(W, path[seen[u] : pos]) > best:
             cycle = path[seen[u] : pos]
-            best = maxplus._cycle_mean(W, cycle)
+            best = cycle_mean(W, cycle)
         seen[u] = pos
     if abs(best - q.max()) > 1e-7 * max(1.0, abs(q.max())):
-        best, cycle = maxplus.brute_force_cycles(W, n)
+        best, cycle = brute_force_cycles(W, n)
     return best, cycle
 
 
@@ -189,7 +201,7 @@ def test_howard_keeps_karps_beta_and_untied_witness(n, seed, ties):
     # vertex first, and beta is its mean summed from there
     assert len(set(cycle)) == len(cycle) and cycle[0] == min(cycle)
     assert all(np.isfinite(W[a, b]) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
-    assert maxplus._cycle_mean(W, cycle) == beta
+    assert cycle_mean(W, cycle) == beta
     if not ties:
         assert tuple(cycle) in rotations(karp_cycle)
     if n <= 8:
@@ -276,6 +288,170 @@ class TestSubaction:
         for a in range(tr.n_symbols):
             for b in np.flatnonzero(inc[a]):
                 assert vals[a, b] - beta + v[b] - v[a] <= 1e-10
+
+
+def value_iteration_subaction(G, seeds, tie_tol=1e-9):
+    """The value iteration that computed subactions before policy iteration, verbatim: the oracle."""
+    n = G.shape[0]
+    v = np.full(n, -np.inf)
+    v[seeds] = 0.0
+    for _ in range(n + 1):
+        with np.errstate(invalid="ignore"):
+            candidate = np.max(G + v[None, :], axis=1)
+        new = np.maximum(v, candidate)
+        if np.allclose(new, v, rtol=0.0, atol=tie_tol / 100.0, equal_nan=True):
+            v = new
+            break
+        v = new
+    if not np.all(np.isfinite(v)):
+        raise NoConvergence(n + 1, math.inf)
+    with np.errstate(invalid="ignore"):
+        resid = float(np.max(np.max(G + v[None, :], axis=1) - v))
+    if resid > tie_tol / 10.0:
+        raise NoConvergence(n + 1, resid)
+    return v
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 64, 255, 1023])
+@pytest.mark.parametrize("name", ["log_quadratic", "tie_two_loops", "renewal_weighted"])
+def test_seeded_policy_iteration_keeps_the_bits_of_value_iteration(name, n):
+    model, f = bundled_pair(name)
+    tr = build_truncation(model, n - 1)
+    dec = critical_decomposition(tr, f)
+    W = _weight_matrix(tr, f)
+    idx = tr.local_index()
+    witness_seed = (idx[min(dec.witness_cycle)],)
+    maximal_seeds = tuple(idx[dec.components[j].symbols[0]] for j in dec.maximal_components)
+    for seeds in {witness_seed, maximal_seeds}:
+        for side in (W, W.T):
+            got = maxplus.subaction(side, dec.beta, list(seeds))
+            assert got.tobytes() == value_iteration_subaction(side - dec.beta, list(seeds)).tobytes()
+    gauge = max_plus_gauge(tr, f, dec)
+    assert gauge.v.tobytes() == maxplus.subaction(W, dec.beta, list(maximal_seeds)).tobytes()
+    assert gauge.u.tobytes() == maxplus.subaction(W.T, dec.beta, list(maximal_seeds)).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 24), st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([0.0, -100.3, -1000.0]))
+def test_seeded_policy_iteration_matches_value_iteration_on_random_graphs(n, seed, ties, offset):
+    # a common offset makes beta large while G = W - beta stays small
+    W = random_weights(n, seed, ties) + offset
+    beta, witness = maxplus.max_cycle_mean(W)
+    G = W - beta
+    scale = max(1.0, float(np.max(np.abs(W[np.isfinite(W)]))))
+    tie_tol = 1e-9 * scale
+    v = maxplus.subaction(W, beta, [min(witness)])
+    ref = value_iteration_subaction(G, [min(witness)], tie_tol)
+    assert np.max(np.abs(v - ref)) <= 1e-12 * scale
+    _, comps = maxplus.critical_components(W, beta, v, tie_tol)
+    _, ref_comps = maxplus.critical_components(W, beta, ref, tie_tol)
+    assert [(c, sub.tolist()) for c, sub in comps] == [(c, sub.tolist()) for c, sub in ref_comps]
+    # the gauge seeds every critical component, on both sides
+    seeds = [c[0] for c, _ in comps]
+    gauge = maxplus.gauge(W, beta, seeds, 1)
+    assert np.max(np.abs(gauge.v - value_iteration_subaction(G, seeds, tie_tol))) <= 1e-12 * scale
+    assert np.max(np.abs(gauge.u - value_iteration_subaction(G.T, seeds, tie_tol))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "W",
+    [
+        # 2-cycles whose float sum rounds above twice beta, so G sums to about +1e-13 around them
+        np.array([[-np.inf, -100.1], [-100.3, -np.inf]]),
+        np.array([[-np.inf, -494.7], [-479.5, -np.inf]]),
+        np.array([[-np.inf, -735.3], [-750.6, -np.inf]]),
+        # a loop one ulp heavier than the witness loop, within the tolerance beta is settled with
+        np.array([[-700.3, -701.0], [-702.0, np.nextafter(-700.3, 0.0)]]),
+    ],
+)
+def test_cycles_that_round_above_beta_are_ties(W):
+    beta, witness = maxplus.max_cycle_mean(W)
+    scale = float(np.max(np.abs(W[np.isfinite(W)])))
+    for side in (W, W.T):
+        v = maxplus.subaction(side, beta, [min(witness)])
+        ref = value_iteration_subaction(side - beta, [min(witness)], 1e-9 * scale)
+        assert np.max(np.abs(v - ref)) <= 1e-12 * scale
+        assert v[min(witness)] == 0.0
+
+
+def test_a_near_tie_above_the_tie_tolerance_is_resolved():
+    # at n = 1023 and |W| = 3000, 16 n eps |W| is about 1e-8: vertex 3's two edges
+    # differ by 5e-9, which the default tie_tol of 1e-9 tells apart
+    n, off = 1023, -300.0
+    W = np.full((n, n), -np.inf)
+    W[[0, 1, 2], 0] = off
+    W[3, 1], W[3, 2] = off, off + 5e-9
+    W[4:, 0] = off
+    W[0, n - 1] = 10 * off
+    beta, witness = maxplus.max_cycle_mean(W)
+    assert (beta, witness) == (off, [0])
+    v = maxplus.subaction(W, beta, [0])
+    ref = value_iteration_subaction(W - beta, [0])
+    assert v.tobytes() == ref.tobytes()
+    tight, _ = maxplus.critical_components(W, beta, v, 1e-9)
+    assert tight[3].tolist() == (np.arange(n) == 2).tolist()
+
+
+def test_a_seed_leaves_its_stop_for_a_heavier_walk_to_another_seed():
+    # both loops are critical, and the walk 0 -> 1 weighs 1 more than stopping at 0
+    G = np.array([[0.0, 1.0], [-5.0, 0.0]])
+    assert maxplus.subaction(G, 0.0, [0, 1]).tolist() == value_iteration_subaction(G, [0, 1]).tolist() == [1.0, 0.0]
+    assert maxplus.subaction(G, 0.0, [0]).tolist() == [0.0, -5.0]
+    assert maxplus.subaction(G, 0.0, [1, 0]).tolist() == [1.0, 0.0]  # seeds in any order
+    # seed 0's own loop outweighs beta by less than the tolerance: once seed 0 has
+    # left its stop, the loop must not read as a return to it
+    G[0, 0] = 4e-15
+    v = maxplus.subaction(G, 0.0, [0, 1])
+    assert np.abs(v - value_iteration_subaction(G, [0, 1])).max() <= 1e-12 and v[0] >= 1.0
+
+
+def test_subaction_raises_below_the_max_cycle_mean(tie_two_loops):
+    W = random_weights(8, 3, ties=False)
+    beta, witness = maxplus.max_cycle_mean(W)
+    for low in (beta - 0.5, beta - 1e-6):
+        with pytest.raises(SolverError, match="below the max cycle mean"):
+            maxplus.subaction(W, low, [min(witness)])
+    # a positive loop on the seed itself, on a single vertex
+    with pytest.raises(SolverError, match="below the max cycle mean"):
+        maxplus.subaction(np.array([[0.5]]), 0.0, [0])
+    model, f = tie_two_loops
+    tr = build_truncation(model, 4)
+    with pytest.raises(SolverError, match="below the max cycle mean"):
+        subaction(tr, f, -1.0)
+
+
+def test_subaction_raises_on_a_vertex_that_reaches_no_seed():
+    G = np.array([[0.0, -np.inf, -np.inf], [-1.0, 0.0, -np.inf], [-np.inf, -np.inf, 0.0]])
+    with pytest.raises(SolverError, match="vertex 2 reaches no seed"):
+        maxplus.subaction(G, 0.0, [0])
+    assert maxplus.subaction(G[:2, :2], 0.0, [0]).tolist() == [0.0, -1.0]
+
+
+def test_cli_exits_3_when_beta_is_below_the_max_cycle_mean(tmp_path, monkeypatch, capsys):
+    real = maxplus.max_cycle_mean
+
+    def too_small(W):
+        beta, witness = real(W)
+        return beta - 1.0, witness
+
+    monkeypatch.setattr(maxplus, "max_cycle_mean", too_small)
+    code = run_command(["zerotemp", "--config", str(CONFIGS / "tie_two_loops.cfg"), "--out", str(tmp_path)])
+    assert code == 3
+    assert "below the max cycle mean" in capsys.readouterr().err
+
+
+def test_seeded_runs_settle_in_one_round_on_renewal_at_1023_symbols(monkeypatch, renewal_weighted):
+    model, f = renewal_weighted
+    tr = build_truncation(model, 1022)
+    dec = critical_decomposition(tr, f)
+    evaluated = []
+    real = maxplus._evaluate
+    monkeypatch.setattr(maxplus, "_evaluate", lambda *args: evaluated.append(1) or real(*args))
+    v = subaction(tr, f, dec.beta, witness=dec.witness_cycle)
+    assert len(evaluated) == 1  # the shortest walks into the seed are already the best
+    gauge = max_plus_gauge(tr, f, dec)
+    assert len(evaluated) == 3  # one evaluation per side
+    assert gauge.v.tobytes() == v.tobytes()
 
 
 class TestCriticalGraph:
