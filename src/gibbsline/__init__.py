@@ -7,7 +7,6 @@ from .ergodic_opt import (
     CriticalDecomposition,
     K0Report,
     critical_decomposition,
-    critical_graph,
     detect_k0,
     max_entropy_over_maximizing,
     max_mean_cycle,
@@ -64,7 +63,6 @@ from .shift_model import (
     Truncation,
     admissible_words,
     build_truncation,
-    largest_transitive_core,
 )
 
 __version__ = "0.1.0"

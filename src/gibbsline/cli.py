@@ -256,7 +256,10 @@ class _Emitter:
 
 def _words(cfg: ModelConfig, args) -> tuple[tuple[int, ...], ...]:
     if args.words:
-        return tuple(str_to_word(tok) for tok in args.words.split(",") if tok.strip())
+        try:
+            return tuple(str_to_word(tok) for tok in args.words.split(",") if tok.strip())
+        except ValueError as exc:
+            raise ValidationError(f"--words: bad word list: {exc}") from None
     return cfg.sweep.words
 
 

@@ -5,7 +5,9 @@ Maximum ergodic average beta as a max mean cycle and max-plus subactions
 its transitive components, the max-plus gauge that warm-starts
 zero-temperature solves, and stabilization detection across the truncation
 schedule. The max-plus routines themselves live in `maxplus`; this module
-applies them to a potential on a truncation.
+applies them to the weight matrix W = `transfer_matrix(trunc, f, 1)` of a
+potential on a truncation, which rejects f undefined on an admissible edge.
+A critical decomposition builds W once, and so does its gauge.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
 )
 from .maxplus import MaxPlusGauge
 from .potential import MarkovPotential, check_summability
-from .rpf_finite import MarkovMeasure, equilibrium, perron
+from .rpf_finite import MarkovMeasure, equilibrium, perron, transfer_matrix
 from .shift_model import ShiftModel, Truncation, build_truncation, graph_period
 
 _NEG_INF = -np.inf
@@ -66,10 +68,17 @@ class K0Report:
     betas: tuple[float, ...]
 
 
-def _weight_matrix(trunc: Truncation, f: MarkovPotential) -> np.ndarray:
-    inc = trunc.require_incidence()
-    vals = f.value_grid(trunc.alphabet, trunc.alphabet)
-    return np.where(inc, vals, _NEG_INF)
+def _witnessed_mean(trunc: Truncation, W: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    mean, cycle = maxplus.max_cycle_mean(W)
+    symbols = tuple(int(trunc.alphabet[v]) for v in cycle)
+    # canonical rotation: start at the smallest symbol
+    pivot = symbols.index(min(symbols))
+    return mean, symbols[pivot:] + symbols[:pivot]
+
+
+def _seeded_subaction(trunc: Truncation, W: np.ndarray, beta: float, witness: tuple[int, ...]) -> np.ndarray:
+    v = maxplus.subaction(W, beta, [trunc.local_index()[min(witness)]])
+    return v - v[0]
 
 
 def max_mean_cycle(trunc: Truncation, f: MarkovPotential) -> tuple[float, tuple[int, ...]]:
@@ -78,11 +87,7 @@ def max_mean_cycle(trunc: Truncation, f: MarkovPotential) -> tuple[float, tuple[
     Howard's policy iteration (see `maxplus.max_cycle_mean`); beta is
     returned as the exact mean of the witness cycle.
     """
-    mean, cycle = maxplus.max_cycle_mean(_weight_matrix(trunc, f))
-    symbols = tuple(int(trunc.alphabet[v]) for v in cycle)
-    # canonical rotation: start at the smallest symbol
-    pivot = symbols.index(min(symbols))
-    return mean, symbols[pivot:] + symbols[:pivot]
+    return _witnessed_mean(trunc, transfer_matrix(trunc, f, 1.0))
 
 
 def subaction(
@@ -94,28 +99,24 @@ def subaction(
     symbol (`maxplus.subaction`), gauged to v[0] = 0. SolverError when beta
     is below the max cycle mean.
     """
+    W = transfer_matrix(trunc, f, 1.0)
     if witness is None:
-        _, witness = max_mean_cycle(trunc, f)
-    c = trunc.local_index()[min(witness)]
-    v = maxplus.subaction(_weight_matrix(trunc, f), beta, [c])
-    return v - v[0]
+        _, witness = _witnessed_mean(trunc, W)
+    return _seeded_subaction(trunc, W, beta, witness)
 
 
 def critical_graph(
-    trunc: Truncation,
-    f: MarkovPotential,
-    beta: float,
-    v: np.ndarray,
-    tie_tol: float = 1e-9,
-    witness: tuple[int, ...] | None = None,
+    trunc: Truncation, W: np.ndarray, beta: float, v: np.ndarray, tie_tol: float, witness: tuple[int, ...]
 ) -> CriticalDecomposition:
-    """Tight-edge graph and its transitive components.
+    """Tight-edge graph of the weight matrix W = `transfer_matrix(trunc, f, 1)`
+    and its transitive components. `critical_decomposition` builds W once
+    and passes it to every rung of its tie-tolerance ladder.
 
     Components are the strongly connected pieces of the tight graph that
     carry a cycle; every cycle made of tight edges has mean exactly beta,
     so their union is the maximizing subshift of the truncation.
     """
-    tight, comps = maxplus.critical_components(_weight_matrix(trunc, f), beta, v, tie_tol)
+    tight, comps = maxplus.critical_components(W, beta, v, tie_tol)
     if not comps:
         raise EmptyCriticalGraph(tie_tol)
     alphabet = trunc.alphabet
@@ -135,8 +136,7 @@ def critical_graph(
         log_zero = np.where(sub, 0.0, _NEG_INF)
         h_top = perron(log_zero).log_lambda
         # restricted pressure of f: solve for f - beta, then shift back
-        vals = f.value_grid(np.asarray(syms, dtype=np.int64), np.asarray(syms, dtype=np.int64))
-        log_red = np.where(sub, vals - beta, _NEG_INF)
+        log_red = np.where(sub, W[np.ix_(comp, comp)] - beta, _NEG_INF)
         pd = perron(log_red)
         meas = equilibrium(pd, log_red, np.asarray(syms, dtype=np.int64))
         components.append(Component(syms, edges, float(h_top), float(beta + pd.log_lambda), meas))
@@ -144,8 +144,6 @@ def critical_graph(
     components.sort(key=lambda c: (-c.pressure, c.symbols[0]))
     p_max = max(c.pressure for c in components)
     maximal = tuple(j for j, c in enumerate(components) if c.pressure >= p_max - 1e-8)
-    if witness is None:
-        _, witness = max_mean_cycle(trunc, f)
     return CriticalDecomposition(
         beta=beta,
         subaction=v,
@@ -159,14 +157,16 @@ def critical_graph(
 
 
 def critical_decomposition(trunc: Truncation, f: MarkovPotential, tie_tol: float = 1e-9) -> CriticalDecomposition:
-    """Full pipeline beta -> subaction -> critical graph, with the tie-tolerance
-    ladder: on an empty critical graph the tolerance is widened tenfold up to 1e-6."""
-    beta, witness = max_mean_cycle(trunc, f)
-    v = subaction(trunc, f, beta, witness=witness)
+    """Full pipeline beta -> subaction -> critical graph on one weight matrix,
+    with the tie-tolerance ladder: on an empty critical graph the tolerance is
+    widened tenfold up to 1e-6."""
+    W = transfer_matrix(trunc, f, 1.0)
+    beta, witness = _witnessed_mean(trunc, W)
+    v = _seeded_subaction(trunc, W, beta, witness)
     tol = tie_tol
     while True:
         try:
-            return critical_graph(trunc, f, beta, v, tie_tol=tol, witness=witness)
+            return critical_graph(trunc, W, beta, v, tol, witness)
         except EmptyCriticalGraph:
             if tol >= 1e-6:
                 raise
@@ -183,7 +183,7 @@ def max_plus_gauge(trunc: Truncation, f: MarkovPotential, dec: CriticalDecomposi
     """
     idx = trunc.local_index()
     seeds = [idx[dec.components[j].symbols[0]] for j in dec.maximal_components]
-    return maxplus.gauge(_weight_matrix(trunc, f), dec.beta, seeds, dec.cyclicity)
+    return maxplus.gauge(transfer_matrix(trunc, f, 1.0), dec.beta, seeds, dec.cyclicity)
 
 
 def _structure_key(dec: CriticalDecomposition) -> tuple:

@@ -24,10 +24,6 @@ class NonTransitive(ValidationError):
     """No finite augmentation of the prefix alphabet gives an irreducible truncation."""
 
 
-class NoCycleThroughZero(ValidationError):
-    """Symbol 0 lies on no cycle of the given incidence matrix."""
-
-
 class InadmissibleEdge(ValidationError):
     """The symbol pair is not an edge of the ambient model."""
 

@@ -477,10 +477,14 @@ def equilibrium_measure(
     """Convenience: pressure and equilibrium state of t*f on the truncation.
 
     `gauge` is the max-plus gauge of f (not of t*f) on the truncation; the
-    solve uses it scaled by t.
+    solve uses it scaled by t. A solve that ends on its best iterate raises
+    NoConvergence: that iterate pins lambda to its residual, but h and nu only
+    to residual / gap, and the iteration stalls only where the gap is small.
     """
     logB = transfer_matrix(trunc, f, t)
     pd = perron(logB, gauge=None if gauge is None else gauge.scaled(t))
+    if pd.path == "best-iterate":
+        raise NoConvergence(pd.iterations, pd.residual)
     return pd.log_lambda, equilibrium(pd, logB, trunc.alphabet)
 
 

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     AlphabetTooLarge,
     BudgetExceeded,
-    NoCycleThroughZero,
     NonTransitive,
     ValidationError,
 )
@@ -306,27 +305,6 @@ def _custom_truncation(model: ShiftModel, k: int, m: int, dense_limit: int) -> T
                 f"prefix alphabet {{0..{m - 1}}} has no irreducible finite augmentation"
             )
         alphabet = np.union1d(alphabet, [cand])
-
-
-def largest_transitive_core(incidence: np.ndarray) -> Truncation:
-    """Restriction to the strongly connected component of symbol 0.
-
-    Raises NoCycleThroughZero when symbol 0 lies on no cycle.
-    """
-    adj = np.asarray(incidence, dtype=bool)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValidationError("incidence matrix must be square")
-    comp0 = None
-    for comp in strongly_connected_components(adj):
-        if 0 in comp:
-            comp0 = comp
-            break
-    assert comp0 is not None
-    if len(comp0) == 1 and not adj[0, 0]:
-        raise NoCycleThroughZero("symbol 0 lies in no cycle")
-    idx = np.asarray(comp0, dtype=np.int64)
-    core = adj[np.ix_(idx, idx)]
-    return Truncation(0, idx, core, graph_period(core), ModelKind.CUSTOM)
 
 
 # ---------------------------------------------------------------------------

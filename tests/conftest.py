@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gibbsline import bundled_pair
-from gibbsline.ergodic_opt import _weight_matrix
 from gibbsline.errors import BudgetExceeded
+from gibbsline.rpf_finite import transfer_matrix
 
 
 @pytest.fixture
@@ -60,7 +60,7 @@ def brute_force_max_mean(trunc, f, Lmax: int) -> float:
         raise BudgetExceeded("brute-force cycle enumeration limited to 10 symbols")
     if Lmax > trunc.n_symbols:
         raise BudgetExceeded("Lmax exceeds the alphabet size")
-    best, _ = brute_force_cycles(_weight_matrix(trunc, f), Lmax)
+    best, _ = brute_force_cycles(transfer_matrix(trunc, f, 1.0), Lmax)
     return best
 
 
@@ -126,13 +126,39 @@ def dense_gauged_state(W: np.ndarray, t: float) -> tuple[float, np.ndarray, np.n
     eigs = np.linalg.eigvals(B)
     lam = float(np.max(eigs.real))
     gap = 1.0 - float(np.sort(np.abs(eigs + 1.0))[-2]) / (lam + 1.0) if n > 1 else 1.0
-    # eigenvectors as null vectors of B - lam I by SVD: on these matrices,
-    # whose entries reach the underflow limit, np.linalg.eig returned
-    # eigenvectors with residuals of order 1
-    eye = np.eye(n)
-    h = np.abs(np.linalg.svd(B - lam * eye)[2][-1])
-    nu = np.abs(np.linalg.svd(B.T - lam * eye)[2][-1])
-    with np.errstate(divide="ignore", invalid="ignore"):  # h, nu are junk at gap ~ 0
-        pi = nu * h / np.sum(nu * h)
+    # h as a null vector of B - lam I by SVD: on these matrices, whose entries
+    # reach the underflow limit, np.linalg.eig returned eigenvectors with
+    # residuals of order 1
+    h = np.abs(np.linalg.svd(B - lam * np.eye(n))[2][-1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # h is junk at gap ~ 0
         P = B * h[None, :] / (lam * h[:, None])
+        # pi is the stationary law of P, by elimination rather than from a left
+        # null vector nu: nu from the SVD carried an absolute error near 1e-12
+        # where 1 - B_ii is small (edges (0, 0): 0, (1, 1): -6.1e-5 at t = 128
+        # put 4.3e-12 on a state of mass 4.2e-52). Under this gauge h stays
+        # within a bounded ratio of 1, so P is accurate entrywise.
+        pi = gth_stationary(P, c)
     return t * beta + math.log(lam), pi, P, gap
+
+
+def gth_stationary(P: np.ndarray, first: int) -> np.ndarray:
+    """Stationary law of an irreducible stochastic matrix by Grassmann-Taksar-Heyman
+    elimination, which subtracts nothing: each component keeps the relative accuracy
+    of the entries of P, however far it lies below the round-off of the largest.
+
+    States are eliminated towards `first`; every state must reach it along entries
+    of P that did not underflow, or a censored exit rate is 0.
+    """
+    n = P.shape[0]
+    order = [first] + [i for i in range(n) if i != first]
+    A = P[np.ix_(order, order)]
+    for k in range(n - 1, 0, -1):
+        A[:k, k] /= np.sum(A[k, :k])
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    x = np.zeros(n)
+    x[0] = 1.0
+    for k in range(1, n):
+        x[k] = x[:k] @ A[:k, k]
+    pi = np.empty(n)
+    pi[order] = x / np.sum(x)
+    return pi

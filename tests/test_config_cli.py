@@ -442,6 +442,14 @@ words = 0
         assert "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("token", ["a", "0-x", "-1"])
+    def test_malformed_words_option_exit_2(self, tmp_path, capsys, token):
+        cfg = write_cfg(tmp_path, MINIMAL)
+        assert run_command(["pressure", "--config", cfg, "--out", str(tmp_path / "runs"), "--words", f"0,{token}"]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and "--words" in err
+        assert "Traceback" not in err
+
     def test_non_finite_config_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL.replace("ts = 2,8", "ts = 2,inf"))
         assert run_command(["pressure", "--config", cfg, "--out", str(tmp_path / "runs")]) == 2

@@ -12,7 +12,6 @@ from gibbsline.cli import run_command
 from gibbsline.config import parse_model_config
 from gibbsline.ergodic_opt import (
     _structure_key,
-    _weight_matrix,
     critical_decomposition,
     critical_graph,
     detect_k0,
@@ -24,7 +23,7 @@ from gibbsline.ergodic_opt import (
 from gibbsline import maxplus
 from gibbsline.errors import BudgetExceeded, NoConvergence, SolverError, ValidationError
 from gibbsline.potential import Family, MarkovPotential
-from gibbsline.rpf_finite import pressure
+from gibbsline.rpf_finite import pressure, transfer_matrix
 from gibbsline.shift_model import ModelKind, ShiftModel, build_truncation
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -318,7 +317,7 @@ def test_seeded_policy_iteration_keeps_the_bits_of_value_iteration(name, n):
     model, f = bundled_pair(name)
     tr = build_truncation(model, n - 1)
     dec = critical_decomposition(tr, f)
-    W = _weight_matrix(tr, f)
+    W = transfer_matrix(tr, f, 1.0)
     idx = tr.local_index()
     witness_seed = (idx[min(dec.witness_cycle)],)
     maximal_seeds = tuple(idx[dec.components[j].symbols[0]] for j in dec.maximal_components)
@@ -452,6 +451,57 @@ def test_seeded_runs_settle_in_one_round_on_renewal_at_1023_symbols(monkeypatch,
     gauge = max_plus_gauge(tr, f, dec)
     assert len(evaluated) == 3  # one evaluation per side
     assert gauge.v.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("name", ["tie_two_loops", "renewal_weighted"])
+def test_one_weight_matrix_per_decomposition_and_per_gauge(monkeypatch, name):
+    model, f = bundled_pair(name)
+    tr = build_truncation(model, 510)
+    n = tr.n_symbols
+    assert n == 511
+    full_grids = []
+    real = MarkovPotential.value_grid
+
+    def counted(self, rows, cols):
+        full_grids.append(len(rows) == n and len(cols) == n)
+        return real(self, rows, cols)
+
+    monkeypatch.setattr(MarkovPotential, "value_grid", counted)
+    dec = critical_decomposition(tr, f)
+    assert sum(full_grids) == 1
+    max_plus_gauge(tr, f, dec)
+    assert sum(full_grids) == 2
+
+
+UNDEFINED_EDGE = """
+[model]
+kind = custom
+edges = 0 0, 0 1, 1 0, 1 1
+
+[potential]
+family = table
+table = 0 0 -2.0, 0 1 -1.0, 1 0 -1.0
+
+[sweep]
+ks = 1,2,3
+ts = 2,4
+"""
+
+
+def test_critical_decomposition_rejects_a_potential_undefined_on_an_admissible_edge():
+    cfg = parse_model_config(UNDEFINED_EDGE)
+    with pytest.raises(ValidationError, match="potential undefined on an admissible edge"):
+        critical_decomposition(build_truncation(cfg.model, 1), cfg.potential)
+
+
+@pytest.mark.parametrize("command", ["zerotemp", "entropy-limit", "pressure", "diagnose"])
+def test_cli_exits_2_on_a_potential_undefined_on_an_admissible_edge(tmp_path, capsys, command):
+    path = tmp_path / "undefined.cfg"
+    path.write_text(UNDEFINED_EDGE)
+    assert run_command([command, "--config", str(path), "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert "potential undefined on an admissible edge" in err
+    assert "Traceback" not in err
 
 
 class TestCriticalGraph:

@@ -437,6 +437,39 @@ def test_gauged_solve_matches_dense_oracle_on_random_graphs(data):
         assert np.allclose(meas.stationary, pi, rtol=1e-9, atol=1e-12), t
 
 
+def test_gauged_solve_and_oracle_resolve_a_nearly_critical_loop():
+    """A loop of weight -6.1e-5 beside the critical loop at 0 holds mass far
+    below round-off of the largest; both the solve and the dense oracle give it
+    to 1e-9 relative. The references are an 80-digit eigensolve of exp(t W)."""
+    entries = {(0, 0): 0.0, (0, 1): 0.0, (1, 1): -6.103515625e-05, (1, 2): 0.0, (2, 3): 0.0, (3, 0): -1.0}
+    model = ShiftModel(ModelKind.CUSTOM, tuple(sorted(entries)))
+    f = MarkovPotential(model, Family.TABLE, table=tuple((i, j, v) for (i, j), v in sorted(entries.items())))
+    tr = build_truncation(model, 3)
+    gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
+    W = np.full((4, 4), NEG_INF)
+    for (i, j), v in entries.items():
+        W[i, j] = v
+    t, masses = 128.0, [1.0, 4.247339459024474e-52, 3.3053057899832378e-54, 3.3053057899832378e-54]
+    ref = np.array(masses) / np.sum(masses)
+    _, meas = equilibrium_measure(tr, f, t, gauge=gauge)
+    assert np.allclose(meas.stationary, ref, rtol=1e-9, atol=0.0)
+    assert np.allclose(dense_gauged_state(W, t)[1], ref, rtol=1e-9, atol=0.0)
+
+
+def test_equilibrium_measure_refuses_a_best_iterate_solve():
+    """Two tied critical loops at t = 8 leave a contraction margin of 0.003:
+    the budget ends with residual 7.5e-11 and stationary masses off by 1e-8.
+    The solve reports its best iterate; the measure refuses it."""
+    entries = {(0, 0): 0.0, (0, 1): 0.0, (1, 1): 0.0, (1, 2): 0.0, (2, 0): -1.4375}
+    model = ShiftModel(ModelKind.CUSTOM, tuple(sorted(entries)))
+    f = MarkovPotential(model, Family.TABLE, table=tuple((i, j, v) for (i, j), v in sorted(entries.items())))
+    tr = build_truncation(model, 2)
+    gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
+    assert perron(transfer_matrix(tr, f, 8.0), gauge=gauge.scaled(8.0)).path == "best-iterate"
+    with pytest.raises(NoConvergence):
+        equilibrium_measure(tr, f, 8.0, gauge=gauge)
+
+
 def test_gauged_matches_ungauged_on_bundled_models():
     for name in ("log_quadratic", "tie_two_loops", "renewal_weighted"):
         model, f = bundled_pair(name)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsline.errors import BudgetExceeded, NoCycleThroughZero, NonTransitive, ValidationError
+from gibbsline.errors import BudgetExceeded, NonTransitive, ValidationError
 from gibbsline.shift_model import (
     ModelKind,
     ShiftModel,
@@ -15,7 +15,6 @@ from gibbsline.shift_model import (
     build_truncation,
     graph_period,
     is_irreducible,
-    largest_transitive_core,
     strongly_connected_components,
 )
 
@@ -79,25 +78,6 @@ class TestBuildTruncation:
         assert tr.incidence is None
         assert tr.n_symbols == 100_001
         assert tr.period == 1
-
-
-class TestLargestTransitiveCore:
-    def test_no_cycle_through_zero(self):
-        inc = np.array([[0, 1], [0, 0]], dtype=bool)
-        with pytest.raises(NoCycleThroughZero):
-            largest_transitive_core(inc)
-
-    def test_core_drops_appendage(self):
-        inc = np.array([[0, 1, 0], [1, 0, 1], [0, 0, 0]], dtype=bool)
-        core = largest_transitive_core(inc)
-        assert core.alphabet.tolist() == [0, 1]
-        assert core.period == 2
-
-    def test_already_irreducible_unchanged(self):
-        inc = np.ones((3, 3), dtype=bool)
-        core = largest_transitive_core(inc)
-        assert core.alphabet.tolist() == [0, 1, 2]
-        assert core.incidence.all()
 
 
 class TestAdmissibleWords:
