@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ModelConfig, parse_model_config, str_to_word, word_to_str
-from .ergodic_opt import detect_k0
+from .ergodic_opt import K0Report, detect_k0
 from .errors import NoTailDescriptor, SolverError, ValidationError
 from .limits import (
     EntropyLimitReport,
@@ -316,10 +316,17 @@ def _cmd_equilibrium(cfg: ModelConfig, args, em: _Emitter) -> int:
     return 0
 
 
+def _sweep_k(args, k0: K0Report) -> int:
+    """--k, or else k0 + 1, capped at the last truncation of a finite model."""
+    if args.k is not None:
+        return args.k
+    return k0.k0 + 1 if k0.last_k is None else min(k0.k0 + 1, k0.last_k)
+
+
 def _cmd_zerotemp(cfg: ModelConfig, args, em: _Emitter) -> int:
     words = _words(cfg, args)
     k0 = detect_k0(cfg.model, cfg.potential, stability_window=cfg.sweep.k0_window, tie_tol=cfg.sweep.tie_tol)
-    k = args.k if args.k is not None else k0.k0 + 1
+    k = _sweep_k(args, k0)
     result = zero_temp_sweep(
         cfg.model, cfg.potential, k, ts=cfg.sweep.zt_ts, words=words, tie_tol=cfg.sweep.tie_tol, k0_report=k0
     )
@@ -343,7 +350,7 @@ def _cmd_zerotemp(cfg: ModelConfig, args, em: _Emitter) -> int:
 
 def _cmd_entropy_limit(cfg: ModelConfig, args, em: _Emitter) -> int:
     k0 = detect_k0(cfg.model, cfg.potential, stability_window=cfg.sweep.k0_window, tie_tol=cfg.sweep.tie_tol)
-    k = args.k if args.k is not None else k0.k0 + 1
+    k = _sweep_k(args, k0)
     report = entropy_limit(cfg.model, cfg.potential, k, ts=cfg.sweep.zt_ts, tie_tol=cfg.sweep.tie_tol, k0_report=k0)
     if "csv" in em.formats:
         em.put("entropy_limit.csv", entropy_limit_csv(report))

@@ -59,13 +59,18 @@ class CriticalDecomposition:
 
 @dataclass(frozen=True)
 class K0Report:
-    """Heuristic stabilization index of beta_k and the critical structure."""
+    """Heuristic stabilization index of beta_k and the critical structure.
+
+    last_k is the largest k with a truncation when a finite model runs out
+    of them (its truncation is then the whole compact shift), else None.
+    """
 
     k0: int
     window: int
     heuristic: bool
     ks: tuple[int, ...]
     betas: tuple[float, ...]
+    last_k: int | None = None
 
 
 def _witnessed_mean(trunc: Truncation, W: np.ndarray) -> tuple[float, tuple[int, ...]]:
@@ -202,6 +207,9 @@ def detect_k0(
 
     Purely heuristic: stabilization over finitely many truncations is
     necessary but not a certificate that the maximizing set has been found.
+    A finite model that runs out of truncations ends on the whole compact
+    shift, whose structure is final: k0 is then the first k of the run at
+    the end that agrees with the last truncation, however short.
     """
     cert = check_summability(f)
     if not cert.converges:
@@ -214,24 +222,27 @@ def detect_k0(
         try:
             trunc = build_truncation(model, k)
         except NonTransitive:
-            # finite custom model exhausted: the last truncation already is
-            # the whole (compact) shift, so the structure is final
             saturated = True
             break
         decs.append((k, critical_decomposition(trunc, f, tie_tol=tie_tol)))
-    window = stability_window if not saturated else min(stability_window, len(decs))
-    if not decs or window < 1:
+    if not decs or stability_window < 1:
         raise NotStabilized(max(ks))
+    built = tuple(k for k, _ in decs)
     betas = tuple(d.beta for _, d in decs)
     keys = [_structure_key(d) for _, d in decs]
-    for i in range(len(decs) - window + 1):
-        window_betas = betas[i : i + window]
-        window_keys = keys[i : i + window]
+    if saturated:
+        i = len(decs) - 1
+        while i > 0 and keys[i - 1] == keys[-1] and abs(betas[i - 1] - betas[-1]) <= beta_tol:
+            i -= 1
+        return K0Report(k0=built[i], window=len(decs) - i, heuristic=True, ks=built, betas=betas, last_k=built[-1])
+    for i in range(len(decs) - stability_window + 1):
+        window_betas = betas[i : i + stability_window]
+        window_keys = keys[i : i + stability_window]
         if all(k == window_keys[0] for k in window_keys) and all(
             abs(b - window_betas[0]) <= beta_tol for b in window_betas
         ):
-            return K0Report(k0=decs[i][0], window=window, heuristic=True, ks=tuple(k for k, _ in decs), betas=betas)
-    raise NotStabilized(max(k for k, _ in decs))
+            return K0Report(k0=built[i], window=stability_window, heuristic=True, ks=built, betas=betas)
+    raise NotStabilized(max(built))
 
 
 def max_entropy_over_maximizing(dec: CriticalDecomposition) -> float:

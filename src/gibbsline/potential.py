@@ -414,9 +414,12 @@ def check_summability_t(f: MarkovPotential, t: float, tol: float = 1e-9, max_ter
 def _weighted_geometric_tail(a: float, b: float, t: float, start: int) -> float:
     """sum_{i >= start} t (b i - a) exp(t (a - b i)), closed form (b > 0)."""
     q = math.exp(-t * b)
-    s0 = q ** start / (1.0 - q)
-    s1 = q ** start * (start - (start - 1) * q) / (1.0 - q) ** 2
-    return t * math.exp(t * a) * (b * s1 - a * s0)
+    # exp(t a) q^start in one exponent: apart, the first overflows at large t
+    # while the product is tiny
+    head = math.exp(t * (a - b * start))
+    s0 = head / (1.0 - q)
+    s1 = head * (start - (start - 1) * q) / (1.0 - q) ** 2
+    return t * (b * s1 - a * s0)
 
 
 def _weighted_polynomial_tail(a: float, p: float, t: float, start: int) -> float:

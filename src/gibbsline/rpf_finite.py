@@ -4,7 +4,22 @@ Everything spectral stays in log space with log-sum-exp reductions: inverse
 temperatures up to ~10^3 make the matrix entries exp(t f) underflow long
 before the quantities of interest do.
 
-`perron` runs one power iteration, on B + sigma I, on both sides. The plain
+`perron` reads the support of log B once (np.isfinite), and first asks
+whether one vertex meets every cycle: every vertex but at most one hub a has
+exactly one successor, following successors leads from every vertex to a,
+and a reaches every vertex. Renewal truncations and 1 x 1 or cyclic
+critical components have this shape, and a support with more than 2n - 1
+edges is turned away after one count. There every loop at a is a first
+return, so log lambda is the root P of the scalar first-return equation
+sum_j B_aj exp(S_j - (dist_j + 1) P) = 1 (Sarig, ETDS 1999), with S_j and
+dist_j the weight and length of the chain from j to a. Newton's method
+finds it from the max cycle mean in a few steps; log h = S - dist P, and nu
+follows from the chain recurrences, leaves first. That is the
+`first-return` path; `iterations` counts its Newton steps. Its answer must
+pass the residual gate of power iteration on both sides.
+
+Every other support, and a first-return answer that fails the gate, goes to
+one power iteration, on B + sigma I, on both sides. The plain
 run is sigma = 0, averaged over d consecutive steps where d is the period
 that `perron` reads from the support of log B; the shifted run is
 sigma = e^{beta} <= lambda, beta the max cycle mean of log B, with d = 1.
@@ -71,9 +86,12 @@ _EPS = float(np.finfo(np.float64).eps)
 # eigen-residual is below _RES_TOL (both floored at a few ulp of the scale).
 _TOL = 1e-13
 _RES_TOL = 1e-12
+# Newton's method on the first-return equation converges quadratically from
+# the max cycle mean; this budget is never reached on a valid support.
+_NEWTON_STEPS = 64
 
 # Solver paths in increasing order of cost; a solve reports its costlier side.
-PATHS = ("plain", "period-averaged", "shifted", "best-iterate")
+PATHS = ("first-return", "plain", "period-averaged", "shifted", "best-iterate")
 
 
 @dataclass(frozen=True)
@@ -82,8 +100,9 @@ class PerronData:
 
     log_lambda is the pressure of the truncated system; log_h and log_nu are
     the right/left eigenvectors, gauged so that sum(h) = 1 and sum(nu*h) = 1.
-    iterations counts the power-iteration steps of both sides, and path (one
-    of PATHS) names the solver path that produced the answer.
+    iterations counts the power-iteration steps of both sides (the Newton
+    steps on the first-return path), and path (one of PATHS) names the
+    solver path that produced the answer.
     """
 
     log_lambda: float
@@ -149,9 +168,10 @@ class _CsrLogOperator:
     hold one, as on an irreducible support.
     """
 
-    def __init__(self, logA: np.ndarray, finite: np.ndarray):
-        rows, cols = np.nonzero(finite)
+    def __init__(self, logA: np.ndarray, finite: np.ndarray, edges: tuple[np.ndarray, np.ndarray] | None = None):
+        # edges: (rows, cols) of the finite cells in row order, if known
         self.n = logA.shape[0]
+        rows, cols = np.divmod(np.flatnonzero(finite), self.n) if edges is None else edges
         self.vals = logA[rows, cols]
         self.rows = rows.astype(np.int32)
         self.cols = cols.astype(np.int32)
@@ -232,10 +252,12 @@ class _DenseLogOperator:
         return out
 
 
-def _log_operator(logA: np.ndarray) -> _CsrLogOperator | _DenseLogOperator:
+def _log_operator(logA: np.ndarray, finite: np.ndarray | None = None) -> _CsrLogOperator | _DenseLogOperator:
     """The log-domain operator of logA: CSR when at most two thirds of the
-    cells are finite and every row holds one, dense otherwise."""
-    finite = np.isfinite(logA)
+    cells are finite and every row holds one, dense otherwise. `finite` is
+    np.isfinite(logA), if the caller has it."""
+    if finite is None:
+        finite = np.isfinite(logA)
     if 3 * np.count_nonzero(finite) <= 2 * finite.size and finite.any(axis=1).all():
         return _CsrLogOperator(logA, finite)
     return _DenseLogOperator(logA)
@@ -376,17 +398,136 @@ def _solve_side(
 
 
 def perron(logB: np.ndarray, max_iter: int | None = None, gauge: MaxPlusGauge | None = None) -> PerronData:
-    """Perron data of an irreducible log-domain matrix by power iteration.
+    """Perron data of an irreducible log-domain matrix.
 
-    `gauge` is the max-plus gauge of logB itself (for log B = t f, the gauge
-    of f scaled by t); see the module docstring for the solver paths.
+    A support on which one vertex meets every cycle is solved from its
+    first-return equation; any other support, and a first-return answer that
+    fails the residual gate, by power iteration. `gauge` is the max-plus
+    gauge of logB itself (for log B = t f, the gauge of f scaled by t); see
+    the module docstring for the solver paths.
     """
+    finite = np.isfinite(logB)
+    pd = _first_return(logB, finite)
+    return pd if pd is not None else _power_perron(logB, finite, max_iter, gauge)
+
+
+def _first_return(logB: np.ndarray, finite: np.ndarray) -> PerronData | None:
+    """Perron data from the first-return equation of a hub, or None.
+
+    The support qualifies when every vertex but at most one hub a has exactly
+    one successor, the successors lead from every vertex to a, and a reaches
+    every vertex; then every cycle passes through a, and the loops at a are
+    a -> j -> succ(j) -> ... -> a, of weight logB[a, j] + S_j and length
+    dist_j + 1, with S_j and dist_j the weight and length of the chain from
+    j to a. log lambda is the root P of log sum_j exp(logB[a, j] + S_j -
+    (dist_j + 1) P) = 0, log h = S - dist P, and nu follows leaves first
+    from nu_j lambda = nu_a B_aj + sum_{succ(i) = j} nu_i B_ij. The answer
+    must pass power iteration's residual gate on both sides, or None is
+    returned.
+    """
+    n = logB.shape[0]
+    if np.count_nonzero(finite) > 2 * n - 1:
+        return None
+    rows, cols = np.divmod(np.flatnonzero(finite), n)
+    hubs = np.flatnonzero(np.bincount(rows, minlength=n) != 1)
+    # a vertex without a predecessor is not reached from the hub
+    if hubs.size > 1 or not np.bincount(cols, minlength=n).all():
+        return None
+    a = int(hubs[0]) if hubs.size else 0
+    vals = logB[rows, cols]
+    chain = rows != a
+    succ = [a] * n
+    weight = [0.0] * n
+    for i, j, w in zip(rows[chain].tolist(), cols[chain].tolist(), vals[chain].tolist()):
+        succ[i], weight[i] = j, w
+    # one pass: the chain length and weight of every vertex, from its successor's
+    dist = [-1] * n
+    dist[a] = 0
+    S = [0.0] * n
+    for start in range(n):
+        path, v = [], start
+        while dist[v] == -1:
+            dist[v] = -2  # on the current path
+            path.append(v)
+            v = succ[v]
+        if dist[v] == -2:
+            return None  # a cycle that avoids the hub
+        for x in reversed(path):
+            dist[x] = dist[succ[x]] + 1
+            S[x] = weight[x] + S[succ[x]]
+    S_arr = np.array(S)
+    dist_arr = np.array(dist, dtype=np.float64)
+    loops, at_hub = cols[~chain], vals[~chain]
+    P, steps = _first_return_root(at_hub + S_arr[loops], dist_arr[loops] + 1.0)
+    logh = _normalized(S_arr - dist_arr * P)
+    acc = [_NEG_INF] * n
+    for j, w in zip(loops.tolist(), at_hub.tolist()):
+        acc[j] = w
+    lognu = [0.0] * n
+    # leaves first: a vertex comes after every vertex whose successor it is
+    for i in sorted(range(n), key=dist.__getitem__, reverse=True)[:-1]:
+        lognu[i] = acc[i] - P
+        j = succ[i]
+        if j != a:
+            acc[j] = _log_add(acc[j], lognu[i] + weight[i])
+    lognu = np.array(lognu)
+    lognu -= _logsumexp(lognu + logh)
+    order = np.argsort(cols, kind="stable")
+    sides = (
+        (_CsrLogOperator(logB, finite, edges=(rows, cols)), logh),
+        (_CsrLogOperator(logB.T, finite.T, edges=(cols[order], rows[order])), lognu),
+    )
+    residual = 0.0
+    for op, logv in sides:
+        res = _residual(op(logv), logv, P)
+        # power iteration's gate, with the scale of this normalized vector
+        if not res < max(_RES_TOL, 8.0 * _EPS * max(1.0, abs(P), float(np.max(np.abs(logv))))):
+            return None
+        residual = max(residual, res)
+    return PerronData(P, logh, lognu, steps, residual, "first-return")
+
+
+def _first_return_root(c: np.ndarray, L: np.ndarray) -> tuple[float, int]:
+    """Root P of F(P) = log sum_j exp(c_j - L_j P) = 0 and the Newton steps taken.
+
+    F is convex and decreasing, and F >= 0 at the max cycle mean max_j c_j /
+    L_j, where one term is exp(0); Newton's method started there increases
+    monotonically to the root. It stops once a step falls to a few ulp of P,
+    or F reads <= 0.
+    """
+    P = float(np.max(c / L))
+    for it in range(_NEWTON_STEPS):
+        z = c - L * P
+        top = z.max()
+        w = np.exp(z - top)
+        total = float(w.sum())
+        # -F / F' with F' = -sum L w / sum w
+        step = (top + math.log(total)) * total / float(L @ w)
+        if not step > 0.0:
+            return P, it
+        P += step
+        if step <= 4.0 * _EPS * max(1.0, abs(P)):
+            return P, it + 1
+    return P, _NEWTON_STEPS
+
+
+def _log_add(x: float, y: float) -> float:
+    """log(exp(x) + exp(y)) of two floats."""
+    if x < y:
+        x, y = y, x
+    return x if y == -math.inf else x + math.log1p(math.exp(y - x))
+
+
+def _power_perron(
+    logB: np.ndarray, finite: np.ndarray, max_iter: int | None = None, gauge: MaxPlusGauge | None = None
+) -> PerronData:
+    """Perron data by power iteration on both sides; finite = np.isfinite(logB)."""
     n = logB.shape[0]
     if max_iter is None:
         # 100 * n with a floor: tiny alphabets can still carry nearly
         # reducible supports whose spectral gap is independent of n
         max_iter = max(100 * n, 3000)
-    d = graph_period(np.isfinite(logB))
+    d = graph_period(finite)
     found: list[MaxPlusGauge] = []
 
     def gauge_of_logB() -> MaxPlusGauge:
@@ -396,10 +537,10 @@ def perron(logB: np.ndarray, max_iter: int | None = None, gauge: MaxPlusGauge | 
         return found[0]
 
     logh, est_r, it_r, res_r, path_r = _solve_side(
-        _log_operator(logB), d, gauge, lambda g: g.v, gauge_of_logB, max_iter
+        _log_operator(logB, finite), d, gauge, lambda g: g.v, gauge_of_logB, max_iter
     )
     lognu, est_l, it_l, res_l, path_l = _solve_side(
-        _log_operator(logB.T), d, gauge, lambda g: g.u, gauge_of_logB, max_iter
+        _log_operator(logB.T, finite.T), d, gauge, lambda g: g.u, gauge_of_logB, max_iter
     )
     log_lambda = 0.5 * (est_r + est_l)
     logh = _normalized(logh)
@@ -410,7 +551,11 @@ def perron(logB: np.ndarray, max_iter: int | None = None, gauge: MaxPlusGauge | 
 
 
 def pressure(trunc: Truncation, f: MarkovPotential, t: float) -> float:
-    """Topological pressure of t*f on the truncation (log Perron eigenvalue)."""
+    """Topological pressure of t*f on the truncation (log Perron eigenvalue).
+
+    A solve that ends on its best iterate raises NoConvergence, as in
+    `equilibrium_measure`.
+    """
     if t < 1.0:
         raise ValidationError(f"pressure requires t >= 1, got {t}")
     if trunc.incidence is None:
@@ -422,8 +567,7 @@ def pressure(trunc: Truncation, f: MarkovPotential, t: float) -> float:
             "pressure on a non-materialized truncation is only available for "
             "row-constant potentials on the full shift"
         )
-    logB = transfer_matrix(trunc, f, t)
-    return perron(logB).log_lambda
+    return _converged(perron(transfer_matrix(trunc, f, t))).log_lambda
 
 
 def gurevich_estimate(trunc: Truncation, f: MarkovPotential, t: float, a: int, n: int) -> float:
@@ -482,10 +626,15 @@ def equilibrium_measure(
     to residual / gap, and the iteration stalls only where the gap is small.
     """
     logB = transfer_matrix(trunc, f, t)
-    pd = perron(logB, gauge=None if gauge is None else gauge.scaled(t))
+    pd = _converged(perron(logB, gauge=None if gauge is None else gauge.scaled(t)))
+    return pd.log_lambda, equilibrium(pd, logB, trunc.alphabet)
+
+
+def _converged(pd: PerronData) -> PerronData:
+    """pd, unless the solve ended on its best iterate: NoConvergence."""
     if pd.path == "best-iterate":
         raise NoConvergence(pd.iterations, pd.residual)
-    return pd.log_lambda, equilibrium(pd, logB, trunc.alphabet)
+    return pd
 
 
 def log_cylinder_mass(m: MarkovMeasure, word: tuple[int, ...]) -> float:

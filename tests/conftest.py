@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gibbsline import bundled_pair
+from gibbsline import bundled_pair, rpf_finite
 from gibbsline.errors import BudgetExceeded
 from gibbsline.rpf_finite import transfer_matrix
 
@@ -62,6 +62,11 @@ def brute_force_max_mean(trunc, f, Lmax: int) -> float:
         raise BudgetExceeded("Lmax exceeds the alphabet size")
     best, _ = brute_force_cycles(transfer_matrix(trunc, f, 1.0), Lmax)
     return best
+
+
+def power_perron(logB: np.ndarray, **kwargs):
+    """perron's power iteration, which it skips on first-return supports."""
+    return rpf_finite._power_perron(logB, np.isfinite(logB), **kwargs)
 
 
 def random_stochastic(incidence: np.ndarray, rng: np.random.Generator) -> np.ndarray:

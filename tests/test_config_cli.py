@@ -267,14 +267,46 @@ class TestRunCommand:
         assert run_command(["pressure", "--config", cfg, "--out", str(tmp_path / "pressure")]) == 0
         assert ("per-truncation only" in capsys.readouterr().out) is not summable
 
-    def test_weighted_tail_overflow_is_not_certified(self, tmp_path):
-        # exp(t a) of the weighted closed form overflows at t = 1000
+    def test_weighted_tail_at_large_t_is_certified(self, tmp_path):
+        # exp(t a) alone overflows at t = 1000; the weighted closed form takes
+        # it in one exponent with q^start, and the tail is tiny
         cfg = write_cfg(tmp_path, TIE, "tie.cfg")
         assert run_command(["certify-summability", "--config", cfg, "--out", str(tmp_path / "runs"), "--t", "1000"]) == 0
         payload = json.loads((next((tmp_path / "runs").iterdir()) / "summability.json").read_text())
         assert payload["summability"]["converges"] is True
-        assert payload["summability_t"]["converges"] is False
-        assert payload["summability_t"]["tail_bound"] == math.inf
+        assert payload["summability_t"]["converges"] is True
+        assert payload["summability_t"]["tol_met"] is True
+        assert 0.0 <= payload["summability_t"]["tail_bound"] < math.inf
+
+    @pytest.mark.parametrize("argv", [["zerotemp"], ["zerotemp", "--k", "1"], ["entropy-limit"]])
+    def test_finite_model_that_runs_out_of_truncations(self, tmp_path, argv):
+        # k = 0 has the loop at 0; k = 1, the whole shift, the 2-cycle; k = 2
+        # cannot be built, so k0 = 1 and the default k (k0 + 1) is capped at 1
+        text = (
+            "[model]\nkind = custom\nedges = 0 0, 0 1, 1 0, 1 1\ntail_rule = none\n"
+            "[potential]\nfamily = table\ntable = 0 0 -2.0, 0 1 -1.0, 1 0 -1.0, 1 1 -3.0\n"
+        )
+        cfg = write_cfg(tmp_path, text)
+        assert run_command(argv + ["--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+        run_dir = next((tmp_path / "runs").iterdir())
+        if argv[0] == "zerotemp":
+            payload = json.loads((run_dir / "mu_infty.json").read_text())
+            assert (payload["k0"], payload["k"], payload["weights"]) == (1, 1, [1.0])
+            assert [c["symbols"] for c in payload["components"]] == [[0, 1]]
+        else:
+            payload = json.loads((run_dir / "entropy_limit.json").read_text())
+            assert payload["h_infinity"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_pressure_exits_3_on_a_best_iterate_solve(self, tmp_path, capsys):
+        # two tied critical loops: at t = 8 the solve ends on its best iterate
+        text = (
+            "[model]\nkind = custom\nedges = 0 0, 0 1, 1 1, 1 2, 2 0\ntail_rule = none\n"
+            "[potential]\nfamily = table\ntable = 0 0 0.0, 0 1 0.0, 1 1 0.0, 1 2 0.0, 2 0 -1.4375\n"
+        )
+        cfg = write_cfg(tmp_path, text)
+        assert run_command(["pressure", "--config", cfg, "--out", str(tmp_path / "runs"), "--k", "2", "--t", "8"]) == 3
+        assert "no convergence" in capsys.readouterr().err
+        assert run_command(["pressure", "--config", cfg, "--out", str(tmp_path / "runs"), "--k", "2", "--t", "4"]) == 0
 
     def test_zerotemp_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, TIE, "tie.cfg")

@@ -241,6 +241,39 @@ def test_detect_k0_matches_karp_on_shipped_configs(path):
     assert got == want
 
 
+class TestDetectK0OnAFiniteModel:
+    """A custom model without tail rule runs out of truncations; the last one
+    is the whole compact shift, so its structure is final."""
+
+    def test_a_run_of_one_at_the_end(self):
+        # k = 0 has the loop at 0 (beta -2); k = 1, the last, the 2-cycle (beta -1)
+        model, f = table_model([(0, 0, -2.0), (0, 1, -1.0), (1, 0, -1.0), (1, 1, -3.0)])
+        rep = detect_k0(model, f)
+        assert (rep.k0, rep.window, rep.ks, rep.betas, rep.last_k) == (1, 1, (0, 1), (-2.0, -1.0), 1)
+
+    def test_the_run_at_the_end_not_the_first_agreeing_window(self):
+        # k = 0, 1, 2 agree on the loop at 0; the last truncation (k = 3) finds the loop at 3
+        entries = [(i, j, -5.0) for i in range(4) for j in range(4)]
+        entries[0] = (0, 0, -1.0)
+        entries[-1] = (3, 3, 0.0)
+        model, f = table_model(entries)
+        rep = detect_k0(model, f)
+        assert (rep.k0, rep.window, rep.betas, rep.last_k) == (3, 1, (-1.0, -1.0, -1.0, 0.0), 3)
+
+    def test_a_longer_run_at_the_end(self):
+        entries = [(i, j, -5.0) for i in range(3) for j in range(3)]
+        entries[0] = (0, 0, -2.0)
+        entries[1:2] = [(0, 1, -1.0)]
+        entries[3] = (1, 0, -1.0)
+        model, f = table_model(entries)
+        rep = detect_k0(model, f)
+        assert (rep.k0, rep.window, rep.ks, rep.last_k) == (1, 2, (0, 1, 2), 2)
+
+    def test_a_model_that_never_runs_out_keeps_its_window(self, renewal_weighted):
+        rep = detect_k0(*renewal_weighted)
+        assert rep.last_k is None and rep.window == 3
+
+
 @pytest.mark.parametrize("name, beta", [("log_quadratic", -math.log(2)), ("tie_two_loops", 0.0), ("renewal_weighted", -1.0)])
 def test_howard_beta_at_1023_symbols_is_the_closed_form(name, beta):
     model, f = bundled_pair(name)

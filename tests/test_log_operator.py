@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from conftest import tied_period_3
+from conftest import power_perron, tied_period_3
 from gibbsline import rpf_finite
 from gibbsline.bundled import bundled_pair
 from gibbsline.errors import SolverError
@@ -55,7 +55,7 @@ def reference_log_matvec(logA: np.ndarray, logv: np.ndarray, chunk: int = 1024) 
 
 
 class ReferenceOperator:
-    def __init__(self, logA):
+    def __init__(self, logA, finite=None):
         self.logA = logA
         self.n = logA.shape[0]
 
@@ -281,8 +281,8 @@ def count_applications(monkeypatch):
     """Wrap every operator perron builds; returns the running list of call counts."""
     counts = []
 
-    def counting(logA):
-        op = _log_operator(logA)
+    def counting(logA, finite=None):
+        op = _log_operator(logA, finite)
         slot = len(counts)
         counts.append(0)
 
@@ -307,7 +307,7 @@ class TestApplicationsPerIteration:
         model, f = renewal_weighted
         tr = build_truncation(model, 255)
         counts = count_applications(monkeypatch)
-        pd = perron(transfer_matrix(tr, f, 2.0))
+        pd = power_perron(transfer_matrix(tr, f, 2.0))
         assert pd.path == "plain"
         assert len(counts) == 2
         assert sum(counts) == pd.iterations + 2
@@ -334,7 +334,7 @@ class TestApplicationsPerIteration:
     def test_period_two_pays_for_its_window_checks(self, monkeypatch):
         logB = np.array([[NEG_INF, -0.7], [-2.3, NEG_INF]])
         counts = count_applications(monkeypatch)
-        pd = perron(logB)
+        pd = power_perron(logB)
         assert pd.path == "period-averaged"
         assert sum(counts) > pd.iterations
 
@@ -473,10 +473,12 @@ def reference_solve_side(op, d, gauge, warm_start, gauge_of_logA, max_iter):
 
 
 def solve_outcome(logB, **kwargs):
-    """perron's PerronData, or the type and arguments of the solver error it raised."""
+    """The power iteration's PerronData, or the type and arguments of the solver
+    error it raised. perron skips the iteration where one vertex meets every
+    cycle, as on the period-2 two-cycle and the 2 x 2 with a zero entry below."""
     try:
         with np.errstate(divide="ignore"):
-            return perron(logB, **kwargs)
+            return power_perron(logB, **kwargs)
     except SolverError as exc:
         return type(exc), exc.args
 
@@ -624,8 +626,8 @@ class ParentDenseLogOperator(_DenseLogOperator):
         return out
 
 
-def parent_log_operator(logA):
-    finite = np.isfinite(logA)
+def parent_log_operator(logA, finite=None):
+    finite = np.isfinite(logA)  # the parent built the mask itself
     if 3 * np.count_nonzero(finite) <= 2 * finite.size and finite.any(axis=1).all():
         return ParentCsrLogOperator(logA, finite)
     return ParentDenseLogOperator(logA)
@@ -696,7 +698,7 @@ def parent_module(m):
 
 def outcome(logB, **kwargs):
     try:
-        return perron(logB, **kwargs)
+        return power_perron(logB, **kwargs)
     except SolverError as exc:
         return type(exc), exc.args
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_gauged_state, random_stochastic, stationary_of, tied_period_3
+from conftest import dense_gauged_state, power_perron, random_stochastic, stationary_of, tied_period_3
 from gibbsline.bundled import bundled_pair
 from gibbsline.ergodic_opt import critical_decomposition, detect_k0, max_plus_gauge
 from gibbsline.errors import BudgetExceeded, NoConvergence
@@ -92,21 +92,23 @@ class TestPerron:
         assert pd.log_lambda == pytest.approx((a + b) / 2, abs=1e-12)
 
     def test_reports_solver_path(self):
-        assert perron(np.zeros((3, 3))).path == "plain"
+        # the power-iteration paths; perron solves the two-cycle and the 2 x 2
+        # below, where one vertex meets every cycle, by first return
+        assert power_perron(np.zeros((3, 3))).path == "plain"
         model, f = two_cycle(-0.7, -2.3)
         tr = build_truncation(model, 0)
         logB = transfer_matrix(tr, f, 1.0)
-        assert perron(logB).path == "period-averaged"
+        assert power_perron(logB).path == "period-averaged"
         gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
         assert gauge.cyclicity == 2
-        pd = perron(logB, gauge=gauge.scaled(1.0))
+        pd = power_perron(logB, gauge=gauge.scaled(1.0))
         assert pd.path == "shifted"
         assert pd.log_lambda == pytest.approx(-1.5, abs=1e-12)
         # aperiodic, but -0.9995 is an eigenvalue: the plain iteration stalls
         # and the solve falls back to the gauge it builds itself
         B = np.array([[0.0, 1.0], [1.0, 0.001]])
         with np.errstate(divide="ignore"):
-            pd = perron(np.log(B))
+            pd = power_perron(np.log(B))
         assert pd.path == "shifted"
         assert pd.log_lambda == pytest.approx(math.log(np.max(np.linalg.eigvals(B).real)), abs=1e-12)
 
@@ -468,6 +470,22 @@ def test_equilibrium_measure_refuses_a_best_iterate_solve():
     assert perron(transfer_matrix(tr, f, 8.0), gauge=gauge.scaled(8.0)).path == "best-iterate"
     with pytest.raises(NoConvergence):
         equilibrium_measure(tr, f, 8.0, gauge=gauge)
+
+
+def test_pressure_refuses_a_best_iterate_solve():
+    """The support of the test above, ungauged: at t = 8 the plain and the
+    shifted runs both spend their budgets, and the best iterate reaches
+    residual 7.5e-11. pressure refuses it, as equilibrium_measure does."""
+    entries = {(0, 0): 0.0, (0, 1): 0.0, (1, 1): 0.0, (1, 2): 0.0, (2, 0): -1.4375}
+    model = ShiftModel(ModelKind.CUSTOM, tuple(sorted(entries)))
+    f = MarkovPotential(model, Family.TABLE, table=tuple((i, j, v) for (i, j), v in sorted(entries.items())))
+    tr = build_truncation(model, 2)
+    pd = perron(transfer_matrix(tr, f, 8.0))
+    assert pd.path == "best-iterate"
+    with pytest.raises(NoConvergence) as exc:
+        pressure(tr, f, 8.0)
+    assert exc.value.args == NoConvergence(pd.iterations, pd.residual).args
+    assert pressure(tr, f, 4.0) == perron(transfer_matrix(tr, f, 4.0)).log_lambda
 
 
 def test_gauged_matches_ungauged_on_bundled_models():
