@@ -47,10 +47,8 @@ from .rpf_finite import (
     entropy,
     equilibrium,
     equilibrium_measure,
-    gibbs_ratio,
     gurevich_estimate,
     integral,
-    one_cylinder_gibbs_check,
     partition_entropy,
     perron,
     pressure,
@@ -61,7 +59,6 @@ from .shift_model import (
     ShiftModel,
     TailRule,
     Truncation,
-    admissible_words,
     build_truncation,
 )
 

@@ -52,16 +52,16 @@ class AlphabetTooLarge(ValidationError):
     """The operation needs a materialized incidence matrix but the alphabet is too big."""
 
 
-class EmptyCriticalGraph(GibbslineError):
-    """No tight cycle found; usually the tie tolerance is too small."""
+class SolverError(GibbslineError):
+    """Base class for numerical-solver failures (CLI exit code 3)."""
+
+
+class EmptyCriticalGraph(SolverError):
+    """No tight cycle found, even at the widest tie tolerance of the ladder."""
 
     def __init__(self, tie_tol: float):
         super().__init__(f"no tight cycle within tie_tol={tie_tol:g}")
         self.tie_tol = tie_tol
-
-
-class SolverError(GibbslineError):
-    """Base class for numerical-solver failures (CLI exit code 3)."""
 
 
 class NoConvergence(SolverError):

@@ -427,9 +427,10 @@ def _weighted_polynomial_tail(a: float, p: float, t: float, start: int) -> float
     s = t * p
     c = float(start)  # integrand decreasing from here on (x e^{-x} regime)
     log_c = math.log(c)
-    i_log = c ** (1.0 - s) * (log_c / (s - 1.0) + 1.0 / (s - 1.0) ** 2)
-    i_one = c ** (1.0 - s) / (s - 1.0)
-    return t * math.exp(t * a) * (p * i_log - a * i_one)
+    # exp(t a) c^(1 - s) in one exponent: apart, the first overflows at large
+    # t while the second underflows and the product is tiny
+    head = math.exp(t * a + (1.0 - s) * log_c)
+    return t * head * (p * (log_c / (s - 1.0) + 1.0 / (s - 1.0) ** 2) - a / (s - 1.0))
 
 
 # ---------------------------------------------------------------------------

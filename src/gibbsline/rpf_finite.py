@@ -38,6 +38,9 @@ set. A solve takes one of these paths:
   straight to the shifted run, and only if that stalls runs plain from the
   uniform vector; when c = 1 it runs plain first and shifts only on a stall.
 
+A side whose two runs both spend their budgets raises NoConvergence; no
+solve returns an iterate that missed the gate (see `perron`).
+
 The gauge is linear in t: beta, v and u of t f are t times those of f, so a
 sweep computes them once from f's critical decomposition and rescales.
 
@@ -65,7 +68,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +79,7 @@ from .errors import (
     ValidationError,
 )
 from .maxplus import MaxPlusGauge, gauge_of
-from .potential import MarkovPotential, row_oscillation
+from .potential import MarkovPotential
 from .shift_model import AlphabetIndexed, ModelKind, Truncation, graph_period
 
 _NEG_INF = -np.inf
@@ -91,7 +94,7 @@ _RES_TOL = 1e-12
 _NEWTON_STEPS = 64
 
 # Solver paths in increasing order of cost; a solve reports its costlier side.
-PATHS = ("first-return", "plain", "period-averaged", "shifted", "best-iterate")
+PATHS = ("first-return", "plain", "period-averaged", "shifted")
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,8 @@ class PerronData:
     the right/left eigenvectors, gauged so that sum(h) = 1 and sum(nu*h) = 1.
     iterations counts the power-iteration steps of both sides (the Newton
     steps on the first-return path), and path (one of PATHS) names the
-    solver path that produced the answer.
+    solver path that produced the answer. Every PerronData passed the
+    residual gate: a solve that does not raises NoConvergence instead.
     """
 
     log_lambda: float
@@ -120,8 +124,6 @@ class MarkovMeasure(AlphabetIndexed):
     stochastic: np.ndarray
     stationary: np.ndarray
     alphabet: np.ndarray
-    # V_1 of each potential on the support, kept by `support_first_variation`
-    _first_variation: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def transfer_matrix(trunc: Truncation, f: MarkovPotential, t: float) -> np.ndarray:
@@ -285,13 +287,12 @@ def _residual(Aw: np.ndarray, logw: np.ndarray, est: float) -> float:
 
 
 def _power_iteration(
-    op, logv: np.ndarray, d: int, log_sigma: float, max_iter: int, best: tuple
-) -> tuple[np.ndarray | None, float, int, float, tuple]:
+    op, logv: np.ndarray, d: int, log_sigma: float, max_iter: int
+) -> tuple[np.ndarray | None, float, int, float]:
     """Log-domain power iteration on B + sigma*I from logv.
 
-    Returns (log_vec, log_lambda, iters, residual, best); log_vec is None
-    when the budget ran out, and best = (residual, vector, eigenvalue) is
-    the best iterate seen, this run's or the given one.
+    Returns (log_vec, log_lambda, iters, residual); log_vec is None when the
+    budget ran out, and residual is then the smallest one seen.
 
     The plain run is sigma = 0 (log_sigma = -inf), on the support's period
     d: the eigenvalue estimate is the mean of the last d per-step
@@ -310,16 +311,16 @@ def _power_iteration(
     s_hist: deque[float] = deque(maxlen=d)
     v_hist: deque[np.ndarray] = deque(maxlen=d)
     mean_prev = math.nan
+    best = math.inf
     pending = None  # (estimate, gate) of iterate `it`, checked by its application
     for it in range(max_iter + 1):
         Av = op(logv)
         if pending is not None:
             est, gate = pending
             res = _residual(Av, logv, est)
-            if res < best[0]:
-                best = (res, logv, est)
             if res < gate:
-                return logv, est, it, res, best
+                return logv, est, it, res
+            best = min(best, res)
             pending = None
         if it == max_iter:
             break
@@ -344,12 +345,11 @@ def _power_iteration(
             else:
                 logw = _window_average(list(v_hist), list(s_hist), est)
                 res = _residual(op(logw), logw, est)
-                if res < best[0]:
-                    best = (res, logw, est)
                 if res < gate:
-                    return logw, est, it + 1, res, best
+                    return logw, est, it + 1, res
+                best = min(best, res)
         mean_prev = mean
-    return None, math.nan, max_iter, best[0], best
+    return None, math.nan, max_iter, best
 
 
 def _normalized(logv: np.ndarray) -> np.ndarray:
@@ -361,40 +361,30 @@ def _solve_side(
 ) -> tuple[np.ndarray, float, int, float, str]:
     """Perron vector of one side: (log_vec, log_lambda, iterations, residual, path).
 
-    With a gauge the start is its max-plus eigenvector and sigma its cycle
-    mean; a cyclic critical graph goes straight to the shifted iteration,
-    and only if that stalls runs the plain iteration from the uniform
-    vector. Without one the plain iteration starts from the uniform vector
-    and only a stall pays for `gauge_of_logA`. Iterations add up over the
-    runs, and the path names the run that converged.
+    Two runs in ladder order: plain, then shifted from the max-plus gauge;
+    a cyclic gauge goes shifted first, then plain from the uniform vector.
+    A plain run that comes first starts from the gauge's max-plus
+    eigenvector, or from the uniform vector when there is no gauge, and
+    only a stall then pays for `gauge_of_logA`. Iterations add up over the
+    runs, and the path names the run that converged; when neither does,
+    NoConvergence carries the iterations spent and the smallest residual.
     """
-    n = op.n
-    uniform = np.full(n, -math.log(n))
     plain = "plain" if d == 1 else "period-averaged"
     cyclic = gauge is not None and gauge.cyclicity > 1
-    best = (math.inf, None, math.nan)
-    spent = 0
-    if not cyclic:
-        start = uniform if gauge is None else _normalized(warm_start(gauge))
-        logv, est, it, res, best = _power_iteration(op, start, d, _NEG_INF, max_iter, best)
-        if logv is not None:
-            return logv, est, it, res, plain
-        spent = it
-    if gauge is None:
-        gauge = gauge_of_logA()
-    start = _normalized(warm_start(gauge))
-    logv, est, it, res, best = _power_iteration(op, start, 1, gauge.beta, max_iter, best)
-    spent += it
-    if logv is not None:
-        return logv, est, spent, res, "shifted"
-    if cyclic:
-        logv, est, it, res, best = _power_iteration(op, uniform, d, _NEG_INF, max_iter, best)
+    plain_start = np.full(op.n, -math.log(op.n)) if gauge is None or cyclic else _normalized(warm_start(gauge))
+    spent, best = 0, math.inf
+    for path in ("shifted", plain) if cyclic else (plain, "shifted"):
+        if path == "shifted":
+            if gauge is None:
+                gauge = gauge_of_logA()
+            logv, est, it, res = _power_iteration(op, _normalized(warm_start(gauge)), 1, gauge.beta, max_iter)
+        else:
+            logv, est, it, res = _power_iteration(op, plain_start, d, _NEG_INF, max_iter)
         spent += it
         if logv is not None:
-            return logv, est, spent, res, plain
-    if best[1] is not None and best[0] <= 1e-10:
-        return best[1], best[2], spent, best[0], "best-iterate"
-    raise NoConvergence(spent, best[0])
+            return logv, est, spent, res, path
+        best = min(best, res)
+    raise NoConvergence(spent, best)
 
 
 def perron(logB: np.ndarray, max_iter: int | None = None, gauge: MaxPlusGauge | None = None) -> PerronData:
@@ -405,6 +395,12 @@ def perron(logB: np.ndarray, max_iter: int | None = None, gauge: MaxPlusGauge | 
     fails the residual gate, by power iteration. `gauge` is the max-plus
     gauge of logB itself (for log B = t f, the gauge of f scaled by t); see
     the module docstring for the solver paths.
+
+    The answer either passes the residual gate on both sides or the solve
+    raises NoConvergence. An iterate that misses the gate pins lambda to its
+    residual, but h and nu only to residual / spectral gap, and the
+    iteration stalls only where the gap is small, so such an iterate is
+    never returned.
     """
     finite = np.isfinite(logB)
     pd = _first_return(logB, finite)
@@ -553,8 +549,7 @@ def _power_perron(
 def pressure(trunc: Truncation, f: MarkovPotential, t: float) -> float:
     """Topological pressure of t*f on the truncation (log Perron eigenvalue).
 
-    A solve that ends on its best iterate raises NoConvergence, as in
-    `equilibrium_measure`.
+    NoConvergence when the solve does not converge (see `perron`).
     """
     if t < 1.0:
         raise ValidationError(f"pressure requires t >= 1, got {t}")
@@ -567,7 +562,7 @@ def pressure(trunc: Truncation, f: MarkovPotential, t: float) -> float:
             "pressure on a non-materialized truncation is only available for "
             "row-constant potentials on the full shift"
         )
-    return _converged(perron(transfer_matrix(trunc, f, t))).log_lambda
+    return perron(transfer_matrix(trunc, f, t)).log_lambda
 
 
 def gurevich_estimate(trunc: Truncation, f: MarkovPotential, t: float, a: int, n: int) -> float:
@@ -621,20 +616,12 @@ def equilibrium_measure(
     """Convenience: pressure and equilibrium state of t*f on the truncation.
 
     `gauge` is the max-plus gauge of f (not of t*f) on the truncation; the
-    solve uses it scaled by t. A solve that ends on its best iterate raises
-    NoConvergence: that iterate pins lambda to its residual, but h and nu only
-    to residual / gap, and the iteration stalls only where the gap is small.
+    solve uses it scaled by t. NoConvergence when the solve does not
+    converge (see `perron`).
     """
     logB = transfer_matrix(trunc, f, t)
-    pd = _converged(perron(logB, gauge=None if gauge is None else gauge.scaled(t)))
+    pd = perron(logB, gauge=None if gauge is None else gauge.scaled(t))
     return pd.log_lambda, equilibrium(pd, logB, trunc.alphabet)
-
-
-def _converged(pd: PerronData) -> PerronData:
-    """pd, unless the solve ended on its best iterate: NoConvergence."""
-    if pd.path == "best-iterate":
-        raise NoConvergence(pd.iterations, pd.residual)
-    return pd
 
 
 def log_cylinder_mass(m: MarkovMeasure, word: tuple[int, ...]) -> float:
@@ -703,78 +690,3 @@ def partition_entropy(m: MarkovMeasure, trunc: Truncation, n: int, budget: int =
             p = float(m.stochastic[idx[sym_a], idx[sym_b]]) if sym_a in idx and sym_b in idx else 0.0
             stack.append((int(b), depth + 1, mass * p))
     return total
-
-
-def support_first_variation(m: MarkovMeasure, f: MarkovPotential) -> float:
-    """Row oscillation of f over the support of the chain (per-truncation V_1),
-    computed once per measure and potential."""
-    v1 = m._first_variation.get(f)
-    if v1 is None:
-        v1 = m._first_variation[f] = row_oscillation(f.value_grid(m.alphabet, m.alphabet), m.stochastic > 0.0)
-    return v1
-
-
-def gibbs_ratio(
-    m: MarkovMeasure,
-    word: tuple[int, ...],
-    f: MarkovPotential,
-    t: float,
-    pressure_value: float,
-) -> tuple[float, bool]:
-    """Cylinder mass against exp(S_n(t f) - n P) on the periodic continuation.
-
-    The evaluation point repeats the word; when the wrap-around edge is not
-    in the support the smallest admissible successor is used instead. The
-    bound constant is exp(4 t V_1) with V_1 taken on the support.
-    """
-    n = len(word)
-    idx = m.local_index()
-    logmass = log_cylinder_mass(m, word)
-    last = word[-1]
-    cont = word[0]
-    if last in idx:
-        row = m.stochastic[idx[last]]
-        if cont not in idx or row[idx[cont]] <= 0.0:
-            options = [int(m.alphabet[j]) for j in np.flatnonzero(row > 0.0)]
-            if not options:
-                return 0.0, False
-            cont = min(options)
-    # f on the word's pairs and the wrap-around pair, from one grid
-    tails = tuple(word[1:]) + (cont,)
-    syms = sorted({*word, cont})
-    pos = {s: a for a, s in enumerate(syms)}
-    vals = f.value_grid(syms, syms)[[pos[a] for a in word], [pos[b] for b in tails]]
-    off = np.flatnonzero(~f.model.has_edge(word, tails) | np.isnan(vals))
-    if off.size:
-        f.value(word[off[0]], tails[off[0]])  # raises the error for that pair
-    s_n = 0.0
-    for v in vals.tolist():
-        s_n += t * v
-    log_ratio = logmass - (s_n - n * pressure_value)
-    ratio = float(np.exp(log_ratio))
-    v1 = support_first_variation(m, f)
-    log_c = 4.0 * t * v1
-    ok = bool(-log_c - 1e-9 <= log_ratio <= log_c + 1e-9)
-    return ratio, ok
-
-
-def one_cylinder_gibbs_check(
-    m: MarkovMeasure,
-    trunc: Truncation,
-    f: MarkovPotential,
-    t: float,
-    pressure_value: float,
-) -> list[tuple[int, float, bool]]:
-    """Gibbs bound on every 1-cylinder: mass / exp(t sup f|_[i] - P) in [1/C, C]."""
-    v1 = support_first_variation(m, f)
-    log_c = 4.0 * t * v1
-    out = []
-    idx = m.local_index()
-    for sym in trunc.alphabet:
-        sym = int(sym)
-        sup_i = f.cylinder_sup(sym, trunc)
-        with np.errstate(divide="ignore"):
-            log_ratio = float(np.log(m.stationary[idx[sym]])) - (t * sup_i - pressure_value)
-        ok = bool(-log_c - 1e-9 <= log_ratio <= log_c + 1e-9)
-        out.append((sym, float(np.exp(log_ratio)), ok))
-    return out

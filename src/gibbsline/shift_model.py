@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     AlphabetTooLarge,
-    BudgetExceeded,
     NonTransitive,
     ValidationError,
 )
@@ -305,30 +304,3 @@ def _custom_truncation(model: ShiftModel, k: int, m: int, dense_limit: int) -> T
                 f"prefix alphabet {{0..{m - 1}}} has no irreducible finite augmentation"
             )
         alphabet = np.union1d(alphabet, [cand])
-
-
-# ---------------------------------------------------------------------------
-# word enumeration
-
-
-def admissible_words(trunc: Truncation, n: int, budget: int = 500_000) -> list[tuple[int, ...]]:
-    """All admissible words of length n, in lexicographic symbol order."""
-    if n < 1:
-        raise ValidationError("word length must be at least 1")
-    succ = trunc.successor_lists()
-    alphabet = trunc.alphabet
-    words: list[tuple[int, ...]] = []
-    # iterative DFS in lexicographic order
-    stack: list[tuple[tuple[int, ...], int]] = [((), a) for a in range(trunc.n_symbols - 1, -1, -1)]
-    while stack:
-        prefix, a = stack.pop()
-        word = prefix + (a,)
-        if len(word) == n:
-            words.append(tuple(int(alphabet[b]) for b in word))
-            if len(words) > budget:
-                raise BudgetExceeded(f"more than {budget} admissible words of length {n}")
-            continue
-        for b in succ[a][::-1]:
-            stack.append((word, int(b)))
-    return words
-

@@ -1,11 +1,13 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from gibbsline import bundled_pair, rpf_finite
-from gibbsline.errors import BudgetExceeded
-from gibbsline.rpf_finite import transfer_matrix
+from gibbsline.errors import BudgetExceeded, ValidationError
+from gibbsline.potential import row_oscillation
+from gibbsline.rpf_finite import log_cylinder_mass, transfer_matrix
 
 
 @pytest.fixture
@@ -167,3 +169,93 @@ def gth_stationary(P: np.ndarray, first: int) -> np.ndarray:
     pi = np.empty(n)
     pi[order] = x / np.sum(x)
     return pi
+
+
+def admissible_words(trunc, n: int, budget: int = 500_000) -> list[tuple[int, ...]]:
+    """All admissible words of length n, in lexicographic symbol order."""
+    if n < 1:
+        raise ValidationError("word length must be at least 1")
+    succ = trunc.successor_lists()
+    alphabet = trunc.alphabet
+    words: list[tuple[int, ...]] = []
+    # iterative DFS in lexicographic order
+    stack: list[tuple[tuple[int, ...], int]] = [((), a) for a in range(trunc.n_symbols - 1, -1, -1)]
+    while stack:
+        prefix, a = stack.pop()
+        word = prefix + (a,)
+        if len(word) == n:
+            words.append(tuple(int(alphabet[b]) for b in word))
+            if len(words) > budget:
+                raise BudgetExceeded(f"more than {budget} admissible words of length {n}")
+            continue
+        for b in succ[a][::-1]:
+            stack.append((word, int(b)))
+    return words
+
+
+# V_1 of each potential on the support of a measure, per measure
+_FIRST_VARIATION: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def support_first_variation(m, f) -> float:
+    """Row oscillation of f over the support of the chain (per-truncation V_1),
+    computed once per measure and potential."""
+    cache = _FIRST_VARIATION.setdefault(m, {})
+    v1 = cache.get(f)
+    if v1 is None:
+        v1 = cache[f] = row_oscillation(f.value_grid(m.alphabet, m.alphabet), m.stochastic > 0.0)
+    return v1
+
+
+def gibbs_ratio(m, word: tuple[int, ...], f, t: float, pressure_value: float) -> tuple[float, bool]:
+    """Cylinder mass against exp(S_n(t f) - n P) on the periodic continuation.
+
+    The evaluation point repeats the word; when the wrap-around edge is not
+    in the support the smallest admissible successor is used instead. The
+    bound constant is exp(4 t V_1) with V_1 taken on the support.
+    """
+    n = len(word)
+    idx = m.local_index()
+    logmass = log_cylinder_mass(m, word)
+    last = word[-1]
+    cont = word[0]
+    if last in idx:
+        row = m.stochastic[idx[last]]
+        if cont not in idx or row[idx[cont]] <= 0.0:
+            options = [int(m.alphabet[j]) for j in np.flatnonzero(row > 0.0)]
+            if not options:
+                return 0.0, False
+            cont = min(options)
+    # f on the word's pairs and the wrap-around pair, from one grid
+    tails = tuple(word[1:]) + (cont,)
+    syms = sorted({*word, cont})
+    pos = {s: a for a, s in enumerate(syms)}
+    vals = f.value_grid(syms, syms)[[pos[a] for a in word], [pos[b] for b in tails]]
+    off = np.flatnonzero(~f.model.has_edge(word, tails) | np.isnan(vals))
+    if off.size:
+        f.value(word[off[0]], tails[off[0]])  # raises the error for that pair
+    s_n = 0.0
+    for v in vals.tolist():
+        s_n += t * v
+    log_ratio = logmass - (s_n - n * pressure_value)
+    ratio = float(np.exp(log_ratio))
+    v1 = support_first_variation(m, f)
+    log_c = 4.0 * t * v1
+    ok = bool(-log_c - 1e-9 <= log_ratio <= log_c + 1e-9)
+    return ratio, ok
+
+
+def one_cylinder_gibbs_check(m, trunc, f, t: float, pressure_value: float) -> list[tuple[int, float, bool]]:
+    """Gibbs bound on every 1-cylinder: mass / exp(t sup f|_[i] - P) in [1/C, C]."""
+    v1 = support_first_variation(m, f)
+    log_c = 4.0 * t * v1
+    out = []
+    idx = m.local_index()
+    for sym in trunc.alphabet:
+        sym = int(sym)
+        sup_i = f.cylinder_sup(sym, trunc)
+        with np.errstate(divide="ignore"):
+            log_ratio = float(np.log(m.stationary[idx[sym]])) - (t * sup_i - pressure_value)
+        ok = bool(-log_c - 1e-9 <= log_ratio <= log_c + 1e-9)
+        out.append((sym, float(np.exp(log_ratio)), ok))
+    return out

@@ -11,7 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_force_max_mean, random_stochastic, stationary_of
+from conftest import (
+    admissible_words,
+    brute_force_max_mean,
+    gibbs_ratio,
+    one_cylinder_gibbs_check,
+    random_stochastic,
+    stationary_of,
+    support_first_variation,
+)
 from gibbsline.bundled import bundled_pair
 from gibbsline.cli import run_command, sweep_jsonable
 from gibbsline.ergodic_opt import (
@@ -31,15 +39,12 @@ from gibbsline.rpf_finite import (
     cylinder_mass,
     entropy,
     equilibrium_measure,
-    gibbs_ratio,
     gurevich_estimate,
     integral,
-    one_cylinder_gibbs_check,
     partition_entropy,
     pressure,
-    support_first_variation,
 )
-from gibbsline.shift_model import ModelKind, ShiftModel, admissible_words, build_truncation
+from gibbsline.shift_model import ModelKind, ShiftModel, build_truncation
 
 BUNDLED = ("log_quadratic", "tie_two_loops", "renewal_weighted")
 GRID_KS = (1, 2, 3, 4, 5, 6)

@@ -48,6 +48,17 @@ tail_a = 0.0
 tail_b = 0.0
 """
 
+HUGE_WEIGHTS = """
+[model]
+kind = custom
+edges = 0 1, 1 0, 1 2, 2 0
+tail_rule = none
+
+[potential]
+family = table
+table = 0 1 1000000000000.3, 1 0 999999999999.9, 1 2 1000000000000.1, 2 0 999999999999.95
+"""
+
 TAIL_TABLE = """
 [model]
 kind = renewal
@@ -268,15 +279,18 @@ class TestRunCommand:
         assert ("per-truncation only" in capsys.readouterr().out) is not summable
 
     def test_weighted_tail_at_large_t_is_certified(self, tmp_path):
-        # exp(t a) alone overflows at t = 1000; the weighted closed form takes
-        # it in one exponent with q^start, and the tail is tiny
-        cfg = write_cfg(tmp_path, TIE, "tie.cfg")
-        assert run_command(["certify-summability", "--config", cfg, "--out", str(tmp_path / "runs"), "--t", "1000"]) == 0
-        payload = json.loads((next((tmp_path / "runs").iterdir()) / "summability.json").read_text())
-        assert payload["summability"]["converges"] is True
-        assert payload["summability_t"]["converges"] is True
-        assert payload["summability_t"]["tol_met"] is True
-        assert 0.0 <= payload["summability_t"]["tail_bound"] < math.inf
+        # exp(t a) alone overflows at these t, and on the polynomial tail
+        # (log_quadratic) c^(1 - t p) underflows; each weighted closed form
+        # takes the head of its tail in one exponent, and the tail is tiny
+        for name, text, t in (("tie", TIE, "1000"), ("log_quadratic", MINIMAL, "1024")):
+            cfg = write_cfg(tmp_path, text, f"{name}.cfg")
+            out = tmp_path / name
+            assert run_command(["certify-summability", "--config", cfg, "--out", str(out), "--t", t]) == 0
+            payload = json.loads((next(out.iterdir()) / "summability.json").read_text())
+            assert payload["summability"]["converges"] is True
+            assert payload["summability_t"]["converges"] is True
+            assert payload["summability_t"]["tol_met"] is True
+            assert 0.0 <= payload["summability_t"]["tail_bound"] < math.inf
 
     @pytest.mark.parametrize("argv", [["zerotemp"], ["zerotemp", "--k", "1"], ["entropy-limit"]])
     def test_finite_model_that_runs_out_of_truncations(self, tmp_path, argv):
@@ -297,8 +311,8 @@ class TestRunCommand:
             payload = json.loads((run_dir / "entropy_limit.json").read_text())
             assert payload["h_infinity"] == pytest.approx(0.0, abs=1e-12)
 
-    def test_pressure_exits_3_on_a_best_iterate_solve(self, tmp_path, capsys):
-        # two tied critical loops: at t = 8 the solve ends on its best iterate
+    def test_pressure_exits_3_when_the_solve_stalls(self, tmp_path, capsys):
+        # two tied critical loops: at t = 8 both runs spend their budgets
         text = (
             "[model]\nkind = custom\nedges = 0 0, 0 1, 1 1, 1 2, 2 0\ntail_rule = none\n"
             "[potential]\nfamily = table\ntable = 0 0 0.0, 0 1 0.0, 1 1 0.0, 1 2 0.0, 2 0 -1.4375\n"
@@ -307,6 +321,22 @@ class TestRunCommand:
         assert run_command(["pressure", "--config", cfg, "--out", str(tmp_path / "runs"), "--k", "2", "--t", "8"]) == 3
         assert "no convergence" in capsys.readouterr().err
         assert run_command(["pressure", "--config", cfg, "--out", str(tmp_path / "runs"), "--k", "2", "--t", "4"]) == 0
+
+    @pytest.mark.parametrize("command", ["zerotemp", "entropy-limit"])
+    def test_empty_critical_graph_exits_3(self, tmp_path, capsys, command):
+        # at weights near 1e12 the subaction's rounding, about 1e-4, is above
+        # the widest tie tolerance of the ladder (1e-6): no tight cycle is left
+        cfg = write_cfg(tmp_path, HUGE_WEIGHTS)
+        assert run_command([command, "--config", cfg, "--out", str(tmp_path / "runs")]) == 3
+        assert "solver failure: no tight cycle within tie_tol=1e-06" in capsys.readouterr().err.splitlines()
+        manifest = json.loads((next((tmp_path / "runs").iterdir()) / "manifest.json").read_text())
+        assert manifest["commands"][0]["status"] == "solver-error"
+
+    def test_diagnose_reports_an_empty_critical_graph_under_k0(self, tmp_path):
+        cfg = write_cfg(tmp_path, HUGE_WEIGHTS + "\n[sweep]\nks = 1, 2\nts = 2\n")
+        assert run_command(["diagnose", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+        report = json.loads((next((tmp_path / "runs").iterdir()) / "diagnostics.json").read_text())
+        assert report["k0"] == {"error": "no tight cycle within tie_tol=1e-06"}
 
     def test_zerotemp_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, TIE, "tie.cfg")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import admissible_words
 from gibbsline.bundled import bundled_pair
 from gibbsline.ergodic_opt import detect_k0
 from gibbsline.errors import AlphabetTooLarge, NotStabilized, ParseError, SolverError, UnboundedV1
@@ -23,7 +24,6 @@ from gibbsline.shift_model import (
     ModelKind,
     ShiftModel,
     TailRule,
-    admissible_words,
     build_truncation,
     is_irreducible,
 )

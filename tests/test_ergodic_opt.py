@@ -20,7 +20,7 @@ from gibbsline.ergodic_opt import (
     max_plus_gauge,
     subaction,
 )
-from gibbsline import maxplus
+from gibbsline import maxplus, rpf_finite
 from gibbsline.errors import BudgetExceeded, NoConvergence, SolverError, ValidationError
 from gibbsline.potential import Family, MarkovPotential
 from gibbsline.rpf_finite import pressure, transfer_matrix
@@ -470,6 +470,25 @@ def test_cli_exits_3_when_beta_is_below_the_max_cycle_mean(tmp_path, monkeypatch
     code = run_command(["zerotemp", "--config", str(CONFIGS / "tie_two_loops.cfg"), "--out", str(tmp_path)])
     assert code == 3
     assert "below the max cycle mean" in capsys.readouterr().err
+
+
+def test_a_component_solve_that_stalls_raises(tmp_path, monkeypatch, capsys, tie_two_loops):
+    """tie_two_loops' critical component {0, 1} carries 4 edges, so its solves
+    take power iteration. When both runs spend their budgets, the
+    decomposition raises the solve's NoConvergence instead of keeping a
+    degraded component, and zerotemp exits 3."""
+
+    def stalled(op, logv, d, log_sigma, max_iter):
+        return None, math.nan, max_iter, 1e-3
+
+    monkeypatch.setattr(rpf_finite, "_power_iteration", stalled)
+    model, f = tie_two_loops
+    with pytest.raises(NoConvergence) as exc:
+        critical_decomposition(build_truncation(model, 3), f)
+    assert exc.value.args == NoConvergence(2 * 3000, 1e-3).args  # plain and shifted, the default budget each
+    code = run_command(["zerotemp", "--config", str(CONFIGS / "tie_two_loops.cfg"), "--out", str(tmp_path)])
+    assert code == 3
+    assert "solver failure: no convergence after 6000 iterations (residual 1.000e-03)" in capsys.readouterr().err
 
 
 def test_seeded_runs_settle_in_one_round_on_renewal_at_1023_symbols(monkeypatch, renewal_weighted):

@@ -23,7 +23,7 @@ from scipy.special import logsumexp
 from conftest import power_perron, tied_period_3
 from gibbsline import rpf_finite
 from gibbsline.bundled import bundled_pair
-from gibbsline.errors import SolverError
+from gibbsline.errors import NoConvergence, SolverError
 from gibbsline.ergodic_opt import critical_decomposition, max_plus_gauge
 from gibbsline.limits import ZT_TS_DEFAULT
 from gibbsline.maxplus import gauge_of
@@ -323,13 +323,15 @@ class TestApplicationsPerIteration:
             assert len(counts) - before[0] == 2
             assert sum(counts) - before[1] == pd.iterations + 2, t
 
-    def test_fallback_and_best_iterate(self, monkeypatch):
-        # plain, then shifted, on both sides; each run ends at its budget
+    def test_fallback_and_no_convergence(self, monkeypatch):
+        # plain, then shifted, on the right side; each run ends at its budget,
+        # and the left side is never built
         logB = np.log(np.array([[1.0, 0.1], [0.1, 0.9]]))
         counts = count_applications(monkeypatch)
-        pd = perron(logB, max_iter=96)
-        assert pd.path == "best-iterate"
-        assert sum(counts) == pd.iterations + 4
+        with pytest.raises(NoConvergence) as exc:
+            perron(logB, max_iter=96)
+        assert len(counts) == 1
+        assert sum(counts) == exc.value.iterations + 2
 
     def test_period_two_pays_for_its_window_checks(self, monkeypatch):
         logB = np.array([[NEG_INF, -0.7], [-2.3, NEG_INF]])
@@ -467,20 +469,21 @@ def reference_solve_side(op, d, gauge, warm_start, gauge_of_logA, max_iter):
             return logv, est, spent, res, plain
         if best_plain[0] < best[0]:
             best = best_plain
-    if best[1] is not None and best[0] <= 1e-10:
-        return best[1], best[2], spent, best[0], "best-iterate"
+    # the loops kept the best iterate, which the solve once returned at a
+    # residual <= 1e-10; a solve that stalls now raises
     raise rpf_finite.NoConvergence(spent, best[0])
 
 
 def solve_outcome(logB, **kwargs):
-    """The power iteration's PerronData, or the type and arguments of the solver
-    error it raised. perron skips the iteration where one vertex meets every
-    cycle, as on the period-2 two-cycle and the 2 x 2 with a zero entry below."""
+    """The power iteration's PerronData, or the type, arguments and attributes
+    (a NoConvergence's iterations and residual) of the solver error it raised.
+    perron skips the iteration where one vertex meets every cycle, as on the
+    period-2 two-cycle and the 2 x 2 with a zero entry below."""
     try:
         with np.errstate(divide="ignore"):
             return power_perron(logB, **kwargs)
     except SolverError as exc:
-        return type(exc), exc.args
+        return type(exc), exc.args, vars(exc)
 
 
 def assert_same_as_reference(logB, **kwargs):
@@ -529,7 +532,7 @@ def test_merged_iteration_matches_the_two_loops(case):
     on period-d supports, and stalls into the gauge they build) and gauged
     solves at every t of the zero-temperature sweep, cyclic gauges included.
     The ungauged solves get a smaller budget, which makes stalls, shifted
-    runs and best iterates more frequent and each example cheaper."""
+    runs and NoConvergence more frequent and each example cheaper."""
     W, d = case
     assert graph_period(np.isfinite(W)) == d
     for t in (1.0, 4.0):
@@ -547,9 +550,9 @@ def test_merged_iteration_matches_the_two_loops_on_fixed_cases():
     with np.errstate(divide="ignore"):
         logB = np.log(np.array([[0.0, 1.0], [1.0, 0.001]]))
     assert assert_same_as_reference(logB).path == "shifted"
-    # too small a budget: plain, then shifted, then the best iterate
+    # too small a budget: plain, then shifted, then NoConvergence
     logB = np.log(np.array([[1.0, 0.1], [0.1, 0.9]]))
-    assert assert_same_as_reference(logB, max_iter=96).path == "best-iterate"
+    assert assert_same_as_reference(logB, max_iter=96)[0] is NoConvergence
     # a cyclic gauge goes straight to the shifted run
     logB = np.array([[NEG_INF, -0.7], [-2.3, NEG_INF]])
     assert assert_same_as_reference(logB).path == "period-averaged"
@@ -690,17 +693,24 @@ def parent_power_iteration(op, logv, d, log_sigma, max_iter, best):
     return None, math.nan, max_iter, best[0], best
 
 
+def parent_power_iteration_4(op, logv, d, log_sigma, max_iter):
+    """parent_power_iteration on the module's signature: it starts from no
+    best iterate and returns (log_vec, log_lambda, iters, residual), the
+    residual of a stalled run being the smallest it saw."""
+    return parent_power_iteration(op, logv, d, log_sigma, max_iter, (math.inf, None, math.nan))[:4]
+
+
 def parent_module(m):
     m.setattr(rpf_finite, "_log_operator", parent_log_operator)
     m.setattr(rpf_finite, "_logsumexp", parent_logsumexp)
-    m.setattr(rpf_finite, "_power_iteration", parent_power_iteration)
+    m.setattr(rpf_finite, "_power_iteration", parent_power_iteration_4)
 
 
 def outcome(logB, **kwargs):
     try:
         return power_perron(logB, **kwargs)
     except SolverError as exc:
-        return type(exc), exc.args
+        return type(exc), exc.args, vars(exc)
 
 
 def assert_same_bits_as_parent(logB, **kwargs):
@@ -724,7 +734,7 @@ def assert_same_bits_as_parent(logB, **kwargs):
 @given(periodic_weights())
 def test_leaner_step_keeps_the_bits_on_periodic_supports(case):
     """Every field of every solve, as in the merged-iteration test: plain and
-    period-averaged runs, stalls into the shifted run, best iterates and
+    period-averaged runs, stalls into the shifted run, NoConvergence and
     cyclic gauges, on supports of period 1, 2 and 3."""
     W, d = case
     for t in (1.0, 4.0):
@@ -743,7 +753,7 @@ def test_leaner_step_keeps_the_bits_on_every_path():
         W = np.log(np.array([[0.0, 1.0], [1.0, 0.001]]))
     assert assert_same_bits_as_parent(W).path == "shifted"
     W = np.log(np.array([[1.0, 0.1], [0.1, 0.9]]))
-    assert assert_same_bits_as_parent(W, max_iter=96).path == "best-iterate"
+    assert assert_same_bits_as_parent(W, max_iter=96)[0] is NoConvergence
     W = np.array([[NEG_INF, -0.7], [-2.3, NEG_INF]])
     assert assert_same_bits_as_parent(W).path == "period-averaged"
     assert assert_same_bits_as_parent(W, gauge=gauge_of(W)).path == "shifted"

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_gauged_state, power_perron, random_stochastic, stationary_of, tied_period_3
+from conftest import (
+    admissible_words,
+    dense_gauged_state,
+    gibbs_ratio,
+    one_cylinder_gibbs_check,
+    power_perron,
+    random_stochastic,
+    stationary_of,
+    tied_period_3,
+)
 from gibbsline.bundled import bundled_pair
 from gibbsline.ergodic_opt import critical_decomposition, detect_k0, max_plus_gauge
 from gibbsline.errors import BudgetExceeded, NoConvergence
@@ -17,10 +26,8 @@ from gibbsline.rpf_finite import (
     entropy,
     equilibrium,
     equilibrium_measure,
-    gibbs_ratio,
     gurevich_estimate,
     integral,
-    one_cylinder_gibbs_check,
     partition_entropy,
     perron,
     pressure,
@@ -112,13 +119,14 @@ class TestPerron:
         assert pd.path == "shifted"
         assert pd.log_lambda == pytest.approx(math.log(np.max(np.linalg.eigvals(B).real)), abs=1e-12)
 
-    def test_best_iterate_is_reported(self):
-        # a budget too small for the residual gate, but enough for 1e-10
+    def test_a_stalled_solve_raises(self):
+        # a budget too small for the residual gate: the right side's plain and
+        # shifted runs both spend it, and the smallest residual seen is reported
         logB = np.log(np.array([[1.0, 0.1], [0.1, 0.9]]))
-        pd = perron(logB, max_iter=96)
-        assert pd.path == "best-iterate"
-        assert 1e-12 < pd.residual <= 1e-10
-        assert pd.iterations == 4 * 96  # plain, then shifted, on both sides
+        with pytest.raises(NoConvergence) as exc:
+            perron(logB, max_iter=96)
+        assert 1e-12 < exc.value.residual <= 1e-10
+        assert exc.value.iterations == 2 * 96
         assert perron(logB).path == "plain"
 
     def test_against_dense_eigensolver(self, rng):
@@ -279,8 +287,6 @@ class TestCylinderMass:
         assert cylinder_mass(meas, (0, 0)) == 0.0
 
     def test_word_masses_sum_to_one(self, renewal_weighted):
-        from gibbsline.shift_model import admissible_words
-
         model, f = renewal_weighted
         tr = build_truncation(model, 4)
         _, meas = equilibrium_measure(tr, f, 2.0)
@@ -458,33 +464,37 @@ def test_gauged_solve_and_oracle_resolve_a_nearly_critical_loop():
     assert np.allclose(dense_gauged_state(W, t)[1], ref, rtol=1e-9, atol=0.0)
 
 
-def test_equilibrium_measure_refuses_a_best_iterate_solve():
+def test_equilibrium_measure_raises_on_a_stalled_solve():
     """Two tied critical loops at t = 8 leave a contraction margin of 0.003:
     the budget ends with residual 7.5e-11 and stationary masses off by 1e-8.
-    The solve reports its best iterate; the measure refuses it."""
+    The solve raises NoConvergence, and so does the measure."""
     entries = {(0, 0): 0.0, (0, 1): 0.0, (1, 1): 0.0, (1, 2): 0.0, (2, 0): -1.4375}
     model = ShiftModel(ModelKind.CUSTOM, tuple(sorted(entries)))
     f = MarkovPotential(model, Family.TABLE, table=tuple((i, j, v) for (i, j), v in sorted(entries.items())))
     tr = build_truncation(model, 2)
     gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
-    assert perron(transfer_matrix(tr, f, 8.0), gauge=gauge.scaled(8.0)).path == "best-iterate"
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence) as solve:
+        perron(transfer_matrix(tr, f, 8.0), gauge=gauge.scaled(8.0))
+    assert 1e-12 < solve.value.residual <= 1e-10
+    with pytest.raises(NoConvergence) as exc:
         equilibrium_measure(tr, f, 8.0, gauge=gauge)
+    assert exc.value.args == solve.value.args
 
 
-def test_pressure_refuses_a_best_iterate_solve():
+def test_pressure_raises_on_a_stalled_solve():
     """The support of the test above, ungauged: at t = 8 the plain and the
-    shifted runs both spend their budgets, and the best iterate reaches
-    residual 7.5e-11. pressure refuses it, as equilibrium_measure does."""
+    shifted runs both spend their budgets, with residual 7.5e-11 at best.
+    pressure raises the solve's NoConvergence, as equilibrium_measure does."""
     entries = {(0, 0): 0.0, (0, 1): 0.0, (1, 1): 0.0, (1, 2): 0.0, (2, 0): -1.4375}
     model = ShiftModel(ModelKind.CUSTOM, tuple(sorted(entries)))
     f = MarkovPotential(model, Family.TABLE, table=tuple((i, j, v) for (i, j), v in sorted(entries.items())))
     tr = build_truncation(model, 2)
-    pd = perron(transfer_matrix(tr, f, 8.0))
-    assert pd.path == "best-iterate"
+    with pytest.raises(NoConvergence) as solve:
+        perron(transfer_matrix(tr, f, 8.0))
+    assert 1e-12 < solve.value.residual <= 1e-10
     with pytest.raises(NoConvergence) as exc:
         pressure(tr, f, 8.0)
-    assert exc.value.args == NoConvergence(pd.iterations, pd.residual).args
+    assert exc.value.args == solve.value.args
     assert pressure(tr, f, 4.0) == perron(transfer_matrix(tr, f, 4.0)).log_lambda
 
 

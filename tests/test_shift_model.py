@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import admissible_words
 from gibbsline.errors import BudgetExceeded, NonTransitive, ValidationError
 from gibbsline.shift_model import (
     ModelKind,
     ShiftModel,
     TailRule,
     Truncation,
-    admissible_words,
     build_truncation,
     graph_period,
     is_irreducible,
