@@ -11,6 +11,7 @@ only the start and finish stamps).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -37,7 +38,7 @@ from .limits import (
 from .potential import SummabilityCertificate, check_summability, check_summability_t
 from .rpf_finite import gurevich_estimate, pressure
 from .runstore import RunStore
-from .shift_model import build_truncation
+from .shift_model import ShiftModel, build_truncation, last_truncation
 
 CSV_HEADER = "k,t,quantity,value,gap,flag"
 
@@ -186,7 +187,8 @@ def klimit_csv(table: KLimitTable) -> str:
         gaps = table.gaps[w]
         for i, k in enumerate(table.ks):
             gap = gaps[i - 1] if i >= 1 else None
-            rows.append((k, table.t, f"mass[{word_to_str(w)}]", traj[i], gap, ""))
+            flag = "exact" if table.exact and k == table.ks[-1] else ""
+            rows.append((k, table.t, f"mass[{word_to_str(w)}]", traj[i], gap, flag))
     return _csv(rows)
 
 
@@ -205,7 +207,9 @@ def entropy_limit_csv(report: EntropyLimitReport) -> str:
 # commands
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="gibbsline", description=__doc__)
     parser.add_argument("--version", action="version", version=f"gibbsline {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -276,7 +280,7 @@ def _cmd_pressure(cfg: ModelConfig, args, em: _Emitter) -> int:
             em.put("pressure.json", _json_dumps({"k": args.k, "t": args.t, "pressure": value}))
         print(f"pressure k={args.k} t={_fmt(args.t)} value={_fmt(value)}")
         return 0
-    ks = (args.k,) if args.k is not None else cfg.sweep.ks
+    ks = (args.k,) if args.k is not None else _capped(cfg.model, cfg.sweep.ks)
     ts = (args.t,) if args.t is not None else cfg.sweep.ts
     result = pressure_sweep(cfg.model, cfg.potential, ks, ts, words, require_certificate=False)
     if "csv" in em.formats:
@@ -285,7 +289,9 @@ def _cmd_pressure(cfg: ModelConfig, args, em: _Emitter) -> int:
         em.put("pressure.json", _json_dumps(sweep_jsonable(result)))
     for t, info in sorted(result.diagnostics["p_estimate"].items()):
         print(f"P(t)-estimate t={_fmt(t)} value={_fmt(info['value'])} gap={_fmt(info['cauchy_gap'])}")
-    if not result.diagnostics["certified_summable"]:
+    if result.diagnostics["exact"]:
+        print(f"exact: k={max(ks)} is the whole shift of the finite model")
+    elif not result.diagnostics["certified_summable"]:
         print("per-truncation only: no summable certificate, no infinite-alphabet estimate")
     return 0
 
@@ -294,7 +300,7 @@ def _cmd_equilibrium(cfg: ModelConfig, args, em: _Emitter) -> int:
     words = _words(cfg, args)
     t = args.t if args.t is not None else cfg.sweep.ts[0]
     tol = args.tol if args.tol is not None else cfg.sweep.tol
-    ks = cfg.sweep.ks if args.k is None else tuple(range(0, args.k + 1))
+    ks = _capped(cfg.model, cfg.sweep.ks) if args.k is None else tuple(range(0, args.k + 1))
     table = equilibrium_limit_in_k(cfg.model, cfg.potential, t, ks, words, tol=tol)
     if "csv" in em.formats:
         em.put("equilibrium.csv", klimit_csv(table))
@@ -312,21 +318,32 @@ def _cmd_equilibrium(cfg: ModelConfig, args, em: _Emitter) -> int:
             ),
         )
     for w in sorted(table.limits, key=word_to_str):
-        print(f"mass[{word_to_str(w)}] t={_fmt(t)} limit={_fmt(table.limits[w])} gap={_fmt(max(table.gaps[w][-2:]))}")
+        gap = max(table.gaps[w][-2:], default=0.0)
+        print(f"mass[{word_to_str(w)}] t={_fmt(t)} limit={_fmt(table.limits[w])} gap={_fmt(gap)}")
+    if table.exact:
+        print(f"exact: k={table.ks[-1]} is the whole shift of the finite model")
     return 0
 
 
-def _sweep_k(args, k0: K0Report) -> int:
-    """--k, or else k0 + 1, capped at the last truncation of a finite model."""
-    if args.k is not None:
-        return args.k
-    return k0.k0 + 1 if k0.last_k is None else min(k0.k0 + 1, k0.last_k)
+def _capped(model: ShiftModel, ks: tuple[int, ...]) -> tuple[int, ...]:
+    """ks capped at the last truncation of a finite model, repeats dropped.
+
+    There is no truncation past the last one; the capped schedule ends on
+    it. Only default ks are capped: an explicit --k is taken as given.
+    """
+    last = last_truncation(model, max(ks))
+    return ks if last is None else tuple(dict.fromkeys(min(k, last) for k in ks))
+
+
+def _sweep_k(cfg: ModelConfig, args, k0: K0Report) -> int:
+    """--k, or else k0 + 1 capped like the default ks."""
+    return args.k if args.k is not None else _capped(cfg.model, (k0.k0 + 1,))[0]
 
 
 def _cmd_zerotemp(cfg: ModelConfig, args, em: _Emitter) -> int:
     words = _words(cfg, args)
     k0 = detect_k0(cfg.model, cfg.potential, stability_window=cfg.sweep.k0_window, tie_tol=cfg.sweep.tie_tol)
-    k = _sweep_k(args, k0)
+    k = _sweep_k(cfg, args, k0)
     result = zero_temp_sweep(
         cfg.model, cfg.potential, k, ts=cfg.sweep.zt_ts, words=words, tie_tol=cfg.sweep.tie_tol, k0_report=k0
     )
@@ -350,7 +367,7 @@ def _cmd_zerotemp(cfg: ModelConfig, args, em: _Emitter) -> int:
 
 def _cmd_entropy_limit(cfg: ModelConfig, args, em: _Emitter) -> int:
     k0 = detect_k0(cfg.model, cfg.potential, stability_window=cfg.sweep.k0_window, tie_tol=cfg.sweep.tie_tol)
-    k = _sweep_k(args, k0)
+    k = _sweep_k(cfg, args, k0)
     report = entropy_limit(cfg.model, cfg.potential, k, ts=cfg.sweep.zt_ts, tie_tol=cfg.sweep.tie_tol, k0_report=k0)
     if "csv" in em.formats:
         em.put("entropy_limit.csv", entropy_limit_csv(report))
@@ -403,7 +420,8 @@ def _cmd_certify(cfg: ModelConfig, args, em: _Emitter) -> int:
 def _cmd_diagnose(cfg: ModelConfig, args, em: _Emitter) -> int:
     words = _words(cfg, args)
     report: dict = {"solver_errors": []}
-    sweep = pressure_sweep(cfg.model, cfg.potential, cfg.sweep.ks, cfg.sweep.ts, words, require_certificate=False)
+    ks = _capped(cfg.model, cfg.sweep.ks)
+    sweep = pressure_sweep(cfg.model, cfg.potential, ks, cfg.sweep.ts, words, require_certificate=False)
     report["summability"] = _cert_jsonable(sweep.reference["certificate"])
     report["monotone_in_k"] = {_fmt(t): ok for t, ok in sweep.diagnostics["monotone_in_k"].items()}
     report["certified_summable"] = sweep.diagnostics["certified_summable"]
@@ -415,7 +433,7 @@ def _cmd_diagnose(cfg: ModelConfig, args, em: _Emitter) -> int:
             report["solver_errors"].append({"k": g.k, "t": g.t, "error": g.error})
     report["max_variational_residual"] = vp
 
-    k_probe = cfg.sweep.ks[min(2, len(cfg.sweep.ks) - 1)]
+    k_probe = ks[min(2, len(ks) - 1)]
     trunc = build_truncation(cfg.model, k_probe)
     p2 = pressure(trunc, cfg.potential, 2.0)
     a0 = int(trunc.alphabet[0])
@@ -428,7 +446,7 @@ def _cmd_diagnose(cfg: ModelConfig, args, em: _Emitter) -> int:
 
     tight = {}
     for t in (2.0, 8.0, 32.0):
-        tr = tightness_bound_check(cfg.model, cfg.potential, t, cfg.sweep.ks)
+        tr = tightness_bound_check(cfg.model, cfg.potential, t, ks)
         tight[_fmt(t)] = {"violations": len(tr.violations), "thresholds": {str(k): v for k, v in tr.thresholds.items()}}
     report["tightness"] = tight
 
@@ -439,7 +457,7 @@ def _cmd_diagnose(cfg: ModelConfig, args, em: _Emitter) -> int:
         report["k0"] = {"error": str(exc)}
 
     usc = entropy_upper_semicontinuity_check(
-        cfg.model, cfg.potential, cfg.sweep.ts[0], cfg.sweep.ks, budget=cfg.sweep.budget
+        cfg.model, cfg.potential, cfg.sweep.ts[0], ks, budget=cfg.sweep.budget
     )
     report["usc_within_band"] = all(usc.within_band)
     report["partition_final_gaps"] = {str(n): g for n, g in usc.partition_final_gaps.items()}
@@ -462,8 +480,7 @@ _COMMANDS = {
 
 def run_command(argv: list[str]) -> int:
     """Dispatch a CLI invocation; returns the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     for name in ("t", "tol"):
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):

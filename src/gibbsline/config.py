@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParseError, ValidationError
 from .potential import Family, MarkovPotential, TailDescriptor, TailKind
@@ -73,8 +74,13 @@ class ModelConfig:
     output: OutputParams
     per_truncation_only: bool
 
-    def canonical_text(self) -> str:
+    @cached_property
+    def _canonical(self) -> str:
         return _emit_canonical(self)
+
+    def canonical_text(self) -> str:
+        """The canonical emission, rendered once per config and shared with `config_hash`."""
+        return self._canonical
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()

@@ -7,7 +7,8 @@ zero-temperature solves, and stabilization detection across the truncation
 schedule. The max-plus routines themselves live in `maxplus`; this module
 applies them to the weight matrix W = `transfer_matrix(trunc, f, 1)` of a
 potential on a truncation, which rejects f undefined on an admissible edge.
-A critical decomposition builds W once, and so does its gauge.
+A critical decomposition builds W once, and so does its gauge; a caller
+that already holds W (a zero-temperature sweep) passes it to both instead.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ import numpy as np
 from . import maxplus
 from .errors import (
     EmptyCriticalGraph,
-    NonTransitive,
     NotStabilized,
     ValidationError,
 )
 from .maxplus import MaxPlusGauge
 from .potential import MarkovPotential, check_summability
 from .rpf_finite import MarkovMeasure, equilibrium, perron, transfer_matrix
-from .shift_model import ShiftModel, Truncation, build_truncation, graph_period
+from .shift_model import ShiftModel, Truncation, build_truncation, graph_period, last_truncation
 
 _NEG_INF = -np.inf
 
@@ -115,7 +115,8 @@ def critical_graph(
 ) -> CriticalDecomposition:
     """Tight-edge graph of the weight matrix W = `transfer_matrix(trunc, f, 1)`
     and its transitive components. `critical_decomposition` builds W once
-    and passes it to every rung of its tie-tolerance ladder.
+    (or takes the caller's) and passes it to every rung of its tie-tolerance
+    ladder.
 
     Components are the strongly connected pieces of the tight graph that
     carry a cycle; every cycle made of tight edges has mean exactly beta,
@@ -161,11 +162,18 @@ def critical_graph(
     )
 
 
-def critical_decomposition(trunc: Truncation, f: MarkovPotential, tie_tol: float = 1e-9) -> CriticalDecomposition:
+def critical_decomposition(
+    trunc: Truncation, f: MarkovPotential, tie_tol: float = 1e-9, W: np.ndarray | None = None
+) -> CriticalDecomposition:
     """Full pipeline beta -> subaction -> critical graph on one weight matrix,
     with the tie-tolerance ladder: on an empty critical graph the tolerance is
-    widened tenfold up to 1e-6."""
-    W = transfer_matrix(trunc, f, 1.0)
+    widened tenfold up to 1e-6.
+
+    W is `transfer_matrix(trunc, f, 1.0)`: the caller's when it holds one,
+    else built here, once for the whole ladder.
+    """
+    if W is None:
+        W = transfer_matrix(trunc, f, 1.0)
     beta, witness = _witnessed_mean(trunc, W)
     v = _seeded_subaction(trunc, W, beta, witness)
     tol = tie_tol
@@ -178,17 +186,22 @@ def critical_decomposition(trunc: Truncation, f: MarkovPotential, tie_tol: float
             tol *= 10.0
 
 
-def max_plus_gauge(trunc: Truncation, f: MarkovPotential, dec: CriticalDecomposition) -> MaxPlusGauge:
+def max_plus_gauge(
+    trunc: Truncation, f: MarkovPotential, dec: CriticalDecomposition, W: np.ndarray | None = None
+) -> MaxPlusGauge:
     """Max-plus gauge of f on the truncation, from its critical decomposition.
 
     The subactions are seeded on the maximal components: as t grows, log h
     of exp(t f) is t v and log nu is t u up to o(t) when one component is
     maximal, because the Perron vector is carried by the walks into it.
-    Costs two seeded policy iterations; no further max cycle mean.
+    Costs two seeded policy iterations; no further max cycle mean. W is
+    `transfer_matrix(trunc, f, 1.0)`, built here unless the caller passes it.
     """
+    if W is None:
+        W = transfer_matrix(trunc, f, 1.0)
     idx = trunc.local_index()
     seeds = [idx[dec.components[j].symbols[0]] for j in dec.maximal_components]
-    return maxplus.gauge(transfer_matrix(trunc, f, 1.0), dec.beta, seeds, dec.cyclicity)
+    return maxplus.gauge(W, dec.beta, seeds, dec.cyclicity)
 
 
 def _structure_key(dec: CriticalDecomposition) -> tuple:
@@ -216,25 +229,21 @@ def detect_k0(
         raise ValidationError("stabilization detection requires a summable potential")
     if ks is None:
         ks = tuple(range(0, 10))
-    decs = []
-    saturated = False
-    for k in ks:
-        try:
-            trunc = build_truncation(model, k)
-        except NonTransitive:
-            saturated = True
-            break
-        decs.append((k, critical_decomposition(trunc, f, tie_tol=tie_tol)))
+    top = max(ks)
+    last = last_truncation(model, top)
+    if not model.is_infinite_alphabet():  # a finite model has truncations at 0..last only
+        ks = tuple(k for k in ks if last is not None and k <= last)
+    decs = [(k, critical_decomposition(build_truncation(model, k), f, tie_tol=tie_tol)) for k in ks]
     if not decs or stability_window < 1:
-        raise NotStabilized(max(ks))
+        raise NotStabilized(top)
     built = tuple(k for k, _ in decs)
     betas = tuple(d.beta for _, d in decs)
     keys = [_structure_key(d) for _, d in decs]
-    if saturated:
+    if last is not None and last < top:
         i = len(decs) - 1
         while i > 0 and keys[i - 1] == keys[-1] and abs(betas[i - 1] - betas[-1]) <= beta_tol:
             i -= 1
-        return K0Report(k0=built[i], window=len(decs) - i, heuristic=True, ks=built, betas=betas, last_k=built[-1])
+        return K0Report(k0=built[i], window=len(decs) - i, heuristic=True, ks=built, betas=betas, last_k=last)
     for i in range(len(decs) - stability_window + 1):
         window_betas = betas[i : i + stability_window]
         window_keys = keys[i : i + stability_window]

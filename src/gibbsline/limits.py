@@ -32,8 +32,9 @@ from .rpf_finite import (
     equilibrium_measure,
     integral,
     partition_entropy,
+    transfer_matrix,
 )
-from .shift_model import ShiftModel, Truncation, build_truncation
+from .shift_model import ShiftModel, Truncation, build_truncation, is_whole_shift
 
 ZT_TS_DEFAULT = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
 
@@ -69,6 +70,7 @@ class KLimitTable:
     gaps: dict[tuple[int, ...], tuple[float, ...]]
     converged: bool
     final_gap: float
+    exact: bool = False  # the last truncation is the whole shift of a finite model
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,9 @@ def pressure_sweep(
     """Grid of P_k(t) with equilibrium statistics per point.
 
     Pressure must be non-decreasing in k at every t; the P(t) estimate is
-    the largest-k value together with its last Cauchy gap.
+    the largest-k value together with its last Cauchy gap. The diagnostic
+    `exact` says the largest k is the whole shift of a finite model, whose
+    values are then the limits themselves.
     """
     if any(t <= 1.0 for t in ts):
         raise ValidationError("sweep temperatures must satisfy t > 1")
@@ -263,6 +267,7 @@ def pressure_sweep(
             "p_estimate": p_estimate,
             "certified_summable": certified,
             "bound_violations": violations,
+            "exact": is_whole_shift(model, solver.truncation(sorted_ks[-1])),
         },
     )
 
@@ -280,16 +285,19 @@ def equilibrium_limit_in_k(
 
     Converged when, for every word, the last two k-gaps are below tol; the
     declared limit is the largest-k mass (the finite-k stand-in for the
-    countable-shift equilibrium).
+    countable-shift equilibrium). Repeated ks count once. When the largest
+    k is the whole shift of a finite model, its masses are the limits
+    themselves: the table is exact and converged, however few ks it has.
     """
     if t <= 1.0:
         raise ValidationError("equilibrium limits need t > 1")
-    if len(ks) < 3:
-        raise ValidationError("need at least three truncations to declare a limit")
     solver = _PointSolver(model, f)
-    ks = tuple(sorted(ks))
+    ks = tuple(sorted(set(ks)))
     # past the dense limit, fail before solving the smaller truncations
     solver.truncation(ks[-1]).require_incidence()
+    exact = is_whole_shift(model, solver.truncation(ks[-1]))
+    if len(ks) < 3 and not exact:
+        raise ValidationError("need at least three truncations to declare a limit")
     trajectories: dict[tuple[int, ...], tuple[float, ...]] = {}
     gaps: dict[tuple[int, ...], tuple[float, ...]] = {}
     limits: dict[tuple[int, ...], float] = {}
@@ -303,11 +311,11 @@ def equilibrium_limit_in_k(
         trajectories[w] = tuple(traj)
         gaps[w] = g
         limits[w] = traj[-1]
-        final_gap = max(final_gap, max(g[-2:]))
-    converged = final_gap < tol
+        final_gap = max(final_gap, max(g[-2:], default=0.0))
+    converged = exact or final_gap < tol
     if strict and not converged:
         raise NotConverged(final_gap, what=f"cylinder masses at t={t}")
-    return KLimitTable(float(t), ks, trajectories, limits, gaps, converged, final_gap)
+    return KLimitTable(float(t), ks, trajectories, limits, gaps, converged, final_gap, exact)
 
 
 def integral_limit_check(
@@ -390,15 +398,18 @@ def zero_temp_sweep(
 
     The ground-state weights are the total 1-cylinder masses of each maximal
     critical component at the largest solved t, with the gap to the previous
-    grid point as the consistency residual.
+    grid point as the consistency residual. The weight matrix W of f on the
+    truncation is built once: the critical decomposition, the gauge and
+    every t's solve (on t * W) share it.
     """
     if k0_report is None:
         k0_report = detect_k0(model, f, tie_tol=tie_tol)
     if k < k0_report.k0:
         raise ValidationError(f"zero-temperature sweep needs k >= k0 = {k0_report.k0}")
     trunc = build_truncation(model, k)
-    dec = critical_decomposition(trunc, f, tie_tol=tie_tol)
-    gauge = max_plus_gauge(trunc, f, dec)
+    W = transfer_matrix(trunc, f, 1.0)
+    dec = critical_decomposition(trunc, f, tie_tol=tie_tol, W=W)
+    gauge = max_plus_gauge(trunc, f, dec, W=W)
     ts = tuple(sorted(float(t) for t in ts))
 
     maximal = [dec.components[j] for j in dec.maximal_components]
@@ -408,7 +419,7 @@ def zero_temp_sweep(
     errors: list[tuple[float, str]] = []
     for t in ts:
         try:
-            _, meas = equilibrium_measure(trunc, f, t, gauge=gauge)
+            _, meas = equilibrium_measure(trunc, f, t, gauge=gauge, W=W)
         except SolverError as exc:
             errors.append((t, str(exc)))
             continue
@@ -451,7 +462,9 @@ def entropy_limit(
 
     The extrapolated limit (last grid value, residual = gap to the previous
     one) is compared against the entropy supremum over maximizing measures.
-    Only mixing models validate the comparison; others get a warning.
+    Only mixing models validate the comparison; others get a warning. As in
+    `zero_temp_sweep`, one weight matrix W serves the decomposition, the
+    gauge and every t.
     """
     if k0_report is None:
         k0_report = detect_k0(model, f, tie_tol=tie_tol)
@@ -464,13 +477,14 @@ def entropy_limit(
             "entropy-limit comparison assumes a topologically mixing model; output is unvalidated",
             NonMixingModel,
         )
-    dec = critical_decomposition(trunc, f, tie_tol=tie_tol)
+    W = transfer_matrix(trunc, f, 1.0)
+    dec = critical_decomposition(trunc, f, tie_tol=tie_tol, W=W)
     sup_max = max_entropy_over_maximizing(dec)
-    gauge = max_plus_gauge(trunc, f, dec)
+    gauge = max_plus_gauge(trunc, f, dec, W=W)
     ts = tuple(sorted(float(t) for t in ts))
     hs = []
     for t in ts:
-        _, meas = equilibrium_measure(trunc, f, t, gauge=gauge)
+        _, meas = equilibrium_measure(trunc, f, t, gauge=gauge, W=W)
         hs.append(entropy(meas))
     return EntropyLimitReport(
         k=k,

@@ -214,10 +214,9 @@ def critical_components(
     tight = np.isfinite(W) & (np.abs(residue) <= tie_tol)
     comps = []
     for comp in strongly_connected_components(tight):
-        sub = tight[np.ix_(comp, comp)]
-        if len(comp) == 1 and not sub[0, 0]:
-            continue
-        comps.append((comp, sub))
+        if len(comp) == 1 and not tight[comp[0], comp[0]]:
+            continue  # a vertex without a tight self-loop carries no cycle
+        comps.append((comp, tight[np.ix_(comp, comp)]))
     return tight, comps
 
 

@@ -593,8 +593,11 @@ def equilibrium(pd: PerronData, logB: np.ndarray, alphabet: np.ndarray | None = 
     n = logB.shape[0]
     if alphabet is None:
         alphabet = np.arange(n, dtype=np.int64)
-    logP = logB + pd.log_h[None, :] - pd.log_h[:, None] - pd.log_lambda
-    P = np.exp(logP)
+    # log P = ((log B + log h_j) - log h_i) - log lambda, built in one buffer
+    P = np.add(logB, pd.log_h[None, :])
+    P -= pd.log_h[:, None]
+    P -= pd.log_lambda
+    np.exp(P, out=P)
     P /= P.sum(axis=1, keepdims=True)
     pi = np.exp(pd.log_nu + pd.log_h)
     pi /= pi.sum()
@@ -611,15 +614,23 @@ def equilibrium(pd: PerronData, logB: np.ndarray, alphabet: np.ndarray | None = 
 
 
 def equilibrium_measure(
-    trunc: Truncation, f: MarkovPotential, t: float, gauge: MaxPlusGauge | None = None
+    trunc: Truncation,
+    f: MarkovPotential,
+    t: float,
+    gauge: MaxPlusGauge | None = None,
+    W: np.ndarray | None = None,
 ) -> tuple[float, MarkovMeasure]:
     """Convenience: pressure and equilibrium state of t*f on the truncation.
 
     `gauge` is the max-plus gauge of f (not of t*f) on the truncation; the
-    solve uses it scaled by t. NoConvergence when the solve does not
-    converge (see `perron`).
+    solve uses it scaled by t. `W` is the weight matrix
+    `transfer_matrix(trunc, f, 1.0)` when the caller holds it (a sweep over
+    t builds it once); for t > 0 the solve then runs on t * W, which is
+    `transfer_matrix(trunc, f, t)` bit for bit (1.0 * x = x, t * -inf =
+    -inf). Without it, or at t <= 0, the transfer matrix is built here.
+    NoConvergence when the solve does not converge (see `perron`).
     """
-    logB = transfer_matrix(trunc, f, t)
+    logB = t * W if W is not None and t > 0 else transfer_matrix(trunc, f, t)
     pd = perron(logB, gauge=None if gauge is None else gauge.scaled(t))
     return pd.log_lambda, equilibrium(pd, logB, trunc.alphabet)
 

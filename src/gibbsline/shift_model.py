@@ -167,9 +167,16 @@ class Truncation(AlphabetIndexed):
 
 
 def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; returns SCCs in reverse topological order."""
+    """Tarjan's algorithm, iterative; returns SCCs in reverse topological order.
+
+    The successors of v are succ[starts[v]:ends[v]], read from one
+    np.nonzero pass over adj in row order.
+    """
     n = adj.shape[0]
-    succ = [np.flatnonzero(adj[v]).tolist() for v in range(n)]
+    rows, cols = np.nonzero(adj)
+    succ = cols.tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    starts = [0] + ends[:-1]
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -179,20 +186,21 @@ def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [(root, -1)]  # (vertex, position in succ to resume at; -1 on entry)
         while work:
-            v, pi = work.pop()
-            if pi == 0:
+            v, pos = work.pop()
+            if pos < 0:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
+                pos = starts[v]
             recurse = False
-            for off in range(pi, len(succ[v])):
-                w = succ[v][off]
+            for off in range(pos, ends[v]):
+                w = succ[off]
                 if index[w] == -1:
                     work.append((v, off + 1))
-                    work.append((w, 0))
+                    work.append((w, -1))
                     recurse = True
                     break
                 if on_stack[w]:
@@ -278,6 +286,35 @@ def build_truncation(model: ShiftModel, k: int, dense_limit: int = DENSE_LIMIT) 
         return Truncation(k, alphabet, None, 1, model.kind)
     inc = model.has_edge(alphabet[:, None], alphabet[None, :])
     return Truncation(k, alphabet, inc, graph_period(inc), model.kind)
+
+
+def last_truncation(model: ShiftModel, upto: int) -> int | None:
+    """Largest k <= upto with a truncation, on a model with a finite alphabet.
+
+    None on an infinite alphabet, or when no k <= upto has a truncation.
+    On a finite alphabet the ks with a truncation are 0, ..., last: if the
+    prefix {0..k} has none, then either k + 1 is a listed symbol, and the
+    augmentation of {0..k + 1} runs through the same failed alphabets, or
+    k + 1 lies on no edge and no alphabet holding it is irreducible. So the
+    search starts at the largest listed symbol, past which no k has one.
+    """
+    if model.is_infinite_alphabet():
+        return None
+    for k in range(min(upto, int(model._listed_edges[0][-1])), -1, -1):
+        try:
+            build_truncation(model, k)
+        except NonTransitive:
+            continue
+        return k
+    return None
+
+
+def is_whole_shift(model: ShiftModel, trunc: Truncation) -> bool:
+    """Whether the truncation holds every symbol of a finite model: it is then
+    the whole shift, and its values are the limits in k, not estimates."""
+    if model.is_infinite_alphabet():
+        return False
+    return bool(np.isin(model._listed_edges[0], trunc.alphabet).all())
 
 
 def _custom_truncation(model: ShiftModel, k: int, m: int, dense_limit: int) -> Truncation:

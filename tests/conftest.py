@@ -6,7 +6,7 @@ import pytest
 
 from gibbsline import bundled_pair, rpf_finite
 from gibbsline.errors import BudgetExceeded, ValidationError
-from gibbsline.potential import row_oscillation
+from gibbsline.potential import MarkovPotential, row_oscillation
 from gibbsline.rpf_finite import log_cylinder_mass, transfer_matrix
 
 
@@ -28,6 +28,20 @@ def renewal_weighted():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def value_grid_sizes(monkeypatch):
+    """(len(rows), len(cols)) of every MarkovPotential.value_grid call the test makes from here on."""
+    sizes = []
+    real = MarkovPotential.value_grid
+
+    def counted(self, rows, cols):
+        sizes.append((len(rows), len(cols)))
+        return real(self, rows, cols)
+
+    monkeypatch.setattr(MarkovPotential, "value_grid", counted)
+    return sizes
 
 
 def brute_force_cycles(W: np.ndarray, Lmax: int) -> tuple[float, list[int]]:

@@ -48,6 +48,17 @@ tail_a = 0.0
 tail_b = 0.0
 """
 
+FINITE = """
+[model]
+kind = custom
+edges = 0 1, 1 0, 1 2, 2 0
+tail_rule = none
+
+[potential]
+family = table
+table = 0 1 -0.3, 1 0 -0.1, 1 2 -0.2, 2 0 -0.05
+"""
+
 HUGE_WEIGHTS = """
 [model]
 kind = custom
@@ -310,6 +321,61 @@ class TestRunCommand:
         else:
             payload = json.loads((run_dir / "entropy_limit.json").read_text())
             assert payload["h_infinity"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("command", ["pressure", "equilibrium", "diagnose"])
+    def test_default_ks_of_a_finite_model_are_capped_at_its_last_truncation(self, tmp_path, capsys, command):
+        # the symbols are 0, 1, 2: k = 2 is the whole shift and k = 3 has no
+        # truncation, so the default ks 1..6 run as 1, 2
+        cfg = write_cfg(tmp_path, FINITE)
+        assert run_command([command, "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+        out = capsys.readouterr().out
+        run_dir = next((tmp_path / "runs").iterdir())
+        if command == "pressure":
+            rows = (run_dir / "pressure.csv").read_text().splitlines()[1:]
+            assert [int(r.split(",")[0]) for r in rows] == sorted(int(r.split(",")[0]) for r in rows)
+            assert {int(r.split(",")[0]) for r in rows} == {1, 2}
+            estimate = json.loads((run_dir / "pressure.json").read_text())["diagnostics"]["p_estimate"]
+            assert estimate and all(e["k"] == 2 and e["cauchy_gap"] > 0.0 for e in estimate.values())
+            assert "exact: k=2 is the whole shift of the finite model" in out
+        elif command == "equilibrium":
+            payload = json.loads((run_dir / "equilibrium.json").read_text())
+            assert payload["ks"] == [1, 2] and payload["converged"] and payload["final_gap"] > 0.0
+            rows = (run_dir / "equilibrium.csv").read_text().splitlines()[1:]
+            assert {r.split(",")[-1] for r in rows if r.startswith("2,")} == {"exact"}
+            assert {r.split(",")[-1] for r in rows if r.startswith("1,")} == {""}
+            assert "exact: k=2 is the whole shift of the finite model" in out
+        else:
+            report = json.loads((run_dir / "diagnostics.json").read_text())
+            assert report["solver_errors"] == [] and report["k0"]["value"] == 2
+        if command != "diagnose":  # an explicit k past the last truncation is not capped
+            assert run_command([command, "--config", cfg, "--out", str(tmp_path / "explicit"), "--k", "3"]) == 2
+            assert "prefix alphabet {0..3} has no irreducible finite augmentation" in capsys.readouterr().err
+
+    def test_a_reused_parser_carries_nothing_between_invocations(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TIE)
+        invocations = [
+            ["zerotemp", "--config", cfg],  # no --k: after the one below, k must still default
+            ["zerotemp", "--config", cfg, "--k", "3", "--format", "json"],
+            ["pressure", "--config", cfg, "--k", "x"],  # argparse rejects it
+            ["equilibrium", "--config", cfg, "--tol", "-1"],
+        ]
+
+        def run(i, argv):
+            out = tmp_path / f"run{i}"
+            try:
+                code = run_command(argv + ["--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+            std = capsys.readouterr()
+            files = {}
+            for run_dir in out.iterdir() if out.exists() else ():
+                files.update({p.name: p.read_bytes() for p in run_dir.iterdir() if p.name != "manifest.json"})
+            return code, files, std.err, std.out.rsplit("run directory:", 1)[0]
+
+        first = [run(i, argv) for i, argv in enumerate(invocations)]
+        second = [run(i + len(invocations), argv) for i, argv in enumerate(invocations)]
+        assert [r[0] for r in first] == [0, 0, 2, 2]
+        assert second == first
 
     def test_pressure_exits_3_when_the_solve_stalls(self, tmp_path, capsys):
         # two tied critical loops: at t = 8 both runs spend their budgets

@@ -21,7 +21,7 @@ from gibbsline.ergodic_opt import (
     subaction,
 )
 from gibbsline import maxplus, rpf_finite
-from gibbsline.errors import BudgetExceeded, NoConvergence, SolverError, ValidationError
+from gibbsline.errors import BudgetExceeded, NoConvergence, NotStabilized, SolverError, ValidationError
 from gibbsline.potential import Family, MarkovPotential
 from gibbsline.rpf_finite import pressure, transfer_matrix
 from gibbsline.shift_model import ModelKind, ShiftModel, build_truncation
@@ -268,6 +268,12 @@ class TestDetectK0OnAFiniteModel:
         model, f = table_model(entries)
         rep = detect_k0(model, f)
         assert (rep.k0, rep.window, rep.ks, rep.last_k) == (1, 2, (0, 1, 2), 2)
+
+    def test_a_model_without_truncations_does_not_stabilize(self):
+        # symbol 0 lies on no edge, so no prefix alphabet has a truncation
+        model, f = table_model([(1, 1, -1.0)])
+        with pytest.raises(NotStabilized):
+            detect_k0(model, f)
 
     def test_a_model_that_never_runs_out_keeps_its_window(self, renewal_weighted):
         rep = detect_k0(*renewal_weighted)

@@ -1,4 +1,6 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,14 @@ import pytest
 from conftest import dense_gauged_state
 from gibbsline import rpf_finite
 from gibbsline.bundled import bundled_pair
-from gibbsline.ergodic_opt import critical_decomposition, detect_k0, max_entropy_over_maximizing
+from gibbsline.config import parse_model_config
+from gibbsline.ergodic_opt import (
+    K0Report,
+    critical_decomposition,
+    detect_k0,
+    max_entropy_over_maximizing,
+    max_plus_gauge,
+)
 from gibbsline.errors import NonMixingModel, NotConverged, ValidationError
 from gibbsline.limits import (
     ZT_TS_DEFAULT,
@@ -19,10 +28,11 @@ from gibbsline.limits import (
     zero_temp_sweep,
 )
 from gibbsline.potential import Family, MarkovPotential, TailDescriptor, TailKind
-from gibbsline.rpf_finite import pressure
+from gibbsline.rpf_finite import cylinder_mass, entropy, equilibrium_measure, pressure, transfer_matrix
 from gibbsline.shift_model import ModelKind, ShiftModel, build_truncation
 
 BUNDLED = ("log_quadratic", "tie_two_loops", "renewal_weighted")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 LQ_P2 = math.log(math.pi**2 / 3 - 3)
 
 
@@ -151,6 +161,26 @@ class TestEquilibriumLimit:
             assert all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:]))
             finals[t] = table.limits[(2,)]
         assert finals[5.0] < finals[2.0] * 1e-6  # symbol 2 freezes out as t grows
+
+    def test_repeated_ks_count_once(self, tie_two_loops):
+        model, f = tie_two_loops
+        with pytest.raises(ValidationError, match="three truncations"):
+            equilibrium_limit_in_k(model, f, 2.0, (4, 5, 5, 5), words=((2,),))
+
+    def test_the_whole_shift_of_a_finite_model_is_exact(self):
+        # symbols 0, 1, 2: the truncation at k = 2 holds them all, k = 1 does not
+        entries = ((0, 1, -0.3), (1, 0, -0.1), (1, 2, -0.2), (2, 0, -0.05))
+        model = ShiftModel(ModelKind.CUSTOM, tuple((i, j) for i, j, _ in entries))
+        f = MarkovPotential(model, Family.TABLE, table=entries)
+        table = equilibrium_limit_in_k(model, f, 2.0, (1, 2, 2), words=((0,),), tol=1e-12)
+        assert table.exact and table.converged and table.ks == (1, 2)
+        assert table.final_gap == table.gaps[(0,)][-1] > 1e-12  # measured, not a gap of k = 2 to itself
+        _, meas = equilibrium_measure(build_truncation(model, 2), f, 2.0)
+        assert table.limits[(0,)] == cylinder_mass(meas, (0,))
+        alone = equilibrium_limit_in_k(model, f, 2.0, (2,), words=((0,),))
+        assert alone.exact and alone.final_gap == 0.0 and alone.limits == table.limits
+        with pytest.raises(ValidationError, match="three truncations"):
+            equilibrium_limit_in_k(model, f, 2.0, (0, 1), words=((0,),))
 
 
 class TestIntegralLimit:
@@ -350,3 +380,74 @@ class TestSemicontinuity:
         rates = rep.partition_rates[2]
         gaps = [abs(b - a) for a, b in zip(rates, rates[1:])]
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
+
+
+class TestOneWeightMatrixPerTruncation:
+    """A sweep builds W = transfer_matrix(trunc, f, 1) once per truncation and solves each t on t * W."""
+
+    @pytest.mark.parametrize("sweep", [zero_temp_sweep, entropy_limit])
+    def test_a_t_sweep_evaluates_the_full_grid_once(self, tie_two_loops, value_grid_sizes, sweep):
+        model, f = tie_two_loops
+        k0 = detect_k0(model, f)
+        value_grid_sizes.clear()
+        sweep(model, f, 20, ts=ZT_TS_DEFAULT, k0_report=k0)
+        assert value_grid_sizes.count((21, 21)) == 1
+
+    @pytest.mark.parametrize("t", [-1.0, 0.0, 0.5, 2.0, 1024.0])
+    def test_a_solve_on_w_equals_the_solve_on_its_own_transfer_matrix(self, renewal_weighted, t):
+        # t * W is exact only for t > 0 (0 * -inf is nan); elsewhere the solve builds its own
+        model, f = renewal_weighted
+        trunc = build_truncation(model, 6)
+        p, meas = equilibrium_measure(trunc, f, t, W=transfer_matrix(trunc, f, 1.0))
+        p0, meas0 = equilibrium_measure(trunc, f, t)
+        assert p == p0
+        assert np.array_equal(meas.stochastic, meas0.stochastic)
+        assert np.array_equal(meas.stationary, meas0.stationary)
+
+    @staticmethod
+    def _per_t(trunc, f, ts, tie_tol, words):
+        """Each t solved on its own transfer_matrix(trunc, f, t), as the sweeps did before."""
+        dec = critical_decomposition(trunc, f, tie_tol=tie_tol)
+        gauge = max_plus_gauge(trunc, f, dec)
+        maximal = [dec.components[j] for j in dec.maximal_components]
+        out = []
+        for t in ts:
+            logB = transfer_matrix(trunc, f, t)
+            p, meas = equilibrium_measure(trunc, f, t, gauge=gauge)
+            assert np.array_equal(logB, t * transfer_matrix(trunc, f, 1.0))
+            masses = tuple(cylinder_mass(meas, w) for w in words)
+            gammas = tuple(sum(cylinder_mass(meas, (s,)) for s in c.symbols) for c in maximal)
+            out.append((p, masses, gammas, entropy(meas)))
+        return out
+
+    @pytest.mark.parametrize(
+        "source, k",
+        [
+            ("log_quadratic", None),
+            ("non_summable", 3),
+            ("renewal_weighted", None),
+            ("tie_two_loops", None),
+            ("tie_two_loops", 255),
+        ],
+    )
+    def test_b_sweeps_equal_per_t_solves_bit_for_bit(self, source, k):
+        cfg = parse_model_config((CONFIGS / f"{source}.cfg").read_text())
+        model, f, sw = cfg.model, cfg.potential, cfg.sweep
+        if k is None:
+            k0 = detect_k0(model, f, stability_window=sw.k0_window, tie_tol=sw.tie_tol)
+            k = k0.k0 + 1
+        else:  # no k0 to detect on a non-summable potential; the sweep takes any k >= 0
+            k0 = K0Report(k0=0, window=1, heuristic=True, ks=(), betas=())
+        trunc = build_truncation(model, k)
+        words = tuple((s,) for s in range(min(trunc.n_symbols, 8))) + ((0, 0), (0, 1))
+        want = self._per_t(trunc, f, sw.zt_ts, sw.tie_tol, words)
+
+        zt = zero_temp_sweep(model, f, k, ts=sw.zt_ts, words=words, tie_tol=sw.tie_tol, k0_report=k0)
+        assert zt.ts == tuple(sw.zt_ts) and not zt.errors
+        for i, (_, masses, gammas, _) in enumerate(want):
+            assert tuple(zt.trajectories[w][i] for w in words) == masses
+            assert tuple(g[i] for g in zt.gamma_trajectories) == gammas
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonMixingModel)
+            rep = entropy_limit(model, f, k, ts=sw.zt_ts, tie_tol=sw.tie_tol, k0_report=k0)
+        assert rep.entropies == tuple(h for *_, h in want)

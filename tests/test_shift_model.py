@@ -15,6 +15,8 @@ from gibbsline.shift_model import (
     build_truncation,
     graph_period,
     is_irreducible,
+    is_whole_shift,
+    last_truncation,
     strongly_connected_components,
 )
 
@@ -158,6 +160,58 @@ def test_custom_truncations_are_irreducible(model_n):
     assert is_irreducible(tr.incidence)
     assert set(range(n)) <= set(tr.alphabet.tolist())
     assert tr.period == graph_period(tr.incidence)
+
+
+@pytest.mark.parametrize(
+    "edges, tail_rule, last",
+    [
+        (((0, 1), (1, 0), (1, 2), (2, 0)), TailRule.NONE, 2),  # the whole shift at k = 2
+        (((0, 5), (5, 0)), TailRule.NONE, 0),  # {0} augments to {0, 5}; symbol 1 lies on no edge
+        (((0, 0), (1, 2)), TailRule.NONE, 0),  # {0, 1, 2} is not irreducible
+        (((1, 1),), TailRule.NONE, None),  # symbol 0 lies on no edge
+        (((0, 1), (1, 0)), TailRule.FULL_TAIL, None),  # infinite alphabet: never capped
+    ],
+)
+def test_last_truncation(edges, tail_rule, last):
+    model = ShiftModel(ModelKind.CUSTOM, edges, tail_rule)
+    assert last_truncation(model, 6) == last
+    if model.is_infinite_alphabet():
+        return
+    for k in range(7):  # the ks with a truncation are 0..last
+        if last is not None and k <= last:
+            build_truncation(model, k)
+        else:
+            with pytest.raises(NonTransitive):
+                build_truncation(model, k)
+
+
+@pytest.mark.parametrize(
+    "edges, tail_rule, whole",
+    [
+        (((0, 1), (1, 0), (1, 2), (2, 0)), TailRule.NONE, [False, False, True]),
+        (((0, 5), (5, 0)), TailRule.NONE, [True]),  # {0} augments to the whole alphabet {0, 5}
+        (((0, 0), (1, 2)), TailRule.NONE, [False]),  # the last truncation {0} misses 1 and 2
+        (((0, 1), (1, 0)), TailRule.FULL_TAIL, [False, False, False]),
+    ],
+)
+def test_is_whole_shift(edges, tail_rule, whole):
+    model = ShiftModel(ModelKind.CUSTOM, edges, tail_rule)
+    assert [is_whole_shift(model, build_truncation(model, k)) for k in range(len(whole))] == whole
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+def test_scc_matches_mutual_reachability(cells):
+    n = math.isqrt(len(cells))
+    adj = np.asarray(cells, dtype=bool).reshape(n, n)
+    reach = np.eye(n, dtype=bool) | adj
+    for _ in range(n):
+        reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+    comps = strongly_connected_components(adj)
+    assert sorted(v for c in comps for v in c) == list(range(n))
+    for c in comps:
+        assert c == sorted(c)
+        assert [int(v) for v in np.flatnonzero(reach[c[0]] & reach[:, c[0]])] == c
 
 
 def test_scc_reverse_topological():
