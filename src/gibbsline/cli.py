@@ -282,7 +282,7 @@ def _cmd_pressure(cfg: ModelConfig, args, em: _Emitter) -> int:
         return 0
     ks = (args.k,) if args.k is not None else _capped(cfg.model, cfg.sweep.ks)
     ts = (args.t,) if args.t is not None else cfg.sweep.ts
-    result = pressure_sweep(cfg.model, cfg.potential, ks, ts, words, require_certificate=False)
+    result = pressure_sweep(cfg.model, cfg.potential, ks, ts, words)
     if "csv" in em.formats:
         em.put("pressure.csv", sweep_csv(result))
     if "json" in em.formats:
@@ -421,7 +421,7 @@ def _cmd_diagnose(cfg: ModelConfig, args, em: _Emitter) -> int:
     words = _words(cfg, args)
     report: dict = {"solver_errors": []}
     ks = _capped(cfg.model, cfg.sweep.ks)
-    sweep = pressure_sweep(cfg.model, cfg.potential, ks, cfg.sweep.ts, words, require_certificate=False)
+    sweep = pressure_sweep(cfg.model, cfg.potential, ks, cfg.sweep.ts, words)
     report["summability"] = _cert_jsonable(sweep.reference["certificate"])
     report["monotone_in_k"] = {_fmt(t): ok for t, ok in sweep.diagnostics["monotone_in_k"].items()}
     report["certified_summable"] = sweep.diagnostics["certified_summable"]

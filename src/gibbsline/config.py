@@ -305,6 +305,8 @@ def _build_sweep(sec: dict[str, tuple[str, int]]) -> SweepParams:
         raise ParseError(get("ks")[1], "truncation indices must be nonnegative")
     if any(t <= 1.0 for t in ts):
         raise ParseError(get("ts")[1], "sweep temperatures must satisfy t > 1")
+    if any(t <= 1.0 for t in zt_ts):
+        raise ParseError(get("zt_ts")[1], "zt_ts temperatures must satisfy t > 1")
     # tie_tol = 0 could never widen through the tie-tolerance ladder
     for key, value in (("tol", tol), ("tie_tol", tie_tol)):
         if value <= 0.0:

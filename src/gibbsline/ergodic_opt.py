@@ -31,6 +31,10 @@ from .shift_model import ShiftModel, Truncation, build_truncation, graph_period,
 
 _NEG_INF = -np.inf
 
+# detect_k0 builds the truncations k = 0.._K0_TOP
+_K0_TOP = 9
+_K0_BETA_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class Component:
@@ -59,18 +63,14 @@ class CriticalDecomposition:
 
 @dataclass(frozen=True)
 class K0Report:
-    """Heuristic stabilization index of beta_k and the critical structure.
-
-    last_k is the largest k with a truncation when a finite model runs out
-    of them (its truncation is then the whole compact shift), else None.
-    """
+    """Heuristic stabilization index of beta_k and the critical structure,
+    with the ks that were built and their betas."""
 
     k0: int
     window: int
     heuristic: bool
     ks: tuple[int, ...]
     betas: tuple[float, ...]
-    last_k: int | None = None
 
 
 def _witnessed_mean(trunc: Truncation, W: np.ndarray) -> tuple[float, tuple[int, ...]]:
@@ -211,47 +211,46 @@ def _structure_key(dec: CriticalDecomposition) -> tuple:
 def detect_k0(
     model: ShiftModel,
     f: MarkovPotential,
-    ks: tuple[int, ...] | None = None,
     stability_window: int = 3,
     tie_tol: float = 1e-9,
-    beta_tol: float = 1e-10,
 ) -> K0Report:
     """Smallest k whose beta and critical structure repeat over the window.
 
-    Purely heuristic: stabilization over finitely many truncations is
-    necessary but not a certificate that the maximizing set has been found.
-    A finite model that runs out of truncations ends on the whole compact
-    shift, whose structure is final: k0 is then the first k of the run at
-    the end that agrees with the last truncation, however short.
+    The schedule is k = 0, ..., 9; a finite model runs it up to its last
+    truncation. Betas agree within 1e-10. Purely heuristic: stabilization
+    over finitely many truncations is necessary but not a certificate that
+    the maximizing set has been found. A finite model that runs out of
+    truncations ends on the whole compact shift, whose structure is final:
+    k0 is then the first k of the run at the end that agrees with the last
+    truncation, however short.
     """
     cert = check_summability(f)
     if not cert.converges:
         raise ValidationError("stabilization detection requires a summable potential")
-    if ks is None:
-        ks = tuple(range(0, 10))
-    top = max(ks)
-    last = last_truncation(model, top)
-    if not model.is_infinite_alphabet():  # a finite model has truncations at 0..last only
-        ks = tuple(k for k in ks if last is not None and k <= last)
-    decs = [(k, critical_decomposition(build_truncation(model, k), f, tie_tol=tie_tol)) for k in ks]
+    last = last_truncation(model, _K0_TOP)
+    if model.is_infinite_alphabet():
+        ks = range(_K0_TOP + 1)
+    else:  # a finite model has truncations at 0..last only
+        ks = range(0 if last is None else last + 1)
+    decs = [critical_decomposition(build_truncation(model, k), f, tie_tol=tie_tol) for k in ks]
     if not decs or stability_window < 1:
-        raise NotStabilized(top)
-    built = tuple(k for k, _ in decs)
-    betas = tuple(d.beta for _, d in decs)
-    keys = [_structure_key(d) for _, d in decs]
-    if last is not None and last < top:
+        raise NotStabilized(_K0_TOP)
+    built = tuple(ks)
+    betas = tuple(d.beta for d in decs)
+    keys = [_structure_key(d) for d in decs]
+    if last is not None and last < _K0_TOP:
         i = len(decs) - 1
-        while i > 0 and keys[i - 1] == keys[-1] and abs(betas[i - 1] - betas[-1]) <= beta_tol:
+        while i > 0 and keys[i - 1] == keys[-1] and abs(betas[i - 1] - betas[-1]) <= _K0_BETA_TOL:
             i -= 1
-        return K0Report(k0=built[i], window=len(decs) - i, heuristic=True, ks=built, betas=betas, last_k=last)
+        return K0Report(k0=built[i], window=len(decs) - i, heuristic=True, ks=built, betas=betas)
     for i in range(len(decs) - stability_window + 1):
         window_betas = betas[i : i + stability_window]
         window_keys = keys[i : i + stability_window]
         if all(k == window_keys[0] for k in window_keys) and all(
-            abs(b - window_betas[0]) <= beta_tol for b in window_betas
+            abs(b - window_betas[0]) <= _K0_BETA_TOL for b in window_betas
         ):
             return K0Report(k0=built[i], window=stability_window, heuristic=True, ks=built, betas=betas)
-    raise NotStabilized(max(built))
+    raise NotStabilized(built[-1])
 
 
 def max_entropy_over_maximizing(dec: CriticalDecomposition) -> float:

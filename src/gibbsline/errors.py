@@ -24,10 +24,6 @@ class NonTransitive(ValidationError):
     """No finite augmentation of the prefix alphabet gives an irreducible truncation."""
 
 
-class InadmissibleEdge(ValidationError):
-    """The symbol pair is not an edge of the ambient model."""
-
-
 class DeadEndSymbol(ValidationError):
     """The symbol has no outgoing admissible edge."""
 
@@ -91,10 +87,6 @@ class NotStabilized(SolverError):
 
 class StoreError(GibbslineError):
     """Base class for run-store failures."""
-
-
-class DigestMismatch(StoreError):
-    """Stored file content does not match the manifest digest."""
 
 
 class MissingRun(StoreError):

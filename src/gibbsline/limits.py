@@ -190,12 +190,12 @@ def pressure_sweep(
     ks: tuple[int, ...],
     ts: tuple[float, ...],
     words: tuple[tuple[int, ...], ...] = (),
-    require_certificate: bool = True,
 ) -> SweepResult:
     """Grid of P_k(t) with equilibrium statistics per point.
 
     Pressure must be non-decreasing in k at every t; the P(t) estimate is
-    the largest-k value together with its last Cauchy gap. The diagnostic
+    the largest-k value together with its last Cauchy gap, reported only
+    when the potential is certified summable. The diagnostic
     `exact` says the largest k is the whole shift of a finite model, whose
     values are then the limits themselves.
     """
@@ -203,8 +203,6 @@ def pressure_sweep(
         raise ValidationError("sweep temperatures must satisfy t > 1")
     cert = _certificate_or_none(f)
     certified = cert is not None and cert.converges
-    if require_certificate and not certified:
-        raise ValidationError("pressure sweep over the infinite alphabet needs a summable certificate")
     solver = _PointSolver(model, f)
     s_ref, witness = _reference_orbit(model, f)
 
@@ -279,15 +277,15 @@ def equilibrium_limit_in_k(
     ks: tuple[int, ...],
     words: tuple[tuple[int, ...], ...],
     tol: float = 1e-6,
-    strict: bool = True,
 ) -> KLimitTable:
     """Cylinder masses along the truncation schedule at fixed t > 1.
 
-    Converged when, for every word, the last two k-gaps are below tol; the
-    declared limit is the largest-k mass (the finite-k stand-in for the
-    countable-shift equilibrium). Repeated ks count once. When the largest
-    k is the whole shift of a finite model, its masses are the limits
-    themselves: the table is exact and converged, however few ks it has.
+    Converged when, for every word, the last two k-gaps are below tol;
+    otherwise NotConverged is raised. The declared limit is the largest-k
+    mass (the finite-k stand-in for the countable-shift equilibrium).
+    Repeated ks count once. When the largest k is the whole shift of a
+    finite model, its masses are the limits themselves: the table is exact
+    and converged, however few ks it has.
     """
     if t <= 1.0:
         raise ValidationError("equilibrium limits need t > 1")
@@ -313,7 +311,7 @@ def equilibrium_limit_in_k(
         limits[w] = traj[-1]
         final_gap = max(final_gap, max(g[-2:], default=0.0))
     converged = exact or final_gap < tol
-    if strict and not converged:
+    if not converged:
         raise NotConverged(final_gap, what=f"cylinder masses at t={t}")
     return KLimitTable(float(t), ks, trajectories, limits, gaps, converged, final_gap, exact)
 
@@ -324,7 +322,6 @@ def integral_limit_check(
     t: float,
     ks: tuple[int, ...],
     tol: float = 1e-6,
-    strict: bool = True,
 ) -> IntegralLimitReport:
     """Cauchy check for the energies mu_k(t f) along the schedule.
 
@@ -347,7 +344,7 @@ def integral_limit_check(
     gaps = tuple(abs(b - a) for a, b in zip(energies, energies[1:]))
     converged = len(gaps) >= 2 and max(gaps[-2:]) < tol
     vp_residual = abs(energies[-1] - (p_last - h_last))
-    if strict and not converged:
+    if not converged:
         raise NotConverged(gaps[-1] if gaps else math.inf, what=f"energies at t={t}")
     return IntegralLimitReport(float(t), ks, tuple(energies), gaps, energies[-1], vp_residual, converged)
 
@@ -503,14 +500,12 @@ def entropy_upper_semicontinuity_check(
     f: MarkovPotential,
     t: float,
     ks: tuple[int, ...],
-    tol: float = 1e-3,
-    tol_up: float = 0.1,
     n_max: int = 3,
     budget: int = 1_000_000,
 ) -> SemicontinuityReport:
     """Finite-k upper-semicontinuity diagnostic for the entropies.
 
-    Checks that h(mu_k) stays within [h_final - tol_up, h_final + tol] and
+    Checks that h(mu_k) stays within [h_final - 0.1, h_final + 1e-3] and
     that the partition-entropy rates H_n/n converge along the schedule for
     small n: the literal finite-partition content of the limsup argument.
     """
@@ -525,7 +520,7 @@ def entropy_upper_semicontinuity_check(
         for n in range(1, n_max + 1):
             rates[n].append(partition_entropy(meas, trunc, n, budget=budget) / n)
     h_final = hs[-1]
-    within = tuple(h_final - tol_up <= h <= h_final + tol for h in hs)
+    within = tuple(h_final - 0.1 <= h <= h_final + 1e-3 for h in hs)
     final_gaps = {n: abs(v[-1] - v[-2]) if len(v) >= 2 else math.inf for n, v in rates.items()}
     return SemicontinuityReport(
         t=float(t),

@@ -6,9 +6,9 @@ upper bound on sup f|_[i] for symbols beyond the explicit range, which is
 what certifies any statement about the full countable alphabet.
 
 Each family's formula f(i, j) is stated once, in `MarkovPotential.value_grid`;
-single values, truncated cylinder sups and row oscillations read from it,
-and edge admissibility comes from `ShiftModel.has_edge`. `_ambient_sups`
-holds the closed-form sups over the full countable rows.
+transfer matrices and row oscillations read from it, and edge
+admissibility comes from `ShiftModel.has_edge`. `_ambient_sups` holds the
+closed-form sups over the full countable rows.
 
 One loop, `_certificate`, serves both summability series: exp(sup f|_[i])
 (`check_summability`) and the weighted (-t sup f|_[i]) exp(t sup f|_[i])
@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import (
     DeadEndSymbol,
-    InadmissibleEdge,
     InvalidT,
     NoTailDescriptor,
     UnboundedV1,
@@ -128,22 +127,6 @@ class MarkovPotential:
         ij = np.asarray(list(last), dtype=np.int64).reshape(-1, 2)
         return ij[:, 0], ij[:, 1], np.asarray(list(last.values()), dtype=float)
 
-    def value(self, i: int, j: int) -> float:
-        """f(i, j); the pair must be an admissible edge of the ambient model."""
-        return float(self._row_values(i, [j])[0])
-
-    def _row_values(self, i: int, cols: np.ndarray) -> np.ndarray:
-        """f(i, j) for each j in cols; every pair must be an admissible edge with a value."""
-        cols = np.asarray(cols, dtype=np.int64)
-        off = np.flatnonzero(~self.model.has_edge(i, cols))
-        if off.size:
-            raise InadmissibleEdge(f"({i}, {cols[off[0]]}) is not an edge of the model")
-        vals = self.value_grid(np.asarray([i]), cols)[0]
-        undefined = np.flatnonzero(np.isnan(vals))
-        if undefined.size:
-            raise ValidationError(f"admissible edge ({i}, {cols[undefined[0]]}) has no defined value")
-        return vals
-
     def value_grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Vectorized f over the grid rows x cols; NaN where undefined.
 
@@ -172,18 +155,6 @@ class MarkovPotential:
         return self.family is Family.LOG_QUADRATIC
 
     # -- cylinder sups ------------------------------------------------------
-
-    def cylinder_sup(self, i: int, trunc: Truncation | None = None) -> float:
-        """max over admissible j of f(i, j); restricted to a truncation if given."""
-        if trunc is not None:
-            pos = np.flatnonzero(trunc.alphabet == i)
-            if pos.size == 0:
-                raise ValidationError(f"symbol {i} not in the truncation alphabet")
-            succ = np.flatnonzero(trunc.require_incidence()[pos[0]])
-            if succ.size == 0:
-                raise DeadEndSymbol(f"symbol {i} has no successor in the truncation")
-            return float(self._row_values(i, trunc.alphabet[succ]).max())
-        return float(self._ambient_sups(np.asarray([i], dtype=np.int64))[0])
 
     def _ambient_sups(self, symbols: np.ndarray) -> np.ndarray:
         """Closed-form sup f|_[i] over the full countable row of each symbol."""

@@ -1,7 +1,7 @@
 """Manifest-backed run store: per-run directories with content digests.
 
 Every emitted file is listed in the run manifest with its sha256; writes go
-through a temp file plus atomic rename, and reads re-verify the digest.
+through a temp file plus atomic rename.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import DigestMismatch, MissingRun
+from .errors import MissingRun
 
 MANIFEST_NAME = "manifest.json"
 
@@ -119,18 +119,6 @@ class RunStore:
         manifest.files[name] = digest
         self._write_manifest(run_id, manifest)
         return digest
-
-    def get(self, run_id: str, name: str) -> bytes:
-        manifest = self.manifest(run_id)
-        if name not in manifest.files:
-            raise MissingRun(f"run {run_id!r} has no file {name!r}")
-        path = self.run_dir(run_id) / name
-        if not path.is_file():
-            raise DigestMismatch(f"{name!r} listed in the manifest but missing on disk")
-        data = path.read_bytes()
-        if _sha256(data) != manifest.files[name]:
-            raise DigestMismatch(f"{name!r} content does not match its manifest digest")
-        return data
 
     def finish_command(self, run_id: str, status: str) -> None:
         manifest = self.manifest(run_id)

@@ -207,6 +207,22 @@ def admissible_words(trunc, n: int, budget: int = 500_000) -> list[tuple[int, ..
     return words
 
 
+def edge_value(f, i: int, j: int) -> float:
+    """f(i, j) from the potential's formula; NaN where it is undefined."""
+    return float(f.value_grid([i], [j])[0, 0])
+
+
+def truncated_sups(f, trunc) -> np.ndarray:
+    """sup of f over the edges out of each symbol of the truncation, in alphabet order."""
+    vals = f.value_grid(trunc.alphabet, trunc.alphabet)
+    return np.where(trunc.require_incidence(), vals, -np.inf).max(axis=1)
+
+
+def ambient_sup(f, i: int) -> float:
+    """Closed-form sup f|_[i] over the full countable row of symbol i."""
+    return float(f._ambient_sups(np.asarray([i]))[0])
+
+
 # V_1 of each potential on the support of a measure, per measure
 _FIRST_VARIATION: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -247,7 +263,7 @@ def gibbs_ratio(m, word: tuple[int, ...], f, t: float, pressure_value: float) ->
     vals = f.value_grid(syms, syms)[[pos[a] for a in word], [pos[b] for b in tails]]
     off = np.flatnonzero(~f.model.has_edge(word, tails) | np.isnan(vals))
     if off.size:
-        f.value(word[off[0]], tails[off[0]])  # raises the error for that pair
+        raise ValidationError(f"({word[off[0]]}, {tails[off[0]]}) is not an edge with a value of f")
     s_n = 0.0
     for v in vals.tolist():
         s_n += t * v
@@ -265,9 +281,8 @@ def one_cylinder_gibbs_check(m, trunc, f, t: float, pressure_value: float) -> li
     log_c = 4.0 * t * v1
     out = []
     idx = m.local_index()
-    for sym in trunc.alphabet:
-        sym = int(sym)
-        sup_i = f.cylinder_sup(sym, trunc)
+    sups = truncated_sups(f, trunc)
+    for sym, sup_i in zip(trunc.alphabet.tolist(), sups.tolist()):
         with np.errstate(divide="ignore"):
             log_ratio = float(np.log(m.stationary[idx[sym]])) - (t * sup_i - pressure_value)
         ok = bool(-log_c - 1e-9 <= log_ratio <= log_c + 1e-9)

@@ -549,7 +549,10 @@ words = 0
         assert "--tol must be positive" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("line", ["tol = 0", "tol = -1e-9", "tie_tol = 0", "tie_tol = -1e-9", "k0_window = 0"])
+    @pytest.mark.parametrize(
+        "line",
+        ["tol = 0", "tol = -1e-9", "tie_tol = 0", "tie_tol = -1e-9", "k0_window = 0", "zt_ts = 0,0.5,2", "zt_ts = 1"],
+    )
     def test_sweep_setting_out_of_range_exit_2(self, tmp_path, capsys, line):
         cfg = write_cfg(tmp_path, TIE + line + "\n", "tie.cfg")
         assert run_command(["zerotemp", "--config", cfg, "--out", str(tmp_path / "runs")]) == 2

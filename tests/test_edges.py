@@ -113,7 +113,7 @@ class TestDetectK0Failure:
     def test_window_longer_than_schedule(self):
         model, f = bundled_pair("log_quadratic")
         with pytest.raises(NotStabilized):
-            detect_k0(model, f, ks=(0, 1), stability_window=5)
+            detect_k0(model, f, stability_window=11)  # the schedule has 10 ks
 
 
 class TestConfigDuplicates:

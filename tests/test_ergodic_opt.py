@@ -249,7 +249,7 @@ class TestDetectK0OnAFiniteModel:
         # k = 0 has the loop at 0 (beta -2); k = 1, the last, the 2-cycle (beta -1)
         model, f = table_model([(0, 0, -2.0), (0, 1, -1.0), (1, 0, -1.0), (1, 1, -3.0)])
         rep = detect_k0(model, f)
-        assert (rep.k0, rep.window, rep.ks, rep.betas, rep.last_k) == (1, 1, (0, 1), (-2.0, -1.0), 1)
+        assert (rep.k0, rep.window, rep.ks, rep.betas) == (1, 1, (0, 1), (-2.0, -1.0))
 
     def test_the_run_at_the_end_not_the_first_agreeing_window(self):
         # k = 0, 1, 2 agree on the loop at 0; the last truncation (k = 3) finds the loop at 3
@@ -258,7 +258,7 @@ class TestDetectK0OnAFiniteModel:
         entries[-1] = (3, 3, 0.0)
         model, f = table_model(entries)
         rep = detect_k0(model, f)
-        assert (rep.k0, rep.window, rep.betas, rep.last_k) == (3, 1, (-1.0, -1.0, -1.0, 0.0), 3)
+        assert (rep.k0, rep.window, rep.ks, rep.betas) == (3, 1, (0, 1, 2, 3), (-1.0, -1.0, -1.0, 0.0))
 
     def test_a_longer_run_at_the_end(self):
         entries = [(i, j, -5.0) for i in range(3) for j in range(3)]
@@ -267,7 +267,7 @@ class TestDetectK0OnAFiniteModel:
         entries[3] = (1, 0, -1.0)
         model, f = table_model(entries)
         rep = detect_k0(model, f)
-        assert (rep.k0, rep.window, rep.ks, rep.last_k) == (1, 2, (0, 1, 2), 2)
+        assert (rep.k0, rep.window, rep.ks) == (1, 2, (0, 1, 2))
 
     def test_a_model_without_truncations_does_not_stabilize(self):
         # symbol 0 lies on no edge, so no prefix alphabet has a truncation
@@ -277,7 +277,7 @@ class TestDetectK0OnAFiniteModel:
 
     def test_a_model_that_never_runs_out_keeps_its_window(self, renewal_weighted):
         rep = detect_k0(*renewal_weighted)
-        assert rep.last_k is None and rep.window == 3
+        assert rep.ks == tuple(range(10)) and rep.window == 3
 
 
 @pytest.mark.parametrize("name, beta", [("log_quadratic", -math.log(2)), ("tie_two_loops", 0.0), ("renewal_weighted", -1.0)])

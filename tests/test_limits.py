@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import dense_gauged_state
+from conftest import ambient_sup, dense_gauged_state
 from gibbsline import rpf_finite
 from gibbsline.bundled import bundled_pair
 from gibbsline.config import parse_model_config
@@ -65,7 +65,7 @@ class TestPressureSweep:
 
     def test_zero_potential_block_pressures_exact(self):
         model, f = full_block_zero(7)
-        res = pressure_sweep(model, f, ks=tuple(range(0, 7)), ts=(2.0,), require_certificate=False)
+        res = pressure_sweep(model, f, ks=tuple(range(0, 7)), ts=(2.0,))
         for g in res.grid:
             assert g.pressure == pytest.approx(math.log(g.n_symbols), abs=1e-12)
 
@@ -76,11 +76,9 @@ class TestPressureSweep:
             res = pressure_sweep(model, f, ks=tuple(range(1, 7)), ts=ts)
             assert all(res.diagnostics["monotone_in_k"].values()), name
 
-    def test_requires_certificate(self):
+    def test_uncertified_sweep_has_no_estimate(self):
         model, f = full_shift_zero_table(12)
-        with pytest.raises(ValidationError):
-            pressure_sweep(model, f, ks=(1, 2, 3), ts=(2.0,))
-        res = pressure_sweep(model, f, ks=(1, 2, 3), ts=(2.0,), require_certificate=False)
+        res = pressure_sweep(model, f, ks=(1, 2, 3), ts=(2.0,))
         assert not res.diagnostics["certified_summable"]
         assert res.diagnostics["p_estimate"] == {}
 
@@ -97,12 +95,12 @@ class TestPressureSweep:
             return check
 
         monkeypatch.setattr(limits_mod, "check_summability", raising(NoTailDescriptor("no tail")))
-        res = pressure_sweep(model, f, ks=(1,), ts=(2.0,), require_certificate=False)
+        res = pressure_sweep(model, f, ks=(1,), ts=(2.0,))
         assert res.reference["certificate"] is None
         for exc in (UnboundedV1("other validation error"), ZeroDivisionError("bug")):
             monkeypatch.setattr(limits_mod, "check_summability", raising(exc))
             with pytest.raises(type(exc)):
-                pressure_sweep(model, f, ks=(1,), ts=(2.0,), require_certificate=False)
+                pressure_sweep(model, f, ks=(1,), ts=(2.0,))
 
     def test_rejects_low_t(self, log_quadratic):
         model, f = log_quadratic
@@ -231,7 +229,7 @@ class TestTightness:
 
         _, meas = equilibrium_measure(tr, f, 2.0)
         for a, sym in enumerate(tr.alphabet):
-            bound = math.exp(f.cylinder_sup(int(sym)) - rep.s_ref)
+            bound = math.exp(ambient_sup(f, int(sym)) - rep.s_ref)
             assert meas.stationary[a] <= bound + 1e-12
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     admissible_words,
     dense_gauged_state,
+    edge_value,
     gibbs_ratio,
     one_cylinder_gibbs_check,
     power_perron,
@@ -229,7 +230,7 @@ class TestGurevich:
                 v, path = stack.pop()
                 if len(path) == n:
                     if 0 in succ[v]:
-                        weight = sum(t * f.value(a, b) for a, b in zip(path, path[1:] + (0,)))
+                        weight = sum(t * edge_value(f, a, b) for a, b in zip(path, path[1:] + (0,)))
                         total += math.exp(weight)
                     continue
                 for w in succ[v]:
