@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .maxplus import MaxPlusGauge
-from .potential import MarkovPotential, check_summability
+from .potential import MarkovPotential, is_summable
 from .rpf_finite import MarkovMeasure, equilibrium, perron, transfer_matrix
 from .shift_model import ShiftModel, Truncation, build_truncation, graph_period, last_truncation
 
@@ -224,8 +224,7 @@ def detect_k0(
     k0 is then the first k of the run at the end that agrees with the last
     truncation, however short.
     """
-    cert = check_summability(f)
-    if not cert.converges:
+    if not is_summable(f):
         raise ValidationError("stabilization detection requires a summable potential")
     last = last_truncation(model, _K0_TOP)
     if model.is_infinite_alphabet():

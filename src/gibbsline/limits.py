@@ -24,7 +24,7 @@ from .ergodic_opt import (
     max_mean_cycle,
     max_plus_gauge,
 )
-from .potential import MarkovPotential, SummabilityCertificate, check_summability, variation
+from .potential import MarkovPotential, SummabilityCertificate, check_summability, is_summable, variation
 from .rpf_finite import (
     MarkovMeasure,
     cylinder_mass,
@@ -330,8 +330,7 @@ def integral_limit_check(
     """
     if t <= 1.0:
         raise ValidationError("the integral limit needs t > 1")
-    cert = check_summability(f)
-    if not cert.converges:
+    if not is_summable(f):
         raise ValidationError("integral limit diagnostics need a summable potential")
     solver = _PointSolver(model, f)
     ks = tuple(sorted(ks))

@@ -10,11 +10,14 @@ transfer matrices and row oscillations read from it, and edge
 admissibility comes from `ShiftModel.has_edge`. `_ambient_sups` holds the
 closed-form sups over the full countable rows.
 
-One loop, `_certificate`, serves both summability series: exp(sup f|_[i])
-(`check_summability`) and the weighted (-t sup f|_[i]) exp(t sup f|_[i])
-(`check_summability_t`). They differ only in the term, the tail closed
-forms and the tolerance rule: tail <= tol * total unweighted, and
-tail <= tol * max(total, 1e-300) weighted.
+One loop, `_rounds` run by `_certificate`, serves both summability series:
+exp(sup f|_[i]) (`check_summability`) and the weighted
+(-t sup f|_[i]) exp(t sup f|_[i]) (`check_summability_t`). They differ only
+in the term, the tail closed forms and the tolerance rule: tail <= tol *
+total unweighted, and tail <= tol * max(total, 1e-300) weighted. Whether
+the unweighted series converges is settled by the first round alone
+(`is_summable`), which is all that `detect_k0` and `integral_limit_check`
+ask.
 """
 
 from __future__ import annotations
@@ -265,22 +268,22 @@ def _polynomial_tail(a: float, p: float, t: float, start: int) -> float:
     return math.exp(t * a) * float(start) ** (1.0 - s) / (s - 1.0)
 
 
+# the term budget of a certificate, unless the caller sets one
+_MAX_TERMS = 2_000_000
 # certificate terms are evaluated this many symbols at a time, which bounds
 # the temporaries of a 2,000,000-term series to a few hundred kB
 _TERM_BLOCK = 1 << 15
 
 
-def _certificate(
-    f: MarkovPotential, term, tails, t: float, start_min: int, floor: float, tol: float, max_terms: int
-) -> SummabilityCertificate:
-    """Certificate for the series of term(sup f|_[i]) over all 1-cylinders.
+def _rounds(f: MarkovPotential, term, tails, t: float, start_min: int, max_terms: int):
+    """The rounds of a certificate: (terms used, partial sum, tail majorant) each.
 
-    A finite alphabet is summed exactly. Otherwise a prefix is summed, from
-    the explicit range (raised to `start_min` for family potentials, whose
-    prefix doubles each round); majorant terms bridge up to `start_min`, and
-    `tails` = (geometric, polynomial) closed forms at (a, b or p, t, start)
-    bound the rest. It stops once tail <= tol * max(total, floor), the tail
-    is infinite, a table cannot grow or max_terms symbols are summed.
+    A finite alphabet is one exact round with no tail. Otherwise a prefix is
+    summed, from the explicit range (raised to `start_min` for family
+    potentials, whose prefix doubles each round); majorant terms bridge up to
+    `start_min`, and `tails` = (geometric, polynomial) closed forms at (a, b
+    or p, t, start) bound the rest. The rounds end when a table cannot grow
+    or max_terms symbols are summed.
 
     Each round evaluates only the symbols it adds, in blocks of _TERM_BLOCK,
     into one buffer; the sum is taken afresh over the prefix, so it equals
@@ -290,8 +293,8 @@ def _certificate(
     """
     finite_syms = _finite_alphabet_symbols(f)
     if finite_syms is not None:
-        partial = float(np.sum(term(f._ambient_sups(finite_syms))))
-        return SummabilityCertificate(True, partial, 0.0, partial, int(finite_syms.size), True)
+        yield int(finite_syms.size), float(np.sum(term(f._ambient_sups(finite_syms)))), 0.0
+        return
     if f.tail.kind is TailKind.NONE:
         raise NoTailDescriptor("summability over an infinite alphabet needs a tail descriptor")
 
@@ -312,12 +315,27 @@ def _certificate(
         # bridge with majorant terms where the explicit table stops early
         mid = np.arange(hi + 1, start_min + 1, dtype=np.int64)
         bridge = float(np.sum(term(np.asarray(f._tail_bound_at(mid), dtype=float))))
-        tail = bridge + _closed_form(closed, a_eff, rate, t, max(hi, start_min) + 1)
+        yield done, partial, bridge + _closed_form(closed, a_eff, rate, t, max(hi, start_min) + 1)
+        if not grow_ok or done >= max_terms:
+            return
+        hi = min(max_terms - 1, max(2 * hi, 64))
+
+
+def _certificate(
+    f: MarkovPotential, term, tails, t: float, start_min: int, floor: float, tol: float, max_terms: int
+) -> SummabilityCertificate:
+    """Certificate for the series of term(sup f|_[i]) over all 1-cylinders.
+
+    Runs the `_rounds` of the series until tail <= tol * max(total, floor),
+    the tail is infinite or the rounds end. `converges` is the finiteness of
+    the last tail.
+    """
+    for used, partial, tail in _rounds(f, term, tails, t, start_min, max_terms):
         total = partial + tail
         tol_met = math.isfinite(tail) and tail <= tol * max(total, floor)
-        if tol_met or not grow_ok or not math.isfinite(tail) or hi + 1 >= max_terms:
-            return SummabilityCertificate(bool(math.isfinite(tail)), partial, tail, total, hi + 1, tol_met)
-        hi = min(max_terms - 1, max(2 * hi, 64))
+        if tol_met or not math.isfinite(tail):
+            break
+    return SummabilityCertificate(math.isfinite(tail), partial, tail, total, used, tol_met)
 
 
 def _check_budget(max_terms: int):
@@ -325,7 +343,25 @@ def _check_budget(max_terms: int):
         raise ValidationError(f"max_terms must be at least 1, got {max_terms}")
 
 
-def check_summability(f: MarkovPotential, tol: float = 1e-9, max_terms: int = 2_000_000) -> SummabilityCertificate:
+_SUMMABILITY_TAILS = (_geometric_tail, _polynomial_tail)
+
+
+def is_summable(f: MarkovPotential) -> bool:
+    """check_summability(f).converges, from the certificate's first round alone.
+
+    The certificate stops at its first infinite tail majorant, and a tail
+    that is finite stays finite as the prefix grows: the closed forms only
+    decrease with their start, and check_summability has no bridge terms.
+    So the first round, over the explicit range, settles `converges`; the
+    rounds after it (up to 2,000,000 terms) only sharpen the total. Raises
+    what check_summability raises on that round (NoTailDescriptor without a
+    tail on an infinite alphabet).
+    """
+    _used, _partial, tail = next(_rounds(f, np.exp, _SUMMABILITY_TAILS, 1.0, 0, _MAX_TERMS))
+    return math.isfinite(tail)
+
+
+def check_summability(f: MarkovPotential, tol: float = 1e-9, max_terms: int = _MAX_TERMS) -> SummabilityCertificate:
     """Certificate for the series of exp(sup f|_[i]) over all 1-cylinders.
 
     The explicit range is grown geometrically until the tail majorant is
@@ -337,12 +373,11 @@ def check_summability(f: MarkovPotential, tol: float = 1e-9, max_terms: int = 2_
     cert = f._certificates.get((tol, max_terms))
     if cert is None:
         # the terms are positive, so a floor of 0 leaves tol * total as it is
-        tails = (_geometric_tail, _polynomial_tail)
-        cert = f._certificates[tol, max_terms] = _certificate(f, np.exp, tails, 1.0, 0, 0.0, tol, max_terms)
+        cert = f._certificates[tol, max_terms] = _certificate(f, np.exp, _SUMMABILITY_TAILS, 1.0, 0, 0.0, tol, max_terms)
     return cert
 
 
-def check_summability_t(f: MarkovPotential, t: float, tol: float = 1e-9, max_terms: int = 2_000_000) -> SummabilityCertificate:
+def check_summability_t(f: MarkovPotential, t: float, tol: float = 1e-9, max_terms: int = _MAX_TERMS) -> SummabilityCertificate:
     """Certificate for the weighted series (-t sup f|_[i]) exp(t sup f|_[i]).
 
     Requires t > 1 and a normalized potential (applied automatically).

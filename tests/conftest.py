@@ -10,6 +10,14 @@ from gibbsline.potential import MarkovPotential, row_oscillation
 from gibbsline.rpf_finite import log_cylinder_mass, transfer_matrix
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-golden-digests",
+        action="store_true",
+        help="rewrite tests/golden_digests.json from this tree's results instead of comparing with it",
+    )
+
+
 @pytest.fixture
 def log_quadratic():
     return bundled_pair("log_quadratic")

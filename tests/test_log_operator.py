@@ -822,3 +822,139 @@ def test_gurevich_estimate_from_a_delta_keeps_the_bits(name, monkeypatch):
                 parent_module(m)
                 ref = gurevich_estimate(tr, f, t, 0, loops)
             assert np.float64(new).tobytes() == np.float64(ref).tobytes(), (t, loops)
+
+
+# ---------------------------------------------------------------------------
+# exponentials that skip the lanes that round to zero, against np.exp
+
+
+def exp_edge_cases(rng):
+    """Normal arguments, the subnormal band, arguments below -746, -inf,
+    +-0, NaN, and ulp steps around -746, -745.14, the rounding edge
+    log(2^-1075) = -745.1332 and the subnormal edge -708.4."""
+    steps = []
+    for edge in (-746.0, -745.14, -745.1332, -708.4):
+        x = edge
+        for _ in range(4):
+            x = np.nextafter(x, -np.inf)
+        for _ in range(9):
+            steps.append(x)
+            x = np.nextafter(x, np.inf)
+    special = [NEG_INF, np.inf, 0.0, -0.0, np.nan, -np.nan, 709.78, 1.0, -1.0, -1e300, -5e-324]
+    return np.concatenate(
+        [
+            rng.uniform(-30.0, 5.0, 200),
+            rng.uniform(-745.13, -708.4, 200),
+            rng.uniform(-1e4, -746.0, 200),
+            np.array(steps + special),
+        ]
+    )
+
+
+# C-order, F-order, transposed (the left side absorbs logB.T) and strided views
+LAYOUTS = (lambda g: g, np.asfortranarray, np.transpose, lambda g: g[:, ::2])
+
+
+def exp_grid(x, rng, lanes):
+    """x, repeated to at least `lanes` lanes and shuffled, as a square array
+    (NaN-padded)."""
+    x = np.tile(x, -(-lanes // x.size))
+    n = int(math.isqrt(x.size)) + 1
+    grid = np.full(n * n, np.nan)
+    grid[: x.size] = rng.permutation(x)
+    return grid.reshape(n, n)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("masked", [False, True])
+def test_exp_nonzero_is_np_exp_bit_for_bit(masked):
+    """Below _MASK_MIN lanes np.exp runs on every lane, from it on only on
+    the live ones; both give np.exp's bits."""
+    rng = np.random.default_rng(17)
+    grid = exp_grid(exp_edge_cases(rng), rng, 4 * rpf_finite._MASK_MIN if masked else 1)
+    for layout in LAYOUTS:
+        a = layout(grid)
+        assert (a.size >= rpf_finite._MASK_MIN) == masked
+        want = np.exp(a)
+        got = layout(grid.copy())
+        assert rpf_finite._exp_nonzero(got) is got
+        assert np.array_equal(got, want, equal_nan=True) and got.tobytes() == want.tobytes()
+        assert not np.signbit(got[~np.isnan(got)]).any()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_masked_log_sum_exps_keep_the_bits():
+    """The vector and CSR reductions, masked from _MASK_MIN entries on,
+    against their formulations with np.exp on every entry."""
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-2000.0, 0.0, 4 * rpf_finite._MASK_MIN)
+    x[rng.random(x.size) < 0.1] = NEG_INF
+    assert rpf_finite._logsumexp(x.copy()).tobytes() == parent_logsumexp(x.copy()).tobytes()
+    logA = np.full((128, 128), NEG_INF)
+    live = rng.random(logA.shape) < 0.3
+    live[np.arange(128), rng.integers(0, 128, 128)] = True
+    logA[live] = rng.uniform(-2000.0, 0.0, np.count_nonzero(live))
+    assert np.count_nonzero(live) >= rpf_finite._MASK_MIN
+    new, ref = _CsrLogOperator(logA, live), ParentCsrLogOperator(logA, live)
+    for logv in (np.zeros(128), rng.uniform(-900.0, 0.0, 128)):
+        assert new(logv).tobytes() == ref(logv).tobytes()
+
+
+def parent_equilibrium(pd, logB):
+    """equilibrium's chain as it was built with np.exp on every cell."""
+    P = np.add(logB, pd.log_h[None, :])
+    P -= pd.log_h[:, None]
+    P -= pd.log_lambda
+    np.exp(P, out=P)
+    P /= P.sum(axis=1, keepdims=True)
+    pi = np.exp(pd.log_nu + pd.log_h)
+    pi /= pi.sum()
+    for _ in range(5):
+        nxt = pi @ P
+        nxt /= nxt.sum()
+        if float(np.abs(nxt - pi).sum()) < 1e-15:
+            pi = nxt
+            break
+        pi = nxt
+    return P, pi
+
+
+def assert_equilibrium_keeps_the_bits(pd, logB):
+    m = rpf_finite.equilibrium(pd, logB)
+    P, pi = parent_equilibrium(pd, logB)
+    assert m.stochastic.tobytes() == P.tobytes()
+    assert m.stationary.tobytes() == pi.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_skipped_zero_lanes_keep_the_bits_of_the_dense_sweep_at_511_symbols():
+    """Every absorption's K, result and row maxima, and every equilibrium
+    chain, of the full-shift sweep at n = 511 (where nearly every lane of a
+    large t underflows) against the formulation with np.exp on every lane."""
+    model, f = bundled_pair("tie_two_loops")
+    tr = build_truncation(model, 510)
+    W = transfer_matrix(tr, f, 1.0)
+    gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f), W=W)
+    n = tr.n_symbols
+    for t in ZT_TS_DEFAULT:
+        logB = t * W
+        pd = perron(logB, gauge=gauge.scaled(t))
+        starts = (np.full(n, -math.log(n)), t * gauge.v, t * gauge.u, pd.log_h, pd.log_nu)
+        for M in (logB, logB.T):
+            new, ref = _DenseLogOperator(M), ParentDenseLogOperator(M)
+            for logv in starts:
+                assert new._absorb(logv).tobytes() == ref._absorb(logv).tobytes(), t
+                assert new.K.tobytes() == ref.K.tobytes(), t
+                assert new.top.tobytes() == ref.top.tobytes(), t
+        assert_equilibrium_keeps_the_bits(pd, logB)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_skipped_zero_lanes_keep_the_bits_of_a_renewal_equilibrium():
+    model, f = bundled_pair("renewal_weighted")
+    tr = build_truncation(model, 127)
+    for t in (2.0, 64.0, 1024.0):
+        logB = transfer_matrix(tr, f, t)
+        pd = perron(logB)
+        assert pd.path == "first-return"
+        assert_equilibrium_keeps_the_bits(pd, logB)

@@ -3,12 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import ambient_sup, edge_value, truncated_sups
 from gibbsline import cli, potential
-from gibbsline.bundled import bundled_pair
+from gibbsline.bundled import BUNDLED_NAMES, bundled_pair
+from gibbsline.config import parse_model_config
+from gibbsline.ergodic_opt import detect_k0
 from gibbsline.errors import DeadEndSymbol, InvalidT, NoTailDescriptor, UnboundedV1, ValidationError
 from gibbsline.potential import (
     Family,
@@ -18,6 +20,7 @@ from gibbsline.potential import (
     TailKind,
     check_summability,
     check_summability_t,
+    is_summable,
     variation,
 )
 from gibbsline.rpf_finite import pressure, transfer_matrix
@@ -136,6 +139,63 @@ class TestSummability:
         f = MarkovPotential(model, Family.TABLE, table=((0, 0, -1.0), (1, 0, -1.0)))
         with pytest.raises(NoTailDescriptor):
             check_summability(f)
+        with pytest.raises(NoTailDescriptor):
+            is_summable(f)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+POTENTIALS = [("bundled", name) for name in BUNDLED_NAMES + ("non_summable_renewal",)]
+POTENTIALS += [("config", p.stem) for p in sorted(CONFIGS.glob("*.cfg"))]
+
+
+@pytest.mark.parametrize("kind, name", POTENTIALS, ids=[f"{k}:{n}" for k, n in POTENTIALS])
+def test_is_summable_is_the_certificate_verdict(kind, name):
+    if kind == "bundled":
+        f = bundled_pair(name)[1]
+    else:
+        f = parse_model_config((CONFIGS / f"{name}.cfg").read_text()).potential
+    got = is_summable(f)
+    assert f._certificates == {}  # no certificate was summed for it
+    assert got is check_summability(f).converges
+
+
+def test_detect_k0_sums_no_certificate(log_quadratic):
+    model, f = log_quadratic
+    detect_k0(model, f)
+    assert f._certificates == {}
+
+
+@st.composite
+def tailed_potentials(draw):
+    """Geometric and polynomial tails, on a family whose certificate grows
+    round by round and on a one-round table; `a` reaches values whose
+    closed form overflows (exp(a - b i) or exp(a) past 709.78)."""
+    kind = draw(st.sampled_from((TailKind.GEOMETRIC, TailKind.POLYNOMIAL)))
+    a = draw(st.sampled_from((0.0, 0.5, 700.0, 709.0, 720.0, 800.0, 1e4)) | st.floats(0.0, 2000.0))
+    if kind is TailKind.GEOMETRIC:
+        rate = draw(st.sampled_from((1e-300, 1e-12, 1e-3, 1.0, 11.0)) | st.floats(1e-6, 12.0))
+        tail = TailDescriptor(kind, a=a, b=rate)
+    else:
+        tail = TailDescriptor(kind, a=a, p=draw(st.sampled_from((0.5, 1.0, 1.0 + 1e-9, 2.0)) | st.floats(0.0, 2.0)))
+    hi = draw(st.integers(0, 64))
+    model = ShiftModel(ModelKind.FULL)
+    if draw(st.booleans()):
+        # -log((i+1)(i+2)) <= a - p log(i+1) for p <= 2, a >= 0; a geometric
+        # tail may fail to majorize it
+        try:
+            return MarkovPotential(model, Family.LOG_QUADRATIC, tail=tail, explicit_hi=hi)
+        except ValidationError:
+            assume(False)
+    rows = np.arange(hi + 1)
+    values = np.minimum(np.asarray(tail.bound(rows), dtype=float), 0.0) - 1.0
+    return MarkovPotential(model, Family.TABLE, table=tuple((int(i), 0, float(v)) for i, v in zip(rows, values)), tail=tail)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(tailed_potentials())
+def test_is_summable_is_the_certificate_verdict_on_drawn_tails(f):
+    assert is_summable(f) is check_summability(f).converges
 
 
 def reference_check_summability(f, tol=1e-9, max_terms=2_000_000):
@@ -202,7 +262,6 @@ def reference_check_summability_t(f, t, tol=1e-9, max_terms=2_000_000):
         hi = min(max_terms - 1, max(2 * hi, 64, start_min))
 
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 FAMILIES = ("log_quadratic", "tie_two_loops", "renewal_weighted")
 # renewal tables that stop at symbol 5: the prefix cannot grow, and with
 # b = 0.05 the weighted tail is bridged by majorant terms up to its regime
