@@ -217,12 +217,13 @@ def detect_k0(
     """Smallest k whose beta and critical structure repeat over the window.
 
     The schedule is k = 0, ..., 9; a finite model runs it up to its last
-    truncation. Betas agree within 1e-10. Purely heuristic: stabilization
-    over finitely many truncations is necessary but not a certificate that
-    the maximizing set has been found. A finite model that runs out of
-    truncations ends on the whole compact shift, whose structure is final:
-    k0 is then the first k of the run at the end that agrees with the last
-    truncation, however short.
+    truncation. A k whose truncation has the previous k's alphabet reuses
+    its decomposition. Betas agree within 1e-10. Purely heuristic:
+    stabilization over finitely many truncations is necessary but not a
+    certificate that the maximizing set has been found. A finite model that
+    runs out of truncations ends on the whole compact shift, whose structure
+    is final: k0 is then the first k of the run at the end that agrees with
+    the last truncation, however short.
     """
     if not is_summable(f):
         raise ValidationError("stabilization detection requires a summable potential")
@@ -231,7 +232,16 @@ def detect_k0(
         ks = range(_K0_TOP + 1)
     else:  # a finite model has truncations at 0..last only
         ks = range(0 if last is None else last + 1)
-    decs = [critical_decomposition(build_truncation(model, k), f, tie_tol=tie_tol) for k in ks]
+    decs: list[CriticalDecomposition] = []
+    alphabet = None
+    for k in ks:
+        trunc = build_truncation(model, k)
+        # an augmented custom truncation can repeat the previous alphabet,
+        # and with it the induced subgraph and the decomposition
+        if alphabet is None or not np.array_equal(trunc.alphabet, alphabet):
+            dec = critical_decomposition(trunc, f, tie_tol=tie_tol)
+        decs.append(dec)
+        alphabet = trunc.alphabet
     if not decs or stability_window < 1:
         raise NotStabilized(_K0_TOP)
     built = tuple(ks)

@@ -1,6 +1,7 @@
 """Finite-alphabet thermodynamics via the log-domain transfer matrix.
 
-Everything spectral stays in log space with log-sum-exp reductions: inverse
+Everything spectral stays in log space with log-sum-exp reductions, or, for
+gauged solves, in reduced coordinates where the kernel is scaled: inverse
 temperatures up to ~10^3 make the matrix entries exp(t f) underflow long
 before the quantities of interest do.
 
@@ -30,13 +31,31 @@ set. A solve takes one of these paths:
   run from the uniform vector. Only if that stalls is the max-plus gauge of
   log B built (Howard's max cycle mean, then the critical graph) and the
   shifted run started.
-- With a gauge (zero-temperature sweeps): the iteration starts from the
-  max-plus eigenvectors, t v on the right and t u on the left, which already
-  carry the e^{-t delta} decay of the off-critical entries. When the
+- With a gauge (zero-temperature sweeps): each side iterates linearly on
+  its reduced kernel, K_r = exp(log B - t beta + t v_j - t v_i) on the
+  right and K_l = exp(log B^T - t beta + t u_j - t u_i) on the left
+  (`_ReducedKernel`, one exp of the matrix per side). The exponents are
+  <= 0 and reach 0 on every row, so K is scaled at any t (Akian, Bapat and
+  Gaubert, C. R. Acad. Sci. Paris 1998), and the uniform start is the
+  gauge start t v (t u) in reduced coordinates: log h = log h~ + t v, log
+  nu = log nu~ + t u and log lambda = t beta + log rho. The left side is
+  reduced by u, not by v: the left vector of K_r^T is nu e^{t v}, whose
+  smallest entry on the planted 12-symbol model of the tests is 2e-188 of
+  its largest at t = 128 and underflows at t = 256, while nu e^{-t u}
+  stays above 0.6 of its largest at every t of the sweep. When the
   critical graph is cyclic (cyclicity c > 1) the peripheral spectrum of
   exp(t f) tends to lambda times the c-th roots of unity, so the solve goes
-  straight to the shifted run, and only if that stalls runs plain from the
-  uniform vector; when c = 1 it runs plain first and shifts only on a stall.
+  straight to the shifted run (K + I), and only if that stalls runs plain
+  from the uniform vector of log B, in the log domain; when c = 1 it runs
+  plain first and shifts only on a stall. A linear run that stalls is not
+  repeated; one whose iterate leaves the normal range (an entry below
+  np.finfo(float).tiny) is run again in the log domain, from the gauge,
+  with the log-domain answer bit for bit (`_gauged_side`). The right
+  kernel, once solved, becomes the chain of `equilibrium` (P_ij = K_ij
+  h~_j, rows renormalized), which so needs no exp of its own. A reduced
+  kernel is dense, so a gauged support whose edges fill at most
+  1/_REDUCED_MIN_FILL of the cells takes the log-domain ladder instead,
+  from the gauge, as if it had no reduced kernel.
 
 A side whose two runs both spend their budgets raises NoConvergence; no
 solve returns an iterate that missed the gate (see `perron`).
@@ -44,19 +63,19 @@ solve returns an iterate that missed the gate (see `perron`).
 The gauge is linear in t: beta, v and u of t f are t times those of f, so a
 sweep computes them once from f's critical decomposition and rescales.
 
-Each side of a solve builds its transfer operator, logv -> log(B exp(logv)),
-once, with the kernel its support calls for: a CSR log-sum-exp over the
-finite entries when at most two thirds of the cells are finite and no row is
-empty (renewal truncations have 2n - 1 edges), and otherwise (full shifts)
-a dense kernel that absorbs a scaling at one iterate with a log-sum-exp over
-the matrix and applies the result as a matvec until an iterate needs it
-absorbed again (`_DenseLogOperator`). The log-sum-exps reduce like
-``scipy.special.logsumexp`` (each maximum counted apart, the rest through
-log1p), as do the scalar reductions, so gibbsline needs numpy only. They
-subtract a maximum only from the entries below it, so they never form
--inf - (-inf) and need no np.errstate. The residual of an iterate is read
-from the application that computes the next one, so a side on a period-1
-support applies its operator iterations + 1 times.
+Each side of a log-domain run builds its transfer operator, the map
+logv -> log(B exp(logv)), once, with the kernel its support calls for: a CSR
+log-sum-exp over the finite entries when at most two thirds of the cells are finite and
+no row is empty (renewal truncations have 2n - 1 edges), and otherwise (full
+shifts) a dense kernel that absorbs a scaling at one iterate with a
+log-sum-exp over the matrix and applies the result as a matvec until an
+iterate needs it absorbed again (`_DenseLogOperator`). The log-sum-exps
+reduce like ``scipy.special.logsumexp`` (each maximum counted apart, the
+rest through log1p), as do the scalar reductions, so gibbsline needs numpy
+only. They subtract a maximum only from the entries below it, so they never
+form -inf - (-inf) and need no np.errstate. The residual of an iterate is
+read from the application that computes the next one, so a side on a
+period-1 support applies its operator iterations + 1 times.
 
 At the small n of the bundled configs a step costs its numpy calls rather
 than its arithmetic: one application, one log-sum-exp for the normalizer s,
@@ -64,24 +83,24 @@ and one masked minimum for the convergence scale (a normalized iterate is
 <= 0); with d = 1 the eigenvalue estimate is s itself.
 
 Every exponential of a difference to a maximum (`_exp_below`, under the
-log-sum-exps, the CSR kernel and the dense absorption) and the chain of
-`equilibrium` call exp only on the entries whose result is not +0.0
-(`_exp_nonzero`, np.exp bit for bit). At large t nearly every cell of a
-full shift underflows: at t = 64 on the 511-symbol `tie_two_loops`
-truncation, 255,532 of the 261,121 cells an absorption exponentiates do.
-numpy 2.4's exp took about 0.25 ms on 511 x 511 normal arguments, 1.7-1.9
-ms on -inf and 5.9 ms on arguments that underflow, so the zero-temperature
-sweep spent most of its exponential time there. The mask costs a few
-passes over bools and three more numpy calls, so arrays of fewer than
-_MASK_MIN entries (the vectors, and every array of the bundled n <= 10 and
-the 12-symbol custom models) take np.exp on every entry.
+log-sum-exps, the CSR kernel and the dense absorption), the reduced kernels
+and the log-domain chain of `equilibrium` call exp only on the entries whose
+result is not +0.0 (`_exp_nonzero`, np.exp bit for bit). At large t nearly
+every cell of a full shift underflows: at t = 64 on the 511-symbol
+`tie_two_loops` truncation, 255,532 of the 261,121 cells an absorption
+exponentiates do. numpy 2.4's exp took about 0.25 ms on 511 x 511 normal
+arguments, 1.7-1.9 ms on -inf and 5.9 ms on arguments that underflow, so the
+zero-temperature sweep spent most of its exponential time there. The mask
+costs a few passes over bools and three more numpy calls, so arrays of fewer
+than _MASK_MIN entries (the vectors, and every array of the bundled n <= 10
+and the 12-symbol custom models) take np.exp on every entry.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,6 +116,7 @@ from .shift_model import AlphabetIndexed, ModelKind, Truncation, graph_period
 
 _NEG_INF = -np.inf
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 # Power iteration: the eigenvalue estimate has settled once consecutive
 # estimates differ by less than _TOL, and an iterate is accepted once its
 # eigen-residual is below _RES_TOL (both floored at a few ulp of the scale).
@@ -120,6 +140,9 @@ class PerronData:
     steps on the first-return path), and path (one of PATHS) names the
     solver path that produced the answer. Every PerronData passed the
     residual gate: a solve that does not raises NoConvergence instead.
+    chain is (log B, P) when a gauged solve built the equilibrium chain P
+    of the matrix log B it solved from its right reduced kernel (see
+    `perron`), else None.
     """
 
     log_lambda: float
@@ -128,6 +151,7 @@ class PerronData:
     iterations: int
     residual: float
     path: str
+    chain: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,6 +332,42 @@ def _log_operator(logA: np.ndarray, finite: np.ndarray | None = None) -> _CsrLog
     return _DenseLogOperator(logA)
 
 
+# a gauged solve runs on reduced kernels only when the edges fill more than
+# 1/32 of the cells: a reduced kernel is dense and costs n^2 a step, while
+# the log-domain CSR operator costs its edges. On a 2-vCPU x86-64 VM with
+# numpy 2.4, a gauged sweep of a custom model with four edges a row at
+# n = 1024 took 1,466 ms on dense reduced kernels and 1,352 ms in the log
+# domain; the custom n = 12 model of the benchmark fills 1/3 of its cells.
+_REDUCED_MIN_FILL = 32
+
+
+class _ReducedKernel:
+    """x -> K x for the reduced kernel K = exp(logA - t beta + b_j - b_i) of one side.
+
+    logA is log B (right side) or its transpose (left side), t beta the max
+    cycle mean of logA and b the side's max-plus eigenvector of logA, t v or
+    t u. The exponent is <= 0 on every edge and 0 on each row's best edge,
+    so K is scaled at any t and a linear power iteration on it needs no log
+    domain: its Perron vector is h e^{-t v} (or nu e^{-t u}) and its Perron
+    root lambda e^{-t beta}. Built in one buffer with one exp.
+    """
+
+    def __init__(self, logA: np.ndarray, bias: np.ndarray, t_beta: float):
+        self.n = logA.shape[0]
+        K = np.add(logA, bias[None, :])
+        K -= (bias + t_beta)[:, None]
+        self.K = _exp_nonzero(K)
+        self.apply = self.K.__matmul__
+
+    def chain(self, x: np.ndarray) -> np.ndarray:
+        """The stochastic matrix K_ij x_j / sum_j K_ij x_j, built in the
+        kernel's buffer, so the kernel serves no further application."""
+        P = self.K
+        P *= x[None, :]
+        P /= P.sum(axis=1, keepdims=True)
+        return P
+
+
 def _window_average(v_hist: list[np.ndarray], s_hist: list[float], est: float) -> np.ndarray:
     """Average the last d >= 2 iterates after undoing the per-step normalizers.
 
@@ -327,6 +387,24 @@ def _window_average(v_hist: list[np.ndarray], s_hist: list[float], est: float) -
 def _residual(Aw: np.ndarray, logw: np.ndarray, est: float) -> float:
     """Eigen-residual of logw at log-eigenvalue est, from Aw = op(logw)."""
     return float(np.max(np.abs(Aw - est - logw)))
+
+
+def _settled_estimate(mean: float, mean_prev: float, scale: float, log_sigma: float, it: int) -> float | None:
+    """The eigenvalue estimate log(exp(mean) - sigma) of step `it`, or None.
+
+    An estimate is taken once consecutive means differ by less than _TOL,
+    floored at 4 ulp of scale (the step's largest magnitude), and at every
+    32nd step in any case; never while mean <= log sigma.
+    """
+    if (abs(mean - mean_prev) < max(_TOL, 4.0 * _EPS * scale) or (it + 1) % 32 == 0) and mean > log_sigma:
+        return mean + math.log1p(-math.exp(log_sigma - mean))
+    return None
+
+
+def _gate(*scales: float) -> float:
+    """The residual an iterate must beat: _RES_TOL, floored at 8 ulp of the
+    largest of 1 and the magnitudes in scales."""
+    return max(_RES_TOL, 8.0 * _EPS * max(1.0, *scales))
 
 
 def _power_iteration(
@@ -380,9 +458,9 @@ def _power_iteration(
             mean = float(np.mean(s_hist))
         # s >= max u, so the normalized iterate is <= 0 and -min is its largest finite magnitude
         scale = max(1.0, abs(mean), -float(logv.min(where=np.isfinite(logv), initial=0.0)))
-        if (abs(mean - mean_prev) < max(_TOL, 4.0 * _EPS * scale) or (it + 1) % 32 == 0) and mean > log_sigma:
-            est = mean + math.log1p(-math.exp(log_sigma - mean))
-            gate = max(_RES_TOL, 8.0 * _EPS * max(scale, abs(est)))
+        est = _settled_estimate(mean, mean_prev, scale, log_sigma, it)
+        if est is not None:
+            gate = _gate(scale, abs(est))
             if d == 1:
                 pending = (est, gate)
             else:
@@ -400,7 +478,7 @@ def _normalized(logv: np.ndarray) -> np.ndarray:
 
 
 def _solve_side(
-    op, d: int, gauge: MaxPlusGauge | None, warm_start, gauge_of_logA, max_iter: int
+    op, d: int, gauge: MaxPlusGauge | None, warm_start, gauge_of_logA, max_iter: int, start: int = 0
 ) -> tuple[np.ndarray, float, int, float, str]:
     """Perron vector of one side: (log_vec, log_lambda, iterations, residual, path).
 
@@ -411,12 +489,14 @@ def _solve_side(
     only a stall then pays for `gauge_of_logA`. Iterations add up over the
     runs, and the path names the run that converged; when neither does,
     NoConvergence carries the iterations spent and the smallest residual.
+    `start` skips that many runs of the ladder (a gauged solve hands over
+    the rest of its ladder here, see `_gauged_side`).
     """
     plain = "plain" if d == 1 else "period-averaged"
     cyclic = gauge is not None and gauge.cyclicity > 1
     plain_start = np.full(op.n, -math.log(op.n)) if gauge is None or cyclic else _normalized(warm_start(gauge))
     spent, best = 0, math.inf
-    for path in ("shifted", plain) if cyclic else (plain, "shifted"):
+    for path in (("shifted", plain) if cyclic else (plain, "shifted"))[start:]:
         if path == "shifted":
             if gauge is None:
                 gauge = gauge_of_logA()
@@ -430,14 +510,121 @@ def _solve_side(
     raise NoConvergence(spent, best)
 
 
+class _LeftNormalRange(Exception):
+    """An iterate of a linear power iteration fell below the normal range."""
+
+    def __init__(self, iterations: int):
+        super().__init__(iterations)
+        self.iterations = iterations
+
+
+def _linear_iteration(
+    kernel: _ReducedKernel, shifted: bool, bias: np.ndarray, t_beta: float, max_iter: int
+) -> tuple[np.ndarray | None, float, int, float]:
+    """`_power_iteration` with d = 1 on a reduced kernel K, in the linear domain.
+
+    Iterates on K (or K + I when shifted, the shifted run in reduced
+    coordinates, where sigma = e^{t beta} becomes 1) from the uniform
+    vector, which is the gauge's start t b in reduced coordinates. Returns
+    (x, log_lambda, iters, residual) with x the reduced Perron vector
+    (log_lambda is t beta + log rho), or x None when the budget ran out, the
+    residual then being the smallest one seen. The estimates, their checks
+    and the gate are those of `_power_iteration`: the residual is the same
+    log-domain residual, max |log(K x) - log rho - log x|, and the gate's
+    ulp floor takes the scale of the lifted vector log x + t b and of the
+    lifted estimate. An iterate with an entry below the normal range (or a
+    NaN, from an overflow) raises _LeftNormalRange.
+    """
+    apply = kernel.apply
+    x = np.full(kernel.n, 1.0 / kernel.n)
+    log_sigma = 0.0 if shifted else _NEG_INF
+    mean_prev = math.nan
+    best = math.inf
+    pending = None  # (estimate, gate) of iterate `it`, checked by its application
+    for it in range(max_iter + 1):
+        Kx = apply(x)
+        if pending is not None:
+            est, gate = pending
+            res = float(np.max(np.abs(np.log(Kx) - est - np.log(x))))
+            if res < gate:
+                return x, t_beta + est, it, res
+            best = min(best, res)
+            pending = None
+        if it == max_iter:
+            break
+        if shifted:
+            Kx += x
+        s = float(np.add.reduce(Kx))
+        x = np.divide(Kx, s, out=Kx)
+        low = float(np.minimum.reduce(x))
+        if not low >= _TINY:
+            raise _LeftNormalRange(it + 1)
+        mean = math.log(s)
+        est = _settled_estimate(mean, mean_prev, max(1.0, abs(mean), -math.log(low)), log_sigma, it)
+        if est is not None:
+            lifted = np.log(x) + bias
+            lifted -= _logsumexp(lifted)
+            pending = (est, _gate(abs(t_beta + mean), abs(t_beta + est), -float(lifted.min())))
+        mean_prev = mean
+    return None, math.nan, max_iter, best
+
+
+def _gauged_side(
+    logA: np.ndarray, finite: np.ndarray, gauge: MaxPlusGauge, warm_start, max_iter: int
+) -> tuple[tuple[np.ndarray, float, int, float, str], tuple[_ReducedKernel, np.ndarray] | None]:
+    """One side of a gauged solve: (`_solve_side`'s answer, (kernel, x) or None).
+
+    The runs of the ladder that start from the gauge (all of them, or the
+    shifted run of a cyclic gauge) run linearly on the side's reduced
+    kernel (`_linear_iteration`); (kernel, x) is returned when one
+    converges. A run that stalls goes on to the next run of the ladder; a
+    run whose iterate leaves the normal range is run again in the log
+    domain, with the rest of the ladder, by `_solve_side`, bit for bit as
+    the log-domain ladder from that run. So is a cyclic gauge's plain run from
+    the uniform vector, which is no gauge start. Only the log domain reads
+    the support's period: a linear run needs none, since a plain run comes
+    first only under cyclicity 1, whose critical components hold cycles of
+    coprime lengths, and the period divides every cycle length.
+    """
+    bias = warm_start(gauge)
+    kernel = _ReducedKernel(logA, bias, gauge.beta)
+    cyclic = gauge.cyclicity > 1
+    spent, best = 0, math.inf
+    for rung, path in enumerate(("shifted",) if cyclic else ("plain", "shifted")):
+        try:
+            x, est, it, res = _linear_iteration(kernel, path == "shifted", bias, gauge.beta, max_iter)
+        except _LeftNormalRange as exc:
+            spent += exc.iterations
+            break
+        spent += it
+        if x is not None:
+            return (np.log(x) + bias, est, spent, res, path), (kernel, x)
+        best = min(best, res)
+    else:
+        if not cyclic:
+            raise NoConvergence(spent, best)
+        rung = 1
+    del kernel
+    try:
+        logv, est, it, res, path = _solve_side(
+            _log_operator(logA, finite), graph_period(finite), gauge, warm_start, None, max_iter, start=rung
+        )
+    except NoConvergence as exc:
+        raise NoConvergence(spent + exc.iterations, min(best, exc.residual)) from None
+    return (logv, est, spent + it, res, path), None
+
+
 def perron(logB: np.ndarray, max_iter: int | None = None, gauge: MaxPlusGauge | None = None) -> PerronData:
     """Perron data of an irreducible log-domain matrix.
 
     A support on which one vertex meets every cycle is solved from its
     first-return equation; any other support, and a first-return answer that
     fails the residual gate, by power iteration. `gauge` is the max-plus
-    gauge of logB itself (for log B = t f, the gauge of f scaled by t); see
-    the module docstring for the solver paths.
+    gauge of logB itself (for log B = t f, the gauge of f scaled by t): the
+    solve then runs on the two reduced kernels (unless the support is
+    sparse) and, when the right one converges, returns the equilibrium
+    chain with the Perron data (`PerronData.chain`, which `equilibrium`
+    uses for this logB only). See the module docstring for the solver paths.
 
     The answer either passes the residual gate on both sides or the solve
     raises NoConvergence. An iterate that misses the gate pins lambda to its
@@ -566,27 +753,35 @@ def _power_perron(
         # 100 * n with a floor: tiny alphabets can still carry nearly
         # reducible supports whose spectral gap is independent of n
         max_iter = max(100 * n, 3000)
-    d = graph_period(finite)
-    found: list[MaxPlusGauge] = []
+    chain = None
+    if gauge is None or _REDUCED_MIN_FILL * np.count_nonzero(finite) <= finite.size:
+        d = graph_period(finite)
+        found: list[MaxPlusGauge] = []
 
-    def gauge_of_logB() -> MaxPlusGauge:
-        # built at most once per solve, by whichever side stalls first
-        if not found:
-            found.append(gauge_of(logB))
-        return found[0]
+        def gauge_of_logB() -> MaxPlusGauge:
+            # built at most once per solve, by whichever side stalls first
+            if not found:
+                found.append(gauge_of(logB))
+            return found[0]
 
-    logh, est_r, it_r, res_r, path_r = _solve_side(
-        _log_operator(logB, finite), d, gauge, lambda g: g.v, gauge_of_logB, max_iter
-    )
-    lognu, est_l, it_l, res_l, path_l = _solve_side(
-        _log_operator(logB.T, finite.T), d, gauge, lambda g: g.u, gauge_of_logB, max_iter
-    )
+        right = _solve_side(_log_operator(logB, finite), d, gauge, lambda g: g.v, gauge_of_logB, max_iter)
+        left = _solve_side(_log_operator(logB.T, finite.T), d, gauge, lambda g: g.u, gauge_of_logB, max_iter)
+    else:
+        # the left side first, so that one reduced kernel is alive at a time
+        # and the right one becomes the chain
+        left = _gauged_side(logB.T, finite.T, gauge, lambda g: g.u, max_iter)[0]
+        right, reduced = _gauged_side(logB, finite, gauge, lambda g: g.v, max_iter)
+        if reduced is not None:
+            kernel, x = reduced
+            chain = (logB, kernel.chain(x))
+    logh, est_r, it_r, res_r, path_r = right
+    lognu, est_l, it_l, res_l, path_l = left
     log_lambda = 0.5 * (est_r + est_l)
     logh = _normalized(logh)
     lognu = lognu - _logsumexp(lognu + logh)
     residual = max(res_r, res_l, abs(est_r - est_l))
     path = max(path_r, path_l, key=PATHS.index)
-    return PerronData(float(log_lambda), logh, lognu, it_r + it_l, float(residual), path)
+    return PerronData(float(log_lambda), logh, lognu, it_r + it_l, float(residual), path, chain)
 
 
 def pressure(trunc: Truncation, f: MarkovPotential, t: float) -> float:
@@ -632,16 +827,24 @@ def gurevich_estimate(trunc: Truncation, f: MarkovPotential, t: float, a: int, n
 
 
 def equilibrium(pd: PerronData, logB: np.ndarray, alphabet: np.ndarray | None = None) -> MarkovMeasure:
-    """Equilibrium Markov chain P_ij = B_ij h_j / (lambda h_i), pi = nu*h."""
+    """Equilibrium Markov chain P_ij = B_ij h_j / (lambda h_i), pi = nu*h.
+
+    When pd carries the chain its solve built for this very logB (a gauged
+    solve builds it from its reduced kernel without an exp), P is that
+    array, and the measure takes it over; otherwise P is built here.
+    """
     n = logB.shape[0]
     if alphabet is None:
         alphabet = np.arange(n, dtype=np.int64)
-    # log P = ((log B + log h_j) - log h_i) - log lambda, built in one buffer
-    P = np.add(logB, pd.log_h[None, :])
-    P -= pd.log_h[:, None]
-    P -= pd.log_lambda
-    _exp_nonzero(P)
-    P /= P.sum(axis=1, keepdims=True)
+    if pd.chain is not None and pd.chain[0] is logB:
+        P = pd.chain[1]
+    else:
+        # log P = ((log B + log h_j) - log h_i) - log lambda, built in one buffer
+        P = np.add(logB, pd.log_h[None, :])
+        P -= pd.log_h[:, None]
+        P -= pd.log_lambda
+        _exp_nonzero(P)
+        P /= P.sum(axis=1, keepdims=True)
     pi = np.exp(pd.log_nu + pd.log_h)
     pi /= pi.sum()
     # nu*h is stationary up to the solver residual; a few multiplications
@@ -671,6 +874,8 @@ def equilibrium_measure(
     t builds it once); for t > 0 the solve then runs on t * W, which is
     `transfer_matrix(trunc, f, t)` bit for bit (1.0 * x = x, t * -inf =
     -inf). Without it, or at t <= 0, the transfer matrix is built here.
+    With a gauge the solve runs on reduced kernels, and the chain comes
+    from the right one, with no exp of its own (see `perron`).
     NoConvergence when the solve does not converge (see `perron`).
     """
     logB = t * W if W is not None and t > 0 else transfer_matrix(trunc, f, t)

@@ -8,6 +8,7 @@ from gibbsline import bundled_pair, rpf_finite
 from gibbsline.errors import BudgetExceeded, ValidationError
 from gibbsline.potential import MarkovPotential, row_oscillation
 from gibbsline.rpf_finite import log_cylinder_mass, transfer_matrix
+from gibbsline.shift_model import graph_period
 
 
 def pytest_addoption(parser):
@@ -93,6 +94,13 @@ def power_perron(logB: np.ndarray, **kwargs):
     return rpf_finite._power_perron(logB, np.isfinite(logB), **kwargs)
 
 
+def log_domain_side(logA, finite, gauge, warm_start, max_iter):
+    """A gauged side on the log-domain ladder alone, as gauged solves ran
+    before reduced kernels; monkeypatch it over `rpf_finite._gauged_side`."""
+    op = rpf_finite._log_operator(logA, finite)
+    return rpf_finite._solve_side(op, graph_period(finite), gauge, warm_start, None, max_iter), None
+
+
 def random_stochastic(incidence: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Random stochastic matrix supported exactly on the incidence."""
     n = incidence.shape[0]
@@ -128,7 +136,9 @@ def tied_period_3() -> np.ndarray:
     return W
 
 
-def dense_gauged_state(W: np.ndarray, t: float) -> tuple[float, np.ndarray, np.ndarray, float]:
+def dense_gauged_state(
+    W: np.ndarray, t: float, beta: float | None = None
+) -> tuple[float, np.ndarray, np.ndarray, float]:
     """(log lambda, pi, P, gap) of exp(t W) by a dense eigensolve, independent of the solver.
 
     W holds f on the edges of an irreducible graph and -inf elsewhere. The
@@ -138,12 +148,15 @@ def dense_gauged_state(W: np.ndarray, t: float) -> tuple[float, np.ndarray, np.n
     (rho + 1) for the next eigenvalue mu of this matrix: the contraction
     margin of the iteration shifted by exp(t beta); near 0, neither that
     iteration nor this eigensolve can separate the top two eigenvectors.
+    beta, the max cycle mean of W, is found by a walk search of O(n^4)
+    unless the caller knows it.
     """
     n = W.shape[0]
-    walks, beta = W.copy(), float(np.max(np.diag(W)))
-    for length in range(2, n + 1):
-        walks = np.max(walks[:, :, None] + W[None, :, :], axis=1)
-        beta = max(beta, float(np.max(np.diag(walks))) / length)
+    if beta is None:
+        walks, beta = W.copy(), float(np.max(np.diag(W)))
+        for length in range(2, n + 1):
+            walks = np.max(walks[:, :, None] + W[None, :, :], axis=1)
+            beta = max(beta, float(np.max(np.diag(walks))) / length)
     D = W - beta
     for m in range(n):
         D = np.maximum(D, D[:, m : m + 1] + D[m : m + 1, :])

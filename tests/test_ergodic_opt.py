@@ -20,7 +20,7 @@ from gibbsline.ergodic_opt import (
     max_plus_gauge,
     subaction,
 )
-from gibbsline import maxplus, rpf_finite
+from gibbsline import ergodic_opt, maxplus, rpf_finite
 from gibbsline.errors import BudgetExceeded, NoConvergence, NotStabilized, SolverError, ValidationError
 from gibbsline.potential import Family, MarkovPotential
 from gibbsline.rpf_finite import pressure, transfer_matrix
@@ -630,6 +630,27 @@ class TestDetectK0:
             betas = [max_mean_cycle(build_truncation(model, k), f)[0] for k in range(7)]
             for a, b in zip(betas, betas[1:]):
                 assert b >= a - 1e-15
+
+    def test_a_repeated_alphabet_is_decomposed_once(self, monkeypatch):
+        """The planted 12-symbol model augments k = 0..8 to one 9-symbol
+        alphabet: detect_k0 decomposes it once, and reports what one
+        decomposition per k gives."""
+        cfg = parse_model_config(Path(__file__).with_name("planted_cyclic.cfg").read_text())
+        model, f = cfg.model, cfg.potential
+        real = ergodic_opt.critical_decomposition
+        calls = []
+
+        def counted(trunc, *args, **kwargs):
+            calls.append(trunc.k)
+            return real(trunc, *args, **kwargs)
+
+        monkeypatch.setattr(ergodic_opt, "critical_decomposition", counted)
+        rep = detect_k0(model, f)
+        assert calls == [0, 9]
+        per_k = [real(build_truncation(model, k), f) for k in rep.ks]
+        assert rep.betas == tuple(d.beta for d in per_k)
+        assert [_structure_key(d) for d in per_k[:9]] == [_structure_key(per_k[0])] * 9
+        assert (rep.k0, rep.window) == (0, 3)
 
     def test_structure_constant_beyond_k0(self, tie_two_loops):
         model, f = tie_two_loops

@@ -28,12 +28,19 @@ GOLDEN = Path(__file__).with_name("golden_digests.json")
 
 CONFIGS = ("log_quadratic", "non_summable", "renewal_weighted", "tie_two_loops")
 COMMANDS = ("pressure", "equilibrium", "zerotemp", "entropy-limit", "diagnose", "certify-summability")
-# every command on every shipped config, and the two largest sweeps the
-# benchmark runs: the dense full shift at n = 511 and the renewal shift at n = 128
+# every command on every shipped config, the two largest sweeps the
+# benchmark runs (the dense full shift at n = 511 and the renewal shift at
+# n = 128), and the cyclic sweep of the planted 12-symbol model, whose
+# config lives beside this file
 INVOCATIONS = [(cfg, (cmd,)) for cfg in CONFIGS for cmd in COMMANDS] + [
     ("tie_two_loops", ("zerotemp", "--k", "510")),
     ("renewal_weighted", ("zerotemp", "--k", "127")),
+    ("planted_cyclic", ("zerotemp", "--k", "11")),
 ]
+
+
+def config_path(cfg: str) -> Path:
+    return ROOT / "configs" / f"{cfg}.cfg" if cfg in CONFIGS else Path(__file__).with_name(f"{cfg}.cfg")
 
 
 def numpy_platform() -> dict:
@@ -69,7 +76,7 @@ def run_digest(argv: list[str], out: Path) -> dict:
 def invocation_digests(out: Path) -> dict:
     digests = {}
     for i, (cfg, args) in enumerate(INVOCATIONS):
-        argv = [args[0], "--config", str(ROOT / "configs" / f"{cfg}.cfg"), *args[1:]]
+        argv = [args[0], "--config", str(config_path(cfg)), *args[1:]]
         digests[" ".join((cfg, *args))] = run_digest(argv, out / str(i))
     return digests
 

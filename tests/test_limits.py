@@ -269,33 +269,20 @@ class TestZeroTemp:
             zero_temp_sweep(model, f, k=0)
 
 
-# 12 symbols, a Hamiltonian cycle plus random successors; the maximizing
-# cycle 2 -> 7 -> 9 -> 2 is planted, so the critical graph has cyclicity 3
-# and the peripheral spectrum of exp(t f) tends to lambda times the cube
-# roots of unity as t grows.
-PLANTED_TABLE = (
-    (0, 8, -4.34), (0, 9, -0.64), (0, 10, -1.32), (1, 0, -0.58), (1, 2, -3.11), (1, 6, -0.55),
-    (1, 9, -2.05), (2, 4, -2.19), (2, 5, -0.56), (2, 7, -0.08), (2, 9, -1.02), (2, 10, -1.16),
-    (3, 1, -1.61), (3, 9, -0.8), (3, 11, -0.89), (4, 0, -1.78), (4, 7, -3.69), (4, 8, -0.62),
-    (4, 9, -2.04), (5, 1, -2.35), (5, 2, -0.96), (5, 4, -3.1), (5, 6, -1.23), (6, 5, -0.71),
-    (6, 7, -1.89), (6, 9, -2.01), (6, 10, -1.79), (7, 1, -1.52), (7, 2, -2.23), (7, 3, -1.75),
-    (7, 5, -2.33), (7, 9, -0.14), (8, 5, -1.17), (8, 7, -0.98), (8, 10, -3.88), (9, 2, -0.28),
-    (9, 6, -1.76), (9, 8, -0.96), (9, 10, -0.53), (10, 0, -1.82), (10, 2, -2.98), (10, 8, -0.59),
-    (10, 9, -1.03), (11, 3, -0.66), (11, 4, -1.22), (11, 9, -1.14),
-)
-
-
 class TestPlantedCyclicGroundState:
     """The sweep solves every t on a cyclic critical graph, in few iterations."""
 
     @pytest.fixture(scope="class")
     def planted(self):
-        model = ShiftModel(ModelKind.CUSTOM, tuple((i, j) for i, j, _ in PLANTED_TABLE))
-        f = MarkovPotential(model, Family.TABLE, table=PLANTED_TABLE)
+        # 12 symbols, a Hamiltonian cycle plus random successors; the
+        # maximizing cycle 2 -> 7 -> 9 -> 2 is planted, so the critical graph
+        # has cyclicity 3 and the peripheral spectrum of exp(t f) tends to
+        # lambda times the cube roots of unity as t grows.
+        cfg = parse_model_config(Path(__file__).with_name("planted_cyclic.cfg").read_text())
         W = np.full((12, 12), -np.inf)
-        for i, j, w in PLANTED_TABLE:
+        for i, j, w in cfg.potential.table:
             W[i, j] = w
-        return model, f, W
+        return cfg.model, cfg.potential, W
 
     def test_zero_temp_sweep_matches_dense_oracle(self, planted, monkeypatch):
         model, f, W = planted

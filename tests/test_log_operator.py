@@ -6,6 +6,7 @@ operators replaced, and the reference solver the two power-iteration loops
 here as oracles only.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from conftest import power_perron, tied_period_3
+from conftest import log_domain_side, power_perron, tied_period_3
 from gibbsline import rpf_finite
 from gibbsline.bundled import bundled_pair
 from gibbsline.errors import NoConvergence, SolverError
@@ -194,8 +195,9 @@ def test_kernel_follows_the_support(renewal_weighted, tie_two_loops):
 
 @pytest.mark.parametrize("name", ["log_quadratic", "tie_two_loops", "renewal_weighted"])
 def test_log_lambda_matches_scipy_reference_on_bundled_models(name, monkeypatch):
-    """The solves the zero-temperature sweeps make, against the same solves
-    run on the scipy kernel and scipy's reductions, to 1e-12."""
+    """The solves the zero-temperature sweeps make, on their reduced kernels,
+    against the same solves run in the log domain on the scipy kernel and
+    scipy's reductions, to 1e-12."""
     model, f = bundled_pair(name)
     for n in (7, 127, 511):
         tr = build_truncation(model, n - 1)
@@ -205,6 +207,7 @@ def test_log_lambda_matches_scipy_reference_on_bundled_models(name, monkeypatch)
             logB = transfer_matrix(tr, f, t)
             new = perron(logB, gauge=gauge.scaled(t))
             with monkeypatch.context() as m:
+                m.setattr(rpf_finite, "_gauged_side", log_domain_side)
                 m.setattr(rpf_finite, "_log_operator", ReferenceOperator)
                 m.setattr(rpf_finite, "_logsumexp", lambda a, axis=None, out=None: logsumexp(a, axis=axis))
                 ref = perron(logB, gauge=gauge.scaled(t))
@@ -233,16 +236,27 @@ def test_ungauged_dense_log_lambda_matches_scipy_reference(name):
 
 
 def test_dense_sides_absorb_once_per_solve(monkeypatch, tie_two_loops):
-    """The gauged full-shift sweep at n = 511: every dense side absorbs at
-    its first iterate and takes matvecs from then on."""
+    """The gauged full-shift sweep at n = 511: every side builds one dense
+    reduced kernel with one n x n exp and iterates linearly on it, so no
+    log-domain operator absorbs; the right kernel becomes the chain, and
+    equilibrium exponentiates no n x n array."""
     model, f = tie_two_loops
     tr = build_truncation(model, 510)
+    n = tr.n_symbols
     gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
     absorbed = record_absorptions(monkeypatch)
+    exps = []
+    real_exp = rpf_finite._exp_nonzero
+    monkeypatch.setattr(rpf_finite, "_exp_nonzero", lambda x: exps.append(x.shape) or real_exp(x))
     for t in ZT_TS_DEFAULT:
-        perron(transfer_matrix(tr, f, t), gauge=gauge.scaled(t))
-    assert len(absorbed) == 2 * len(ZT_TS_DEFAULT) == 20
-    assert len({id(op) for op, _ in absorbed}) == 20
+        exps.clear()
+        logB = transfer_matrix(tr, f, t)
+        pd = perron(logB, gauge=gauge.scaled(t))
+        assert exps.count((n, n)) == 2, t
+        assert pd.chain is not None and pd.chain[1].shape == (n, n), t
+        rpf_finite.equilibrium(pd, logB)
+        assert exps.count((n, n)) == 2, t
+    assert absorbed == []
 
 
 @pytest.mark.parametrize("name", ["log_quadratic", "tie_two_loops"])
@@ -297,6 +311,27 @@ def count_applications(monkeypatch):
     return counts
 
 
+def count_reduced_applications(monkeypatch):
+    """Count the applications of every reduced kernel perron builds."""
+    counts = []
+    real = rpf_finite._ReducedKernel.__init__
+
+    def counting(kernel, *args):
+        real(kernel, *args)
+        slot = len(counts)
+        counts.append(0)
+        apply = kernel.apply
+
+        def counted(x):
+            counts[slot] += 1
+            return apply(x)
+
+        kernel.apply = counted
+
+    monkeypatch.setattr(rpf_finite._ReducedKernel, "__init__", counting)
+    return counts
+
+
 class TestApplicationsPerIteration:
     """On period-1 supports the residual of each iterate is read from the
     application that computes the next one: a run of the iteration applies
@@ -313,15 +348,19 @@ class TestApplicationsPerIteration:
         assert sum(counts) == pd.iterations + 2
 
     def test_gauged_sweep(self, monkeypatch, tie_two_loops):
+        # a gauged solve iterates on one reduced kernel per side and builds
+        # no log-domain operator; the linear run reads residuals the same way
         model, f = tie_two_loops
         tr = build_truncation(model, 11)
         gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
         counts = count_applications(monkeypatch)
+        kernels = count_reduced_applications(monkeypatch)
         for t in ZT_TS_DEFAULT:
-            before = len(counts), sum(counts)
+            before = len(kernels), sum(kernels)
             pd = perron(transfer_matrix(tr, f, t), gauge=gauge.scaled(t))
-            assert len(counts) - before[0] == 2
-            assert sum(counts) - before[1] == pd.iterations + 2, t
+            assert len(kernels) - before[0] == 2
+            assert sum(kernels) - before[1] == pd.iterations + 2, t
+        assert counts == []
 
     def test_fallback_and_no_convergence(self, monkeypatch):
         # plain, then shifted, on the right side; each run ends at its budget,
@@ -438,16 +477,22 @@ def reference_shifted_iteration(op, logv, log_sigma, tol, max_iter, res_tol, bes
     return None, math.nan, max_iter, best[0], best
 
 
-def reference_solve_side(op, d, gauge, warm_start, gauge_of_logA, max_iter):
+def reference_solve_side(op, d, gauge, warm_start, gauge_of_logA, max_iter, start=0):
     """The solver paths around the two loops; a cyclic gauge whose shifted
-    run stalls falls back to the plain loop from the uniform vector."""
+    run stalls falls back to the plain loop from the uniform vector. `start`
+    skips that many of the two runs."""
     n = op.n
     uniform = np.full(n, -math.log(n))
     plain = "plain" if d == 1 else "period-averaged"
     cyclic = gauge is not None and gauge.cyclicity > 1
     best = (math.inf, None, math.nan)
     spent = 0
-    if not cyclic:
+    if cyclic and start == 1:
+        logv, est, it, res, best = reference_plain_iteration(op, uniform, d, REF_TOL, max_iter, REF_RES_TOL)
+        if logv is not None:
+            return logv, est, it, res, plain
+        raise rpf_finite.NoConvergence(it, best[0])
+    if not cyclic and start == 0:
         start = uniform if gauge is None else rpf_finite._normalized(warm_start(gauge))
         logv, est, it, res, best = reference_plain_iteration(op, start, d, REF_TOL, max_iter, REF_RES_TOL)
         if logv is not None:
@@ -946,7 +991,9 @@ def test_skipped_zero_lanes_keep_the_bits_of_the_dense_sweep_at_511_symbols():
                 assert new._absorb(logv).tobytes() == ref._absorb(logv).tobytes(), t
                 assert new.K.tobytes() == ref.K.tobytes(), t
                 assert new.top.tobytes() == ref.top.tobytes(), t
-        assert_equilibrium_keeps_the_bits(pd, logB)
+        # the chain a gauged solve brings is built without an exp; the
+        # log-domain chain is what the lanes apply to
+        assert_equilibrium_keeps_the_bits(dataclasses.replace(pd, chain=None), logB)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
