@@ -26,6 +26,7 @@ from .ergodic_opt import (
 )
 from .potential import MarkovPotential, SummabilityCertificate, check_summability, is_summable, variation
 from .rpf_finite import (
+    GaugedSweep,
     MarkovMeasure,
     cylinder_mass,
     entropy,
@@ -381,6 +382,15 @@ def tightness_bound_check(
     return TightnessReport(float(t), s_ref, witness, thresholds, tuple(violations))
 
 
+def _sweep_setup(trunc: Truncation, f: MarkovPotential, tie_tol: float) -> tuple[CriticalDecomposition, GaugedSweep]:
+    """The critical decomposition of f on the truncation and the state of a
+    t-sweep there, from one weight matrix W: the decomposition, the gauge
+    and every t's solve share it."""
+    W = transfer_matrix(trunc, f, 1.0)
+    dec = critical_decomposition(trunc, f, tie_tol=tie_tol, W=W)
+    return dec, GaugedSweep(W, max_plus_gauge(trunc, f, dec, W=W))
+
+
 def zero_temp_sweep(
     model: ShiftModel,
     f: MarkovPotential,
@@ -394,18 +404,15 @@ def zero_temp_sweep(
 
     The ground-state weights are the total 1-cylinder masses of each maximal
     critical component at the largest solved t, with the gap to the previous
-    grid point as the consistency residual. The weight matrix W of f on the
-    truncation is built once: the critical decomposition, the gauge and
-    every t's solve (on t * W) share it.
+    grid point as the consistency residual. The truncation's set-up is
+    `_sweep_setup`'s.
     """
     if k0_report is None:
         k0_report = detect_k0(model, f, tie_tol=tie_tol)
     if k < k0_report.k0:
         raise ValidationError(f"zero-temperature sweep needs k >= k0 = {k0_report.k0}")
     trunc = build_truncation(model, k)
-    W = transfer_matrix(trunc, f, 1.0)
-    dec = critical_decomposition(trunc, f, tie_tol=tie_tol, W=W)
-    gauge = max_plus_gauge(trunc, f, dec, W=W)
+    dec, sweep = _sweep_setup(trunc, f, tie_tol)
     ts = tuple(sorted(float(t) for t in ts))
 
     maximal = [dec.components[j] for j in dec.maximal_components]
@@ -415,7 +422,7 @@ def zero_temp_sweep(
     errors: list[tuple[float, str]] = []
     for t in ts:
         try:
-            _, meas = equilibrium_measure(trunc, f, t, gauge=gauge, W=W)
+            _, meas = equilibrium_measure(trunc, f, t, sweep=sweep)
         except SolverError as exc:
             errors.append((t, str(exc)))
             continue
@@ -458,9 +465,8 @@ def entropy_limit(
 
     The extrapolated limit (last grid value, residual = gap to the previous
     one) is compared against the entropy supremum over maximizing measures.
-    Only mixing models validate the comparison; others get a warning. As in
-    `zero_temp_sweep`, one weight matrix W serves the decomposition, the
-    gauge and every t.
+    Only mixing models validate the comparison; others get a warning. The
+    truncation's set-up is `_sweep_setup`'s, as in `zero_temp_sweep`.
     """
     if k0_report is None:
         k0_report = detect_k0(model, f, tie_tol=tie_tol)
@@ -473,14 +479,12 @@ def entropy_limit(
             "entropy-limit comparison assumes a topologically mixing model; output is unvalidated",
             NonMixingModel,
         )
-    W = transfer_matrix(trunc, f, 1.0)
-    dec = critical_decomposition(trunc, f, tie_tol=tie_tol, W=W)
+    dec, sweep = _sweep_setup(trunc, f, tie_tol)
     sup_max = max_entropy_over_maximizing(dec)
-    gauge = max_plus_gauge(trunc, f, dec, W=W)
     ts = tuple(sorted(float(t) for t in ts))
     hs = []
     for t in ts:
-        _, meas = equilibrium_measure(trunc, f, t, gauge=gauge, W=W)
+        _, meas = equilibrium_measure(trunc, f, t, sweep=sweep)
         hs.append(entropy(meas))
     return EntropyLimitReport(
         k=k,

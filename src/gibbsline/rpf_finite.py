@@ -36,7 +36,16 @@ set. A solve takes one of these paths:
   right and K_l = exp(log B^T - t beta + t u_j - t u_i) on the left
   (`_ReducedKernel`, one exp of the matrix per side). The exponents are
   <= 0 and reach 0 on every row, so K is scaled at any t (Akian, Bapat and
-  Gaubert, C. R. Acad. Sci. Paris 1998), and the uniform start is the
+  Gaubert, C. R. Acad. Sci. Paris 1998). A sweep builds each side's
+  t-free exponent E = (W + v_j) - (v_i + beta) once (`_ReducedSide`, from
+  W and f's own gauge; the left one from W^T and u), and a step to the
+  next t costs one multiply t E and one exp per side, in one buffer the
+  two sides share (`GaugedSweep`); a lone gauged `perron` builds E from
+  log B and the scaled gauge and takes t = 1. For t a power of two (every
+  default t of the sweeps), t E equals the lone exponent (t W + t v_j) -
+  (t v_i + t beta) bit for bit unless an intermediate is subnormal, so the
+  sweep and per-t solves agree bit for bit; between powers of two they may
+  differ in the last ulp of an exponent. The uniform start is the
   gauge start t v (t u) in reduced coordinates: log h = log h~ + t v, log
   nu = log nu~ + t u and log lambda = t beta + log rho. The left side is
   reduced by u, not by v: the left vector of K_r^T is nu e^{t v}, whose
@@ -52,7 +61,9 @@ set. A solve takes one of these paths:
   np.finfo(float).tiny) is run again in the log domain, from the gauge,
   with the log-domain answer bit for bit (`_gauged_side`). The right
   kernel, once solved, becomes the chain of `equilibrium` (P_ij = K_ij
-  h~_j, rows renormalized), which so needs no exp of its own. A reduced
+  h~_j, rows renormalized), which so needs no exp of its own; in a sweep
+  that chain is the shared buffer, so a sweep's measure is valid until
+  the sweep's next t. A reduced
   kernel is dense, so a gauged support whose edges fill at most
   1/_REDUCED_MIN_FILL of the cells takes the log-domain ladder instead,
   from the gauge, as if it had no reduced kernel.
@@ -61,7 +72,11 @@ A side whose two runs both spend their budgets raises NoConvergence; no
 solve returns an iterate that missed the gate (see `perron`).
 
 The gauge is linear in t: beta, v and u of t f are t times those of f, so a
-sweep computes them once from f's critical decomposition and rescales.
+sweep computes them once from f's critical decomposition and rescales. A
+sweep reads its support once, from W: supports of at most 2n - 1 edges
+(which the first-return path may take) or that are sparse solve each t by
+`perron` on t W, and t W is formed for the others only when a side hands
+over to the log domain.
 
 Each side of a log-domain run builds its transfer operator, the map
 logv -> log(B exp(logv)), once, with the kernel its support calls for: a CSR
@@ -100,7 +115,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -341,22 +356,44 @@ def _log_operator(logA: np.ndarray, finite: np.ndarray | None = None) -> _CsrLog
 _REDUCED_MIN_FILL = 32
 
 
-class _ReducedKernel:
-    """x -> K x for the reduced kernel K = exp(logA - t beta + b_j - b_i) of one side.
+class _ReducedSide:
+    """The exponent of one side's reduced kernels, built once for every t.
 
-    logA is log B (right side) or its transpose (left side), t beta the max
-    cycle mean of logA and b the side's max-plus eigenvector of logA, t v or
-    t u. The exponent is <= 0 on every edge and 0 on each row's best edge,
-    so K is scaled at any t and a linear power iteration on it needs no log
-    domain: its Perron vector is h e^{-t v} (or nu e^{-t u}) and its Perron
-    root lambda e^{-t beta}. Built in one buffer with one exp.
+    logA is the side's matrix (log B or its transpose for a lone solve, the
+    weight matrix W or its transpose for a sweep), finite its support, b its
+    max-plus eigenvector (v on the right, u on the left) and beta its max
+    cycle mean. The exponent E = (logA + b_j) - (b_i + beta) is <= 0 on
+    every edge and 0 on each row's best edge, and the side's reduced kernel
+    at t is exp(t E), built in `out` (E itself unless given): a lone solve
+    takes t = 1, a sweep the t of its step. For t a power of two, t E is the
+    exponent (t logA + t b_j) - (t b_i + t beta) of a lone solve on t logA
+    with the gauge scaled by t, bit for bit, unless an intermediate is
+    subnormal: scaling by 2^k commutes with rounding.
     """
 
-    def __init__(self, logA: np.ndarray, bias: np.ndarray, t_beta: float):
-        self.n = logA.shape[0]
-        K = np.add(logA, bias[None, :])
-        K -= (bias + t_beta)[:, None]
-        self.K = _exp_nonzero(K)
+    def __init__(self, logA: np.ndarray, finite: np.ndarray, bias: np.ndarray, beta: float, out=None):
+        E = np.add(logA, bias[None, :])
+        E -= (bias + beta)[:, None]
+        self.E, self.logA, self.finite = E, logA, finite
+        self.out = E if out is None else out
+
+    def log_matrix(self, t: float) -> np.ndarray:
+        """t logA, the side's matrix for the log domain (formed on a handover only)."""
+        return t * self.logA
+
+
+class _ReducedKernel:
+    """x -> K x for the reduced kernel K = exp(t E) of one side (`_ReducedSide`).
+
+    Built in the side's buffer with one multiply and one exp. K is scaled at
+    any t, so a linear power iteration on it needs no log domain: its Perron
+    vector is h e^{-t v} (or nu e^{-t u}) and its Perron root lambda
+    e^{-t beta}.
+    """
+
+    def __init__(self, side: _ReducedSide, t: float):
+        self.n = side.E.shape[0]
+        self.K = _exp_nonzero(np.multiply(side.E, t, out=side.out))
         self.apply = self.K.__matmul__
 
     def chain(self, x: np.ndarray) -> np.ndarray:
@@ -570,24 +607,25 @@ def _linear_iteration(
 
 
 def _gauged_side(
-    logA: np.ndarray, finite: np.ndarray, gauge: MaxPlusGauge, warm_start, max_iter: int
+    side: _ReducedSide, t: float, gauge: MaxPlusGauge, warm_start, max_iter: int
 ) -> tuple[tuple[np.ndarray, float, int, float, str], tuple[_ReducedKernel, np.ndarray] | None]:
-    """One side of a gauged solve: (`_solve_side`'s answer, (kernel, x) or None).
+    """One side of a gauged solve at t: (`_solve_side`'s answer, (kernel, x) or None).
 
-    The runs of the ladder that start from the gauge (all of them, or the
-    shifted run of a cyclic gauge) run linearly on the side's reduced
-    kernel (`_linear_iteration`); (kernel, x) is returned when one
-    converges. A run that stalls goes on to the next run of the ladder; a
-    run whose iterate leaves the normal range is run again in the log
-    domain, with the rest of the ladder, by `_solve_side`, bit for bit as
-    the log-domain ladder from that run. So is a cyclic gauge's plain run from
-    the uniform vector, which is no gauge start. Only the log domain reads
+    gauge is the max-plus gauge of t logA. The runs of the ladder that start
+    from the gauge (all of them, or the shifted run of a cyclic gauge) run
+    linearly on the side's reduced kernel at t (`_linear_iteration`);
+    (kernel, x) is returned when one converges. A run that stalls goes on to
+    the next run of the ladder; a run whose iterate leaves the normal range
+    is run again in the log domain on t logA, with the rest of the ladder,
+    by `_solve_side`, bit for bit as the log-domain ladder from that run. So
+    is a cyclic gauge's plain run from the uniform vector, which is no gauge
+    start. Only the log domain reads
     the support's period: a linear run needs none, since a plain run comes
     first only under cyclicity 1, whose critical components hold cycles of
     coprime lengths, and the period divides every cycle length.
     """
     bias = warm_start(gauge)
-    kernel = _ReducedKernel(logA, bias, gauge.beta)
+    kernel = _ReducedKernel(side, t)
     cyclic = gauge.cyclicity > 1
     spent, best = 0, math.inf
     for rung, path in enumerate(("shifted",) if cyclic else ("plain", "shifted")):
@@ -607,7 +645,13 @@ def _gauged_side(
     del kernel
     try:
         logv, est, it, res, path = _solve_side(
-            _log_operator(logA, finite), graph_period(finite), gauge, warm_start, None, max_iter, start=rung
+            _log_operator(side.log_matrix(t), side.finite),
+            graph_period(side.finite),
+            gauge,
+            warm_start,
+            None,
+            max_iter,
+            start=rung,
         )
     except NoConvergence as exc:
         raise NoConvergence(spent + exc.iterations, min(best, exc.residual)) from None
@@ -744,36 +788,52 @@ def _log_add(x: float, y: float) -> float:
     return x if y == -math.inf else x + math.log1p(math.exp(y - x))
 
 
+def _step_budget(n: int) -> int:
+    # 100 * n with a floor: tiny alphabets can still carry nearly reducible
+    # supports whose spectral gap is independent of n
+    return max(100 * n, 3000)
+
+
 def _power_perron(
     logB: np.ndarray, finite: np.ndarray, max_iter: int | None = None, gauge: MaxPlusGauge | None = None
 ) -> PerronData:
     """Perron data by power iteration on both sides; finite = np.isfinite(logB)."""
-    n = logB.shape[0]
     if max_iter is None:
-        # 100 * n with a floor: tiny alphabets can still carry nearly
-        # reducible supports whose spectral gap is independent of n
-        max_iter = max(100 * n, 3000)
-    chain = None
-    if gauge is None or _REDUCED_MIN_FILL * np.count_nonzero(finite) <= finite.size:
-        d = graph_period(finite)
-        found: list[MaxPlusGauge] = []
+        max_iter = _step_budget(logB.shape[0])
+    if gauge is not None and _REDUCED_MIN_FILL * np.count_nonzero(finite) > finite.size:
+        # a lone gauged solve: the sweep's reduced perron at t = 1
+        left = _ReducedSide(logB.T, finite.T, gauge.u, gauge.beta)
+        pd, P = _reduced_perron(left, _ReducedSide(logB, finite, gauge.v, gauge.beta), 1.0, gauge, max_iter)
+        return pd if P is None else replace(pd, chain=(logB, P))
+    d = graph_period(finite)
+    found: list[MaxPlusGauge] = []
 
-        def gauge_of_logB() -> MaxPlusGauge:
-            # built at most once per solve, by whichever side stalls first
-            if not found:
-                found.append(gauge_of(logB))
-            return found[0]
+    def gauge_of_logB() -> MaxPlusGauge:
+        # built at most once per solve, by whichever side stalls first
+        if not found:
+            found.append(gauge_of(logB))
+        return found[0]
 
-        right = _solve_side(_log_operator(logB, finite), d, gauge, lambda g: g.v, gauge_of_logB, max_iter)
-        left = _solve_side(_log_operator(logB.T, finite.T), d, gauge, lambda g: g.u, gauge_of_logB, max_iter)
-    else:
-        # the left side first, so that one reduced kernel is alive at a time
-        # and the right one becomes the chain
-        left = _gauged_side(logB.T, finite.T, gauge, lambda g: g.u, max_iter)[0]
-        right, reduced = _gauged_side(logB, finite, gauge, lambda g: g.v, max_iter)
-        if reduced is not None:
-            kernel, x = reduced
-            chain = (logB, kernel.chain(x))
+    right = _solve_side(_log_operator(logB, finite), d, gauge, lambda g: g.v, gauge_of_logB, max_iter)
+    left = _solve_side(_log_operator(logB.T, finite.T), d, gauge, lambda g: g.u, gauge_of_logB, max_iter)
+    return _perron_data(right, left)
+
+
+def _reduced_perron(
+    left: _ReducedSide, right: _ReducedSide, t: float, gauge: MaxPlusGauge, max_iter: int
+) -> tuple[PerronData, np.ndarray | None]:
+    """Perron data of exp(t logA) from both sides' reduced kernels, and the
+    chain the right kernel becomes (None when the right side handed over to
+    the log domain). gauge is the max-plus gauge of t logA. The left side
+    goes first, so that the right kernel is the last one built in a buffer
+    the two sides share."""
+    lhs = _gauged_side(left, t, gauge, lambda g: g.u, max_iter)[0]
+    rhs, reduced = _gauged_side(right, t, gauge, lambda g: g.v, max_iter)
+    return _perron_data(rhs, lhs), None if reduced is None else reduced[0].chain(reduced[1])
+
+
+def _perron_data(right: tuple, left: tuple) -> PerronData:
+    """PerronData from the two sides' answers (`_solve_side`'s tuples)."""
     logh, est_r, it_r, res_r, path_r = right
     lognu, est_l, it_l, res_l, path_l = left
     log_lambda = 0.5 * (est_r + est_l)
@@ -781,7 +841,7 @@ def _power_perron(
     lognu = lognu - _logsumexp(lognu + logh)
     residual = max(res_r, res_l, abs(est_r - est_l))
     path = max(path_r, path_l, key=PATHS.index)
-    return PerronData(float(log_lambda), logh, lognu, it_r + it_l, float(residual), path, chain)
+    return PerronData(float(log_lambda), logh, lognu, it_r + it_l, float(residual), path)
 
 
 def pressure(trunc: Truncation, f: MarkovPotential, t: float) -> float:
@@ -833,18 +893,26 @@ def equilibrium(pd: PerronData, logB: np.ndarray, alphabet: np.ndarray | None = 
     solve builds it from its reduced kernel without an exp), P is that
     array, and the measure takes it over; otherwise P is built here.
     """
-    n = logB.shape[0]
-    if alphabet is None:
-        alphabet = np.arange(n, dtype=np.int64)
     if pd.chain is not None and pd.chain[0] is logB:
         P = pd.chain[1]
     else:
-        # log P = ((log B + log h_j) - log h_i) - log lambda, built in one buffer
-        P = np.add(logB, pd.log_h[None, :])
-        P -= pd.log_h[:, None]
-        P -= pd.log_lambda
-        _exp_nonzero(P)
-        P /= P.sum(axis=1, keepdims=True)
+        P = _chain(pd, logB)
+    return _measure(pd, P, np.arange(logB.shape[0], dtype=np.int64) if alphabet is None else alphabet)
+
+
+def _chain(pd: PerronData, logB: np.ndarray) -> np.ndarray:
+    """P_ij = B_ij h_j / (lambda h_i), rows renormalized."""
+    # log P = ((log B + log h_j) - log h_i) - log lambda, built in one buffer
+    P = np.add(logB, pd.log_h[None, :])
+    P -= pd.log_h[:, None]
+    P -= pd.log_lambda
+    _exp_nonzero(P)
+    P /= P.sum(axis=1, keepdims=True)
+    return P
+
+
+def _measure(pd: PerronData, P: np.ndarray, alphabet: np.ndarray) -> MarkovMeasure:
+    """The measure of the chain P, with pi = nu*h polished against P."""
     pi = np.exp(pd.log_nu + pd.log_h)
     pi /= pi.sum()
     # nu*h is stationary up to the solver residual; a few multiplications
@@ -859,27 +927,63 @@ def equilibrium(pd: PerronData, logB: np.ndarray, alphabet: np.ndarray | None = 
     return MarkovMeasure(P, pi, np.asarray(alphabet, dtype=np.int64))
 
 
+class GaugedSweep:
+    """What a zero-temperature sweep on one truncation keeps from t to t.
+
+    W is `transfer_matrix(trunc, f, 1.0)` and gauge the max-plus gauge of f
+    (not of t*f) on the truncation; `equilibrium_measure(trunc, f, t,
+    sweep)` solves t*f with the gauge scaled by t. The support is read once,
+    from W. Where it has more than 2n - 1 edges (which the first-return
+    path turns away, see `_first_return`) and fills more than
+    1/_REDUCED_MIN_FILL of the cells, both sides' exponents are built here
+    once (`_ReducedSide`; the left one from W^T, which stays column-major,
+    so that the left matvec keeps the BLAS path and the bits of a lone
+    solve), and every t costs one multiply and one exp per side, in one
+    n x n buffer: the left side uses it first, then the right side, whose
+    kernel becomes the chain. So a measure of the sweep is valid until its
+    next t. t W is formed only for a side that hands over to the log
+    domain. Every other support solves each t on t W (on transfer_matrix
+    at t <= 0) by `perron`, as a lone gauged solve.
+    """
+
+    def __init__(self, W: np.ndarray, gauge: MaxPlusGauge):
+        self.W, self.gauge = W, gauge
+        n = W.shape[0]
+        finite = np.isfinite(W)
+        edges = np.count_nonzero(finite)
+        self.sides = None
+        if edges > 2 * n - 1 and _REDUCED_MIN_FILL * edges > finite.size:
+            buf = np.empty_like(W)
+            self.sides = (
+                _ReducedSide(W.T, finite.T, gauge.u, gauge.beta, buf.T),
+                _ReducedSide(W, finite, gauge.v, gauge.beta, buf),
+            )
+
+
 def equilibrium_measure(
-    trunc: Truncation,
-    f: MarkovPotential,
-    t: float,
-    gauge: MaxPlusGauge | None = None,
-    W: np.ndarray | None = None,
+    trunc: Truncation, f: MarkovPotential, t: float, sweep: GaugedSweep | None = None
 ) -> tuple[float, MarkovMeasure]:
     """Convenience: pressure and equilibrium state of t*f on the truncation.
 
-    `gauge` is the max-plus gauge of f (not of t*f) on the truncation; the
-    solve uses it scaled by t. `W` is the weight matrix
-    `transfer_matrix(trunc, f, 1.0)` when the caller holds it (a sweep over
-    t builds it once); for t > 0 the solve then runs on t * W, which is
-    `transfer_matrix(trunc, f, t)` bit for bit (1.0 * x = x, t * -inf =
-    -inf). Without it, or at t <= 0, the transfer matrix is built here.
-    With a gauge the solve runs on reduced kernels, and the chain comes
-    from the right one, with no exp of its own (see `perron`).
+    `sweep` is the GaugedSweep of f on this truncation, when the caller
+    steps through ts: the solve then takes its gauge scaled by t and, for
+    t > 0, its reduced exponents or its weight matrix (t * W is
+    `transfer_matrix(trunc, f, t)` bit for bit: 1.0 * x = x, t * -inf =
+    -inf), and the measure is valid until the sweep's next t. Without it,
+    or at t <= 0, the transfer matrix is built here.
     NoConvergence when the solve does not converge (see `perron`).
     """
-    logB = t * W if W is not None and t > 0 else transfer_matrix(trunc, f, t)
-    pd = perron(logB, gauge=None if gauge is None else gauge.scaled(t))
+    gauge = None if sweep is None else sweep.gauge.scaled(t)
+    if sweep is None or not t > 0:
+        logB = transfer_matrix(trunc, f, t)
+    elif sweep.sides is None:
+        logB = t * sweep.W
+    else:
+        pd, P = _reduced_perron(*sweep.sides, t, gauge, _step_budget(trunc.n_symbols))
+        if P is None:
+            P = _chain(pd, sweep.sides[1].log_matrix(t))
+        return pd.log_lambda, _measure(pd, P, trunc.alphabet)
+    pd = perron(logB, gauge=gauge)
     return pd.log_lambda, equilibrium(pd, logB, trunc.alphabet)
 
 

@@ -82,6 +82,15 @@ class ShiftModel:
         return symbols, np.unique(pos[:, 0] * symbols.size + pos[:, 1])
 
     @cached_property
+    def _alphabet_memo(self) -> dict[bytes, tuple[np.ndarray, int] | None]:
+        """The alphabets `_custom_truncation` has visited on this model (keyed
+        by their int64 bytes): (read-only incidence, period) when the induced
+        subgraph is irreducible, else None. It lives as long as the model, so
+        a command's truncations, whose augmentations walk the same alphabets
+        from k to k, read each incidence from `has_edge` once."""
+        return {}
+
+    @cached_property
     def _tail_start(self) -> int:
         """First symbol governed by the tail rule of a custom model."""
         return int(self._listed_edges[0][-1]) + 1
@@ -275,6 +284,8 @@ def build_truncation(model: ShiftModel, k: int, dense_limit: int = DENSE_LIMIT) 
     For custom models the prefix is augmented by the smallest additional
     symbols (explicit first, then tail symbols) until the induced subgraph
     is irreducible; raises NonTransitive when no finite augmentation works.
+    The model keeps what each visited alphabet gave (`_alphabet_memo`), so
+    the truncations of one model share their incidence, read-only.
     """
     if k < 0:
         raise ValidationError("truncation index must be nonnegative")
@@ -323,12 +334,20 @@ def _custom_truncation(model: ShiftModel, k: int, m: int, dense_limit: int) -> T
     cap = max(m, int(explicit[-1]) + 1) + 64
     alphabet = np.arange(m, dtype=np.int64)
 
+    memo = model._alphabet_memo
     while True:
         if alphabet.size > dense_limit:
             raise AlphabetTooLarge("custom truncation exceeds the dense alphabet limit")
-        inc = model.has_edge(alphabet[:, None], alphabet[None, :])
-        if is_irreducible(inc):
-            return Truncation(k, alphabet, inc, graph_period(inc), model.kind)
+        key = alphabet.tobytes()
+        if key not in memo:
+            inc = model.has_edge(alphabet[:, None], alphabet[None, :])
+            memo[key] = None
+            if is_irreducible(inc):
+                # shared by every truncation on this alphabet
+                inc.flags.writeable = False
+                memo[key] = (inc, graph_period(inc))
+        if memo[key] is not None:
+            return Truncation(k, alphabet, *memo[key], model.kind)
         missing = np.setdiff1d(explicit, alphabet)
         if missing.size:
             cand = int(missing[0])

@@ -94,11 +94,11 @@ def power_perron(logB: np.ndarray, **kwargs):
     return rpf_finite._power_perron(logB, np.isfinite(logB), **kwargs)
 
 
-def log_domain_side(logA, finite, gauge, warm_start, max_iter):
+def log_domain_side(side, t, gauge, warm_start, max_iter):
     """A gauged side on the log-domain ladder alone, as gauged solves ran
     before reduced kernels; monkeypatch it over `rpf_finite._gauged_side`."""
-    op = rpf_finite._log_operator(logA, finite)
-    return rpf_finite._solve_side(op, graph_period(finite), gauge, warm_start, None, max_iter), None
+    op = rpf_finite._log_operator(t * side.logA, side.finite)
+    return rpf_finite._solve_side(op, graph_period(side.finite), gauge, warm_start, None, max_iter), None
 
 
 def random_stochastic(incidence: np.ndarray, rng: np.random.Generator) -> np.ndarray:

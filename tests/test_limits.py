@@ -28,11 +28,26 @@ from gibbsline.limits import (
     zero_temp_sweep,
 )
 from gibbsline.potential import Family, MarkovPotential, TailDescriptor, TailKind
-from gibbsline.rpf_finite import cylinder_mass, entropy, equilibrium_measure, pressure, transfer_matrix
+from gibbsline.rpf_finite import (
+    GaugedSweep,
+    cylinder_mass,
+    entropy,
+    equilibrium,
+    equilibrium_measure,
+    perron,
+    pressure,
+    transfer_matrix,
+)
 from gibbsline.shift_model import ModelKind, ShiftModel, build_truncation
 
 BUNDLED = ("log_quadratic", "tie_two_loops", "renewal_weighted")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+PLANTED = Path(__file__).with_name("planted_cyclic.cfg")
+
+
+def config_path(source: str) -> Path:
+    """A shipped config, or the planted 12-symbol model beside this file."""
+    return PLANTED if source == "planted_cyclic" else CONFIGS / f"{source}.cfg"
 LQ_P2 = math.log(math.pi**2 / 3 - 3)
 
 
@@ -278,7 +293,7 @@ class TestPlantedCyclicGroundState:
         # maximizing cycle 2 -> 7 -> 9 -> 2 is planted, so the critical graph
         # has cyclicity 3 and the peripheral spectrum of exp(t f) tends to
         # lambda times the cube roots of unity as t grows.
-        cfg = parse_model_config(Path(__file__).with_name("planted_cyclic.cfg").read_text())
+        cfg = parse_model_config(PLANTED.read_text())
         W = np.full((12, 12), -np.inf)
         for i, j, w in cfg.potential.table:
             W[i, j] = w
@@ -287,15 +302,15 @@ class TestPlantedCyclicGroundState:
     def test_zero_temp_sweep_matches_dense_oracle(self, planted, monkeypatch):
         model, f, W = planted
         gauged_iterations = []
-        solve = rpf_finite.perron
+        solve = rpf_finite._reduced_perron
 
-        def counting(*args, **kwargs):
-            pd = solve(*args, **kwargs)
-            if kwargs.get("gauge") is not None:
-                gauged_iterations.append(pd.iterations)
-            return pd
+        # a gauged solve on this dense support runs on its reduced kernels
+        def counting(*args):
+            pd, P = solve(*args)
+            gauged_iterations.append(pd.iterations)
+            return pd, P
 
-        monkeypatch.setattr(rpf_finite, "perron", counting)
+        monkeypatch.setattr(rpf_finite, "_reduced_perron", counting)
         words = tuple((s,) for s in range(12)) + ((2, 7), (7, 9, 2))
         res = zero_temp_sweep(model, f, 11, ts=ZT_TS_DEFAULT, words=words)
         assert res.errors == ()
@@ -368,7 +383,8 @@ class TestSemicontinuity:
 
 
 class TestOneWeightMatrixPerTruncation:
-    """A sweep builds W = transfer_matrix(trunc, f, 1) once per truncation and solves each t on t * W."""
+    """A sweep builds W = transfer_matrix(trunc, f, 1) once per truncation and
+    solves each t on t * W, or on the reduced exponents it builds from W."""
 
     @pytest.mark.parametrize("sweep", [zero_temp_sweep, entropy_limit])
     def test_a_t_sweep_evaluates_the_full_grid_once(self, tie_two_loops, value_grid_sizes, sweep):
@@ -383,14 +399,24 @@ class TestOneWeightMatrixPerTruncation:
         # t * W is exact only for t > 0 (0 * -inf is nan); elsewhere the solve builds its own
         model, f = renewal_weighted
         trunc = build_truncation(model, 6)
-        p, meas = equilibrium_measure(trunc, f, t, W=transfer_matrix(trunc, f, 1.0))
-        p0, meas0 = equilibrium_measure(trunc, f, t)
+        W = transfer_matrix(trunc, f, 1.0)
+        gauge = max_plus_gauge(trunc, f, critical_decomposition(trunc, f, W=W), W=W)
+        sweep = GaugedSweep(W, gauge)
+        assert sweep.sides is None  # a renewal support: each t is solved on t * W
+        p, meas = equilibrium_measure(trunc, f, t, sweep=sweep)
+        p0, meas0 = self._gauged_per_t(trunc, f, t, gauge)
         assert p == p0
         assert np.array_equal(meas.stochastic, meas0.stochastic)
         assert np.array_equal(meas.stationary, meas0.stationary)
 
     @staticmethod
-    def _per_t(trunc, f, ts, tie_tol, words):
+    def _gauged_per_t(trunc, f, t, gauge):
+        """A lone gauged solve on transfer_matrix(trunc, f, t), as the sweeps solved each t before."""
+        logB = transfer_matrix(trunc, f, t)
+        pd = perron(logB, gauge=gauge.scaled(t))
+        return pd.log_lambda, equilibrium(pd, logB, trunc.alphabet)
+
+    def _per_t(self, trunc, f, ts, tie_tol, words):
         """Each t solved on its own transfer_matrix(trunc, f, t), as the sweeps did before."""
         dec = critical_decomposition(trunc, f, tie_tol=tie_tol)
         gauge = max_plus_gauge(trunc, f, dec)
@@ -398,7 +424,7 @@ class TestOneWeightMatrixPerTruncation:
         out = []
         for t in ts:
             logB = transfer_matrix(trunc, f, t)
-            p, meas = equilibrium_measure(trunc, f, t, gauge=gauge)
+            p, meas = self._gauged_per_t(trunc, f, t, gauge)
             assert np.array_equal(logB, t * transfer_matrix(trunc, f, 1.0))
             masses = tuple(cylinder_mass(meas, w) for w in words)
             gammas = tuple(sum(cylinder_mass(meas, (s,)) for s in c.symbols) for c in maximal)
@@ -413,10 +439,11 @@ class TestOneWeightMatrixPerTruncation:
             ("renewal_weighted", None),
             ("tie_two_loops", None),
             ("tie_two_loops", 255),
+            ("planted_cyclic", 11),
         ],
     )
     def test_b_sweeps_equal_per_t_solves_bit_for_bit(self, source, k):
-        cfg = parse_model_config((CONFIGS / f"{source}.cfg").read_text())
+        cfg = parse_model_config(config_path(source).read_text())
         model, f, sw = cfg.model, cfg.potential, cfg.sweep
         if k is None:
             k0 = detect_k0(model, f, stability_window=sw.k0_window, tie_tol=sw.tie_tol)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_gauged_state, log_domain_side, tied_period_3
-from gibbsline import rpf_finite
+from gibbsline import limits, rpf_finite
 from gibbsline.bundled import bundled_pair
 from gibbsline.config import parse_model_config
 from gibbsline.ergodic_opt import critical_decomposition, detect_k0, max_plus_gauge
@@ -22,7 +22,7 @@ from gibbsline.errors import NoConvergence
 from gibbsline.limits import ZT_TS_DEFAULT
 from gibbsline.maxplus import gauge_of
 from gibbsline.potential import Family, MarkovPotential
-from gibbsline.rpf_finite import equilibrium, perron, transfer_matrix
+from gibbsline.rpf_finite import GaugedSweep, equilibrium, equilibrium_measure, perron, transfer_matrix
 from gibbsline.shift_model import ModelKind, ShiftModel, build_truncation
 
 HERE = Path(__file__).resolve().parent
@@ -186,3 +186,119 @@ def test_equilibrium_takes_a_solve_chain_only_for_the_matrix_it_solved():
     assert np.allclose(copy.stochastic, P, rtol=1e-12, atol=1e-15)
     other = equilibrium(pd, 2.0 * logB)
     assert not np.allclose(other.stochastic, P)
+
+
+def sweep_of(trunc, f, W=None, gauge=None):
+    """The GaugedSweep of f on trunc, from the max-plus gauge of its critical decomposition unless given."""
+    if W is None:
+        W = transfer_matrix(trunc, f, 1.0)
+    if gauge is None:
+        gauge = max_plus_gauge(trunc, f, critical_decomposition(trunc, f, W=W), W=W)
+    return GaugedSweep(W, gauge)
+
+
+@pytest.mark.parametrize("source, k", [("planted_cyclic", 11), ("tie_two_loops", 255), ("log_quadratic", 6)])
+def test_a_sweep_between_powers_of_two_matches_per_t_solves_and_the_oracle(source, k):
+    """At ts that are no powers of two, t E and the exponent of a lone solve on
+    t W may differ in the last ulp. The sweep's pressure matches the ungauged
+    per-t solve, its pi and P the gauged per-t solve on transfer_matrix(trunc,
+    f, t), each within 1e-12 relative, and all three the dense oracle."""
+    path = HERE / "planted_cyclic.cfg" if source == "planted_cyclic" else CONFIGS / f"{source}.cfg"
+    cfg = parse_model_config(path.read_text())
+    trunc = build_truncation(cfg.model, k)
+    sweep = sweep_of(trunc, cfg.potential)
+    assert sweep.sides is not None
+    for t in (3.0, 6.0, 100.0, 1000.0):
+        p, meas = equilibrium_measure(trunc, cfg.potential, t, sweep=sweep)
+        assert p == pytest.approx(equilibrium_measure(trunc, cfg.potential, t)[0], rel=1e-12, abs=0.0), t
+        logB = transfer_matrix(trunc, cfg.potential, t)
+        pd = perron(logB, gauge=sweep.gauge.scaled(t))
+        lone = equilibrium(pd, logB)
+        assert p == pytest.approx(pd.log_lambda, rel=1e-12, abs=0.0), t
+        assert np.allclose(meas.stationary, lone.stationary, rtol=1e-12, atol=0.0), t
+        assert np.allclose(meas.stochastic, lone.stochastic, rtol=1e-12, atol=0.0), t
+        assert_matches_oracle(pd, meas, sweep.W, t, beta=0.0 if source == "tie_two_loops" else None)
+
+
+def test_a_sweep_forms_t_w_only_where_a_side_hands_over(monkeypatch):
+    """The tied 2-shift of the handover test above, as a sweep over the
+    default ts: the right reduced vector leaves the normal range at t = 512
+    and both do at t = 1024, and only there is t W formed. Every t equals
+    the lone gauged solve on t W bit for bit, and at t = 1024 the log-domain
+    ladder."""
+    entries = {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0, (2, 2): 0.0, (1, 2): -1.0, (2, 0): -2.0}
+    model = ShiftModel(ModelKind.CUSTOM, tuple(sorted(entries)))
+    f = MarkovPotential(model, Family.TABLE, table=tuple((i, j, w) for (i, j), w in sorted(entries.items())))
+    trunc = build_truncation(model, 2)
+    W = transfer_matrix(trunc, f, 1.0)
+    sweep = sweep_of(trunc, f, W, gauge_of(W))
+    assert sweep.sides is not None
+    formed, handed_over = [], []
+    log_matrix = rpf_finite._ReducedSide.log_matrix
+    monkeypatch.setattr(rpf_finite._ReducedSide, "log_matrix", lambda side, t: formed.append(t) or log_matrix(side, t))
+    runs = record_linear_runs(monkeypatch)
+    got = {}
+    for t in ZT_TS_DEFAULT:
+        before = len(runs)
+        p, meas = equilibrium_measure(trunc, f, t, sweep=sweep)
+        if "left the normal range" in runs[before:]:
+            handed_over.append(t)
+        got[t] = (p, meas.stochastic.copy(), meas.stationary.copy())
+    assert handed_over == [512.0, 1024.0]
+    assert sorted(set(formed)) == handed_over
+    monkeypatch.undo()
+
+    def assert_same_bits(pd, logB, t):
+        want = equilibrium(pd, logB, trunc.alphabet)
+        p, P, pi = got[t]
+        assert p == pd.log_lambda, t
+        assert P.tobytes() == want.stochastic.tobytes(), t
+        assert pi.tobytes() == want.stationary.tobytes(), t
+
+    for t in ZT_TS_DEFAULT:
+        logB = t * W
+        assert_same_bits(perron(logB, gauge=sweep.gauge.scaled(t)), logB, t)
+    logB = 1024.0 * W
+    with monkeypatch.context() as m:
+        m.setattr(rpf_finite, "_gauged_side", log_domain_side)
+        assert_same_bits(perron(logB, gauge=sweep.gauge.scaled(1024.0)), logB, 1024.0)
+
+
+def test_a_sweep_builds_each_exponent_once_and_each_kernel_in_one_buffer(monkeypatch):
+    """A zero-temperature sweep on the planted model builds E twice (one per
+    side), not twice per t; each t builds one kernel per side, both in the
+    one n x n buffer of the sweep, the left one column-major; and the
+    measure's P is that buffer, valid until the next t."""
+    cfg = parse_model_config((HERE / "planted_cyclic.cfg").read_text())
+    exponents, kernels = [], []
+    side_init = rpf_finite._ReducedSide.__init__
+    kernel_init = rpf_finite._ReducedKernel.__init__
+
+    def building(side, *args):
+        side_init(side, *args)
+        exponents.append(side)
+
+    def exponentiating(kernel, *args):
+        kernel_init(kernel, *args)
+        kernels.append(kernel.K)
+
+    monkeypatch.setattr(rpf_finite._ReducedSide, "__init__", building)
+    monkeypatch.setattr(rpf_finite._ReducedKernel, "__init__", exponentiating)
+    stochastic = []
+    real = limits.equilibrium_measure
+
+    def keeping(*args, **kwargs):
+        p, meas = real(*args, **kwargs)
+        stochastic.append(meas.stochastic)
+        return p, meas
+
+    monkeypatch.setattr(limits, "equilibrium_measure", keeping)
+    res = limits.zero_temp_sweep(cfg.model, cfg.potential, 11, ts=ZT_TS_DEFAULT)
+    assert res.ts == ZT_TS_DEFAULT
+    assert len(exponents) == 2
+    assert len(kernels) == 2 * len(ZT_TS_DEFAULT)
+    buf = kernels[1]
+    assert buf.flags.c_contiguous and buf.shape == (12, 12)
+    assert all(K is buf for K in kernels[1::2])
+    assert all(K.base is buf and K.flags.f_contiguous for K in kernels[::2])
+    assert len(stochastic) == len(ZT_TS_DEFAULT) and all(P is buf for P in stochastic)

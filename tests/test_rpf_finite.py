@@ -23,6 +23,7 @@ from gibbsline.limits import ZT_TS_DEFAULT
 from gibbsline.maxplus import gauge_of
 from gibbsline.potential import Family, MarkovPotential
 from gibbsline.rpf_finite import (
+    GaugedSweep,
     cylinder_mass,
     entropy,
     equilibrium,
@@ -431,10 +432,11 @@ def test_gauged_solve_matches_dense_oracle_on_random_graphs(data):
     W = np.full((n, n), NEG_INF)
     for (i, j), v in entries.items():
         W[i, j] = v
+    sweep = GaugedSweep(transfer_matrix(tr, f, 1.0), gauge)
     for t in ZT_TS_DEFAULT:
         log_lambda, pi, _, gap = dense_gauged_state(W, t)
         try:
-            p, meas = equilibrium_measure(tr, f, t, gauge=gauge)
+            p, meas = equilibrium_measure(tr, f, t, sweep=sweep)
         except NoConvergence:
             assert gap < 0.01, f"refused t={t} with shifted contraction margin {gap:.4f}"
             continue
@@ -460,7 +462,7 @@ def test_gauged_solve_and_oracle_resolve_a_nearly_critical_loop():
         W[i, j] = v
     t, masses = 128.0, [1.0, 4.247339459024474e-52, 3.3053057899832378e-54, 3.3053057899832378e-54]
     ref = np.array(masses) / np.sum(masses)
-    _, meas = equilibrium_measure(tr, f, t, gauge=gauge)
+    _, meas = equilibrium_measure(tr, f, t, sweep=GaugedSweep(transfer_matrix(tr, f, 1.0), gauge))
     assert np.allclose(meas.stationary, ref, rtol=1e-9, atol=0.0)
     assert np.allclose(dense_gauged_state(W, t)[1], ref, rtol=1e-9, atol=0.0)
 
@@ -478,7 +480,7 @@ def test_equilibrium_measure_raises_on_a_stalled_solve():
         perron(transfer_matrix(tr, f, 8.0), gauge=gauge.scaled(8.0))
     assert 1e-12 < solve.value.residual <= 1e-10
     with pytest.raises(NoConvergence) as exc:
-        equilibrium_measure(tr, f, 8.0, gauge=gauge)
+        equilibrium_measure(tr, f, 8.0, sweep=GaugedSweep(transfer_matrix(tr, f, 1.0), gauge))
     assert exc.value.args == solve.value.args
 
 

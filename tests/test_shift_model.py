@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import admissible_words
+from gibbsline.config import parse_model_config
 from gibbsline.errors import BudgetExceeded, NonTransitive, ValidationError
 from gibbsline.shift_model import (
     ModelKind,
@@ -313,3 +315,32 @@ def test_custom_truncation_reads_the_edge_rule_once_per_step(monkeypatch):
     tr = build_truncation(model, n - 4)  # prefix {0..252}: three augmentation steps to the cycle
     assert tr.n_symbols == n
     assert calls == [(n - 3, n - 3), (n - 2, n - 2), (n - 1, n - 1), (n, n)]
+
+
+def test_custom_truncations_read_each_visited_alphabet_once(monkeypatch):
+    """The planted 12-symbol model, whose prefixes augment through shared
+    alphabets: over k = 0..11, twice, the edge rule runs once per distinct
+    alphabet, and every truncation equals a fresh model's build and holds a
+    read-only incidence."""
+    model = parse_model_config(Path(__file__).with_name("planted_cyclic.cfg").read_text()).model
+    alphabets = []
+    rule = ShiftModel.has_edge
+
+    def counted(self, i, j):
+        alphabets.append(np.asarray(j).tobytes())
+        return rule(self, i, j)
+
+    monkeypatch.setattr(ShiftModel, "has_edge", counted)
+    built = [build_truncation(model, k) for k in range(12)]
+    visited = len(alphabets)
+    assert visited == len(set(alphabets)) > len({tr.alphabet.tobytes() for tr in built})
+    for k in range(12):
+        build_truncation(model, k)
+    assert len(alphabets) == visited
+    monkeypatch.undo()
+    for k, tr in enumerate(built):
+        fresh = build_truncation(ShiftModel(model.kind, model.custom_edges, model.custom_tail_rule), k)
+        assert (tr.k, tr.period, tr.kind) == (fresh.k, fresh.period, fresh.kind)
+        assert np.array_equal(tr.alphabet, fresh.alphabet)
+        assert np.array_equal(tr.incidence, fresh.incidence)
+        assert not tr.incidence.flags.writeable
