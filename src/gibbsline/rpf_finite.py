@@ -1,21 +1,24 @@
 """Finite-alphabet thermodynamics via the log-domain transfer matrix.
 
-Everything spectral stays in log space with log-sum-exp reductions, or, for
-gauged solves, in reduced coordinates where the kernel is scaled: inverse
-temperatures up to ~10^3 make the matrix entries exp(t f) underflow long
-before the quantities of interest do.
+Everything spectral stays in log space with log-sum-exp reductions, or in
+linear coordinates on a scaled kernel (every gauged solve, and the ungauged
+ones whose entries keep normal floats once scaled): inverse temperatures up
+to ~10^3 make the matrix entries exp(t f) underflow long before the
+quantities of interest do.
 
-`perron` reads the support of log B once (np.isfinite), and first asks
-whether one vertex meets every cycle: every vertex but at most one hub a has
-exactly one successor, following successors leads from every vertex to a,
-and a reaches every vertex. Renewal truncations and 1 x 1 or cyclic
-critical components have this shape, and a support with more than 2n - 1
-edges is turned away after one count. There every loop at a is a first
-return, so log lambda is the root P of the scalar first-return equation
-sum_j B_aj exp(S_j - (dist_j + 1) P) = 1 (Sarig, ETDS 1999), with S_j and
-dist_j the weight and length of the chain from j to a. Newton's method
-finds it from the max cycle mean in a few steps; log h = S - dist P, and nu
-follows from the chain recurrences, leaves first. That is the
+A 1 x 1 support with a finite entry c is the loop alone: `perron` returns
+log lambda = c and log h = log nu = 0 at once, which is the first-return
+answer below bit for bit. Every other `perron` reads the support of log B
+once (np.isfinite), and first asks whether one vertex meets every cycle:
+every vertex but at most one hub a has exactly one successor, following
+successors leads from every vertex to a, and a reaches every vertex. Renewal
+truncations and 1 x 1 or cyclic critical components have this shape, and a
+support with more than 2n - 1 edges is turned away after one count. There
+every loop at a is a first return, so log lambda is the root P of the scalar
+first-return equation sum_j B_aj exp(S_j - (dist_j + 1) P) = 1 (Sarig, ETDS
+1999), with S_j and dist_j the weight and length of the chain from j to a.
+Newton's method finds it from the max cycle mean in a few steps; log h = S -
+dist P, and nu follows from the chain recurrences, leaves first. That is the
 `first-return` path; `iterations` counts its Newton steps. Its answer must
 pass the residual gate of power iteration on both sides.
 
@@ -30,7 +33,17 @@ set. A solve takes one of these paths:
 - No gauge (pressure grids, single points, critical components): the plain
   run from the uniform vector. Only if that stalls is the max-plus gauge of
   log B built (Howard's max cycle mean, then the critical graph) and the
-  shifted run started.
+  shifted run started, in the log domain. On a support of period 1 that
+  fills more than 1/_REDUCED_MIN_FILL of the cells the plain run goes
+  linearly, as a gauged run does below, on the scaled kernel K = exp(log B
+  - m), m the largest entry of log B: one exp in one buffer, the right side
+  on K, the left on K^T, with log lambda = m + log rho (`_scaled_kernels`).
+  K is used only where every edge keeps a normal entry, that is where the
+  finite entries of log B spread over at most _NORMAL_SPREAD = log(1/tiny),
+  about 708: an edge that underflowed or went subnormal would change the
+  matrix, and the residual gate, which reads K, would not see it. Wider
+  spreads, other periods and sparse supports run the plain run in the log
+  domain.
 - With a gauge (zero-temperature sweeps): each side iterates linearly on
   its reduced kernel, K_r = exp(log B - t beta + t v_j - t v_i) on the
   right and K_l = exp(log B^T - t beta + t u_j - t u_i) on the left
@@ -59,14 +72,18 @@ set. A solve takes one of these paths:
   plain first and shifts only on a stall. A linear run that stalls is not
   repeated; one whose iterate leaves the normal range (an entry below
   np.finfo(float).tiny) is run again in the log domain, from the gauge,
-  with the log-domain answer bit for bit (`_gauged_side`). The right
-  kernel, once solved, becomes the chain of `equilibrium` (P_ij = K_ij
-  h~_j, rows renormalized), which so needs no exp of its own; in a sweep
-  that chain is the shared buffer, so a sweep's measure is valid until
-  the sweep's next t. A reduced
-  kernel is dense, so a gauged support whose edges fill at most
-  1/_REDUCED_MIN_FILL of the cells takes the log-domain ladder instead,
-  from the gauge, as if it had no reduced kernel.
+  with the log-domain answer bit for bit. A reduced kernel is dense, so a
+  gauged support whose edges fill at most 1/_REDUCED_MIN_FILL of the cells
+  takes the log-domain ladder instead, from the gauge, as if it had no
+  reduced kernel.
+
+Gauged and ungauged sides climb one ladder (`_linear_side`): their linear
+runs come first, a linear run that stalls hands the next run to the log
+domain, and one whose iterate leaves the normal range reruns its own run
+there. When the right side converged linearly, its kernel becomes the chain
+of `equilibrium` (P_ij = K_ij x_j, rows renormalized), which so needs no exp
+of its own; in a sweep that chain is the buffer the two sides share, so a
+sweep's measure is valid until the sweep's next t.
 
 A side whose two runs both spend their budgets raises NoConvergence; no
 solve returns an iterate that missed the gate (see `perron`).
@@ -76,7 +93,8 @@ sweep computes them once from f's critical decomposition and rescales. A
 sweep reads its support once, from W: supports of at most 2n - 1 edges
 (which the first-return path may take) or that are sparse solve each t by
 `perron` on t W, and t W is formed for the others only when a side hands
-over to the log domain.
+over to the log domain, once per such side: the right side's t W also
+gives the chain.
 
 Each side of a log-domain run builds its transfer operator, the map
 logv -> log(B exp(logv)), once, with the kernel its support calls for: a CSR
@@ -93,9 +111,13 @@ read from the application that computes the next one, so a side on a
 period-1 support applies its operator iterations + 1 times.
 
 At the small n of the bundled configs a step costs its numpy calls rather
-than its arithmetic: one application, one log-sum-exp for the normalizer s,
-and one masked minimum for the convergence scale (a normalized iterate is
-<= 0); with d = 1 the eigenvalue estimate is s itself.
+than its arithmetic. A log-domain step is one application, one log-sum-exp
+for the normalizer s and one masked minimum for the convergence scale (a
+normalized iterate is <= 0), with d = 1 the eigenvalue estimate s itself,
+and each of these is several numpy calls. A linear step is one matvec, one
+sum, one division and one minimum. That is why ungauged period-1 solves on
+dense supports, which are most of the bundled configs' pressure grids and
+critical components, go linear.
 
 Every exponential of a difference to a maximum (`_exp_below`, under the
 log-sum-exps, the CSR kernel and the dense absorption), the reduced kernels
@@ -116,6 +138,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -155,9 +178,10 @@ class PerronData:
     steps on the first-return path), and path (one of PATHS) names the
     solver path that produced the answer. Every PerronData passed the
     residual gate: a solve that does not raises NoConvergence instead.
-    chain is (log B, P) when a gauged solve built the equilibrium chain P
-    of the matrix log B it solved from its right reduced kernel (see
-    `perron`), else None.
+    chain is (log B, P) when a solve built the equilibrium chain P of the
+    matrix log B it solved from its right scaled kernel, on which that side
+    converged linearly (a gauged solve's reduced kernel, or an ungauged
+    solve's exp(log B - m); see `perron`), else None.
     """
 
     log_lambda: float
@@ -377,24 +401,32 @@ class _ReducedSide:
         self.E, self.logA, self.finite = E, logA, finite
         self.out = E if out is None else out
 
+    def kernel(self, t: float, gauge: MaxPlusGauge, warm_start) -> _ReducedKernel:
+        """The side's reduced kernel at t, one multiply and one exp in its
+        buffer; gauge is the max-plus gauge of t logA."""
+        K = _exp_nonzero(np.multiply(self.E, t, out=self.out))
+        return _ReducedKernel(K, warm_start(gauge), gauge.beta)
+
     def log_matrix(self, t: float) -> np.ndarray:
         """t logA, the side's matrix for the log domain (formed on a handover only)."""
         return t * self.logA
 
 
 class _ReducedKernel:
-    """x -> K x for the reduced kernel K = exp(t E) of one side (`_ReducedSide`).
+    """x -> K x for a scaled kernel K_ij = exp(logA_ij + b_j - b_i - c) of one side.
 
-    Built in the side's buffer with one multiply and one exp. K is scaled at
-    any t, so a linear power iteration on it needs no log domain: its Perron
-    vector is h e^{-t v} (or nu e^{-t u}) and its Perron root lambda
-    e^{-t beta}.
+    A gauged side has bias b = t v (or t u) and scale c = t beta
+    (`_ReducedSide.kernel`); an ungauged one has b = 0 and c the largest
+    entry of log B (`_scaled_kernels`). Every row of K reaches 1 on a gauged
+    side, and the largest entry of K is 1 on an ungauged one, so a linear
+    power iteration on K needs no log domain: its Perron vector is h e^{-b}
+    (or nu e^{-b}) and its Perron root lambda e^{-c}.
     """
 
-    def __init__(self, side: _ReducedSide, t: float):
-        self.n = side.E.shape[0]
-        self.K = _exp_nonzero(np.multiply(side.E, t, out=side.out))
-        self.apply = self.K.__matmul__
+    def __init__(self, K: np.ndarray, bias: np.ndarray | float, scale: float):
+        self.n = K.shape[0]
+        self.K, self.bias, self.scale = K, bias, scale
+        self.apply = K.__matmul__
 
     def chain(self, x: np.ndarray) -> np.ndarray:
         """The stochastic matrix K_ij x_j / sum_j K_ij x_j, built in the
@@ -403,6 +435,26 @@ class _ReducedKernel:
         P *= x[None, :]
         P /= P.sum(axis=1, keepdims=True)
         return P
+
+
+# np.exp(-_NORMAL_SPREAD) is still a normal float (2.2250738585072626e-308
+# against np.finfo(float).tiny = 2.2250738585072014e-308)
+_NORMAL_SPREAD = -math.log(_TINY)
+
+
+def _scaled_kernels(logB: np.ndarray, finite: np.ndarray) -> tuple[_ReducedKernel, _ReducedKernel] | None:
+    """The right and left kernels of an ungauged solve, K = exp(log B - m)
+    and K^T, m the largest entry of log B, from one exp in one buffer; or
+    None when some edge of K would not be a normal float, that is when the
+    spread m - min of the finite entries exceeds _NORMAL_SPREAD. An
+    underflowed or subnormal edge would change the matrix the iteration
+    solves, and the residual gate, which reads K, could not see it.
+    """
+    top = float(logB.max())
+    if top - float(logB.min(where=finite, initial=math.inf)) > _NORMAL_SPREAD:
+        return None
+    K = _exp_nonzero(np.subtract(logB, top))
+    return _ReducedKernel(K, 0.0, top), _ReducedKernel(K.T, 0.0, top)
 
 
 def _window_average(v_hist: list[np.ndarray], s_hist: list[float], est: float) -> np.ndarray:
@@ -526,8 +578,9 @@ def _solve_side(
     only a stall then pays for `gauge_of_logA`. Iterations add up over the
     runs, and the path names the run that converged; when neither does,
     NoConvergence carries the iterations spent and the smallest residual.
-    `start` skips that many runs of the ladder (a gauged solve hands over
-    the rest of its ladder here, see `_gauged_side`).
+    `start` skips that many runs of the ladder (a side whose linear runs
+    stalled or left the normal range hands over the rest of its ladder
+    here, see `_linear_side`).
     """
     plain = "plain" if d == 1 else "period-averaged"
     cyclic = gauge is not None and gauge.cyclicity > 1
@@ -556,23 +609,24 @@ class _LeftNormalRange(Exception):
 
 
 def _linear_iteration(
-    kernel: _ReducedKernel, shifted: bool, bias: np.ndarray, t_beta: float, max_iter: int
+    kernel: _ReducedKernel, shifted: bool, max_iter: int
 ) -> tuple[np.ndarray | None, float, int, float]:
-    """`_power_iteration` with d = 1 on a reduced kernel K, in the linear domain.
+    """`_power_iteration` with d = 1 on a scaled kernel K, in the linear domain.
 
     Iterates on K (or K + I when shifted, the shifted run in reduced
     coordinates, where sigma = e^{t beta} becomes 1) from the uniform
-    vector, which is the gauge's start t b in reduced coordinates. Returns
-    (x, log_lambda, iters, residual) with x the reduced Perron vector
-    (log_lambda is t beta + log rho), or x None when the budget ran out, the
-    residual then being the smallest one seen. The estimates, their checks
-    and the gate are those of `_power_iteration`: the residual is the same
-    log-domain residual, max |log(K x) - log rho - log x|, and the gate's
-    ulp floor takes the scale of the lifted vector log x + t b and of the
-    lifted estimate. An iterate with an entry below the normal range (or a
-    NaN, from an overflow) raises _LeftNormalRange.
+    vector, which is the gauge's start t b in reduced coordinates (and an
+    ungauged side's start). Returns (x, log_lambda, iters, residual) with x
+    the reduced Perron vector (log_lambda is c + log rho, c the kernel's
+    scale), or x None when the budget ran out, the residual then being the
+    smallest one seen. The estimates, their checks and the gate are those
+    of `_power_iteration`: the residual is the same log-domain residual,
+    max |log(K x) - log rho - log x|, and the gate's ulp floor takes the
+    scale of the lifted vector log x + b and of the lifted estimate. An
+    iterate with an entry below the normal range (or a NaN, from an
+    overflow) raises _LeftNormalRange.
     """
-    apply = kernel.apply
+    apply, bias, scale = kernel.apply, kernel.bias, kernel.scale
     x = np.full(kernel.n, 1.0 / kernel.n)
     log_sigma = 0.0 if shifted else _NEG_INF
     mean_prev = math.nan
@@ -584,7 +638,7 @@ def _linear_iteration(
             est, gate = pending
             res = float(np.max(np.abs(np.log(Kx) - est - np.log(x))))
             if res < gate:
-                return x, t_beta + est, it, res
+                return x, scale + est, it, res
             best = min(best, res)
             pending = None
         if it == max_iter:
@@ -601,74 +655,82 @@ def _linear_iteration(
         if est is not None:
             lifted = np.log(x) + bias
             lifted -= _logsumexp(lifted)
-            pending = (est, _gate(abs(t_beta + mean), abs(t_beta + est), -float(lifted.min())))
+            pending = (est, _gate(abs(scale + mean), abs(scale + est), -float(lifted.min())))
         mean_prev = mean
     return None, math.nan, max_iter, best
 
 
-def _gauged_side(
-    side: _ReducedSide, t: float, gauge: MaxPlusGauge, warm_start, max_iter: int
-) -> tuple[tuple[np.ndarray, float, int, float, str], tuple[_ReducedKernel, np.ndarray] | None]:
-    """One side of a gauged solve at t: (`_solve_side`'s answer, (kernel, x) or None).
+def _linear_side(
+    kernel: _ReducedKernel, log_matrix, finite: np.ndarray, gauge: MaxPlusGauge | None, warm_start,
+    gauge_of_logA, max_iter: int,
+) -> tuple[tuple[np.ndarray, float, int, float, str], tuple[_ReducedKernel | None, np.ndarray]]:
+    """One side of a solve whose first runs go linearly on a scaled kernel.
 
-    gauge is the max-plus gauge of t logA. The runs of the ladder that start
-    from the gauge (all of them, or the shifted run of a cyclic gauge) run
-    linearly on the side's reduced kernel at t (`_linear_iteration`);
-    (kernel, x) is returned when one converges. A run that stalls goes on to
-    the next run of the ladder; a run whose iterate leaves the normal range
-    is run again in the log domain on t logA, with the rest of the ladder,
-    by `_solve_side`, bit for bit as the log-domain ladder from that run. So
-    is a cyclic gauge's plain run from the uniform vector, which is no gauge
-    start. Only the log domain reads
-    the support's period: a linear run needs none, since a plain run comes
-    first only under cyclicity 1, whose critical components hold cycles of
-    coprime lengths, and the period divides every cycle length.
+    Returns (`_solve_side`'s answer, (kernel, x)) when a linear run
+    converges, x the kernel's Perron vector, and (answer, (None, logA))
+    when the side finished in the log domain on logA = log_matrix(), the
+    side's log matrix (formed only then). finite is logA's support.
+
+    The linear runs are a prefix of the ladder of `_solve_side`: with a
+    gauge (of logA; gauge_of_logA is then not needed), every run that starts
+    from the gauge, so both runs under cyclicity 1 and the shifted run of a
+    cyclic gauge; without one, the plain run from the uniform vector, on a
+    support of period 1. A run that stalls goes on to the next run of the
+    ladder: under cyclicity 1 there is none, and NoConvergence is raised;
+    a cyclic gauge's plain run from the uniform vector, which is no gauge
+    start, runs in the log domain, and an ungauged side's shifted run runs
+    there from `gauge_of_logA`, which it builds. A run whose iterate leaves
+    the normal range is run again in the log domain, with the rest of the
+    ladder, by `_solve_side`, bit for bit as the log-domain ladder from that
+    run. Only the log domain reads the support's period: a linear run needs
+    none, since a gauged plain run comes first only under cyclicity 1, whose
+    critical components hold cycles of coprime lengths, and the period
+    divides every cycle length.
     """
-    bias = warm_start(gauge)
-    kernel = _ReducedKernel(side, t)
-    cyclic = gauge.cyclicity > 1
+    if gauge is None:
+        rungs = ("plain",)
+    else:
+        rungs = ("shifted",) if gauge.cyclicity > 1 else ("plain", "shifted")
     spent, best = 0, math.inf
-    for rung, path in enumerate(("shifted",) if cyclic else ("plain", "shifted")):
+    for rung, path in enumerate(rungs):
         try:
-            x, est, it, res = _linear_iteration(kernel, path == "shifted", bias, gauge.beta, max_iter)
+            x, est, it, res = _linear_iteration(kernel, path == "shifted", max_iter)
         except _LeftNormalRange as exc:
             spent += exc.iterations
             break
         spent += it
         if x is not None:
-            return (np.log(x) + bias, est, spent, res, path), (kernel, x)
+            return (np.log(x) + kernel.bias, est, spent, res, path), (kernel, x)
         best = min(best, res)
     else:
-        if not cyclic:
+        if len(rungs) == 2:  # the whole ladder ran, and stalled
             raise NoConvergence(spent, best)
         rung = 1
-    del kernel
+    logA = log_matrix()
     try:
         logv, est, it, res, path = _solve_side(
-            _log_operator(side.log_matrix(t), side.finite),
-            graph_period(side.finite),
-            gauge,
-            warm_start,
-            None,
-            max_iter,
-            start=rung,
+            _log_operator(logA, finite), graph_period(finite), gauge, warm_start, gauge_of_logA, max_iter, start=rung
         )
     except NoConvergence as exc:
         raise NoConvergence(spent + exc.iterations, min(best, exc.residual)) from None
-    return (logv, est, spent + it, res, path), None
+    return (logv, est, spent + it, res, path), (None, logA)
 
 
 def perron(logB: np.ndarray, max_iter: int | None = None, gauge: MaxPlusGauge | None = None) -> PerronData:
     """Perron data of an irreducible log-domain matrix.
 
-    A support on which one vertex meets every cycle is solved from its
-    first-return equation; any other support, and a first-return answer that
-    fails the residual gate, by power iteration. `gauge` is the max-plus
-    gauge of logB itself (for log B = t f, the gauge of f scaled by t): the
-    solve then runs on the two reduced kernels (unless the support is
-    sparse) and, when the right one converges, returns the equilibrium
-    chain with the Perron data (`PerronData.chain`, which `equilibrium`
-    uses for this logB only). See the module docstring for the solver paths.
+    A 1 x 1 loop is its own answer. A support on which one vertex meets
+    every cycle is solved from its first-return equation; any other support,
+    and a first-return answer that fails the residual gate, by power
+    iteration. `gauge` is the max-plus gauge of logB itself (for log B = t
+    f, the gauge of f scaled by t): the solve then runs on the two reduced
+    kernels (unless the support is sparse). Without a gauge, a dense
+    support of period 1 whose finite entries spread over at most log(1/tiny)
+    runs its plain run on the scaled kernel exp(log B - m) and its transpose
+    (m the largest entry). Where the right side converged on its kernel, the
+    solve returns the equilibrium chain with the Perron data
+    (`PerronData.chain`, which `equilibrium` uses for this logB only). See
+    the module docstring for the solver paths.
 
     The answer either passes the residual gate on both sides or the solve
     raises NoConvergence. An iterate that misses the gate pins lambda to its
@@ -676,6 +738,10 @@ def perron(logB: np.ndarray, max_iter: int | None = None, gauge: MaxPlusGauge | 
     iteration stalls only where the gap is small, so such an iterate is
     never returned.
     """
+    if logB.shape == (1, 1) and math.isfinite(logB[0, 0]):
+        # the loop alone: the first-return answer without its passes (which
+        # add the chain weight 0.0 to the loop, so -0.0 comes out as 0.0)
+        return PerronData(float(logB[0, 0] + 0.0), np.zeros(1), np.zeros(1), 0, 0.0, "first-return")
     finite = np.isfinite(logB)
     pd = _first_return(logB, finite)
     return pd if pd is not None else _power_perron(logB, finite, max_iter, gauge)
@@ -800,11 +866,12 @@ def _power_perron(
     """Perron data by power iteration on both sides; finite = np.isfinite(logB)."""
     if max_iter is None:
         max_iter = _step_budget(logB.shape[0])
-    if gauge is not None and _REDUCED_MIN_FILL * np.count_nonzero(finite) > finite.size:
+    dense = _REDUCED_MIN_FILL * np.count_nonzero(finite) > finite.size
+    if gauge is not None and dense:
         # a lone gauged solve: the sweep's reduced perron at t = 1
         left = _ReducedSide(logB.T, finite.T, gauge.u, gauge.beta)
-        pd, P = _reduced_perron(left, _ReducedSide(logB, finite, gauge.v, gauge.beta), 1.0, gauge, max_iter)
-        return pd if P is None else replace(pd, chain=(logB, P))
+        pd, (kernel, x) = _reduced_perron(left, _ReducedSide(logB, finite, gauge.v, gauge.beta), 1.0, gauge, max_iter)
+        return pd if kernel is None else replace(pd, chain=(logB, kernel.chain(x)))
     d = graph_period(finite)
     found: list[MaxPlusGauge] = []
 
@@ -814,22 +881,34 @@ def _power_perron(
             found.append(gauge_of(logB))
         return found[0]
 
-    right = _solve_side(_log_operator(logB, finite), d, gauge, lambda g: g.v, gauge_of_logB, max_iter)
-    left = _solve_side(_log_operator(logB.T, finite.T), d, gauge, lambda g: g.u, gauge_of_logB, max_iter)
-    return _perron_data(right, left)
+    kernels = _scaled_kernels(logB, finite) if gauge is None and d == 1 and dense else None
+    if kernels is None:
+        right = _solve_side(_log_operator(logB, finite), d, gauge, lambda g: g.v, gauge_of_logB, max_iter)
+        left = _solve_side(_log_operator(logB.T, finite.T), d, gauge, lambda g: g.u, gauge_of_logB, max_iter)
+        return _perron_data(right, left)
+    # the right side goes first, as on the log-domain ladder; its kernel
+    # becomes the chain only once the left side is done with K^T
+    right, (kernel, x) = _linear_side(kernels[0], lambda: logB, finite, None, lambda g: g.v, gauge_of_logB, max_iter)
+    left, _ = _linear_side(kernels[1], lambda: logB.T, finite.T, None, lambda g: g.u, gauge_of_logB, max_iter)
+    pd = _perron_data(right, left)
+    return pd if kernel is None else replace(pd, chain=(logB, kernel.chain(x)))
 
 
 def _reduced_perron(
     left: _ReducedSide, right: _ReducedSide, t: float, gauge: MaxPlusGauge, max_iter: int
-) -> tuple[PerronData, np.ndarray | None]:
+) -> tuple[PerronData, tuple[_ReducedKernel | None, np.ndarray]]:
     """Perron data of exp(t logA) from both sides' reduced kernels, and the
-    chain the right kernel becomes (None when the right side handed over to
-    the log domain). gauge is the max-plus gauge of t logA. The left side
-    goes first, so that the right kernel is the last one built in a buffer
-    the two sides share."""
-    lhs = _gauged_side(left, t, gauge, lambda g: g.u, max_iter)[0]
-    rhs, reduced = _gauged_side(right, t, gauge, lambda g: g.v, max_iter)
-    return _perron_data(rhs, lhs), None if reduced is None else reduced[0].chain(reduced[1])
+    right side's (kernel, x) or (None, t logA) (see `_linear_side`), from
+    which the chain is built. gauge is the max-plus gauge of t
+    logA. The left side goes first, so that the right kernel is the last
+    one built in a buffer the two sides share."""
+    answers = []
+    for side, warm_start in ((left, lambda g: g.u), (right, lambda g: g.v)):
+        kernel = side.kernel(t, gauge, warm_start)
+        log_matrix = partial(side.log_matrix, t)
+        answers.append(_linear_side(kernel, log_matrix, side.finite, gauge, warm_start, None, max_iter))
+    (lhs, _), (rhs, reduced) = answers
+    return _perron_data(rhs, lhs), reduced
 
 
 def _perron_data(right: tuple, left: tuple) -> PerronData:
@@ -889,8 +968,8 @@ def gurevich_estimate(trunc: Truncation, f: MarkovPotential, t: float, a: int, n
 def equilibrium(pd: PerronData, logB: np.ndarray, alphabet: np.ndarray | None = None) -> MarkovMeasure:
     """Equilibrium Markov chain P_ij = B_ij h_j / (lambda h_i), pi = nu*h.
 
-    When pd carries the chain its solve built for this very logB (a gauged
-    solve builds it from its reduced kernel without an exp), P is that
+    When pd carries the chain its solve built for this very logB (a solve
+    builds it from its right scaled kernel without an exp), P is that
     array, and the measure takes it over; otherwise P is built here.
     """
     if pd.chain is not None and pd.chain[0] is logB:
@@ -942,7 +1021,7 @@ class GaugedSweep:
     n x n buffer: the left side uses it first, then the right side, whose
     kernel becomes the chain. So a measure of the sweep is valid until its
     next t. t W is formed only for a side that hands over to the log
-    domain. Every other support solves each t on t W (on transfer_matrix
+    domain, and the right side's then gives the chain. Every other support solves each t on t W (on transfer_matrix
     at t <= 0) by `perron`, as a lone gauged solve.
     """
 
@@ -979,9 +1058,9 @@ def equilibrium_measure(
     elif sweep.sides is None:
         logB = t * sweep.W
     else:
-        pd, P = _reduced_perron(*sweep.sides, t, gauge, _step_budget(trunc.n_symbols))
-        if P is None:
-            P = _chain(pd, sweep.sides[1].log_matrix(t))
+        pd, (kernel, arg) = _reduced_perron(*sweep.sides, t, gauge, _step_budget(trunc.n_symbols))
+        # the right kernel, or the t W the right side handed over to
+        P = _chain(pd, arg) if kernel is None else kernel.chain(arg)
         return pd.log_lambda, _measure(pd, P, trunc.alphabet)
     pd = perron(logB, gauge=gauge)
     return pd.log_lambda, equilibrium(pd, logB, trunc.alphabet)

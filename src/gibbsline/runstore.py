@@ -63,11 +63,16 @@ class RunManifest:
 
 
 class RunStore:
-    """Directory of runs named by config hash plus creation timestamp."""
+    """Directory of runs named by config hash plus creation timestamp.
+
+    The store keeps the manifest it last wrote for each run it created or
+    wrote to, and updates that copy rather than reading the file back.
+    """
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._manifests: dict[str, RunManifest] = {}
 
     def new_run(self, config_hash: str, command: str, tool_version: str) -> str:
         stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%f")
@@ -100,9 +105,14 @@ class RunStore:
             raise MissingRun(f"run {run_id!r} has no manifest")
         return RunManifest.from_json(path.read_text(encoding="utf-8"))
 
+    def _kept_manifest(self, run_id: str) -> RunManifest:
+        manifest = self._manifests.get(run_id)
+        return self.manifest(run_id) if manifest is None else manifest
+
     def _write_manifest(self, run_id: str, manifest: RunManifest) -> None:
         path = self.root / run_id / MANIFEST_NAME
         self._atomic_write(path, manifest.to_json().encode("utf-8"))
+        self._manifests[run_id] = manifest
 
     @staticmethod
     def _atomic_write(path: Path, data: bytes) -> None:
@@ -113,7 +123,7 @@ class RunStore:
     def put(self, run_id: str, name: str, data: bytes | str) -> str:
         if isinstance(data, str):
             data = data.encode("utf-8")
-        manifest = self.manifest(run_id)
+        manifest = self._kept_manifest(run_id)
         digest = _sha256(data)
         self._atomic_write(self.run_dir(run_id) / name, data)
         manifest.files[name] = digest
@@ -121,7 +131,7 @@ class RunStore:
         return digest
 
     def finish_command(self, run_id: str, status: str) -> None:
-        manifest = self.manifest(run_id)
+        manifest = self._kept_manifest(run_id)
         if manifest.commands:
             manifest.commands[-1]["status"] = status
             manifest.commands[-1]["finished_utc"] = _utcnow()

@@ -94,11 +94,13 @@ def power_perron(logB: np.ndarray, **kwargs):
     return rpf_finite._power_perron(logB, np.isfinite(logB), **kwargs)
 
 
-def log_domain_side(side, t, gauge, warm_start, max_iter):
-    """A gauged side on the log-domain ladder alone, as gauged solves ran
-    before reduced kernels; monkeypatch it over `rpf_finite._gauged_side`."""
-    op = rpf_finite._log_operator(t * side.logA, side.finite)
-    return rpf_finite._solve_side(op, graph_period(side.finite), gauge, warm_start, None, max_iter), None
+def log_domain_side(kernel, log_matrix, finite, gauge, warm_start, gauge_of_logA, max_iter):
+    """A side on the log-domain ladder alone, as solves ran before their
+    linear runs on scaled kernels; monkeypatch it over
+    `rpf_finite._linear_side` (gauged and ungauged sides alike)."""
+    logA = log_matrix()
+    op = rpf_finite._log_operator(logA, finite)
+    return rpf_finite._solve_side(op, graph_period(finite), gauge, warm_start, gauge_of_logA, max_iter), (None, logA)
 
 
 def random_stochastic(incidence: np.ndarray, rng: np.random.Generator) -> np.ndarray:

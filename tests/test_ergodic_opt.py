@@ -482,12 +482,15 @@ def test_a_component_solve_that_stalls_raises(tmp_path, monkeypatch, capsys, tie
     """tie_two_loops' critical component {0, 1} carries 4 edges, so its solves
     take power iteration. When both runs spend their budgets, the
     decomposition raises the solve's NoConvergence instead of keeping a
-    degraded component, and zerotemp exits 3."""
+    degraded component, and zerotemp exits 3. The plain run goes linear on
+    the component's scaled kernel and the shifted run in the log domain, so
+    both iterations stall."""
 
-    def stalled(op, logv, d, log_sigma, max_iter):
-        return None, math.nan, max_iter, 1e-3
+    def stalled(*args):
+        return None, math.nan, args[-1], 1e-3
 
     monkeypatch.setattr(rpf_finite, "_power_iteration", stalled)
+    monkeypatch.setattr(rpf_finite, "_linear_iteration", stalled)
     model, f = tie_two_loops
     with pytest.raises(NoConvergence) as exc:
         critical_decomposition(build_truncation(model, 3), f)

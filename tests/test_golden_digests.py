@@ -30,13 +30,15 @@ CONFIGS = ("log_quadratic", "non_summable", "renewal_weighted", "tie_two_loops")
 COMMANDS = ("pressure", "equilibrium", "zerotemp", "entropy-limit", "diagnose", "certify-summability")
 # every command on every shipped config, the two largest sweeps the
 # benchmark runs (the dense full shift at n = 511 and the renewal shift at
-# n = 128), the entropy sweep of the same full shift, and the cyclic sweep
-# of the planted 12-symbol model, whose config lives beside this file
+# n = 128), the entropy sweep of the same full shift, the cyclic sweep of
+# the planted 12-symbol model and the pressure of the benchmark's sparse
+# custom model at n = 256, whose configs live beside this file
 INVOCATIONS = [(cfg, (cmd,)) for cfg in CONFIGS for cmd in COMMANDS] + [
     ("tie_two_loops", ("zerotemp", "--k", "510")),
     ("tie_two_loops", ("entropy-limit", "--k", "510")),
     ("renewal_weighted", ("zerotemp", "--k", "127")),
     ("planted_cyclic", ("zerotemp", "--k", "11")),
+    ("custom_n256", ("pressure", "--k", "255", "--t", "2")),
 ]
 
 

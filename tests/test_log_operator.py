@@ -207,7 +207,7 @@ def test_log_lambda_matches_scipy_reference_on_bundled_models(name, monkeypatch)
             logB = transfer_matrix(tr, f, t)
             new = perron(logB, gauge=gauge.scaled(t))
             with monkeypatch.context() as m:
-                m.setattr(rpf_finite, "_gauged_side", log_domain_side)
+                m.setattr(rpf_finite, "_linear_side", log_domain_side)
                 m.setattr(rpf_finite, "_log_operator", ReferenceOperator)
                 m.setattr(rpf_finite, "_logsumexp", lambda a, axis=None, out=None: logsumexp(a, axis=axis))
                 ref = perron(logB, gauge=gauge.scaled(t))
@@ -215,8 +215,9 @@ def test_log_lambda_matches_scipy_reference_on_bundled_models(name, monkeypatch)
 
 
 def reference_perron(logB, gauge=None):
-    """perron run on the scipy kernel and scipy's reductions."""
+    """perron run in the log domain alone, on the scipy kernel and scipy's reductions."""
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(rpf_finite, "_linear_side", log_domain_side)
         m.setattr(rpf_finite, "_log_operator", ReferenceOperator)
         m.setattr(rpf_finite, "_logsumexp", lambda a, axis=None, out=None: logsumexp(a, axis=axis))
         return perron(logB, gauge=gauge)
@@ -225,7 +226,9 @@ def reference_perron(logB, gauge=None):
 @pytest.mark.parametrize("name", ["log_quadratic", "tie_two_loops"])
 def test_ungauged_dense_log_lambda_matches_scipy_reference(name):
     """The solves of pressure grids and single points, which start from the
-    uniform vector, on the dense kernel against scipy, to 1e-12."""
+    uniform vector, against scipy, to 1e-12: on the scaled kernel where the
+    entries of log B spread over at most 708, else on the dense log-domain
+    kernel."""
     model, f = bundled_pair(name)
     for n in (7, 127, 511):
         tr = build_truncation(model, n - 1)
@@ -363,14 +366,16 @@ class TestApplicationsPerIteration:
         assert counts == []
 
     def test_fallback_and_no_convergence(self, monkeypatch):
-        # plain, then shifted, on the right side; each run ends at its budget,
-        # and the left side is never built
+        # plain on the right kernel, then shifted in the log domain, on the
+        # right side; each run ends at its budget, and the left side (the
+        # kernel's transpose, built with it) is never applied
         logB = np.log(np.array([[1.0, 0.1], [0.1, 0.9]]))
         counts = count_applications(monkeypatch)
+        kernels = count_reduced_applications(monkeypatch)
         with pytest.raises(NoConvergence) as exc:
             perron(logB, max_iter=96)
-        assert len(counts) == 1
-        assert sum(counts) == exc.value.iterations + 2
+        assert len(counts) == 1 and len(kernels) == 2 and kernels[1] == 0
+        assert sum(counts) + sum(kernels) == exc.value.iterations + 2
 
     def test_period_two_pays_for_its_window_checks(self, monkeypatch):
         logB = np.array([[NEG_INF, -0.7], [-2.3, NEG_INF]])
@@ -532,8 +537,13 @@ def solve_outcome(logB, **kwargs):
 
 
 def assert_same_as_reference(logB, **kwargs):
-    new = solve_outcome(logB, **kwargs)
+    """The module's log-domain ladder against the reference loops, both with
+    the linear runs on scaled kernels patched away (`log_domain_side`), which
+    would otherwise take every gauged and every ungauged period-1 solve on
+    a dense support, on both sides of the comparison alike."""
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(rpf_finite, "_linear_side", log_domain_side)
+        new = solve_outcome(logB, **kwargs)
         m.setattr(rpf_finite, "_solve_side", reference_solve_side)
         ref = solve_outcome(logB, **kwargs)
     if not isinstance(ref, rpf_finite.PerronData):
@@ -759,8 +769,10 @@ def outcome(logB, **kwargs):
 
 
 def assert_same_bits_as_parent(logB, **kwargs):
-    new = outcome(logB, **kwargs)
+    """As `assert_same_as_reference`, on the log-domain ladder alone."""
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(rpf_finite, "_linear_side", log_domain_side)
+        new = outcome(logB, **kwargs)
         parent_module(m)
         ref = outcome(logB, **kwargs)
     if not isinstance(ref, rpf_finite.PerronData):

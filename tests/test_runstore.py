@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from gibbsline.errors import MissingRun
-from gibbsline.runstore import RunStore
+from gibbsline.runstore import RunManifest, RunStore
 
 
 @pytest.fixture
@@ -51,3 +51,22 @@ def test_finish_command_status(store):
     man = store.manifest(rid)
     assert man.commands[-1]["status"] == "ok"
     assert man.commands[-1]["finished_utc"] is not None
+
+
+def test_puts_update_the_kept_manifest_and_rewrite_the_file(store, monkeypatch):
+    rid = store.new_run("c" * 64, "pressure", "0.1.0")
+    reads = []
+    real = RunManifest.from_json
+    monkeypatch.setattr(RunManifest, "from_json", staticmethod(lambda text: reads.append(text) or real(text)))
+    store.put(rid, "a.csv", "x\n")
+    store.put(rid, "b.csv", "y\n")
+    store.finish_command(rid, "ok")
+    assert reads == []
+    # the file on disk was rewritten after each of them
+    man = store.manifest(rid)
+    assert set(man.files) == {"a.csv", "b.csv"} and man.commands[-1]["status"] == "ok"
+    # a store that did not write the run reads its manifest first
+    other = RunStore(store.root)
+    other.put(rid, "c.csv", "z\n")
+    assert len(reads) == 2
+    assert set(store.manifest(rid).files) == {"a.csv", "b.csv", "c.csv"}

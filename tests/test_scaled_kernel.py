@@ -1,0 +1,220 @@
+"""Ungauged solves on the scaled kernel K = exp(log B - m), against the log-domain ladder.
+
+An ungauged solve on a dense support of period 1 whose entries spread over
+at most log(1/tiny) runs its plain run linearly on K, m the largest entry
+of log B, with one exp for both sides. Its answers are checked against the
+log-domain ladder (the linear runs patched away with `log_domain_side`) and
+against `dense_gauged_state`; an entry spread beyond the normal range and a
+mid-run underflow against the log-domain bits; and the supports that must
+not reach K by counting the kernels built.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import dense_gauged_state, log_domain_side, power_perron
+from gibbsline import rpf_finite
+from gibbsline.bundled import bundled_pair
+from gibbsline.rpf_finite import equilibrium, perron, transfer_matrix
+from gibbsline.shift_model import build_truncation, graph_period
+
+NEG_INF = -np.inf
+
+
+def log_domain(logB, **kwargs):
+    """perron with every side on the log-domain ladder alone."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rpf_finite, "_linear_side", log_domain_side)
+        return perron(logB, **kwargs)
+
+
+def count_linear_runs(monkeypatch):
+    """Count the runs of `_linear_iteration`, whatever their outcome."""
+    runs = []
+    real = rpf_finite._linear_iteration
+
+    def counting(*args):
+        runs.append(args[1])  # shifted or not
+        return real(*args)
+
+    monkeypatch.setattr(rpf_finite, "_linear_iteration", counting)
+    return runs
+
+
+@st.composite
+def aperiodic_dense_weights(draw):
+    """Weights on a dense aperiodic support of 2..8 vertices that the
+    first-return path turns away: a Hamiltonian cycle, a loop at 0 and
+    random further edges, more than 2n - 1 in all."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    density = draw(st.sampled_from((0.4, 0.7, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    finite = rng.random((n, n)) < density
+    finite[np.arange(n), (np.arange(n) + 1) % n] = True
+    finite[0, 0] = True
+    assume(np.count_nonzero(finite) > 2 * n - 1)
+    return np.where(finite, rng.uniform(-3.0, 3.0, (n, n)), NEG_INF)
+
+
+@settings(max_examples=30, deadline=None)
+@given(aperiodic_dense_weights(), st.sampled_from((1.0, 4.0)))
+def test_linear_answers_match_the_log_domain_ladder_and_the_dense_oracle(W, t):
+    """log lambda within 1e-12 relative of the log-domain ladder, pi and P
+    within 1e-10 (an eigenvector is pinned only to residual / gap), and all
+    three against the dense eigensolve at the oracle tests' tolerances.
+    Where the linear plain run stalls, the shifted run of the log domain
+    answers, from the gauge it builds."""
+    assert graph_period(np.isfinite(W)) == 1
+    logB = t * W
+    with pytest.MonkeyPatch.context() as m:
+        runs = count_linear_runs(m)
+        new = perron(logB)
+    assert runs == [False, False]  # the plain run of each side, on K
+    meas = equilibrium(new, logB)
+    old = log_domain(logB)
+    ref = equilibrium(old, logB)
+    assert new.path == old.path
+    assert new.log_lambda == pytest.approx(old.log_lambda, rel=1e-12, abs=1e-300)
+    assert np.allclose(meas.stationary, ref.stationary, rtol=1e-10, atol=0.0)
+    assert np.allclose(meas.stochastic, ref.stochastic, rtol=1e-10, atol=0.0)
+    log_lambda, pi, P, gap = dense_gauged_state(W, t)
+    assert new.log_lambda == pytest.approx(log_lambda, rel=1e-10, abs=1e-10)
+    if gap >= 1e-3:
+        assert np.allclose(meas.stationary, pi, rtol=1e-9, atol=1e-12)
+        assert np.allclose(meas.stochastic, P, rtol=1e-9, atol=1e-12)
+
+
+def tied_shift(t):
+    """The 2-shift {0, 1} and a loop at 2, all at weight 0, coupled by
+    1 -> 2 and 2 -> 0 at weight -1, times t: the entries of log B spread
+    over exactly t, and the Perron vectors carry about e^{-t} / 2 at
+    vertex 2 on both sides (right: h_2 = e^{-t} h_0; left: nu_2 = e^{-t} nu_1)."""
+    W = np.full((3, 3), NEG_INF)
+    W[:2, :2] = 0.0
+    W[2, 2], W[1, 2], W[2, 0] = 0.0, -1.0, -1.0
+    return t * W
+
+
+def assert_log_domain_bits(new, old, iterations_too):
+    for name in ("log_lambda", "log_h", "log_nu", "residual", "path") + (("iterations",) if iterations_too else ()):
+        got, want = np.asarray(getattr(new, name)), np.asarray(getattr(old, name))
+        assert got.tobytes() == want.tobytes(), name
+    assert new.chain is None
+
+
+def test_an_entry_spread_beyond_the_normal_range_runs_in_the_log_domain(monkeypatch):
+    """At t = 709 the entries spread over 709 > log(1/tiny) = 708.396, so
+    exp(-709) would be subnormal: no kernel is built, no linear run made,
+    and every field is the log-domain ladder's, iterations included."""
+    logB = tied_shift(709.0)
+    assert rpf_finite._scaled_kernels(logB, np.isfinite(logB)) is None
+    runs = count_linear_runs(monkeypatch)
+    new = perron(logB)
+    assert runs == []
+    monkeypatch.undo()
+    assert_log_domain_bits(new, log_domain(logB), iterations_too=True)
+
+
+def test_an_iterate_that_underflows_mid_run_reruns_in_the_log_domain(monkeypatch):
+    """At t = 708 every entry of K is a normal float (exp(-708) = 3.3e-308),
+    but the Perron vectors' entries at vertex 2 settle near e^{-708} / 2,
+    below np.finfo(float).tiny, on both sides: each linear plain run leaves
+    the normal range part way, and the solve returns the log-domain bits."""
+    logB = tied_shift(708.0)
+    finite = np.isfinite(logB)
+    right, left = rpf_finite._scaled_kernels(logB, finite)
+    assert right.K[finite].min() >= np.finfo(float).tiny and left.K.base is right.K
+    runs = []
+    real = rpf_finite._linear_iteration
+
+    def recording(*args):
+        try:
+            return real(*args)
+        except rpf_finite._LeftNormalRange as exc:
+            runs.append(exc.iterations)
+            raise
+
+    monkeypatch.setattr(rpf_finite, "_linear_iteration", recording)
+    new = perron(logB)
+    assert len(runs) == 2 and all(it > 1 for it in runs)
+    monkeypatch.undo()
+    old = log_domain(logB)
+    assert_log_domain_bits(new, old, iterations_too=False)
+    # the linear steps taken before the handover are counted too
+    assert new.iterations == old.iterations + sum(runs)
+    a, b = equilibrium(new, logB), equilibrium(old, logB)
+    assert a.stochastic.tobytes() == b.stochastic.tobytes()
+    assert a.stationary.tobytes() == b.stationary.tobytes()
+
+
+def sparse_aperiodic(n, rng):
+    """A Hamiltonian cycle on n symbols, one more successor each and a loop
+    at 0: period 1, and at most 2n + 1 edges in n^2 cells."""
+    W = np.full((n, n), NEG_INF)
+    perm = rng.permutation(n)
+    W[perm, np.roll(perm, -1)] = -rng.exponential(size=n)
+    W[np.arange(n), rng.integers(n, size=n)] = -rng.exponential(size=n)
+    W[0, 0] = -0.5
+    return W
+
+
+def test_periodic_first_return_and_sparse_supports_never_reach_the_scaled_kernel(monkeypatch):
+    built = []
+    real = rpf_finite._scaled_kernels
+    monkeypatch.setattr(rpf_finite, "_scaled_kernels", lambda *args: built.append(args) or real(*args))
+    runs = count_linear_runs(monkeypatch)
+    # period 2: the complete bipartite graph on {0, 1} x {2, 3}, both ways
+    W = np.full((4, 4), NEG_INF)
+    W[:2, 2:] = [[0.0, -1.0], [-0.5, -2.0]]
+    W[2:, :2] = [[-1.5, 0.0], [-0.25, -1.0]]
+    assert graph_period(np.isfinite(W)) == 2
+    assert perron(W).path == "period-averaged"
+    assert perron(4.0 * W).path == "period-averaged"
+    # first return: the renewal truncation at n = 7, and a 1 x 1 loop
+    model, f = bundled_pair("renewal_weighted")
+    assert perron(transfer_matrix(build_truncation(model, 6), f, 2.0)).path == "first-return"
+    assert perron(np.array([[-0.75]])).path == "first-return"
+    # sparse: 128 symbols, period 1, edges in at most 1/32 of the cells
+    W = sparse_aperiodic(128, np.random.default_rng(128))
+    finite = np.isfinite(W)
+    assert graph_period(finite) == 1 and rpf_finite._REDUCED_MIN_FILL * np.count_nonzero(finite) <= finite.size
+    pd = perron(2.0 * W)
+    assert pd.path in ("plain", "shifted") and pd.chain is None
+    assert built == [] and runs == []
+    # the same sparse cycle with every cell filled does go linear
+    dense = np.where(finite, W, -8.0)
+    assert perron(dense).chain is not None
+    assert len(built) == 1 and runs
+
+
+@pytest.mark.parametrize("c", [0.0, -0.0, 2.5, -1e300, 5e-324])
+def test_a_one_by_one_loop_is_the_first_return_answer_bit_for_bit(c):
+    logB = np.array([[c]])
+    got = perron(logB)
+    want = rpf_finite._first_return(logB, np.isfinite(logB))
+    for name in ("log_lambda", "log_h", "log_nu", "iterations", "residual", "path"):
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert type(got.log_lambda) is float and got.chain is None
+
+
+def test_the_right_kernel_becomes_the_chain(tie_two_loops):
+    """The full shift at n = 7, t = 2: one exp of the matrix for both sides,
+    and equilibrium takes the right kernel as its chain without another."""
+    model, f = tie_two_loops
+    logB = transfer_matrix(build_truncation(model, 6), f, 2.0)
+    exps = []
+    real = rpf_finite._exp_nonzero
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rpf_finite, "_exp_nonzero", lambda x: exps.append(x.shape) or real(x))
+        pd = perron(logB)
+        meas = equilibrium(pd, logB)
+    assert exps.count((7, 7)) == 1
+    assert pd.path == "plain" and meas.stochastic is pd.chain[1]
+    ref = equilibrium(log_domain(logB), logB)
+    assert np.allclose(meas.stochastic, ref.stochastic, rtol=1e-12, atol=0.0)
+    assert np.allclose(meas.stationary, ref.stationary, rtol=1e-12, atol=0.0)
+    # the component solves of the shipped configs take the same rung
+    assert power_perron(np.zeros((2, 2))).chain is not None
