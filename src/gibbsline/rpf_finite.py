@@ -1,8 +1,8 @@
 """Finite-alphabet thermodynamics via the log-domain transfer matrix.
 
 Everything spectral stays in log space with log-sum-exp reductions, or in
-linear coordinates on a scaled kernel (every gauged solve, and the ungauged
-ones whose entries keep normal floats once scaled): inverse temperatures up
+linear coordinates on a scaled kernel (gauged solves on dense supports, and
+the ungauged ones whose entries also keep normal floats once scaled): inverse temperatures up
 to ~10^3 make the matrix entries exp(t f) underflow long before the
 quantities of interest do.
 
@@ -23,70 +23,71 @@ dist P, and nu follows from the chain recurrences, leaves first. That is the
 pass the residual gate of power iteration on both sides.
 
 Every other support, and a first-return answer that fails the gate, goes to
-one power iteration, on B + sigma I, on both sides. The plain
-run is sigma = 0, averaged over d consecutive steps where d is the period
-that `perron` reads from the support of log B; the shifted run is
-sigma = e^{beta} <= lambda, beta the max cycle mean of log B, with d = 1.
-The tolerances are fixed (`_TOL`, `_RES_TOL`); only the step budget can be
-set. A solve takes one of these paths:
+power iteration on B + sigma I, one side at a time (`_side`). The plain run
+is sigma = 0, averaged over d consecutive steps where d is the period of the
+support of log B; the shifted run is sigma = e^{beta} <= lambda, beta the
+max cycle mean of log B, with d = 1, from the max-plus gauge (Howard's max
+cycle mean, then the critical graph). The tolerances (`_TOL`, `_RES_TOL`)
+and the step budget (`_step_budget`) are fixed. Each side climbs one ladder
+of two runs, iterations adding up over them:
 
-- No gauge (pressure grids, single points, critical components): the plain
-  run from the uniform vector. Only if that stalls is the max-plus gauge of
-  log B built (Howard's max cycle mean, then the critical graph) and the
-  shifted run started, in the log domain. On a support of period 1 that
-  fills more than 1/_REDUCED_MIN_FILL of the cells the plain run goes
-  linearly, as a gauged run does below, on the scaled kernel K = exp(log B
-  - m), m the largest entry of log B: one exp in one buffer, the right side
-  on K, the left on K^T, with log lambda = m + log rho (`_scaled_kernels`).
-  K is used only where every edge keeps a normal entry, that is where the
-  finite entries of log B spread over at most _NORMAL_SPREAD = log(1/tiny),
-  about 708: an edge that underflowed or went subnormal would change the
-  matrix, and the residual gate, which reads K, would not see it. Wider
-  spreads, other periods and sparse supports run the plain run in the log
-  domain.
-- With a gauge (zero-temperature sweeps): each side iterates linearly on
-  its reduced kernel, K_r = exp(log B - t beta + t v_j - t v_i) on the
-  right and K_l = exp(log B^T - t beta + t u_j - t u_i) on the left
-  (`_ReducedKernel`, one exp of the matrix per side). The exponents are
-  <= 0 and reach 0 on every row, so K is scaled at any t (Akian, Bapat and
-  Gaubert, C. R. Acad. Sci. Paris 1998). A sweep builds each side's
-  t-free exponent E = (W + v_j) - (v_i + beta) once (`_ReducedSide`, from
-  W and f's own gauge; the left one from W^T and u), and a step to the
-  next t costs one multiply t E and one exp per side, in one buffer the
-  two sides share (`GaugedSweep`); a lone gauged `perron` builds E from
-  log B and the scaled gauge and takes t = 1. For t a power of two (every
-  default t of the sweeps), t E equals the lone exponent (t W + t v_j) -
-  (t v_i + t beta) bit for bit unless an intermediate is subnormal, so the
-  sweep and per-t solves agree bit for bit; between powers of two they may
-  differ in the last ulp of an exponent. The uniform start is the
-  gauge start t v (t u) in reduced coordinates: log h = log h~ + t v, log
-  nu = log nu~ + t u and log lambda = t beta + log rho. The left side is
-  reduced by u, not by v: the left vector of K_r^T is nu e^{t v}, whose
-  smallest entry on the planted 12-symbol model of the tests is 2e-188 of
-  its largest at t = 128 and underflows at t = 256, while nu e^{-t u}
-  stays above 0.6 of its largest at every t of the sweep. When the
-  critical graph is cyclic (cyclicity c > 1) the peripheral spectrum of
-  exp(t f) tends to lambda times the c-th roots of unity, so the solve goes
-  straight to the shifted run (K + I), and only if that stalls runs plain
-  from the uniform vector of log B, in the log domain; when c = 1 it runs
-  plain first and shifts only on a stall. A linear run that stalls is not
-  repeated; one whose iterate leaves the normal range (an entry below
-  np.finfo(float).tiny) is run again in the log domain, from the gauge,
-  with the log-domain answer bit for bit. A reduced kernel is dense, so a
-  gauged support whose edges fill at most 1/_REDUCED_MIN_FILL of the cells
-  takes the log-domain ladder instead, from the gauge, as if it had no
-  reduced kernel.
-
-Gauged and ungauged sides climb one ladder (`_linear_side`): their linear
-runs come first, a linear run that stalls hands the next run to the log
-domain, and one whose iterate leaves the normal range reruns its own run
-there. When the right side converged linearly, its kernel becomes the chain
-of `equilibrium` (P_ij = K_ij x_j, rows renormalized), which so needs no exp
-of its own; in a sweep that chain is the buffer the two sides share, so a
-sweep's measure is valid until the sweep's next t.
+- No gauge (pressure grids, single points, critical components): plain from
+  the uniform vector; only if that stalls is the gauge of log B built, once
+  per solve, and the shifted run started from it.
+- With a gauge (zero-temperature sweeps) of cyclicity 1: plain, then
+  shifted, both from the gauge.
+- With a cyclic gauge (cyclicity c > 1): the peripheral spectrum of exp(t f)
+  tends to lambda times the c-th roots of unity, so shifted from the gauge
+  first, and only if that stalls plain from the uniform vector.
 
 A side whose two runs both spend their budgets raises NoConvergence; no
 solve returns an iterate that missed the gate (see `perron`).
+
+A run goes linearly on the side's scaled kernel when the side has one and
+the run starts from the gauge or is an ungauged plain run: every shifted
+run of a gauged side, its plain run under cyclicity 1, and an ungauged plain
+run. Every other run goes in the log domain, whose operator, log matrix and
+period a side builds at its first such run. A linear iterate that leaves the
+normal range (an entry below np.finfo(float).tiny) sends that run, and every
+run after it, to the log domain, with the log-domain answer bit for bit. A
+linear plain run needs no period: an ungauged side has a kernel only on a
+support of period 1, and a gauged plain run comes first only under
+cyclicity 1, whose critical components hold cycles of coprime lengths, and
+the period divides every cycle length. The kernels need a dense support,
+one whose edges fill more than 1/_REDUCED_MIN_FILL of the cells (`_dense`):
+
+- No gauge: on a support of period 1, K = exp(log B - m), m the largest
+  entry of log B, from one exp in one buffer; the right side iterates on K,
+  the left on K^T, with log lambda = m + log rho (`_scaled_kernels`). K is
+  used only where every edge keeps a normal entry, that is where the finite
+  entries of log B spread over at most _NORMAL_SPREAD = log(1/tiny), about
+  708: an edge that underflowed or went subnormal would change the matrix,
+  and the residual gate, which reads K, would not see it.
+- With a gauge: the reduced kernels K_r = exp(log B - t beta + t v_j - t
+  v_i) on the right and K_l = exp(log B^T - t beta + t u_j - t u_i) on the
+  left (`_ReducedKernel`, one exp of the matrix per side). The exponents
+  are <= 0 and reach 0 on every row, so K is scaled at any t (Akian, Bapat
+  and Gaubert, C. R. Acad. Sci. Paris 1998). A sweep builds each side's
+  t-free exponent E = (W + v_j) - (v_i + beta) once (`_ReducedSide`, from W
+  and f's own gauge; the left one from W^T and u), and a step to the next t
+  costs one multiply t E and one exp per side, in one buffer the two sides
+  share (`GaugedSweep`); a lone gauged `perron` builds E from log B and the
+  scaled gauge and takes t = 1. For t a power of two (every default t of
+  the sweeps), t E equals the lone exponent (t W + t v_j) - (t v_i + t
+  beta) bit for bit unless an intermediate is subnormal, so the sweep and
+  per-t solves agree bit for bit; between powers of two they may differ in
+  the last ulp of an exponent. The uniform start is the gauge start t v (t
+  u) in reduced coordinates: log h = log h~ + t v, log nu = log nu~ + t u
+  and log lambda = t beta + log rho. The left side is reduced by u, not by
+  v: the left vector of K_r^T is nu e^{t v}, whose smallest entry on the
+  planted 12-symbol model of the tests is 2e-188 of its largest at t = 128
+  and underflows at t = 256, while nu e^{-t u} stays above 0.6 of its
+  largest at every t of the sweep.
+
+When the right side converged linearly, its kernel becomes the chain of
+`equilibrium` (P_ij = K_ij x_j, rows renormalized), which so needs no exp
+of its own; in a sweep that chain is the buffer the two sides share, so a
+sweep's measure is valid until the sweep's next t.
 
 The gauge is linear in t: beta, v and u of t f are t times those of f, so a
 sweep computes them once from f's critical decomposition and rescales. A
@@ -371,13 +372,18 @@ def _log_operator(logA: np.ndarray, finite: np.ndarray | None = None) -> _CsrLog
     return _DenseLogOperator(logA)
 
 
-# a gauged solve runs on reduced kernels only when the edges fill more than
-# 1/32 of the cells: a reduced kernel is dense and costs n^2 a step, while
-# the log-domain CSR operator costs its edges. On a 2-vCPU x86-64 VM with
-# numpy 2.4, a gauged sweep of a custom model with four edges a row at
-# n = 1024 took 1,466 ms on dense reduced kernels and 1,352 ms in the log
-# domain; the custom n = 12 model of the benchmark fills 1/3 of its cells.
+# a solve runs on scaled kernels only when the edges fill more than 1/32 of
+# the cells: a scaled kernel is dense and costs n^2 a step, while the
+# log-domain CSR operator costs its edges. On a 2-vCPU x86-64 VM with numpy
+# 2.4, a gauged sweep of a custom model with four edges a row at n = 1024
+# took 1,466 ms on dense reduced kernels and 1,352 ms in the log domain; the
+# custom n = 12 model of the benchmark fills 1/3 of its cells.
 _REDUCED_MIN_FILL = 32
+
+
+def _dense(finite: np.ndarray) -> bool:
+    """Whether the support `finite` is dense enough for scaled kernels."""
+    return _REDUCED_MIN_FILL * np.count_nonzero(finite) > finite.size
 
 
 class _ReducedSide:
@@ -566,40 +572,6 @@ def _normalized(logv: np.ndarray) -> np.ndarray:
     return logv - _logsumexp(logv)
 
 
-def _solve_side(
-    op, d: int, gauge: MaxPlusGauge | None, warm_start, gauge_of_logA, max_iter: int, start: int = 0
-) -> tuple[np.ndarray, float, int, float, str]:
-    """Perron vector of one side: (log_vec, log_lambda, iterations, residual, path).
-
-    Two runs in ladder order: plain, then shifted from the max-plus gauge;
-    a cyclic gauge goes shifted first, then plain from the uniform vector.
-    A plain run that comes first starts from the gauge's max-plus
-    eigenvector, or from the uniform vector when there is no gauge, and
-    only a stall then pays for `gauge_of_logA`. Iterations add up over the
-    runs, and the path names the run that converged; when neither does,
-    NoConvergence carries the iterations spent and the smallest residual.
-    `start` skips that many runs of the ladder (a side whose linear runs
-    stalled or left the normal range hands over the rest of its ladder
-    here, see `_linear_side`).
-    """
-    plain = "plain" if d == 1 else "period-averaged"
-    cyclic = gauge is not None and gauge.cyclicity > 1
-    plain_start = np.full(op.n, -math.log(op.n)) if gauge is None or cyclic else _normalized(warm_start(gauge))
-    spent, best = 0, math.inf
-    for path in (("shifted", plain) if cyclic else (plain, "shifted"))[start:]:
-        if path == "shifted":
-            if gauge is None:
-                gauge = gauge_of_logA()
-            logv, est, it, res = _power_iteration(op, _normalized(warm_start(gauge)), 1, gauge.beta, max_iter)
-        else:
-            logv, est, it, res = _power_iteration(op, plain_start, d, _NEG_INF, max_iter)
-        spent += it
-        if logv is not None:
-            return logv, est, spent, res, path
-        best = min(best, res)
-    raise NoConvergence(spent, best)
-
-
 class _LeftNormalRange(Exception):
     """An iterate of a linear power iteration fell below the normal range."""
 
@@ -660,77 +632,74 @@ def _linear_iteration(
     return None, math.nan, max_iter, best
 
 
-def _linear_side(
-    kernel: _ReducedKernel, log_matrix, finite: np.ndarray, gauge: MaxPlusGauge | None, warm_start,
-    gauge_of_logA, max_iter: int,
+def _side(
+    kernel: _ReducedKernel | None, log_matrix, finite: np.ndarray, period: int | None,
+    gauge: MaxPlusGauge | None, warm_start, gauge_of_logA, max_iter: int,
 ) -> tuple[tuple[np.ndarray, float, int, float, str], tuple[_ReducedKernel | None, np.ndarray]]:
-    """One side of a solve whose first runs go linearly on a scaled kernel.
+    """Perron vector of one side, by the ladder of the module docstring.
 
-    Returns (`_solve_side`'s answer, (kernel, x)) when a linear run
-    converges, x the kernel's Perron vector, and (answer, (None, logA))
-    when the side finished in the log domain on logA = log_matrix(), the
-    side's log matrix (formed only then). finite is logA's support.
-
-    The linear runs are a prefix of the ladder of `_solve_side`: with a
-    gauge (of logA; gauge_of_logA is then not needed), every run that starts
-    from the gauge, so both runs under cyclicity 1 and the shifted run of a
-    cyclic gauge; without one, the plain run from the uniform vector, on a
-    support of period 1. A run that stalls goes on to the next run of the
-    ladder: under cyclicity 1 there is none, and NoConvergence is raised;
-    a cyclic gauge's plain run from the uniform vector, which is no gauge
-    start, runs in the log domain, and an ungauged side's shifted run runs
-    there from `gauge_of_logA`, which it builds. A run whose iterate leaves
-    the normal range is run again in the log domain, with the rest of the
-    ladder, by `_solve_side`, bit for bit as the log-domain ladder from that
-    run. Only the log domain reads the support's period: a linear run needs
-    none, since a gauged plain run comes first only under cyclicity 1, whose
-    critical components hold cycles of coprime lengths, and the period
-    divides every cycle length.
+    Returns ((log_vec, log_lambda, iterations, residual, path), (kernel, x))
+    when a linear run on `kernel` converges, x the kernel's Perron vector,
+    and (answer, (None, logA)) when the side finished in the log domain on
+    logA = log_matrix(), formed only then. finite is logA's support and
+    period its period, or None to read it on a handover; gauge is the
+    max-plus gauge of logA, or None, and then `gauge_of_logA` builds it for
+    the shifted run; warm_start maps a gauge to its start (v or u). The path
+    names the run that converged; when neither does, NoConvergence carries
+    the iterations spent and the smallest residual.
     """
-    if gauge is None:
-        rungs = ("plain",)
-    else:
-        rungs = ("shifted",) if gauge.cyclicity > 1 else ("plain", "shifted")
+    cyclic = gauge is not None and gauge.cyclicity > 1
+    # how many leading runs may go linearly: both from a gauge of cyclicity
+    # 1, the first otherwise (a cyclic gauge's shifted run, or plain without one)
+    linear = 0 if kernel is None else 2 if gauge is not None and not cyclic else 1
+    op = logA = None
     spent, best = 0, math.inf
-    for rung, path in enumerate(rungs):
-        try:
-            x, est, it, res = _linear_iteration(kernel, path == "shifted", max_iter)
-        except _LeftNormalRange as exc:
-            spent += exc.iterations
-            break
+    for rung, path in enumerate(("shifted", "plain") if cyclic else ("plain", "shifted")):
+        shifted = path == "shifted"
+        if rung < linear:
+            try:
+                x, est, it, res = _linear_iteration(kernel, shifted, max_iter)
+            except _LeftNormalRange as exc:
+                spent += exc.iterations
+                linear = 0
+            else:
+                spent += it
+                if x is not None:
+                    return (np.log(x) + kernel.bias, est, spent, res, path), (kernel, x)
+                best = min(best, res)
+                continue
+        if op is None:
+            logA = log_matrix()
+            op = _log_operator(logA, finite)
+            if period is None:
+                period = graph_period(finite)
+        if shifted:
+            if gauge is None:
+                gauge = gauge_of_logA()
+            logv, est, it, res = _power_iteration(op, _normalized(warm_start(gauge)), 1, gauge.beta, max_iter)
+        else:
+            if period > 1:
+                path = "period-averaged"
+            start = np.full(op.n, -math.log(op.n)) if gauge is None or cyclic else _normalized(warm_start(gauge))
+            logv, est, it, res = _power_iteration(op, start, period, _NEG_INF, max_iter)
         spent += it
-        if x is not None:
-            return (np.log(x) + kernel.bias, est, spent, res, path), (kernel, x)
+        if logv is not None:
+            return (logv, est, spent, res, path), (None, logA)
         best = min(best, res)
-    else:
-        if len(rungs) == 2:  # the whole ladder ran, and stalled
-            raise NoConvergence(spent, best)
-        rung = 1
-    logA = log_matrix()
-    try:
-        logv, est, it, res, path = _solve_side(
-            _log_operator(logA, finite), graph_period(finite), gauge, warm_start, gauge_of_logA, max_iter, start=rung
-        )
-    except NoConvergence as exc:
-        raise NoConvergence(spent + exc.iterations, min(best, exc.residual)) from None
-    return (logv, est, spent + it, res, path), (None, logA)
+    raise NoConvergence(spent, best)
 
 
-def perron(logB: np.ndarray, max_iter: int | None = None, gauge: MaxPlusGauge | None = None) -> PerronData:
+def perron(logB: np.ndarray, gauge: MaxPlusGauge | None = None) -> PerronData:
     """Perron data of an irreducible log-domain matrix.
 
     A 1 x 1 loop is its own answer. A support on which one vertex meets
     every cycle is solved from its first-return equation; any other support,
     and a first-return answer that fails the residual gate, by power
     iteration. `gauge` is the max-plus gauge of logB itself (for log B = t
-    f, the gauge of f scaled by t): the solve then runs on the two reduced
-    kernels (unless the support is sparse). Without a gauge, a dense
-    support of period 1 whose finite entries spread over at most log(1/tiny)
-    runs its plain run on the scaled kernel exp(log B - m) and its transpose
-    (m the largest entry). Where the right side converged on its kernel, the
-    solve returns the equilibrium chain with the Perron data
-    (`PerronData.chain`, which `equilibrium` uses for this logB only). See
-    the module docstring for the solver paths.
+    f, the gauge of f scaled by t). Where the right side converged on a
+    scaled kernel, the solve returns the equilibrium chain with the Perron
+    data (`PerronData.chain`, which `equilibrium` uses for this logB only).
+    See the module docstring for the solver paths and the ladder.
 
     The answer either passes the residual gate on both sides or the solve
     raises NoConvergence. An iterate that misses the gate pins lambda to its
@@ -744,7 +713,7 @@ def perron(logB: np.ndarray, max_iter: int | None = None, gauge: MaxPlusGauge | 
         return PerronData(float(logB[0, 0] + 0.0), np.zeros(1), np.zeros(1), 0, 0.0, "first-return")
     finite = np.isfinite(logB)
     pd = _first_return(logB, finite)
-    return pd if pd is not None else _power_perron(logB, finite, max_iter, gauge)
+    return pd if pd is not None else _power_perron(logB, finite, gauge)
 
 
 def _first_return(logB: np.ndarray, finite: np.ndarray) -> PerronData | None:
@@ -817,7 +786,7 @@ def _first_return(logB: np.ndarray, finite: np.ndarray) -> PerronData | None:
     for op, logv in sides:
         res = _residual(op(logv), logv, P)
         # power iteration's gate, with the scale of this normalized vector
-        if not res < max(_RES_TOL, 8.0 * _EPS * max(1.0, abs(P), float(np.max(np.abs(logv))))):
+        if not res < _gate(abs(P), float(np.max(np.abs(logv)))):
             return None
         residual = max(residual, res)
     return PerronData(P, logh, lognu, steps, residual, "first-return")
@@ -860,18 +829,15 @@ def _step_budget(n: int) -> int:
     return max(100 * n, 3000)
 
 
-def _power_perron(
-    logB: np.ndarray, finite: np.ndarray, max_iter: int | None = None, gauge: MaxPlusGauge | None = None
-) -> PerronData:
+def _power_perron(logB: np.ndarray, finite: np.ndarray, gauge: MaxPlusGauge | None = None) -> PerronData:
     """Perron data by power iteration on both sides; finite = np.isfinite(logB)."""
-    if max_iter is None:
-        max_iter = _step_budget(logB.shape[0])
-    dense = _REDUCED_MIN_FILL * np.count_nonzero(finite) > finite.size
+    dense = _dense(finite)
     if gauge is not None and dense:
         # a lone gauged solve: the sweep's reduced perron at t = 1
         left = _ReducedSide(logB.T, finite.T, gauge.u, gauge.beta)
-        pd, (kernel, x) = _reduced_perron(left, _ReducedSide(logB, finite, gauge.v, gauge.beta), 1.0, gauge, max_iter)
+        pd, (kernel, x) = _reduced_perron(left, _ReducedSide(logB, finite, gauge.v, gauge.beta), 1.0, gauge)
         return pd if kernel is None else replace(pd, chain=(logB, kernel.chain(x)))
+    max_iter = _step_budget(logB.shape[0])
     d = graph_period(finite)
     found: list[MaxPlusGauge] = []
 
@@ -881,38 +847,34 @@ def _power_perron(
             found.append(gauge_of(logB))
         return found[0]
 
-    kernels = _scaled_kernels(logB, finite) if gauge is None and d == 1 and dense else None
-    if kernels is None:
-        right = _solve_side(_log_operator(logB, finite), d, gauge, lambda g: g.v, gauge_of_logB, max_iter)
-        left = _solve_side(_log_operator(logB.T, finite.T), d, gauge, lambda g: g.u, gauge_of_logB, max_iter)
-        return _perron_data(right, left)
-    # the right side goes first, as on the log-domain ladder; its kernel
-    # becomes the chain only once the left side is done with K^T
-    right, (kernel, x) = _linear_side(kernels[0], lambda: logB, finite, None, lambda g: g.v, gauge_of_logB, max_iter)
-    left, _ = _linear_side(kernels[1], lambda: logB.T, finite.T, None, lambda g: g.u, gauge_of_logB, max_iter)
+    kernels = (_scaled_kernels(logB, finite) if gauge is None and d == 1 and dense else None) or (None, None)
+    # the right side goes first; its kernel becomes the chain only once the
+    # left side is done with K^T
+    right, (kernel, x) = _side(kernels[0], lambda: logB, finite, d, gauge, lambda g: g.v, gauge_of_logB, max_iter)
+    left, _ = _side(kernels[1], lambda: logB.T, finite.T, d, gauge, lambda g: g.u, gauge_of_logB, max_iter)
     pd = _perron_data(right, left)
     return pd if kernel is None else replace(pd, chain=(logB, kernel.chain(x)))
 
 
 def _reduced_perron(
-    left: _ReducedSide, right: _ReducedSide, t: float, gauge: MaxPlusGauge, max_iter: int
+    left: _ReducedSide, right: _ReducedSide, t: float, gauge: MaxPlusGauge
 ) -> tuple[PerronData, tuple[_ReducedKernel | None, np.ndarray]]:
     """Perron data of exp(t logA) from both sides' reduced kernels, and the
-    right side's (kernel, x) or (None, t logA) (see `_linear_side`), from
-    which the chain is built. gauge is the max-plus gauge of t
-    logA. The left side goes first, so that the right kernel is the last
-    one built in a buffer the two sides share."""
+    right side's (kernel, x) or (None, t logA) (see `_side`), from which the
+    chain is built. gauge is the max-plus gauge of t logA. The left side
+    goes first, so that the right kernel is the last one built in a buffer
+    the two sides share."""
+    max_iter = _step_budget(right.E.shape[0])
     answers = []
     for side, warm_start in ((left, lambda g: g.u), (right, lambda g: g.v)):
         kernel = side.kernel(t, gauge, warm_start)
-        log_matrix = partial(side.log_matrix, t)
-        answers.append(_linear_side(kernel, log_matrix, side.finite, gauge, warm_start, None, max_iter))
+        answers.append(_side(kernel, partial(side.log_matrix, t), side.finite, None, gauge, warm_start, None, max_iter))
     (lhs, _), (rhs, reduced) = answers
     return _perron_data(rhs, lhs), reduced
 
 
 def _perron_data(right: tuple, left: tuple) -> PerronData:
-    """PerronData from the two sides' answers (`_solve_side`'s tuples)."""
+    """PerronData from the two sides' answers (`_side`'s first tuples)."""
     logh, est_r, it_r, res_r, path_r = right
     lognu, est_l, it_l, res_l, path_l = left
     log_lambda = 0.5 * (est_r + est_l)
@@ -1027,11 +989,9 @@ class GaugedSweep:
 
     def __init__(self, W: np.ndarray, gauge: MaxPlusGauge):
         self.W, self.gauge = W, gauge
-        n = W.shape[0]
         finite = np.isfinite(W)
-        edges = np.count_nonzero(finite)
         self.sides = None
-        if edges > 2 * n - 1 and _REDUCED_MIN_FILL * edges > finite.size:
+        if np.count_nonzero(finite) > 2 * W.shape[0] - 1 and _dense(finite):
             buf = np.empty_like(W)
             self.sides = (
                 _ReducedSide(W.T, finite.T, gauge.u, gauge.beta, buf.T),
@@ -1058,7 +1018,7 @@ def equilibrium_measure(
     elif sweep.sides is None:
         logB = t * sweep.W
     else:
-        pd, (kernel, arg) = _reduced_perron(*sweep.sides, t, gauge, _step_budget(trunc.n_symbols))
+        pd, (kernel, arg) = _reduced_perron(*sweep.sides, t, gauge)
         # the right kernel, or the t W the right side handed over to
         P = _chain(pd, arg) if kernel is None else kernel.chain(arg)
         return pd.log_lambda, _measure(pd, P, trunc.alphabet)

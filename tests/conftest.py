@@ -1,3 +1,4 @@
+import contextlib
 import math
 import weakref
 
@@ -8,7 +9,6 @@ from gibbsline import bundled_pair, rpf_finite
 from gibbsline.errors import BudgetExceeded, ValidationError
 from gibbsline.potential import MarkovPotential, row_oscillation
 from gibbsline.rpf_finite import log_cylinder_mass, transfer_matrix
-from gibbsline.shift_model import graph_period
 
 
 def pytest_addoption(parser):
@@ -89,18 +89,30 @@ def brute_force_max_mean(trunc, f, Lmax: int) -> float:
     return best
 
 
-def power_perron(logB: np.ndarray, **kwargs):
-    """perron's power iteration, which it skips on first-return supports."""
-    return rpf_finite._power_perron(logB, np.isfinite(logB), **kwargs)
+@contextlib.contextmanager
+def step_budget(max_iter: int):
+    """A context in which every solve gets the step budget max_iter."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rpf_finite, "_step_budget", lambda n: max_iter)
+        yield
 
 
-def log_domain_side(kernel, log_matrix, finite, gauge, warm_start, gauge_of_logA, max_iter):
+def power_perron(logB: np.ndarray, gauge=None, max_iter: int | None = None):
+    """perron's power iteration, which it skips on first-return supports,
+    on the step budget max_iter if given."""
+    with contextlib.nullcontext() if max_iter is None else step_budget(max_iter):
+        return rpf_finite._power_perron(logB, np.isfinite(logB), gauge)
+
+
+# the module's own, held here because tests patch rpf_finite._side
+_side = rpf_finite._side
+
+
+def log_domain_side(kernel, *args):
     """A side on the log-domain ladder alone, as solves ran before their
-    linear runs on scaled kernels; monkeypatch it over
-    `rpf_finite._linear_side` (gauged and ungauged sides alike)."""
-    logA = log_matrix()
-    op = rpf_finite._log_operator(logA, finite)
-    return rpf_finite._solve_side(op, graph_period(finite), gauge, warm_start, gauge_of_logA, max_iter), (None, logA)
+    linear runs on scaled kernels: `rpf_finite._side` without a kernel.
+    Monkeypatch it over `rpf_finite._side` (gauged and ungauged sides alike)."""
+    return _side(None, *args)
 
 
 def random_stochastic(incidence: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -146,7 +158,9 @@ def dense_gauged_state(
     W holds f on the edges of an irreducible graph and -inf elsewhere. The
     matrix is conjugated into exp(t (f - beta + v_j - v_i)), v a max-plus
     eigenvector of W - beta from Floyd-Warshall, so every entry is at most 1
-    and each row keeps an entry equal to 1 at any t. gap is 1 - |mu + 1| /
+    and each row keeps an entry equal to 1 at any t; v is taken from the
+    critical vertex of largest right eigenvector entry, so that entry bounds
+    the others from below. gap is 1 - |mu + 1| /
     (rho + 1) for the next eigenvalue mu of this matrix: the contraction
     margin of the iteration shifted by exp(t beta); near 0, neither that
     iteration nor this eigensolve can separate the top two eigenvectors.
@@ -162,18 +176,38 @@ def dense_gauged_state(
     D = W - beta
     for m in range(n):
         D = np.maximum(D, D[:, m : m + 1] + D[m : m + 1, :])
-    c = int(np.argmax(np.diag(D)))  # a vertex on a maximizing cycle
-    v = D[:, c] - D[c, c]
-    with np.errstate(invalid="ignore"):
-        B = np.exp(t * (W - beta + v[None, :] - v[:, None]))
-    B[~np.isfinite(W)] = 0.0
+    critical = np.flatnonzero(np.diag(D) >= np.max(np.diag(D)) - 1e-12)  # on maximizing cycles
+
+    def gauged(c):
+        v = D[:, c] - D[c, c]
+        with np.errstate(invalid="ignore"):
+            B = np.exp(t * (W - beta + v[None, :] - v[:, None]))
+        B[~np.isfinite(W)] = 0.0
+        return B
+
+    def null_vector(B, lam):
+        # h as a null vector of B - lam I by SVD: on these matrices, whose entries
+        # reach the underflow limit, np.linalg.eig returned eigenvectors with
+        # residuals of order 1
+        return np.abs(np.linalg.svd(B - lam * np.eye(n))[2][-1])
+
+    c = int(np.argmax(np.diag(D)))
+    B = gauged(c)
     eigs = np.linalg.eigvals(B)
     lam = float(np.max(eigs.real))
     gap = 1.0 - float(np.sort(np.abs(eigs + 1.0))[-2]) / (lam + 1.0) if n > 1 else 1.0
-    # h as a null vector of B - lam I by SVD: on these matrices, whose entries
-    # reach the underflow limit, np.linalg.eig returned eigenvectors with
-    # residuals of order 1
-    h = np.abs(np.linalg.svd(B - lam * np.eye(n))[2][-1])
+    h = null_vector(B, lam)
+    # Every vertex reaches c along entries equal to 1, so h_i >= h_c / lam^n:
+    # h is bounded away from 0 once c lies in the critical component that
+    # dominates at this t. Gauged from another one, h can fall far below the
+    # SVD's round-off (loops at 0 on vertex 0 and on the cycle 1 2 3 1 put
+    # h_0 near 1e-28 at t = 16). So gauge again from the critical vertex of
+    # largest h; lam and the spectrum do not depend on the gauge.
+    best = int(critical[np.argmax(h[critical])])
+    if best != c:
+        c = best
+        B = gauged(c)
+        h = null_vector(B, lam)
     with np.errstate(divide="ignore", invalid="ignore"):  # h is junk at gap ~ 0
         P = B * h[None, :] / (lam * h[:, None])
         # pi is the stationary law of P, by elimination rather than from a left

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from conftest import log_domain_side, power_perron, tied_period_3
+from conftest import log_domain_side, power_perron, step_budget, tied_period_3
 from gibbsline import rpf_finite
 from gibbsline.bundled import bundled_pair
 from gibbsline.errors import NoConvergence, SolverError
@@ -207,7 +207,7 @@ def test_log_lambda_matches_scipy_reference_on_bundled_models(name, monkeypatch)
             logB = transfer_matrix(tr, f, t)
             new = perron(logB, gauge=gauge.scaled(t))
             with monkeypatch.context() as m:
-                m.setattr(rpf_finite, "_linear_side", log_domain_side)
+                m.setattr(rpf_finite, "_side", log_domain_side)
                 m.setattr(rpf_finite, "_log_operator", ReferenceOperator)
                 m.setattr(rpf_finite, "_logsumexp", lambda a, axis=None, out=None: logsumexp(a, axis=axis))
                 ref = perron(logB, gauge=gauge.scaled(t))
@@ -217,7 +217,7 @@ def test_log_lambda_matches_scipy_reference_on_bundled_models(name, monkeypatch)
 def reference_perron(logB, gauge=None):
     """perron run in the log domain alone, on the scipy kernel and scipy's reductions."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(rpf_finite, "_linear_side", log_domain_side)
+        m.setattr(rpf_finite, "_side", log_domain_side)
         m.setattr(rpf_finite, "_log_operator", ReferenceOperator)
         m.setattr(rpf_finite, "_logsumexp", lambda a, axis=None, out=None: logsumexp(a, axis=axis))
         return perron(logB, gauge=gauge)
@@ -372,8 +372,8 @@ class TestApplicationsPerIteration:
         logB = np.log(np.array([[1.0, 0.1], [0.1, 0.9]]))
         counts = count_applications(monkeypatch)
         kernels = count_reduced_applications(monkeypatch)
-        with pytest.raises(NoConvergence) as exc:
-            perron(logB, max_iter=96)
+        with pytest.raises(NoConvergence) as exc, step_budget(96):
+            perron(logB)
         assert len(counts) == 1 and len(kernels) == 2 and kernels[1] == 0
         assert sum(counts) + sum(kernels) == exc.value.iterations + 2
 
@@ -482,22 +482,16 @@ def reference_shifted_iteration(op, logv, log_sigma, tol, max_iter, res_tol, bes
     return None, math.nan, max_iter, best[0], best
 
 
-def reference_solve_side(op, d, gauge, warm_start, gauge_of_logA, max_iter, start=0):
+def reference_solve_side(op, d, gauge, warm_start, gauge_of_logA, max_iter):
     """The solver paths around the two loops; a cyclic gauge whose shifted
-    run stalls falls back to the plain loop from the uniform vector. `start`
-    skips that many of the two runs."""
+    run stalls falls back to the plain loop from the uniform vector."""
     n = op.n
     uniform = np.full(n, -math.log(n))
     plain = "plain" if d == 1 else "period-averaged"
     cyclic = gauge is not None and gauge.cyclicity > 1
     best = (math.inf, None, math.nan)
     spent = 0
-    if cyclic and start == 1:
-        logv, est, it, res, best = reference_plain_iteration(op, uniform, d, REF_TOL, max_iter, REF_RES_TOL)
-        if logv is not None:
-            return logv, est, it, res, plain
-        raise rpf_finite.NoConvergence(it, best[0])
-    if not cyclic and start == 0:
+    if not cyclic:
         start = uniform if gauge is None else rpf_finite._normalized(warm_start(gauge))
         logv, est, it, res, best = reference_plain_iteration(op, start, d, REF_TOL, max_iter, REF_RES_TOL)
         if logv is not None:
@@ -524,6 +518,15 @@ def reference_solve_side(op, d, gauge, warm_start, gauge_of_logA, max_iter, star
     raise rpf_finite.NoConvergence(spent, best[0])
 
 
+def reference_side(kernel, log_matrix, finite, period, gauge, warm_start, gauge_of_logA, max_iter):
+    """`reference_solve_side` in `rpf_finite._side`'s place: the side in the
+    log domain alone, on the operator and period the module would use."""
+    logA = log_matrix()
+    d = graph_period(finite) if period is None else period
+    op = rpf_finite._log_operator(logA, finite)
+    return reference_solve_side(op, d, gauge, warm_start, gauge_of_logA, max_iter), (None, logA)
+
+
 def solve_outcome(logB, **kwargs):
     """The power iteration's PerronData, or the type, arguments and attributes
     (a NoConvergence's iterations and residual) of the solver error it raised.
@@ -542,9 +545,9 @@ def assert_same_as_reference(logB, **kwargs):
     would otherwise take every gauged and every ungauged period-1 solve on
     a dense support, on both sides of the comparison alike."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(rpf_finite, "_linear_side", log_domain_side)
+        m.setattr(rpf_finite, "_side", log_domain_side)
         new = solve_outcome(logB, **kwargs)
-        m.setattr(rpf_finite, "_solve_side", reference_solve_side)
+        m.setattr(rpf_finite, "_side", reference_side)
         ref = solve_outcome(logB, **kwargs)
     if not isinstance(ref, rpf_finite.PerronData):
         assert new == ref
@@ -771,7 +774,7 @@ def outcome(logB, **kwargs):
 def assert_same_bits_as_parent(logB, **kwargs):
     """As `assert_same_as_reference`, on the log-domain ladder alone."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(rpf_finite, "_linear_side", log_domain_side)
+        m.setattr(rpf_finite, "_side", log_domain_side)
         new = outcome(logB, **kwargs)
         parent_module(m)
         ref = outcome(logB, **kwargs)

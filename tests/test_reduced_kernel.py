@@ -121,7 +121,7 @@ def test_a_reduced_vector_below_the_normal_range_hands_over_to_the_log_domain(mo
     assert runs == ["left the normal range"] * 2
     assert new.chain is None
     with monkeypatch.context() as m:
-        m.setattr(rpf_finite, "_linear_side", log_domain_side)
+        m.setattr(rpf_finite, "_side", log_domain_side)
         old = perron(logB, gauge=gauge.scaled(t))
     for name in ("log_lambda", "log_h", "log_nu", "residual", "path"):
         got, want = np.asarray(getattr(new, name)), np.asarray(getattr(old, name))
@@ -262,7 +262,7 @@ def test_a_sweep_forms_t_w_only_where_a_side_hands_over(monkeypatch):
         assert_same_bits(perron(logB, gauge=sweep.gauge.scaled(t)), logB, t)
     logB = 1024.0 * W
     with monkeypatch.context() as m:
-        m.setattr(rpf_finite, "_linear_side", log_domain_side)
+        m.setattr(rpf_finite, "_side", log_domain_side)
         assert_same_bits(perron(logB, gauge=sweep.gauge.scaled(1024.0)), logB, 1024.0)
 
 

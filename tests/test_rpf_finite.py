@@ -14,6 +14,7 @@ from conftest import (
     power_perron,
     random_stochastic,
     stationary_of,
+    step_budget,
     tied_period_3,
 )
 from gibbsline.bundled import bundled_pair
@@ -125,8 +126,8 @@ class TestPerron:
         # a budget too small for the residual gate: the right side's plain and
         # shifted runs both spend it, and the smallest residual seen is reported
         logB = np.log(np.array([[1.0, 0.1], [0.1, 0.9]]))
-        with pytest.raises(NoConvergence) as exc:
-            perron(logB, max_iter=96)
+        with pytest.raises(NoConvergence) as exc, step_budget(96):
+            perron(logB)
         assert 1e-12 < exc.value.residual <= 1e-10
         assert exc.value.iterations == 2 * 96
         assert perron(logB).path == "plain"

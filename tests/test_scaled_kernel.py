@@ -6,7 +6,8 @@ of log B, with one exp for both sides. Its answers are checked against the
 log-domain ladder (the linear runs patched away with `log_domain_side`) and
 against `dense_gauged_state`; an entry spread beyond the normal range and a
 mid-run underflow against the log-domain bits; and the supports that must
-not reach K by counting the kernels built.
+not reach K by counting the kernels built. Last, the rule by which a side
+picks each run's domain, for sides with and without a gauge.
 """
 
 import numpy as np
@@ -14,9 +15,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_gauged_state, log_domain_side, power_perron
+from conftest import dense_gauged_state, log_domain_side, power_perron, tied_period_3
 from gibbsline import rpf_finite
 from gibbsline.bundled import bundled_pair
+from gibbsline.errors import NoConvergence
+from gibbsline.maxplus import gauge_of
 from gibbsline.rpf_finite import equilibrium, perron, transfer_matrix
 from gibbsline.shift_model import build_truncation, graph_period
 
@@ -26,7 +29,7 @@ NEG_INF = -np.inf
 def log_domain(logB, **kwargs):
     """perron with every side on the log-domain ladder alone."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(rpf_finite, "_linear_side", log_domain_side)
+        m.setattr(rpf_finite, "_side", log_domain_side)
         return perron(logB, **kwargs)
 
 
@@ -218,3 +221,79 @@ def test_the_right_kernel_becomes_the_chain(tie_two_loops):
     assert np.allclose(meas.stationary, ref.stationary, rtol=1e-12, atol=0.0)
     # the component solves of the shipped configs take the same rung
     assert power_perron(np.zeros((2, 2))).chain is not None
+
+
+def record_runs(monkeypatch):
+    """The runs of every side from here on, in order: (domain, run)."""
+    runs = []
+    linear, log = rpf_finite._linear_iteration, rpf_finite._power_iteration
+
+    def linear_run(kernel, shifted, max_iter):
+        runs.append(("linear", "shifted" if shifted else "plain"))
+        return linear(kernel, shifted, max_iter)
+
+    def log_run(op, logv, d, log_sigma, max_iter):
+        runs.append(("log", "plain" if log_sigma == NEG_INF else "shifted"))
+        return log(op, logv, d, log_sigma, max_iter)
+
+    monkeypatch.setattr(rpf_finite, "_linear_iteration", linear_run)
+    monkeypatch.setattr(rpf_finite, "_power_iteration", log_run)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "gauged, with_kernel, expected",
+    [
+        # no gauge: the plain run from the uniform vector on K, the shifted
+        # run from the gauge it builds in the log domain
+        (None, True, [("linear", "plain"), ("log", "shifted")]),
+        (None, False, [("log", "plain"), ("log", "shifted")]),
+        # cyclicity 1: both runs start from the gauge
+        ("aperiodic", True, [("linear", "plain"), ("linear", "shifted")]),
+        ("aperiodic", False, [("log", "plain"), ("log", "shifted")]),
+        # a cyclic gauge: shifted from the gauge, then plain from the
+        # uniform vector, which is no gauge start, in the log domain
+        ("cyclic", True, [("linear", "shifted"), ("log", "plain")]),
+        ("cyclic", False, [("log", "shifted"), ("log", "plain")]),
+    ],
+)
+def test_a_side_runs_linearly_only_from_the_gauge_or_ungauged_plain(gauged, with_kernel, expected, monkeypatch):
+    """One side whose runs all stall on a budget of 3 steps: the ladder's
+    order, and the domain of each run, read from the iterations called."""
+    if gauged == "cyclic":
+        logB = 64.0 * tied_period_3()
+    else:
+        logB = np.log(np.array([[1.0, 0.1], [0.1, 0.9]]))
+    finite = np.isfinite(logB)
+    gauge = None if gauged is None else gauge_of(logB)
+    assert gauge is None or (gauge.cyclicity > 1) == (gauged == "cyclic")
+    kernel = None
+    if with_kernel and gauge is None:
+        kernel = rpf_finite._scaled_kernels(logB, finite)[0]
+    elif with_kernel:
+        kernel = rpf_finite._ReducedSide(logB, finite, gauge.v, gauge.beta).kernel(1.0, gauge, lambda g: g.v)
+    runs = record_runs(monkeypatch)
+    with pytest.raises(NoConvergence) as exc:
+        rpf_finite._side(
+            kernel, lambda: logB, finite, graph_period(finite), gauge, lambda g: g.v, lambda: gauge_of(logB), 3
+        )
+    assert runs == expected
+    assert exc.value.iterations == 2 * 3
+
+
+def test_a_side_that_leaves_the_normal_range_stays_in_the_log_domain(monkeypatch):
+    """A gauged side of cyclicity 1 on a budget of 3 steps, whose kernel
+    (a stand-in, diag(1, 1e-310)) sends the linear plain run below the
+    normal range at its first step: that run is run again in the log
+    domain, and so is the shifted run after it, though it starts from the
+    gauge."""
+    logB = np.log(np.array([[1.0, 0.1], [0.1, 0.9]]))
+    finite = np.isfinite(logB)
+    gauge = gauge_of(logB)
+    assert gauge.cyclicity == 1
+    kernel = rpf_finite._ReducedKernel(np.array([[1.0, 0.0], [0.0, 1e-310]]), 0.0, 0.0)
+    runs = record_runs(monkeypatch)
+    with pytest.raises(NoConvergence) as exc:
+        rpf_finite._side(kernel, lambda: logB, finite, 1, gauge, lambda g: g.v, None, 3)
+    assert runs == [("linear", "plain"), ("log", "plain"), ("log", "shifted")]
+    assert exc.value.iterations == 1 + 2 * 3
