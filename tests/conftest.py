@@ -150,6 +150,18 @@ def tied_period_3() -> np.ndarray:
     return W
 
 
+def sparse_aperiodic(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Weights from -Exp(1) on a Hamiltonian cycle on n symbols, one more
+    successor each and a loop at 0 (-0.5): period 1, and at most 2n + 1
+    edges in n^2 cells."""
+    W = np.full((n, n), -np.inf)
+    perm = rng.permutation(n)
+    W[perm, np.roll(perm, -1)] = -rng.exponential(size=n)
+    W[np.arange(n), rng.integers(n, size=n)] = -rng.exponential(size=n)
+    W[0, 0] = -0.5
+    return W
+
+
 def dense_gauged_state(
     W: np.ndarray, t: float, beta: float | None = None
 ) -> tuple[float, np.ndarray, np.ndarray, float]:

@@ -31,8 +31,9 @@ COMMANDS = ("pressure", "equilibrium", "zerotemp", "entropy-limit", "diagnose", 
 # every command on every shipped config, the two largest sweeps the
 # benchmark runs (the dense full shift at n = 511 and the renewal shift at
 # n = 128), the entropy sweep of the same full shift, the cyclic sweep of
-# the planted 12-symbol model and the pressure of the benchmark's sparse
-# custom model at n = 256, whose configs live beside this file; then the
+# the planted 12-symbol model, and the pressure and the sweep of the
+# benchmark's sparse custom model at n = 256 (whose kernels are stored on
+# the edges), whose configs live beside this file; then the
 # full shift's pressure at n = 127 and t = 1024, whose entries spread too
 # far for a scaled kernel, so both sides run the dense log-domain ladder,
 # and its sweep at n = 1023
@@ -42,6 +43,7 @@ INVOCATIONS = [(cfg, (cmd,)) for cfg in CONFIGS for cmd in COMMANDS] + [
     ("renewal_weighted", ("zerotemp", "--k", "127")),
     ("planted_cyclic", ("zerotemp", "--k", "11")),
     ("custom_n256", ("pressure", "--k", "255", "--t", "2")),
+    ("custom_n256", ("zerotemp", "--k", "255")),
     ("tie_two_loops", ("pressure", "--k", "126", "--t", "1024")),
     ("tie_two_loops", ("zerotemp", "--k", "1022")),
 ]

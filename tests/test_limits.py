@@ -46,8 +46,11 @@ PLANTED = Path(__file__).with_name("planted_cyclic.cfg")
 
 
 def config_path(source: str) -> Path:
-    """A shipped config, or the planted 12-symbol model beside this file."""
-    return PLANTED if source == "planted_cyclic" else CONFIGS / f"{source}.cfg"
+    """A shipped config, or a model beside this file: the planted 12-symbol
+    one or the sparse custom one of 256 symbols."""
+    if source in ("planted_cyclic", "custom_n256"):
+        return Path(__file__).with_name(f"{source}.cfg")
+    return CONFIGS / f"{source}.cfg"
 LQ_P2 = math.log(math.pi**2 / 3 - 3)
 
 
@@ -440,6 +443,7 @@ class TestOneWeightMatrixPerTruncation:
             ("tie_two_loops", None),
             ("tie_two_loops", 255),
             ("planted_cyclic", 11),
+            ("custom_n256", 255),  # sparse: kernels stored on the edges
         ],
     )
     def test_b_sweeps_equal_per_t_solves_bit_for_bit(self, source, k):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from conftest import log_domain_side, power_perron, step_budget, tied_period_3
+from conftest import log_domain_side, power_perron, sparse_aperiodic, step_budget, tied_period_3
 from gibbsline import rpf_finite
 from gibbsline.bundled import bundled_pair
 from gibbsline.errors import NoConvergence, SolverError
@@ -315,23 +315,26 @@ def count_applications(monkeypatch):
 
 
 def count_reduced_applications(monkeypatch):
-    """Count the applications of every reduced kernel perron builds."""
+    """Count the applications of every scaled kernel perron builds, stored n x n or on the edges."""
     counts = []
-    real = rpf_finite._ReducedKernel.__init__
 
-    def counting(kernel, *args):
-        real(kernel, *args)
-        slot = len(counts)
-        counts.append(0)
-        apply = kernel.apply
+    def counting(real):
+        def init(kernel, *args):
+            real(kernel, *args)
+            slot = len(counts)
+            counts.append(0)
+            apply = kernel.apply
 
-        def counted(x):
-            counts[slot] += 1
-            return apply(x)
+            def counted(x):
+                counts[slot] += 1
+                return apply(x)
 
-        kernel.apply = counted
+            kernel.apply = counted
 
-    monkeypatch.setattr(rpf_finite._ReducedKernel, "__init__", counting)
+        return init
+
+    for cls in (rpf_finite._ReducedKernel, rpf_finite._EdgeKernel):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
     return counts
 
 
@@ -342,13 +345,29 @@ class TestApplicationsPerIteration:
     reported steps, instead of one more per residual check."""
 
     def test_plain_solve(self, monkeypatch, renewal_weighted):
+        # the renewal truncation at n = 256 (2n - 1 edges, period 1) by power
+        # iteration: on the log-domain ladder each side applies its CSR
+        # operator iterations + 1 times
         model, f = renewal_weighted
-        tr = build_truncation(model, 255)
+        logB = transfer_matrix(build_truncation(model, 255), f, 2.0)
         counts = count_applications(monkeypatch)
-        pd = power_perron(transfer_matrix(tr, f, 2.0))
+        with monkeypatch.context() as m:
+            m.setattr(rpf_finite, "_side", log_domain_side)
+            pd = power_perron(logB)
         assert pd.path == "plain"
         assert len(counts) == 2
         assert sum(counts) == pd.iterations + 2
+
+    def test_sparse_plain_solve(self, monkeypatch):
+        # the same on edge kernels: a sparse period-1 support at n = 128 runs
+        # its plain runs linearly on the edges and builds no log-domain operator
+        W = sparse_aperiodic(128, np.random.default_rng(128))
+        counts = count_applications(monkeypatch)
+        kernels = count_reduced_applications(monkeypatch)
+        pd = perron(2.0 * W)
+        assert pd.path == "plain" and pd.chain is not None
+        assert counts == [] and len(kernels) == 2
+        assert sum(kernels) == pd.iterations + 2
 
     def test_gauged_sweep(self, monkeypatch, tie_two_loops):
         # a gauged solve iterates on one reduced kernel per side and builds
