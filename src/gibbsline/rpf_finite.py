@@ -1,10 +1,10 @@
 """Finite-alphabet thermodynamics via the log-domain transfer matrix.
 
 Everything spectral stays in log space with log-sum-exp reductions, or in
-linear coordinates on a scaled kernel (gauged solves, and the ungauged ones
-whose entries keep normal floats once scaled): inverse temperatures up to
-~10^3 make the matrix entries exp(t f) underflow long before the quantities
-of interest do.
+linear coordinates on a scaled kernel (gauged solves on dense supports, and
+the ungauged ones whose entries also keep normal floats once scaled):
+inverse temperatures up to ~10^3 make the matrix entries exp(t f) underflow
+long before the quantities of interest do.
 
 A 1 x 1 support with a finite entry c is the loop alone: `perron` returns
 log lambda = c and log h = log nu = 0 at once, which is the first-return
@@ -53,34 +53,28 @@ run after it, to the log domain, with the log-domain answer bit for bit. A
 linear plain run needs no period: an ungauged side has a kernel only on a
 support of period 1, and a gauged plain run comes first only under
 cyclicity 1, whose critical components hold cycles of coprime lengths, and
-the period divides every cycle length. The support decides only how a
-kernel is stored (`_edge_lists`): n x n, applied as one BLAS matvec, where
-the edges fill more than 1/_REDUCED_MIN_FILL of the cells (`_dense`), and
-otherwise on the edges in row order (`_EdgeKernel`, CSR), applied by a
-gather and np.add.reduceat at the cost of the edges. A sparse side that
-hands over to the log domain builds its CSR operator on the kernel's edge
-list.
+the period divides every cycle length. A kernel is n x n and costs n^2 a
+step, so it needs a support whose edges fill enough of the cells (`_dense`):
+more than 1/_SCALED_MIN_FILL for an ungauged solve (the sparse custom
+n = 256 model of the benchmark fills 1/64), and more than
+1/_REDUCED_MIN_FILL for a gauged side:
 
 - No gauge: on a support of period 1, K = exp(log B - m), m the largest
-  entry of log B, from one exp of the matrix or of its edges; the right
-  side iterates on K, the left on K^T (on a sparse support, the same
-  entries in column order), with log lambda = m + log rho
-  (`_scaled_kernels`). K is
+  entry of log B, from one exp in one buffer; the right side iterates on K,
+  the left on K^T, with log lambda = m + log rho (`_scaled_kernels`). K is
   used only where every edge keeps a normal entry, that is where the finite
   entries of log B spread over at most _NORMAL_SPREAD = log(1/tiny), about
   708: an edge that underflowed or went subnormal would change the matrix,
   and the residual gate, which reads K, would not see it.
 - With a gauge: the reduced kernels K_r = exp(log B - t beta + t v_j - t
   v_i) on the right and K_l = exp(log B^T - t beta + t u_j - t u_i) on the
-  left (`_ReducedKernel`, or `_EdgeKernel` on a sparse support; one exp of
-  the matrix or of its edges per side). The exponents
+  left (`_ReducedKernel`, one exp of the matrix per side). The exponents
   are <= 0 and reach 0 on every row, so K is scaled at any t (Akian, Bapat
   and Gaubert, C. R. Acad. Sci. Paris 1998). A sweep builds each side's
   t-free exponent E = (W + v_j) - (v_i + beta) once (`_ReducedSide`, from W
-  and f's own gauge; the left one from W^T and u; on a sparse support per
-  edge, with the expression of its cell), and a step to the next t costs
-  one multiply t E and one exp per side, in one buffer the two sides share
-  (`GaugedSweep`); a lone gauged `perron` builds E from log B and the
+  and f's own gauge; the left one from W^T and u), and a step to the next t
+  costs one multiply t E and one exp per side, in one buffer the two sides
+  share (`GaugedSweep`); a lone gauged `perron` builds E from log B and the
   scaled gauge and takes t = 1. For t a power of two (every default t of
   the sweeps), t E equals the lone exponent (t W + t v_j) - (t v_i + t
   beta) bit for bit unless an intermediate is subnormal, so the sweep and
@@ -95,17 +89,16 @@ list.
 
 When the right side converged linearly, its kernel becomes the chain of
 `equilibrium` (P_ij = K_ij x_j, rows renormalized), which so needs no exp
-of its own; in a sweep on a dense support that chain is the buffer the two
-sides share, so a sweep's measure is valid until the sweep's next t. On a
-sparse support the chain is a new n x n array, zero off the edges, into
-which the kernel's entries are scattered.
+of its own; in a sweep that chain is the buffer the two sides share, so a
+sweep's measure is valid until the sweep's next t.
 
 The gauge is linear in t: beta, v and u of t f are t times those of f, so a
 sweep computes them once from f's critical decomposition and rescales. A
 sweep reads its support once, from W: supports of at most 2n - 1 edges
-(which the first-return path may take) solve each t by `perron` on t W,
-and t W is formed for the others only when a side hands over to the log
-domain, once per such side: the right side's t W also gives the chain.
+(which the first-return path may take) or that are sparse solve each t by
+`perron` on t W, and t W is formed for the others only when a side hands
+over to the log domain, once per such side: the right side's t W also
+gives the chain.
 
 Each side of a log-domain run builds its transfer operator, the map
 logv -> log(B exp(logv)), once, with the kernel its support calls for: a CSR
@@ -129,7 +122,7 @@ and each of these is several numpy calls. A linear step is one matvec, one
 sum, one division and one minimum. That is why ungauged period-1 solves go
 linear: on dense supports those are most of the bundled configs' pressure
 grids and critical components, and on a sparse one a log-domain step pays
-an exp and a log per edge where a linear step pays a multiply.
+an exp and a log per edge, more than a matvec of n^2 cells up to n = 512.
 
 Every exponential of a difference to a maximum (`_exp_below`, under the
 log-sum-exps, the CSR kernel and the dense absorption), the reduced kernels
@@ -384,43 +377,31 @@ def _log_operator(logA: np.ndarray, finite: np.ndarray | None = None) -> _CsrLog
     return _DenseLogOperator(logA)
 
 
-# a kernel is stored n x n, and applied as a BLAS matvec, when the edges
-# fill more than 1/32 of the cells, and on its edges otherwise, where an
-# application costs its edges: a gather, a multiply and np.add.reduceat.
-# On a 2-vCPU x86-64 VM with numpy 2.4 and one BLAS thread, one linear step
-# (application, sum, division, minimum) on a Hamiltonian cycle with random
-# further edges took, in us, dense / on the edges:
-#     fill    n = 128    n = 256    n = 512    n = 1024
-#     1/64    12 / 11    18 / 18    71 / 33    452 / 100
-#     1/32    11 / 13    21 / 20    102 / 52   446 / 92
-#     1/16    13 / 16    19 / 27    124 / 83   444 / 225
-# so the two break even near 1/32 up to n = 256 (at n <= 64 a step costs
-# its numpy calls either way); the custom n = 12 model of the benchmark
-# fills 1/3 of its cells, and its sparse n = 256 model 1/64
+# a scaled kernel is stored n x n and costs n^2 a step, while the log-domain
+# CSR operator costs its edges, so a side steps linearly only where the edges
+# fill enough of the cells. On a 2-vCPU x86-64 VM with numpy 2.4 and one BLAS
+# thread, an ungauged perron on a Hamiltonian cycle, a loop and random
+# further edges took, in ms, on the scaled kernel / in the log domain (equal
+# iterations):
+#     fill    n = 256       n = 512       n = 1024
+#     1/32    2.7 / 10.2    6.6 / 12.7    34.9 / 45.7
+#     1/64    3.8 / 13.6    7.4 / 12.3    39.5 / 40.1
+#     1/128   8.0 / 24.4    11.6 / 19.4   47.2 / 40.7
+#     1/256                 28.0 / 35.5   66.2 / 47.2
+# Ungauged solves take the kernel above 1/128 (the sparse custom n = 256
+# model of the benchmark fills 1/64): one fill for every n, so it passes up
+# n = 512 at 1/256 and takes n = 1024 at 1/128. Gauged sides keep the 1/32
+# their reduced kernels came in with, since no benchmark workload runs a
+# sparse gauged sweep to measure; the custom n = 12 model of the benchmark
+# fills 1/3 of its cells.
 _REDUCED_MIN_FILL = 32
+_SCALED_MIN_FILL = 128
 
 
-def _dense(finite: np.ndarray) -> bool:
-    """Whether the support `finite` is dense enough for kernels stored n x n."""
-    return _REDUCED_MIN_FILL * np.count_nonzero(finite) > finite.size
-
-
-def _edge_lists(finite: np.ndarray) -> tuple[tuple, tuple, np.ndarray] | None:
-    """The edges of a sparse support, on which its kernels are stored.
-
-    Returns (right, left, order): right = (rows, cols) in row order, left =
-    (cols, rows) of the same edges in column order (the edges of the
-    transpose in its row order), and order the permutation that takes the
-    first to the second. None on a dense support (`_dense`), whose kernels
-    are stored n x n, and on a support with an empty row or column, which
-    no irreducible one has and which a sum over rows by np.add.reduceat
-    would misread.
-    """
-    if _dense(finite) or not (finite.any(axis=0).all() and finite.any(axis=1).all()):
-        return None
-    rows, cols = np.divmod(np.flatnonzero(finite), finite.shape[0])
-    order = np.argsort(cols, kind="stable")
-    return (rows, cols), (cols[order], rows[order]), order
+def _dense(finite: np.ndarray, min_fill: int = _REDUCED_MIN_FILL) -> bool:
+    """Whether the edges of the support `finite` fill more than 1/min_fill
+    of its cells."""
+    return min_fill * np.count_nonzero(finite) > finite.size
 
 
 class _ReducedSide:
@@ -435,29 +416,20 @@ class _ReducedSide:
     takes t = 1, a sweep the t of its step. For t a power of two, t E is the
     exponent (t logA + t b_j) - (t b_i + t beta) of a lone solve on t logA
     with the gauge scaled by t, bit for bit, unless an intermediate is
-    subnormal: scaling by 2^k commutes with rounding. With `edges`, the
-    side's edge list from `_edge_lists`, E and the kernels are stored on the
-    edges, each entry from the expression of its cell.
+    subnormal: scaling by 2^k commutes with rounding.
     """
 
-    def __init__(self, logA: np.ndarray, finite: np.ndarray, bias: np.ndarray, beta: float, out=None, edges=None):
-        if edges is None:
-            E = np.add(logA, bias[None, :])
-            E -= (bias + beta)[:, None]
-        else:
-            rows, cols = edges
-            E = np.add(logA[rows, cols], bias[cols])
-            E -= (bias + beta)[rows]
-        self.E, self.logA, self.finite, self.edges = E, logA, finite, edges
+    def __init__(self, logA: np.ndarray, finite: np.ndarray, bias: np.ndarray, beta: float, out=None):
+        E = np.add(logA, bias[None, :])
+        E -= (bias + beta)[:, None]
+        self.E, self.logA, self.finite = E, logA, finite
         self.out = E if out is None else out
 
-    def kernel(self, t: float, gauge: MaxPlusGauge, warm_start) -> _ReducedKernel | _EdgeKernel:
+    def kernel(self, t: float, gauge: MaxPlusGauge, warm_start) -> _ReducedKernel:
         """The side's reduced kernel at t, one multiply and one exp in its
         buffer; gauge is the max-plus gauge of t logA."""
         K = _exp_nonzero(np.multiply(self.E, t, out=self.out))
-        if self.edges is None:
-            return _ReducedKernel(K, warm_start(gauge), gauge.beta)
-        return _EdgeKernel(self.edges, K, warm_start(gauge), gauge.beta)
+        return _ReducedKernel(K, warm_start(gauge), gauge.beta)
 
     def log_matrix(self, t: float) -> np.ndarray:
         """t logA, the side's matrix for the log domain (formed on a handover only)."""
@@ -472,11 +444,8 @@ class _ReducedKernel:
     entry of log B (`_scaled_kernels`). Every row of K reaches 1 on a gauged
     side, and the largest entry of K is 1 on an ungauged one, so a linear
     power iteration on K needs no log domain: its Perron vector is h e^{-b}
-    (or nu e^{-b}) and its Perron root lambda e^{-c}. K is stored n x n;
-    `_EdgeKernel` is the same kernel stored on the edges of a sparse support.
+    (or nu e^{-b}) and its Perron root lambda e^{-c}.
     """
-
-    edges = None  # the log domain reads the support itself on a handover
 
     def __init__(self, K: np.ndarray, bias: np.ndarray | float, scale: float):
         self.n = K.shape[0]
@@ -492,65 +461,24 @@ class _ReducedKernel:
         return P
 
 
-class _EdgeKernel:
-    """`_ReducedKernel` stored on the edges of a sparse support.
-
-    edges = (rows, cols) in row order, every row holding one, and K the
-    kernel's entries on them. An application gathers x at the columns and
-    sums each row with np.add.reduceat, at the cost of the edges rather than
-    of n^2 cells. A handover to the log domain builds its CSR operator on
-    the same edge list.
-    """
-
-    def __init__(self, edges: tuple[np.ndarray, np.ndarray], K: np.ndarray, bias: np.ndarray | float, scale: float):
-        rows, cols = self.edges = edges
-        self.n = int(rows[-1]) + 1
-        self.starts = np.searchsorted(rows, np.arange(self.n))
-        self.K, self.bias, self.scale = K, bias, scale
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(self.K * x[self.edges[1]], self.starts)
-
-    def chain(self, x: np.ndarray) -> np.ndarray:
-        """The stochastic matrix K_ij x_j / sum_j K_ij x_j as a new n x n
-        array, zero off the edges, from the kernel's entries in place, so
-        the kernel serves no further application."""
-        rows, cols = self.edges
-        w = np.multiply(self.K, x[cols], out=self.K)
-        w /= np.add.reduceat(w, self.starts)[rows]
-        P = np.zeros((self.n, self.n))
-        P[rows, cols] = w
-        return P
-
-
 # np.exp(-_NORMAL_SPREAD) is still a normal float (2.2250738585072626e-308
 # against np.finfo(float).tiny = 2.2250738585072014e-308)
 _NORMAL_SPREAD = -math.log(_TINY)
 
 
-def _scaled_kernels(
-    logB: np.ndarray, finite: np.ndarray
-) -> tuple[_ReducedKernel, _ReducedKernel] | tuple[_EdgeKernel, _EdgeKernel] | None:
+def _scaled_kernels(logB: np.ndarray, finite: np.ndarray) -> tuple[_ReducedKernel, _ReducedKernel] | None:
     """The right and left kernels of an ungauged solve, K = exp(log B - m)
-    and K^T, m the largest entry of log B, from one exp; or None when some
-    edge of K would not be a normal float, that is when the spread m - min
-    of the finite entries exceeds _NORMAL_SPREAD. An underflowed or
-    subnormal edge would change the matrix the iteration solves, and the
-    residual gate, which reads K, could not see it. On a dense support K is
-    one n x n buffer, the left kernel its transpose; on a sparse one K holds
-    the edges' entries, and the left kernel the same entries in column
-    order (`_edge_lists`).
+    and K^T, m the largest entry of log B, from one exp in one buffer; or
+    None when some edge of K would not be a normal float, that is when the
+    spread m - min of the finite entries exceeds _NORMAL_SPREAD. An
+    underflowed or subnormal edge would change the matrix the iteration
+    solves, and the residual gate, which reads K, could not see it.
     """
-    lists = _edge_lists(finite)
-    vals, live = (logB, finite) if lists is None else (logB[lists[0]], True)
-    top = float(vals.max())
-    if top - float(vals.min(where=live, initial=math.inf)) > _NORMAL_SPREAD:
+    top = float(logB.max())
+    if top - float(logB.min(where=finite, initial=math.inf)) > _NORMAL_SPREAD:
         return None
-    K = _exp_nonzero(np.subtract(vals, top))
-    if lists is None:
-        return _ReducedKernel(K, 0.0, top), _ReducedKernel(K.T, 0.0, top)
-    right, left, order = lists
-    return _EdgeKernel(right, K, 0.0, top), _EdgeKernel(left, K[order], 0.0, top)
+    K = _exp_nonzero(np.subtract(logB, top))
+    return _ReducedKernel(K, 0.0, top), _ReducedKernel(K.T, 0.0, top)
 
 
 def _window_average(v_hist: list[np.ndarray], s_hist: list[float], est: float) -> np.ndarray:
@@ -723,9 +651,9 @@ def _linear_iteration(
 
 
 def _side(
-    kernel: _ReducedKernel | _EdgeKernel | None, log_matrix, finite: np.ndarray, period: int | None,
+    kernel: _ReducedKernel | None, log_matrix, finite: np.ndarray, period: int | None,
     gauge: MaxPlusGauge | None, warm_start, gauge_of_logA, max_iter: int,
-) -> tuple[tuple[np.ndarray, float, int, float, str], tuple[_ReducedKernel | _EdgeKernel | None, np.ndarray]]:
+) -> tuple[tuple[np.ndarray, float, int, float, str], tuple[_ReducedKernel | None, np.ndarray]]:
     """Perron vector of one side, by the ladder of the module docstring.
 
     Returns ((log_vec, log_lambda, iterations, residual, path), (kernel, x))
@@ -760,8 +688,7 @@ def _side(
                 continue
         if op is None:
             logA = log_matrix()
-            edges = None if kernel is None else kernel.edges
-            op = _log_operator(logA, finite) if edges is None else _CsrLogOperator(logA, finite, edges)
+            op = _log_operator(logA, finite)
             if period is None:
                 period = graph_period(finite)
         if shifted:
@@ -922,9 +849,10 @@ def _step_budget(n: int) -> int:
 
 def _power_perron(logB: np.ndarray, finite: np.ndarray, gauge: MaxPlusGauge | None = None) -> PerronData:
     """Perron data by power iteration on both sides; finite = np.isfinite(logB)."""
-    if gauge is not None:
+    if gauge is not None and _dense(finite):
         # a lone gauged solve: the sweep's reduced perron at t = 1
-        pd, (kernel, x) = _reduced_perron(*_reduced_sides(logB, finite, gauge, shared=False), 1.0, gauge)
+        left = _ReducedSide(logB.T, finite.T, gauge.u, gauge.beta)
+        pd, (kernel, x) = _reduced_perron(left, _ReducedSide(logB, finite, gauge.v, gauge.beta), 1.0, gauge)
         return pd if kernel is None else replace(pd, chain=(logB, kernel.chain(x)))
     max_iter = _step_budget(logB.shape[0])
     d = graph_period(finite)
@@ -936,7 +864,8 @@ def _power_perron(logB: np.ndarray, finite: np.ndarray, gauge: MaxPlusGauge | No
             found.append(gauge_of(logB))
         return found[0]
 
-    kernels = (_scaled_kernels(logB, finite) if d == 1 else None) or (None, None)
+    ungauged = gauge is None and d == 1 and _dense(finite, _SCALED_MIN_FILL)
+    kernels = (_scaled_kernels(logB, finite) if ungauged else None) or (None, None)
     # the right side goes first; its kernel becomes the chain only once the
     # left side is done with K^T
     right, (kernel, x) = _side(kernels[0], lambda: logB, finite, d, gauge, lambda g: g.v, gauge_of_logB, max_iter)
@@ -945,38 +874,15 @@ def _power_perron(logB: np.ndarray, finite: np.ndarray, gauge: MaxPlusGauge | No
     return pd if kernel is None else replace(pd, chain=(logB, kernel.chain(x)))
 
 
-def _reduced_sides(
-    logA: np.ndarray, finite: np.ndarray, gauge: MaxPlusGauge, shared: bool
-) -> tuple[_ReducedSide, _ReducedSide]:
-    """The left and right `_ReducedSide` of logA (W for a sweep, log B for a
-    lone solve) under its gauge, stored n x n or on the edges as the support
-    calls for (`_edge_lists`). With shared, both sides build their kernels
-    in one buffer, the left side's transposed on a dense support (so it
-    stays column-major, as logA.T's exponent is, and its matvec keeps the
-    BLAS path and the bits of a lone solve); else each in its exponent."""
-    lists = _edge_lists(finite)
-    right, left = (None, None) if lists is None else lists[:2]
-    right_buf = left_buf = None
-    if shared and lists is None:
-        right_buf = np.empty_like(logA)
-        left_buf = right_buf.T
-    elif shared:
-        right_buf = left_buf = np.empty(right[0].size)
-    return (
-        _ReducedSide(logA.T, finite.T, gauge.u, gauge.beta, left_buf, left),
-        _ReducedSide(logA, finite, gauge.v, gauge.beta, right_buf, right),
-    )
-
-
 def _reduced_perron(
     left: _ReducedSide, right: _ReducedSide, t: float, gauge: MaxPlusGauge
-) -> tuple[PerronData, tuple[_ReducedKernel | _EdgeKernel | None, np.ndarray]]:
+) -> tuple[PerronData, tuple[_ReducedKernel | None, np.ndarray]]:
     """Perron data of exp(t logA) from both sides' reduced kernels, and the
     right side's (kernel, x) or (None, t logA) (see `_side`), from which the
     chain is built. gauge is the max-plus gauge of t logA. The left side
     goes first, so that the right kernel is the last one built in a buffer
     the two sides share."""
-    max_iter = _step_budget(right.logA.shape[0])
+    max_iter = _step_budget(right.E.shape[0])
     answers = []
     for side, warm_start in ((left, lambda g: g.u), (right, lambda g: g.v)):
         kernel = side.kernel(t, gauge, warm_start)
@@ -1087,26 +993,28 @@ class GaugedSweep:
     (not of t*f) on the truncation; `equilibrium_measure(trunc, f, t,
     sweep)` solves t*f with the gauge scaled by t. The support is read once,
     from W. Where it has more than 2n - 1 edges (which the first-return
-    path turns away, see `_first_return`), both sides' exponents are built
-    here once (`_reduced_sides`: n x n where the edges fill more than
-    1/_REDUCED_MIN_FILL of the cells, the left one from W^T, which stays
-    column-major, so that the left matvec keeps the BLAS path and the bits
-    of a lone solve; on the edges otherwise), and every t costs one
-    multiply and one exp per side, in one buffer: the left side uses it
-    first, then the right side, whose kernel becomes the chain (on a dense
-    support the buffer itself). So a measure of the sweep is valid until
-    its next t. t W is formed only for a side that hands over to the log
-    domain, and the right side's then gives the chain. Every other support
-    solves each t on t W (on transfer_matrix at t <= 0) by `perron`, as a
-    lone gauged solve.
+    path turns away, see `_first_return`) and fills more than
+    1/_REDUCED_MIN_FILL of the cells, both sides' exponents are built here
+    once (`_ReducedSide`; the left one from W^T, which stays column-major,
+    so that the left matvec keeps the BLAS path and the bits of a lone
+    solve), and every t costs one multiply and one exp per side, in one
+    n x n buffer: the left side uses it first, then the right side, whose
+    kernel becomes the chain. So a measure of the sweep is valid until its
+    next t. t W is formed only for a side that hands over to the log
+    domain, and the right side's then gives the chain. Every other support solves each t on t W (on transfer_matrix
+    at t <= 0) by `perron`, as a lone gauged solve.
     """
 
     def __init__(self, W: np.ndarray, gauge: MaxPlusGauge):
         self.W, self.gauge = W, gauge
         finite = np.isfinite(W)
         self.sides = None
-        if np.count_nonzero(finite) > 2 * W.shape[0] - 1:
-            self.sides = _reduced_sides(W, finite, gauge, shared=True)
+        if np.count_nonzero(finite) > 2 * W.shape[0] - 1 and _dense(finite):
+            buf = np.empty_like(W)
+            self.sides = (
+                _ReducedSide(W.T, finite.T, gauge.u, gauge.beta, buf.T),
+                _ReducedSide(W, finite, gauge.v, gauge.beta, buf),
+            )
 
 
 def equilibrium_measure(
@@ -1116,10 +1024,9 @@ def equilibrium_measure(
 
     `sweep` is the GaugedSweep of f on this truncation, when the caller
     steps through ts: the solve then takes its gauge scaled by t and, for
-    t > 0, its reduced exponents (stored n x n or on the support's edges)
-    or its weight matrix (t * W is `transfer_matrix(trunc, f, t)` bit for
-    bit: 1.0 * x = x, t * -inf = -inf), and the measure is valid until the
-    sweep's next t. Without it,
+    t > 0, its reduced exponents or its weight matrix (t * W is
+    `transfer_matrix(trunc, f, t)` bit for bit: 1.0 * x = x, t * -inf =
+    -inf), and the measure is valid until the sweep's next t. Without it,
     or at t <= 0, the transfer matrix is built here.
     NoConvergence when the solve does not converge (see `perron`).
     """

@@ -32,11 +32,10 @@ COMMANDS = ("pressure", "equilibrium", "zerotemp", "entropy-limit", "diagnose", 
 # benchmark runs (the dense full shift at n = 511 and the renewal shift at
 # n = 128), the entropy sweep of the same full shift, the cyclic sweep of
 # the planted 12-symbol model, and the pressure and the sweep of the
-# benchmark's sparse custom model at n = 256 (whose kernels are stored on
-# the edges), whose configs live beside this file; then the
-# full shift's pressure at n = 127 and t = 1024, whose entries spread too
-# far for a scaled kernel, so both sides run the dense log-domain ladder,
-# and its sweep at n = 1023
+# benchmark's sparse custom model at n = 256, whose configs live beside
+# this file; then the full shift's pressure at n = 127 and t = 1024, whose
+# entries spread too far for a scaled kernel, so both sides run the dense
+# log-domain ladder, and its sweep at n = 1023
 INVOCATIONS = [(cfg, (cmd,)) for cfg in CONFIGS for cmd in COMMANDS] + [
     ("tie_two_loops", ("zerotemp", "--k", "510")),
     ("tie_two_loops", ("entropy-limit", "--k", "510")),

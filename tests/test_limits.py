@@ -443,7 +443,7 @@ class TestOneWeightMatrixPerTruncation:
             ("tie_two_loops", None),
             ("tie_two_loops", 255),
             ("planted_cyclic", 11),
-            ("custom_n256", 255),  # sparse: kernels stored on the edges
+            ("custom_n256", 255),  # sparse: every t on the log-domain ladder
         ],
     )
     def test_b_sweeps_equal_per_t_solves_bit_for_bit(self, source, k):

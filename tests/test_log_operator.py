@@ -315,26 +315,23 @@ def count_applications(monkeypatch):
 
 
 def count_reduced_applications(monkeypatch):
-    """Count the applications of every scaled kernel perron builds, stored n x n or on the edges."""
+    """Count the applications of every reduced kernel perron builds."""
     counts = []
+    real = rpf_finite._ReducedKernel.__init__
 
-    def counting(real):
-        def init(kernel, *args):
-            real(kernel, *args)
-            slot = len(counts)
-            counts.append(0)
-            apply = kernel.apply
+    def counting(kernel, *args):
+        real(kernel, *args)
+        slot = len(counts)
+        counts.append(0)
+        apply = kernel.apply
 
-            def counted(x):
-                counts[slot] += 1
-                return apply(x)
+        def counted(x):
+            counts[slot] += 1
+            return apply(x)
 
-            kernel.apply = counted
+        kernel.apply = counted
 
-        return init
-
-    for cls in (rpf_finite._ReducedKernel, rpf_finite._EdgeKernel):
-        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    monkeypatch.setattr(rpf_finite._ReducedKernel, "__init__", counting)
     return counts
 
 
@@ -345,23 +342,23 @@ class TestApplicationsPerIteration:
     reported steps, instead of one more per residual check."""
 
     def test_plain_solve(self, monkeypatch, renewal_weighted):
-        # the renewal truncation at n = 256 (2n - 1 edges, period 1) by power
-        # iteration: on the log-domain ladder each side applies its CSR
-        # operator iterations + 1 times
+        # the renewal truncation at n = 256 fills 511 of 65,536 cells, at
+        # most 1/128, so both sides run in the log domain
         model, f = renewal_weighted
         logB = transfer_matrix(build_truncation(model, 255), f, 2.0)
+        assert not rpf_finite._dense(np.isfinite(logB), rpf_finite._SCALED_MIN_FILL)
         counts = count_applications(monkeypatch)
-        with monkeypatch.context() as m:
-            m.setattr(rpf_finite, "_side", log_domain_side)
-            pd = power_perron(logB)
+        pd = power_perron(logB)
         assert pd.path == "plain"
         assert len(counts) == 2
         assert sum(counts) == pd.iterations + 2
 
     def test_sparse_plain_solve(self, monkeypatch):
-        # the same on edge kernels: a sparse period-1 support at n = 128 runs
-        # its plain runs linearly on the edges and builds no log-domain operator
+        # the same on a sparse period-1 support whose edges fill more than
+        # 1/128 of the cells (128 symbols): its plain runs go linearly on the
+        # n x n kernel and it builds no log-domain operator
         W = sparse_aperiodic(128, np.random.default_rng(128))
+        assert not rpf_finite._dense(np.isfinite(W))
         counts = count_applications(monkeypatch)
         kernels = count_reduced_applications(monkeypatch)
         pd = perron(2.0 * W)

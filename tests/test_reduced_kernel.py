@@ -150,11 +150,11 @@ def test_a_stalled_linear_run_goes_to_the_next_run_of_the_ladder(monkeypatch):
             perron(t * W, gauge=gauge.scaled(t))
 
 
-def test_a_sparse_support_runs_linearly_on_edge_kernels(monkeypatch):
+def test_a_sparse_support_takes_the_log_domain_ladder(monkeypatch):
     """64 symbols on a Hamiltonian cycle with one more successor each: the
-    edges fill at most 1/32 of the cells, so the gauged solves store their
-    reduced kernels on the edges, never n x n, run linearly from the gauge,
-    bring the chain, and match the dense oracle."""
+    edges fill at most 1/32 of the cells, so the gauged solves build no
+    reduced kernel, run the log-domain ladder from the gauge and bring no
+    chain, and match the dense oracle."""
     rng = np.random.default_rng(64)
     n = 64
     perm = rng.permutation(n)
@@ -165,19 +165,12 @@ def test_a_sparse_support_runs_linearly_on_edge_kernels(monkeypatch):
     f = MarkovPotential(model, Family.TABLE, table=tuple((i, j, w) for (i, j), w in sorted(weights.items())))
     trunc = build_truncation(model, n - 1)
     assert rpf_finite._REDUCED_MIN_FILL * len(weights) <= n * n
-    built, edge_kernels = [], []
+    built = []
     monkeypatch.setattr(rpf_finite, "_ReducedKernel", lambda *args: built.append(args))
-    edge_init = rpf_finite._EdgeKernel.__init__
-    monkeypatch.setattr(
-        rpf_finite._EdgeKernel, "__init__", lambda kernel, *args: edge_kernels.append(args) or edge_init(kernel, *args)
-    )
-    runs = record_linear_runs(monkeypatch)
-    ts = (2.0, 16.0, 128.0, 1024.0)
-    W, solves = solve_sweep(trunc, f, ts)
-    assert built == [] and len(edge_kernels) == 2 * len(ts)
-    assert runs.count("converged") == 2 * len(ts)
+    W, solves = solve_sweep(trunc, f, (2.0, 16.0, 128.0, 1024.0))
+    assert built == []
     for t, pd, meas in solves:
-        assert pd.chain is not None and pd.chain[1].shape == (n, n)
+        assert pd.chain is None
         assert_matches_oracle(pd, meas, W, t)
 
 
@@ -311,29 +304,3 @@ def test_a_sweep_builds_each_exponent_once_and_each_kernel_in_one_buffer(monkeyp
     assert all(K is buf for K in kernels[1::2])
     assert all(K.base is buf and K.flags.f_contiguous for K in kernels[::2])
     assert len(stochastic) == len(ZT_TS_DEFAULT) and all(P is buf for P in stochastic)
-
-
-def test_a_sparse_sweep_steps_on_the_edges_and_scatters_its_chain(monkeypatch):
-    """The sweep of the sparse custom model at n = 256 (1,019 edges): both
-    sides' exponents and their one shared buffer hold the edges, each t
-    costs one exp over the edges per side and none for the measure, whose P
-    is a new n x n array that is zero off the support."""
-    cfg = parse_model_config((HERE / "custom_n256.cfg").read_text())
-    trunc = build_truncation(cfg.model, 255)
-    sweep = sweep_of(trunc, cfg.potential)
-    finite = np.isfinite(sweep.W)
-    edges = np.count_nonzero(finite)
-    left, right = sweep.sides
-    assert left.E.shape == right.E.shape == (edges,) and left.out is right.out
-    exps = []
-    real = rpf_finite._exp_nonzero
-    monkeypatch.setattr(rpf_finite, "_exp_nonzero", lambda x: exps.append(x.shape) or real(x))
-    previous = None
-    for t in (2.0, 4.0, 64.0):
-        exps.clear()
-        _, meas = equilibrium_measure(trunc, cfg.potential, t, sweep=sweep)
-        # beside the log-sum-exps of vectors
-        assert [shape for shape in exps if shape != (256,)] == [(edges,), (edges,)], t
-        assert meas.stochastic is not previous and np.all(meas.stochastic[~finite] == 0.0), t
-        assert np.allclose(meas.stochastic.sum(axis=1), 1.0, rtol=0.0, atol=1e-15), t
-        previous = meas.stochastic

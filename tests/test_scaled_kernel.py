@@ -1,15 +1,15 @@
 """Ungauged solves on the scaled kernel K = exp(log B - m), against the log-domain ladder.
 
-An ungauged solve on a support of period 1 whose entries spread over at
-most log(1/tiny) runs its plain run linearly on K, m the largest entry of
-log B, with one exp for both sides; K is stored n x n on a dense support
-and on the edges of a sparse one. Its answers are checked against the
-log-domain ladder (the linear runs patched away with `log_domain_side`) and
-against `dense_gauged_state`; an entry spread beyond the normal range and a
-mid-run underflow against the log-domain bits; and the supports that must
-not reach K by counting the kernels built. Sparse supports get the same
-checks on edge kernels, gauged solves among them. Last, the rule by which a
-side picks each run's domain, for sides with and without a gauge.
+An ungauged solve on a support of period 1 whose edges fill more than 1/128
+of the cells and whose entries spread over at most log(1/tiny) runs its
+plain run linearly on K, m the largest entry of log B, with one exp for
+both sides. Its answers are checked against the log-domain ladder (the
+linear runs patched away with `log_domain_side`) and against
+`dense_gauged_state`; an entry spread beyond the normal range and a mid-run
+underflow against the log-domain bits; and the supports that must not reach
+K by counting the kernels built. Sparse supports, on which gauged solves
+stay on the log-domain ladder, get the same checks. Last, the rule by which
+a side picks each run's domain, for sides with and without a gauge.
 """
 
 import numpy as np
@@ -102,6 +102,29 @@ def tied_shift(t):
     return t * W
 
 
+def sparse_kernel_support(finite):
+    """Whether an ungauged solve on `finite` takes the n x n kernel while a
+    gauged one stays on the log-domain ladder: edges in more than 1/128 of
+    the cells and in at most 1/32."""
+    return rpf_finite._dense(finite, rpf_finite._SCALED_MIN_FILL) and not rpf_finite._dense(finite)
+
+
+def sparse_tied_component(t):
+    """127 symbols on a cycle with one more successor each and a loop at 0,
+    all at weight 0, and a loop at 127 (0) coupled by 126 -> 127 and 127 ->
+    0 at weight -1, times t: sparse, with entries that spread over t. The
+    component's Perron root is near 2, so the Perron vectors carry about
+    e^{-t} / 127 at 127 on both sides."""
+    n = 128
+    W = np.full((n, n), NEG_INF)
+    W[np.arange(n - 1), (np.arange(n - 1) + 1) % (n - 1)] = 0.0
+    W[np.arange(n - 1), np.random.default_rng(127).integers(n - 1, size=n - 1)] = 0.0
+    W[0, 0] = W[n - 1, n - 1] = 0.0
+    W[n - 2, n - 1] = W[n - 1, 0] = -1.0
+    assert sparse_kernel_support(np.isfinite(W))
+    return t * W
+
+
 def assert_log_domain_bits(new, old, iterations_too):
     for name in ("log_lambda", "log_h", "log_nu", "residual", "path") + (("iterations",) if iterations_too else ()):
         got, want = np.asarray(getattr(new, name)), np.asarray(getattr(old, name))
@@ -112,25 +135,28 @@ def assert_log_domain_bits(new, old, iterations_too):
 def test_an_entry_spread_beyond_the_normal_range_runs_in_the_log_domain(monkeypatch):
     """At t = 709 the entries spread over 709 > log(1/tiny) = 708.396, so
     exp(-709) would be subnormal: no kernel is built, no linear run made,
-    and every field is the log-domain ladder's, iterations included."""
-    logB = tied_shift(709.0)
-    assert rpf_finite._scaled_kernels(logB, np.isfinite(logB)) is None
-    runs = count_linear_runs(monkeypatch)
-    new = perron(logB)
-    assert runs == []
-    monkeypatch.undo()
-    assert_log_domain_bits(new, log_domain(logB), iterations_too=True)
+    and every field is the log-domain ladder's, iterations included. The
+    same on a sparse support of 128 symbols whose loop at 0 lies 709 below
+    its largest entry."""
+    sparse = sparse_aperiodic(128, np.random.default_rng(709))
+    finite = np.isfinite(sparse)
+    assert sparse_kernel_support(finite)
+    sparse[0, 0] = sparse[finite].max() - 709.0
+    for logB in (tied_shift(709.0), sparse):
+        assert rpf_finite._scaled_kernels(logB, np.isfinite(logB)) is None
+        with monkeypatch.context() as m:
+            runs = count_linear_runs(m)
+            new = perron(logB)
+        assert runs == []
+        assert_log_domain_bits(new, log_domain(logB), iterations_too=True)
 
 
 def test_an_iterate_that_underflows_mid_run_reruns_in_the_log_domain(monkeypatch):
     """At t = 708 every entry of K is a normal float (exp(-708) = 3.3e-308),
     but the Perron vectors' entries at vertex 2 settle near e^{-708} / 2,
     below np.finfo(float).tiny, on both sides: each linear plain run leaves
-    the normal range part way, and the solve returns the log-domain bits."""
-    logB = tied_shift(708.0)
-    finite = np.isfinite(logB)
-    right, left = rpf_finite._scaled_kernels(logB, finite)
-    assert right.K[finite].min() >= np.finfo(float).tiny and left.K.base is right.K
+    the normal range part way, and the solve returns the log-domain bits.
+    The same on the sparse support of `sparse_tied_component`."""
     runs = []
     real = rpf_finite._linear_iteration
 
@@ -141,38 +167,38 @@ def test_an_iterate_that_underflows_mid_run_reruns_in_the_log_domain(monkeypatch
             runs.append(exc.iterations)
             raise
 
-    monkeypatch.setattr(rpf_finite, "_linear_iteration", recording)
-    new = perron(logB)
-    assert len(runs) == 2 and all(it > 1 for it in runs)
-    monkeypatch.undo()
-    old = log_domain(logB)
-    assert_log_domain_bits(new, old, iterations_too=False)
-    # the linear steps taken before the handover are counted too
-    assert new.iterations == old.iterations + sum(runs)
-    a, b = equilibrium(new, logB), equilibrium(old, logB)
-    assert a.stochastic.tobytes() == b.stochastic.tobytes()
-    assert a.stationary.tobytes() == b.stationary.tobytes()
+    for logB in (tied_shift(708.0), sparse_tied_component(708.0)):
+        finite = np.isfinite(logB)
+        right, left = rpf_finite._scaled_kernels(logB, finite)
+        assert right.K[finite].min() >= np.finfo(float).tiny and left.K.base is right.K
+        runs.clear()
+        with monkeypatch.context() as m:
+            m.setattr(rpf_finite, "_linear_iteration", recording)
+            new = perron(logB)
+        assert len(runs) == 2 and all(it > 1 for it in runs)
+        old = log_domain(logB)
+        assert_log_domain_bits(new, old, iterations_too=False)
+        # the linear steps taken before the handover are counted too
+        assert new.iterations == old.iterations + sum(runs)
+        a, b = equilibrium(new, logB), equilibrium(old, logB)
+        assert a.stochastic.tobytes() == b.stochastic.tobytes()
+        assert a.stationary.tobytes() == b.stationary.tobytes()
 
 
-def test_periodic_and_first_return_supports_build_no_kernel_and_sparse_ones_an_edge_kernel(monkeypatch):
-    """Periodic and first-return supports, dense or sparse, build no scaled
-    kernel and make no linear run; a sparse support of period 1 runs each
-    side's plain run on a kernel stored on its edges, and the same support
-    with every cell filled on one stored n x n."""
-    built = []  # the type of the right kernel of every _scaled_kernels call
+def test_periodic_first_return_and_sparsest_supports_never_reach_the_scaled_kernel(monkeypatch):
+    """Periodic and first-return supports, dense or sparse, and period-1
+    supports whose edges fill at most 1/128 of the cells build no scaled
+    kernel and make no linear run; a sparse period-1 support above 1/128
+    runs each side's plain run on the n x n kernel, as the same support with
+    every cell filled does."""
+    built = []
     real = rpf_finite._scaled_kernels
-
-    def building(*args):
-        kernels = real(*args)
-        built.append(None if kernels is None else type(kernels[0]))
-        return kernels
-
-    monkeypatch.setattr(rpf_finite, "_scaled_kernels", building)
+    monkeypatch.setattr(rpf_finite, "_scaled_kernels", lambda *args: built.append(args) or real(*args))
     runs = count_linear_runs(monkeypatch)
     # period 2: the complete bipartite graph on {0, 1} x {2, 3}, both ways
     W = np.full((4, 4), NEG_INF)
-    W[:2, 2:] = [[0.0, -1.0], [-0.5, -2.0]]
-    W[2:, :2] = [[-1.5, 0.0], [-0.25, -1.0]]
+    W[np.ix_([0, 1], [2, 3])] = np.array([[0.0, -1.0], [-0.5, 0.0]])
+    W[np.ix_([2, 3], [0, 1])] = np.array([[-0.25, 0.0], [0.0, -2.0]])
     assert graph_period(np.isfinite(W)) == 2
     assert perron(W).path == "period-averaged"
     assert perron(4.0 * W).path == "period-averaged"
@@ -185,7 +211,8 @@ def test_periodic_and_first_return_supports_build_no_kernel_and_sparse_ones_an_e
     perm[0::2], perm[1::2] = rng.permutation(np.arange(0, n, 2)), rng.permutation(np.arange(1, n, 2))
     W[perm, np.roll(perm, -1)] = -rng.exponential(size=n)
     W[np.arange(n), 2 * rng.integers(n // 2, size=n) + 1 - np.arange(n) % 2] = -rng.exponential(size=n)
-    assert graph_period(np.isfinite(W)) == 2 and not rpf_finite._dense(np.isfinite(W))
+    finite = np.isfinite(W)
+    assert graph_period(finite) == 2 and rpf_finite._dense(finite, rpf_finite._SCALED_MIN_FILL)
     assert perron(W).path == "period-averaged"
     # first return: the renewal truncation at n = 7 and at n = 256 (sparse),
     # and a 1 x 1 loop
@@ -193,20 +220,28 @@ def test_periodic_and_first_return_supports_build_no_kernel_and_sparse_ones_an_e
     assert perron(transfer_matrix(build_truncation(model, 6), f, 2.0)).path == "first-return"
     assert perron(transfer_matrix(build_truncation(model, 255), f, 2.0)).path == "first-return"
     assert perron(np.array([[-0.75]])).path == "first-return"
+    # the sparsest: 300 symbols, period 1, edges in at most 1/128 of the cells
+    W = sparse_aperiodic(300, np.random.default_rng(300))
+    finite = np.isfinite(W)
+    assert graph_period(finite) == 1 and not rpf_finite._dense(finite, rpf_finite._SCALED_MIN_FILL)
+    pd = perron(2.0 * W)
+    assert pd.path in ("plain", "shifted") and pd.chain is None
     assert built == [] and runs == []
-    # sparse: 128 symbols, period 1, edges in at most 1/32 of the cells
+    # sparse: 128 symbols, period 1, edges in more than 1/128 of the cells
+    # and at most 1/32
     W = sparse_aperiodic(128, np.random.default_rng(128))
     finite = np.isfinite(W)
-    assert graph_period(finite) == 1 and rpf_finite._REDUCED_MIN_FILL * np.count_nonzero(finite) <= finite.size
+    assert graph_period(finite) == 1 and not rpf_finite._dense(finite)
+    assert rpf_finite._dense(finite, rpf_finite._SCALED_MIN_FILL)
     pd = perron(2.0 * W)
     assert pd.path == "plain" and pd.chain is not None
-    assert built == [rpf_finite._EdgeKernel] and runs == [False, False]
-    # the same cycle with every cell filled: the kernel is stored n x n
+    assert len(built) == 1 and runs == [False, False]
+    # the same cycle with every cell filled
     built.clear()
     runs.clear()
     dense = np.where(finite, W, -8.0)
     assert perron(dense).chain is not None
-    assert built == [rpf_finite._ReducedKernel] and runs == [False, False]
+    assert len(built) == 1 and runs == [False, False]
 
 
 @st.composite
@@ -228,24 +263,25 @@ def sparse_aperiodic_weights(draw):
     extra = draw(st.integers(min_value=min(room, 9 * n // 10), max_value=room))
     finite.flat[rng.choice(n * n, size=extra, replace=False)] = True
     assume(np.count_nonzero(finite.sum(axis=1) > 1) > 1)  # no hub of a first-return support
-    assert rpf_finite._edge_lists(finite) is not None
+    assert sparse_kernel_support(finite)
     return np.where(finite, rng.uniform(-3.0, 3.0, (n, n)), NEG_INF)
 
 
 @settings(max_examples=30, deadline=None)
 @given(sparse_aperiodic_weights(), st.sampled_from((1.0, 4.0)), st.booleans())
-def test_edge_kernel_answers_match_the_log_domain_ladder_and_the_dense_oracle(W, t, gauged):
-    """Ungauged and gauged solves on sparse supports, whose kernels are
-    stored on the edges: log lambda within 1e-12 relative of the log-domain
-    ladder (or 1e-12 absolute, the residual gate, where |log lambda| < 1),
-    pi and P within 1e-10 of it; and against the dense eigensolve, where its
-    margin resolves the eigenvector, pi and the 2-cylinder masses pi_i P_ij
-    within 1e-10. The eigensolve's P itself is no oracle here: its SVD
-    resolves h only to round-off of the largest entry, and on one draw,
-    whose h spanned 5e-14, its P read 1.00006 on a row with one successor,
-    where a 40-digit power iteration matched the solver. A matrix on which
-    the ladder spends its budget (two near-tied cycles that barely meet) is
-    drawn again."""
+def test_sparse_kernel_answers_match_the_log_domain_ladder_and_the_dense_oracle(W, t, gauged):
+    """Solves on sparse supports whose edges fill more than 1/128 of the
+    cells and at most 1/32: an ungauged one runs both plain runs on the
+    n x n kernel, a gauged one stays on the log-domain ladder. log lambda
+    within 1e-12 relative of the log-domain ladder (or 1e-12 absolute, the
+    residual gate, where |log lambda| < 1), pi and P within 1e-10 of it;
+    and against the dense eigensolve, where its margin resolves the
+    eigenvector, pi and the 2-cylinder masses pi_i P_ij within 1e-10. The
+    eigensolve's P itself is no oracle here: its SVD resolves h only to
+    round-off of the largest entry, and on one draw, whose h spanned 5e-14,
+    its P read 1.00006 on a row with one successor, where a 40-digit power
+    iteration matched the solver. A matrix on which the ladder spends its
+    budget (two near-tied cycles that barely meet) is drawn again."""
     assert graph_period(np.isfinite(W)) == 1
     logB = t * W
     gauge = gauge_of(logB) if gauged else None
@@ -256,8 +292,7 @@ def test_edge_kernel_answers_match_the_log_domain_ladder_and_the_dense_oracle(W,
     with pytest.MonkeyPatch.context() as m:
         runs = count_linear_runs(m)
         new = perron(logB, gauge=gauge)
-    # the plain run of each side on K; with a gauge the ladder of the gauge
-    assert runs == [False, False] if not gauged else runs
+    assert runs == ([] if gauged else [False, False])
     meas = equilibrium(new, logB)
     ref = equilibrium(old, logB)
     assert new.path == old.path
@@ -272,88 +307,17 @@ def test_edge_kernel_answers_match_the_log_domain_ladder_and_the_dense_oracle(W,
         assert np.allclose(masses, pi[:, None] * P, rtol=1e-10, atol=1e-12)
 
 
-def test_an_edge_kernel_chain_matches_the_chain_built_from_log_b():
-    """The chain a sparse solve scatters from its right edge kernel, ungauged
-    and gauged, against the chain `equilibrium` builds from log B and the
+def test_a_sparse_kernel_chain_matches_the_chain_built_from_log_b():
+    """The chain an ungauged solve on a sparse support builds from its
+    right kernel, against the chain `equilibrium` builds from log B and the
     Perron data: zero off the edges, and within 1e-12 on them."""
     logB = 2.0 * sparse_aperiodic(128, np.random.default_rng(7))
-    for gauge in (None, gauge_of(logB)):
-        pd = perron(logB, gauge=gauge)
-        assert pd.chain is not None and pd.chain[0] is logB
-        want = rpf_finite._chain(pd, logB)
-        assert np.array_equal(pd.chain[1] > 0.0, want > 0.0)
-        assert np.allclose(pd.chain[1], want, rtol=1e-12, atol=0.0)
-
-
-def test_a_sparse_spread_beyond_the_normal_range_runs_in_the_log_domain(monkeypatch):
-    """A sparse support whose loop at 0 lies 709 below its largest entry:
-    no edge kernel is built, no linear run made, and every field is the
-    log-domain ladder's, iterations included."""
-    W = sparse_aperiodic(128, np.random.default_rng(709))
-    finite = np.isfinite(W)
-    W[0, 0] = W[finite].max() - 709.0
-    assert rpf_finite._edge_lists(finite) is not None
-    assert rpf_finite._scaled_kernels(W, finite) is None
-    runs = count_linear_runs(monkeypatch)
-    new = perron(W)
-    assert runs == []
-    monkeypatch.undo()
-    assert_log_domain_bits(new, log_domain(W), iterations_too=True)
-
-
-def sparse_tied_component(t):
-    """127 symbols on a cycle with one more successor each and a loop at 0,
-    all at weight 0, and a loop at 127 (0) coupled by 126 -> 127 and 127 ->
-    0 at weight -1, times t: sparse, with entries that spread over t. The
-    component's Perron root is near 2, so the Perron vectors carry about
-    e^{-t} / 127 at 127 on both sides."""
-    n = 128
-    W = np.full((n, n), NEG_INF)
-    W[np.arange(n - 1), (np.arange(n - 1) + 1) % (n - 1)] = 0.0
-    W[np.arange(n - 1), np.random.default_rng(127).integers(n - 1, size=n - 1)] = 0.0
-    W[0, 0] = W[n - 1, n - 1] = 0.0
-    W[n - 2, n - 1] = W[n - 1, 0] = -1.0
-    return t * W
-
-
-def test_an_edge_kernel_iterate_that_underflows_reruns_in_the_log_domain_on_its_edges(monkeypatch):
-    """At t = 708 every entry of the edge kernels is a normal float, but
-    both Perron vectors settle below np.finfo(float).tiny at 127: each
-    linear plain run leaves the normal range part way, its side builds its
-    CSR operator on the kernel's edge list, and the solve returns the
-    log-domain bits."""
-    logB = sparse_tied_component(708.0)
-    finite = np.isfinite(logB)
-    right, left = rpf_finite._scaled_kernels(logB, finite)
-    assert isinstance(right, rpf_finite._EdgeKernel) and right.K.min() >= np.finfo(float).tiny
-    runs, edges = [], []
-    real, csr = rpf_finite._linear_iteration, rpf_finite._CsrLogOperator
-
-    def recording(*args):
-        try:
-            return real(*args)
-        except rpf_finite._LeftNormalRange as exc:
-            runs.append(exc.iterations)
-            raise
-
-    class Recording(csr):
-        def __init__(self, logA, finite, edges_=None):
-            edges.append(edges_)
-            super().__init__(logA, finite, edges_)
-
-    monkeypatch.setattr(rpf_finite, "_linear_iteration", recording)
-    monkeypatch.setattr(rpf_finite, "_CsrLogOperator", Recording)
-    new = perron(logB)
-    assert len(runs) == 2 and all(it > 1 for it in runs)
-    assert len(edges) == 2 and all(e is not None for e in edges)
-    monkeypatch.undo()
-    old = log_domain(logB)
-    assert_log_domain_bits(new, old, iterations_too=False)
-    # the linear steps taken before the handover are counted too
-    assert new.iterations == old.iterations + sum(runs)
-    a, b = equilibrium(new, logB), equilibrium(old, logB)
-    assert a.stochastic.tobytes() == b.stochastic.tobytes()
-    assert a.stationary.tobytes() == b.stationary.tobytes()
+    assert sparse_kernel_support(np.isfinite(logB))
+    pd = perron(logB)
+    assert pd.chain is not None and pd.chain[0] is logB
+    want = rpf_finite._chain(pd, logB)
+    assert np.array_equal(pd.chain[1] > 0.0, want > 0.0)
+    assert np.allclose(pd.chain[1], want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("c", [0.0, -0.0, 2.5, -1e300, 5e-324])
