@@ -23,13 +23,14 @@ dist P, and nu follows from the chain recurrences, leaves first. That is the
 pass the residual gate of power iteration on both sides.
 
 Every other support, and a first-return answer that fails the gate, goes to
-power iteration on B + sigma I, one side at a time (`_side`). The plain run
-is sigma = 0, averaged over d consecutive steps where d is the period of the
-support of log B; the shifted run is sigma = e^{beta} <= lambda, beta the
-max cycle mean of log B, with d = 1, from the max-plus gauge (Howard's max
-cycle mean, then the critical graph). The tolerances (`_TOL`, `_RES_TOL`)
-and the step budget (`_step_budget`) are fixed. Each side climbs one ladder
-of two runs, iterations adding up over them:
+power iteration on B + sigma I (`_power_perron`, lone or a sweep's step),
+the left side and then the right side (`_side`). The plain run is sigma =
+0, averaged over d consecutive steps where d is the period of the support
+of log B; the shifted run is sigma = e^{beta} <= lambda, beta the max cycle
+mean of log B, with d = 1, from the max-plus gauge (Howard's max cycle
+mean, then the critical graph). The tolerances (`_TOL`, `_RES_TOL`) and the
+step budget (`_step_budget`) are fixed. Each side climbs one ladder of two
+runs, iterations adding up over them:
 
 - No gauge (pressure grids, single points, critical components): plain from
   the uniform vector; only if that stalls is the gauge of log B built, once
@@ -54,10 +55,8 @@ linear plain run needs no period: an ungauged side has a kernel only on a
 support of period 1, and a gauged plain run comes first only under
 cyclicity 1, whose critical components hold cycles of coprime lengths, and
 the period divides every cycle length. A kernel is n x n and costs n^2 a
-step, so it needs a support whose edges fill enough of the cells (`_dense`):
-more than 1/_SCALED_MIN_FILL for an ungauged solve (the sparse custom
-n = 256 model of the benchmark fills 1/64), and more than
-1/_REDUCED_MIN_FILL for a gauged side:
+step, so a side has one only on a support whose edges fill more than
+1/_MIN_FILL of the cells (`_dense`), one rule for gauged and ungauged sides:
 
 - No gauge: on a support of period 1, K = exp(log B - m), m the largest
   entry of log B, from one exp in one buffer; the right side iterates on K,
@@ -95,10 +94,10 @@ sweep's measure is valid until the sweep's next t.
 The gauge is linear in t: beta, v and u of t f are t times those of f, so a
 sweep computes them once from f's critical decomposition and rescales. A
 sweep reads its support once, from W: supports of at most 2n - 1 edges
-(which the first-return path may take) or that are sparse solve each t by
-`perron` on t W, and t W is formed for the others only when a side hands
-over to the log domain, once per such side: the right side's t W also
-gives the chain.
+(which the first-return path may take) or that `_dense` turns away solve
+each t by `perron` on t W, and t W is formed for the others only when a
+side hands over to the log domain, once per such side: the right side's
+t W also gives the chain.
 
 Each side of a log-domain run builds its transfer operator, the map
 logv -> log(B exp(logv)), once, with the kernel its support calls for: a CSR
@@ -119,8 +118,8 @@ than its arithmetic. A log-domain step is one application, one log-sum-exp
 for the normalizer s and one masked minimum for the convergence scale (a
 normalized iterate is <= 0), with d = 1 the eigenvalue estimate s itself,
 and each of these is several numpy calls. A linear step is one matvec, one
-sum, one division and one minimum. That is why ungauged period-1 solves go
-linear: on dense supports those are most of the bundled configs' pressure
+sum, one division and one minimum. That is why sides go linear: on dense
+supports those are the sweeps and most of the bundled configs' pressure
 grids and critical components, and on a sparse one a log-domain step pays
 an exp and a log per edge, more than a matvec of n^2 cells up to n = 512.
 
@@ -388,20 +387,17 @@ def _log_operator(logA: np.ndarray, finite: np.ndarray | None = None) -> _CsrLog
 #     1/64    3.8 / 13.6    7.4 / 12.3    39.5 / 40.1
 #     1/128   8.0 / 24.4    11.6 / 19.4   47.2 / 40.7
 #     1/256                 28.0 / 35.5   66.2 / 47.2
-# Ungauged solves take the kernel above 1/128 (the sparse custom n = 256
-# model of the benchmark fills 1/64): one fill for every n, so it passes up
-# n = 512 at 1/256 and takes n = 1024 at 1/128. Gauged sides keep the 1/32
-# their reduced kernels came in with, since no benchmark workload runs a
-# sparse gauged sweep to measure; the custom n = 12 model of the benchmark
-# fills 1/3 of its cells.
-_REDUCED_MIN_FILL = 32
-_SCALED_MIN_FILL = 128
+# and a gauged sweep over ZT_TS_DEFAULT on the sparse custom n = 256 model
+# of the benchmark (fill 1/64, tests/custom_n256.cfg) took 106 / 376 ms.
+# Every side, gauged or not, takes the kernel above 1/128: one fill for
+# every n, so it passes up n = 512 at 1/256 and takes n = 1024 at 1/128.
+_MIN_FILL = 128
 
 
-def _dense(finite: np.ndarray, min_fill: int = _REDUCED_MIN_FILL) -> bool:
-    """Whether the edges of the support `finite` fill more than 1/min_fill
-    of its cells."""
-    return min_fill * np.count_nonzero(finite) > finite.size
+def _dense(finite: np.ndarray) -> bool:
+    """Whether the edges of the support `finite` fill more than 1/_MIN_FILL
+    of its cells, so that a side on it steps on an n x n scaled kernel."""
+    return _MIN_FILL * np.count_nonzero(finite) > finite.size
 
 
 class _ReducedSide:
@@ -731,7 +727,10 @@ def perron(logB: np.ndarray, gauge: MaxPlusGauge | None = None) -> PerronData:
         return PerronData(float(logB[0, 0] + 0.0), np.zeros(1), np.zeros(1), 0, 0.0, "first-return")
     finite = np.isfinite(logB)
     pd = _first_return(logB, finite)
-    return pd if pd is not None else _power_perron(logB, finite, gauge)
+    if pd is not None:
+        return pd
+    pd, (kernel, x) = _power_perron(logB, finite, gauge)
+    return pd if kernel is None else replace(pd, chain=(logB, kernel.chain(x)))
 
 
 def _first_return(logB: np.ndarray, finite: np.ndarray) -> PerronData | None:
@@ -847,60 +846,55 @@ def _step_budget(n: int) -> int:
     return max(100 * n, 3000)
 
 
-def _power_perron(logB: np.ndarray, finite: np.ndarray, gauge: MaxPlusGauge | None = None) -> PerronData:
-    """Perron data by power iteration on both sides; finite = np.isfinite(logB)."""
-    if gauge is not None and _dense(finite):
-        # a lone gauged solve: the sweep's reduced perron at t = 1
-        left = _ReducedSide(logB.T, finite.T, gauge.u, gauge.beta)
-        pd, (kernel, x) = _reduced_perron(left, _ReducedSide(logB, finite, gauge.v, gauge.beta), 1.0, gauge)
-        return pd if kernel is None else replace(pd, chain=(logB, kernel.chain(x)))
-    max_iter = _step_budget(logB.shape[0])
-    d = graph_period(finite)
-    found: list[MaxPlusGauge] = []
-
-    def gauge_of_logB() -> MaxPlusGauge:
-        # built at most once per solve, by whichever side stalls first
-        if not found:
-            found.append(gauge_of(logB))
-        return found[0]
-
-    ungauged = gauge is None and d == 1 and _dense(finite, _SCALED_MIN_FILL)
-    kernels = (_scaled_kernels(logB, finite) if ungauged else None) or (None, None)
-    # the right side goes first; its kernel becomes the chain only once the
-    # left side is done with K^T
-    right, (kernel, x) = _side(kernels[0], lambda: logB, finite, d, gauge, lambda g: g.v, gauge_of_logB, max_iter)
-    left, _ = _side(kernels[1], lambda: logB.T, finite.T, d, gauge, lambda g: g.u, gauge_of_logB, max_iter)
-    pd = _perron_data(right, left)
-    return pd if kernel is None else replace(pd, chain=(logB, kernel.chain(x)))
+# a gauge's start on the left side and on the right side
+_STARTS = (lambda g: g.u, lambda g: g.v)
 
 
-def _reduced_perron(
-    left: _ReducedSide, right: _ReducedSide, t: float, gauge: MaxPlusGauge
+def _power_perron(
+    logB: np.ndarray | None, finite: np.ndarray | None, gauge: MaxPlusGauge | None = None,
+    sides: tuple[_ReducedSide, _ReducedSide] | None = None, t: float = 1.0,
 ) -> tuple[PerronData, tuple[_ReducedKernel | None, np.ndarray]]:
-    """Perron data of exp(t logA) from both sides' reduced kernels, and the
-    right side's (kernel, x) or (None, t logA) (see `_side`), from which the
-    chain is built. gauge is the max-plus gauge of t logA. The left side
-    goes first, so that the right kernel is the last one built in a buffer
-    the two sides share."""
-    max_iter = _step_budget(right.E.shape[0])
-    answers = []
-    for side, warm_start in ((left, lambda g: g.u), (right, lambda g: g.v)):
-        kernel = side.kernel(t, gauge, warm_start)
-        answers.append(_side(kernel, partial(side.log_matrix, t), side.finite, None, gauge, warm_start, None, max_iter))
-    (lhs, _), (rhs, reduced) = answers
-    return _perron_data(rhs, lhs), reduced
+    """Perron data by power iteration, the left side and then the right side
+    through `_side`, and the right side's (kernel, x) or (None, logA) for
+    the chain. A lone solve passes logB, finite = np.isfinite(logB) and its
+    gauge, if any; a sweep's step the gauge of t W, the sweep's sides and t.
+    Where `_dense` accepts the support, a gauged side iterates on its
+    reduced kernel and an ungauged one of period 1 on K or K^T. Left goes
+    first: a sweep's right kernel is then the last one built in the buffer
+    the sides share, and an ungauged chain, built in K, waits for K^T.
+    """
+    if sides is None and gauge is not None and _dense(finite):
+        sides = (_ReducedSide(logB.T, finite.T, gauge.u, gauge.beta), _ReducedSide(logB, finite, gauge.v, gauge.beta))
+    if sides is not None:
+        n, period, gauge_of_logA = sides[1].E.shape[0], None, None
+        # each kernel is built when its side's turn comes
+        runs = (
+            (side.kernel(t, gauge, start), partial(side.log_matrix, t), side.finite, start)
+            for side, start in zip(sides, _STARTS)
+        )
+    else:
+        n, period = logB.shape[0], graph_period(finite)
+        found: list[MaxPlusGauge] = []
 
+        def gauge_of_logA() -> MaxPlusGauge:
+            # built at most once per solve, by whichever side stalls first
+            if not found:
+                found.append(gauge_of(logB))
+            return found[0]
 
-def _perron_data(right: tuple, left: tuple) -> PerronData:
-    """PerronData from the two sides' answers (`_side`'s first tuples)."""
-    logh, est_r, it_r, res_r, path_r = right
-    lognu, est_l, it_l, res_l, path_l = left
-    log_lambda = 0.5 * (est_r + est_l)
+        scaled = gauge is None and period == 1 and _dense(finite)
+        right, left = (_scaled_kernels(logB, finite) if scaled else None) or (None, None)
+        runs = ((left, lambda: logB.T, finite.T, _STARTS[0]), (right, lambda: logB, finite, _STARTS[1]))
+    max_iter = _step_budget(n)
+    ((lognu, est_l, it_l, res_l, path_l), _), ((logh, est_r, it_r, res_r, path_r), reduced) = (
+        _side(kernel, log_matrix, side_finite, period, gauge, start, gauge_of_logA, max_iter)
+        for kernel, log_matrix, side_finite, start in runs
+    )
     logh = _normalized(logh)
     lognu = lognu - _logsumexp(lognu + logh)
     residual = max(res_r, res_l, abs(est_r - est_l))
     path = max(path_r, path_l, key=PATHS.index)
-    return PerronData(float(log_lambda), logh, lognu, it_r + it_l, float(residual), path)
+    return PerronData(float(0.5 * (est_r + est_l)), logh, lognu, it_r + it_l, float(residual), path), reduced
 
 
 def pressure(trunc: Truncation, f: MarkovPotential, t: float) -> float:
@@ -993,16 +987,16 @@ class GaugedSweep:
     (not of t*f) on the truncation; `equilibrium_measure(trunc, f, t,
     sweep)` solves t*f with the gauge scaled by t. The support is read once,
     from W. Where it has more than 2n - 1 edges (which the first-return
-    path turns away, see `_first_return`) and fills more than
-    1/_REDUCED_MIN_FILL of the cells, both sides' exponents are built here
-    once (`_ReducedSide`; the left one from W^T, which stays column-major,
-    so that the left matvec keeps the BLAS path and the bits of a lone
-    solve), and every t costs one multiply and one exp per side, in one
-    n x n buffer: the left side uses it first, then the right side, whose
-    kernel becomes the chain. So a measure of the sweep is valid until its
-    next t. t W is formed only for a side that hands over to the log
-    domain, and the right side's then gives the chain. Every other support solves each t on t W (on transfer_matrix
-    at t <= 0) by `perron`, as a lone gauged solve.
+    path turns away, see `_first_return`) and `_dense` accepts it, both
+    sides' exponents are built here once (`_ReducedSide`; the left one from
+    W^T, which stays column-major, so that the left matvec keeps the BLAS
+    path and the bits of a lone solve), and every t costs one multiply and
+    one exp per side, in one n x n buffer: the left side uses it first, then
+    the right side, whose kernel becomes the chain. So a measure of the
+    sweep is valid until its next t. t W is formed only for a side that
+    hands over to the log domain, and the right side's then gives the chain.
+    Every other support (renewal truncations among them) solves each t by
+    `perron` on t W (on transfer_matrix at t <= 0), as a lone gauged solve.
     """
 
     def __init__(self, W: np.ndarray, gauge: MaxPlusGauge):
@@ -1036,7 +1030,7 @@ def equilibrium_measure(
     elif sweep.sides is None:
         logB = t * sweep.W
     else:
-        pd, (kernel, arg) = _reduced_perron(*sweep.sides, t, gauge)
+        pd, (kernel, arg) = _power_perron(None, None, gauge, sweep.sides, t)
         # the right kernel, or the t W the right side handed over to
         P = _chain(pd, arg) if kernel is None else kernel.chain(arg)
         return pd.log_lambda, _measure(pd, P, trunc.alphabet)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import weakref
 
@@ -99,9 +100,11 @@ def step_budget(max_iter: int):
 
 def power_perron(logB: np.ndarray, gauge=None, max_iter: int | None = None):
     """perron's power iteration, which it skips on first-return supports,
-    on the step budget max_iter if given."""
+    on the step budget max_iter if given, with the chain perron builds from
+    a right scaled kernel."""
     with contextlib.nullcontext() if max_iter is None else step_budget(max_iter):
-        return rpf_finite._power_perron(logB, np.isfinite(logB), gauge)
+        pd, (kernel, x) = rpf_finite._power_perron(logB, np.isfinite(logB), gauge)
+    return pd if kernel is None else dataclasses.replace(pd, chain=(logB, kernel.chain(x)))
 
 
 # the module's own, held here because tests patch rpf_finite._side

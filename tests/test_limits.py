@@ -305,15 +305,17 @@ class TestPlantedCyclicGroundState:
     def test_zero_temp_sweep_matches_dense_oracle(self, planted, monkeypatch):
         model, f, W = planted
         gauged_iterations = []
-        solve = rpf_finite._reduced_perron
+        solve = rpf_finite._power_perron
 
-        # a gauged solve on this dense support runs on its reduced kernels
-        def counting(*args):
-            pd, P = solve(*args)
-            gauged_iterations.append(pd.iterations)
-            return pd, P
+        # the sweep solves each t on the reduced kernels of its sides; other
+        # solves are not counted
+        def counting(logB, finite, gauge=None, sides=None, t=1.0):
+            pd, reduced = solve(logB, finite, gauge, sides, t)
+            if sides is not None:
+                gauged_iterations.append(pd.iterations)
+            return pd, reduced
 
-        monkeypatch.setattr(rpf_finite, "_reduced_perron", counting)
+        monkeypatch.setattr(rpf_finite, "_power_perron", counting)
         words = tuple((s,) for s in range(12)) + ((2, 7), (7, 9, 2))
         res = zero_temp_sweep(model, f, 11, ts=ZT_TS_DEFAULT, words=words)
         assert res.errors == ()

@@ -346,7 +346,7 @@ class TestApplicationsPerIteration:
         # most 1/128, so both sides run in the log domain
         model, f = renewal_weighted
         logB = transfer_matrix(build_truncation(model, 255), f, 2.0)
-        assert not rpf_finite._dense(np.isfinite(logB), rpf_finite._SCALED_MIN_FILL)
+        assert not rpf_finite._dense(np.isfinite(logB))
         counts = count_applications(monkeypatch)
         pd = power_perron(logB)
         assert pd.path == "plain"
@@ -355,10 +355,11 @@ class TestApplicationsPerIteration:
 
     def test_sparse_plain_solve(self, monkeypatch):
         # the same on a sparse period-1 support whose edges fill more than
-        # 1/128 of the cells (128 symbols): its plain runs go linearly on the
-        # n x n kernel and it builds no log-domain operator
+        # 1/128 of the cells and at most 1/32 (128 symbols): its plain runs
+        # go linearly on the n x n kernel and it builds no log-domain operator
         W = sparse_aperiodic(128, np.random.default_rng(128))
-        assert not rpf_finite._dense(np.isfinite(W))
+        finite = np.isfinite(W)
+        assert rpf_finite._dense(finite) and 32 * np.count_nonzero(finite) <= finite.size
         counts = count_applications(monkeypatch)
         kernels = count_reduced_applications(monkeypatch)
         pd = perron(2.0 * W)
@@ -382,15 +383,16 @@ class TestApplicationsPerIteration:
         assert counts == []
 
     def test_fallback_and_no_convergence(self, monkeypatch):
-        # plain on the right kernel, then shifted in the log domain, on the
-        # right side; each run ends at its budget, and the left side (the
-        # kernel's transpose, built with it) is never applied
+        # plain on the left kernel (the right kernel's transpose, built with
+        # it), then shifted in the log domain, on the left side, which goes
+        # first; each run ends at its budget, and the right kernel is never
+        # applied
         logB = np.log(np.array([[1.0, 0.1], [0.1, 0.9]]))
         counts = count_applications(monkeypatch)
         kernels = count_reduced_applications(monkeypatch)
         with pytest.raises(NoConvergence) as exc, step_budget(96):
             perron(logB)
-        assert len(counts) == 1 and len(kernels) == 2 and kernels[1] == 0
+        assert len(counts) == 1 and len(kernels) == 2 and kernels[0] == 0
         assert sum(counts) + sum(kernels) == exc.value.iterations + 2
 
     def test_period_two_pays_for_its_window_checks(self, monkeypatch):

@@ -151,12 +151,13 @@ def test_a_stalled_linear_run_goes_to_the_next_run_of_the_ladder(monkeypatch):
 
 
 def test_a_sparse_support_takes_the_log_domain_ladder(monkeypatch):
-    """64 symbols on a Hamiltonian cycle with one more successor each: the
-    edges fill at most 1/32 of the cells, so the gauged solves build no
+    """256 symbols on a Hamiltonian cycle with one more successor each: the
+    edges fill at most 1/128 of the cells, so the gauged solves build no
     reduced kernel, run the log-domain ladder from the gauge and bring no
-    chain, and match the dense oracle."""
-    rng = np.random.default_rng(64)
-    n = 64
+    chain, and match the dense oracle (given Howard's max cycle mean: its
+    own walk search costs O(n^4), about 20 s at this n)."""
+    rng = np.random.default_rng(256)
+    n = 256
     perm = rng.permutation(n)
     weights = {(int(perm[a]), int(perm[(a + 1) % n])): -float(rng.exponential()) for a in range(n)}
     for i in range(n):
@@ -164,14 +165,15 @@ def test_a_sparse_support_takes_the_log_domain_ladder(monkeypatch):
     model = ShiftModel(ModelKind.CUSTOM, tuple(sorted(weights)))
     f = MarkovPotential(model, Family.TABLE, table=tuple((i, j, w) for (i, j), w in sorted(weights.items())))
     trunc = build_truncation(model, n - 1)
-    assert rpf_finite._REDUCED_MIN_FILL * len(weights) <= n * n
+    assert rpf_finite._MIN_FILL * len(weights) <= n * n
     built = []
     monkeypatch.setattr(rpf_finite, "_ReducedKernel", lambda *args: built.append(args))
     W, solves = solve_sweep(trunc, f, (2.0, 16.0, 128.0, 1024.0))
     assert built == []
+    beta = gauge_of(W).beta
     for t, pd, meas in solves:
         assert pd.chain is None
-        assert_matches_oracle(pd, meas, W, t)
+        assert_matches_oracle(pd, meas, W, t, beta)
 
 
 def test_equilibrium_takes_a_solve_chain_only_for_the_matrix_it_solved():

@@ -7,9 +7,11 @@ both sides. Its answers are checked against the log-domain ladder (the
 linear runs patched away with `log_domain_side`) and against
 `dense_gauged_state`; an entry spread beyond the normal range and a mid-run
 underflow against the log-domain bits; and the supports that must not reach
-K by counting the kernels built. Sparse supports, on which gauged solves
-stay on the log-domain ladder, get the same checks. Last, the rule by which
-a side picks each run's domain, for sides with and without a gauge.
+K by counting the kernels built, against the gauged twin of each support,
+which falls on the same side of 1/128. Sparse supports above 1/128, on which
+gauged solves run on their reduced kernels, get the same checks. Last, the
+rule by which a side picks each run's domain, for sides with and without a
+gauge.
 """
 
 import numpy as np
@@ -26,6 +28,8 @@ from gibbsline.rpf_finite import equilibrium, perron, transfer_matrix
 from gibbsline.shift_model import build_truncation, graph_period
 
 NEG_INF = -np.inf
+# a support is sparse here when its edges fill at most 1/SPARSE of the cells
+SPARSE = 32
 
 
 def log_domain(logB, **kwargs):
@@ -103,10 +107,9 @@ def tied_shift(t):
 
 
 def sparse_kernel_support(finite):
-    """Whether an ungauged solve on `finite` takes the n x n kernel while a
-    gauged one stays on the log-domain ladder: edges in more than 1/128 of
-    the cells and in at most 1/32."""
-    return rpf_finite._dense(finite, rpf_finite._SCALED_MIN_FILL) and not rpf_finite._dense(finite)
+    """Whether `finite` is sparse and yet takes the n x n kernels, gauged or
+    not: edges in at most 1/SPARSE of the cells and in more than 1/128."""
+    return rpf_finite._dense(finite) and SPARSE * np.count_nonzero(finite) <= finite.size
 
 
 def sparse_tied_component(t):
@@ -190,18 +193,34 @@ def test_periodic_first_return_and_sparsest_supports_never_reach_the_scaled_kern
     supports whose edges fill at most 1/128 of the cells build no scaled
     kernel and make no linear run; a sparse period-1 support above 1/128
     runs each side's plain run on the n x n kernel, as the same support with
-    every cell filled does."""
-    built = []
-    real = rpf_finite._scaled_kernels
+    every cell filled does. The gauged twin of each support, solved from its
+    own gauge, falls on the same side of 1/128: no reduced kernel on a
+    first-return support or at or below 1/128, one per side above it. A
+    gauged side needs no period, so the periodic supports' twins reduce too,
+    and their cyclic gauges start each side on the linear shifted run."""
+    built, kernels = [], []
+    real, real_kernel = rpf_finite._scaled_kernels, rpf_finite._ReducedKernel
     monkeypatch.setattr(rpf_finite, "_scaled_kernels", lambda *args: built.append(args) or real(*args))
+    monkeypatch.setattr(rpf_finite, "_ReducedKernel", lambda *args: kernels.append(args) or real_kernel(*args))
     runs = count_linear_runs(monkeypatch)
+
+    def solve(logB, gauged=False):
+        """perron on logB, from its own gauge if gauged, with the kernels
+        built and the linear runs counted afresh."""
+        for seen in (built, kernels, runs):
+            seen.clear()
+        return perron(logB, gauge=gauge_of(logB) if gauged else None)
+
     # period 2: the complete bipartite graph on {0, 1} x {2, 3}, both ways
     W = np.full((4, 4), NEG_INF)
     W[np.ix_([0, 1], [2, 3])] = np.array([[0.0, -1.0], [-0.5, 0.0]])
     W[np.ix_([2, 3], [0, 1])] = np.array([[-0.25, 0.0], [0.0, -2.0]])
     assert graph_period(np.isfinite(W)) == 2
-    assert perron(W).path == "period-averaged"
-    assert perron(4.0 * W).path == "period-averaged"
+    for logB in (W, 4.0 * W):
+        assert solve(logB).path == "period-averaged"
+        assert built == [] and kernels == [] and runs == []
+        assert solve(logB, gauged=True).path == "shifted"
+        assert built == [] and len(kernels) == 2 and runs == [True, True]
     # period 2 and sparse: a Hamiltonian cycle through even and odd symbols
     # by turns, and one more successor each, of the other parity
     n = 128
@@ -212,44 +231,52 @@ def test_periodic_first_return_and_sparsest_supports_never_reach_the_scaled_kern
     W[perm, np.roll(perm, -1)] = -rng.exponential(size=n)
     W[np.arange(n), 2 * rng.integers(n // 2, size=n) + 1 - np.arange(n) % 2] = -rng.exponential(size=n)
     finite = np.isfinite(W)
-    assert graph_period(finite) == 2 and rpf_finite._dense(finite, rpf_finite._SCALED_MIN_FILL)
-    assert perron(W).path == "period-averaged"
+    assert graph_period(finite) == 2 and sparse_kernel_support(finite)
+    assert solve(W).path == "period-averaged"
+    assert built == [] and kernels == [] and runs == []
+    solve(W, gauged=True)
+    assert built == [] and len(kernels) == 2 and runs[:1] == [True]
     # first return: the renewal truncation at n = 7 and at n = 256 (sparse),
     # and a 1 x 1 loop
     model, f = bundled_pair("renewal_weighted")
-    assert perron(transfer_matrix(build_truncation(model, 6), f, 2.0)).path == "first-return"
-    assert perron(transfer_matrix(build_truncation(model, 255), f, 2.0)).path == "first-return"
-    assert perron(np.array([[-0.75]])).path == "first-return"
+    for logB in (
+        transfer_matrix(build_truncation(model, 6), f, 2.0),
+        transfer_matrix(build_truncation(model, 255), f, 2.0),
+        np.array([[-0.75]]),
+    ):
+        for gauged in (False, True):
+            assert solve(logB, gauged).path == "first-return"
+            assert built == [] and kernels == [] and runs == []
     # the sparsest: 300 symbols, period 1, edges in at most 1/128 of the cells
     W = sparse_aperiodic(300, np.random.default_rng(300))
     finite = np.isfinite(W)
-    assert graph_period(finite) == 1 and not rpf_finite._dense(finite, rpf_finite._SCALED_MIN_FILL)
-    pd = perron(2.0 * W)
-    assert pd.path in ("plain", "shifted") and pd.chain is None
-    assert built == [] and runs == []
+    assert graph_period(finite) == 1 and not rpf_finite._dense(finite)
+    for gauged in (False, True):
+        pd = solve(2.0 * W, gauged)
+        assert pd.path in ("plain", "shifted") and pd.chain is None
+        assert built == [] and kernels == [] and runs == []
     # sparse: 128 symbols, period 1, edges in more than 1/128 of the cells
-    # and at most 1/32
+    # and at most 1/SPARSE
     W = sparse_aperiodic(128, np.random.default_rng(128))
     finite = np.isfinite(W)
-    assert graph_period(finite) == 1 and not rpf_finite._dense(finite)
-    assert rpf_finite._dense(finite, rpf_finite._SCALED_MIN_FILL)
-    pd = perron(2.0 * W)
-    assert pd.path == "plain" and pd.chain is not None
-    assert len(built) == 1 and runs == [False, False]
-    # the same cycle with every cell filled
-    built.clear()
-    runs.clear()
-    dense = np.where(finite, W, -8.0)
-    assert perron(dense).chain is not None
-    assert len(built) == 1 and runs == [False, False]
+    assert graph_period(finite) == 1 and sparse_kernel_support(finite)
+    # and the same cycle with every cell filled
+    for logB in (2.0 * W, np.where(finite, W, -8.0)):
+        pd = solve(logB)
+        assert pd.path == "plain" and pd.chain is not None
+        assert len(built) == 1 and len(kernels) == 2 and runs == [False, False]
+        gauge = gauge_of(logB)
+        pd = solve(logB, gauged=True)
+        assert pd.chain is not None
+        assert built == [] and len(kernels) == 2 and runs[:1] == [gauge.cyclicity > 1]
 
 
 @st.composite
 def sparse_aperiodic_weights(draw):
     """Weights from -3..3 on a sparse aperiodic support of 60..64 vertices
     that the first-return path turns away: a Hamiltonian cycle, a loop at 0
-    and about as many further edges as fit in 1/32 of the cells. At n = 32
-    the cycle alone fills 1/32, and with fewer further edges the support
+    and about as many further edges as fit in 1/SPARSE of the cells. At
+    n = 32 the cycle alone fills 1/32, and with fewer further edges the support
     stays so close to periodic that power iteration often spends its budget
     on either domain: with n >= 48 and n / 3 further edges or more, 3 of 400
     random solves did not converge on the log-domain ladder."""
@@ -259,7 +286,7 @@ def sparse_aperiodic_weights(draw):
     perm = rng.permutation(n)
     finite[perm, np.roll(perm, -1)] = True
     finite[0, 0] = True
-    room = n * n // rpf_finite._REDUCED_MIN_FILL - n - 1
+    room = n * n // SPARSE - n - 1
     extra = draw(st.integers(min_value=min(room, 9 * n // 10), max_value=room))
     finite.flat[rng.choice(n * n, size=extra, replace=False)] = True
     assume(np.count_nonzero(finite.sum(axis=1) > 1) > 1)  # no hub of a first-return support
@@ -271,8 +298,10 @@ def sparse_aperiodic_weights(draw):
 @given(sparse_aperiodic_weights(), st.sampled_from((1.0, 4.0)), st.booleans())
 def test_sparse_kernel_answers_match_the_log_domain_ladder_and_the_dense_oracle(W, t, gauged):
     """Solves on sparse supports whose edges fill more than 1/128 of the
-    cells and at most 1/32: an ungauged one runs both plain runs on the
-    n x n kernel, a gauged one stays on the log-domain ladder. log lambda
+    cells and at most 1/SPARSE: an ungauged one runs both plain runs on the
+    n x n kernel, a gauged one starts each side on its reduced kernel, with
+    the plain run under cyclicity 1 (and the shifted one if that stalls) and
+    with the shifted run under a cyclic gauge. log lambda
     within 1e-12 relative of the log-domain ladder (or 1e-12 absolute, the
     residual gate, where |log lambda| < 1), pi and P within 1e-10 of it;
     and against the dense eigensolve, where its margin resolves the
@@ -292,7 +321,9 @@ def test_sparse_kernel_answers_match_the_log_domain_ladder_and_the_dense_oracle(
     with pytest.MonkeyPatch.context() as m:
         runs = count_linear_runs(m)
         new = perron(logB, gauge=gauge)
-    assert runs == ([] if gauged else [False, False])
+    first = gauged and gauge.cyclicity > 1
+    assert runs[0] == first and runs.count(first) == 2
+    assert gauged or runs == [False, False]
     meas = equilibrium(new, logB)
     ref = equilibrium(old, logB)
     assert new.path == old.path
