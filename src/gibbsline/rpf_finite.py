@@ -1,8 +1,8 @@
 """Finite-alphabet thermodynamics via the log-domain transfer matrix.
 
 Everything spectral stays in log space with log-sum-exp reductions, or in
-linear coordinates on a scaled kernel (gauged solves on dense supports, and
-the ungauged ones whose entries also keep normal floats once scaled):
+linear coordinates on a scaled kernel (gauged solves, and the ungauged ones
+on dense supports whose entries also keep normal floats once scaled):
 inverse temperatures up to ~10^3 make the matrix entries exp(t f) underflow
 long before the quantities of interest do.
 
@@ -54,11 +54,12 @@ run after it, to the log domain, with the log-domain answer bit for bit. A
 linear plain run needs no period: an ungauged side has a kernel only on a
 support of period 1, and a gauged plain run comes first only under
 cyclicity 1, whose critical components hold cycles of coprime lengths, and
-the period divides every cycle length. A kernel is n x n and costs n^2 a
-step, so a side has one only on a support whose edges fill more than
-1/_MIN_FILL of the cells (`_dense`), one rule for gauged and ungauged sides:
+the period divides every cycle length. An ungauged kernel is n x n and costs
+n^2 a step, so an ungauged side has one only on a support whose edges fill
+more than 1/_MIN_FILL of the cells (`_dense`); a gauged side has one on
+every support, stored on its live cells:
 
-- No gauge: on a support of period 1, K = exp(log B - m), m the largest
+- No gauge: on a dense support of period 1, K = exp(log B - m), m the largest
   entry of log B, from one exp in one buffer; the right side iterates on K,
   the left on K^T, with log lambda = m + log rho (`_scaled_kernels`). K is
   used only where every edge keeps a normal entry, that is where the finite
@@ -67,14 +68,25 @@ step, so a side has one only on a support whose edges fill more than
   and the residual gate, which reads K, would not see it.
 - With a gauge: the reduced kernels K_r = exp(log B - t beta + t v_j - t
   v_i) on the right and K_l = exp(log B^T - t beta + t u_j - t u_i) on the
-  left (`_ReducedKernel`, one exp of the matrix per side). The exponents
-  are <= 0 and reach 0 on every row, so K is scaled at any t (Akian, Bapat
-  and Gaubert, C. R. Acad. Sci. Paris 1998). A sweep builds each side's
-  t-free exponent E = (W + v_j) - (v_i + beta) once (`_ReducedSide`, from W
-  and f's own gauge; the left one from W^T and u), and a step to the next t
-  costs one multiply t E and one exp per side, in one buffer the two sides
-  share (`GaugedSweep`); a lone gauged `perron` builds E from log B and the
-  scaled gauge and takes t = 1. For t a power of two (every default t of
+  left. The exponents are <= 0 and reach 0 on every row, so K is scaled at
+  any t, and as t grows K tends entrywise to the critical adjacency (Akian,
+  Bapat and Gaubert, C. R. Acad. Sci. Paris 1998), so at large t almost
+  every cell is exactly +0.0. A side stores K on its live cells, those
+  with t E >= _EXP_ZERO (E the exponent at t = 1), the only ones whose exp
+  is not +0.0: as a row-sorted edge list (`_LiveKernel`, an application is
+  one gather, one multiply and one np.add.reduceat) where they fill at most
+  1/_LIVE_FILL of the cells, and n x n (`_ReducedKernel`, from one exp of
+  the matrix) otherwise. Every row keeps its best cell, so a side of fewer
+  than _LIVE_FILL symbols is n x n without a count. A sweep builds each
+  side's t-free exponent E = (W + v_j) - (v_i + beta) once (`_ReducedSide`,
+  from W and f's own gauge; the left one from W^T and u), and a step to the
+  next t costs one multiply t E and one exp per side, in one buffer the two
+  sides share (`GaugedSweep`). The live cells only shrink as t grows, so at
+  a t above that of a side's last edge list the side filters that list
+  instead of passing over E. A lone gauged `perron` builds E from log B and
+  the scaled gauge and takes t = 1. The kernel is the same matrix whichever
+  the storage, with its exact zeros left out, so only the summation order
+  of a matvec can move a last ulp. For t a power of two (every default t of
   the sweeps), t E equals the lone exponent (t W + t v_j) - (t v_i + t
   beta) bit for bit unless an intermediate is subnormal, so the sweep and
   per-t solves agree bit for bit; between powers of two they may differ in
@@ -88,16 +100,16 @@ step, so a side has one only on a support whose edges fill more than
 
 When the right side converged linearly, its kernel becomes the chain of
 `equilibrium` (P_ij = K_ij x_j, rows renormalized), which so needs no exp
-of its own; in a sweep that chain is the buffer the two sides share, so a
-sweep's measure is valid until the sweep's next t.
+of its own; in a sweep that chain is the buffer the two sides share (an
+edge list's chain is scattered into it after zeroing it), so a sweep's
+measure is valid until the sweep's next t.
 
 The gauge is linear in t: beta, v and u of t f are t times those of f, so a
 sweep computes them once from f's critical decomposition and rescales. A
 sweep reads its support once, from W: supports of at most 2n - 1 edges
-(which the first-return path may take) or that `_dense` turns away solve
-each t by `perron` on t W, and t W is formed for the others only when a
-side hands over to the log domain, once per such side: the right side's
-t W also gives the chain.
+(which the first-return path may take) solve each t by `perron` on t W,
+and t W is formed for the others only when a side hands over to the log
+domain, once per such side: the right side's t W also gives the chain.
 
 Each side of a log-domain run builds its transfer operator, the map
 logv -> log(B exp(logv)), once, with the kernel its support calls for: a CSR
@@ -250,16 +262,18 @@ _EXP_ZERO = -746.0
 _MASK_MIN = 1024
 
 
-def _exp_nonzero(x: np.ndarray) -> np.ndarray:
+def _exp_nonzero(x: np.ndarray, dead: np.ndarray | None = None) -> np.ndarray:
     """np.exp(x) in place, bit for bit.
 
     From _MASK_MIN entries on, exp is called only on the entries at or
     above _EXP_ZERO; the others (-inf among them) are set to +0.0 without
-    one. NaN entries stay live, so a NaN propagates.
+    one. NaN entries stay live, so a NaN propagates. `dead` is
+    np.less(x, _EXP_ZERO), if the caller has it; it is overwritten.
     """
     if x.size < _MASK_MIN:
         return np.exp(x, out=x)
-    dead = np.less(x, _EXP_ZERO)
+    if dead is None:
+        dead = np.less(x, _EXP_ZERO)
     np.copyto(x, 0.0, where=dead)
     return np.exp(x, out=x, where=np.logical_not(dead, out=dead))
 
@@ -376,21 +390,21 @@ def _log_operator(logA: np.ndarray, finite: np.ndarray | None = None) -> _CsrLog
     return _DenseLogOperator(logA)
 
 
-# a scaled kernel is stored n x n and costs n^2 a step, while the log-domain
-# CSR operator costs its edges, so a side steps linearly only where the edges
-# fill enough of the cells. On a 2-vCPU x86-64 VM with numpy 2.4 and one BLAS
-# thread, an ungauged perron on a Hamiltonian cycle, a loop and random
-# further edges took, in ms, on the scaled kernel / in the log domain (equal
-# iterations):
+# an ungauged scaled kernel is stored n x n and costs n^2 a step, while the
+# log-domain CSR operator costs its edges, so an ungauged side steps linearly
+# only where the edges fill enough of the cells (a gauged side stores its
+# kernel on its live cells instead, see _LIVE_FILL). On a 2-vCPU x86-64 VM
+# with numpy 2.4 and one BLAS thread, an ungauged perron on a Hamiltonian
+# cycle, a loop and random further edges took, in ms, on the scaled kernel /
+# in the log domain (equal iterations):
 #     fill    n = 256       n = 512       n = 1024
 #     1/32    2.7 / 10.2    6.6 / 12.7    34.9 / 45.7
 #     1/64    3.8 / 13.6    7.4 / 12.3    39.5 / 40.1
 #     1/128   8.0 / 24.4    11.6 / 19.4   47.2 / 40.7
 #     1/256                 28.0 / 35.5   66.2 / 47.2
-# and a gauged sweep over ZT_TS_DEFAULT on the sparse custom n = 256 model
-# of the benchmark (fill 1/64, tests/custom_n256.cfg) took 106 / 376 ms.
-# Every side, gauged or not, takes the kernel above 1/128: one fill for
-# every n, so it passes up n = 512 at 1/256 and takes n = 1024 at 1/128.
+# An ungauged side takes the kernel above 1/128: one fill for every n, so it
+# passes up n = 512 at 1/256 and takes n = 1024 at 1/128. There the live
+# cells are the edges, and an edge-list kernel measured no faster.
 _MIN_FILL = 128
 
 
@@ -398,6 +412,24 @@ def _dense(finite: np.ndarray) -> bool:
     """Whether the edges of the support `finite` fill more than 1/_MIN_FILL
     of its cells, so that a side on it steps on an n x n scaled kernel."""
     return _MIN_FILL * np.count_nonzero(finite) > finite.size
+
+
+# a gauged side's kernel at t is an edge list where its live cells fill at
+# most 1/_LIVE_FILL of the cells, and n x n otherwise. On a 2-vCPU x86-64 VM
+# with numpy 2.4 and one BLAS thread, the tie_two_loops sweep over
+# ZT_TS_DEFAULT at n = 511 (live cells 1/1.7 of the matrix at t = 2, 1/11.4
+# at t = 16, 1/22.5 at t = 32, 1/256 from t = 256 on) took, in ms, medians
+# [quartiles] of 21 interleaved rounds:
+#     _LIVE_FILL   4             8             16            32
+#                  32.8 [29, 36] 30.4 [28, 34] 32.4 [30, 35] 34.0 [32, 38]
+#     _LIVE_FILL   64            n x n only
+#                  35.9 [33, 40] 43.1 [39, 46]
+# At fill 1/22.5 an edge-list application cost about an n x n matvec
+# (0.068 / 0.064 ms); the edge list saves the passes over the matrix and the
+# exps of the dead cells, and a sweep filters its list at the next t. The
+# sparse n = 512 custom sweep (edges in 1/128.4 of the cells) took 114 ms on
+# edge lists against 348 ms on n x n kernels.
+_LIVE_FILL = 16
 
 
 class _ReducedSide:
@@ -408,11 +440,13 @@ class _ReducedSide:
     max-plus eigenvector (v on the right, u on the left) and beta its max
     cycle mean. The exponent E = (logA + b_j) - (b_i + beta) is <= 0 on
     every edge and 0 on each row's best edge, and the side's reduced kernel
-    at t is exp(t E), built in `out` (E itself unless given): a lone solve
-    takes t = 1, a sweep the t of its step. For t a power of two, t E is the
-    exponent (t logA + t b_j) - (t b_i + t beta) of a lone solve on t logA
-    with the gauge scaled by t, bit for bit, unless an intermediate is
-    subnormal: scaling by 2^k commutes with rounding.
+    at t is exp(t E), stored on its live cells (`kernel`): n x n in `out`
+    (E itself unless given), or an edge list whose chain is scattered into
+    `out`. A lone solve takes t = 1, a sweep the t of its step; a sweep side
+    keeps its last edge list, with its t, for the next t. For t a power of
+    two, t E is the exponent (t logA + t b_j) - (t b_i + t beta) of a lone
+    solve on t logA with the gauge scaled by t, bit for bit, unless an
+    intermediate is subnormal: scaling by 2^k commutes with rounding.
     """
 
     def __init__(self, logA: np.ndarray, finite: np.ndarray, bias: np.ndarray, beta: float, out=None):
@@ -420,12 +454,34 @@ class _ReducedSide:
         E -= (bias + beta)[:, None]
         self.E, self.logA, self.finite = E, logA, finite
         self.out = E if out is None else out
+        # (t, rows, cols, E on them) of the last edge-list kernel, else None
+        self.live = None
 
-    def kernel(self, t: float, gauge: MaxPlusGauge, warm_start) -> _ReducedKernel:
-        """The side's reduced kernel at t, one multiply and one exp in its
-        buffer; gauge is the max-plus gauge of t logA."""
-        K = _exp_nonzero(np.multiply(self.E, t, out=self.out))
-        return _ReducedKernel(K, warm_start(gauge), gauge.beta)
+    def kernel(self, t: float, gauge: MaxPlusGauge, warm_start) -> _ReducedKernel | _LiveKernel:
+        """The side's reduced kernel at t, on its live cells (those with t E
+        >= _EXP_ZERO): n x n in its buffer, from one multiply and one exp,
+        or an edge list where they fill at most 1/_LIVE_FILL of the cells.
+        At a t above that of its last edge list, the side filters that list
+        instead of passing over E. gauge is the max-plus gauge of t logA."""
+        bias, scale = warm_start(gauge), gauge.beta
+        if self.live is not None and t > self.live[0]:
+            # the live cells at t are live at every smaller t
+            _, rows, cols, E = self.live
+            keep = np.greater_equal(E * t, _EXP_ZERO)
+            rows, cols, E = rows[keep], cols[keep], E[keep]
+        else:
+            tE = np.multiply(self.E, t, out=self.out)
+            # every row keeps its best cell, so below _LIVE_FILL symbols the
+            # live cells fill more than 1/_LIVE_FILL without a count
+            dead = None if tE.shape[0] < _LIVE_FILL else np.less(tE, _EXP_ZERO)
+            if dead is None or _LIVE_FILL * (dead.size - np.count_nonzero(dead)) > dead.size:
+                self.live = None
+                return _ReducedKernel(_exp_nonzero(tE, dead), bias, scale)
+            rows, cols = np.divmod(np.flatnonzero(np.logical_not(dead, out=dead)), dead.shape[0])
+            E = self.E[rows, cols]
+        self.live = (t, rows, cols, E)
+        tE = E * t
+        return _LiveKernel(rows, cols, np.exp(tE, out=tE), bias, scale, self.out)
 
     def log_matrix(self, t: float) -> np.ndarray:
         """t logA, the side's matrix for the log domain (formed on a handover only)."""
@@ -433,10 +489,11 @@ class _ReducedSide:
 
 
 class _ReducedKernel:
-    """x -> K x for a scaled kernel K_ij = exp(logA_ij + b_j - b_i - c) of one side.
+    """x -> K x for an n x n scaled kernel K_ij = exp(logA_ij + b_j - b_i - c) of one side.
 
     A gauged side has bias b = t v (or t u) and scale c = t beta
-    (`_ReducedSide.kernel`); an ungauged one has b = 0 and c the largest
+    (`_ReducedSide.kernel`, where its live cells fill more than
+    1/_LIVE_FILL of the cells); an ungauged one has b = 0 and c the largest
     entry of log B (`_scaled_kernels`). Every row of K reaches 1 on a gauged
     side, and the largest entry of K is 1 on an ungauged one, so a linear
     power iteration on K needs no log domain: its Perron vector is h e^{-b}
@@ -454,6 +511,35 @@ class _ReducedKernel:
         P = self.K
         P *= x[None, :]
         P /= P.sum(axis=1, keepdims=True)
+        return P
+
+
+class _LiveKernel:
+    """x -> K x for a gauged side's reduced kernel stored on its live cells.
+
+    rows, cols and vals list the cells of K that are not +0.0 (and no other
+    cell needs to be), row by row; every row holds one, its best cell, so
+    an application is one gather, one multiply and one np.add.reduceat.
+    bias and scale are those of `_ReducedKernel`, and out is the side's n x
+    n buffer, into which the chain is scattered.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, bias: np.ndarray, scale: float, out):
+        self.n = out.shape[0]
+        self.rows, self.cols, self.vals, self.bias, self.scale, self.out = rows, cols, vals, bias, scale, out
+        self.starts = np.searchsorted(rows, np.arange(self.n))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(self.vals * x[self.cols], self.starts)
+
+    def chain(self, x: np.ndarray) -> np.ndarray:
+        """The stochastic matrix K_ij x_j / sum_j K_ij x_j, zero off the live
+        cells, in the side's buffer."""
+        p = self.vals * x[self.cols]
+        p /= np.add.reduceat(p, self.starts)[self.rows]
+        P = self.out
+        P.fill(0.0)
+        P[self.rows, self.cols] = p
         return P
 
 
@@ -595,7 +681,7 @@ class _LeftNormalRange(Exception):
 
 
 def _linear_iteration(
-    kernel: _ReducedKernel, shifted: bool, max_iter: int
+    kernel: _ReducedKernel | _LiveKernel, shifted: bool, max_iter: int
 ) -> tuple[np.ndarray | None, float, int, float]:
     """`_power_iteration` with d = 1 on a scaled kernel K, in the linear domain.
 
@@ -647,9 +733,9 @@ def _linear_iteration(
 
 
 def _side(
-    kernel: _ReducedKernel | None, log_matrix, finite: np.ndarray, period: int | None,
+    kernel: _ReducedKernel | _LiveKernel | None, log_matrix, finite: np.ndarray, period: int | None,
     gauge: MaxPlusGauge | None, warm_start, gauge_of_logA, max_iter: int,
-) -> tuple[tuple[np.ndarray, float, int, float, str], tuple[_ReducedKernel | None, np.ndarray]]:
+) -> tuple[tuple[np.ndarray, float, int, float, str], tuple[_ReducedKernel | _LiveKernel | None, np.ndarray]]:
     """Perron vector of one side, by the ladder of the module docstring.
 
     Returns ((log_vec, log_lambda, iterations, residual, path), (kernel, x))
@@ -853,17 +939,18 @@ _STARTS = (lambda g: g.u, lambda g: g.v)
 def _power_perron(
     logB: np.ndarray | None, finite: np.ndarray | None, gauge: MaxPlusGauge | None = None,
     sides: tuple[_ReducedSide, _ReducedSide] | None = None, t: float = 1.0,
-) -> tuple[PerronData, tuple[_ReducedKernel | None, np.ndarray]]:
+) -> tuple[PerronData, tuple[_ReducedKernel | _LiveKernel | None, np.ndarray]]:
     """Perron data by power iteration, the left side and then the right side
     through `_side`, and the right side's (kernel, x) or (None, logA) for
     the chain. A lone solve passes logB, finite = np.isfinite(logB) and its
     gauge, if any; a sweep's step the gauge of t W, the sweep's sides and t.
-    Where `_dense` accepts the support, a gauged side iterates on its
-    reduced kernel and an ungauged one of period 1 on K or K^T. Left goes
-    first: a sweep's right kernel is then the last one built in the buffer
-    the sides share, and an ungauged chain, built in K, waits for K^T.
+    A gauged side iterates on its reduced kernel on any support, and an
+    ungauged one of period 1 on K or K^T where `_dense` accepts the support.
+    Left goes first: a sweep's right kernel is then the last one built in
+    the buffer the sides share, and an ungauged chain, built in K, waits for
+    K^T.
     """
-    if sides is None and gauge is not None and _dense(finite):
+    if sides is None and gauge is not None:
         sides = (_ReducedSide(logB.T, finite.T, gauge.u, gauge.beta), _ReducedSide(logB, finite, gauge.v, gauge.beta))
     if sides is not None:
         n, period, gauge_of_logA = sides[1].E.shape[0], None, None
@@ -882,7 +969,7 @@ def _power_perron(
                 found.append(gauge_of(logB))
             return found[0]
 
-        scaled = gauge is None and period == 1 and _dense(finite)
+        scaled = period == 1 and _dense(finite)
         right, left = (_scaled_kernels(logB, finite) if scaled else None) or (None, None)
         runs = ((left, lambda: logB.T, finite.T, _STARTS[0]), (right, lambda: logB, finite, _STARTS[1]))
     max_iter = _step_budget(n)
@@ -987,23 +1074,28 @@ class GaugedSweep:
     (not of t*f) on the truncation; `equilibrium_measure(trunc, f, t,
     sweep)` solves t*f with the gauge scaled by t. The support is read once,
     from W. Where it has more than 2n - 1 edges (which the first-return
-    path turns away, see `_first_return`) and `_dense` accepts it, both
-    sides' exponents are built here once (`_ReducedSide`; the left one from
-    W^T, which stays column-major, so that the left matvec keeps the BLAS
-    path and the bits of a lone solve), and every t costs one multiply and
-    one exp per side, in one n x n buffer: the left side uses it first, then
-    the right side, whose kernel becomes the chain. So a measure of the
-    sweep is valid until its next t. t W is formed only for a side that
-    hands over to the log domain, and the right side's then gives the chain.
-    Every other support (renewal truncations among them) solves each t by
-    `perron` on t W (on transfer_matrix at t <= 0), as a lone gauged solve.
+    path turns away, see `_first_return`), however sparse, both sides'
+    exponents are built here once (`_ReducedSide`; the left one from W^T,
+    which stays column-major, so that the left matvec keeps the BLAS path
+    and the bits of a lone solve). Every t costs each side one multiply and
+    one exp in one n x n buffer, or, where its live cells fill at most
+    1/_LIVE_FILL of the cells, an edge list: built by one pass over E, or
+    filtered from the side's last one at a larger t, with exps of the live
+    cells only. The left side uses the buffer first, then the right side,
+    whose kernel becomes the chain in the buffer (an edge list's scattered
+    into it after zeroing it), so the chain needs no n x n array of its own
+    and a measure of the sweep is valid until its next t. t W is formed only
+    for a side that hands over to the log domain, and the right side's then
+    gives the chain. Every other support (renewal truncations among them)
+    solves each t by `perron` on t W (on transfer_matrix at t <= 0), as a
+    lone gauged solve.
     """
 
     def __init__(self, W: np.ndarray, gauge: MaxPlusGauge):
         self.W, self.gauge = W, gauge
         finite = np.isfinite(W)
         self.sides = None
-        if np.count_nonzero(finite) > 2 * W.shape[0] - 1 and _dense(finite):
+        if np.count_nonzero(finite) > 2 * W.shape[0] - 1:
             buf = np.empty_like(W)
             self.sides = (
                 _ReducedSide(W.T, finite.T, gauge.u, gauge.beta, buf.T),

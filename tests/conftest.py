@@ -165,6 +165,26 @@ def sparse_aperiodic(n: int, rng: np.random.Generator) -> np.ndarray:
     return W
 
 
+def karp_max_cycle_mean(W: np.ndarray) -> float:
+    """The max cycle mean of W (-inf off the edges) by Karp's O(n^3) recurrence.
+
+    D_k(v) is the heaviest walk of k edges that ends at v, from any start
+    (D_0 = 0), and beta = max over v with D_n(v) > -inf of min over k < n
+    of (D_n(v) - D_k(v)) / (n - k) (Karp, Discrete Math. 1978, with a
+    source joined to every vertex). A term with D_k(v) = -inf is +inf.
+    """
+    n = W.shape[0]
+    D = np.empty((n + 1, n))
+    D[0] = 0.0
+    for k in range(n):
+        D[k + 1] = np.max(D[k][:, None] + W, axis=0)
+    ends = np.isfinite(D[n])
+    with np.errstate(invalid="ignore"):
+        means = (D[n][None, ends] - D[:n, ends]) / (n - np.arange(n))[:, None]
+    means[~np.isfinite(D[:n, ends])] = np.inf
+    return float(np.max(np.min(means, axis=0), initial=-np.inf))
+
+
 def dense_gauged_state(
     W: np.ndarray, t: float, beta: float | None = None
 ) -> tuple[float, np.ndarray, np.ndarray, float]:
@@ -179,15 +199,12 @@ def dense_gauged_state(
     (rho + 1) for the next eigenvalue mu of this matrix: the contraction
     margin of the iteration shifted by exp(t beta); near 0, neither that
     iteration nor this eigensolve can separate the top two eigenvectors.
-    beta, the max cycle mean of W, is found by a walk search of O(n^4)
-    unless the caller knows it.
+    beta, the max cycle mean of W, is found by `karp_max_cycle_mean` unless
+    the caller knows it.
     """
     n = W.shape[0]
     if beta is None:
-        walks, beta = W.copy(), float(np.max(np.diag(W)))
-        for length in range(2, n + 1):
-            walks = np.max(walks[:, :, None] + W[None, :, :], axis=1)
-            beta = max(beta, float(np.max(np.diag(walks))) / length)
+        beta = karp_max_cycle_mean(W)
     D = W - beta
     for m in range(n):
         D = np.maximum(D, D[:, m : m + 1] + D[m : m + 1, :])

@@ -35,7 +35,9 @@ COMMANDS = ("pressure", "equilibrium", "zerotemp", "entropy-limit", "diagnose", 
 # benchmark's sparse custom model at n = 256, whose configs live beside
 # this file; then the full shift's pressure at n = 127 and t = 1024, whose
 # entries spread too far for a scaled kernel, so both sides run the dense
-# log-domain ladder, and its sweep at n = 1023
+# log-domain ladder, and its sweep at n = 1023; and the sweep of the same
+# generator's model at n = 512, whose edges fill 1/128.4 of the cells, so
+# that every t steps on edge lists
 INVOCATIONS = [(cfg, (cmd,)) for cfg in CONFIGS for cmd in COMMANDS] + [
     ("tie_two_loops", ("zerotemp", "--k", "510")),
     ("tie_two_loops", ("entropy-limit", "--k", "510")),
@@ -45,6 +47,7 @@ INVOCATIONS = [(cfg, (cmd,)) for cfg in CONFIGS for cmd in COMMANDS] + [
     ("custom_n256", ("zerotemp", "--k", "255")),
     ("tie_two_loops", ("pressure", "--k", "126", "--t", "1024")),
     ("tie_two_loops", ("zerotemp", "--k", "1022")),
+    ("custom_n512", ("zerotemp", "--k", "511")),
 ]
 
 
@@ -98,7 +101,16 @@ def test_result_files_match_the_golden_digests(tmp_path, request):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     if golden["platform"] != numpy_platform():
         pytest.skip(f"digests recorded on {golden['platform']}, this machine has {numpy_platform()}")
-    got = invocation_digests(tmp_path)
-    assert sorted(got) == sorted(golden["invocations"])
-    for key, want in golden["invocations"].items():
-        assert got[key] == want, key
+    differences = digest_differences(invocation_digests(tmp_path), golden["invocations"])
+    assert not differences, "\n".join(differences)
+
+
+def digest_differences(got: dict, want: dict) -> list[str]:
+    """Every invocation, output and result file on which got and want differ, one line each."""
+    lines = [f"{key}: {'not recorded' if key in got else 'not run'}" for key in sorted(set(got) ^ set(want))]
+    for key in sorted(set(got) & set(want)):
+        a, b = got[key], want[key]
+        lines += [f"{key}: {part}" for part in ("code", "stdout", "stderr") if a[part] != b[part]]
+        names = sorted(set(a["files"]) | set(b["files"]))
+        lines += [f"{key}: {name}" for name in names if a["files"].get(name) != b["files"].get(name)]
+    return lines

@@ -239,26 +239,34 @@ def test_ungauged_dense_log_lambda_matches_scipy_reference(name):
 
 
 def test_dense_sides_absorb_once_per_solve(monkeypatch, tie_two_loops):
-    """The gauged full-shift sweep at n = 511: every side builds one dense
-    reduced kernel with one n x n exp and iterates linearly on it, so no
-    log-domain operator absorbs; the right kernel becomes the chain, and
-    equilibrium exponentiates no n x n array."""
+    """The gauged full-shift solves at n = 511 over the default ts: every
+    side builds one reduced kernel and iterates linearly on it, so no
+    log-domain operator absorbs. Up to t = 16 the live cells (t E >=
+    _EXP_ZERO) fill more than 1/16 of the matrix, and each kernel is n x n,
+    from one n x n exp; from t = 32 on each is an edge list, and only its
+    live cells are exponentiated. The right kernel becomes the n x n chain,
+    and equilibrium exponentiates no n x n array."""
     model, f = tie_two_loops
     tr = build_truncation(model, 510)
     n = tr.n_symbols
     gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
     absorbed = record_absorptions(monkeypatch)
-    exps = []
-    real_exp = rpf_finite._exp_nonzero
-    monkeypatch.setattr(rpf_finite, "_exp_nonzero", lambda x: exps.append(x.shape) or real_exp(x))
+    exps, kernels = [], []
+    real_exp, real_live = rpf_finite._exp_nonzero, rpf_finite._LiveKernel
+    monkeypatch.setattr(rpf_finite, "_exp_nonzero", lambda x, *dead: exps.append(x.shape) or real_exp(x, *dead))
+    monkeypatch.setattr(rpf_finite, "_LiveKernel", lambda *args: kernels.append(args[2].size) or real_live(*args))
     for t in ZT_TS_DEFAULT:
         exps.clear()
+        kernels.clear()
         logB = transfer_matrix(tr, f, t)
         pd = perron(logB, gauge=gauge.scaled(t))
-        assert exps.count((n, n)) == 2, t
+        if t <= 16.0:
+            assert exps.count((n, n)) == 2 and kernels == [], t
+        else:
+            assert exps.count((n, n)) == 0 and len(kernels) == 2 and rpf_finite._LIVE_FILL * max(kernels) <= n * n, t
         assert pd.chain is not None and pd.chain[1].shape == (n, n), t
         rpf_finite.equilibrium(pd, logB)
-        assert exps.count((n, n)) == 2, t
+        assert exps.count((n, n)) == (2 if t <= 16.0 else 0), t
     assert absorbed == []
 
 

@@ -1,11 +1,14 @@
 """Gauged solves on reduced kernels, against the dense oracle and the log-domain path.
 
 A gauged solve iterates linearly on K = exp(log B - t beta + t b_j - t b_i),
-b = v on the right and u on the left, and builds the chain from the right
-kernel. Its answers are checked against `dense_gauged_state` (the configs'
-sweeps, the planted 12-symbol model, `tie_two_loops` at n = 511), its
-handover to the log domain against the log-domain path bit for bit, and its
-costs by counting kernels, exponentials and applications.
+b = v on the right and u on the left, stored on its live cells (n x n, or an
+edge list where they fill at most 1/16 of the cells), and builds the chain
+from the right kernel. Its answers are checked against `dense_gauged_state`
+(the configs' sweeps, the planted 12-symbol model, `tie_two_loops` at n =
+511, sparse supports), against the same sweep on n x n kernels and the
+log-domain ladder, its handover to the log domain against the log-domain
+path bit for bit, and its costs by counting kernels, passes over E,
+exponentials and applications.
 """
 
 from pathlib import Path
@@ -13,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import dense_gauged_state, log_domain_side, tied_period_3
+from conftest import dense_gauged_state, karp_max_cycle_mean, log_domain_side, sparse_aperiodic, tied_period_3
 from gibbsline import limits, rpf_finite
 from gibbsline.bundled import bundled_pair
 from gibbsline.config import parse_model_config
@@ -152,10 +155,10 @@ def test_a_stalled_linear_run_goes_to_the_next_run_of_the_ladder(monkeypatch):
 
 def test_a_sparse_support_takes_the_log_domain_ladder(monkeypatch):
     """256 symbols on a Hamiltonian cycle with one more successor each: the
-    edges fill at most 1/128 of the cells, so the gauged solves build no
-    reduced kernel, run the log-domain ladder from the gauge and bring no
-    chain, and match the dense oracle (given Howard's max cycle mean: its
-    own walk search costs O(n^4), about 20 s at this n)."""
+    edges fill at most 1/128 of the cells, so the ungauged solves build no
+    scaled kernel, run the log-domain ladder and bring no chain. The gauged
+    solves need no fill: each side steps on an edge list of its live cells,
+    and the chain comes from the right one. Both match the dense oracle."""
     rng = np.random.default_rng(256)
     n = 256
     perm = rng.permutation(n)
@@ -166,14 +169,248 @@ def test_a_sparse_support_takes_the_log_domain_ladder(monkeypatch):
     f = MarkovPotential(model, Family.TABLE, table=tuple((i, j, w) for (i, j), w in sorted(weights.items())))
     trunc = build_truncation(model, n - 1)
     assert rpf_finite._MIN_FILL * len(weights) <= n * n
-    built = []
-    monkeypatch.setattr(rpf_finite, "_ReducedKernel", lambda *args: built.append(args))
-    W, solves = solve_sweep(trunc, f, (2.0, 16.0, 128.0, 1024.0))
-    assert built == []
+    kinds = record_kernel_kinds(monkeypatch)
+    ts = (2.0, 16.0, 128.0, 1024.0)
+    W, solves = solve_sweep(trunc, f, ts)
+    assert kinds == ["_LiveKernel"] * 2 * len(ts)
     beta = gauge_of(W).beta
     for t, pd, meas in solves:
-        assert pd.chain is None
+        assert pd.chain is not None
         assert_matches_oracle(pd, meas, W, t, beta)
+    kinds.clear()
+    for t in ts:
+        logB = t * W
+        pd = perron(logB)
+        assert pd.chain is None
+        assert_matches_oracle(pd, equilibrium(pd, logB), W, t, beta)
+    assert kinds == []
+
+
+def record_kernel_kinds(monkeypatch):
+    """The class name of every reduced kernel a side builds from here on."""
+    kinds = []
+    real = rpf_finite._ReducedSide.kernel
+
+    def kernel(side, *args):
+        K = real(side, *args)
+        kinds.append(type(K).__name__)
+        return K
+
+    monkeypatch.setattr(rpf_finite._ReducedSide, "kernel", kernel)
+    return kinds
+
+
+def record_sweep_kernels(monkeypatch):
+    """(t, class name, whether the side passed over E) of every kernel a
+    sweep side builds from here on. A sweep side's buffer is filled with
+    NaN before each kernel: a pass over E writes t E into it, a filtered
+    edge list leaves it alone."""
+    built = []
+    real = rpf_finite._ReducedSide.kernel
+
+    def kernel(side, t, *args):
+        assert side.out is not side.E
+        side.out.fill(np.nan)
+        K = real(side, t, *args)
+        built.append((t, type(K).__name__, not np.isnan(side.out).any()))
+        return K
+
+    monkeypatch.setattr(rpf_finite._ReducedSide, "kernel", kernel)
+    return built
+
+
+def sweep_results(trunc, f, sweep, ts):
+    """(pressure, pi, P) of the sweep at every t, in the order given."""
+    out = []
+    for t in ts:
+        p, meas = equilibrium_measure(trunc, f, t, sweep=sweep)
+        out.append((p, meas.stationary.copy(), meas.stochastic.copy()))
+    return out
+
+
+def test_a_full_shift_sweep_at_511_symbols_steps_on_edge_lists_from_t_32(monkeypatch, tie_two_loops):
+    """tie_two_loops at n = 511 over the default ts: the live cells fill
+    more than 1/16 of the matrix up to t = 16 (155,819 of 261,121 at t = 2,
+    22,976 at t = 16), so each side steps on its n x n kernel there; from
+    t = 32 (11,619) on, on an edge list, built by one pass over E at t = 32
+    and filtered at every larger t. Every t matches the sweep with every
+    kernel n x n, log lambda within 1e-12 relative and pi and P within
+    1e-10, and the dense oracle at the edge-list ts."""
+    model, f = tie_two_loops
+    trunc = build_truncation(model, 510)
+    built = record_sweep_kernels(monkeypatch)
+    got = sweep_results(trunc, f, sweep_of(trunc, f), ZT_TS_DEFAULT)
+    listed = [t for t in ZT_TS_DEFAULT if t >= 32.0]
+    want_built = [(t, "_ReducedKernel", True) for t in ZT_TS_DEFAULT if t < 32.0]
+    want_built += [(t, "_LiveKernel", t == 32.0) for t in listed]
+    assert built == [b for b in want_built for _ in range(2)]
+    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(rpf_finite, "_LIVE_FILL", 1 << 20)
+        sweep = sweep_of(trunc, f)
+        want = sweep_results(trunc, f, sweep, ZT_TS_DEFAULT)
+    for t, (p, pi, P), (p_nn, pi_nn, P_nn) in zip(ZT_TS_DEFAULT, got, want):
+        assert p == pytest.approx(p_nn, rel=1e-12, abs=0.0), t
+        assert np.allclose(pi, pi_nn, rtol=1e-10, atol=0.0), t
+        assert np.allclose(P, P_nn, rtol=1e-10, atol=0.0), t
+    beta = gauge_of(sweep.W).beta
+    for t in (32.0, 128.0, 1024.0):
+        p, pi, P = got[ZT_TS_DEFAULT.index(t)]
+        log_lambda, pi_o, P_o, gap = dense_gauged_state(sweep.W, t, beta)
+        assert p == pytest.approx(log_lambda, rel=1e-10, abs=1e-10), t
+        if gap >= 1e-3:
+            assert np.allclose(pi, pi_o, rtol=1e-9, atol=1e-12), t
+            assert np.allclose(P, P_o, rtol=1e-9, atol=1e-12), t
+
+
+# how each side builds its kernel at each t: "n x n" and "pass" over E, or an
+# edge list by a "pass" or by a "filter" of the side's last one
+@pytest.mark.parametrize(
+    "ts, steps",
+    [
+        (
+            (1024.0, 512.0, 256.0, 128.0, 64.0, 32.0, 16.0, 2.0),
+            ["list pass"] * 5 + ["n x n pass"] * 3,
+        ),
+        (
+            (64.0, 64.0, 128.0, 32.0, 1024.0, 256.0, 512.0, 2.0),
+            ["list pass", "list pass", "list filter", "n x n pass"] + ["list pass", "list pass", "list filter", "n x n pass"],
+        ),
+    ],
+)
+def test_a_sweep_in_any_order_gives_the_answers_of_an_ascending_one(monkeypatch, ts, steps):
+    """The 256-symbol full shift of tie_two_loops, whose live cells fill at
+    most 1/16 of the matrix from t = 64 on, stepped through decreasing and
+    repeated ts: every t gives the bits of the ascending sweep, and a side
+    filters its last edge list only at a larger t, passing over E at a
+    smaller or equal one."""
+    model, f = bundled_pair("tie_two_loops")
+    trunc = build_truncation(model, 255)
+    ascending = sorted(set(ts))
+    want = dict(zip(ascending, sweep_results(trunc, f, sweep_of(trunc, f), ascending)))
+    built = record_sweep_kernels(monkeypatch)
+    got = sweep_results(trunc, f, sweep_of(trunc, f), ts)
+    for t, (p, pi, P) in zip(ts, got):
+        p_a, pi_a, P_a = want[t]
+        assert p == p_a and pi.tobytes() == pi_a.tobytes() and P.tobytes() == P_a.tobytes(), t
+    names = {
+        ("_LiveKernel", True): "list pass",
+        ("_LiveKernel", False): "list filter",
+        ("_ReducedKernel", True): "n x n pass",
+    }
+    assert [b[0] for b in built] == [t for t in ts for _ in range(2)]
+    assert [names[b[1:]] for b in built] == [step for step in steps for _ in range(2)]
+
+
+def test_an_edge_list_iterate_below_the_normal_range_hands_over_to_the_log_domain(monkeypatch):
+    """The handover test above on 128 symbols: a cycle on 127 with one more
+    successor each and a loop at 0, all at weight 0, and a loop at 127 (0)
+    coupled by 126 -> 127 and 127 -> 0 at -1. The edges fill 1/64 of the
+    cells, so each side steps on an edge list; at t = 1024 both reduced
+    vectors leave the normal range at 127, and the solve returns the
+    log-domain answer bit for bit."""
+    n = 128
+    W = np.full((n, n), -np.inf)
+    W[np.arange(n - 1), (np.arange(n - 1) + 1) % (n - 1)] = 0.0
+    W[np.arange(n - 1), np.random.default_rng(127).integers(n - 1, size=n - 1)] = 0.0
+    W[0, 0] = W[n - 1, n - 1] = 0.0
+    W[n - 2, n - 1] = W[n - 1, 0] = -1.0
+    gauge = gauge_of(W)
+    t = 1024.0
+    logB = t * W
+    kinds = record_kernel_kinds(monkeypatch)
+    runs = record_linear_runs(monkeypatch)
+    new = perron(logB, gauge=gauge.scaled(t))
+    assert kinds == ["_LiveKernel"] * 2
+    assert runs == ["left the normal range"] * 2
+    assert new.chain is None
+    with monkeypatch.context() as m:
+        m.setattr(rpf_finite, "_side", log_domain_side)
+        old = perron(logB, gauge=gauge.scaled(t))
+    for name in ("log_lambda", "log_h", "log_nu", "residual", "path"):
+        got, want = np.asarray(getattr(new, name)), np.asarray(getattr(old, name))
+        assert got.tobytes() == want.tobytes(), name
+    assert new.iterations > old.iterations
+
+
+def test_an_edge_list_chain_is_zero_off_the_live_cells_and_matches_the_chain_from_log_b(monkeypatch):
+    """A gauged solve on 128 symbols (a Hamiltonian cycle, one more successor
+    each and a loop) at t = 128, where 2 of the 257 edges lie below
+    _EXP_ZERO in t E: its chain, scattered from the right edge list into the
+    n x n buffer, is zero off the 255 live cells and within 1e-12 of the
+    chain `equilibrium` builds from log B and the Perron data on them."""
+    W = sparse_aperiodic(128, np.random.default_rng(7))
+    gauge = gauge_of(W)
+    t = 128.0
+    logB = t * W
+    kinds = record_kernel_kinds(monkeypatch)
+    pd = perron(logB, gauge=gauge.scaled(t))
+    assert kinds == ["_LiveKernel"] * 2
+    E = (W + gauge.v[None, :]) - (gauge.v[:, None] + gauge.beta)
+    live = t * E >= rpf_finite._EXP_ZERO
+    assert np.count_nonzero(live) == 255 and np.count_nonzero(np.isfinite(W)) == 257
+    P = pd.chain[1]
+    assert pd.chain[0] is logB and P.shape == W.shape
+    assert not P[~live].any()
+    assert np.allclose(P[live], rpf_finite._chain(pd, logB)[live], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", [300, 301, 302])
+def test_the_sparsest_supports_step_linearly_under_a_gauge(monkeypatch, seed):
+    """Supports whose edges fill at most 1/128 of the cells (300 symbols, a
+    Hamiltonian cycle, one more successor each and a loop at 0) took the
+    log-domain ladder under a gauge while a reduced kernel was n x n; on
+    edge lists of their live cells they step linearly. log lambda within
+    1e-12 relative of the log-domain ladder (or 1e-12 absolute), pi and P
+    within 1e-10 of it, as in the sparse sibling test of the scaled
+    kernels, and the dense oracle at its tolerances."""
+    W = sparse_aperiodic(300, np.random.default_rng(seed))
+    assert not rpf_finite._dense(np.isfinite(W))
+    beta = gauge_of(W).beta
+    for t in (1.0, 4.0, 64.0):
+        logB = t * W
+        gauge = gauge_of(logB)
+        with monkeypatch.context() as m:
+            m.setattr(rpf_finite, "_side", log_domain_side)
+            old = perron(logB, gauge=gauge)
+        with monkeypatch.context() as m:
+            kinds = record_kernel_kinds(m)
+            runs = record_linear_runs(m)
+            new = perron(logB, gauge=gauge)
+        assert kinds == ["_LiveKernel"] * 2 and "converged" in runs and "left the normal range" not in runs, t
+        assert new.chain is not None and new.path == old.path, t
+        meas, ref = equilibrium(new, logB), equilibrium(old, logB)
+        assert new.log_lambda == pytest.approx(old.log_lambda, rel=1e-12, abs=1e-12), t
+        assert np.allclose(meas.stationary, ref.stationary, rtol=1e-10, atol=0.0), t
+        assert np.allclose(meas.stochastic, ref.stochastic, rtol=1e-10, atol=0.0), t
+        assert_matches_oracle(new, meas, W, t, beta)
+
+
+def walk_search_max_cycle_mean(W):
+    """The max cycle mean of W by a walk search of O(n^4): the heaviest closed
+    walk of each length up to n, over its length."""
+    n = W.shape[0]
+    walks, beta = W.copy(), float(np.max(np.diag(W)))
+    for length in range(2, n + 1):
+        walks = np.max(walks[:, :, None] + W[None, :, :], axis=1)
+        beta = max(beta, float(np.max(np.diag(walks))) / length)
+    return beta
+
+
+def test_the_oracles_karp_recurrence_matches_a_walk_search():
+    """`karp_max_cycle_mean`, which `dense_gauged_state` runs when it is
+    given no beta, against the walk search it replaced, on 600 random
+    tables of 1 to 6 symbols with weights from -3..3 on random supports,
+    reducible and acyclic ones among them (beta = -inf on those)."""
+    rng = np.random.default_rng(6)
+    acyclic = 0
+    for _ in range(600):
+        n = int(rng.integers(1, 7))
+        W = np.where(rng.random((n, n)) < rng.uniform(0.1, 1.0), rng.uniform(-3.0, 3.0, (n, n)), -np.inf)
+        want = walk_search_max_cycle_mean(W)
+        acyclic += want == -np.inf
+        assert karp_max_cycle_mean(W) == pytest.approx(want, rel=1e-14, abs=1e-14), W
+    assert 0 < acyclic < 300
 
 
 def test_equilibrium_takes_a_solve_chain_only_for_the_matrix_it_solved():

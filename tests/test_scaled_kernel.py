@@ -8,10 +8,10 @@ linear runs patched away with `log_domain_side`) and against
 `dense_gauged_state`; an entry spread beyond the normal range and a mid-run
 underflow against the log-domain bits; and the supports that must not reach
 K by counting the kernels built, against the gauged twin of each support,
-which falls on the same side of 1/128. Sparse supports above 1/128, on which
-gauged solves run on their reduced kernels, get the same checks. Last, the
-rule by which a side picks each run's domain, for sides with and without a
-gauge.
+which reaches a reduced kernel on every support but a first-return one.
+Sparse supports above 1/128, on which gauged solves run on their reduced
+kernels, get the same checks. Last, the rule by which a side picks each
+run's domain, for sides with and without a gauge.
 """
 
 import numpy as np
@@ -74,15 +74,20 @@ def test_linear_answers_match_the_log_domain_ladder_and_the_dense_oracle(W, t):
     within 1e-10 (an eigenvector is pinned only to residual / gap), and all
     three against the dense eigensolve at the oracle tests' tolerances.
     Where the linear plain run stalls, the shifted run of the log domain
-    answers, from the gauge it builds."""
+    answers, from the gauge it builds. A matrix on which the log-domain
+    ladder spends its budget is drawn again, as in the sparse test below
+    (`test_a_dense_table_on_which_both_runs_stall_raises` keeps one)."""
     assert graph_period(np.isfinite(W)) == 1
     logB = t * W
+    try:
+        old = log_domain(logB)
+    except NoConvergence:
+        assume(False)
     with pytest.MonkeyPatch.context() as m:
         runs = count_linear_runs(m)
         new = perron(logB)
     assert runs == [False, False]  # the plain run of each side, on K
     meas = equilibrium(new, logB)
-    old = log_domain(logB)
     ref = equilibrium(old, logB)
     assert new.path == old.path
     assert new.log_lambda == pytest.approx(old.log_lambda, rel=1e-12, abs=1e-300)
@@ -93,6 +98,29 @@ def test_linear_answers_match_the_log_domain_ladder_and_the_dense_oracle(W, t):
     if gap >= 1e-3:
         assert np.allclose(meas.stationary, pi, rtol=1e-9, atol=1e-12)
         assert np.allclose(meas.stochastic, P, rtol=1e-9, atol=1e-12)
+
+
+def test_a_dense_table_on_which_both_runs_stall_raises():
+    """A 4-symbol table that the dense hypothesis test above once drew: at t
+    = 4 the left side's plain run on K^T and its shifted run from the gauge
+    both spend their 3,000 steps, ending near a residual of 4e-12, above
+    the gate of 1e-12, so `perron` raises NoConvergence, as does the
+    log-domain ladder. That is the documented answer: no solve returns an
+    iterate that missed the gate. At t = 1 the same table converges."""
+    W = np.array([
+        [1.13171363, 1.8197048, NEG_INF, NEG_INF],
+        [NEG_INF, -0.02089083, -1.84738154, NEG_INF],
+        [NEG_INF, NEG_INF, -2.6332719, 0.7767634],
+        [-0.99733167, -2.28071038, 1.49400957, NEG_INF],
+    ])
+    assert np.count_nonzero(np.isfinite(W)) > 2 * 4 - 1 and graph_period(np.isfinite(W)) == 1
+    assert perron(W).path == "plain"
+    logB = 4.0 * W
+    with pytest.raises(NoConvergence) as exc:
+        perron(logB)
+    assert exc.value.iterations == 2 * 3000
+    with pytest.raises(NoConvergence):
+        log_domain(logB)
 
 
 def tied_shift(t):
@@ -194,14 +222,17 @@ def test_periodic_first_return_and_sparsest_supports_never_reach_the_scaled_kern
     kernel and make no linear run; a sparse period-1 support above 1/128
     runs each side's plain run on the n x n kernel, as the same support with
     every cell filled does. The gauged twin of each support, solved from its
-    own gauge, falls on the same side of 1/128: no reduced kernel on a
-    first-return support or at or below 1/128, one per side above it. A
-    gauged side needs no period, so the periodic supports' twins reduce too,
-    and their cyclic gauges start each side on the linear shifted run."""
+    own gauge, needs no fill: no reduced kernel on a first-return support,
+    one per side on every other, n x n where its live cells fill more than
+    1/16 of the matrix and an edge list elsewhere, the sparsest supports
+    among them. A gauged side needs no period, so the periodic supports'
+    twins reduce too, and their cyclic gauges start each side on the linear
+    shifted run."""
     built, kernels = [], []
-    real, real_kernel = rpf_finite._scaled_kernels, rpf_finite._ReducedKernel
+    real, real_kernel, real_live = rpf_finite._scaled_kernels, rpf_finite._ReducedKernel, rpf_finite._LiveKernel
     monkeypatch.setattr(rpf_finite, "_scaled_kernels", lambda *args: built.append(args) or real(*args))
-    monkeypatch.setattr(rpf_finite, "_ReducedKernel", lambda *args: kernels.append(args) or real_kernel(*args))
+    monkeypatch.setattr(rpf_finite, "_ReducedKernel", lambda *args: kernels.append("n x n") or real_kernel(*args))
+    monkeypatch.setattr(rpf_finite, "_LiveKernel", lambda *args: kernels.append("edge list") or real_live(*args))
     runs = count_linear_runs(monkeypatch)
 
     def solve(logB, gauged=False):
@@ -220,7 +251,7 @@ def test_periodic_first_return_and_sparsest_supports_never_reach_the_scaled_kern
         assert solve(logB).path == "period-averaged"
         assert built == [] and kernels == [] and runs == []
         assert solve(logB, gauged=True).path == "shifted"
-        assert built == [] and len(kernels) == 2 and runs == [True, True]
+        assert built == [] and kernels == ["n x n"] * 2 and runs == [True, True]
     # period 2 and sparse: a Hamiltonian cycle through even and odd symbols
     # by turns, and one more successor each, of the other parity
     n = 128
@@ -235,7 +266,7 @@ def test_periodic_first_return_and_sparsest_supports_never_reach_the_scaled_kern
     assert solve(W).path == "period-averaged"
     assert built == [] and kernels == [] and runs == []
     solve(W, gauged=True)
-    assert built == [] and len(kernels) == 2 and runs[:1] == [True]
+    assert built == [] and kernels == ["edge list"] * 2 and runs[:1] == [True]
     # first return: the renewal truncation at n = 7 and at n = 256 (sparse),
     # and a 1 x 1 loop
     model, f = bundled_pair("renewal_weighted")
@@ -251,24 +282,27 @@ def test_periodic_first_return_and_sparsest_supports_never_reach_the_scaled_kern
     W = sparse_aperiodic(300, np.random.default_rng(300))
     finite = np.isfinite(W)
     assert graph_period(finite) == 1 and not rpf_finite._dense(finite)
-    for gauged in (False, True):
-        pd = solve(2.0 * W, gauged)
-        assert pd.path in ("plain", "shifted") and pd.chain is None
-        assert built == [] and kernels == [] and runs == []
+    pd = solve(2.0 * W)
+    assert pd.path in ("plain", "shifted") and pd.chain is None
+    assert built == [] and kernels == [] and runs == []
+    gauge = gauge_of(2.0 * W)
+    pd = solve(2.0 * W, gauged=True)
+    assert pd.chain is not None
+    assert built == [] and kernels == ["edge list"] * 2 and runs[:1] == [gauge.cyclicity > 1]
     # sparse: 128 symbols, period 1, edges in more than 1/128 of the cells
     # and at most 1/SPARSE
     W = sparse_aperiodic(128, np.random.default_rng(128))
     finite = np.isfinite(W)
     assert graph_period(finite) == 1 and sparse_kernel_support(finite)
     # and the same cycle with every cell filled
-    for logB in (2.0 * W, np.where(finite, W, -8.0)):
+    for logB, storage in ((2.0 * W, "edge list"), (np.where(finite, W, -8.0), "n x n")):
         pd = solve(logB)
         assert pd.path == "plain" and pd.chain is not None
-        assert len(built) == 1 and len(kernels) == 2 and runs == [False, False]
+        assert len(built) == 1 and kernels == ["n x n"] * 2 and runs == [False, False]
         gauge = gauge_of(logB)
         pd = solve(logB, gauged=True)
         assert pd.chain is not None
-        assert built == [] and len(kernels) == 2 and runs[:1] == [gauge.cyclicity > 1]
+        assert built == [] and kernels == [storage] * 2 and runs[:1] == [gauge.cyclicity > 1]
 
 
 @st.composite
