@@ -110,6 +110,12 @@ def subaction(
     return _seeded_subaction(trunc, W, beta, witness)
 
 
+def _symbol_pairs(symbols: np.ndarray, adj: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The edges of adj, in row order, as pairs of symbols."""
+    a, b = np.nonzero(adj)
+    return tuple(zip(symbols[a].tolist(), symbols[b].tolist()))
+
+
 def critical_graph(
     trunc: Truncation, W: np.ndarray, beta: float, v: np.ndarray, tie_tol: float, witness: tuple[int, ...]
 ) -> CriticalDecomposition:
@@ -126,17 +132,13 @@ def critical_graph(
     if not comps:
         raise EmptyCriticalGraph(tie_tol)
     alphabet = trunc.alphabet
-    tight_edges = tuple(
-        (int(alphabet[a]), int(alphabet[b])) for a, b in zip(*np.nonzero(tight))
-    )
+    tight_edges = _symbol_pairs(alphabet, tight)
 
     components = []
     periods = []
     for comp, sub in comps:
-        syms = tuple(int(alphabet[a]) for a in comp)
-        edges = tuple(
-            (int(alphabet[comp[a]]), int(alphabet[comp[b]])) for a, b in zip(*np.nonzero(sub))
-        )
+        syms = tuple(alphabet[comp].tolist())
+        edges = _symbol_pairs(alphabet[comp], sub)
         periods.append(graph_period(sub))
         # entropy of the component subshift: zero-potential pressure
         log_zero = np.where(sub, 0.0, _NEG_INF)

@@ -64,9 +64,10 @@ def max_cycle_mean(W: np.ndarray) -> tuple[float, list[int]]:
         raise SolverError(f"vertex {int(empty[0])} has no out-edge, so not every walk reaches a cycle")
     tol = _tolerance(W, finite)
     policy = np.argmax(W, axis=1)
+    scratch = np.empty_like(W)
     for _ in range(_ROUNDS_PER_VERTEX * n):
         eta, x, cycles = _evaluate(policy, W[np.arange(n), policy])
-        improved = _improve(W, finite, policy, eta, x, tol)
+        improved = _improve(W, finite, policy, eta, x, tol, scratch)
         if improved is None:
             best = max(eta[c[0]] for c in cycles)
             return best, min(c for c in cycles if eta[c[0]] == best)
@@ -119,22 +120,38 @@ def _evaluate(policy: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _improve(
-    W: np.ndarray, finite: np.ndarray, policy: np.ndarray, eta: np.ndarray, x: np.ndarray, tol: float
+    W: np.ndarray,
+    finite: np.ndarray,
+    policy: np.ndarray,
+    eta: np.ndarray,
+    x: np.ndarray,
+    tol: float,
+    scratch: np.ndarray,
 ) -> np.ndarray | None:
     """Policy improvement, or None when no edge beats the policy by more than tol.
 
     First on eta: a vertex moves to a successor of larger eta. Only when
     none can, on the bias: among successors of equal eta, it moves to the
     largest W_ij - eta_i + x_j. A vertex whose current edge ties the best
-    keeps it.
+    keeps it. Both steps build their n x n values in `scratch`. Where all
+    eta are equal no successor has a larger one; where they spread by at
+    most tol, every finite successor has equal eta, since rounded
+    subtraction is monotone, and the values need no mask: W_ij is -inf off
+    the finite cells.
     """
-    succ_eta = np.where(finite, eta[None, :], _NEG_INF)
-    best_eta = succ_eta.max(axis=1)
-    move = best_eta > eta + tol
-    if move.any():
-        return np.where(move, np.argmax(succ_eta, axis=1), policy)
-    same = finite & (np.abs(eta[None, :] - eta[:, None]) <= tol)
-    value = np.where(same, W - eta[:, None] + x[None, :], _NEG_INF)
+    lo, hi = eta.min(), eta.max()
+    if lo != hi:
+        np.copyto(scratch, _NEG_INF)
+        np.copyto(scratch, eta, where=finite)
+        best_eta = scratch.max(axis=1)
+        move = best_eta > eta + tol
+        if move.any():
+            return np.where(move, np.argmax(scratch, axis=1), policy)
+    value = np.subtract(W, eta[:, None], out=scratch)
+    value += x
+    if hi - lo > tol:
+        same = np.abs(eta[None, :] - eta[:, None]) <= tol
+        np.copyto(value, _NEG_INF, where=~same)
     move = value.max(axis=1) > value[np.arange(len(policy)), policy] + tol
     if not move.any():
         return None
@@ -142,8 +159,15 @@ def _improve(
 
 
 def _tolerance(W: np.ndarray, finite: np.ndarray) -> float:
-    """Policy iteration's tolerance on W: 16 n eps times its largest finite |W_ij| (at least 1)."""
-    return 16.0 * W.shape[0] * _EPS * max(1.0, float(np.max(W)), -float(np.min(W, where=finite, initial=np.inf)))
+    """Policy iteration's tolerance on W: 16 n eps times its largest finite |W_ij| (at least 1).
+
+    The smallest entry is the smallest finite one unless it is not finite;
+    only then is the minimum taken under the mask, a slower reduction.
+    """
+    lo = float(np.min(W))
+    if not math.isfinite(lo):
+        lo = float(np.min(W, where=finite, initial=np.inf))
+    return 16.0 * W.shape[0] * _EPS * max(1.0, float(np.max(W)), -lo)
 
 
 def subaction(W: np.ndarray, beta: float, seeds: list[int]) -> np.ndarray:
@@ -158,14 +182,20 @@ def subaction(W: np.ndarray, beta: float, seeds: list[int]) -> np.ndarray:
     A vertex that reaches no seed raises too.
     """
     finite = np.isfinite(W)
-    return _walks_into(W - beta, finite, seeds, _tolerance(W, finite))
+    return _walks_into(W, beta, finite, seeds, _tolerance(W, finite), np.empty_like(W))
 
 
-def _walks_into(G: np.ndarray, finite: np.ndarray, seeds: list[int], tol: float) -> np.ndarray:
-    """`subaction` of G = W - beta, given the finite mask and tolerance of W."""
-    n = G.shape[0]
+def _walks_into(
+    W: np.ndarray, beta: float, finite: np.ndarray, seeds: list[int], tol: float, value: np.ndarray
+) -> np.ndarray:
+    """`subaction` of W and beta, given the finite mask and tolerance of W.
+
+    Each round builds its values (W_ij - beta) + x_j in the n x n buffer
+    `value`, laid out like W.
+    """
+    n = W.shape[0]
     rows = np.arange(n)
-    if (np.diagonal(G) > tol).any():
+    if (np.diagonal(W) - beta > tol).any():
         raise SolverError(_BELOW)
     policy = np.full(n, -1)
     frontier = np.unique(seeds)
@@ -180,7 +210,7 @@ def _walks_into(G: np.ndarray, finite: np.ndarray, seeds: list[int], tol: float)
     kept = x = None
     for _ in range(_ROUNDS_PER_VERTEX * n):
         stops = policy == rows
-        eta, new_x, cycles = _evaluate(policy, np.where(stops, 0.0, G[rows, policy]))
+        eta, new_x, cycles = _evaluate(policy, np.where(stops, 0.0, W[rows, policy] - beta))
         closed = [c for c in cycles if len(c) > 1]
         if closed:
             if max(eta[c[0]] for c in closed) > tol:
@@ -191,7 +221,8 @@ def _walks_into(G: np.ndarray, finite: np.ndarray, seeds: list[int], tol: float)
                 return x
             continue
         x = new_x
-        value = G + x[None, :]
+        np.subtract(W, beta, out=value)
+        value += x
         np.fill_diagonal(value, _NEG_INF)  # a seed at itself stops; any other loop gains at most tol
         move = np.flatnonzero(value.max(axis=1) > x)
         if not move.size:
@@ -207,11 +238,14 @@ def critical_components(
     """Tight edges of W - beta + v_j - v_i, and the SCCs that carry a cycle.
 
     Returns the tight-edge mask and (vertices, tight sub-mask) per critical
-    component; every cycle of tight edges has mean beta.
+    component; every cycle of tight edges has mean beta. The residue is
+    built in one buffer; with beta, v and tie_tol finite it is -inf off the
+    edges of W, so no cell off them is tight.
     """
-    with np.errstate(invalid="ignore"):
-        residue = W - beta + v[None, :] - v[:, None]
-    tight = np.isfinite(W) & (np.abs(residue) <= tie_tol)
+    residue = np.subtract(W, beta)
+    residue += v
+    residue -= v[:, None]
+    tight = np.abs(residue, out=residue) <= tie_tol
     comps = []
     for comp in strongly_connected_components(tight):
         if len(comp) == 1 and not tight[comp[0], comp[0]]:
@@ -226,9 +260,11 @@ def gauge(W: np.ndarray, beta: float, seeds: list[int], cyclicity: int) -> MaxPl
     Both eigenvectors are walks into the seeds (`subaction`); the left one
     runs on W transposed.
     """
-    G, finite = W - beta, np.isfinite(W)
+    finite = np.isfinite(W)
     tol = _tolerance(W, finite)
-    v, u = _walks_into(G, finite, seeds, tol), _walks_into(G.T, finite.T, seeds, tol)
+    value = np.empty_like(W)
+    v = _walks_into(W, beta, finite, seeds, tol, value)
+    u = _walks_into(W.T, beta, finite.T, seeds, tol, value.T)
     return MaxPlusGauge(float(beta), v, u, int(cyclicity))
 
 

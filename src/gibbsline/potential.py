@@ -133,24 +133,34 @@ class MarkovPotential:
     def value_grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Vectorized f over the grid rows x cols; NaN where undefined.
 
-        rows and cols are lists of distinct symbols, such as alphabets.
+        rows and cols are lists of distinct symbols, such as alphabets. The
+        grid is built in the one float array returned, which the caller
+        may overwrite.
         """
-        ii = np.asarray(rows, dtype=np.int64)[:, None].astype(float)
-        jj = np.asarray(cols, dtype=np.int64)[None, :].astype(float)
+        i = np.asarray(rows, dtype=np.int64)
+        j = np.asarray(cols, dtype=np.int64)
         if self.family is Family.LOG_QUADRATIC:
-            vals = -np.log((ii + 1.0) * (ii + 2.0)) + 0.0 * jj
+            ii = i.astype(float)
+            vals = np.empty((i.size, j.size))
+            vals[...] = -np.log((ii + 1.0) * (ii + 2.0))[:, None]
         elif self.family is Family.TIE_TWO_LOOPS:
-            vals = np.where((ii < 2) & (jj < 2), 0.0, -(np.maximum(ii, jj) + 1.0))
+            vals = np.maximum(i[:, None], j, dtype=float)
+            vals += 1.0
+            np.negative(vals, out=vals)
+            vals[np.ix_(i < 2, j < 2)] = 0.0
         elif self.family is Family.RENEWAL_WEIGHTED:
-            vals = np.where(ii == 0, -(jj + 1.0), np.where(jj == ii - 1.0, -ii, np.nan))
+            vals = np.full((i.size, j.size), np.nan)
+            np.copyto(vals, -i.astype(float)[:, None], where=j == i[:, None] - 1)
+            vals[i == 0] = -(j + 1.0)
         else:
             ti, tj, tv = self._table_entries
-            a = _positions(np.asarray(rows, dtype=np.int64), ti)
-            b = _positions(np.asarray(cols, dtype=np.int64), tj)
+            a = _positions(i, ti)
+            b = _positions(j, tj)
             hit = (a >= 0) & (b >= 0)
-            vals = np.full(np.broadcast_shapes(ii.shape, jj.shape), np.nan)
+            vals = np.full((i.size, j.size), np.nan)
             vals[a[hit], b[hit]] = tv[hit]
-        return vals + self.shift
+        vals += self.shift
+        return vals
 
     @property
     def is_row_constant(self) -> bool:

@@ -219,12 +219,18 @@ class MarkovMeasure(AlphabetIndexed):
 
 
 def transfer_matrix(trunc: Truncation, f: MarkovPotential, t: float) -> np.ndarray:
-    """log B with entries t*f(i, j) on admissible edges, -inf elsewhere."""
+    """log B with entries t*f(i, j) on admissible edges, -inf elsewhere.
+
+    Built in place in f's value grid. f is finite where it is defined, so
+    t*f is NaN on an edge exactly where f is undefined there.
+    """
     inc = trunc.require_incidence()
-    vals = f.value_grid(trunc.alphabet, trunc.alphabet)
-    if np.isnan(vals[inc]).any():
+    logB = f.value_grid(trunc.alphabet, trunc.alphabet)
+    logB *= t
+    np.copyto(logB, _NEG_INF, where=~inc)
+    if np.isnan(logB.max()):
         raise ValidationError("potential undefined on an admissible edge of the truncation")
-    return np.where(inc, t * vals, _NEG_INF)
+    return logB
 
 
 def _logsumexp(a: np.ndarray, axis: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
@@ -1033,11 +1039,15 @@ def equilibrium(pd: PerronData, logB: np.ndarray, alphabet: np.ndarray | None = 
     builds it from its right scaled kernel without an exp), P is that
     array, and the measure takes it over; otherwise P is built here.
     """
+    alphabet = np.arange(logB.shape[0], dtype=np.int64) if alphabet is None else alphabet
+    return _measure(pd, _solved_chain(pd, logB), alphabet)
+
+
+def _solved_chain(pd: PerronData, logB: np.ndarray) -> np.ndarray:
+    """The equilibrium chain of logB: the one pd's solve built for this very logB, else built here."""
     if pd.chain is not None and pd.chain[0] is logB:
-        P = pd.chain[1]
-    else:
-        P = _chain(pd, logB)
-    return _measure(pd, P, np.arange(logB.shape[0], dtype=np.int64) if alphabet is None else alphabet)
+        return pd.chain[1]
+    return _chain(pd, logB)
 
 
 def _chain(pd: PerronData, logB: np.ndarray) -> np.ndarray:
@@ -1051,8 +1061,14 @@ def _chain(pd: PerronData, logB: np.ndarray) -> np.ndarray:
     return P
 
 
-def _measure(pd: PerronData, P: np.ndarray, alphabet: np.ndarray) -> MarkovMeasure:
-    """The measure of the chain P, with pi = nu*h polished against P."""
+def _measure(
+    pd: PerronData, P: np.ndarray, alphabet: np.ndarray, index: dict[int, int] | None = None
+) -> MarkovMeasure:
+    """The measure of the chain P, with pi = nu*h polished against P.
+
+    index, when given, is the `local_index` of `alphabet` (a truncation's),
+    which the measure then shares instead of building its own.
+    """
     pi = np.exp(pd.log_nu + pd.log_h)
     pi /= pi.sum()
     # nu*h is stationary up to the solver residual; a few multiplications
@@ -1064,7 +1080,10 @@ def _measure(pd: PerronData, P: np.ndarray, alphabet: np.ndarray) -> MarkovMeasu
             pi = nxt
             break
         pi = nxt
-    return MarkovMeasure(P, pi, np.asarray(alphabet, dtype=np.int64))
+    m = MarkovMeasure(P, pi, np.asarray(alphabet, dtype=np.int64))
+    if index is not None:
+        object.__setattr__(m, "_local_index", index)
+    return m
 
 
 class GaugedSweep:
@@ -1117,17 +1136,15 @@ def equilibrium_measure(
     NoConvergence when the solve does not converge (see `perron`).
     """
     gauge = None if sweep is None else sweep.gauge.scaled(t)
-    if sweep is None or not t > 0:
-        logB = transfer_matrix(trunc, f, t)
-    elif sweep.sides is None:
-        logB = t * sweep.W
-    else:
+    if sweep is not None and t > 0 and sweep.sides is not None:
         pd, (kernel, arg) = _power_perron(None, None, gauge, sweep.sides, t)
         # the right kernel, or the t W the right side handed over to
         P = _chain(pd, arg) if kernel is None else kernel.chain(arg)
-        return pd.log_lambda, _measure(pd, P, trunc.alphabet)
-    pd = perron(logB, gauge=gauge)
-    return pd.log_lambda, equilibrium(pd, logB, trunc.alphabet)
+    else:
+        logB = transfer_matrix(trunc, f, t) if sweep is None or not t > 0 else t * sweep.W
+        pd = perron(logB, gauge=gauge)
+        P = _solved_chain(pd, logB)
+    return pd.log_lambda, _measure(pd, P, trunc.alphabet, trunc.local_index())
 
 
 def log_cylinder_mass(m: MarkovMeasure, word: tuple[int, ...]) -> float:

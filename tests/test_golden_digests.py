@@ -35,9 +35,11 @@ COMMANDS = ("pressure", "equilibrium", "zerotemp", "entropy-limit", "diagnose", 
 # benchmark's sparse custom model at n = 256, whose configs live beside
 # this file; then the full shift's pressure at n = 127 and t = 1024, whose
 # entries spread too far for a scaled kernel, so both sides run the dense
-# log-domain ladder, and its sweep at n = 1023; and the sweep of the same
+# log-domain ladder, and its sweep at n = 1023; the sweep of the same
 # generator's model at n = 512, whose edges fill 1/128.4 of the cells, so
-# that every t steps on edge lists
+# that every t steps on edge lists; and the sweep of its planted model at
+# n = 12, whose gauge has cyclicity 3, so that every t runs on the shifted
+# path
 INVOCATIONS = [(cfg, (cmd,)) for cfg in CONFIGS for cmd in COMMANDS] + [
     ("tie_two_loops", ("zerotemp", "--k", "510")),
     ("tie_two_loops", ("entropy-limit", "--k", "510")),
@@ -48,6 +50,7 @@ INVOCATIONS = [(cfg, (cmd,)) for cfg in CONFIGS for cmd in COMMANDS] + [
     ("tie_two_loops", ("pressure", "--k", "126", "--t", "1024")),
     ("tie_two_loops", ("zerotemp", "--k", "1022")),
     ("custom_n512", ("zerotemp", "--k", "511")),
+    ("custom_n12", ("zerotemp", "--k", "11")),
 ]
 
 

@@ -306,6 +306,18 @@ class TestCylinderMass:
             assert idx == {int(s): a for a, s in enumerate(obj.alphabet)}
             assert obj.local_index() is idx
 
+    @pytest.mark.parametrize("name", ["renewal_weighted", "tie_two_loops"])
+    def test_a_measure_shares_its_truncations_index(self, name):
+        # renewal supports solve each t by perron on t W, the full shift on the sweep's sides
+        model, f = bundled_pair(name)
+        tr = build_truncation(model, 6)
+        W = transfer_matrix(tr, f, 1.0)
+        sweep = GaugedSweep(W, max_plus_gauge(tr, f, critical_decomposition(tr, f, W=W), W=W))
+        assert (sweep.sides is None) == (name == "renewal_weighted")
+        for kwargs in ({}, {"sweep": sweep}):
+            _, meas = equilibrium_measure(tr, f, 2.0, **kwargs)
+            assert meas.local_index() is tr.local_index()
+
 
 class TestIntegralEntropy:
     def test_constant_potential_integral(self):
