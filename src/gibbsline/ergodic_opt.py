@@ -8,7 +8,9 @@ schedule. The max-plus routines themselves live in `maxplus`; this module
 applies them to the weight matrix W = `transfer_matrix(trunc, f, 1)` of a
 potential on a truncation, which rejects f undefined on an admissible edge.
 A critical decomposition builds W once, and so does its gauge; a caller
-that already holds W (a zero-temperature sweep) passes it to both instead.
+that already holds W passes it to both instead. A zero-temperature sweep's
+set-up (`_sweep_setup`) builds W once and reads its support and Howard's
+tolerance once, for the decomposition, the gauge and the sweep.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
 )
 from .maxplus import MaxPlusGauge
 from .potential import MarkovPotential, is_summable
-from .rpf_finite import MarkovMeasure, equilibrium, perron, transfer_matrix
+from .rpf_finite import GaugedSweep, MarkovMeasure, equilibrium, perron, transfer_matrix
 from .shift_model import ShiftModel, Truncation, build_truncation, graph_period, last_truncation
 
 _NEG_INF = -np.inf
@@ -49,11 +51,10 @@ class Component:
 
 @dataclass(frozen=True, eq=False)
 class CriticalDecomposition:
-    """Max cycle mean, subaction, tight edges and critical components."""
+    """Max cycle mean, subaction and critical components."""
 
     beta: float
     subaction: np.ndarray
-    tight_edges: tuple[tuple[int, int], ...]
     components: tuple[Component, ...]
     maximal_components: tuple[int, ...]
     witness_cycle: tuple[int, ...]
@@ -73,16 +74,19 @@ class K0Report:
     betas: tuple[float, ...]
 
 
-def _witnessed_mean(trunc: Truncation, W: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    mean, cycle = maxplus.max_cycle_mean(W)
+def _witnessed_mean(trunc: Truncation, W: np.ndarray, finite: np.ndarray, tol: float) -> tuple[float, tuple[int, ...]]:
+    # finite and tol are W's `maxplus._support`, as in every helper below
+    mean, cycle = maxplus._max_cycle_mean(W, finite, tol)
     symbols = tuple(int(trunc.alphabet[v]) for v in cycle)
     # canonical rotation: start at the smallest symbol
     pivot = symbols.index(min(symbols))
     return mean, symbols[pivot:] + symbols[:pivot]
 
 
-def _seeded_subaction(trunc: Truncation, W: np.ndarray, beta: float, witness: tuple[int, ...]) -> np.ndarray:
-    v = maxplus.subaction(W, beta, [trunc.local_index()[min(witness)]])
+def _seeded_subaction(
+    trunc: Truncation, W: np.ndarray, finite: np.ndarray, tol: float, beta: float, witness: tuple[int, ...]
+) -> np.ndarray:
+    v = maxplus._walks_into(W, beta, finite, [trunc.local_index()[min(witness)]], tol, np.empty_like(W))
     return v - v[0]
 
 
@@ -92,7 +96,8 @@ def max_mean_cycle(trunc: Truncation, f: MarkovPotential) -> tuple[float, tuple[
     Howard's policy iteration (see `maxplus.max_cycle_mean`); beta is
     returned as the exact mean of the witness cycle.
     """
-    return _witnessed_mean(trunc, transfer_matrix(trunc, f, 1.0))
+    W = transfer_matrix(trunc, f, 1.0)
+    return _witnessed_mean(trunc, W, *maxplus._support(W))
 
 
 def subaction(
@@ -105,9 +110,10 @@ def subaction(
     is below the max cycle mean.
     """
     W = transfer_matrix(trunc, f, 1.0)
+    finite, tol = maxplus._support(W)
     if witness is None:
-        _, witness = _witnessed_mean(trunc, W)
-    return _seeded_subaction(trunc, W, beta, witness)
+        _, witness = _witnessed_mean(trunc, W, finite, tol)
+    return _seeded_subaction(trunc, W, finite, tol, beta, witness)
 
 
 def _symbol_pairs(symbols: np.ndarray, adj: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -128,11 +134,10 @@ def critical_graph(
     carry a cycle; every cycle made of tight edges has mean exactly beta,
     so their union is the maximizing subshift of the truncation.
     """
-    tight, comps = maxplus.critical_components(W, beta, v, tie_tol)
+    _, comps = maxplus.critical_components(W, beta, v, tie_tol)
     if not comps:
         raise EmptyCriticalGraph(tie_tol)
     alphabet = trunc.alphabet
-    tight_edges = _symbol_pairs(alphabet, tight)
 
     components = []
     periods = []
@@ -155,7 +160,6 @@ def critical_graph(
     return CriticalDecomposition(
         beta=beta,
         subaction=v,
-        tight_edges=tight_edges,
         components=tuple(components),
         maximal_components=maximal,
         witness_cycle=witness,
@@ -176,16 +180,22 @@ def critical_decomposition(
     """
     if W is None:
         W = transfer_matrix(trunc, f, 1.0)
-    beta, witness = _witnessed_mean(trunc, W)
-    v = _seeded_subaction(trunc, W, beta, witness)
-    tol = tie_tol
+    return _decomposition(trunc, W, *maxplus._support(W), tie_tol)
+
+
+def _decomposition(
+    trunc: Truncation, W: np.ndarray, finite: np.ndarray, tol: float, tie_tol: float
+) -> CriticalDecomposition:
+    """`critical_decomposition` of the weight matrix W."""
+    beta, witness = _witnessed_mean(trunc, W, finite, tol)
+    v = _seeded_subaction(trunc, W, finite, tol, beta, witness)
     while True:
         try:
-            return critical_graph(trunc, W, beta, v, tol, witness)
+            return critical_graph(trunc, W, beta, v, tie_tol, witness)
         except EmptyCriticalGraph:
-            if tol >= 1e-6:
+            if tie_tol >= 1e-6:
                 raise
-            tol *= 10.0
+            tie_tol *= 10.0
 
 
 def max_plus_gauge(
@@ -201,9 +211,26 @@ def max_plus_gauge(
     """
     if W is None:
         W = transfer_matrix(trunc, f, 1.0)
+    return _gauge(trunc, W, *maxplus._support(W), dec)
+
+
+def _gauge(
+    trunc: Truncation, W: np.ndarray, finite: np.ndarray, tol: float, dec: CriticalDecomposition
+) -> MaxPlusGauge:
+    """`max_plus_gauge` from the weight matrix W."""
     idx = trunc.local_index()
     seeds = [idx[dec.components[j].symbols[0]] for j in dec.maximal_components]
-    return maxplus.gauge(W, dec.beta, seeds, dec.cyclicity)
+    return maxplus._gauge(W, finite, tol, dec.beta, seeds, dec.cyclicity)
+
+
+def _sweep_setup(trunc: Truncation, f: MarkovPotential, tie_tol: float) -> tuple[CriticalDecomposition, GaugedSweep]:
+    """The critical decomposition of f on the truncation and the state of a
+    t-sweep there, from one weight matrix W and one reading of its support:
+    the decomposition, the gauge and every t's solve share them."""
+    W = transfer_matrix(trunc, f, 1.0)
+    finite, tol = maxplus._support(W)
+    dec = _decomposition(trunc, W, finite, tol, tie_tol)
+    return dec, GaugedSweep._of(W, finite, _gauge(trunc, W, finite, tol, dec))
 
 
 def _structure_key(dec: CriticalDecomposition) -> tuple:

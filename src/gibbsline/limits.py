@@ -18,22 +18,19 @@ from .errors import NoTailDescriptor, NonMixingModel, NotConverged, SolverError,
 from .ergodic_opt import (
     CriticalDecomposition,
     K0Report,
-    critical_decomposition,
+    _sweep_setup,
     detect_k0,
     max_entropy_over_maximizing,
     max_mean_cycle,
-    max_plus_gauge,
 )
 from .potential import MarkovPotential, SummabilityCertificate, check_summability, is_summable, variation
 from .rpf_finite import (
-    GaugedSweep,
     MarkovMeasure,
     cylinder_mass,
     entropy,
     equilibrium_measure,
     integral,
     partition_entropy,
-    transfer_matrix,
 )
 from .shift_model import ShiftModel, Truncation, build_truncation, is_whole_shift
 
@@ -380,15 +377,6 @@ def tightness_bound_check(
             if mass > bound + 1e-12:
                 violations.append((k, int(trunc.alphabet[a]), mass, bound))
     return TightnessReport(float(t), s_ref, witness, thresholds, tuple(violations))
-
-
-def _sweep_setup(trunc: Truncation, f: MarkovPotential, tie_tol: float) -> tuple[CriticalDecomposition, GaugedSweep]:
-    """The critical decomposition of f on the truncation and the state of a
-    t-sweep there, from one weight matrix W: the decomposition, the gauge
-    and every t's solve share it."""
-    W = transfer_matrix(trunc, f, 1.0)
-    dec = critical_decomposition(trunc, f, tie_tol=tie_tol, W=W)
-    return dec, GaugedSweep(W, max_plus_gauge(trunc, f, dec, W=W))
 
 
 def zero_temp_sweep(

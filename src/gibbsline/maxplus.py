@@ -5,7 +5,9 @@ cycle and, with seeds that may stop, the max-plus eigenvectors
 (subactions), hence the critical graph and the gauge that warm-starts
 Perron solves at large inverse temperature. All routines take plain
 matrices: ``ergodic_opt`` feeds them the potential on a truncation,
-``rpf_finite`` a log transfer matrix.
+``rpf_finite`` a log transfer matrix. Each public routine reads W's finite
+mask and its tolerance (`_support`); a set-up that runs several on one W
+reads them once and calls the private forms, which take them.
 """
 
 from __future__ import annotations
@@ -57,12 +59,15 @@ def max_cycle_mean(W: np.ndarray) -> tuple[float, list[int]]:
     best cycle of the final policy (through the smallest local index when
     several tie), starting at that index; beta is its mean summed from there.
     """
+    return _max_cycle_mean(W, *_support(W))
+
+
+def _max_cycle_mean(W: np.ndarray, finite: np.ndarray, tol: float) -> tuple[float, list[int]]:
+    """`max_cycle_mean` of W, given W's `_support`."""
     n = W.shape[0]
-    finite = np.isfinite(W)
     empty = np.flatnonzero(~finite.any(axis=1))
     if empty.size:
         raise SolverError(f"vertex {int(empty[0])} has no out-edge, so not every walk reaches a cycle")
-    tol = _tolerance(W, finite)
     policy = np.argmax(W, axis=1)
     scratch = np.empty_like(W)
     for _ in range(_ROUNDS_PER_VERTEX * n):
@@ -158,6 +163,14 @@ def _improve(
     return np.where(move, np.argmax(value, axis=1), policy)
 
 
+def _support(W: np.ndarray) -> tuple[np.ndarray, float]:
+    """W's finite mask and policy iteration's tolerance on W, the two
+    readings of W that Howard's routines take; a caller that runs several
+    of them on one W reads them once."""
+    finite = np.isfinite(W)
+    return finite, _tolerance(W, finite)
+
+
 def _tolerance(W: np.ndarray, finite: np.ndarray) -> float:
     """Policy iteration's tolerance on W: 16 n eps times its largest finite |W_ij| (at least 1).
 
@@ -181,14 +194,14 @@ def subaction(W: np.ndarray, beta: float, seeds: list[int]) -> np.ndarray:
     (beta is too small); below it, rounding closed it, and its moves are undone.
     A vertex that reaches no seed raises too.
     """
-    finite = np.isfinite(W)
-    return _walks_into(W, beta, finite, seeds, _tolerance(W, finite), np.empty_like(W))
+    finite, tol = _support(W)
+    return _walks_into(W, beta, finite, seeds, tol, np.empty_like(W))
 
 
 def _walks_into(
     W: np.ndarray, beta: float, finite: np.ndarray, seeds: list[int], tol: float, value: np.ndarray
 ) -> np.ndarray:
-    """`subaction` of W and beta, given the finite mask and tolerance of W.
+    """`subaction` of W and beta, given W's `_support` (finite, tol).
 
     Each round builds its values (W_ij - beta) + x_j in the n x n buffer
     `value`, laid out like W.
@@ -238,19 +251,24 @@ def critical_components(
     """Tight edges of W - beta + v_j - v_i, and the SCCs that carry a cycle.
 
     Returns the tight-edge mask and (vertices, tight sub-mask) per critical
-    component; every cycle of tight edges has mean beta. The residue is
-    built in one buffer; with beta, v and tie_tol finite it is -inf off the
-    edges of W, so no cell off them is tight.
+    component, in the order of their smallest vertices; every cycle of
+    tight edges has mean beta. The residue is built in one buffer; with
+    beta, v and tie_tol finite it is -inf off the edges of W, so no cell off
+    them is tight. A vertex without both a tight in-edge and a tight
+    out-edge lies on no tight cycle, so the SCC walk starts without them.
     """
     residue = np.subtract(W, beta)
     residue += v
     residue -= v[:, None]
     tight = np.abs(residue, out=residue) <= tie_tol
+    kept = np.flatnonzero(tight.any(axis=0) & tight.any(axis=1))
+    sub = tight if kept.size == tight.shape[0] else tight[np.ix_(kept, kept)]
     comps = []
-    for comp in strongly_connected_components(tight):
-        if len(comp) == 1 and not tight[comp[0], comp[0]]:
+    for local in strongly_connected_components(sub):
+        if len(local) == 1 and not sub[local[0], local[0]]:
             continue  # a vertex without a tight self-loop carries no cycle
-        comps.append((comp, tight[np.ix_(comp, comp)]))
+        comps.append((kept[local].tolist(), sub[np.ix_(local, local)]))
+    comps.sort(key=lambda c: c[0][0])
     return tight, comps
 
 
@@ -260,8 +278,13 @@ def gauge(W: np.ndarray, beta: float, seeds: list[int], cyclicity: int) -> MaxPl
     Both eigenvectors are walks into the seeds (`subaction`); the left one
     runs on W transposed.
     """
-    finite = np.isfinite(W)
-    tol = _tolerance(W, finite)
+    return _gauge(W, *_support(W), beta, seeds, cyclicity)
+
+
+def _gauge(
+    W: np.ndarray, finite: np.ndarray, tol: float, beta: float, seeds: list[int], cyclicity: int
+) -> MaxPlusGauge:
+    """`gauge` of W, given W's `_support`."""
     value = np.empty_like(W)
     v = _walks_into(W, beta, finite, seeds, tol, value)
     u = _walks_into(W.T, beta, finite.T, seeds, tol, value.T)
@@ -274,10 +297,11 @@ def gauge_of(W: np.ndarray) -> MaxPlusGauge:
     Seeds one vertex of every critical component. The tie tolerance scales
     with the largest finite weight, so the gauge of t*W is found at any t.
     """
-    tie_tol = 1e-9 * max(1.0, float(np.max(np.abs(W[np.isfinite(W)]))))
-    beta, witness = max_cycle_mean(W)
-    v = subaction(W, beta, [min(witness)])
+    finite, tol = _support(W)
+    tie_tol = 1e-9 * max(1.0, float(np.max(np.abs(W[finite]))))
+    beta, witness = _max_cycle_mean(W, finite, tol)
+    v = _walks_into(W, beta, finite, [min(witness)], tol, np.empty_like(W))
     _, comps = critical_components(W, beta, v, tie_tol)
     seeds = [comp[0] for comp, _ in comps]
     cyclicity = math.lcm(*(graph_period(sub) for _, sub in comps))
-    return gauge(W, beta, seeds, cyclicity)
+    return _gauge(W, finite, tol, beta, seeds, cyclicity)

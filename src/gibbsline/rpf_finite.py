@@ -71,32 +71,43 @@ every support, stored on its live cells:
   left. The exponents are <= 0 and reach 0 on every row, so K is scaled at
   any t, and as t grows K tends entrywise to the critical adjacency (Akian,
   Bapat and Gaubert, C. R. Acad. Sci. Paris 1998), so at large t almost
-  every cell is exactly +0.0. A side stores K on its live cells, those
-  with t E >= _EXP_ZERO (E the exponent at t = 1), the only ones whose exp
-  is not +0.0: as a row-sorted edge list (`_LiveKernel`, an application is
-  one gather, one multiply and one np.add.reduceat) where they fill at most
-  1/_LIVE_FILL of the cells, and n x n (`_ReducedKernel`, from one exp of
-  the matrix) otherwise. Every row keeps its best cell, so a side of fewer
-  than _LIVE_FILL symbols is n x n without a count. A sweep builds each
-  side's t-free exponent E = (W + v_j) - (v_i + beta) once (`_ReducedSide`,
-  from W and f's own gauge; the left one from W^T and u), and a step to the
-  next t costs one multiply t E and one exp per side, in one buffer the two
-  sides share (`GaugedSweep`). The live cells only shrink as t grows, so at
-  a t above that of a side's last edge list the side filters that list
-  instead of passing over E. A lone gauged `perron` builds E from log B and
-  the scaled gauge and takes t = 1. The kernel is the same matrix whichever
-  the storage, with its exact zeros left out, so only the summation order
-  of a matvec can move a last ulp. For t a power of two (every default t of
-  the sweeps), t E equals the lone exponent (t W + t v_j) - (t v_i + t
-  beta) bit for bit unless an intermediate is subnormal, so the sweep and
-  per-t solves agree bit for bit; between powers of two they may differ in
-  the last ulp of an exponent. The uniform start is the gauge start t v (t
-  u) in reduced coordinates: log h = log h~ + t v, log nu = log nu~ + t u
-  and log lambda = t beta + log rho. The left side is reduced by u, not by
-  v: the left vector of K_r^T is nu e^{t v}, whose smallest entry on the
-  planted 12-symbol model of the tests is 2e-188 of its largest at t = 128
-  and underflows at t = 256, while nu e^{-t u} stays above 0.6 of its
-  largest at every t of the sweep.
+  every cell lies below the normal range, and at every t thousands of a
+  full shift's cells pass through the subnormal band on their way to +0.0.
+  A side keeps its live cells, those with t E >= -_NORMAL_SPREAD (E the
+  exponent at t = 1), whose exp is a normal float, and every other cell of
+  K is an exact zero: like an ungauged K, a gauged one holds only normal
+  floats and zeros, at every n and on either storage. Where numpy's exp
+  returns a subnormal it costs about 100 times a normal result, and a
+  matvec over subnormal entries about 3 times one over zeros. K is so not
+  fl(exp(t E)) but that matrix without its entries below 2^-1022. Every row
+  of K reaches 1, so rho >= 1, and at K's reduced Perron vector x the
+  Collatz-Wielandt bound gives that log rho moves by less than n 2^-1022
+  max x / min x (the spread is at most 800 on the sweeps of the tests); the
+  residual gate certifies the matrix the iteration runs on. A side
+  stores K as a row-sorted edge list of its live cells (`_LiveKernel`, an
+  application is one gather, one multiply and one np.add.reduceat) where
+  they fill at most 1/_LIVE_FILL of the cells, and n x n (`_ReducedKernel`,
+  from one exp of the matrix) otherwise. Every row keeps its best cell, so
+  a side of fewer than _LIVE_FILL symbols is n x n without a count. A sweep
+  builds each side's t-free exponent E = (W + v_j) - (v_i + beta) once
+  (`_ReducedSide`, from W and f's own gauge; the left one from W^T and u),
+  and a step to the next t costs one multiply t E and one exp per side, in
+  one buffer the two sides share (`GaugedSweep`). The live cells only
+  shrink as t grows, so at a t above that of a side's last edge list the
+  side filters that list instead of passing over E. A lone gauged `perron`
+  builds E from log B and the scaled gauge and takes t = 1. Both storages
+  hold the same entries, so only the summation order of a matvec can move
+  a last ulp. For t a power of two (every default t of the sweeps), t E
+  equals the lone exponent (t W + t v_j) - (t v_i + t beta) bit for bit
+  unless an intermediate is subnormal, so the sweep and per-t solves agree
+  bit for bit; between powers of two they may differ in the last ulp of an
+  exponent. The uniform start is the gauge start t v (t u) in reduced
+  coordinates: log h = log h~ + t v, log nu = log nu~ + t u and log lambda
+  = t beta + log rho. The left side is reduced by u, not by v: the left
+  vector of K_r^T is nu e^{t v}, whose smallest entry on the planted
+  12-symbol model of the tests is 2e-188 of its largest at t = 128 and
+  underflows at t = 256, while nu e^{-t u} stays above 0.6 of its largest
+  at every t of the sweep.
 
 When the right side converged linearly, its kernel becomes the chain of
 `equilibrium` (P_ij = K_ij x_j, rows renormalized), which so needs no exp
@@ -136,9 +147,11 @@ grids and critical components, and on a sparse one a log-domain step pays
 an exp and a log per edge, more than a matvec of n^2 cells up to n = 512.
 
 Every exponential of a difference to a maximum (`_exp_below`, under the
-log-sum-exps, the CSR kernel and the dense absorption), the reduced kernels
-and the log-domain chain of `equilibrium` call exp only on the entries whose
-result is not +0.0 (`_exp_nonzero`, np.exp bit for bit). At large t nearly
+log-sum-exps, the CSR kernel and the dense absorption) and the log-domain
+chain of `equilibrium` call exp only on the entries whose result is not
++0.0 (`_exp_nonzero`, np.exp bit for bit), and the reduced kernels only on
+their live cells. The log-domain users keep their subnormals: a log-sum-exp
+of 0 and a subnormal is that subnormal's log, not -inf. At large t nearly
 every cell of a full shift underflows: at t = 64 on the 511-symbol
 `tie_two_loops` truncation, 255,532 of the 261,121 cells an absorption
 exponentiates do. numpy 2.4's exp took about 0.25 ms on 511 x 511 normal
@@ -260,6 +273,10 @@ def _exp_below(a: np.ndarray, top: np.ndarray, at_top: np.ndarray, out: np.ndarr
 # smallest subnormal) and -inf to +0.0: exp(-746) is 1.04e-324, below half
 # the smallest subnormal (2.47e-324), so it rounds to +0.0
 _EXP_ZERO = -746.0
+# np.exp(-_NORMAL_SPREAD) is still a normal float (2.2250738585072626e-308
+# against np.finfo(float).tiny = 2.2250738585072014e-308), and so is the exp
+# of every larger argument
+_NORMAL_SPREAD = -math.log(_TINY)
 # below this many entries the mask's three extra numpy calls cost more than
 # the exps it skips: on a 2-vCPU x86-64 VM with numpy 2.4, n x n arrays with
 # 97% of the entries underflowing took 5.6 / 8.4 / 30 us unmasked against
@@ -274,7 +291,9 @@ def _exp_nonzero(x: np.ndarray, dead: np.ndarray | None = None) -> np.ndarray:
     From _MASK_MIN entries on, exp is called only on the entries at or
     above _EXP_ZERO; the others (-inf among them) are set to +0.0 without
     one. NaN entries stay live, so a NaN propagates. `dead` is
-    np.less(x, _EXP_ZERO), if the caller has it; it is overwritten.
+    np.less(x, _EXP_ZERO), if the caller has it, or a mask of more entries
+    to set to +0.0 (a reduced kernel's, at -_NORMAL_SPREAD); it is
+    overwritten, and below _MASK_MIN entries it is not read.
     """
     if x.size < _MASK_MIN:
         return np.exp(x, out=x)
@@ -422,19 +441,18 @@ def _dense(finite: np.ndarray) -> bool:
 
 # a gauged side's kernel at t is an edge list where its live cells fill at
 # most 1/_LIVE_FILL of the cells, and n x n otherwise. On a 2-vCPU x86-64 VM
-# with numpy 2.4 and one BLAS thread, the tie_two_loops sweep over
-# ZT_TS_DEFAULT at n = 511 (live cells 1/1.7 of the matrix at t = 2, 1/11.4
-# at t = 16, 1/22.5 at t = 32, 1/256 from t = 256 on) took, in ms, medians
-# [quartiles] of 21 interleaved rounds:
+# (Intel Xeon) with numpy 2.4 and one BLAS thread, the tie_two_loops sweep
+# over ZT_TS_DEFAULT at n = 511 (live cells 1/1.7 of the matrix at t = 2,
+# 1/11.9 at t = 16, 1/23.5 at t = 32, 1/255.5 from t = 256 on) took, in ms,
+# medians [quartiles] of 21 interleaved rounds:
 #     _LIVE_FILL   4             8             16            32
-#                  32.8 [29, 36] 30.4 [28, 34] 32.4 [30, 35] 34.0 [32, 38]
+#                  16.3 [16, 17] 16.1 [16, 17] 17.0 [17, 18] 18.2 [18, 19]
 #     _LIVE_FILL   64            n x n only
-#                  35.9 [33, 40] 43.1 [39, 46]
-# At fill 1/22.5 an edge-list application cost about an n x n matvec
-# (0.068 / 0.064 ms); the edge list saves the passes over the matrix and the
-# exps of the dead cells, and a sweep filters its list at the next t. The
-# sparse n = 512 custom sweep (edges in 1/128.4 of the cells) took 114 ms on
-# edge lists against 348 ms on n x n kernels.
+#                  19.6 [19, 20] 35.2 [34, 36]
+# An edge list saves the passes over the matrix and the exps of the dead
+# cells, and a sweep filters its list at the next t. The sparse n = 512
+# custom sweep (edges in 1/128.4 of the cells) took 55.6 ms on edge lists
+# against 214 ms on n x n kernels.
 _LIVE_FILL = 16
 
 
@@ -446,13 +464,14 @@ class _ReducedSide:
     max-plus eigenvector (v on the right, u on the left) and beta its max
     cycle mean. The exponent E = (logA + b_j) - (b_i + beta) is <= 0 on
     every edge and 0 on each row's best edge, and the side's reduced kernel
-    at t is exp(t E), stored on its live cells (`kernel`): n x n in `out`
-    (E itself unless given), or an edge list whose chain is scattered into
-    `out`. A lone solve takes t = 1, a sweep the t of its step; a sweep side
-    keeps its last edge list, with its t, for the next t. For t a power of
-    two, t E is the exponent (t logA + t b_j) - (t b_i + t beta) of a lone
-    solve on t logA with the gauge scaled by t, bit for bit, unless an
-    intermediate is subnormal: scaling by 2^k commutes with rounding.
+    at t is exp(t E) on its live cells, those whose exp is a normal float,
+    and 0 elsewhere (`kernel`): n x n in `out` (E itself unless given), or
+    an edge list whose chain is scattered into `out`. A lone solve takes t
+    = 1, a sweep the t of its step; a sweep side keeps its last edge list,
+    with its t, for the next t. For t a power of two, t E is the exponent
+    (t logA + t b_j) - (t b_i + t beta) of a lone solve on t logA with the
+    gauge scaled by t, bit for bit, unless an intermediate is subnormal:
+    scaling by 2^k commutes with rounding.
     """
 
     def __init__(self, logA: np.ndarray, finite: np.ndarray, bias: np.ndarray, beta: float, out=None):
@@ -464,25 +483,33 @@ class _ReducedSide:
         self.live = None
 
     def kernel(self, t: float, gauge: MaxPlusGauge, warm_start) -> _ReducedKernel | _LiveKernel:
-        """The side's reduced kernel at t, on its live cells (those with t E
-        >= _EXP_ZERO): n x n in its buffer, from one multiply and one exp,
-        or an edge list where they fill at most 1/_LIVE_FILL of the cells.
-        At a t above that of its last edge list, the side filters that list
-        instead of passing over E. gauge is the max-plus gauge of t logA."""
+        """The side's reduced kernel at t on its live cells, those with t E
+        >= -_NORMAL_SPREAD, whose exp is a normal float; every other cell is
+        0, so the kernel holds no subnormal, and log rho is that of exp(t E)
+        within n 2^-1022 max x / min x, x the reduced Perron vector (see the
+        module docstring). n x n in its buffer, from one multiply and one exp,
+        or an edge list where the live cells fill at most 1/_LIVE_FILL of
+        the cells. At a t above that of its last edge list, the side filters
+        that list instead of passing over E. gauge is the max-plus gauge of
+        t logA."""
         bias, scale = warm_start(gauge), gauge.beta
         if self.live is not None and t > self.live[0]:
             # the live cells at t are live at every smaller t
             _, rows, cols, E = self.live
-            keep = np.greater_equal(E * t, _EXP_ZERO)
+            keep = np.greater_equal(E * t, -_NORMAL_SPREAD)
             rows, cols, E = rows[keep], cols[keep], E[keep]
         else:
             tE = np.multiply(self.E, t, out=self.out)
             # every row keeps its best cell, so below _LIVE_FILL symbols the
             # live cells fill more than 1/_LIVE_FILL without a count
-            dead = None if tE.shape[0] < _LIVE_FILL else np.less(tE, _EXP_ZERO)
+            dead = None if tE.shape[0] < _LIVE_FILL else np.less(tE, -_NORMAL_SPREAD)
             if dead is None or _LIVE_FILL * (dead.size - np.count_nonzero(dead)) > dead.size:
                 self.live = None
-                return _ReducedKernel(_exp_nonzero(tE, dead), bias, scale)
+                K = _exp_nonzero(tE, dead)
+                if dead is None or K.size < _MASK_MIN:
+                    # _exp_nonzero did not skip the cells below the normal range
+                    np.copyto(K, 0.0, where=K < _TINY)
+                return _ReducedKernel(K, bias, scale)
             rows, cols = np.divmod(np.flatnonzero(np.logical_not(dead, out=dead)), dead.shape[0])
             E = self.E[rows, cols]
         self.live = (t, rows, cols, E)
@@ -523,9 +550,10 @@ class _ReducedKernel:
 class _LiveKernel:
     """x -> K x for a gauged side's reduced kernel stored on its live cells.
 
-    rows, cols and vals list the cells of K that are not +0.0 (and no other
-    cell needs to be), row by row; every row holds one, its best cell, so
-    an application is one gather, one multiply and one np.add.reduceat.
+    rows, cols and vals list the live cells of K, whose entries are normal
+    floats (every other cell is 0), row by row; every row holds one, its
+    best cell, so an application is one gather, one multiply and one
+    np.add.reduceat.
     bias and scale are those of `_ReducedKernel`, and out is the side's n x
     n buffer, into which the chain is scattered.
     """
@@ -547,11 +575,6 @@ class _LiveKernel:
         P.fill(0.0)
         P[self.rows, self.cols] = p
         return P
-
-
-# np.exp(-_NORMAL_SPREAD) is still a normal float (2.2250738585072626e-308
-# against np.finfo(float).tiny = 2.2250738585072014e-308)
-_NORMAL_SPREAD = -math.log(_TINY)
 
 
 def _scaled_kernels(logB: np.ndarray, finite: np.ndarray) -> tuple[_ReducedKernel, _ReducedKernel] | None:
@@ -1092,7 +1115,7 @@ class GaugedSweep:
     W is `transfer_matrix(trunc, f, 1.0)` and gauge the max-plus gauge of f
     (not of t*f) on the truncation; `equilibrium_measure(trunc, f, t,
     sweep)` solves t*f with the gauge scaled by t. The support is read once,
-    from W. Where it has more than 2n - 1 edges (which the first-return
+    from W, or taken from a set-up that has read it (`_of`). Where it has more than 2n - 1 edges (which the first-return
     path turns away, see `_first_return`), however sparse, both sides'
     exponents are built here once (`_ReducedSide`; the left one from W^T,
     which stays column-major, so that the left matvec keeps the BLAS path
@@ -1111,8 +1134,17 @@ class GaugedSweep:
     """
 
     def __init__(self, W: np.ndarray, gauge: MaxPlusGauge):
+        self._set_up(W, np.isfinite(W), gauge)
+
+    @classmethod
+    def _of(cls, W: np.ndarray, finite: np.ndarray, gauge: MaxPlusGauge) -> GaugedSweep:
+        """The sweep of W, whose support `finite` = np.isfinite(W) the caller has read."""
+        sweep = cls.__new__(cls)
+        sweep._set_up(W, finite, gauge)
+        return sweep
+
+    def _set_up(self, W: np.ndarray, finite: np.ndarray, gauge: MaxPlusGauge) -> None:
         self.W, self.gauge = W, gauge
-        finite = np.isfinite(W)
         self.sides = None
         if np.count_nonzero(finite) > 2 * W.shape[0] - 1:
             buf = np.empty_like(W)

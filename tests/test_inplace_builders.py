@@ -16,14 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsline import maxplus
+from gibbsline import ergodic_opt, maxplus
 from gibbsline.bundled import bundled_pair
 from gibbsline.config import parse_model_config
 from gibbsline.errors import ValidationError
 from gibbsline.ergodic_opt import critical_decomposition, max_plus_gauge
 from gibbsline.potential import Family, MarkovPotential
 from gibbsline.rpf_finite import transfer_matrix
-from gibbsline.shift_model import ModelKind, ShiftModel, build_truncation
+from gibbsline.shift_model import ModelKind, ShiftModel, build_truncation, strongly_connected_components
 
 TESTS = Path(__file__).resolve().parent
 
@@ -153,6 +153,38 @@ def test_critical_components_returns_the_broadcast_tight_mask(state):
         assert tight.tolist() == broadcast_tight(W, beta, v, tie_tol).tolist()
 
 
+@settings(max_examples=60, deadline=None)
+@given(howard_states())
+def test_critical_components_are_the_cycle_carrying_sccs_of_the_whole_tight_graph(state):
+    """The SCC walk starts without the vertices that lack a tight in-edge or
+    out-edge: its components are those of the walk over every vertex that
+    carry a cycle, in the order of their smallest vertices."""
+    W = state[0]
+    beta, witness = maxplus.max_cycle_mean(W)
+    v = maxplus.subaction(W, beta, [min(witness)])
+    for tie_tol in (1e-9, 1e-6, 0.5):
+        tight, comps = maxplus.critical_components(W, beta, v, tie_tol)
+        want = sorted(c for c in strongly_connected_components(tight) if len(c) > 1 or tight[c[0], c[0]])
+        assert [comp for comp, _ in comps] == want
+        assert all(sub.tolist() == tight[np.ix_(comp, comp)].tolist() for comp, sub in comps)
+
+
+def test_a_sweep_set_up_reads_the_support_and_tolerance_of_w_once(monkeypatch, tie_two_loops):
+    """`_sweep_setup` at n = 511 takes np.isfinite of one n x n array and
+    Howard's tolerance once, for the max cycle mean, the subaction, both
+    sides of the gauge and the sweep's sides."""
+    model, f = tie_two_loops
+    tr = build_truncation(model, 510)
+    n = tr.n_symbols
+    shapes, tolerances = [], []
+    isfinite, tolerance = np.isfinite, maxplus._tolerance
+    monkeypatch.setattr(np, "isfinite", lambda x, *args, **kw: shapes.append(np.shape(x)) or isfinite(x, *args, **kw))
+    monkeypatch.setattr(maxplus, "_tolerance", lambda *args: tolerances.append(args) or tolerance(*args))
+    _, sweep = ergodic_opt._sweep_setup(tr, f, 1e-9)
+    assert shapes.count((n, n)) == 1 and len(tolerances) == 1
+    assert sweep.sides is not None
+
+
 @pytest.mark.parametrize("name", FAMILIES)
 def test_critical_graph_lists_its_edges_as_python_ints(name, request):
     model, f = family_pair(name, request)
@@ -161,7 +193,7 @@ def test_critical_graph_lists_its_edges_as_python_ints(name, request):
     dec = critical_decomposition(tr, f, W=W)
     a = tr.alphabet
     tight = broadcast_tight(W, dec.beta, dec.subaction, dec.tie_tol_used)
-    assert dec.tight_edges == tuple((int(a[i]), int(a[j])) for i, j in zip(*np.nonzero(tight)))
+    assert maxplus.critical_components(W, dec.beta, dec.subaction, dec.tie_tol_used)[0].tolist() == tight.tolist()
     for c in dec.components:
         comp = [tr.local_index()[s] for s in c.symbols]
         sub = tight[np.ix_(comp, comp)]

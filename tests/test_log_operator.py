@@ -242,9 +242,9 @@ def test_dense_sides_absorb_once_per_solve(monkeypatch, tie_two_loops):
     """The gauged full-shift solves at n = 511 over the default ts: every
     side builds one reduced kernel and iterates linearly on it, so no
     log-domain operator absorbs. Up to t = 16 the live cells (t E >=
-    _EXP_ZERO) fill more than 1/16 of the matrix, and each kernel is n x n,
-    from one n x n exp; from t = 32 on each is an edge list, and only its
-    live cells are exponentiated. The right kernel becomes the n x n chain,
+    -_NORMAL_SPREAD, those whose exp is a normal float) fill more than 1/16
+    of the matrix, and each kernel is n x n, from one n x n exp; from t = 32
+    on each is an edge list, and only its live cells are exponentiated. The right kernel becomes the n x n chain,
     and equilibrium exponentiates no n x n array."""
     model, f = tie_two_loops
     tr = build_truncation(model, 510)

@@ -230,9 +230,9 @@ def sweep_results(trunc, f, sweep, ts):
 
 def test_a_full_shift_sweep_at_511_symbols_steps_on_edge_lists_from_t_32(monkeypatch, tie_two_loops):
     """tie_two_loops at n = 511 over the default ts: the live cells fill
-    more than 1/16 of the matrix up to t = 16 (155,819 of 261,121 at t = 2,
-    22,976 at t = 16), so each side steps on its n x n kernel there; from
-    t = 32 (11,619) on, on an edge list, built by one pass over E at t = 32
+    more than 1/16 of the matrix up to t = 16 (149,564 of 261,121 at t = 2,
+    21,999 at t = 16), so each side steps on its n x n kernel there; from
+    t = 32 (11,120) on, on an edge list, built by one pass over E at t = 32
     and filtered at every larger t. Every t matches the sweep with every
     kernel n x n, log lambda within 1e-12 relative and pi and P within
     1e-10, and the dense oracle at the edge-list ts."""
@@ -336,7 +336,7 @@ def test_an_edge_list_iterate_below_the_normal_range_hands_over_to_the_log_domai
 def test_an_edge_list_chain_is_zero_off_the_live_cells_and_matches_the_chain_from_log_b(monkeypatch):
     """A gauged solve on 128 symbols (a Hamiltonian cycle, one more successor
     each and a loop) at t = 128, where 2 of the 257 edges lie below
-    _EXP_ZERO in t E: its chain, scattered from the right edge list into the
+    -_NORMAL_SPREAD in t E: its chain, scattered from the right edge list into the
     n x n buffer, is zero off the 255 live cells and within 1e-12 of the
     chain `equilibrium` builds from log B and the Perron data on them."""
     W = sparse_aperiodic(128, np.random.default_rng(7))
@@ -347,7 +347,7 @@ def test_an_edge_list_chain_is_zero_off_the_live_cells_and_matches_the_chain_fro
     pd = perron(logB, gauge=gauge.scaled(t))
     assert kinds == ["_LiveKernel"] * 2
     E = (W + gauge.v[None, :]) - (gauge.v[:, None] + gauge.beta)
-    live = t * E >= rpf_finite._EXP_ZERO
+    live = t * E >= -rpf_finite._NORMAL_SPREAD
     assert np.count_nonzero(live) == 255 and np.count_nonzero(np.isfinite(W)) == 257
     P = pd.chain[1]
     assert pd.chain[0] is logB and P.shape == W.shape
