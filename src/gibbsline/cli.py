@@ -36,7 +36,7 @@ from .limits import (
     zero_temp_sweep,
 )
 from .potential import SummabilityCertificate, check_summability, check_summability_t
-from .rpf_finite import gurevich_estimate, pressure
+from .rpf_finite import gurevich_estimates, pressure
 from .runstore import RunStore
 from .shift_model import ShiftModel, build_truncation, last_truncation
 
@@ -437,10 +437,7 @@ def _cmd_diagnose(cfg: ModelConfig, args, em: _Emitter) -> int:
     trunc = build_truncation(cfg.model, k_probe)
     p2 = pressure(trunc, cfg.potential, 2.0)
     a0 = int(trunc.alphabet[0])
-    errs = []
-    for n in (8, 16, 32, 64):
-        est = gurevich_estimate(trunc, cfg.potential, 2.0, a0, n)
-        errs.append(abs(est - p2))
+    errs = [abs(est - p2) for est in gurevich_estimates(trunc, cfg.potential, 2.0, a0, (8, 16, 32, 64))]
     report["gurevich_errors_t2"] = errs
     report["gurevich_decreasing"] = all(b <= a for a, b in zip(errs, errs[1:]))
 

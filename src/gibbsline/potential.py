@@ -170,14 +170,24 @@ class MarkovPotential:
     # -- cylinder sups ------------------------------------------------------
 
     def _ambient_sups(self, symbols: np.ndarray) -> np.ndarray:
-        """Closed-form sup f|_[i] over the full countable row of each symbol."""
+        """Closed-form sup f|_[i] over the full countable row of each symbol.
+
+        A family's closed form is built in the one float array returned,
+        which the caller may overwrite; float symbols are read as they are.
+        """
         s = np.asarray(symbols, dtype=float)
         if self.family is Family.LOG_QUADRATIC:
-            out = -np.log((s + 1.0) * (s + 2.0))
+            out = s + 1.0
+            out *= s + 2.0
+            np.log(out, out=out)
+            np.negative(out, out=out)
         elif self.family is Family.TIE_TWO_LOOPS:
-            out = np.where(s < 2, 0.0, -(s + 1.0))
+            out = s + 1.0
+            np.negative(out, out=out)
+            np.copyto(out, 0.0, where=s < 2)
         elif self.family is Family.RENEWAL_WEIGHTED:
-            out = np.where(s == 0, -1.0, -s)
+            out = np.negative(s)
+            np.copyto(out, -1.0, where=s == 0)
         else:
             ti, tj, tv = self._table_entries
             edge = self.model.has_edge(ti, tj)
@@ -189,7 +199,8 @@ class MarkovPotential:
             if dead.size:
                 i = int(np.asarray(symbols)[dead[0]])
                 raise DeadEndSymbol(f"symbol {i} has no admissible successor with a defined value")
-        return out + self.shift
+        out += self.shift
+        return out
 
     def _explicit_symbols(self) -> np.ndarray:
         if self.family is Family.TABLE:
@@ -280,8 +291,9 @@ def _polynomial_tail(a: float, p: float, t: float, start: int) -> float:
 
 # the term budget of a certificate, unless the caller sets one
 _MAX_TERMS = 2_000_000
-# certificate terms are evaluated this many symbols at a time, which bounds
-# the temporaries of a 2,000,000-term series to a few hundred kB
+# certificate terms are evaluated this many symbols at a time, each block
+# into its slice of the term buffer, so the temporaries of a 2,000,000-term
+# series are a few block-sized arrays of 256 kB
 _TERM_BLOCK = 1 << 15
 
 
@@ -293,17 +305,23 @@ def _rounds(f: MarkovPotential, term, tails, t: float, start_min: int, max_terms
     potentials, whose prefix doubles each round); majorant terms bridge up to
     `start_min`, and `tails` = (geometric, polynomial) closed forms at (a, b
     or p, t, start) bound the rest. The rounds end when a table cannot grow
-    or max_terms symbols are summed.
+    or max_terms symbols are summed. term(sups, out) writes the terms of
+    the sups into out and may overwrite sups.
 
-    Each round evaluates only the symbols it adds, in blocks of _TERM_BLOCK,
-    into one buffer; the sum is taken afresh over the prefix, so it equals
-    the sum over a newly built array bit for bit. The buffer grows in place
-    with the terms evaluated, so a large budget that a fast tail never
-    reaches allocates nothing.
+    Each round evaluates only the symbols it adds, in blocks of _TERM_BLOCK
+    (float symbols, exact below 2^53), each block's sups in one array and
+    its terms straight into its slice of one buffer; the sum is taken afresh
+    over the prefix, so it equals the sum over a newly built array bit for
+    bit. The first round's buffer has its exact size; the first growth
+    reserves min(max_terms, _MAX_TERMS) terms at once, and only a larger
+    budget grows it again. Pages past the evaluated prefix are never
+    touched, so a large budget that a fast tail never reaches costs nothing.
     """
     finite_syms = _finite_alphabet_symbols(f)
     if finite_syms is not None:
-        yield int(finite_syms.size), float(np.sum(term(f._ambient_sups(finite_syms)))), 0.0
+        terms = np.empty(finite_syms.size)
+        term(f._ambient_sups(finite_syms), terms)
+        yield int(finite_syms.size), float(np.sum(terms)), 0.0
         return
     if f.tail.kind is TailKind.NONE:
         raise NoTailDescriptor("summability over an infinite alphabet needs a tail descriptor")
@@ -313,22 +331,26 @@ def _rounds(f: MarkovPotential, term, tails, t: float, start_min: int, max_terms
     grow_ok = f.family is not Family.TABLE
     hi = int(f._explicit_symbols()[-1])
     hi = min(max(hi, start_min) if grow_ok else hi, max_terms - 1)
-    terms = np.empty(0)
+    terms = np.empty(hi + 1)
     done = 0
     while True:
-        terms.resize(hi + 1, refcheck=False)  # no view of `terms` outlives a round
         for lo in range(done, hi + 1, _TERM_BLOCK):
             top = min(lo + _TERM_BLOCK, hi + 1)
-            terms[lo:top] = term(f._ambient_sups(np.arange(lo, top, dtype=np.int64)))
+            term(f._ambient_sups(np.arange(lo, top, dtype=float)), terms[lo:top])
         done = hi + 1
         partial = float(np.sum(terms[:done]))
         # bridge with majorant terms where the explicit table stops early
-        mid = np.arange(hi + 1, start_min + 1, dtype=np.int64)
-        bridge = float(np.sum(term(np.asarray(f._tail_bound_at(mid), dtype=float))))
-        yield done, partial, bridge + _closed_form(closed, a_eff, rate, t, max(hi, start_min) + 1)
+        mid = np.asarray(f._tail_bound_at(np.arange(hi + 1, start_min + 1, dtype=np.int64)), dtype=float)
+        bridge = np.empty_like(mid)
+        term(mid, bridge)
+        yield done, partial, float(np.sum(bridge)) + _closed_form(closed, a_eff, rate, t, max(hi, start_min) + 1)
         if not grow_ok or done >= max_terms:
             return
         hi = min(max_terms - 1, max(2 * hi, 64))
+        if hi >= terms.size:
+            grown = np.empty(max(hi + 1, min(max_terms, _MAX_TERMS)))
+            grown[:done] = terms[:done]
+            terms = grown
 
 
 def _certificate(
@@ -403,9 +425,13 @@ def check_summability_t(f: MarkovPotential, t: float, tol: float = 1e-9, max_ter
     _check_budget(max_terms)
     g = f.normalized()
 
-    def term(sups: np.ndarray) -> np.ndarray:
-        x = -t * np.minimum(sups, 0.0)
-        return x * np.exp(-x)
+    def term(sups: np.ndarray, out: np.ndarray) -> None:
+        # x exp(-x) with x = -t min(sups, 0), x in sups
+        x = np.minimum(sups, 0.0, out=sups)
+        x *= -t
+        np.negative(x, out=out)
+        np.exp(out, out=out)
+        out *= x
 
     start_min = 0
     # a finite alphabet is summed exactly; an infinite one has a tail

@@ -68,23 +68,27 @@ every support, stored on its live cells:
   and the residual gate, which reads K, would not see it.
 - With a gauge: the reduced kernels K_r = exp(log B - t beta + t v_j - t
   v_i) on the right and K_l = exp(log B^T - t beta + t u_j - t u_i) on the
-  left. The exponents are <= 0 and reach 0 on every row, so K is scaled at
-  any t, and as t grows K tends entrywise to the critical adjacency (Akian,
+  left. Their exponent E (the one at t = 1; the kernel is exp(t E)) is 0
+  up to the rounding of its sums: E <= 2 eps s on every edge and E >= -2
+  eps s on each row's best edge, with eps = 2^-52 and s = |logA_ij| + |b_i|
+  + |b_j| + |beta| of the side's inputs (`_ReducedSide`); both signs occur,
+  up to 8.9e-16 above 0 on `tests/custom_n512.cfg`. So K is scaled at any
+  t, and as t grows K tends entrywise to the critical adjacency (Akian,
   Bapat and Gaubert, C. R. Acad. Sci. Paris 1998), so at large t almost
   every cell lies below the normal range, and at every t thousands of a
   full shift's cells pass through the subnormal band on their way to +0.0.
-  A side keeps its live cells, those with t E >= -_NORMAL_SPREAD (E the
-  exponent at t = 1), whose exp is a normal float, and every other cell of
-  K is an exact zero: like an ungauged K, a gauged one holds only normal
-  floats and zeros, at every n and on either storage. Where numpy's exp
-  returns a subnormal it costs about 100 times a normal result, and a
-  matvec over subnormal entries about 3 times one over zeros. K is so not
-  fl(exp(t E)) but that matrix without its entries below 2^-1022. Every row
-  of K reaches 1, so rho >= 1, and at K's reduced Perron vector x the
-  Collatz-Wielandt bound gives that log rho moves by less than n 2^-1022
-  max x / min x (the spread is at most 800 on the sweeps of the tests); the
-  residual gate certifies the matrix the iteration runs on. A side
-  stores K as a row-sorted edge list of its live cells (`_LiveKernel`, an
+  A side keeps its live cells, those with t E >= -_NORMAL_SPREAD, whose
+  exp is a normal float, and every other cell of K is an exact zero: like
+  an ungauged K, a gauged one holds only normal floats and zeros, at every
+  n and on either storage. Where numpy's exp returns a subnormal it costs
+  about 100 times a normal result, and a matvec over subnormal entries
+  about 3 times one over zeros. K is so not fl(exp(t E)) but that matrix
+  without its entries below 2^-1022. Every row of K reaches exp(-2 eps t
+  s), so rho >= exp(-2 eps t max s), and at K's reduced Perron vector x
+  the Collatz-Wielandt bound gives that log rho moves by about n 2^-1022
+  max x / min x at most (the spread is at most 800 on the sweeps of the
+  tests); the residual gate certifies the matrix the iteration runs on. A
+  side stores K as a row-sorted edge list of its live cells (`_LiveKernel`, an
   application is one gather, one multiply and one np.add.reduceat) where
   they fill at most 1/_LIVE_FILL of the cells, and n x n (`_ReducedKernel`,
   from one exp of the matrix) otherwise. Every row keeps its best cell, so
@@ -462,11 +466,13 @@ class _ReducedSide:
     logA is the side's matrix (log B or its transpose for a lone solve, the
     weight matrix W or its transpose for a sweep), finite its support, b its
     max-plus eigenvector (v on the right, u on the left) and beta its max
-    cycle mean. The exponent E = (logA + b_j) - (b_i + beta) is <= 0 on
-    every edge and 0 on each row's best edge, and the side's reduced kernel
-    at t is exp(t E) on its live cells, those whose exp is a normal float,
-    and 0 elsewhere (`kernel`): n x n in `out` (E itself unless given), or
-    an edge list whose chain is scattered into `out`. A lone solve takes t
+    cycle mean. The exponent E = (logA + b_j) - (b_i + beta) is 0 up to
+    the rounding of its sums: E <= 2 eps s on every edge and E >= -2 eps s
+    on each row's best edge, s = |logA_ij| + |b_i| + |b_j| + |beta| and eps
+    = 2^-52. The side's reduced kernel at t is exp(t E) on its live cells,
+    those whose exp is a normal float, and 0 elsewhere (`kernel`): n x n in
+    `out` (E itself unless given), or an edge list whose chain is scattered
+    into `out`. A lone solve takes t
     = 1, a sweep the t of its step; a sweep side keeps its last edge list,
     with its t, for the next t. For t a power of two, t E is the exponent
     (t logA + t b_j) - (t b_i + t beta) of a lone solve on t logA with the
@@ -527,10 +533,11 @@ class _ReducedKernel:
     A gauged side has bias b = t v (or t u) and scale c = t beta
     (`_ReducedSide.kernel`, where its live cells fill more than
     1/_LIVE_FILL of the cells); an ungauged one has b = 0 and c the largest
-    entry of log B (`_scaled_kernels`). Every row of K reaches 1 on a gauged
-    side, and the largest entry of K is 1 on an ungauged one, so a linear
-    power iteration on K needs no log domain: its Perron vector is h e^{-b}
-    (or nu e^{-b}) and its Perron root lambda e^{-c}.
+    entry of log B (`_scaled_kernels`). On a gauged side every entry of K
+    is at most exp(2 eps t s) and every row reaches exp(-2 eps t s) (see
+    `_ReducedSide`), and the largest entry of K is 1 on an ungauged one, so
+    a linear power iteration on K needs no log domain: its Perron vector is
+    h e^{-b} (or nu e^{-b}) and its Perron root lambda e^{-c}.
     """
 
     def __init__(self, K: np.ndarray, bias: np.ndarray | float, scale: float):
@@ -1038,7 +1045,16 @@ def gurevich_estimate(trunc: Truncation, f: MarkovPotential, t: float, a: int, n
     Independent finite-n oracle for the pressure; returns -inf when no cycle
     of length n passes through a (use multiples of the period).
     """
-    if n < 1:
+    return gurevich_estimates(trunc, f, t, a, (n,))[0]
+
+
+def gurevich_estimates(
+    trunc: Truncation, f: MarkovPotential, t: float, a: int, ns: tuple[int, ...]
+) -> tuple[float, ...]:
+    """`gurevich_estimate` at each loop length of ns, from one run of max(ns)
+    steps: the run to length n is the first n steps of every longer one, so
+    each estimate equals a run of its own bit for bit."""
+    if min(ns) < 1:
         raise ValidationError("cycle length must be at least 1")
     idx = trunc.local_index()
     if a not in idx:
@@ -1047,12 +1063,11 @@ def gurevich_estimate(trunc: Truncation, f: MarkovPotential, t: float, a: int, n
     op = _log_operator(transfer_matrix(trunc, f, t))
     u = np.full(trunc.n_symbols, _NEG_INF)
     u[ai] = 0.0
-    for _ in range(n):
+    loops = {}
+    for step in range(1, max(ns) + 1):
         u = op(u)
-    diag = u[ai]
-    if not np.isfinite(diag):
-        return -math.inf
-    return float(diag) / n
+        loops[step] = float(u[ai])
+    return tuple(loops[n] / n if math.isfinite(loops[n]) else -math.inf for n in ns)
 
 
 def equilibrium(pd: PerronData, logB: np.ndarray, alphabet: np.ndarray | None = None) -> MarkovMeasure:

@@ -39,7 +39,8 @@ COMMANDS = ("pressure", "equilibrium", "zerotemp", "entropy-limit", "diagnose", 
 # generator's model at n = 512, whose edges fill 1/128.4 of the cells, so
 # that every t steps on edge lists; and the sweep of its planted model at
 # n = 12, whose gauge has cyclicity 3, so that every t runs on the shifted
-# path
+# path; and the `log_quadratic` certificates at tol 1e-12, whose weighted
+# series runs past its first round (65,537 terms; 513 at the default tol)
 INVOCATIONS = [(cfg, (cmd,)) for cfg in CONFIGS for cmd in COMMANDS] + [
     ("tie_two_loops", ("zerotemp", "--k", "510")),
     ("tie_two_loops", ("entropy-limit", "--k", "510")),
@@ -51,6 +52,7 @@ INVOCATIONS = [(cfg, (cmd,)) for cfg in CONFIGS for cmd in COMMANDS] + [
     ("tie_two_loops", ("zerotemp", "--k", "1022")),
     ("custom_n512", ("zerotemp", "--k", "511")),
     ("custom_n12", ("zerotemp", "--k", "11")),
+    ("log_quadratic", ("certify-summability", "--tol", "1e-12")),
 ]
 
 

@@ -3,8 +3,9 @@
 A side's kernel at t keeps the cells whose exp is a normal float, t E >=
 -_NORMAL_SPREAD, on both storages (n x n and edge list) and at every n; the
 cells below, whose exp would be subnormal or +0.0, are exact zeros. Every
-row reaches 1, so dropping entries below 2^-1022 moves log rho by less than
-n 2^-1022 max x / min x, x the reduced Perron vector. Checked by recording every kernel a side builds, against what
+row reaches 1 up to the rounding of its exponents, so dropping entries
+below 2^-1022 moves log rho by about n 2^-1022 max x / min x at most, x the
+reduced Perron vector. Checked by recording every kernel a side builds, against what
 exp(t E) holds on the same cells, and against the old rule (live where t E
 >= _EXP_ZERO, the cells whose exp is not +0.0) on the sweeps that pass most
 cells through the subnormal band.
@@ -168,3 +169,22 @@ def test_the_normal_rule_matches_the_old_rule(monkeypatch, name, k):
         assert np.max(np.abs(P - P_old)) <= bound, t
         assert not P[P_old == 0.0].any(), t
         assert masses == masses_old, t
+
+
+@pytest.mark.parametrize("name, k", [("custom_n256", 255), ("custom_n512", 511)])
+def test_gauged_exponents_are_at_most_rounding_above_zero(name, k):
+    """Each side's exponent E = (logA + b_j) - (b_i + beta) is 0 up to the
+    rounding of its sums: E <= 2 eps s on every edge, and each row's best
+    cell has E >= -2 eps s, with s = |logA_ij| + |b_i| + |b_j| + |beta| and
+    eps = 2^-52. Not E <= 0 with 0 reached on every row: both models have
+    edges with E > 0 (up to 8.9e-16) and rows whose best E is below 0."""
+    model, f = pair(name)
+    _, state = _sweep_setup(build_truncation(model, k), f, 1e-9)
+    gauge = state.gauge
+    eps = float(np.finfo(np.float64).eps)
+    for side, b in zip(state.sides, (gauge.u, gauge.v)):
+        E = np.where(side.finite, side.E, -np.inf)
+        s = np.abs(side.logA) + np.abs(b) + np.abs(b)[:, None] + abs(gauge.beta)
+        assert np.all(E[side.finite] <= 2.0 * eps * s[side.finite])
+        rows, best = np.arange(b.size), np.argmax(E, axis=1)
+        assert np.all(E[rows, best] >= -2.0 * eps * s[rows, best])

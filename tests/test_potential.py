@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +375,92 @@ class TestCertificateLoops:
         beyond = syms[syms > 64]
         assert beyond.size == 2_000_000 - 65
         assert np.unique(beyond).size == beyond.size
+
+
+def out_of_place_sups(f, symbols):
+    """The closed-form sups from int64 symbols, each operation into a new array."""
+    s = np.asarray(symbols, dtype=np.int64).astype(float)
+    if f.family is Family.LOG_QUADRATIC:
+        out = -np.log((s + 1.0) * (s + 2.0))
+    elif f.family is Family.TIE_TWO_LOOPS:
+        out = np.where(s < 2, 0.0, -(s + 1.0))
+    else:
+        out = np.where(s == 0, -1.0, -s)
+    return out + f.shift
+
+
+def out_of_place_weighted_terms(sups, t):
+    x = -t * np.minimum(sups, 0.0)
+    return x * np.exp(-x)
+
+
+def weighted_term(g, t):
+    """The in-place term(sups, out) that check_summability_t hands its certificate."""
+    terms = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(potential, "_certificate", lambda f, term, *args: terms.append(term))
+        check_summability_t(g, t)
+    return terms[0]
+
+
+@st.composite
+def straddling_blocks(draw):
+    """(lo, top): at most _TERM_BLOCK symbols lo..top - 1 that straddle 2^15."""
+    block = potential._TERM_BLOCK
+    lo = draw(st.integers(1, block - 1))
+    return lo, draw(st.integers(block + 1, lo + block))
+
+
+class TestInPlaceTerms:
+    """The certificate's in-place evaluation against the out-of-place one it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(FAMILIES),
+        st.sampled_from((0.0, -0.75, 1.3, None)),
+        straddling_blocks(),
+        st.sampled_from((1.5, 2.0, 10.0)),
+    )
+    def test_float_symbol_blocks_keep_the_bits(self, name, shift, block, t):
+        model, f = bundled_pair(name)
+        g = f.normalized() if shift is None else MarkovPotential(model, f.family, shift=shift)
+        lo, top = block
+        expected = out_of_place_sups(g, np.arange(lo, top, dtype=np.int64))
+        terms = np.empty(top - lo)
+        np.exp(g._ambient_sups(np.arange(lo, top, dtype=float)), out=terms)
+        assert terms.tobytes() == np.exp(expected).tobytes()
+        h = g.normalized()
+        weighted = np.empty(top - lo)
+        weighted_term(h, t)(h._ambient_sups(np.arange(lo, top, dtype=float)), weighted)
+        assert weighted.tobytes() == out_of_place_weighted_terms(out_of_place_sups(h, np.arange(lo, top)), t).tobytes()
+
+    def test_a_budget_far_beyond_memory_reserves_no_terms_it_does_not_use(self, log_quadratic):
+        _, f = log_quadratic
+        cert = check_summability(f, 1e-3, max_terms=10**12)
+        assert cert == reference_check_summability(f, 1e-3, 10**12)
+        assert cert.terms_used == 1025
+
+    def test_a_budget_past_the_reservation_grows_the_buffer(self, log_quadratic):
+        _, f = log_quadratic
+        max_terms = potential._MAX_TERMS + 3 * potential._TERM_BLOCK + 5
+        cert = check_summability(f, 1e-15, max_terms)
+        assert cert == reference_check_summability(f, 1e-15, max_terms)
+        assert cert.terms_used == max_terms
+
+    def test_a_default_certificate_allocates_one_buffer_and_blocks(self, log_quadratic):
+        """At most one 2,000,000-term buffer and a few blocks live at once;
+        the first round alone (`is_summable`) reserves nothing."""
+        model, f = log_quadratic
+        block_bytes = 8 * potential._TERM_BLOCK
+        for verdict, bound in ((is_summable, 4 * block_bytes), (check_summability, 8 * potential._MAX_TERMS + 4 * block_bytes)):
+            g = MarkovPotential(model, f.family)
+            tracemalloc.start()
+            try:
+                verdict(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, verdict.__name__
 
 
 class TestSummabilityT:
