@@ -25,6 +25,7 @@ from .ergodic_opt import (
 )
 from .potential import MarkovPotential, SummabilityCertificate, check_summability, is_summable, variation
 from .rpf_finite import (
+    GaugedSweep,
     MarkovMeasure,
     cylinder_mass,
     entropy,
@@ -379,6 +380,29 @@ def tightness_bound_check(
     return TightnessReport(float(t), s_ref, witness, thresholds, tuple(violations))
 
 
+def _fixed_truncation_sweep(
+    model: ShiftModel, f: MarkovPotential, k: int, ts: tuple[float, ...], tie_tol: float,
+    k0_report: K0Report | None, what: str, mixing_only: bool = False,
+) -> tuple[K0Report, Truncation, CriticalDecomposition, GaugedSweep, tuple[float, ...]]:
+    """The set-up `zero_temp_sweep` and `entropy_limit` share: the k0 report
+    (detected unless given), which k must reach (ValidationError naming
+    `what` otherwise), the truncation at k, its `_sweep_setup` and the ts in
+    increasing order. mixing_only warns NonMixingModel, before the set-up,
+    where the truncation is not topologically mixing."""
+    if k0_report is None:
+        k0_report = detect_k0(model, f, tie_tol=tie_tol)
+    if k < k0_report.k0:
+        raise ValidationError(f"{what} needs k >= k0 = {k0_report.k0}")
+    trunc = build_truncation(model, k)
+    if mixing_only and trunc.period != 1:
+        warnings.warn(
+            "entropy-limit comparison assumes a topologically mixing model; output is unvalidated",
+            NonMixingModel,
+        )
+    dec, sweep = _sweep_setup(trunc, f, tie_tol)
+    return k0_report, trunc, dec, sweep, tuple(sorted(float(t) for t in ts))
+
+
 def zero_temp_sweep(
     model: ShiftModel,
     f: MarkovPotential,
@@ -392,16 +416,13 @@ def zero_temp_sweep(
 
     The ground-state weights are the total 1-cylinder masses of each maximal
     critical component at the largest solved t, with the gap to the previous
-    grid point as the consistency residual. The truncation's set-up is
-    `_sweep_setup`'s.
+    grid point as the consistency residual. The set-up is
+    `_fixed_truncation_sweep`'s; a t whose solve fails is recorded in
+    `errors` and left out.
     """
-    if k0_report is None:
-        k0_report = detect_k0(model, f, tie_tol=tie_tol)
-    if k < k0_report.k0:
-        raise ValidationError(f"zero-temperature sweep needs k >= k0 = {k0_report.k0}")
-    trunc = build_truncation(model, k)
-    dec, sweep = _sweep_setup(trunc, f, tie_tol)
-    ts = tuple(sorted(float(t) for t in ts))
+    k0_report, trunc, dec, sweep, ts = _fixed_truncation_sweep(
+        model, f, k, ts, tie_tol, k0_report, "zero-temperature sweep"
+    )
 
     maximal = [dec.components[j] for j in dec.maximal_components]
     traj: dict[tuple[int, ...], list[float]] = {w: [] for w in words}
@@ -454,22 +475,14 @@ def entropy_limit(
     The extrapolated limit (last grid value, residual = gap to the previous
     one) is compared against the entropy supremum over maximizing measures.
     Only mixing models validate the comparison; others get a warning. The
-    truncation's set-up is `_sweep_setup`'s, as in `zero_temp_sweep`.
+    set-up is `_fixed_truncation_sweep`'s, as in `zero_temp_sweep`; a solve
+    that fails raises.
     """
-    if k0_report is None:
-        k0_report = detect_k0(model, f, tie_tol=tie_tol)
-    if k < k0_report.k0:
-        raise ValidationError(f"entropy limit needs k >= k0 = {k0_report.k0}")
-    trunc = build_truncation(model, k)
+    _, trunc, dec, sweep, ts = _fixed_truncation_sweep(
+        model, f, k, ts, tie_tol, k0_report, "entropy limit", mixing_only=True
+    )
     mixing = trunc.period == 1
-    if not mixing:
-        warnings.warn(
-            "entropy-limit comparison assumes a topologically mixing model; output is unvalidated",
-            NonMixingModel,
-        )
-    dec, sweep = _sweep_setup(trunc, f, tie_tol)
     sup_max = max_entropy_over_maximizing(dec)
-    ts = tuple(sorted(float(t) for t in ts))
     hs = []
     for t in ts:
         _, meas = equilibrium_measure(trunc, f, t, sweep=sweep)

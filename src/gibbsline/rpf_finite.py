@@ -61,11 +61,13 @@ every support, stored on its live cells:
 
 - No gauge: on a dense support of period 1, K = exp(log B - m), m the largest
   entry of log B, from one exp in one buffer; the right side iterates on K,
-  the left on K^T, with log lambda = m + log rho (`_scaled_kernels`). K is
-  used only where every edge keeps a normal entry, that is where the finite
-  entries of log B spread over at most _NORMAL_SPREAD = log(1/tiny), about
-  708: an edge that underflowed or went subnormal would change the matrix,
-  and the residual gate, which reads K, would not see it.
+  the left on K^T, with log lambda = m + log rho (`_scaled_kernels`). K
+  needs every edge to keep a normal entry, that is the finite entries of
+  log B to spread over at most _NORMAL_SPREAD = log(1/tiny), about 708: an
+  edge that underflowed or went subnormal would change the matrix, and the
+  residual gate, which reads K, would not see it. Where they spread wider,
+  the solve builds the gauge of log B up front and becomes a lone gauged
+  solve (`_power_perron`), whose reduced kernels are scaled at any spread.
 - With a gauge: the reduced kernels K_r = exp(log B - t beta + t v_j - t
   v_i) on the right and K_l = exp(log B^T - t beta + t u_j - t u_i) on the
   left. Their exponent E (the one at t = 1; the kernel is exp(t E)) is 0
@@ -127,18 +129,16 @@ and t W is formed for the others only when a side hands over to the log
 domain, once per such side: the right side's t W also gives the chain.
 
 Each side of a log-domain run builds its transfer operator, the map
-logv -> log(B exp(logv)), once, with the kernel its support calls for: a CSR
-log-sum-exp over the finite entries when at most two thirds of the cells are finite and
-no row is empty (renewal truncations have 2n - 1 edges), and otherwise (full
-shifts) a dense kernel that absorbs a scaling at one iterate with a
-log-sum-exp over the matrix and applies the result as a matvec until an
-iterate needs it absorbed again (`_DenseLogOperator`). The log-sum-exps
-reduce like ``scipy.special.logsumexp`` (each maximum counted apart, the
-rest through log1p), as do the scalar reductions, so gibbsline needs numpy
-only. They subtract a maximum only from the entries below it, so they never
-form -inf - (-inf) and need no np.errstate. The residual of an iterate is
-read from the application that computes the next one, so a side on a
-period-1 support applies its operator iterations + 1 times.
+logv -> log(B exp(logv)), once: a CSR log-sum-exp over the finite entries
+of its matrix (`_CsrLogOperator`), on sparse and dense supports alike; a
+row without a finite entry, as the transpose of a reducible support has,
+maps to -inf. The log-sum-exps reduce like ``scipy.special.logsumexp``
+(each maximum counted apart, the rest through log1p), as do the scalar
+reductions, so gibbsline needs numpy only. They subtract a maximum only
+from the entries below it, so they never form -inf - (-inf) and need no
+np.errstate. The residual of an iterate is read from the application that
+computes the next one, so a side on a period-1 support applies its
+operator iterations + 1 times.
 
 At the small n of the bundled configs a step costs its numpy calls rather
 than its arithmetic. A log-domain step is one application, one log-sum-exp
@@ -151,19 +151,19 @@ grids and critical components, and on a sparse one a log-domain step pays
 an exp and a log per edge, more than a matvec of n^2 cells up to n = 512.
 
 Every exponential of a difference to a maximum (`_exp_below`, under the
-log-sum-exps, the CSR kernel and the dense absorption) and the log-domain
-chain of `equilibrium` call exp only on the entries whose result is not
-+0.0 (`_exp_nonzero`, np.exp bit for bit), and the reduced kernels only on
-their live cells. The log-domain users keep their subnormals: a log-sum-exp
-of 0 and a subnormal is that subnormal's log, not -inf. At large t nearly
-every cell of a full shift underflows: at t = 64 on the 511-symbol
-`tie_two_loops` truncation, 255,532 of the 261,121 cells an absorption
-exponentiates do. numpy 2.4's exp took about 0.25 ms on 511 x 511 normal
-arguments, 1.7-1.9 ms on -inf and 5.9 ms on arguments that underflow, so the
-zero-temperature sweep spent most of its exponential time there. The mask
-costs a few passes over bools and three more numpy calls, so arrays of fewer
-than _MASK_MIN entries (the vectors, and every array of the bundled n <= 10
-and the 12-symbol custom models) take np.exp on every entry.
+log-sum-exps and the CSR kernel) and the log-domain chain of `equilibrium`
+call exp only on the entries whose result is not +0.0 (`_exp_nonzero`,
+np.exp bit for bit), and the reduced kernels only on their live cells. The
+log-domain users keep their subnormals: a log-sum-exp of 0 and a subnormal
+is that subnormal's log, not -inf. At large t nearly every cell of a full
+shift underflows: at t = 64 on the 511-symbol `tie_two_loops` truncation,
+255,532 of the 261,121 cells of the log-domain chain do. numpy 2.4's exp
+took about 0.25 ms on 511 x 511 normal arguments, 1.7-1.9 ms on -inf and
+5.9 ms on arguments that underflow, so the zero-temperature sweep spent
+most of its exponential time there. The mask costs a few passes over bools
+and three more numpy calls, so arrays of fewer than _MASK_MIN entries (the
+vectors, and every array of the bundled n <= 10 and the 12-symbol custom
+models) take np.exp on every entry.
 """
 
 from __future__ import annotations
@@ -315,8 +315,9 @@ def _log_total(rest: np.ndarray, count: np.ndarray, top: np.ndarray) -> np.ndarr
 class _CsrLogOperator:
     """logv -> log(exp(logA) @ exp(logv)) over the finite entries of logA.
 
-    The entries are stored row by row with int32 indices; every row must
-    hold one, as on an irreducible support.
+    The entries are stored row by row with int32 indices. A row without a
+    finite entry maps to -inf; where every row holds one, as on an
+    irreducible support, the rows are reduced as they stand.
     """
 
     def __init__(self, logA: np.ndarray, finite: np.ndarray, edges: tuple[np.ndarray, np.ndarray] | None = None):
@@ -324,9 +325,18 @@ class _CsrLogOperator:
         self.n = logA.shape[0]
         rows, cols = np.divmod(np.flatnonzero(finite), self.n) if edges is None else edges
         self.vals = logA[rows, cols]
-        self.rows = rows.astype(np.int32)
         self.cols = cols.astype(np.int32)
-        self.starts = np.searchsorted(rows, np.arange(self.n)).astype(np.int32)
+        sizes = np.bincount(rows, minlength=self.n)
+        # only the rows that hold an entry are reduced, each entry indexed by
+        # its row's rank among them; held lists them where some row holds
+        # none, and is None otherwise
+        self.held = None if sizes.all() else np.flatnonzero(sizes)
+        if self.held is None:
+            self.rows, held = rows.astype(np.int32), np.arange(self.n)
+        else:
+            held = self.held
+            self.rows = np.repeat(np.arange(held.size, dtype=np.int32), sizes[held])
+        self.starts = np.searchsorted(rows, held).astype(np.int32)
 
     def __call__(self, logv: np.ndarray) -> np.ndarray:
         z = self.vals + logv[self.cols]
@@ -334,89 +344,12 @@ class _CsrLogOperator:
         top_z = top[self.rows]
         at_top = z == top_z
         count = np.add.reduceat(at_top, self.starts, dtype=np.int64)
-        return _log_total(np.add.reduceat(_exp_below(z, top_z, at_top, z), self.starts), count, top)
-
-
-class _DenseLogOperator:
-    """logv -> log(exp(logA) @ exp(logv)) as a linear kernel with an absorbed scaling.
-
-    An absorbing application reduces logA + logv row by row in the log
-    domain, over row blocks of about 2^20 cells, as scipy's logsumexp does,
-    and leaves K = exp(logA + g - top) behind, g = logv and top the row
-    maxima (each row's largest entry is 1). Later applications are one
-    matvec: with d = logv - g and m = max d, s = K @ exp(d - m) and the
-    result is log(s) + top + m. Such a result is accepted only when
-
-    - every row sum is at least _FLOOR: the terms that underflow in K or in
-      exp(d - m) are below n 2^-1022 in total, so they stay under 1e-50 of
-      their row and underflow never changes the support;
-    - the magnitudes of top, m and log s add up to at most _SPREAD times the
-      row's own (or 1): their rounding, a few ulp of each, then stays within
-      a few ulp of the row, as in the log domain. The first matvec after the
-      uniform start, whose top and m are about log n each, passes at every
-      n up to DENSE_LIMIT.
-
-    Otherwise, and for an iterate with a -inf entry, the application
-    re-absorbs at that iterate (log-stabilized scaling, Schmitzer,
-    arXiv:1610.06519).
-
-    At large t almost every cell of a full shift lies more than 746 below
-    its row maximum, where numpy's exp is more than ten times slower per
-    cell than on normal arguments; an absorption skips those cells
-    (`_exp_below` through `_exp_nonzero`, see the module docstring).
-    """
-
-    _FLOOR = 1e-250
-    _SPREAD = 32.0
-
-    def __init__(self, logA: np.ndarray):
-        self.n = logA.shape[0]
-        self.logA = logA
-        self.block = max(1, (1 << 20) // self.n)
-        # logA's memory order (a transpose stays column-major) fixes the
-        # order in which each row is summed
-        self.K = np.empty_like(logA)
-        self.g = self.top = self.abs_top = None
-
-    def __call__(self, logv: np.ndarray) -> np.ndarray:
-        if self.g is not None and np.isfinite(logv).all():
-            d = logv - self.g
-            m = d.max()
-            s = self.K @ np.exp(d - m)
-            if s.min() >= self._FLOOR:
-                log_s = np.log(s)
-                out = log_s + (self.top + m)
-                parts = self.abs_top + abs(m) + np.abs(log_s)
-                if (parts <= self._SPREAD * np.maximum(1.0, np.abs(out))).all():
-                    return out
-        return self._absorb(logv)
-
-    def _absorb(self, logv: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n)
-        top = np.empty(self.n)
-        for lo in range(0, self.n, self.block):
-            hi = min(lo + self.block, self.n)
-            z = np.add(self.logA[lo:hi], logv[None, :], out=self.K[lo:hi])
-            top[lo:hi] = z.max(axis=1)
-            at_top = z == top[lo:hi, None]
-            rest = _exp_below(z, top[lo:hi, None], at_top, z).sum(axis=1)
-            out[lo:hi] = _log_total(rest, np.count_nonzero(at_top, axis=1), top[lo:hi])
-            z[at_top] = 1.0
-        # a -inf in logv or an empty row leaves no kernel to keep
-        finite = np.isfinite(logv).all() and np.isfinite(top).all()
-        self.g, self.top, self.abs_top = (logv.copy(), top, np.abs(top)) if finite else (None, None, None)
-        return out
-
-
-def _log_operator(logA: np.ndarray, finite: np.ndarray | None = None) -> _CsrLogOperator | _DenseLogOperator:
-    """The log-domain operator of logA: CSR when at most two thirds of the
-    cells are finite and every row holds one, dense otherwise. `finite` is
-    np.isfinite(logA), if the caller has it."""
-    if finite is None:
-        finite = np.isfinite(logA)
-    if 3 * np.count_nonzero(finite) <= 2 * finite.size and finite.any(axis=1).all():
-        return _CsrLogOperator(logA, finite)
-    return _DenseLogOperator(logA)
+        out = _log_total(np.add.reduceat(_exp_below(z, top_z, at_top, z), self.starts), count, top)
+        if self.held is None:
+            return out
+        full = np.full(self.n, _NEG_INF)
+        full[self.held] = out
+        return full
 
 
 # an ungauged scaled kernel is stored n x n and costs n^2 a step, while the
@@ -584,17 +517,12 @@ class _LiveKernel:
         return P
 
 
-def _scaled_kernels(logB: np.ndarray, finite: np.ndarray) -> tuple[_ReducedKernel, _ReducedKernel] | None:
-    """The right and left kernels of an ungauged solve, K = exp(log B - m)
-    and K^T, m the largest entry of log B, from one exp in one buffer; or
-    None when some edge of K would not be a normal float, that is when the
-    spread m - min of the finite entries exceeds _NORMAL_SPREAD. An
-    underflowed or subnormal edge would change the matrix the iteration
-    solves, and the residual gate, which reads K, could not see it.
+def _scaled_kernels(logB: np.ndarray, top: float) -> tuple[_ReducedKernel, _ReducedKernel]:
+    """The right and left kernels of an ungauged solve, K = exp(log B - top)
+    and K^T, top the largest entry of log B, from one exp in one buffer.
+    The caller has checked that every edge of K is a normal float
+    (`_power_perron`).
     """
-    top = float(logB.max())
-    if top - float(logB.min(where=finite, initial=math.inf)) > _NORMAL_SPREAD:
-        return None
     K = _exp_nonzero(np.subtract(logB, top))
     return _ReducedKernel(K, 0.0, top), _ReducedKernel(K.T, 0.0, top)
 
@@ -806,7 +734,7 @@ def _side(
                 continue
         if op is None:
             logA = log_matrix()
-            op = _log_operator(logA, finite)
+            op = _CsrLogOperator(logA, finite)
             if period is None:
                 period = graph_period(finite)
         if shifted:
@@ -981,10 +909,12 @@ def _power_perron(
     the chain. A lone solve passes logB, finite = np.isfinite(logB) and its
     gauge, if any; a sweep's step the gauge of t W, the sweep's sides and t.
     A gauged side iterates on its reduced kernel on any support, and an
-    ungauged one of period 1 on K or K^T where `_dense` accepts the support.
-    Left goes first: a sweep's right kernel is then the last one built in
-    the buffer the sides share, and an ungauged chain, built in K, waits for
-    K^T.
+    ungauged one of period 1 on K or K^T where `_dense` accepts the support
+    and the finite entries of log B spread over at most _NORMAL_SPREAD;
+    where they spread wider, the solve builds the gauge of log B up front
+    and is a lone gauged solve. Left goes first: a sweep's right kernel is
+    then the last one built in the buffer the sides share, and an ungauged
+    chain, built in K, waits for K^T.
     """
     if sides is None and gauge is not None:
         sides = (_ReducedSide(logB.T, finite.T, gauge.u, gauge.beta), _ReducedSide(logB, finite, gauge.v, gauge.beta))
@@ -997,6 +927,13 @@ def _power_perron(
         )
     else:
         n, period = logB.shape[0], graph_period(finite)
+        scaled = period == 1 and _dense(finite)
+        if scaled:
+            top = float(logB.max())
+            if top - float(logB.min(where=finite, initial=math.inf)) > _NORMAL_SPREAD:
+                # an edge of exp(log B - top) would not be a normal float
+                return _power_perron(logB, finite, gauge_of(logB))
+        right, left = _scaled_kernels(logB, top) if scaled else (None, None)
         found: list[MaxPlusGauge] = []
 
         def gauge_of_logA() -> MaxPlusGauge:
@@ -1005,8 +942,6 @@ def _power_perron(
                 found.append(gauge_of(logB))
             return found[0]
 
-        scaled = period == 1 and _dense(finite)
-        right, left = (_scaled_kernels(logB, finite) if scaled else None) or (None, None)
         runs = ((left, lambda: logB.T, finite.T, _STARTS[0]), (right, lambda: logB, finite, _STARTS[1]))
     max_iter = _step_budget(n)
     ((lognu, est_l, it_l, res_l, path_l), _), ((logh, est_r, it_r, res_r, path_r), reduced) = (
@@ -1060,7 +995,8 @@ def gurevich_estimates(
     if a not in idx:
         raise ValidationError(f"symbol {a} not in the truncation alphabet")
     ai = idx[a]
-    op = _log_operator(transfer_matrix(trunc, f, t))
+    logB = transfer_matrix(trunc, f, t)
+    op = _CsrLogOperator(logB, np.isfinite(logB))
     u = np.full(trunc.n_symbols, _NEG_INF)
     u[ai] = 0.0
     loops = {}

@@ -34,8 +34,8 @@ COMMANDS = ("pressure", "equilibrium", "zerotemp", "entropy-limit", "diagnose", 
 # the planted 12-symbol model, and the pressure and the sweep of the
 # benchmark's sparse custom model at n = 256, whose configs live beside
 # this file; then the full shift's pressure at n = 127 and t = 1024, whose
-# entries spread too far for a scaled kernel, so both sides run the dense
-# log-domain ladder, and its sweep at n = 1023; the sweep of the same
+# entries spread too far for a scaled kernel, so the solve builds the gauge
+# of log B and runs on its reduced kernels, and its sweep at n = 1023; the sweep of the same
 # generator's model at n = 512, whose edges fill 1/128.4 of the cells, so
 # that every t steps on edge lists; and the sweep of its planted model at
 # n = 12, whose gauge has cyclicity 3, so that every t runs on the shifted

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import ambient_sup, dense_gauged_state
+from gibbsline import limits as limits_mod
 from gibbsline import rpf_finite
 from gibbsline.bundled import bundled_pair
 from gibbsline.config import parse_model_config
@@ -16,7 +17,7 @@ from gibbsline.ergodic_opt import (
     max_entropy_over_maximizing,
     max_plus_gauge,
 )
-from gibbsline.errors import NonMixingModel, NotConverged, ValidationError
+from gibbsline.errors import EmptyCriticalGraph, NoConvergence, NonMixingModel, NotConverged, ValidationError
 from gibbsline.limits import (
     ZT_TS_DEFAULT,
     entropy_limit,
@@ -358,6 +359,46 @@ class TestEntropyLimit:
             rep = entropy_limit(model, f, k=0)
         assert not rep.validated
         assert rep.h_infinity == pytest.approx(0.0, abs=1e-12)
+
+
+class TestSweepSetUp:
+    """`zero_temp_sweep` and `entropy_limit` share their set-up and keep
+    their own error behaviour."""
+
+    def test_each_sweep_names_itself_below_k0(self, tie_two_loops):
+        model, f = tie_two_loops
+        assert detect_k0(model, f).k0 == 1
+        with pytest.raises(ValidationError, match=r"^zero-temperature sweep needs k >= k0 = 1$"):
+            zero_temp_sweep(model, f, k=0)
+        with pytest.raises(ValidationError, match=r"^entropy limit needs k >= k0 = 1$"):
+            entropy_limit(model, f, k=0)
+
+    def test_a_failed_solve_is_recorded_by_the_sweep_and_raised_by_the_entropy_limit(self, tie_two_loops, monkeypatch):
+        model, f = tie_two_loops
+        real = limits_mod.equilibrium_measure
+
+        def flaky(trunc, pot, t, **kw):
+            if t == 512.0:
+                raise NoConvergence(3000, 1e-3)
+            return real(trunc, pot, t, **kw)
+
+        monkeypatch.setattr(limits_mod, "equilibrium_measure", flaky)
+        res = zero_temp_sweep(model, f, k=2)
+        assert res.ts == tuple(t for t in ZT_TS_DEFAULT if t != 512.0)
+        assert [t for t, _ in res.errors] == [512.0]
+        with pytest.raises(NoConvergence):
+            entropy_limit(model, f, k=2)
+
+    def test_the_non_mixing_warning_comes_before_the_set_up(self, monkeypatch):
+        model = ShiftModel(ModelKind.CUSTOM, ((0, 1), (1, 0)))
+        f = MarkovPotential(model, Family.TABLE, table=((0, 1, -1.0), (1, 0, -1.0)))
+
+        def failing(*args):
+            raise EmptyCriticalGraph(1e-9)
+
+        monkeypatch.setattr(limits_mod, "_sweep_setup", failing)
+        with pytest.warns(NonMixingModel), pytest.raises(EmptyCriticalGraph):
+            entropy_limit(model, f, k=0)
 
 
 class TestSemicontinuity:

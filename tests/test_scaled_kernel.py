@@ -5,8 +5,9 @@ of the cells and whose entries spread over at most log(1/tiny) runs its
 plain run linearly on K, m the largest entry of log B, with one exp for
 both sides. Its answers are checked against the log-domain ladder (the
 linear runs patched away with `log_domain_side`) and against
-`dense_gauged_state`; an entry spread beyond the normal range and a mid-run
-underflow against the log-domain bits; and the supports that must not reach
+`dense_gauged_state`; an entry spread beyond the normal range, which takes
+the gauge instead, against the lone gauged solve and `dense_gauged_state`;
+a mid-run underflow against the log-domain bits; and the supports that must not reach
 K by counting the kernels built, against the gauged twin of each support,
 which reaches a reduced kernel on every support but a first-return one.
 Sparse supports above 1/128, on which gauged solves run on their reduced
@@ -163,23 +164,38 @@ def assert_log_domain_bits(new, old, iterations_too):
     assert new.chain is None
 
 
-def test_an_entry_spread_beyond_the_normal_range_runs_in_the_log_domain(monkeypatch):
+def test_an_entry_spread_beyond_the_normal_range_takes_the_gauge(monkeypatch):
     """At t = 709 the entries spread over 709 > log(1/tiny) = 708.396, so
-    exp(-709) would be subnormal: no kernel is built, no linear run made,
-    and every field is the log-domain ladder's, iterations included. The
-    same on a sparse support of 128 symbols whose loop at 0 lies 709 below
-    its largest entry."""
+    exp(-709) would be subnormal in K = exp(log B - m): the solve builds no
+    K, builds the gauge of log B up front and is the lone gauged solve bit
+    for bit, every field and the chain (there the Perron vectors carry
+    e^{-709} at vertex 2, so both sides hand over to the log domain). The same on a sparse support of 128
+    symbols, whose edges fill more than 1/128 of the cells, with its loop
+    at 0 709 below its largest entry. log lambda is within the residual of
+    the dense eigensolve, and pi and P agree with it at the oracle tests'
+    tolerances."""
     sparse = sparse_aperiodic(128, np.random.default_rng(709))
     finite = np.isfinite(sparse)
     assert sparse_kernel_support(finite)
     sparse[0, 0] = sparse[finite].max() - 709.0
     for logB in (tied_shift(709.0), sparse):
-        assert rpf_finite._scaled_kernels(logB, np.isfinite(logB)) is None
+        gauges, scaled = [], []
         with monkeypatch.context() as m:
-            runs = count_linear_runs(m)
+            m.setattr(rpf_finite, "gauge_of", lambda W: gauges.append(W) or gauge_of(W))
+            m.setattr(rpf_finite, "_scaled_kernels", lambda *args: scaled.append(args))
             new = perron(logB)
-        assert runs == []
-        assert_log_domain_bits(new, log_domain(logB), iterations_too=True)
+        assert len(gauges) == 1 and gauges[0] is logB and scaled == []
+        lone = perron(logB, gauge=gauge_of(logB))
+        for name in ("log_lambda", "log_h", "log_nu", "iterations", "residual", "path"):
+            assert np.asarray(getattr(new, name)).tobytes() == np.asarray(getattr(lone, name)).tobytes(), name
+        assert equilibrium(new, logB).stochastic.tobytes() == equilibrium(lone, logB).stochastic.tobytes()
+        log_lambda, pi, P, gap = dense_gauged_state(logB, 1.0)
+        # Collatz-Wielandt: each side's estimate lies within its residual of log lambda
+        assert abs(new.log_lambda - log_lambda) <= new.residual + 1e-14
+        meas = equilibrium(new, logB)
+        assert gap >= 1e-3
+        assert np.allclose(meas.stationary, pi, rtol=1e-9, atol=1e-12)
+        assert np.allclose(meas.stochastic, P, rtol=1e-9, atol=1e-12)
 
 
 def test_an_iterate_that_underflows_mid_run_reruns_in_the_log_domain(monkeypatch):
@@ -200,7 +216,7 @@ def test_an_iterate_that_underflows_mid_run_reruns_in_the_log_domain(monkeypatch
 
     for logB in (tied_shift(708.0), sparse_tied_component(708.0)):
         finite = np.isfinite(logB)
-        right, left = rpf_finite._scaled_kernels(logB, finite)
+        right, left = rpf_finite._scaled_kernels(logB, float(logB.max()))
         assert right.K[finite].min() >= np.finfo(float).tiny and left.K.base is right.K
         runs.clear()
         with monkeypatch.context() as m:
@@ -462,7 +478,7 @@ def test_a_side_runs_linearly_only_from_the_gauge_or_ungauged_plain(gauged, with
     assert gauge is None or (gauge.cyclicity > 1) == (gauged == "cyclic")
     kernel = None
     if with_kernel and gauge is None:
-        kernel = rpf_finite._scaled_kernels(logB, finite)[0]
+        kernel = rpf_finite._scaled_kernels(logB, float(logB.max()))[0]
     elif with_kernel:
         kernel = rpf_finite._ReducedSide(logB, finite, gauge.v, gauge.beta).kernel(1.0, gauge, lambda g: g.v)
     runs = record_runs(monkeypatch)
