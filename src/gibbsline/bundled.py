@@ -30,6 +30,6 @@ def bundled_pair(name: str) -> tuple[ShiftModel, MarkovPotential]:
         model = ShiftModel(ModelKind.RENEWAL)
         entries = [(0, j, 0.0) for j in range(0, 17)]
         entries += [(i, i - 1, 0.0) for i in range(1, 17)]
-        tail = TailDescriptor(TailKind.GEOMETRIC, a=0.0, b=0.0, row_osc=None)
+        tail = TailDescriptor(TailKind.GEOMETRIC, a=0.0, b=0.0)
         return model, MarkovPotential(model, Family.TABLE, table=tuple(entries), tail=tail)
     raise ValueError(f"unknown bundled pair {name!r}")

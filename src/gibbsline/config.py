@@ -29,7 +29,6 @@ _KEYS = {
         "tail_a",
         "tail_b",
         "tail_p",
-        "tail_row_osc",
         "explicit_range",
     ),
     "sweep": ("ks", "ts", "zt_ts", "words", "tol", "tie_tol", "k0_window", "budget"),
@@ -261,11 +260,9 @@ def _build_potential(sec: dict[str, tuple[str, int]], model: ShiftModel) -> tupl
     tail_a = _parse_float(*_get(sec, "tail_a", "0.0"), key="tail_a")
     tail_b = _parse_float(*_get(sec, "tail_b", "0.0"), key="tail_b")
     tail_p = _parse_float(*_get(sec, "tail_p", "0.0"), key="tail_p")
-    row_osc_raw, row_osc_line = sec.get("tail_row_osc", ("", 0))
-    row_osc = _parse_float(row_osc_raw, row_osc_line, "tail_row_osc") if row_osc_raw else None
     explicit_range = _parse_int(*_get(sec, "explicit_range", "64"), key="explicit_range")
 
-    tail = TailDescriptor(tail_kind, a=tail_a, b=tail_b, p=tail_p, row_osc=row_osc)
+    tail = TailDescriptor(tail_kind, a=tail_a, b=tail_b, p=tail_p)
     try:
         pot = MarkovPotential(
             model,
@@ -353,8 +350,6 @@ def _emit_canonical(cfg: ModelConfig) -> str:
     lines.append(f"tail_a = {_fmt_float(pot.tail.a)}")
     lines.append(f"tail_b = {_fmt_float(pot.tail.b)}")
     lines.append(f"tail_p = {_fmt_float(pot.tail.p)}")
-    if pot.tail.row_osc is not None:
-        lines.append(f"tail_row_osc = {_fmt_float(pot.tail.row_osc)}")
     lines.append(f"explicit_range = {pot.explicit_hi}")
     lines.append("")
     lines.append("[sweep]")

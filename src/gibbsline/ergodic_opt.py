@@ -7,9 +7,8 @@ zero-temperature solves, and stabilization detection across the truncation
 schedule. The max-plus routines themselves live in `maxplus`; this module
 applies them to the weight matrix W = `transfer_matrix(trunc, f, 1)` of a
 potential on a truncation, which rejects f undefined on an admissible edge.
-A critical decomposition builds W once, and so does its gauge; a caller
-that already holds W passes it to both instead. A zero-temperature sweep's
-set-up (`_sweep_setup`) builds W once and reads its support and Howard's
+A critical decomposition builds W once. A zero-temperature sweep's set-up
+(`_sweep_setup`) builds W once and reads its support and Howard's
 tolerance once, for the decomposition, the gauge and the sweep.
 """
 
@@ -127,8 +126,7 @@ def critical_graph(
 ) -> CriticalDecomposition:
     """Tight-edge graph of the weight matrix W = `transfer_matrix(trunc, f, 1)`
     and its transitive components. `critical_decomposition` builds W once
-    (or takes the caller's) and passes it to every rung of its tie-tolerance
-    ladder.
+    and passes it to every rung of its tie-tolerance ladder.
 
     Components are the strongly connected pieces of the tight graph that
     carry a cycle; every cycle made of tight edges has mean exactly beta,
@@ -168,18 +166,14 @@ def critical_graph(
     )
 
 
-def critical_decomposition(
-    trunc: Truncation, f: MarkovPotential, tie_tol: float = 1e-9, W: np.ndarray | None = None
-) -> CriticalDecomposition:
+def critical_decomposition(trunc: Truncation, f: MarkovPotential, tie_tol: float = 1e-9) -> CriticalDecomposition:
     """Full pipeline beta -> subaction -> critical graph on one weight matrix,
     with the tie-tolerance ladder: on an empty critical graph the tolerance is
     widened tenfold up to 1e-6.
 
-    W is `transfer_matrix(trunc, f, 1.0)`: the caller's when it holds one,
-    else built here, once for the whole ladder.
+    W is `transfer_matrix(trunc, f, 1.0)`, built once for the whole ladder.
     """
-    if W is None:
-        W = transfer_matrix(trunc, f, 1.0)
+    W = transfer_matrix(trunc, f, 1.0)
     return _decomposition(trunc, W, *maxplus._support(W), tie_tol)
 
 
@@ -198,26 +192,16 @@ def _decomposition(
             tie_tol *= 10.0
 
 
-def max_plus_gauge(
-    trunc: Truncation, f: MarkovPotential, dec: CriticalDecomposition, W: np.ndarray | None = None
+def _gauge(
+    trunc: Truncation, W: np.ndarray, finite: np.ndarray, tol: float, dec: CriticalDecomposition
 ) -> MaxPlusGauge:
-    """Max-plus gauge of f on the truncation, from its critical decomposition.
+    """Max-plus gauge of the weight matrix W, from its critical decomposition.
 
     The subactions are seeded on the maximal components: as t grows, log h
     of exp(t f) is t v and log nu is t u up to o(t) when one component is
     maximal, because the Perron vector is carried by the walks into it.
-    Costs two seeded policy iterations; no further max cycle mean. W is
-    `transfer_matrix(trunc, f, 1.0)`, built here unless the caller passes it.
+    Costs two seeded policy iterations; no further max cycle mean.
     """
-    if W is None:
-        W = transfer_matrix(trunc, f, 1.0)
-    return _gauge(trunc, W, *maxplus._support(W), dec)
-
-
-def _gauge(
-    trunc: Truncation, W: np.ndarray, finite: np.ndarray, tol: float, dec: CriticalDecomposition
-) -> MaxPlusGauge:
-    """`max_plus_gauge` from the weight matrix W."""
     idx = trunc.local_index()
     seeds = [idx[dec.components[j].symbols[0]] for j in dec.maximal_components]
     return maxplus._gauge(W, finite, tol, dec.beta, seeds, dec.cyclicity)
@@ -230,7 +214,7 @@ def _sweep_setup(trunc: Truncation, f: MarkovPotential, tie_tol: float) -> tuple
     W = transfer_matrix(trunc, f, 1.0)
     finite, tol = maxplus._support(W)
     dec = _decomposition(trunc, W, finite, tol, tie_tol)
-    return dec, GaugedSweep._of(W, finite, _gauge(trunc, W, finite, tol, dec))
+    return dec, GaugedSweep(W, finite, _gauge(trunc, W, finite, tol, dec))
 
 
 def _structure_key(dec: CriticalDecomposition) -> tuple:

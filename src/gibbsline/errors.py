@@ -36,10 +36,6 @@ class InvalidT(ValidationError):
     """Inverse temperature outside the admissible range."""
 
 
-class UnboundedV1(ValidationError):
-    """Ambient first variation cannot be bounded from the available data."""
-
-
 class BudgetExceeded(ValidationError):
     """An enumeration would exceed the configured budget."""
 

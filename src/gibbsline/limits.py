@@ -82,7 +82,6 @@ class IntegralLimitReport:
     gaps: tuple[float, ...]
     limit: float
     vp_residual: float
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -344,7 +343,7 @@ def integral_limit_check(
     vp_residual = abs(energies[-1] - (p_last - h_last))
     if not converged:
         raise NotConverged(gaps[-1] if gaps else math.inf, what=f"energies at t={t}")
-    return IntegralLimitReport(float(t), ks, tuple(energies), gaps, energies[-1], vp_residual, converged)
+    return IntegralLimitReport(float(t), ks, tuple(energies), gaps, energies[-1], vp_residual)
 
 
 def tightness_bound_check(
@@ -367,7 +366,7 @@ def tightness_bound_check(
     for k in sorted(ks):
         trunc = solver.truncation(k)
         _, meas = solver.solve(k, t)
-        v1 = variation(f, 1, trunc)
+        v1 = variation(f, trunc)
         sups = f._ambient_sups(trunc.alphabet)
         exponents = 4.0 * v1 + sups - s_ref
         idx_ok = np.flatnonzero(exponents <= 0.0)

@@ -33,7 +33,6 @@ from .errors import (
     DeadEndSymbol,
     InvalidT,
     NoTailDescriptor,
-    UnboundedV1,
     ValidationError,
 )
 from .shift_model import ShiftModel, Truncation
@@ -56,17 +55,12 @@ class TailKind(Enum):
 
 @dataclass(frozen=True)
 class TailDescriptor:
-    """Closed-form majorant of the cylinder sups beyond the explicit range.
-
-    `row_osc`, when given, bounds the oscillation of every row beyond the
-    explicit range; without it the ambient first variation is unknowable.
-    """
+    """Closed-form majorant of the cylinder sups beyond the explicit range."""
 
     kind: TailKind
     a: float = 0.0
     b: float = 0.0
     p: float = 0.0
-    row_osc: float | None = None
 
     def bound(self, i: np.ndarray | float) -> np.ndarray | float:
         if self.kind is TailKind.GEOMETRIC:
@@ -89,9 +83,9 @@ class SummabilityCertificate:
 
 
 _FAMILY_TAILS = {
-    Family.LOG_QUADRATIC: TailDescriptor(TailKind.POLYNOMIAL, a=0.0, p=2.0, row_osc=0.0),
-    Family.TIE_TWO_LOOPS: TailDescriptor(TailKind.GEOMETRIC, a=1.0, b=1.0, row_osc=None),
-    Family.RENEWAL_WEIGHTED: TailDescriptor(TailKind.GEOMETRIC, a=0.0, b=1.0, row_osc=None),
+    Family.LOG_QUADRATIC: TailDescriptor(TailKind.POLYNOMIAL, a=0.0, p=2.0),
+    Family.TIE_TWO_LOOPS: TailDescriptor(TailKind.GEOMETRIC, a=1.0, b=1.0),
+    Family.RENEWAL_WEIGHTED: TailDescriptor(TailKind.GEOMETRIC, a=0.0, b=1.0),
 }
 
 
@@ -109,7 +103,7 @@ class MarkovPotential:
     tail: TailDescriptor = TailDescriptor(TailKind.NONE)
     explicit_hi: int = 64
     shift: float = 0.0
-    # certificates of `check_summability`, keyed by (tol, max_terms)
+    # certificates of `check_summability`, keyed by tol
     _certificates: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -289,7 +283,7 @@ def _polynomial_tail(a: float, p: float, t: float, start: int) -> float:
     return math.exp(t * a) * float(start) ** (1.0 - s) / (s - 1.0)
 
 
-# the term budget of a certificate, unless the caller sets one
+# the term budget of a certificate
 _MAX_TERMS = 2_000_000
 # certificate terms are evaluated this many symbols at a time, each block
 # into its slice of the term buffer, so the temporaries of a 2,000,000-term
@@ -297,7 +291,7 @@ _MAX_TERMS = 2_000_000
 _TERM_BLOCK = 1 << 15
 
 
-def _rounds(f: MarkovPotential, term, tails, t: float, start_min: int, max_terms: int):
+def _rounds(f: MarkovPotential, term, tails, t: float, start_min: int):
     """The rounds of a certificate: (terms used, partial sum, tail majorant) each.
 
     A finite alphabet is one exact round with no tail. Otherwise a prefix is
@@ -305,7 +299,7 @@ def _rounds(f: MarkovPotential, term, tails, t: float, start_min: int, max_terms
     potentials, whose prefix doubles each round); majorant terms bridge up to
     `start_min`, and `tails` = (geometric, polynomial) closed forms at (a, b
     or p, t, start) bound the rest. The rounds end when a table cannot grow
-    or max_terms symbols are summed. term(sups, out) writes the terms of
+    or _MAX_TERMS symbols are summed. term(sups, out) writes the terms of
     the sups into out and may overwrite sups.
 
     Each round evaluates only the symbols it adds, in blocks of _TERM_BLOCK
@@ -313,9 +307,9 @@ def _rounds(f: MarkovPotential, term, tails, t: float, start_min: int, max_terms
     its terms straight into its slice of one buffer; the sum is taken afresh
     over the prefix, so it equals the sum over a newly built array bit for
     bit. The first round's buffer has its exact size; the first growth
-    reserves min(max_terms, _MAX_TERMS) terms at once, and only a larger
-    budget grows it again. Pages past the evaluated prefix are never
-    touched, so a large budget that a fast tail never reaches costs nothing.
+    reserves all _MAX_TERMS terms at once. Pages past the evaluated prefix
+    are never touched, so the budget a fast tail never reaches costs
+    nothing.
     """
     finite_syms = _finite_alphabet_symbols(f)
     if finite_syms is not None:
@@ -330,7 +324,7 @@ def _rounds(f: MarkovPotential, term, tails, t: float, start_min: int, max_terms
     a_eff = f.tail.a + f.shift
     grow_ok = f.family is not Family.TABLE
     hi = int(f._explicit_symbols()[-1])
-    hi = min(max(hi, start_min) if grow_ok else hi, max_terms - 1)
+    hi = min(max(hi, start_min) if grow_ok else hi, _MAX_TERMS - 1)
     terms = np.empty(hi + 1)
     done = 0
     while True:
@@ -344,17 +338,17 @@ def _rounds(f: MarkovPotential, term, tails, t: float, start_min: int, max_terms
         bridge = np.empty_like(mid)
         term(mid, bridge)
         yield done, partial, float(np.sum(bridge)) + _closed_form(closed, a_eff, rate, t, max(hi, start_min) + 1)
-        if not grow_ok or done >= max_terms:
+        if not grow_ok or done >= _MAX_TERMS:
             return
-        hi = min(max_terms - 1, max(2 * hi, 64))
+        hi = min(_MAX_TERMS - 1, max(2 * hi, 64))
         if hi >= terms.size:
-            grown = np.empty(max(hi + 1, min(max_terms, _MAX_TERMS)))
+            grown = np.empty(_MAX_TERMS)
             grown[:done] = terms[:done]
             terms = grown
 
 
 def _certificate(
-    f: MarkovPotential, term, tails, t: float, start_min: int, floor: float, tol: float, max_terms: int
+    f: MarkovPotential, term, tails, t: float, start_min: int, floor: float, tol: float
 ) -> SummabilityCertificate:
     """Certificate for the series of term(sup f|_[i]) over all 1-cylinders.
 
@@ -362,17 +356,12 @@ def _certificate(
     the tail is infinite or the rounds end. `converges` is the finiteness of
     the last tail.
     """
-    for used, partial, tail in _rounds(f, term, tails, t, start_min, max_terms):
+    for used, partial, tail in _rounds(f, term, tails, t, start_min):
         total = partial + tail
         tol_met = math.isfinite(tail) and tail <= tol * max(total, floor)
         if tol_met or not math.isfinite(tail):
             break
     return SummabilityCertificate(math.isfinite(tail), partial, tail, total, used, tol_met)
-
-
-def _check_budget(max_terms: int):
-    if max_terms < 1:
-        raise ValidationError(f"max_terms must be at least 1, got {max_terms}")
 
 
 _SUMMABILITY_TAILS = (_geometric_tail, _polynomial_tail)
@@ -389,27 +378,26 @@ def is_summable(f: MarkovPotential) -> bool:
     what check_summability raises on that round (NoTailDescriptor without a
     tail on an infinite alphabet).
     """
-    _used, _partial, tail = next(_rounds(f, np.exp, _SUMMABILITY_TAILS, 1.0, 0, _MAX_TERMS))
+    _used, _partial, tail = next(_rounds(f, np.exp, _SUMMABILITY_TAILS, 1.0, 0))
     return math.isfinite(tail)
 
 
-def check_summability(f: MarkovPotential, tol: float = 1e-9, max_terms: int = _MAX_TERMS) -> SummabilityCertificate:
+def check_summability(f: MarkovPotential, tol: float = 1e-9) -> SummabilityCertificate:
     """Certificate for the series of exp(sup f|_[i]) over all 1-cylinders.
 
     The explicit range is grown geometrically until the tail majorant is
     at most tol * total or the term budget is hit; `converges` records tail
     finiteness, `tol_met` whether the requested resolution was reached.
-    Certificates are kept on the potential, one per (tol, max_terms).
+    Certificates are kept on the potential, one per tol.
     """
-    _check_budget(max_terms)
-    cert = f._certificates.get((tol, max_terms))
+    cert = f._certificates.get(tol)
     if cert is None:
         # the terms are positive, so a floor of 0 leaves tol * total as it is
-        cert = f._certificates[tol, max_terms] = _certificate(f, np.exp, _SUMMABILITY_TAILS, 1.0, 0, 0.0, tol, max_terms)
+        cert = f._certificates[tol] = _certificate(f, np.exp, _SUMMABILITY_TAILS, 1.0, 0, 0.0, tol)
     return cert
 
 
-def check_summability_t(f: MarkovPotential, t: float, tol: float = 1e-9, max_terms: int = _MAX_TERMS) -> SummabilityCertificate:
+def check_summability_t(f: MarkovPotential, t: float, tol: float = 1e-9) -> SummabilityCertificate:
     """Certificate for the weighted series (-t sup f|_[i]) exp(t sup f|_[i]).
 
     Requires t > 1 and a normalized potential (applied automatically).
@@ -422,7 +410,6 @@ def check_summability_t(f: MarkovPotential, t: float, tol: float = 1e-9, max_ter
     """
     if t <= 1.0:
         raise InvalidT(f"t must exceed 1, got {t}")
-    _check_budget(max_terms)
     g = f.normalized()
 
     def term(sups: np.ndarray, out: np.ndarray) -> None:
@@ -446,11 +433,11 @@ def check_summability_t(f: MarkovPotential, t: float, tol: float = 1e-9, max_ter
             first = math.exp((a_eff + 1.0 / t) / g.tail.p) - 1.0
         else:
             first = _INF
-        if not first <= max_terms - 1:
+        if not first <= _MAX_TERMS - 1:
             return SummabilityCertificate(False, float("nan"), _INF, _INF, 0, False)
         start_min = max(0, math.ceil(first))
     tails = (_weighted_geometric_tail, _weighted_polynomial_tail)
-    return _certificate(g, term, tails, t, start_min, 1e-300, tol, max_terms)
+    return _certificate(g, term, tails, t, start_min, 1e-300, tol)
 
 
 def _weighted_geometric_tail(a: float, b: float, t: float, start: int) -> float:
@@ -479,7 +466,7 @@ def _weighted_polynomial_tail(a: float, p: float, t: float, start: int) -> float
 # variations
 
 
-def row_oscillation(vals: np.ndarray, mask: np.ndarray) -> float:
+def oscillation(vals: np.ndarray, mask: np.ndarray) -> float:
     """Largest max - min over the defined values of a row of `vals` inside `mask`.
 
     Rows without such a value are skipped; 0.0 when no row has one.
@@ -491,29 +478,11 @@ def row_oscillation(vals: np.ndarray, mask: np.ndarray) -> float:
     return float(osc.max()) if osc.size else 0.0
 
 
-def variation(f: MarkovPotential, n: int, trunc: Truncation | None = None) -> float:
-    """n-th variation; exactly 0 for n >= 2 since the potential is Markov.
+def variation(f: MarkovPotential, trunc: Truncation) -> float:
+    """First variation of f on a truncation: its largest row oscillation.
 
-    For n = 1 the ambient value needs bounded row oscillation; per-truncation
-    values are always finite and feed the per-truncation Gibbs constants.
+    Every higher variation is 0, since the potential is Markov. The value is
+    always finite and feeds the per-truncation Gibbs constants.
     """
-    if n < 1:
-        raise ValidationError("variation index must be at least 1")
-    if n >= 2:
-        return 0.0
-    tail_osc = 0.0
-    if trunc is not None:
-        syms, mask = trunc.alphabet, trunc.require_incidence()
-    else:
-        syms = _finite_alphabet_symbols(f)
-        if syms is None:
-            if f.family is Family.LOG_QUADRATIC:
-                return 0.0
-            if f.family in (Family.TIE_TWO_LOOPS, Family.RENEWAL_WEIGHTED):
-                # rows take arbitrarily negative values along the full countable row
-                raise UnboundedV1(f"{f.family.value} has unbounded ambient row oscillation")
-            if f.tail.row_osc is None:
-                raise UnboundedV1("tail descriptor does not bound row oscillation")
-            syms, tail_osc = f._explicit_symbols(), float(f.tail.row_osc)
-        mask = f.model.has_edge(syms[:, None], syms[None, :])
-    return max(row_oscillation(f.value_grid(syms, syms), mask), tail_osc)
+    syms = trunc.alphabet
+    return oscillation(f.value_grid(syms, syms), trunc.require_incidence())

@@ -672,7 +672,11 @@ def _linear_iteration(
         Kx = apply(x)
         if pending is not None:
             est, gate = pending
-            res = float(np.max(np.abs(np.log(Kx) - est - np.log(x))))
+            # a zero entry of K x (a row whose kernel entries underflowed)
+            # gives an infinite residual, which fails the gate
+            with np.errstate(divide="ignore"):
+                log_kx = np.log(Kx)
+            res = float(np.max(np.abs(log_kx - est - np.log(x))))
             if res < gate:
                 return x, scale + est, it, res
             best = min(best, res)
@@ -1065,12 +1069,13 @@ class GaugedSweep:
 
     W is `transfer_matrix(trunc, f, 1.0)` and gauge the max-plus gauge of f
     (not of t*f) on the truncation; `equilibrium_measure(trunc, f, t,
-    sweep)` solves t*f with the gauge scaled by t. The support is read once,
-    from W, or taken from a set-up that has read it (`_of`). Where it has more than 2n - 1 edges (which the first-return
-    path turns away, see `_first_return`), however sparse, both sides'
-    exponents are built here once (`_ReducedSide`; the left one from W^T,
-    which stays column-major, so that the left matvec keeps the BLAS path
-    and the bits of a lone solve). Every t costs each side one multiply and
+    sweep)` solves t*f with the gauge scaled by t. `finite` is W's support,
+    np.isfinite(W), as the caller has read it. Where it has more than 2n - 1
+    edges (which the first-return path turns away, see `_first_return`),
+    however sparse, both sides' exponents are built here once
+    (`_ReducedSide`; the left one from W^T, which stays column-major, so
+    that the left matvec keeps the BLAS path and the bits of a lone
+    solve). Every t costs each side one multiply and
     one exp in one n x n buffer, or, where its live cells fill at most
     1/_LIVE_FILL of the cells, an edge list: built by one pass over E, or
     filtered from the side's last one at a larger t, with exps of the live
@@ -1084,17 +1089,7 @@ class GaugedSweep:
     lone gauged solve.
     """
 
-    def __init__(self, W: np.ndarray, gauge: MaxPlusGauge):
-        self._set_up(W, np.isfinite(W), gauge)
-
-    @classmethod
-    def _of(cls, W: np.ndarray, finite: np.ndarray, gauge: MaxPlusGauge) -> GaugedSweep:
-        """The sweep of W, whose support `finite` = np.isfinite(W) the caller has read."""
-        sweep = cls.__new__(cls)
-        sweep._set_up(W, finite, gauge)
-        return sweep
-
-    def _set_up(self, W: np.ndarray, finite: np.ndarray, gauge: MaxPlusGauge) -> None:
+    def __init__(self, W: np.ndarray, finite: np.ndarray, gauge: MaxPlusGauge):
         self.W, self.gauge = W, gauge
         self.sides = None
         if np.count_nonzero(finite) > 2 * W.shape[0] - 1:

@@ -278,7 +278,7 @@ def graph_period(adj: np.ndarray) -> int:
 # truncation construction
 
 
-def build_truncation(model: ShiftModel, k: int, dense_limit: int = DENSE_LIMIT) -> Truncation:
+def build_truncation(model: ShiftModel, k: int) -> Truncation:
     """Truncation on the prefix alphabet {0, ..., k}.
 
     For custom models the prefix is augmented by the smallest additional
@@ -291,9 +291,9 @@ def build_truncation(model: ShiftModel, k: int, dense_limit: int = DENSE_LIMIT) 
         raise ValidationError("truncation index must be nonnegative")
     m = k + 1
     if model.kind is ModelKind.CUSTOM:
-        return _custom_truncation(model, k, m, dense_limit)
+        return _custom_truncation(model, k, m)
     alphabet = np.arange(m, dtype=np.int64)
-    if m > dense_limit:
+    if m > DENSE_LIMIT:
         return Truncation(k, alphabet, None, 1, model.kind)
     inc = model.has_edge(alphabet[:, None], alphabet[None, :])
     return Truncation(k, alphabet, inc, graph_period(inc), model.kind)
@@ -328,7 +328,7 @@ def is_whole_shift(model: ShiftModel, trunc: Truncation) -> bool:
     return bool(np.isin(model._listed_edges[0], trunc.alphabet).all())
 
 
-def _custom_truncation(model: ShiftModel, k: int, m: int, dense_limit: int) -> Truncation:
+def _custom_truncation(model: ShiftModel, k: int, m: int) -> Truncation:
     explicit = model._listed_edges[0]
     tailed = model.custom_tail_rule is not TailRule.NONE
     cap = max(m, int(explicit[-1]) + 1) + 64
@@ -336,7 +336,7 @@ def _custom_truncation(model: ShiftModel, k: int, m: int, dense_limit: int) -> T
 
     memo = model._alphabet_memo
     while True:
-        if alphabet.size > dense_limit:
+        if alphabet.size > DENSE_LIMIT:
             raise AlphabetTooLarge("custom truncation exceeds the dense alphabet limit")
         key = alphabet.tobytes()
         if key not in memo:

@@ -6,9 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
-from gibbsline import bundled_pair, rpf_finite
+from gibbsline import bundled_pair, ergodic_opt, rpf_finite
 from gibbsline.errors import BudgetExceeded, ValidationError
-from gibbsline.potential import MarkovPotential, row_oscillation
+from gibbsline.potential import MarkovPotential, oscillation
 from gibbsline.rpf_finite import log_cylinder_mass, transfer_matrix
 
 
@@ -96,6 +96,12 @@ def step_budget(max_iter: int):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(rpf_finite, "_step_budget", lambda n: max_iter)
         yield
+
+
+def gauged_sweep(trunc, f, tie_tol: float = 1e-9):
+    """The GaugedSweep of f on trunc, with the max-plus gauge of its critical
+    decomposition, as a zero-temperature sweep's set-up builds it."""
+    return ergodic_opt._sweep_setup(trunc, f, tie_tol)[1]
 
 
 def power_perron(logB: np.ndarray, gauge=None, max_iter: int | None = None):
@@ -322,7 +328,7 @@ def support_first_variation(m, f) -> float:
     cache = _FIRST_VARIATION.setdefault(m, {})
     v1 = cache.get(f)
     if v1 is None:
-        v1 = cache[f] = row_oscillation(f.value_grid(m.alphabet, m.alphabet), m.stochastic > 0.0)
+        v1 = cache[f] = oscillation(f.value_grid(m.alphabet, m.alphabet), m.stochastic > 0.0)
     return v1
 
 

@@ -103,10 +103,12 @@ class TestConfigParsing:
         assert cfg2.config_hash() == cfg.config_hash()
 
     def test_unknown_key_rejected_with_line(self):
-        bad = "[model]\nkind = full\nwibble = 3\n"
-        with pytest.raises(ParseError) as err:
-            parse_model_config(bad)
-        assert err.value.line == 3
+        # the first variation is read on each truncation; no key bounds it
+        row_osc = "[model]\nkind = full\n\n[potential]\nfamily = log_quadratic\ntail_row_osc = 0.0\n"
+        for bad, line in (("[model]\nkind = full\nwibble = 3\n", 3), (row_osc, 6)):
+            with pytest.raises(ParseError) as err:
+                parse_model_config(bad)
+            assert err.value.line == line
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ParseError):

@@ -9,7 +9,7 @@ import pytest
 from conftest import admissible_words
 from gibbsline.bundled import bundled_pair
 from gibbsline.ergodic_opt import detect_k0
-from gibbsline.errors import AlphabetTooLarge, NotStabilized, ParseError, SolverError, UnboundedV1
+from gibbsline.errors import AlphabetTooLarge, NotStabilized, ParseError, SolverError
 from gibbsline.limits import pressure_sweep
 from gibbsline.potential import (
     Family,
@@ -17,7 +17,6 @@ from gibbsline.potential import (
     TailDescriptor,
     TailKind,
     check_summability,
-    variation,
 )
 from gibbsline.rpf_finite import cylinder_mass, equilibrium_measure
 from gibbsline.shift_model import (
@@ -53,23 +52,6 @@ class TestCustomTailRules:
         f = MarkovPotential(model, Family.TABLE, table=table, tail=TailDescriptor(TailKind.GEOMETRIC, a=0.0, b=1.0))
         cert = check_summability(f)
         assert cert.converges and math.isfinite(cert.total_upper_bound)
-
-
-class TestRowOscillationDescriptor:
-    def test_row_osc_bounds_ambient_variation(self):
-        model = ShiftModel(ModelKind.FULL)
-        table = tuple((i, j, -float(i) - 0.1 * j) for i in range(4) for j in range(4))
-        tail = TailDescriptor(TailKind.GEOMETRIC, a=0.0, b=1.0, row_osc=0.5)
-        f = MarkovPotential(model, Family.TABLE, table=table, tail=tail)
-        assert variation(f, 1) == pytest.approx(0.5, abs=1e-15)  # 0.3 explicit, 0.5 from the tail
-
-    def test_missing_row_osc_is_unbounded(self):
-        model = ShiftModel(ModelKind.FULL)
-        table = tuple((i, j, -float(i + j)) for i in range(3) for j in range(3))
-        tail = TailDescriptor(TailKind.GEOMETRIC, a=0.0, b=1.0)
-        f = MarkovPotential(model, Family.TABLE, table=table, tail=tail)
-        with pytest.raises(UnboundedV1):
-            variation(f, 1)
 
 
 class TestStructuredGuards:

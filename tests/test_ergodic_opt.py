@@ -17,7 +17,6 @@ from gibbsline.ergodic_opt import (
     detect_k0,
     max_entropy_over_maximizing,
     max_mean_cycle,
-    max_plus_gauge,
     subaction,
 )
 from gibbsline import ergodic_opt, maxplus, rpf_finite
@@ -364,7 +363,7 @@ def test_seeded_policy_iteration_keeps_the_bits_of_value_iteration(name, n):
         for side in (W, W.T):
             got = maxplus.subaction(side, dec.beta, list(seeds))
             assert got.tobytes() == value_iteration_subaction(side - dec.beta, list(seeds)).tobytes()
-    gauge = max_plus_gauge(tr, f, dec)
+    gauge = ergodic_opt._gauge(tr, W, *maxplus._support(W), dec)
     assert gauge.v.tobytes() == maxplus.subaction(W, dec.beta, list(maximal_seeds)).tobytes()
     assert gauge.u.tobytes() == maxplus.subaction(W.T, dec.beta, list(maximal_seeds)).tobytes()
 
@@ -509,13 +508,14 @@ def test_seeded_runs_settle_in_one_round_on_renewal_at_1023_symbols(monkeypatch,
     monkeypatch.setattr(maxplus, "_evaluate", lambda *args: evaluated.append(1) or real(*args))
     v = subaction(tr, f, dec.beta, witness=dec.witness_cycle)
     assert len(evaluated) == 1  # the shortest walks into the seed are already the best
-    gauge = max_plus_gauge(tr, f, dec)
+    W = transfer_matrix(tr, f, 1.0)
+    gauge = ergodic_opt._gauge(tr, W, *maxplus._support(W), dec)
     assert len(evaluated) == 3  # one evaluation per side
     assert gauge.v.tobytes() == v.tobytes()
 
 
 @pytest.mark.parametrize("name", ["tie_two_loops", "renewal_weighted"])
-def test_one_weight_matrix_per_decomposition_and_per_gauge(monkeypatch, name):
+def test_one_weight_matrix_per_decomposition_and_per_sweep_setup(monkeypatch, name):
     model, f = bundled_pair(name)
     tr = build_truncation(model, 510)
     n = tr.n_symbols
@@ -528,9 +528,10 @@ def test_one_weight_matrix_per_decomposition_and_per_gauge(monkeypatch, name):
         return real(self, rows, cols)
 
     monkeypatch.setattr(MarkovPotential, "value_grid", counted)
-    dec = critical_decomposition(tr, f)
+    critical_decomposition(tr, f)
     assert sum(full_grids) == 1
-    max_plus_gauge(tr, f, dec)
+    # the decomposition, the gauge and the sweep share one W
+    ergodic_opt._sweep_setup(tr, f, 1e-9)
     assert sum(full_grids) == 2
 
 

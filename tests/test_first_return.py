@@ -110,6 +110,24 @@ def test_first_return_matches_the_dense_oracle_and_power_iteration(case, t):
         assert abs(pd.log_lambda - ref.log_lambda) <= max(1e-12, 8.0 * EPS * scale)
 
 
+def test_a_zero_entry_of_k_x_reads_as_an_infinite_residual():
+    """A drawn first-return support at t = 64 on which the linear power
+    iteration's K x has a zero entry (its kernel row underflowed). The
+    residual check reads it as inf, with no divide-by-zero warning, and the
+    power iteration still agrees with the first-return path."""
+    edges = {(0, 7): -1.0, (1, 7): 0.0, (2, 8): -2.0, (3, 7): -3.0, (4, 6): 3.0, (5, 8): -2.0, (6, 3): 0.0, (8, 4): -2.0}
+    edges.update({(7, 0): 1.0, (7, 1): -2.0, (7, 2): -3.0, (7, 5): 2.0, (7, 6): -1.0, (7, 7): 2.0})
+    W = np.full((9, 9), NEG_INF)
+    for (i, j), w in edges.items():
+        W[i, j] = w
+    logB = 64.0 * W
+    pd = perron(logB)
+    assert pd.path == "first-return"
+    ref = outcome(power_perron, logB)
+    assert isinstance(ref, rpf_finite.PerronData)
+    assert abs(pd.log_lambda - ref.log_lambda) <= max(1e-12, 8.0 * EPS * abs(pd.log_lambda))
+
+
 def renewal_type_truncations():
     renewal = bundled_pair("renewal_weighted")
     non_summable = non_summable_pair()

@@ -20,7 +20,7 @@ from gibbsline import ergodic_opt, maxplus
 from gibbsline.bundled import bundled_pair
 from gibbsline.config import parse_model_config
 from gibbsline.errors import ValidationError
-from gibbsline.ergodic_opt import critical_decomposition, max_plus_gauge
+from gibbsline.ergodic_opt import critical_decomposition
 from gibbsline.potential import Family, MarkovPotential
 from gibbsline.rpf_finite import transfer_matrix
 from gibbsline.shift_model import ModelKind, ShiftModel, build_truncation, strongly_connected_components
@@ -190,7 +190,7 @@ def test_critical_graph_lists_its_edges_as_python_ints(name, request):
     model, f = family_pair(name, request)
     tr = build_truncation(model, 11 if name == "table" else 30)
     W = transfer_matrix(tr, f, 1.0)
-    dec = critical_decomposition(tr, f, W=W)
+    dec = critical_decomposition(tr, f)
     a = tr.alphabet
     tight = broadcast_tight(W, dec.beta, dec.subaction, dec.tie_tol_used)
     assert maxplus.critical_components(W, dec.beta, dec.subaction, dec.tie_tol_used)[0].tolist() == tight.tolist()
@@ -223,12 +223,13 @@ def test_the_set_up_allocates_at_most_one_and_a_half_grids_beyond_its_results(ti
     assert n == 256
     # a warm-up call finishes lazy imports and caches
     W = transfer_matrix(tr, f, 1.0)
-    dec = critical_decomposition(tr, f, W=W)
-    max_plus_gauge(tr, f, dec, W=W)
+    finite, tol = maxplus._support(W)
+    dec = ergodic_opt._decomposition(tr, W, finite, tol, 1e-9)
+    ergodic_opt._gauge(tr, W, finite, tol, dec)
     steps = {
         "transfer_matrix": lambda: transfer_matrix(tr, f, 1.0),
-        "critical_decomposition": lambda: critical_decomposition(tr, f, W=W),
-        "max_plus_gauge": lambda: max_plus_gauge(tr, f, dec, W=W),
+        "_decomposition": lambda: ergodic_opt._decomposition(tr, W, finite, tol, 1e-9),
+        "_gauge": lambda: ergodic_opt._gauge(tr, W, finite, tol, dec),
     }
     excess = {name: excess_nxn(call, n) for name, call in steps.items()}
     assert all(x <= 1.5 for x in excess.values()), excess

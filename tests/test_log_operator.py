@@ -21,11 +21,10 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from conftest import log_domain_side, power_perron, sparse_aperiodic, step_budget, tied_period_3
+from conftest import gauged_sweep, log_domain_side, power_perron, sparse_aperiodic, step_budget, tied_period_3
 from gibbsline import rpf_finite
 from gibbsline.bundled import bundled_pair
 from gibbsline.errors import NoConvergence, SolverError
-from gibbsline.ergodic_opt import critical_decomposition, max_plus_gauge
 from gibbsline.limits import ZT_TS_DEFAULT
 from gibbsline.maxplus import gauge_of
 from gibbsline.rpf_finite import (
@@ -144,7 +143,7 @@ def test_log_lambda_matches_scipy_reference_on_bundled_models(name, monkeypatch)
     for n in (7, 127, 511):
         tr = build_truncation(model, n - 1)
         assert tr.n_symbols == n
-        gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
+        gauge = gauged_sweep(tr, f).gauge
         for t in ZT_TS_DEFAULT:
             logB = transfer_matrix(tr, f, t)
             new = perron(logB, gauge=gauge.scaled(t))
@@ -199,7 +198,7 @@ def test_dense_gauged_sides_build_one_kernel_each(monkeypatch, tie_two_loops):
     model, f = tie_two_loops
     tr = build_truncation(model, 510)
     n = tr.n_symbols
-    gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
+    gauge = gauged_sweep(tr, f).gauge
     counts = count_applications(monkeypatch)
     exps, kernels = [], []
     real_exp, real_live = rpf_finite._exp_nonzero, rpf_finite._LiveKernel
@@ -332,7 +331,7 @@ class TestApplicationsPerIteration:
         # no log-domain operator; the linear run reads residuals the same way
         model, f = tie_two_loops
         tr = build_truncation(model, 11)
-        gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
+        gauge = gauged_sweep(tr, f).gauge
         counts = count_applications(monkeypatch)
         kernels = count_reduced_applications(monkeypatch)
         for t in ZT_TS_DEFAULT:
@@ -765,7 +764,7 @@ def test_leaner_step_keeps_the_bits_on_every_path():
     for name in ("renewal_weighted", "tie_two_loops", "log_quadratic"):
         model, f = bundled_pair(name)
         tr = build_truncation(model, 6)
-        gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
+        gauge = gauged_sweep(tr, f).gauge
         for t in (2.0,) + ZT_TS_DEFAULT:
             logB = transfer_matrix(tr, f, t)
             assert_same_bits_as_parent(logB)
@@ -927,7 +926,7 @@ def test_skipped_zero_lanes_keep_the_bits_of_the_dense_sweep_at_511_symbols():
     model, f = bundled_pair("tie_two_loops")
     tr = build_truncation(model, 510)
     W = transfer_matrix(tr, f, 1.0)
-    gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f), W=W)
+    gauge = gauged_sweep(tr, f).gauge
     n = tr.n_symbols
     for t in ZT_TS_DEFAULT:
         logB = t * W

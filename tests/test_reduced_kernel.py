@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import dense_gauged_state, karp_max_cycle_mean, log_domain_side, sparse_aperiodic, tied_period_3
+from conftest import dense_gauged_state, gauged_sweep, karp_max_cycle_mean, log_domain_side, sparse_aperiodic, tied_period_3
 from gibbsline import limits, rpf_finite
 from gibbsline.bundled import bundled_pair
 from gibbsline.config import parse_model_config
-from gibbsline.ergodic_opt import critical_decomposition, detect_k0, max_plus_gauge
+from gibbsline.ergodic_opt import detect_k0
 from gibbsline.errors import NoConvergence
 from gibbsline.limits import ZT_TS_DEFAULT
 from gibbsline.maxplus import gauge_of
@@ -47,7 +47,7 @@ def assert_matches_oracle(pd, meas, W, t, beta=None):
 def solve_sweep(trunc, f, ts):
     """(t, PerronData, MarkovMeasure) of every t of a gauged sweep on trunc."""
     W = transfer_matrix(trunc, f, 1.0)
-    gauge = max_plus_gauge(trunc, f, critical_decomposition(trunc, f, W=W), W=W)
+    gauge = gauged_sweep(trunc, f).gauge
     out = []
     for t in ts:
         logB = t * W
@@ -239,7 +239,7 @@ def test_a_full_shift_sweep_at_511_symbols_steps_on_edge_lists_from_t_32(monkeyp
     model, f = tie_two_loops
     trunc = build_truncation(model, 510)
     built = record_sweep_kernels(monkeypatch)
-    got = sweep_results(trunc, f, sweep_of(trunc, f), ZT_TS_DEFAULT)
+    got = sweep_results(trunc, f, gauged_sweep(trunc, f), ZT_TS_DEFAULT)
     listed = [t for t in ZT_TS_DEFAULT if t >= 32.0]
     want_built = [(t, "_ReducedKernel", True) for t in ZT_TS_DEFAULT if t < 32.0]
     want_built += [(t, "_LiveKernel", t == 32.0) for t in listed]
@@ -247,7 +247,7 @@ def test_a_full_shift_sweep_at_511_symbols_steps_on_edge_lists_from_t_32(monkeyp
     monkeypatch.undo()
     with monkeypatch.context() as m:
         m.setattr(rpf_finite, "_LIVE_FILL", 1 << 20)
-        sweep = sweep_of(trunc, f)
+        sweep = gauged_sweep(trunc, f)
         want = sweep_results(trunc, f, sweep, ZT_TS_DEFAULT)
     for t, (p, pi, P), (p_nn, pi_nn, P_nn) in zip(ZT_TS_DEFAULT, got, want):
         assert p == pytest.approx(p_nn, rel=1e-12, abs=0.0), t
@@ -287,9 +287,9 @@ def test_a_sweep_in_any_order_gives_the_answers_of_an_ascending_one(monkeypatch,
     model, f = bundled_pair("tie_two_loops")
     trunc = build_truncation(model, 255)
     ascending = sorted(set(ts))
-    want = dict(zip(ascending, sweep_results(trunc, f, sweep_of(trunc, f), ascending)))
+    want = dict(zip(ascending, sweep_results(trunc, f, gauged_sweep(trunc, f), ascending)))
     built = record_sweep_kernels(monkeypatch)
-    got = sweep_results(trunc, f, sweep_of(trunc, f), ts)
+    got = sweep_results(trunc, f, gauged_sweep(trunc, f), ts)
     for t, (p, pi, P) in zip(ts, got):
         p_a, pi_a, P_a = want[t]
         assert p == p_a and pi.tobytes() == pi_a.tobytes() and P.tobytes() == P_a.tobytes(), t
@@ -427,15 +427,6 @@ def test_equilibrium_takes_a_solve_chain_only_for_the_matrix_it_solved():
     assert not np.allclose(other.stochastic, P)
 
 
-def sweep_of(trunc, f, W=None, gauge=None):
-    """The GaugedSweep of f on trunc, from the max-plus gauge of its critical decomposition unless given."""
-    if W is None:
-        W = transfer_matrix(trunc, f, 1.0)
-    if gauge is None:
-        gauge = max_plus_gauge(trunc, f, critical_decomposition(trunc, f, W=W), W=W)
-    return GaugedSweep(W, gauge)
-
-
 @pytest.mark.parametrize("source, k", [("planted_cyclic", 11), ("tie_two_loops", 255), ("log_quadratic", 6)])
 def test_a_sweep_between_powers_of_two_matches_per_t_solves_and_the_oracle(source, k):
     """At ts that are no powers of two, t E and the exponent of a lone solve on
@@ -445,7 +436,7 @@ def test_a_sweep_between_powers_of_two_matches_per_t_solves_and_the_oracle(sourc
     path = HERE / "planted_cyclic.cfg" if source == "planted_cyclic" else CONFIGS / f"{source}.cfg"
     cfg = parse_model_config(path.read_text())
     trunc = build_truncation(cfg.model, k)
-    sweep = sweep_of(trunc, cfg.potential)
+    sweep = gauged_sweep(trunc, cfg.potential)
     assert sweep.sides is not None
     for t in (3.0, 6.0, 100.0, 1000.0):
         p, meas = equilibrium_measure(trunc, cfg.potential, t, sweep=sweep)
@@ -471,7 +462,7 @@ def test_a_sweep_forms_t_w_only_where_a_side_hands_over(monkeypatch):
     f = MarkovPotential(model, Family.TABLE, table=tuple((i, j, w) for (i, j), w in sorted(entries.items())))
     trunc = build_truncation(model, 2)
     W = transfer_matrix(trunc, f, 1.0)
-    sweep = sweep_of(trunc, f, W, gauge_of(W))
+    sweep = GaugedSweep(W, np.isfinite(W), gauge_of(W))
     assert sweep.sides is not None
     formed, handed_over = [], []
     log_matrix = rpf_finite._ReducedSide.log_matrix

@@ -9,6 +9,7 @@ from conftest import (
     admissible_words,
     dense_gauged_state,
     edge_value,
+    gauged_sweep,
     gibbs_ratio,
     one_cylinder_gibbs_check,
     power_perron,
@@ -18,13 +19,13 @@ from conftest import (
     tied_period_3,
 )
 from gibbsline.bundled import bundled_pair
-from gibbsline.ergodic_opt import critical_decomposition, detect_k0, max_plus_gauge
+from gibbsline.ergodic_opt import detect_k0
 from gibbsline.errors import BudgetExceeded, NoConvergence
 from gibbsline.limits import ZT_TS_DEFAULT
 from gibbsline.maxplus import gauge_of
 from gibbsline.potential import Family, MarkovPotential
+from gibbsline import shift_model
 from gibbsline.rpf_finite import (
-    GaugedSweep,
     cylinder_mass,
     entropy,
     equilibrium,
@@ -109,7 +110,7 @@ class TestPerron:
         tr = build_truncation(model, 0)
         logB = transfer_matrix(tr, f, 1.0)
         assert power_perron(logB).path == "period-averaged"
-        gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
+        gauge = gauged_sweep(tr, f).gauge
         assert gauge.cyclicity == 2
         pd = power_perron(logB, gauge=gauge.scaled(1.0))
         assert pd.path == "shifted"
@@ -176,10 +177,11 @@ class TestPressure:
             for t in (1.0, 2.0, 8.0):
                 assert pressure(tr, shifted, t) == pytest.approx(pressure(tr, f, t) + t * c, abs=1e-12)
 
-    def test_structured_fast_path_agrees_with_dense(self, log_quadratic):
+    def test_structured_fast_path_agrees_with_dense(self, log_quadratic, monkeypatch):
         model, f = log_quadratic
         dense = build_truncation(model, 499)
-        fast = build_truncation(model, 499, dense_limit=10)
+        monkeypatch.setattr(shift_model, "DENSE_LIMIT", 10)
+        fast = build_truncation(model, 499)
         assert fast.incidence is None
         for t in (1.0, 2.0):
             assert pressure(fast, f, t) == pytest.approx(pressure(dense, f, t), abs=1e-12)
@@ -311,8 +313,7 @@ class TestCylinderMass:
         # renewal supports solve each t by perron on t W, the full shift on the sweep's sides
         model, f = bundled_pair(name)
         tr = build_truncation(model, 6)
-        W = transfer_matrix(tr, f, 1.0)
-        sweep = GaugedSweep(W, max_plus_gauge(tr, f, critical_decomposition(tr, f, W=W), W=W))
+        sweep = gauged_sweep(tr, f)
         assert (sweep.sides is None) == (name == "renewal_weighted")
         for kwargs in ({}, {"sweep": sweep}):
             _, meas = equilibrium_measure(tr, f, 2.0, **kwargs)
@@ -441,11 +442,10 @@ def test_gauged_solve_matches_dense_oracle_on_random_graphs(data):
     tr = build_truncation(model, n - 1)
     if bipartite:
         assert tr.period == 2
-    gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
     W = np.full((n, n), NEG_INF)
     for (i, j), v in entries.items():
         W[i, j] = v
-    sweep = GaugedSweep(transfer_matrix(tr, f, 1.0), gauge)
+    sweep = gauged_sweep(tr, f)
     for t in ZT_TS_DEFAULT:
         log_lambda, pi, _, gap = dense_gauged_state(W, t)
         try:
@@ -469,13 +469,12 @@ def test_gauged_solve_and_oracle_resolve_a_nearly_critical_loop():
     model = ShiftModel(ModelKind.CUSTOM, tuple(sorted(entries)))
     f = MarkovPotential(model, Family.TABLE, table=tuple((i, j, v) for (i, j), v in sorted(entries.items())))
     tr = build_truncation(model, 3)
-    gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
     W = np.full((4, 4), NEG_INF)
     for (i, j), v in entries.items():
         W[i, j] = v
     t, masses = 128.0, [1.0, 4.247339459024474e-52, 3.3053057899832378e-54, 3.3053057899832378e-54]
     ref = np.array(masses) / np.sum(masses)
-    _, meas = equilibrium_measure(tr, f, t, sweep=GaugedSweep(transfer_matrix(tr, f, 1.0), gauge))
+    _, meas = equilibrium_measure(tr, f, t, sweep=gauged_sweep(tr, f))
     assert np.allclose(meas.stationary, ref, rtol=1e-9, atol=0.0)
     assert np.allclose(dense_gauged_state(W, t)[1], ref, rtol=1e-9, atol=0.0)
 
@@ -488,12 +487,12 @@ def test_equilibrium_measure_raises_on_a_stalled_solve():
     model = ShiftModel(ModelKind.CUSTOM, tuple(sorted(entries)))
     f = MarkovPotential(model, Family.TABLE, table=tuple((i, j, v) for (i, j), v in sorted(entries.items())))
     tr = build_truncation(model, 2)
-    gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
+    sweep = gauged_sweep(tr, f)
     with pytest.raises(NoConvergence) as solve:
-        perron(transfer_matrix(tr, f, 8.0), gauge=gauge.scaled(8.0))
+        perron(transfer_matrix(tr, f, 8.0), gauge=sweep.gauge.scaled(8.0))
     assert 1e-12 < solve.value.residual <= 1e-10
     with pytest.raises(NoConvergence) as exc:
-        equilibrium_measure(tr, f, 8.0, sweep=GaugedSweep(transfer_matrix(tr, f, 1.0), gauge))
+        equilibrium_measure(tr, f, 8.0, sweep=sweep)
     assert exc.value.args == solve.value.args
 
 
@@ -518,7 +517,7 @@ def test_gauged_matches_ungauged_on_bundled_models():
     for name in ("log_quadratic", "tie_two_loops", "renewal_weighted"):
         model, f = bundled_pair(name)
         tr = build_truncation(model, detect_k0(model, f).k0 + 1)
-        gauge = max_plus_gauge(tr, f, critical_decomposition(tr, f))
+        gauge = gauged_sweep(tr, f).gauge
         for t in ZT_TS_DEFAULT:
             logB = transfer_matrix(tr, f, t)
             gauged = perron(logB, gauge=gauge.scaled(t))
