@@ -17,6 +17,7 @@ from gibbsline.potential import (
     TailDescriptor,
     TailKind,
     check_summability,
+    variation,
 )
 from gibbsline.rpf_finite import cylinder_mass, equilibrium_measure
 from gibbsline.shift_model import (
@@ -52,6 +53,18 @@ class TestCustomTailRules:
         f = MarkovPotential(model, Family.TABLE, table=table, tail=TailDescriptor(TailKind.GEOMETRIC, a=0.0, b=1.0))
         cert = check_summability(f)
         assert cert.converges and math.isfinite(cert.total_upper_bound)
+
+
+class TestTabledTailVariation:
+    def test_truncated_variation_reads_only_the_values_there(self):
+        """The first variation is read on each truncation; a tail descriptor
+        bounds the series, not the variation."""
+        model = ShiftModel(ModelKind.FULL)
+        table = tuple((i, j, -float(i) - 0.1 * j) for i in range(4) for j in range(4))
+        tr = build_truncation(model, 3)
+        for tail in (TailDescriptor(TailKind.GEOMETRIC, a=0.0, b=1.0), TailDescriptor(TailKind.NONE)):
+            f = MarkovPotential(model, Family.TABLE, table=table, tail=tail)
+            assert variation(f, tr) == pytest.approx(0.3, abs=1e-15)
 
 
 class TestStructuredGuards:

@@ -535,6 +535,21 @@ def test_one_weight_matrix_per_decomposition_and_per_sweep_setup(monkeypatch, na
     assert sum(full_grids) == 2
 
 
+@pytest.mark.parametrize("name", ["log_quadratic", "tie_two_loops", "renewal_weighted"])
+def test_critical_decomposition_is_the_sweep_setups(name):
+    """The public decomposition builds its own W; the sweep set-up's, read
+    from the W it shares with the gauge, is the same."""
+    model, f = bundled_pair(name)
+    for k in (6, 63):
+        tr = build_truncation(model, k)
+        dec = critical_decomposition(tr, f)
+        setup_dec, sweep = ergodic_opt._sweep_setup(tr, f, 1e-9)
+        assert dec.beta == setup_dec.beta == sweep.gauge.beta
+        assert _structure_key(dec) == _structure_key(setup_dec)
+        assert dec.maximal_components == setup_dec.maximal_components
+        assert np.array_equal(dec.subaction, setup_dec.subaction)
+
+
 UNDEFINED_EDGE = """
 [model]
 kind = custom

@@ -221,6 +221,13 @@ class TestIntegralLimit:
         positive = [g for g in rep.gaps if g > 0]
         assert all(b <= a for a, b in zip(positive, positive[1:]))
 
+    def test_only_converged_energies_are_reported(self, renewal_weighted):
+        # a report is returned only when the last two gaps are below tol
+        model, f = renewal_weighted
+        for ks, tol in (((1, 2), 1e-4), ((1, 2, 3), 1e-12)):
+            with pytest.raises(NotConverged):
+                integral_limit_check(model, f, 3.0, ks, tol=tol)
+
 
 class TestTightness:
     def test_zero_violations_bundled(self):

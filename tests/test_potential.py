@@ -320,6 +320,19 @@ class TestCertificateLoops:
         assert [cert.terms_used for cert in got] == [max_terms, max_terms]
         assert max(sizes) == block and sizes.count(4) == 2
 
+    def test_budget_is_honoured(self, log_quadratic, monkeypatch):
+        model, f = log_quadratic
+        # a fast tail stops long before the budget
+        _, g = bundled_pair("renewal_weighted")
+        assert check_summability(g).terms_used == 65
+        monkeypatch.setattr(potential, "_MAX_TERMS", 10)
+        assert check_summability(f).terms_used == 10
+        assert check_summability_t(f, 2.0).terms_used == 10
+        monkeypatch.setattr(potential, "_MAX_TERMS", 1)
+        # a new potential: the first keeps its 10-term certificate
+        cert = check_summability(MarkovPotential(model, f.family))
+        assert cert.terms_used == 1 and cert.partial_sum == 0.5
+
     def test_certificate_is_kept_per_tolerance(self, log_quadratic):
         _, f = log_quadratic
         cert = check_summability(f)
@@ -415,6 +428,12 @@ class TestInPlaceTerms:
         weighted_term(h, t)(h._ambient_sups(np.arange(lo, top, dtype=float)), weighted)
         assert weighted.tobytes() == out_of_place_weighted_terms(out_of_place_sups(h, np.arange(lo, top)), t).tobytes()
 
+    def test_a_tail_met_early_stops_short_of_the_budget(self, log_quadratic):
+        _, f = log_quadratic
+        cert = check_summability(f, 1e-3)
+        assert cert == reference_check_summability(f, 1e-3)
+        assert cert.terms_used == 1025
+
     def test_a_default_certificate_allocates_one_buffer_and_blocks(self, log_quadratic):
         """At most one 2,000,000-term buffer and a few blocks live at once;
         the first round alone (`is_summable`) reserves nothing."""
@@ -476,6 +495,19 @@ class TestVariation:
         assert v1 == pytest.approx(worst, abs=1e-15)
         assert v1 == pytest.approx(4.0, abs=1e-15)  # row 0: -1 .. -5
 
+    def test_renewal_truncated_v1_grows_without_bound(self, renewal_weighted):
+        # row 0 runs -1 .. -(k + 1): the ambient first variation is infinite
+        model, f = renewal_weighted
+        for k in (1, 2, 8, 63):
+            assert variation(f, build_truncation(model, k)) == float(k)
+
+    def test_tie_two_loops_truncated_v1_grows_without_bound(self, tie_two_loops):
+        # the zero block's rows are constant; row 0 reaches -(k + 1) from 0 once k >= 2
+        model, f = tie_two_loops
+        assert variation(f, build_truncation(model, 1)) == 0.0
+        for k in (2, 8, 63):
+            assert variation(f, build_truncation(model, k)) == float(k + 1)
+
 
 class TestPressureMajorant:
     def test_log_total_bounds_truncated_pressure(self):
@@ -531,6 +563,22 @@ class TestTableAgainstLoops:
             return
         expected = np.array([max(r) for r in rows]) + f.shift
         np.testing.assert_array_equal(f._ambient_sups(np.asarray(symbols, dtype=np.int64)), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(table_potentials())
+    def test_first_variation_over_the_edges(self, fn):
+        """The row oscillation `variation` takes on a truncation, over every
+        edge of the model, against a scan of the table."""
+        f, n = fn
+        d = table_dict(f)
+        symbols = np.arange(n, dtype=np.int64)
+        mask = np.array([[f.model.has_edge(i, j) for j in range(n)] for i in range(n)])
+        worst = 0.0
+        for i in range(n):
+            vals = [d[i, j] + f.shift for j in range(n) if f.model.has_edge(i, j) and (i, j) in d]
+            if vals:
+                worst = max(worst, max(vals) - min(vals))
+        assert potential.oscillation(f.value_grid(symbols, symbols), mask) == worst
 
 
 class TestValueErrors:
