@@ -4,10 +4,25 @@ import math
 import numpy as np
 import pytest
 
-from gibbsline.cli import _json_dumps, mu_infty_jsonable, run_command, sweep_csv, sweep_jsonable
+from gibbsline.cli import (
+    _json_dumps,
+    entropy_limit_csv,
+    klimit_csv,
+    mu_infty_jsonable,
+    run_command,
+    sweep_csv,
+    sweep_jsonable,
+)
 from gibbsline.config import parse_model_config, str_to_word, word_to_str
 from gibbsline.errors import ParseError
-from gibbsline.limits import GridPoint, SweepResult, pressure_sweep, zero_temp_sweep
+from gibbsline.limits import (
+    EntropyLimitReport,
+    GridPoint,
+    KLimitTable,
+    SweepResult,
+    pressure_sweep,
+    zero_temp_sweep,
+)
 from gibbsline.bundled import bundled_pair
 
 MINIMAL = """
@@ -187,6 +202,39 @@ class TestEmit:
         lines = sweep_csv(res).strip().split("\n")
         assert len(lines) == 2
         assert lines[1] == "3,2,pressure,-1.25,,"
+
+    def test_failed_point_renders_nan_and_is_skipped_by_the_next_gap(self):
+        def point(k, p, error=None):
+            return GridPoint(k=k, t=2.0, n_symbols=k + 1, pressure=p, entropy=math.nan, integral=math.nan, masses={}, wall_time=0.0, error=error)
+
+        grid = (point(1, -1.0), point(2, math.nan, "no convergence"), point(3, -0.75))
+        res = SweepResult(grid=grid, reference={"s_ref": 0.0, "witness_cycle": (0,), "certificate": None}, diagnostics={"monotone_in_k": {}, "p_estimate": {}, "certified_summable": True})
+        assert sweep_csv(res).splitlines()[1:] == [
+            "1,2,pressure,-1,,",
+            "2,2,pressure,nan,,no convergence",
+            "3,2,pressure,-0.75,0.25,",
+        ]
+
+    def test_exact_equilibrium_flags_its_last_k(self):
+        trajectories = {(0,): (0.5, 0.625, 0.75), (1,): (0.5, 0.375, 0.25)}
+        gaps = {w: (0.125, 0.125) for w in trajectories}
+        limits = {w: v[-1] for w, v in trajectories.items()}
+        table = KLimitTable(2.0, (1, 2, 3), trajectories, limits, gaps, True, 0.125, exact=True)
+        assert klimit_csv(table).splitlines()[1:] == [
+            "1,2,mass[0],0.5,,",
+            "2,2,mass[0],0.625,0.125,",
+            "3,2,mass[0],0.75,0.125,exact",
+            "1,2,mass[1],0.5,,",
+            "2,2,mass[1],0.375,0.125,",
+            "3,2,mass[1],0.25,0.125,exact",
+        ]
+
+    def test_non_mixing_entropy_limit_flags_every_row(self):
+        report = EntropyLimitReport(k=2, ts=(2.0, 4.0), entropies=(0.5, 0.25), h_infinity=0.25, residual=0.25, sup_over_maximizing=0.0, mixing=False, validated=False)
+        assert entropy_limit_csv(report).splitlines()[1:] == [
+            "2,2,entropy,0.5,,non-mixing",
+            "2,4,entropy,0.25,0.25,non-mixing",
+        ]
 
     def test_sweep_json_round_trip(self, log_quadratic):
         model, f = log_quadratic
