@@ -1,4 +1,5 @@
-"""Bundled model/potential pairs used by the scripts, configs and tests."""
+"""Bundled model/potential pairs for library use (see the README's library
+example) and for the tests."""
 
 from __future__ import annotations
 

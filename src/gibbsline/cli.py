@@ -11,6 +11,7 @@ only the start and finish stamps).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -53,21 +54,22 @@ def _fmt(x: float | None) -> str:
     return format(x, ".15g")
 
 
-def _csv(rows: list[tuple]) -> str:
+def _csv(rows: list[tuple], along: str) -> str:
+    """The table of (k, t, quantity, value, flag) rows, in their order.
+
+    A row's gap is its distance to the previous row of the same quantity
+    along `along`: along "k" at its t, or along "t" at its k. A NaN value
+    gets no gap and is no previous value.
+    """
     lines = [CSV_HEADER]
-    for k, t, quantity, value, gap, flag in rows:
-        lines.append(
-            ",".join(
-                [
-                    "" if k is None else str(k),
-                    "" if t is None else _fmt(t),
-                    quantity,
-                    _fmt(value),
-                    "" if gap is None else _fmt(gap),
-                    flag,
-                ]
-            )
-        )
+    prev: dict[tuple, float] = {}
+    for k, t, quantity, value, flag in rows:
+        key = (quantity, t if along == "k" else k)
+        gap = None
+        if not math.isnan(value):
+            gap = abs(value - prev[key]) if key in prev else None
+            prev[key] = value
+        lines.append(",".join([str(k), _fmt(t), quantity, _fmt(value), _fmt(gap), flag]))
     return "\n".join(lines) + "\n"
 
 
@@ -80,22 +82,12 @@ def _json_dumps(obj) -> str:
 
 
 def _cert_jsonable(cert: SummabilityCertificate | None) -> dict | None:
-    if cert is None:
-        return None
-    return {
-        "converges": cert.converges,
-        "partial_sum": cert.partial_sum,
-        "tail_bound": cert.tail_bound,
-        "total_upper_bound": cert.total_upper_bound,
-        "terms_used": cert.terms_used,
-        "tol_met": cert.tol_met,
-    }
+    return None if cert is None else dataclasses.asdict(cert)
 
 
 def sweep_csv(result: SweepResult) -> str:
     flag_default = "" if result.diagnostics.get("certified_summable") else "per-truncation-only"
     rows: list[tuple] = []
-    prev: dict[tuple, float] = {}
     for point in sorted(result.grid, key=lambda g: (g.k, g.t)):
         quantities: list[tuple[str, float]] = [
             (name, value)
@@ -108,15 +100,9 @@ def sweep_csv(result: SweepResult) -> str:
         ]
         for w in sorted(point.masses, key=word_to_str):
             quantities.append((f"mass[{word_to_str(w)}]", point.masses[w]))
-        if not quantities:
-            rows.append((point.k, point.t, "pressure", math.nan, None, point.error or flag_default))
-            continue
-        for name, value in quantities:
-            key = (point.t, name)
-            gap = abs(value - prev[key]) if key in prev else None
-            prev[key] = value
-            rows.append((point.k, point.t, name, value, gap, point.error or flag_default))
-    return _csv(rows)
+        for name, value in quantities or [("pressure", math.nan)]:
+            rows.append((point.k, point.t, name, value, point.error or flag_default))
+    return _csv(rows, "k")
 
 
 def sweep_jsonable(result: SweepResult) -> dict:
@@ -165,42 +151,27 @@ def mu_infty_jsonable(est: MuInftyEstimate) -> dict:
 
 def zero_temp_csv(result: ZeroTempResult) -> str:
     rows: list[tuple] = []
-    prev: dict[str, float] = {}
     for i, t in enumerate(result.ts):
-        quantities: list[tuple[str, float]] = []
         for w in sorted(result.trajectories, key=word_to_str):
-            quantities.append((f"mass[{word_to_str(w)}]", result.trajectories[w][i]))
+            rows.append((result.k, t, f"mass[{word_to_str(w)}]", result.trajectories[w][i], ""))
         for j, traj in enumerate(result.gamma_trajectories):
             label = "-".join(str(s) for s in result.estimate.component_symbols[j])
-            quantities.append((f"gamma[{label}]", traj[i]))
-        for name, value in quantities:
-            gap = abs(value - prev[name]) if name in prev else None
-            prev[name] = value
-            rows.append((result.k, t, name, value, gap, ""))
-    return _csv(rows)
+            rows.append((result.k, t, f"gamma[{label}]", traj[i], ""))
+    return _csv(rows, "t")
 
 
 def klimit_csv(table: KLimitTable) -> str:
     rows: list[tuple] = []
     for w in sorted(table.trajectories, key=word_to_str):
-        traj = table.trajectories[w]
-        gaps = table.gaps[w]
-        for i, k in enumerate(table.ks):
-            gap = gaps[i - 1] if i >= 1 else None
+        for k, mass in zip(table.ks, table.trajectories[w]):
             flag = "exact" if table.exact and k == table.ks[-1] else ""
-            rows.append((k, table.t, f"mass[{word_to_str(w)}]", traj[i], gap, flag))
-    return _csv(rows)
+            rows.append((k, table.t, f"mass[{word_to_str(w)}]", mass, flag))
+    return _csv(rows, "k")
 
 
 def entropy_limit_csv(report: EntropyLimitReport) -> str:
-    rows: list[tuple] = []
-    prev = None
-    for t, h in zip(report.ts, report.entropies):
-        gap = abs(h - prev) if prev is not None else None
-        prev = h
-        flag = "" if report.validated else "non-mixing"
-        rows.append((report.k, t, "entropy", h, gap, flag))
-    return _csv(rows)
+    flag = "" if report.validated else "non-mixing"
+    return _csv([(report.k, t, "entropy", h, flag) for t, h in zip(report.ts, report.entropies)], "t")
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +244,8 @@ def _cmd_pressure(cfg: ModelConfig, args, em: _Emitter) -> int:
         # single grid point, computed directly (t = 1 is allowed here)
         trunc = build_truncation(cfg.model, args.k)
         value = pressure(trunc, cfg.potential, args.t)
-        rows = [(args.k, args.t, "pressure", value, None, "")]
         if "csv" in em.formats:
-            em.put("pressure.csv", _csv(rows))
+            em.put("pressure.csv", _csv([(args.k, args.t, "pressure", value, "")], "k"))
         if "json" in em.formats:
             em.put("pressure.json", _json_dumps({"k": args.k, "t": args.t, "pressure": value}))
         print(f"pressure k={args.k} t={_fmt(args.t)} value={_fmt(value)}")

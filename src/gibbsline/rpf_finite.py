@@ -787,6 +787,13 @@ def perron(logB: np.ndarray, gauge: MaxPlusGauge | None = None) -> PerronData:
     return pd if kernel is None else replace(pd, chain=(logB, kernel.chain(x)))
 
 
+def _may_be_first_return(finite: np.ndarray) -> bool:
+    """Whether the support `finite` has at most 2n - 1 edges, as a support
+    of `_first_return` has: one out of each vertex but the hub, and at most
+    n out of the hub."""
+    return np.count_nonzero(finite) <= 2 * finite.shape[0] - 1
+
+
 def _first_return(logB: np.ndarray, finite: np.ndarray) -> PerronData | None:
     """Perron data from the first-return equation of a hub, or None.
 
@@ -801,9 +808,9 @@ def _first_return(logB: np.ndarray, finite: np.ndarray) -> PerronData | None:
     must pass power iteration's residual gate on both sides, or None is
     returned.
     """
-    n = logB.shape[0]
-    if np.count_nonzero(finite) > 2 * n - 1:
+    if not _may_be_first_return(finite):
         return None
+    n = logB.shape[0]
     rows, cols = np.divmod(np.flatnonzero(finite), n)
     hubs = np.flatnonzero(np.bincount(rows, minlength=n) != 1)
     # a vertex without a predecessor is not reached from the hub
@@ -1071,8 +1078,9 @@ class GaugedSweep:
     (not of t*f) on the truncation; `equilibrium_measure(trunc, f, t,
     sweep)` solves t*f with the gauge scaled by t. `finite` is W's support,
     np.isfinite(W), as the caller has read it. Where it has more than 2n - 1
-    edges (which the first-return path turns away, see `_first_return`),
-    however sparse, both sides' exponents are built here once
+    edges (which the first-return path turns away, see
+    `_may_be_first_return`), however sparse, both sides' exponents are
+    built here once
     (`_ReducedSide`; the left one from W^T, which stays column-major, so
     that the left matvec keeps the BLAS path and the bits of a lone
     solve). Every t costs each side one multiply and
@@ -1092,7 +1100,7 @@ class GaugedSweep:
     def __init__(self, W: np.ndarray, finite: np.ndarray, gauge: MaxPlusGauge):
         self.W, self.gauge = W, gauge
         self.sides = None
-        if np.count_nonzero(finite) > 2 * W.shape[0] - 1:
+        if not _may_be_first_return(finite):
             buf = np.empty_like(W)
             self.sides = (
                 _ReducedSide(W.T, finite.T, gauge.u, gauge.beta, buf.T),

@@ -1,7 +1,8 @@
 """Manifest-backed run store: per-run directories with content digests.
 
 Every emitted file is listed in the run manifest with its sha256; writes go
-through a temp file plus atomic rename.
+through a temp file plus atomic rename. The store only writes: it never
+reads a manifest back.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,37 +37,15 @@ class RunManifest:
     files: dict[str, str] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "run_id": self.run_id,
-                "config_hash": self.config_hash,
-                "tool_version": self.tool_version,
-                "created_utc": self.created_utc,
-                "commands": self.commands,
-                "files": self.files,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "RunManifest":
-        obj = json.loads(text)
-        return RunManifest(
-            run_id=obj["run_id"],
-            config_hash=obj["config_hash"],
-            tool_version=obj["tool_version"],
-            created_utc=obj["created_utc"],
-            commands=list(obj.get("commands", [])),
-            files=dict(obj.get("files", {})),
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 class RunStore:
     """Directory of runs named by config hash plus creation timestamp.
 
-    The store keeps the manifest it last wrote for each run it created or
-    wrote to, and updates that copy rather than reading the file back.
+    The store keeps the manifest of each run it created, updates that copy
+    on every put and finish, and rewrites the file from it. A run it did not
+    create raises MissingRun.
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -90,7 +69,8 @@ class RunStore:
             created_utc=_utcnow(),
             commands=[{"command": command, "status": "running", "finished_utc": None}],
         )
-        self._write_manifest(run_id, manifest)
+        self._manifests[run_id] = manifest
+        self._write_manifest(manifest)
         return run_id
 
     def run_dir(self, run_id: str) -> Path:
@@ -99,20 +79,15 @@ class RunStore:
             raise MissingRun(f"no run directory {run_id!r} under {self.root}")
         return d
 
-    def manifest(self, run_id: str) -> RunManifest:
-        path = self.run_dir(run_id) / MANIFEST_NAME
-        if not path.is_file():
-            raise MissingRun(f"run {run_id!r} has no manifest")
-        return RunManifest.from_json(path.read_text(encoding="utf-8"))
+    def _created(self, run_id: str) -> RunManifest:
+        """The manifest of a run this store created."""
+        if run_id not in self._manifests:
+            raise MissingRun(f"run {run_id!r} was not created by this store under {self.root}")
+        return self._manifests[run_id]
 
-    def _kept_manifest(self, run_id: str) -> RunManifest:
-        manifest = self._manifests.get(run_id)
-        return self.manifest(run_id) if manifest is None else manifest
-
-    def _write_manifest(self, run_id: str, manifest: RunManifest) -> None:
-        path = self.root / run_id / MANIFEST_NAME
+    def _write_manifest(self, manifest: RunManifest) -> None:
+        path = self.root / manifest.run_id / MANIFEST_NAME
         self._atomic_write(path, manifest.to_json().encode("utf-8"))
-        self._manifests[run_id] = manifest
 
     @staticmethod
     def _atomic_write(path: Path, data: bytes) -> None:
@@ -123,16 +98,15 @@ class RunStore:
     def put(self, run_id: str, name: str, data: bytes | str) -> str:
         if isinstance(data, str):
             data = data.encode("utf-8")
-        manifest = self._kept_manifest(run_id)
+        manifest = self._created(run_id)
         digest = _sha256(data)
         self._atomic_write(self.run_dir(run_id) / name, data)
         manifest.files[name] = digest
-        self._write_manifest(run_id, manifest)
+        self._write_manifest(manifest)
         return digest
 
     def finish_command(self, run_id: str, status: str) -> None:
-        manifest = self._kept_manifest(run_id)
-        if manifest.commands:
-            manifest.commands[-1]["status"] = status
-            manifest.commands[-1]["finished_utc"] = _utcnow()
-        self._write_manifest(run_id, manifest)
+        manifest = self._created(run_id)
+        manifest.commands[-1]["status"] = status
+        manifest.commands[-1]["finished_utc"] = _utcnow()
+        self._write_manifest(manifest)
