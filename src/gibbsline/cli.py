@@ -178,28 +178,38 @@ def entropy_limit_csv(report: EntropyLimitReport) -> str:
 # commands
 
 
+_FLAGS = {
+    "k": {"type": int, "help": "single truncation index override"},
+    "t": {"type": float, "help": "single inverse temperature override"},
+    "words": {"help": "comma-separated cylinder words override"},
+    "format": {"choices": ("csv", "json"), "help": "restrict output format"},
+    "tol": {"type": float, "help": "tolerance override"},
+}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process; parse_args leaves it unchanged."""
+    """The CLI's parser, built once per process; parse_args leaves it unchanged.
+
+    Each subcommand takes --config, --out and only the flags its command
+    reads, so a flag it would ignore exits 2.
+    """
     parser = argparse.ArgumentParser(prog="gibbsline", description=__doc__)
     parser.add_argument("--version", action="version", version=f"gibbsline {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("pressure", "pressure grid over truncations and temperatures"),
-        ("equilibrium", "cylinder-mass limits along the truncation schedule"),
-        ("zerotemp", "equilibrium trajectories to the zero-temperature limit"),
-        ("entropy-limit", "entropy trajectory and its limit"),
-        ("diagnose", "run the full diagnostic battery"),
-        ("certify-summability", "check the summability certificates"),
+    for name, helptext, flags in (
+        ("pressure", "pressure grid over truncations and temperatures", "k t words format"),
+        ("equilibrium", "cylinder-mass limits along the truncation schedule", "k t tol words format"),
+        ("zerotemp", "equilibrium trajectories to the zero-temperature limit", "k words format"),
+        ("entropy-limit", "entropy trajectory and its limit", "k format"),
+        ("diagnose", "run the full diagnostic battery", "words"),
+        ("certify-summability", "check the summability certificates", "t tol"),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the model config file")
         p.add_argument("--out", default=None, help="output directory (default: GIBBSLINE_OUT or config)")
-        p.add_argument("--k", type=int, default=None, help="single truncation index override")
-        p.add_argument("--t", type=float, default=None, help="single inverse temperature override")
-        p.add_argument("--words", default=None, help="comma-separated cylinder words override")
-        p.add_argument("--format", choices=("csv", "json"), default=None, help="restrict output format")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -213,7 +223,8 @@ class _Emitter:
 
     def __init__(self, cfg: ModelConfig, args, command: str):
         out_root = args.out or os.environ.get("GIBBSLINE_OUT") or cfg.output.directory
-        self.formats = (args.format,) if args.format else cfg.output.formats
+        fmt = getattr(args, "format", None)
+        self.formats = (fmt,) if fmt else cfg.output.formats
         self.store = RunStore(out_root)
         self.run_id = self.store.new_run(cfg.config_hash(), command, __version__)
         self.store.put(self.run_id, "config.cfg", cfg.canonical_text())
@@ -296,13 +307,14 @@ def _cmd_equilibrium(cfg: ModelConfig, args, em: _Emitter) -> int:
 
 
 def _capped(model: ShiftModel, ks: tuple[int, ...]) -> tuple[int, ...]:
-    """ks capped at the last truncation of a finite model, repeats dropped.
+    """ks capped at the last truncation of a finite model.
 
     There is no truncation past the last one; the capped schedule ends on
-    it. Only default ks are capped: an explicit --k is taken as given.
+    it, and the sweeps count the repeats this makes once. Only default ks
+    are capped: an explicit --k is taken as given.
     """
     last = last_truncation(model, max(ks))
-    return ks if last is None else tuple(dict.fromkeys(min(k, last) for k in ks))
+    return ks if last is None else tuple(min(k, last) for k in ks)
 
 
 def _sweep_k(cfg: ModelConfig, args, k0: K0Report) -> int:
@@ -312,11 +324,9 @@ def _sweep_k(cfg: ModelConfig, args, k0: K0Report) -> int:
 
 def _cmd_zerotemp(cfg: ModelConfig, args, em: _Emitter) -> int:
     words = _words(cfg, args)
-    k0 = detect_k0(cfg.model, cfg.potential, stability_window=cfg.sweep.k0_window, tie_tol=cfg.sweep.tie_tol)
+    k0 = detect_k0(cfg.model, cfg.potential)
     k = _sweep_k(cfg, args, k0)
-    result = zero_temp_sweep(
-        cfg.model, cfg.potential, k, ts=cfg.sweep.zt_ts, words=words, tie_tol=cfg.sweep.tie_tol, k0_report=k0
-    )
+    result = zero_temp_sweep(cfg.model, cfg.potential, k, ts=cfg.sweep.zt_ts, words=words, k0_report=k0)
     if "csv" in em.formats:
         em.put("trajectories.csv", zero_temp_csv(result))
     if "json" in em.formats:
@@ -336,9 +346,9 @@ def _cmd_zerotemp(cfg: ModelConfig, args, em: _Emitter) -> int:
 
 
 def _cmd_entropy_limit(cfg: ModelConfig, args, em: _Emitter) -> int:
-    k0 = detect_k0(cfg.model, cfg.potential, stability_window=cfg.sweep.k0_window, tie_tol=cfg.sweep.tie_tol)
+    k0 = detect_k0(cfg.model, cfg.potential)
     k = _sweep_k(cfg, args, k0)
-    report = entropy_limit(cfg.model, cfg.potential, k, ts=cfg.sweep.zt_ts, tie_tol=cfg.sweep.tie_tol, k0_report=k0)
+    report = entropy_limit(cfg.model, cfg.potential, k, ts=cfg.sweep.zt_ts, k0_report=k0)
     if "csv" in em.formats:
         em.put("entropy_limit.csv", entropy_limit_csv(report))
     if "json" in em.formats:
@@ -418,7 +428,7 @@ def _cmd_diagnose(cfg: ModelConfig, args, em: _Emitter) -> int:
     report["tightness"] = tight
 
     try:
-        k0 = detect_k0(cfg.model, cfg.potential, stability_window=cfg.sweep.k0_window, tie_tol=cfg.sweep.tie_tol)
+        k0 = detect_k0(cfg.model, cfg.potential)
         report["k0"] = {"value": k0.k0, "heuristic": k0.heuristic, "window": k0.window}
     except (SolverError, ValidationError) as exc:
         report["k0"] = {"error": str(exc)}
@@ -449,12 +459,13 @@ def run_command(argv: list[str]) -> int:
     """Dispatch a CLI invocation; returns the process exit code."""
     args = _parser().parse_args(argv)
     for name in ("t", "tol"):
-        value = getattr(args, name)
+        value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
             print(f"validation error: --{name} must be a finite number, got {value}", file=sys.stderr)
             return 2
-    if args.tol is not None and args.tol <= 0.0:
-        print(f"validation error: --tol must be positive, got {args.tol}", file=sys.stderr)
+    tol = getattr(args, "tol", None)
+    if tol is not None and tol <= 0.0:
+        print(f"validation error: --tol must be positive, got {tol}", file=sys.stderr)
         return 2
     try:
         cfg = _load_config(args.config)

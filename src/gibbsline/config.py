@@ -22,16 +22,8 @@ _SECTIONS = ("model", "potential", "sweep", "output")
 
 _KEYS = {
     "model": ("kind", "edges", "tail_rule"),
-    "potential": (
-        "family",
-        "table",
-        "tail_type",
-        "tail_a",
-        "tail_b",
-        "tail_p",
-        "explicit_range",
-    ),
-    "sweep": ("ks", "ts", "zt_ts", "words", "tol", "tie_tol", "k0_window", "budget"),
+    "potential": ("family", "table", "tail_type", "tail_a", "tail_b", "tail_p"),
+    "sweep": ("ks", "ts", "zt_ts", "words", "tol", "budget"),
     "output": ("directory", "formats"),
 }
 
@@ -41,8 +33,6 @@ _SWEEP_DEFAULTS = {
     "zt_ts": "2,4,8,16,32,64,128,256,512,1024",
     "words": "0,0-0",
     "tol": "1e-06",
-    "tie_tol": "1e-09",
-    "k0_window": "3",
     "budget": "1000000",
 }
 
@@ -54,8 +44,6 @@ class SweepParams:
     zt_ts: tuple[float, ...]
     words: tuple[tuple[int, ...], ...]
     tol: float
-    tie_tol: float
-    k0_window: int
     budget: int
 
 
@@ -260,17 +248,10 @@ def _build_potential(sec: dict[str, tuple[str, int]], model: ShiftModel) -> tupl
     tail_a = _parse_float(*_get(sec, "tail_a", "0.0"), key="tail_a")
     tail_b = _parse_float(*_get(sec, "tail_b", "0.0"), key="tail_b")
     tail_p = _parse_float(*_get(sec, "tail_p", "0.0"), key="tail_p")
-    explicit_range = _parse_int(*_get(sec, "explicit_range", "64"), key="explicit_range")
 
     tail = TailDescriptor(tail_kind, a=tail_a, b=tail_b, p=tail_p)
     try:
-        pot = MarkovPotential(
-            model,
-            family,
-            table=tuple(table),
-            tail=tail,
-            explicit_hi=explicit_range,
-        )
+        pot = MarkovPotential(model, family, table=tuple(table), tail=tail)
     except ValidationError as exc:
         raise ParseError(family_line, str(exc)) from None
     per_trunc = model.is_infinite_alphabet() and pot.tail.kind is TailKind.NONE
@@ -292,8 +273,6 @@ def _build_sweep(sec: dict[str, tuple[str, int]]) -> SweepParams:
     except ValueError as exc:
         raise ParseError(words_line, f"bad word list: {exc}") from None
     tol = _parse_float(*get("tol"), key="tol")
-    tie_tol = _parse_float(*get("tie_tol"), key="tie_tol")
-    k0_window = _parse_int(*get("k0_window"), key="k0_window")
     budget = _parse_int(*get("budget"), key="budget")
     for key, values in (("ks", ks), ("ts", ts), ("zt_ts", zt_ts)):
         if not values:
@@ -304,13 +283,9 @@ def _build_sweep(sec: dict[str, tuple[str, int]]) -> SweepParams:
         raise ParseError(get("ts")[1], "sweep temperatures must satisfy t > 1")
     if any(t <= 1.0 for t in zt_ts):
         raise ParseError(get("zt_ts")[1], "zt_ts temperatures must satisfy t > 1")
-    # tie_tol = 0 could never widen through the tie-tolerance ladder
-    for key, value in (("tol", tol), ("tie_tol", tie_tol)):
-        if value <= 0.0:
-            raise ParseError(get(key)[1], f"{key} must be positive, got {value!r}")
-    if k0_window < 1:
-        raise ParseError(get("k0_window")[1], f"k0_window must be at least 1, got {k0_window}")
-    return SweepParams(ks, ts, zt_ts, words, tol, tie_tol, k0_window, budget)
+    if tol <= 0.0:
+        raise ParseError(get("tol")[1], f"tol must be positive, got {tol!r}")
+    return SweepParams(ks, ts, zt_ts, words, tol, budget)
 
 
 def _build_output(sec: dict[str, tuple[str, int]]) -> OutputParams:
@@ -350,7 +325,6 @@ def _emit_canonical(cfg: ModelConfig) -> str:
     lines.append(f"tail_a = {_fmt_float(pot.tail.a)}")
     lines.append(f"tail_b = {_fmt_float(pot.tail.b)}")
     lines.append(f"tail_p = {_fmt_float(pot.tail.p)}")
-    lines.append(f"explicit_range = {pot.explicit_hi}")
     lines.append("")
     lines.append("[sweep]")
     sw = cfg.sweep
@@ -359,8 +333,6 @@ def _emit_canonical(cfg: ModelConfig) -> str:
     lines.append("zt_ts = " + ",".join(_fmt_float(t) for t in sw.zt_ts))
     lines.append("words = " + ",".join(word_to_str(w) for w in sw.words))
     lines.append(f"tol = {_fmt_float(sw.tol)}")
-    lines.append(f"tie_tol = {_fmt_float(sw.tie_tol)}")
-    lines.append(f"k0_window = {sw.k0_window}")
     lines.append(f"budget = {sw.budget}")
     lines.append("")
     lines.append("[output]")

@@ -32,9 +32,13 @@ from .shift_model import ShiftModel, Truncation, build_truncation, graph_period,
 
 _NEG_INF = -np.inf
 
-# detect_k0 builds the truncations k = 0.._K0_TOP
+# detect_k0 builds the truncations k = 0.._K0_TOP and declares k0 once
+# _K0_WINDOW consecutive ks agree
 _K0_TOP = 9
+_K0_WINDOW = 3
 _K0_BETA_TOL = 1e-10
+# the first rung of the tie-tolerance ladder, widened tenfold up to 1e-6
+_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,23 +170,22 @@ def critical_graph(
     )
 
 
-def critical_decomposition(trunc: Truncation, f: MarkovPotential, tie_tol: float = 1e-9) -> CriticalDecomposition:
+def critical_decomposition(trunc: Truncation, f: MarkovPotential) -> CriticalDecomposition:
     """Full pipeline beta -> subaction -> critical graph on one weight matrix,
-    with the tie-tolerance ladder: on an empty critical graph the tolerance is
-    widened tenfold up to 1e-6.
+    with the tie-tolerance ladder: the tolerance starts at 1e-9 and, on an
+    empty critical graph, is widened tenfold up to 1e-6.
 
     W is `transfer_matrix(trunc, f, 1.0)`, built once for the whole ladder.
     """
     W = transfer_matrix(trunc, f, 1.0)
-    return _decomposition(trunc, W, *maxplus._support(W), tie_tol)
+    return _decomposition(trunc, W, *maxplus._support(W))
 
 
-def _decomposition(
-    trunc: Truncation, W: np.ndarray, finite: np.ndarray, tol: float, tie_tol: float
-) -> CriticalDecomposition:
+def _decomposition(trunc: Truncation, W: np.ndarray, finite: np.ndarray, tol: float) -> CriticalDecomposition:
     """`critical_decomposition` of the weight matrix W."""
     beta, witness = _witnessed_mean(trunc, W, finite, tol)
     v = _seeded_subaction(trunc, W, finite, tol, beta, witness)
+    tie_tol = _TIE_TOL
     while True:
         try:
             return critical_graph(trunc, W, beta, v, tie_tol, witness)
@@ -207,13 +210,13 @@ def _gauge(
     return maxplus._gauge(W, finite, tol, dec.beta, seeds, dec.cyclicity)
 
 
-def _sweep_setup(trunc: Truncation, f: MarkovPotential, tie_tol: float) -> tuple[CriticalDecomposition, GaugedSweep]:
+def _sweep_setup(trunc: Truncation, f: MarkovPotential) -> tuple[CriticalDecomposition, GaugedSweep]:
     """The critical decomposition of f on the truncation and the state of a
     t-sweep there, from one weight matrix W and one reading of its support:
     the decomposition, the gauge and every t's solve share them."""
     W = transfer_matrix(trunc, f, 1.0)
     finite, tol = maxplus._support(W)
-    dec = _decomposition(trunc, W, finite, tol, tie_tol)
+    dec = _decomposition(trunc, W, finite, tol)
     return dec, GaugedSweep(W, finite, _gauge(trunc, W, finite, tol, dec))
 
 
@@ -221,13 +224,9 @@ def _structure_key(dec: CriticalDecomposition) -> tuple:
     return tuple(sorted((c.symbols, tuple(sorted(c.edges))) for c in dec.components))
 
 
-def detect_k0(
-    model: ShiftModel,
-    f: MarkovPotential,
-    stability_window: int = 3,
-    tie_tol: float = 1e-9,
-) -> K0Report:
-    """Smallest k whose beta and critical structure repeat over the window.
+def detect_k0(model: ShiftModel, f: MarkovPotential) -> K0Report:
+    """Smallest k whose beta and critical structure repeat over the window
+    of 3 consecutive ks.
 
     The schedule is k = 0, ..., 9; a finite model runs it up to its last
     truncation. A k whose truncation has the previous k's alphabet reuses
@@ -252,10 +251,10 @@ def detect_k0(
         # an augmented custom truncation can repeat the previous alphabet,
         # and with it the induced subgraph and the decomposition
         if alphabet is None or not np.array_equal(trunc.alphabet, alphabet):
-            dec = critical_decomposition(trunc, f, tie_tol=tie_tol)
+            dec = critical_decomposition(trunc, f)
         decs.append(dec)
         alphabet = trunc.alphabet
-    if not decs or stability_window < 1:
+    if not decs:
         raise NotStabilized(_K0_TOP)
     built = tuple(ks)
     betas = tuple(d.beta for d in decs)
@@ -265,13 +264,13 @@ def detect_k0(
         while i > 0 and keys[i - 1] == keys[-1] and abs(betas[i - 1] - betas[-1]) <= _K0_BETA_TOL:
             i -= 1
         return K0Report(k0=built[i], window=len(decs) - i, heuristic=True, ks=built, betas=betas)
-    for i in range(len(decs) - stability_window + 1):
-        window_betas = betas[i : i + stability_window]
-        window_keys = keys[i : i + stability_window]
+    for i in range(len(decs) - _K0_WINDOW + 1):
+        window_betas = betas[i : i + _K0_WINDOW]
+        window_keys = keys[i : i + _K0_WINDOW]
         if all(k == window_keys[0] for k in window_keys) and all(
             abs(b - window_betas[0]) <= _K0_BETA_TOL for b in window_betas
         ):
-            return K0Report(k0=built[i], window=stability_window, heuristic=True, ks=built, betas=betas)
+            return K0Report(k0=built[i], window=_K0_WINDOW, heuristic=True, ks=built, betas=betas)
     raise NotStabilized(built[-1])
 
 

@@ -193,59 +193,51 @@ def pressure_sweep(
 
     Pressure must be non-decreasing in k at every t; the P(t) estimate is
     the largest-k value together with its last Cauchy gap, reported only
-    when the potential is certified summable. The diagnostic
-    `exact` says the largest k is the whole shift of a finite model, whose
-    values are then the limits themselves.
+    when the potential is certified summable. Repeated ks and ts count
+    once; the grid runs over the ks in increasing order and the ts in their
+    order. The diagnostic `exact` says the largest k is the whole shift of
+    a finite model, whose values are then the limits themselves.
     """
     if any(t <= 1.0 for t in ts):
         raise ValidationError("sweep temperatures must satisfy t > 1")
+    ks = sorted(set(ks))
+    ts = tuple(dict.fromkeys(float(t) for t in ts))
     cert = _certificate_or_none(f)
     certified = cert is not None and cert.converges
     solver = _PointSolver(model, f)
     s_ref, witness = _reference_orbit(model, f)
 
     grid: list[GridPoint] = []
-    for k in sorted(ks):
+    for k in ks:
         for t in ts:
             t0 = time.perf_counter()
             try:
                 p, meas = solver.solve(k, t)
-                point = GridPoint(
-                    k=k,
-                    t=float(t),
-                    n_symbols=solver.truncation(k).n_symbols,
-                    pressure=p,
-                    entropy=entropy(meas),
-                    integral=integral(meas, f),
-                    masses={w: cylinder_mass(meas, w) for w in words},
-                    wall_time=time.perf_counter() - t0,
-                )
+                values = {
+                    "pressure": p,
+                    "entropy": entropy(meas),
+                    "integral": integral(meas, f),
+                    "masses": {w: cylinder_mass(meas, w) for w in words},
+                    "error": None,
+                }
             except SolverError as exc:
-                point = GridPoint(
-                    k=k,
-                    t=float(t),
-                    n_symbols=solver.truncation(k).n_symbols,
-                    pressure=math.nan,
-                    entropy=math.nan,
-                    integral=math.nan,
-                    masses={},
-                    wall_time=time.perf_counter() - t0,
-                    error=str(exc),
-                )
-            grid.append(point)
+                values = {
+                    "pressure": math.nan,
+                    "entropy": math.nan,
+                    "integral": math.nan,
+                    "masses": {},
+                    "error": str(exc),
+                }
+            n_symbols = solver.truncation(k).n_symbols
+            grid.append(GridPoint(k=k, t=t, n_symbols=n_symbols, wall_time=time.perf_counter() - t0, **values))
 
     monotone: dict[float, bool] = {}
     p_estimate: dict[float, dict] = {}
-    sorted_ks = sorted(ks)
     for t in ts:
-        series = [g.pressure for g in grid if g.t == float(t) and g.error is None]
-        monotone[float(t)] = all(b >= a - 1e-12 for a, b in zip(series, series[1:]))
+        series = [g.pressure for g in grid if g.t == t and g.error is None]
+        monotone[t] = all(b >= a - 1e-12 for a, b in zip(series, series[1:]))
         if certified and len(series) >= 2:
-            p_estimate[float(t)] = {
-                "value": series[-1],
-                "cauchy_gap": abs(series[-1] - series[-2]),
-                "k": sorted_ks[-1],
-            }
+            p_estimate[t] = {"value": series[-1], "cauchy_gap": abs(series[-1] - series[-2]), "k": ks[-1]}
     violations: list[dict] = []
     for g in grid:
         if g.error is not None:
@@ -263,7 +255,7 @@ def pressure_sweep(
             "p_estimate": p_estimate,
             "certified_summable": certified,
             "bound_violations": violations,
-            "exact": is_whole_shift(model, solver.truncation(sorted_ks[-1])),
+            "exact": is_whole_shift(model, solver.truncation(ks[-1])),
         },
     )
 
@@ -357,13 +349,13 @@ def tightness_bound_check(
     S is the f-mean of the reference orbit (k-independent); the bound only
     applies once the exponent is nonpositive, and the first such symbol per
     truncation is reported as the threshold. Violations are collected, not
-    raised.
+    raised; repeated ks count once.
     """
     s_ref, witness = _reference_orbit(model, f)
     solver = _PointSolver(model, f)
     thresholds: dict[int, int | None] = {}
     violations: list[tuple[int, int, float, float]] = []
-    for k in sorted(ks):
+    for k in sorted(set(ks)):
         trunc = solver.truncation(k)
         _, meas = solver.solve(k, t)
         v1 = variation(f, trunc)
@@ -380,16 +372,16 @@ def tightness_bound_check(
 
 
 def _fixed_truncation_sweep(
-    model: ShiftModel, f: MarkovPotential, k: int, ts: tuple[float, ...], tie_tol: float,
+    model: ShiftModel, f: MarkovPotential, k: int, ts: tuple[float, ...],
     k0_report: K0Report | None, what: str, mixing_only: bool = False,
 ) -> tuple[K0Report, Truncation, CriticalDecomposition, GaugedSweep, tuple[float, ...]]:
     """The set-up `zero_temp_sweep` and `entropy_limit` share: the k0 report
     (detected unless given), which k must reach (ValidationError naming
-    `what` otherwise), the truncation at k, its `_sweep_setup` and the ts in
-    increasing order. mixing_only warns NonMixingModel, before the set-up,
-    where the truncation is not topologically mixing."""
+    `what` otherwise), the truncation at k, its `_sweep_setup` and the
+    distinct ts in increasing order. mixing_only warns NonMixingModel, before
+    the set-up, where the truncation is not topologically mixing."""
     if k0_report is None:
-        k0_report = detect_k0(model, f, tie_tol=tie_tol)
+        k0_report = detect_k0(model, f)
     if k < k0_report.k0:
         raise ValidationError(f"{what} needs k >= k0 = {k0_report.k0}")
     trunc = build_truncation(model, k)
@@ -398,8 +390,8 @@ def _fixed_truncation_sweep(
             "entropy-limit comparison assumes a topologically mixing model; output is unvalidated",
             NonMixingModel,
         )
-    dec, sweep = _sweep_setup(trunc, f, tie_tol)
-    return k0_report, trunc, dec, sweep, tuple(sorted(float(t) for t in ts))
+    dec, sweep = _sweep_setup(trunc, f)
+    return k0_report, trunc, dec, sweep, tuple(sorted({float(t) for t in ts}))
 
 
 def zero_temp_sweep(
@@ -408,7 +400,6 @@ def zero_temp_sweep(
     k: int,
     ts: tuple[float, ...] = ZT_TS_DEFAULT,
     words: tuple[tuple[int, ...], ...] = (),
-    tie_tol: float = 1e-9,
     k0_report: K0Report | None = None,
 ) -> ZeroTempResult:
     """Equilibrium trajectories on a fixed truncation as t grows.
@@ -420,7 +411,7 @@ def zero_temp_sweep(
     `errors` and left out.
     """
     k0_report, trunc, dec, sweep, ts = _fixed_truncation_sweep(
-        model, f, k, ts, tie_tol, k0_report, "zero-temperature sweep"
+        model, f, k, ts, k0_report, "zero-temperature sweep"
     )
 
     maximal = [dec.components[j] for j in dec.maximal_components]
@@ -466,7 +457,6 @@ def entropy_limit(
     f: MarkovPotential,
     k: int,
     ts: tuple[float, ...] = ZT_TS_DEFAULT,
-    tie_tol: float = 1e-9,
     k0_report: K0Report | None = None,
 ) -> EntropyLimitReport:
     """Entropy trajectory h(mu_{t f}) on a fixed truncation as t grows.
@@ -478,7 +468,7 @@ def entropy_limit(
     that fails raises.
     """
     _, trunc, dec, sweep, ts = _fixed_truncation_sweep(
-        model, f, k, ts, tie_tol, k0_report, "entropy limit", mixing_only=True
+        model, f, k, ts, k0_report, "entropy limit", mixing_only=True
     )
     mixing = trunc.period == 1
     sup_max = max_entropy_over_maximizing(dec)
@@ -511,9 +501,10 @@ def entropy_upper_semicontinuity_check(
     Checks that h(mu_k) stays within [h_final - 0.1, h_final + 1e-3] and
     that the partition-entropy rates H_n/n converge along the schedule for
     small n: the literal finite-partition content of the limsup argument.
+    Repeated ks count once.
     """
     solver = _PointSolver(model, f)
-    ks = tuple(sorted(ks))
+    ks = tuple(sorted(set(ks)))
     hs = []
     rates: dict[int, list[float]] = {n: [] for n in range(1, n_max + 1)}
     for k in ks:

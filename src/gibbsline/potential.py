@@ -38,6 +38,9 @@ from .errors import (
 from .shift_model import ShiftModel, Truncation
 
 _INF = float("inf")
+# a built-in family's explicit range is 0.._EXPLICIT_HI; its tail descriptor
+# takes over beyond it
+_EXPLICIT_HI = 64
 
 
 class Family(Enum):
@@ -94,14 +97,16 @@ class MarkovPotential:
     """Two-symbol potential over an ambient model, plus an additive shift.
 
     `table` maps (i, j) -> value for the TABLE family; built-in families
-    compute values from their formulas. `shift` carries normalization.
+    compute values from their formulas. The explicit range is the table's
+    rows, or the symbols 0..64 of a built-in family; the tail descriptor
+    must majorize the sups there, and bounds them beyond it. `shift`
+    carries normalization.
     """
 
     model: ShiftModel
     family: Family
     table: tuple[tuple[int, int, float], ...] = ()
     tail: TailDescriptor = TailDescriptor(TailKind.NONE)
-    explicit_hi: int = 64
     shift: float = 0.0
     # certificates of `check_summability`, keyed by tol
     _certificates: dict = field(default_factory=dict, init=False, repr=False)
@@ -199,7 +204,7 @@ class MarkovPotential:
     def _explicit_symbols(self) -> np.ndarray:
         if self.family is Family.TABLE:
             return np.unique(self._table_entries[0])
-        return np.arange(self.explicit_hi + 1, dtype=np.int64)
+        return np.arange(_EXPLICIT_HI + 1, dtype=np.int64)
 
     def _validate_tail_majorizes(self):
         if self.tail.kind is TailKind.NONE:

@@ -98,10 +98,10 @@ def step_budget(max_iter: int):
         yield
 
 
-def gauged_sweep(trunc, f, tie_tol: float = 1e-9):
+def gauged_sweep(trunc, f):
     """The GaugedSweep of f on trunc, with the max-plus gauge of its critical
     decomposition, as a zero-temperature sweep's set-up builds it."""
-    return ergodic_opt._sweep_setup(trunc, f, tie_tol)[1]
+    return ergodic_opt._sweep_setup(trunc, f)[1]
 
 
 def power_perron(logB: np.ndarray, gauge=None, max_iter: int | None = None):

@@ -282,7 +282,7 @@ def test_criterion_10_stabilization():
     details = []
     for name in BUNDLED:
         model, f = bundled_pair(name)
-        rep = detect_k0(model, f, stability_window=3)
+        rep = detect_k0(model, f)
         ok = ok and rep.k0 <= 3
         # beta and structure constant over the reported window
         decs = [critical_decomposition(build_truncation(model, k), f) for k in range(rep.k0, rep.k0 + 3)]

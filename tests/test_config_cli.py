@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from gibbsline.limits import (
     zero_temp_sweep,
 )
 from gibbsline.bundled import bundled_pair
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = """
 [model]
@@ -120,8 +123,18 @@ class TestConfigParsing:
     def test_unknown_key_rejected_with_line(self):
         # the first variation is read on each truncation; no key bounds it
         row_osc = "[model]\nkind = full\n\n[potential]\nfamily = log_quadratic\ntail_row_osc = 0.0\n"
-        for bad, line in (("[model]\nkind = full\nwibble = 3\n", 3), (row_osc, 6)):
-            with pytest.raises(ParseError) as err:
+        # the explicit range, the k0 window and the first tie tolerance are constants
+        explicit_range = "[potential]\nfamily = log_quadratic\nexplicit_range = 64\n"
+        k0_window = "[sweep]\nks = 1,2\nk0_window = 3\n"
+        tie_tol = "[sweep]\ntie_tol = 1e-09\n"
+        for bad, line in (
+            ("[model]\nkind = full\nwibble = 3\n", 3),
+            (row_osc, 6),
+            (explicit_range, 3),
+            (k0_window, 3),
+            (tie_tol, 2),
+        ):
+            with pytest.raises(ParseError, match="unknown key") as err:
                 parse_model_config(bad)
             assert err.value.line == line
 
@@ -173,7 +186,6 @@ table = 0 1 -1.0, 1 0 -2.0
             ("ts = 2,8", "ts = 2,inf"),
             ("words = 0,00", "zt_ts = 2,nan"),
             ("words = 0,00", "tol = nan"),
-            ("words = 0,00", "tie_tol = -inf"),
         ],
     )
     def test_non_finite_numbers_rejected(self, old, new):
@@ -427,6 +439,35 @@ class TestRunCommand:
         assert [r[0] for r in first] == [0, 0, 2, 2]
         assert second == first
 
+    @pytest.mark.parametrize(
+        "config, command, repeated, distinct",
+        [
+            ("log_quadratic", "pressure", "ks = 1,2,6,6", "ks = 1,2,6"),
+            ("tie_two_loops", "pressure", "ts = 2,2", "ts = 2"),
+            ("tie_two_loops", "zerotemp", "zt_ts = 2,4,4", "zt_ts = 2,4"),
+            ("tie_two_loops", "entropy-limit", "zt_ts = 2,4,4", "zt_ts = 2,4"),
+        ],
+    )
+    def test_a_repeated_k_or_t_counts_once(self, tmp_path, capsys, config, command, repeated, distinct):
+        """A schedule with a repeated value runs as the schedule without the
+        repeat: the repeat is no second point and gives no zero gap."""
+        text = (CONFIGS / f"{config}.cfg").read_text()
+
+        def run(line):
+            key = line.split()[0]
+            kept = [row for row in text.splitlines() if not row.startswith(f"{key} =")]
+            cfg = write_cfg(tmp_path, "\n".join(kept + [line]) + "\n", f"{key}{len(line)}.cfg")
+            out = tmp_path / f"runs{len(line)}"
+            assert run_command([command, "--config", cfg, "--out", str(out)]) == 0
+            run_dir = next(out.iterdir())
+            files = {p.name: p.read_text() for p in run_dir.iterdir() if p.name not in ("manifest.json", "config.cfg")}
+            return files, capsys.readouterr().out.rsplit("run directory:", 1)[0]
+
+        got = run(repeated)
+        assert got == run(distinct)
+        if config == "log_quadratic":
+            assert "P(t)-estimate t=2 value=-1.2405707317217 gap=0.0156705011499971\n" in got[1]
+
     def test_pressure_exits_3_when_the_solve_stalls(self, tmp_path, capsys):
         # two tied critical loops: at t = 8 both runs spend their budgets
         text = (
@@ -600,8 +641,34 @@ words = 0
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("pressure", "--tol=0.5"),
+            ("zerotemp", "--t=9"),
+            ("zerotemp", "--tol=0.5"),
+            ("entropy-limit", "--t=9"),
+            ("entropy-limit", "--tol=0.5"),
+            ("entropy-limit", "--words=0"),
+            ("diagnose", "--k=3"),
+            ("diagnose", "--t=9"),
+            ("diagnose", "--tol=0.5"),
+            ("diagnose", "--format=json"),
+            ("certify-summability", "--k=3"),
+            ("certify-summability", "--words=0"),
+            ("certify-summability", "--format=json"),
+        ],
+    )
+    def test_a_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, flag):
+        cfg = write_cfg(tmp_path, MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            run_command([command, "--config", cfg, "--out", str(tmp_path / "runs"), flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
         "line",
-        ["tol = 0", "tol = -1e-9", "tie_tol = 0", "tie_tol = -1e-9", "k0_window = 0", "zt_ts = 0,0.5,2", "zt_ts = 1"],
+        ["tol = 0", "tol = -1e-9", "zt_ts = 0,0.5,2", "zt_ts = 1"],
     )
     def test_sweep_setting_out_of_range_exit_2(self, tmp_path, capsys, line):
         cfg = write_cfg(tmp_path, TIE + line + "\n", "tie.cfg")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import admissible_words
+from gibbsline import ergodic_opt
 from gibbsline.bundled import bundled_pair
 from gibbsline.ergodic_opt import detect_k0
 from gibbsline.errors import AlphabetTooLarge, NotStabilized, ParseError, SolverError
@@ -105,10 +106,11 @@ class TestSweepErrorRecording:
 
 
 class TestDetectK0Failure:
-    def test_window_longer_than_schedule(self):
+    def test_window_longer_than_schedule(self, monkeypatch):
         model, f = bundled_pair("log_quadratic")
+        monkeypatch.setattr(ergodic_opt, "_K0_WINDOW", 11)  # the schedule has 10 ks
         with pytest.raises(NotStabilized):
-            detect_k0(model, f, stability_window=11)  # the schedule has 10 ks
+            detect_k0(model, f)
 
 
 class TestConfigDuplicates:

@@ -229,7 +229,7 @@ def test_detect_k0_matches_karp_on_shipped_configs(path):
 
     def k0():
         try:
-            return detect_k0(cfg.model, cfg.potential, stability_window=cfg.sweep.k0_window, tie_tol=cfg.sweep.tie_tol)
+            return detect_k0(cfg.model, cfg.potential)
         except ValidationError as exc:  # the non-summable config has no k0
             return type(exc)
 
@@ -531,7 +531,7 @@ def test_one_weight_matrix_per_decomposition_and_per_sweep_setup(monkeypatch, na
     critical_decomposition(tr, f)
     assert sum(full_grids) == 1
     # the decomposition, the gauge and the sweep share one W
-    ergodic_opt._sweep_setup(tr, f, 1e-9)
+    ergodic_opt._sweep_setup(tr, f)
     assert sum(full_grids) == 2
 
 
@@ -543,7 +543,7 @@ def test_critical_decomposition_is_the_sweep_setups(name):
     for k in (6, 63):
         tr = build_truncation(model, k)
         dec = critical_decomposition(tr, f)
-        setup_dec, sweep = ergodic_opt._sweep_setup(tr, f, 1e-9)
+        setup_dec, sweep = ergodic_opt._sweep_setup(tr, f)
         assert dec.beta == setup_dec.beta == sweep.gauge.beta
         assert _structure_key(dec) == _structure_key(setup_dec)
         assert dec.maximal_components == setup_dec.maximal_components
@@ -642,7 +642,7 @@ class TestDetectK0:
         expected = {"log_quadratic": 0, "tie_two_loops": 1, "renewal_weighted": 0}
         for name, want in expected.items():
             model, f = bundled_pair(name)
-            rep = detect_k0(model, f, stability_window=3)
+            rep = detect_k0(model, f)
             assert rep.k0 == want
             assert rep.k0 <= 3
             assert rep.heuristic
@@ -677,7 +677,7 @@ class TestDetectK0:
 
     def test_structure_constant_beyond_k0(self, tie_two_loops):
         model, f = tie_two_loops
-        rep = detect_k0(model, f, stability_window=3)
+        rep = detect_k0(model, f)
         decs = [critical_decomposition(build_truncation(model, k), f) for k in range(rep.k0, rep.k0 + 4)]
         keys = [{(c.symbols, tuple(sorted(c.edges))) for c in d.components} for d in decs]
         assert all(key == keys[0] for key in keys)

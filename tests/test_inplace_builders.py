@@ -180,7 +180,7 @@ def test_a_sweep_set_up_reads_the_support_and_tolerance_of_w_once(monkeypatch, t
     isfinite, tolerance = np.isfinite, maxplus._tolerance
     monkeypatch.setattr(np, "isfinite", lambda x, *args, **kw: shapes.append(np.shape(x)) or isfinite(x, *args, **kw))
     monkeypatch.setattr(maxplus, "_tolerance", lambda *args: tolerances.append(args) or tolerance(*args))
-    _, sweep = ergodic_opt._sweep_setup(tr, f, 1e-9)
+    _, sweep = ergodic_opt._sweep_setup(tr, f)
     assert shapes.count((n, n)) == 1 and len(tolerances) == 1
     assert sweep.sides is not None
 
@@ -224,11 +224,11 @@ def test_the_set_up_allocates_at_most_one_and_a_half_grids_beyond_its_results(ti
     # a warm-up call finishes lazy imports and caches
     W = transfer_matrix(tr, f, 1.0)
     finite, tol = maxplus._support(W)
-    dec = ergodic_opt._decomposition(tr, W, finite, tol, 1e-9)
+    dec = ergodic_opt._decomposition(tr, W, finite, tol)
     ergodic_opt._gauge(tr, W, finite, tol, dec)
     steps = {
         "transfer_matrix": lambda: transfer_matrix(tr, f, 1.0),
-        "_decomposition": lambda: ergodic_opt._decomposition(tr, W, finite, tol, 1e-9),
+        "_decomposition": lambda: ergodic_opt._decomposition(tr, W, finite, tol),
         "_gauge": lambda: ergodic_opt._gauge(tr, W, finite, tol, dec),
     }
     excess = {name: excess_nxn(call, n) for name, call in steps.items()}

@@ -463,10 +463,10 @@ class TestOneWeightMatrixPerTruncation:
         pd = perron(logB, gauge=gauge.scaled(t))
         return pd.log_lambda, equilibrium(pd, logB, trunc.alphabet)
 
-    def _per_t(self, trunc, f, ts, tie_tol, words):
+    def _per_t(self, trunc, f, ts, words):
         """Each t solved on its own transfer_matrix(trunc, f, t), as the sweeps did before."""
-        dec = critical_decomposition(trunc, f, tie_tol=tie_tol)
-        gauge = gauged_sweep(trunc, f, tie_tol).gauge
+        dec = critical_decomposition(trunc, f)
+        gauge = gauged_sweep(trunc, f).gauge
         maximal = [dec.components[j] for j in dec.maximal_components]
         out = []
         for t in ts:
@@ -494,20 +494,20 @@ class TestOneWeightMatrixPerTruncation:
         cfg = parse_model_config(config_path(source).read_text())
         model, f, sw = cfg.model, cfg.potential, cfg.sweep
         if k is None:
-            k0 = detect_k0(model, f, stability_window=sw.k0_window, tie_tol=sw.tie_tol)
+            k0 = detect_k0(model, f)
             k = k0.k0 + 1
         else:  # no k0 to detect on a non-summable potential; the sweep takes any k >= 0
             k0 = K0Report(k0=0, window=1, heuristic=True, ks=(), betas=())
         trunc = build_truncation(model, k)
         words = tuple((s,) for s in range(min(trunc.n_symbols, 8))) + ((0, 0), (0, 1))
-        want = self._per_t(trunc, f, sw.zt_ts, sw.tie_tol, words)
+        want = self._per_t(trunc, f, sw.zt_ts, words)
 
-        zt = zero_temp_sweep(model, f, k, ts=sw.zt_ts, words=words, tie_tol=sw.tie_tol, k0_report=k0)
+        zt = zero_temp_sweep(model, f, k, ts=sw.zt_ts, words=words, k0_report=k0)
         assert zt.ts == tuple(sw.zt_ts) and not zt.errors
         for i, (_, masses, gammas, _) in enumerate(want):
             assert tuple(zt.trajectories[w][i] for w in words) == masses
             assert tuple(g[i] for g in zt.gamma_trajectories) == gammas
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonMixingModel)
-            rep = entropy_limit(model, f, k, ts=sw.zt_ts, tie_tol=sw.tie_tol, k0_report=k0)
+            rep = entropy_limit(model, f, k, ts=sw.zt_ts, k0_report=k0)
         assert rep.entropies == tuple(h for *_, h in want)

@@ -55,7 +55,7 @@ def record_kernel_entries(monkeypatch):
 def sweep(trunc, f, words=()):
     """(t, pressure, pi, P, cylinder masses of the words) of the zero-temperature
     sweep of f on trunc at every t of ZT_TS_DEFAULT."""
-    _, state = _sweep_setup(trunc, f, 1e-9)
+    _, state = _sweep_setup(trunc, f)
     out = []
     for t in ZT_TS_DEFAULT:
         p, meas = equilibrium_measure(trunc, f, t, sweep=state)
@@ -91,7 +91,7 @@ def test_no_gauged_kernel_holds_a_subnormal(monkeypatch, name, k):
     trunc = build_truncation(model, k)
     built = record_kernel_entries(monkeypatch)
     sweep(trunc, f)
-    _, state = _sweep_setup(trunc, f, 1e-9)
+    _, state = _sweep_setup(trunc, f)
     for t in ZT_TS_DEFAULT:
         perron(t * state.W, gauge=state.gauge.scaled(t))
     assert len(built) == 2 * 2 * len(ZT_TS_DEFAULT)
@@ -117,7 +117,7 @@ def test_a_kernel_is_exp_of_t_e_on_its_normal_cells(monkeypatch):
     list on exactly those cells)."""
     model, f = bundled_pair("tie_two_loops")
     trunc = build_truncation(model, 510)
-    _, state = _sweep_setup(trunc, f, 1e-9)
+    _, state = _sweep_setup(trunc, f)
     seen = []
     real = rpf_finite._ReducedSide.kernel
 
@@ -179,7 +179,7 @@ def test_gauged_exponents_are_at_most_rounding_above_zero(name, k):
     eps = 2^-52. Not E <= 0 with 0 reached on every row: both models have
     edges with E > 0 (up to 8.9e-16) and rows whose best E is below 0."""
     model, f = pair(name)
-    _, state = _sweep_setup(build_truncation(model, k), f, 1e-9)
+    _, state = _sweep_setup(build_truncation(model, k), f)
     gauge = state.gauge
     eps = float(np.finfo(np.float64).eps)
     for side, b in zip(state.sides, (gauge.u, gauge.v)):

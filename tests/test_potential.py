@@ -128,12 +128,11 @@ class TestSummability:
         assert not cert.converges
         assert math.isinf(cert.tail_bound)
 
-    def test_monotone_in_explicit_range(self, log_quadratic):
+    def test_monotone_in_explicit_range(self, log_quadratic, monkeypatch):
         model, f = log_quadratic
-        small = MarkovPotential(model, f.family, explicit_hi=8)
-        large = MarkovPotential(model, f.family, explicit_hi=512)
-        cs, cl = check_summability(small), check_summability(large)
-        assert cs.converges and cl.converges
+        for hi in (8, 512):
+            monkeypatch.setattr(potential, "_EXPLICIT_HI", hi)
+            assert check_summability(MarkovPotential(model, f.family)).converges
 
     def test_missing_tail_raises(self):
         model = ShiftModel(ModelKind.RENEWAL)
@@ -169,8 +168,9 @@ def test_detect_k0_sums_no_certificate(log_quadratic):
 @st.composite
 def tailed_potentials(draw):
     """Geometric and polynomial tails, on a family whose certificate grows
-    round by round and on a one-round table; `a` reaches values whose
-    closed form overflows (exp(a - b i) or exp(a) past 709.78)."""
+    round by round from its explicit range 0..64 and on a one-round table
+    of 1 to 65 rows; `a` reaches values whose closed form overflows
+    (exp(a - b i) or exp(a) past 709.78)."""
     kind = draw(st.sampled_from((TailKind.GEOMETRIC, TailKind.POLYNOMIAL)))
     a = draw(st.sampled_from((0.0, 0.5, 700.0, 709.0, 720.0, 800.0, 1e4)) | st.floats(0.0, 2000.0))
     if kind is TailKind.GEOMETRIC:
@@ -178,16 +178,15 @@ def tailed_potentials(draw):
         tail = TailDescriptor(kind, a=a, b=rate)
     else:
         tail = TailDescriptor(kind, a=a, p=draw(st.sampled_from((0.5, 1.0, 1.0 + 1e-9, 2.0)) | st.floats(0.0, 2.0)))
-    hi = draw(st.integers(0, 64))
     model = ShiftModel(ModelKind.FULL)
     if draw(st.booleans()):
         # -log((i+1)(i+2)) <= a - p log(i+1) for p <= 2, a >= 0; a geometric
         # tail may fail to majorize it
         try:
-            return MarkovPotential(model, Family.LOG_QUADRATIC, tail=tail, explicit_hi=hi)
+            return MarkovPotential(model, Family.LOG_QUADRATIC, tail=tail)
         except ValidationError:
             assume(False)
-    rows = np.arange(hi + 1)
+    rows = np.arange(draw(st.integers(1, 65)))
     values = np.minimum(np.asarray(tail.bound(rows), dtype=float), 0.0) - 1.0
     return MarkovPotential(model, Family.TABLE, table=tuple((int(i), 0, float(v)) for i, v in zip(rows, values)), tail=tail)
 

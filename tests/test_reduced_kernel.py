@@ -63,7 +63,7 @@ def test_config_sweeps_match_the_dense_oracle(source, k):
     cfg = parse_model_config((CONFIGS / f"{source}.cfg").read_text())
     model, f, sw = cfg.model, cfg.potential, cfg.sweep
     if k is None:
-        k = detect_k0(model, f, stability_window=sw.k0_window, tie_tol=sw.tie_tol).k0 + 1
+        k = detect_k0(model, f).k0 + 1
     W, solves = solve_sweep(build_truncation(model, k), f, sw.zt_ts)
     for t, pd, meas in solves:
         assert_matches_oracle(pd, meas, W, t)
