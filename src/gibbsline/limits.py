@@ -316,14 +316,14 @@ def integral_limit_check(
     """Cauchy check for the energies mu_k(t f) along the schedule.
 
     The limit must match the P(t) estimate minus the entropy limit: the
-    variational identity transported across k.
+    variational identity transported across k. Repeated ks count once.
     """
     if t <= 1.0:
         raise ValidationError("the integral limit needs t > 1")
     if not is_summable(f):
         raise ValidationError("integral limit diagnostics need a summable potential")
     solver = _PointSolver(model, f)
-    ks = tuple(sorted(ks))
+    ks = tuple(sorted(set(ks)))
     energies = []
     p_last = h_last = math.nan
     for k in ks:

@@ -222,9 +222,10 @@ class TestIntegralLimit:
         assert all(b <= a for a, b in zip(positive, positive[1:]))
 
     def test_only_converged_energies_are_reported(self, renewal_weighted):
-        # a report is returned only when the last two gaps are below tol
+        # a report is returned only when the last two gaps are below tol; a
+        # repeated k counts once, so it makes no zero gap
         model, f = renewal_weighted
-        for ks, tol in (((1, 2), 1e-4), ((1, 2, 3), 1e-12)):
+        for ks, tol in (((1, 2), 1e-4), ((1, 2, 3), 1e-12), ((1, 2, 3, 3, 3), 1e-12)):
             with pytest.raises(NotConverged):
                 integral_limit_check(model, f, 3.0, ks, tol=tol)
 
