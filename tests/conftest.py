@@ -200,8 +200,8 @@ def dense_gauged_state(
     matrix is conjugated into exp(t (f - beta + v_j - v_i)), v a max-plus
     eigenvector of W - beta from Floyd-Warshall, so every entry is at most 1
     and each row keeps an entry equal to 1 at any t; v is taken from the
-    critical vertex of largest right eigenvector entry, so that entry bounds
-    the others from below. gap is 1 - |mu + 1| /
+    critical vertex c whose right eigenvector entry h_c is largest against
+    max h, since h_c bounds the others from below. gap is 1 - |mu + 1| /
     (rho + 1) for the next eigenvalue mu of this matrix: the contraction
     margin of the iteration shifted by exp(t beta); near 0, neither that
     iteration nor this eigensolve can separate the top two eigenvectors.
@@ -229,23 +229,30 @@ def dense_gauged_state(
         # residuals of order 1
         return np.abs(np.linalg.svd(B - lam * np.eye(n))[2][-1])
 
-    c = int(np.argmax(np.diag(D)))
-    B = gauged(c)
+    B = gauged(int(critical[0]))
     eigs = np.linalg.eigvals(B)
     lam = float(np.max(eigs.real))
     gap = 1.0 - float(np.sort(np.abs(eigs + 1.0))[-2]) / (lam + 1.0) if n > 1 else 1.0
-    h = null_vector(B, lam)
     # Every vertex reaches c along entries equal to 1, so h_i >= h_c / lam^n:
-    # h is bounded away from 0 once c lies in the critical component that
-    # dominates at this t. Gauged from another one, h can fall far below the
-    # SVD's round-off (loops at 0 on vertex 0 and on the cycle 1 2 3 1 put
-    # h_0 near 1e-28 at t = 16). So gauge again from the critical vertex of
-    # largest h; lam and the spectrum do not depend on the gauge.
-    best = int(critical[np.argmax(h[critical])])
-    if best != c:
-        c = best
-        B = gauged(c)
-        h = null_vector(B, lam)
+    # h is bounded away from 0 once h_c is near its largest entry, as when c
+    # lies in the critical component that dominates at this t. Gauged from
+    # another one, h can fall far below the SVD's round-off (loops at 0 on
+    # vertex 0 and on the cycle 1 2 3 1 put h_0 near 1e-28 at t = 16). The
+    # largest h in one gauge does not name the dominant component: with loops
+    # at 0 on vertices 0 and 2 and the 2-cycle 0 1 at 0, h gauged from 0 is
+    # (1, 0.62, 1.62) at t = 64, but gauged from 2 it puts h_2 near 1e-28 h_0.
+    # So gauge from one vertex of each critical component and keep the gauge
+    # of largest h_c / max h; lam and the spectrum do not depend on the gauge.
+    reps = []
+    for i in critical:
+        if all(D[i, r] + D[r, i] < -1e-12 for r in reps):  # i starts a new component
+            reps.append(int(i))
+    score = -1.0
+    for r in reps:
+        B_r = gauged(r)
+        h_r = null_vector(B_r, lam)
+        if h_r[r] / np.max(h_r) > score:
+            score, c, B, h = h_r[r] / np.max(h_r), r, B_r, h_r
     with np.errstate(divide="ignore", invalid="ignore"):  # h is junk at gap ~ 0
         P = B * h[None, :] / (lam * h[:, None])
         # pi is the stationary law of P, by elimination rather than from a left

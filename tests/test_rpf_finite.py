@@ -479,6 +479,26 @@ def test_gauged_solve_and_oracle_resolve_a_nearly_critical_loop():
     assert np.allclose(dense_gauged_state(W, t)[1], ref, rtol=1e-9, atol=0.0)
 
 
+def test_oracle_gauges_from_the_dominant_critical_component():
+    """Loops at 0 on 0 and 2 and the 2-cycle 0 1 at 0 tie three critical
+    vertices, but at t = 64 the 2-cycle's component (rho = golden ratio)
+    dominates the loop at 2 (rho = 1). Gauged from 2, the oracle's
+    eigenvector lost h_0 below round-off and put 1.4e-6 on a state of mass
+    1.9e-28. The references are an 80-digit eigensolve of exp(t W)."""
+    entries = {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0, (1, 2): 0.0, (2, 0): -1.0, (2, 2): 0.0}
+    model = ShiftModel(ModelKind.CUSTOM, tuple(sorted(entries)))
+    f = MarkovPotential(model, Family.TABLE, table=tuple((i, j, v) for (i, j), v in sorted(entries.items())))
+    tr = build_truncation(model, 2)
+    W = np.full((3, 3), NEG_INF)
+    for (i, j), v in entries.items():
+        W[i, j] = v
+    t, masses = 64.0, [1.0, 0.3819660112501051518, 2.5950205324349335375e-28]
+    ref = np.array(masses) / np.sum(masses)
+    _, meas = equilibrium_measure(tr, f, t, sweep=gauged_sweep(tr, f))
+    assert np.allclose(meas.stationary, ref, rtol=1e-9, atol=0.0)
+    assert np.allclose(dense_gauged_state(W, t)[1], ref, rtol=1e-9, atol=0.0)
+
+
 def test_equilibrium_measure_raises_on_a_stalled_solve():
     """Two tied critical loops at t = 8 leave a contraction margin of 0.003:
     the budget ends with residual 7.5e-11 and stationary masses off by 1e-8.
